@@ -65,10 +65,30 @@ def builtin_multiplier(name: str, field: CycloField) -> Multiplier:
     raise UnknownName(f"unknown builtin multiplier {name!r}")
 
 
+class InputError(Exception):
+    """A command-line input is malformed (exit 2, not a mathematical failure)."""
+
+
+def _read_json(path: str, parse):
+    """``parse(load(path))``, with malformed content reported as InputError."""
+    try:
+        return parse(load(path))
+    except (ValueError, KeyError, TypeError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise InputError(f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_multiplier(arg: str, field: CycloField) -> Multiplier:
     if arg.startswith("builtin:"):
         return builtin_multiplier(arg.split(":", 1)[1], field)
-    return multiplier_from_json(load(arg))
+    return _read_json(arg, multiplier_from_json)
 
 
 def _spec_from_json(data: dict) -> EquationSpec:
@@ -130,13 +150,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="verify a named or JSON identity")
     p_verify.add_argument("identity")
-    p_verify.add_argument("--window", type=int, default=None)
-    p_verify.add_argument("--order", type=int, default=None)
+    p_verify.add_argument("--window", type=_non_negative, default=None)
+    p_verify.add_argument("--order", type=_non_negative, default=None)
 
     p_theta = sub.add_parser("theta", help="theta space dimension and basis")
     p_theta.add_argument("multiplier")
-    p_theta.add_argument("--window", type=int, default=6)
-    p_theta.add_argument("--order", type=int, default=60)
+    p_theta.add_argument("--window", type=_non_negative, default=6)
+    p_theta.add_argument("--order", type=_non_negative, default=60)
 
     p_comp = sub.add_parser("compose", help="compose two multipliers (m2 o m1)")
     p_comp.add_argument("m2")
@@ -148,11 +168,15 @@ def main(argv: list[str] | None = None) -> int:
     p_act = sub.add_parser("act", help="action matrix on the canonical basis")
     p_act.add_argument("element")
     p_act.add_argument("multiplier")
-    p_act.add_argument("--window", type=int, default=4)
-    p_act.add_argument("--order", type=int, default=60)
+    p_act.add_argument("--window", type=_non_negative, default=4)
+    p_act.add_argument("--order", type=_non_negative, default=60)
 
     args = parser.parse_args(argv)
-    field = CycloField(args.cyclotomic_order)
+    try:
+        field = CycloField(args.cyclotomic_order)
+    except ValueError as exc:
+        print(f"error: --cyclotomic-order {args.cyclotomic_order}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "verify":
@@ -165,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                     jobs=args.jobs,
                 )
             else:
-                spec = _spec_from_json(load(args.identity))
+                spec = _read_json(args.identity, _spec_from_json)
                 if args.window is not None:
                     spec.window = args.window
                 if args.order is not None:
@@ -225,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "act":
             L = _load_multiplier(args.multiplier, field)
-            elem = smallelem_from_json(load(args.element))
+            elem = _read_json(args.element, smallelem_from_json)
             tb = theta_dim_basis(L, window=args.window, order=max(args.order, 120))
             matrix = act_on_theta(L, elem, tb, window=args.window, order=args.order)
             report = {
@@ -247,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out,
         )
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

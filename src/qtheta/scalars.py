@@ -4,9 +4,10 @@ The coefficient domain for the whole engine is the field of truncated formal
 Laurent series in ``u`` (a formal half power of ``q``, so ``q == u**2``) over
 a cyclotomic-rational field Q(zeta_m).  Three layers:
 
-* :class:`CycloRational` -- an element of Q[x]/Phi_m(x), coefficients are
-  arbitrary-precision rationals, always reduced mod the m-th cyclotomic
-  polynomial.
+* :class:`CycloRational` -- an element of Q[x]/Phi_m(x), stored as a vector
+  of integer numerators over one positive integer denominator (the layout of
+  FLINT's ``nf_elem``), always reduced mod the m-th cyclotomic polynomial and
+  normalised so that the numerators and the denominator share no factor.
 * :class:`UnitMonomial` -- a nonzero scalar times a power of ``u``; the group
   where pairing values, point values and automorphy constants live.
 * :class:`ScalarSeries` -- a finite map exponent -> coefficient together
@@ -18,6 +19,7 @@ Everything is immutable; all arithmetic is exact.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -109,52 +111,42 @@ class CycloField:
             phi = cyclotomic_polynomial(order)
             inst.degree = len(phi) - 1
             inst._phi = phi
-            inst._reduction = inst._build_reduction()
+            # Phi_m is monic, so zeta^deg = -(phi_0 + phi_1 zeta + ...): the
+            # reduction needs only its nonzero lower coefficients, all integers.
+            inst._phi_low = tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+            inst._zeros = (0,) * (inst.degree - 1)
             inst._zero = None
             inst._one = None
             cls._instances[order] = inst
         return inst
 
-    def _build_reduction(self):
-        # zeta^deg expressed in the power basis; Phi_m is monic, so
-        # zeta^deg = -(phi_0 + phi_1 zeta + ...).  Higher powers on demand.
-        base = tuple(Fraction(-c) for c in self._phi[:-1])
-        return [base]
-
-    def _reduction_row(self, k: int) -> tuple:
-        """Power-basis expansion of zeta^(deg + k)."""
-        rows = self._reduction
-        deg = self.degree
-        base = rows[0]
-        while len(rows) <= k:
-            prev = rows[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
-            top = prev[-1]
-            rows.append(tuple(shifted[i] + top * base[i] for i in range(deg)))
-        return rows[k]
-
     @property
     def torsion_order(self) -> int:
         return self.order if self.order % 2 == 0 else 2 * self.order
 
-    def element(self, coeffs: Iterable[Rat]) -> "CycloRational":
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        else:
-            vec += [Fraction(0)] * (self.degree - len(vec))
-        return CycloRational(self, tuple(vec))
+    def _reduce(self, vec: list) -> tuple:
+        """An integer vector of any length, reduced mod Phi_m to ``degree`` entries.
 
-    def _reduce(self, vec: list) -> list:
+        Works in place on ``vec``, from the top power down.
+        """
         deg = self.degree
-        out = list(vec[:deg]) + [Fraction(0)] * max(0, deg - len(vec))
-        for k in range(deg, len(vec)):
+        n = len(vec)
+        if n <= deg:
+            return tuple(vec) + (0,) * (deg - n)
+        low = self._phi_low
+        for k in range(n - 1, deg - 1, -1):
             c = vec[k]
             if c:
-                row = self._reduction_row(k - deg)
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return out
+                s = k - deg
+                for i, p in low:
+                    vec[s + i] -= c * p
+        return tuple(vec[:deg])
+
+    def element(self, coeffs: Iterable[Rat]) -> "CycloRational":
+        vals = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in vals])
+        num = [c.numerator * (den // c.denominator) for c in vals]
+        return _normalised(self, self._reduce(num), den)
 
     def zero(self) -> "CycloRational":
         if self._zero is None:
@@ -167,14 +159,14 @@ class CycloField:
         return self._one
 
     def from_rational(self, value: Rat) -> "CycloRational":
-        return self.element([Fraction(value)])
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return CycloRational(self, (value.numerator,) + self._zeros, value.denominator)
 
     def zeta(self, power: int = 1) -> "CycloRational":
         """zeta_m ** power."""
         power %= self.order
-        vec = [Fraction(0)] * (power + 1)
-        vec[power] = Fraction(1)
-        return self.element(vec)
+        return self.element([0] * power + [1])
 
     def root_of_unity(self, k: int) -> "CycloRational":
         """A primitive k-th root of unity, if the field contains one."""
@@ -193,15 +185,40 @@ class CycloField:
         return f"CycloField({self.order})"
 
 
+def _normalised(field: CycloField, num: tuple, den: int) -> "CycloRational":
+    """The element ``num / den`` for ``den > 0``, with the common factor cancelled."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    return CycloRational(field, num, den)
+
+
 class CycloRational:
-    """Element of Q(zeta_m) in the power basis 1, zeta, ..., zeta^(deg-1)."""
+    """Element of Q(zeta_m) in the power basis 1, zeta, ..., zeta^(deg-1).
 
-    __slots__ = ("field", "coeffs", "_hash")
+    The element is ``sum(num[i] * zeta**i) / den``: ``num`` is a tuple of
+    ``field.degree`` integers and ``den`` a positive integer, normalised so
+    that ``gcd(den, *num) == 1`` (zero is ``(0, ..., 0) / 1``).  Under that
+    invariant equal elements have equal numerators and denominators.  The
+    constructor trusts its arguments; build elements through
+    :class:`CycloField` or arithmetic.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- helpers ----------------------------------------------------------
 
@@ -215,28 +232,34 @@ class CycloRational:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloRational(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.__class__ is not CycloRational or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = tuple(map(operator.add, self.num, other.num))
+            if d1 == 1:
+                return CycloRational(self.field, num, 1)
+            return _normalised(self.field, num, d1)
+        num = tuple(x * d2 + y * d1 for x, y in zip(self.num, other.num))
+        return _normalised(self.field, num, d1 * d2)
 
     __radd__ = __add__
 
@@ -244,31 +267,35 @@ class CycloRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloRational(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycloRational(self.field, tuple(-a for a in self.coeffs))
+        return CycloRational(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        deg = self.field.degree
+        if other.__class__ is not CycloRational or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        field = self.field
+        a, b = self.num, other.num
+        deg = field.degree
         if deg == 1:
-            return CycloRational(self.field, (a[0] * b[0],))
-        out = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return CycloRational(self.field, tuple(self.field._reduce(out)))
+            num = (a[0] * b[0],)
+        else:
+            out = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            num = field._reduce(out)
+        den = self.den * other.den
+        if den == 1:
+            return CycloRational(field, num, 1)
+        return _normalised(field, num, den)
 
     __rmul__ = __mul__
 
@@ -277,7 +304,10 @@ class CycloRational:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
+            n0 = self.num[0]
+            return CycloRational(
+                self.field, (self.den if n0 > 0 else -self.den,) + self.field._zeros, abs(n0)
+            )
         phi = tuple(Fraction(c) for c in self.field._phi)
         r0, r1 = phi, _poly_trim(list(self.coeffs))
         s0, s1 = (), (Fraction(1),)
@@ -323,22 +353,25 @@ class CycloRational:
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, CycloRational):
+            return self.field is other.field and self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycloRational):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+            return self.is_rational() and self.num[0] == other * self.den
+        return NotImplemented
 
     def __hash__(self):
+        # the hash of the Fraction coefficient tuple (an int hashes like the
+        # equal Fraction), so it does not depend on the stored form
         if self._hash is None:
-            self._hash = hash((self.field.order, self.coeffs))
+            self._hash = hash((self.field.order, self.num if self.den == 1 else self.coeffs))
         return self._hash
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -349,84 +382,63 @@ class CycloRational:
         return " + ".join(parts) if parts else "0"
 
 
-def cyclo_sqrt(a: CycloRational) -> Optional[CycloRational]:
-    """A square root of ``a`` inside the same field, or None.
-
-    Handles the cases that actually occur for automorphy data: rational
-    squares, and roots of unity whose half-order root is available.
-    """
-    field = a.field
-    if a.is_zero():
-        return field.zero()
-    if a.is_rational():
-        r = a.as_rational()
-        if r > 0:
-            num, den = r.numerator, r.denominator
-            sn, sd = math.isqrt(num), math.isqrt(den)
-            if sn * sn == num and sd * sd == den:
-                return field.from_rational(Fraction(sn, sd))
-        else:
-            inner = cyclo_sqrt(field.from_rational(-r))
-            if inner is not None:
-                try:
-                    return field.root_of_unity(4) * inner
-                except MissingRootsOfUnity:
-                    return None
-        # fall through to the root-of-unity scan (e.g. rational zeta powers)
-    # scan the torsion subgroup: a == zeta_M^j  =>  sqrt = zeta_M^(j/2) form
-    big = field.torsion_order
-    try:
-        z = field.root_of_unity(big)
-    except MissingRootsOfUnity:
-        return None
-    power = field.one()
-    for j in range(big):
-        if power == a:
-            if j % 2 == 0:
-                return z ** (j // 2)
-            return z ** ((j + big) // 2) if big % 2 == 0 else None
-        power = power * z
-    return None
+def _exact_root(x: int, n: int) -> Optional[int]:
+    """The integer r >= 0 with r**n == x, or None (x >= 0, n >= 2)."""
+    if n == 2 or x < 2:
+        r = math.isqrt(x)
+    else:
+        # integer Newton from an over-estimate; it decreases to floor(x**(1/n))
+        r = 1 << -(-x.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + x // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == x else None
 
 
 def cyclo_nth_root(a: CycloRational, n: int) -> Optional[CycloRational]:
-    """An n-th root of ``a`` in the field, or None (monomial-group cases)."""
+    """An n-th root of ``a`` in the field, or None (monomial-group cases).
+
+    Handles the cases that occur for automorphy data: rationals +-r**n, and
+    roots of unity with an n-th root in the torsion subgroup.
+    """
     if n == 1:
         return a
-    if n == 2:
-        return cyclo_sqrt(a)
     field = a.field
     if a.is_zero():
         return field.zero()
+    scale = None
     if a.is_rational():
         r = a.as_rational()
-        if r > 0 or n % 2 == 1:
-            sign = 1 if r > 0 else -1
-            num, den = abs(r.numerator), r.denominator
-            rn = round(num ** (1.0 / n))
-            rd = round(den ** (1.0 / n))
-            for cn in (rn - 1, rn, rn + 1):
-                for cd in (rd - 1, rd, rd + 1):
-                    if cn > 0 and cd > 0 and cn**n == num and cd**n == den:
-                        return field.from_rational(Fraction(sign * cn, cd))
+        p = _exact_root(abs(r.numerator), n)
+        q = _exact_root(r.denominator, n)
+        if p is not None and q is not None:
+            scale = Fraction(p, q)
+            if r > 0:
+                return field.from_rational(scale)
+            if n % 2:
+                return field.from_rational(-scale)
+            a = -field.one()  # scale times an n-th root of -1
+    # scan the torsion subgroup: a == z^j  =>  root z^s with n*s == j mod big
     big = field.torsion_order
-    try:
-        z = field.root_of_unity(big)
-    except MissingRootsOfUnity:
-        return None
+    z = field.root_of_unity(big)
     power = field.one()
     for j in range(big):
         if power == a:
-            if j % n == 0:
-                return z ** (j // n)
-            # solve n*s = j mod big
             g = math.gcd(n, big)
-            if j % g == 0:
-                s = (j // g) * pow(n // g, -1, big // g) % (big // g)
-                return z**s
-            return None
+            if j % g:
+                return None
+            s = (j // g) * pow(n // g, -1, big // g) % (big // g)
+            root = z**s
+            return root if scale is None else root * scale
         power = power * z
     return None
+
+
+def cyclo_sqrt(a: CycloRational) -> Optional[CycloRational]:
+    """A square root of ``a`` inside the same field, or None."""
+    return cyclo_nth_root(a, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,12 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
     field = spec.param.field
     checked = 0
     first_mismatch = None
+    # a pass must mean something was compared
+    if order < 0:
+        first_mismatch = {"cell": None, "uexp": None, "reason": f"negative order {order}"}
+        the_cells = []
+    elif not the_cells:
+        first_mismatch = {"cell": None, "uexp": None, "reason": "no cells to check"}
     for h in the_cells:
         total = ScalarSeries.zero(field, order)
         for s in series:
@@ -442,6 +448,8 @@ def _verify_parallel(identity_id, spec, field, jobs) -> dict:
     specs = identity_specs(identity_id, field, spec.window, spec.order)
     spec_index = next(i for i, s in enumerate(specs) if s.label == spec.label)
     cells = sorted(spec.cells())
+    if not cells or spec.order < 0:
+        return verify_equation(spec)  # the vacuous-check failure report
     chunks = [cells[i::jobs] for i in range(jobs)]
     m_order = spec.param.field.order
     results = []

@@ -155,6 +155,44 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--window", "-1"), ("--order", "-3")])
+def test_verify_negative_window_or_order_exits_two(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "E016", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_cyclotomic_order_exits_two(capsys):
+    assert main(["--cyclotomic-order", "0", "verify", "E016"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["verify"], "{not json"),
+        (["verify"], json.dumps({"schema": 1, "terms": []})),
+        (["theta"], json.dumps({"param": {"m": 1}})),
+        (["compose", "builtin:jacobi"], "[1, 2"),
+        (["act", "ELEM", "builtin:jacobi2"], json.dumps({"c": {"m": 1}})),
+    ],
+)
+def test_malformed_input_file_exits_two(command, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    args = [str(path) if a == "ELEM" else a for a in command]
+    if "ELEM" not in command:
+        args.append(str(path))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "malformed input" in captured.err
+
+
 def test_verify_operator_mode_spec(tmp_path, capsys):
     # theta shift equation in operator mode through the JSON vocabulary
     spec = {

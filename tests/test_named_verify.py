@@ -165,6 +165,17 @@ def test_verify_detects_corruption():
     assert "cell" in rep["first_mismatch"] and "uexp" in rep["first_mismatch"]
 
 
+def test_verify_fails_vacuous_checks():
+    # an empty window or a negative order compares nothing: never a pass
+    for window, order in [(-1, 40), (10, -3)]:
+        for jobs in (1, 2):
+            rep = verify_named("E016", window=window, order=order, jobs=jobs)
+            assert rep["status"] == "fail" and rep["cells_checked"] == 0
+            assert rep["first_mismatch"]["cell"] is None
+    spec = identity_specs("E016")[0]
+    assert verify_equation(spec, cells=[])["status"] == "fail"
+
+
 def test_report_determinism():
     r1 = emit_report(verify_named("E016"))
     r2 = emit_report(verify_named("E016"))

@@ -12,6 +12,7 @@ from qtheta.scalars import (
     ScalarSeries,
     UnitMonomial,
     cyclo_arith,
+    cyclo_nth_root,
     cyclo_sqrt,
     cyclotomic_polynomial,
     monomial_from_json,
@@ -107,6 +108,39 @@ def test_cyclo_sqrt():
     i = f.root_of_unity(4)
     assert cyclo_sqrt(-f.one()) in (i, -i)
     assert cyclo_sqrt(f.from_rational(2)) is None
+
+
+def test_nth_root_exact_for_large_integers():
+    f = CycloField(1)
+    # beyond float range: no OverflowError, exact answers either way
+    assert cyclo_nth_root(f.from_rational(10**400), 4) == f.from_rational(10**100)
+    assert cyclo_nth_root(f.from_rational(10**400), 3) is None
+    assert cyclo_nth_root(f.from_rational(-(10**402)), 3) == f.from_rational(-(10**134))
+    # an exact cube that float rounding misses
+    cube = (10**20 + 1) ** 3
+    root = UnitMonomial(f.from_rational(Fraction(cube, 8)), 6).nth_root(3)
+    assert root == UnitMonomial(f.from_rational(Fraction(10**20 + 1, 2)), 2)
+    assert cyclo_nth_root(f.from_rational(cube + 1), 3) is None
+
+
+def test_nth_root_results_are_roots():
+    # every returned root satisfies root**n == a; negative rationals with even
+    # n use an n-th root of -1 from the torsion subgroup
+    f8 = CycloField(8)
+    r = cyclo_nth_root(f8.from_rational(-64), 6)
+    assert r is not None and r**6 == f8.from_rational(-64)
+    for m in (3, 4, 5, 8, 12):
+        f = CycloField(m)
+        z = f.root_of_unity(f.torsion_order)
+        for j in range(f.torsion_order):
+            a = z**j * Fraction(9, 4)
+            for n in (2, 3, 4):
+                root = cyclo_nth_root(a, n)
+                if root is not None:
+                    assert root**n == a
+    # -zeta_5 is a primitive 10th root of unity: no square root in Q(zeta_5)
+    f5 = CycloField(5)
+    assert cyclo_sqrt(-f5.zeta()) is None
 
 
 # ---------------------------------------------------------------------------

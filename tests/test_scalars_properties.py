@@ -1,0 +1,140 @@
+"""Property tests: CycloRational against a Fraction-polynomial reference.
+
+The reference keeps an element of Q(zeta_m) as a list of Fraction
+coefficients in the power basis and reduces products by long division by the
+monic cyclotomic polynomial, which is the textbook definition of the field.
+"""
+
+import json
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from qtheta.scalars import (
+    INF,
+    CycloField,
+    ScalarSeries,
+    cyclotomic_polynomial,
+    series_from_json,
+    series_to_json,
+)
+
+ORDERS = (1, 3, 4, 5, 12)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+rationals = st.builds(
+    Fraction,
+    st.integers(-60, 60) | st.integers(-(10**30), 10**30),
+    st.sampled_from([1, 1, 1, 2, 3, 4, 6, 7, 12, 10**20 + 3]),
+)
+
+
+def ref_reduce(vec, m):
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    vec = [Fraction(c) for c in vec]
+    while len(vec) > deg:
+        c = vec.pop()
+        shift = len(vec) - deg
+        for i in range(deg):
+            vec[shift + i] -= c * phi[i]
+    return tuple(vec) + (Fraction(0),) * (deg - len(vec))
+
+
+def ref_mul(a, b, m):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(out, m)
+
+
+@st.composite
+def field_and_vectors(draw, count):
+    m = draw(st.sampled_from(ORDERS))
+    deg = CycloField(m).degree
+    vecs = [
+        draw(st.lists(rationals, min_size=1, max_size=deg + 3)) for _ in range(count)
+    ]
+    return m, vecs
+
+
+def check_normalised(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in x.num)
+
+
+@SETTINGS
+@given(field_and_vectors(2), st.integers(0, 5))
+def test_arithmetic_matches_reference(data, n):
+    m, (va, vb) = data
+    f = CycloField(m)
+    a, b = f.element(va), f.element(vb)
+    ra, rb = ref_reduce(va, m), ref_reduce(vb, m)
+    assert a.coeffs == ra and b.coeffs == rb
+    results = {
+        "add": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "sub": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "neg": (-a, tuple(-x for x in ra)),
+        "mul": (a * b, ref_mul(ra, rb, m)),
+    }
+    power = ref_reduce([1], m)
+    for _ in range(n):
+        power = ref_mul(power, ra, m)
+    results["pow"] = (a**n, power)
+    for got, want in results.values():
+        check_normalised(got)
+        assert got.coeffs == want
+    if any(ra):
+        inv = a.inverse()
+        check_normalised(inv)
+        assert ref_mul(inv.coeffs, ra, m) == ref_reduce([1], m)
+        assert (b / a).coeffs == ref_mul(rb, inv.coeffs, m)
+
+
+@SETTINGS
+@given(field_and_vectors(2), rationals)
+def test_equality_and_hash_agree_across_constructions(data, r):
+    m, (va, vb) = data
+    f = CycloField(m)
+    same = [
+        f.from_rational(r),
+        f.element([r]),
+        f.element([Fraction(r.numerator * 6, r.denominator * 6)]),
+        f.element([str(r)]),
+        f.one() * r,
+        r * f.one(),
+        f.from_rational(r.numerator) / r.denominator,
+        f.from_rational(r) + f.zero(),
+    ]
+    for x in same:
+        check_normalised(x)
+        assert x == same[0] and hash(x) == hash(same[0])
+        assert x == r and x.as_rational() == r
+    a, b = f.element(va), f.element(vb)
+    # a polynomial and its remainder mod Phi_m are one element
+    phi = cyclotomic_polynomial(m)
+    padded = list(va) + [Fraction(0)] * (len(phi) + 2)
+    for i, c in enumerate(phi):
+        padded[i + 2] += 5 * c
+    for x in (f.element(padded), (a + b) - b, -(-a), a * f.one()):
+        assert x == a and hash(x) == hash(a)
+    assert (a == b) == (a.coeffs == b.coeffs)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(ORDERS),
+    st.dictionaries(st.integers(-6, 12), st.lists(rationals, min_size=1, max_size=6), max_size=6),
+    st.sampled_from([INF, 4, 12]),
+)
+def test_series_json_roundtrip_text(m, terms, trunc):
+    f = CycloField(m)
+    s = ScalarSeries(f, {e: f.element(v) for e, v in terms.items()}, trunc)
+    text = json.dumps(series_to_json(s), sort_keys=True)
+    back = series_from_json(json.loads(text))
+    assert back == s
+    assert json.dumps(series_to_json(back), sort_keys=True) == text
