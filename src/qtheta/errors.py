@@ -50,6 +50,10 @@ class NotMultipliable(QThetaError):
     """A formal series product cannot be certified to converge u-adically."""
 
 
+class EnumerationLimit(NotMultipliable):
+    """A certified enumeration box exceeds the point cap (a resource limit)."""
+
+
 class UnresolvedReference(QThetaError):
     """An equation term refers to an unknown series or element."""
 

@@ -446,15 +446,3 @@ def is_positive_definite(q: Sequence[Sequence[Fraction]]) -> bool:
         if frac_det(minor) <= 0:
             return False
     return True
-
-
-def is_positive_semidefinite(q: Sequence[Sequence[Fraction]]) -> bool:
-    """All principal minors nonnegative (exact, exponential in n; n is tiny)."""
-    n = len(q)
-    qq = [[Fraction(x) for x in row] for row in q]
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        minor = [[qq[i][j] for j in idx] for i in idx]
-        if frac_det(minor) < 0:
-            return False
-    return True

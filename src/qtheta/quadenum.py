@@ -7,21 +7,44 @@ computation to: find all integer points y with
 
 where T is an exact lower bound for the u-adic valuation of the term indexed
 by y.  Soundness (never miss a point) is mandatory: a dropped point silently
-corrupts a coefficient.  The solver runs interval propagation over the
-linear constraints and per-variable quadratic bounds, with a positive
-definite block fallback for variables the propagation cannot pin.
+corrupts a coefficient.  T is scaled to integers by the lcm of its
+denominators and each inequality row by the lcm of its own; all later work
+is integer arithmetic, and an unbounded end of an interval is ``None``.
+
+1. Certification.  Interval propagation over the linear constraints and the
+   per-variable quadratic bounds, with a positive definite block fallback,
+   yields a box holding every solution.  A box of more than ``max_points``
+   points is refused with ``EnumerationLimit``.
+2. Pruned walk.  With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
+   where the linear coefficients lin_j of R are updated as the prefix grows.
+   Each of these cuts holds at every point of the box, so none loses a
+   solution:
+   - Completion of squares (Fincke-Pohst): when B = Q[i+1:, i+1:] is positive
+     definite, the minimum of R over real y_{i+1..} is a quadratic in y_i
+     (integer after scaling by 4 det B through the adjugate of B), and y_i
+     lies in its sublevel interval.  At the last variable B is empty and
+     this solves q v^2 + lin v + acc <= limit.  Roots are rounded outward
+     with ``math.isqrt``.
+   - Inequality rows: given the prefix and the box maximum of the suffix
+     terms, each row bounds y_i.
+   - Separable box bound: a prefix is skipped when acc plus the box minima
+     of Q_jj y_j^2 + lin_j y_j (j > i) and of each remaining cross term
+     2 Q_jk y_j y_k exceeds the limit.  The minima may be negative, so the
+     sum is always completed before it is compared.
+   Every emitted point still passes the exact test T(y) <= limit and every
+   inequality.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from operator import mul
+from typing import Sequence
 
-from .errors import NotMultipliable
-
-INF = math.inf
+from .errors import EnumerationLimit, NotMultipliable
+from .intlinalg import det
 
 
 def frac_sqrt_upper(x) -> Fraction:
@@ -33,45 +56,107 @@ def frac_sqrt_upper(x) -> Fraction:
     return Fraction(math.isqrt(p * q) + 1, q)
 
 
-def _mul_bound(a, b):
-    """Product of extended values; inf * 0 = 0 (sound for bound corners)."""
-    if a == INF or a == -INF or b == INF or b == -INF:
-        if a == 0 or b == 0:
-            return 0
-        pos = (a > 0) == (b > 0)
-        return INF if pos else -INF
-    return a * b
+def _den_lcm(values) -> int:
+    return math.lcm(*(x.denominator for x in values if not isinstance(x, int)))
 
 
-def _interval_scale(coef, lo, hi):
-    if coef == 0:
-        return 0, 0
-    a = _mul_bound(coef, lo)
-    b = _mul_bound(coef, hi)
-    return (a, b) if coef > 0 else (b, a)
+def _lin_min(c, lo, hi):
+    """min of c*y over lo <= y <= hi (None ends are unbounded); None is -inf."""
+    if c > 0:
+        return None if lo is None else c * lo
+    if c < 0:
+        return None if hi is None else c * hi
+    return 0
 
 
-def _product_min(lo1, hi1, lo2, hi2):
-    """Infimum of y1*y2 over the (possibly unbounded) box."""
-    cands = []
-    for e1 in (lo1, hi1):
-        for e2 in (lo2, hi2):
-            cands.append(_mul_bound(e1, e2))
-    return min(cands)
+def _cross_min(q, lo1, hi1, lo2, hi2):
+    """min of 2*q*y1*y2 over the box; None is -inf (inf * 0 = 0)."""
+    best = None
+    for a, sa in ((lo1, -1), (hi1, 1)):
+        for b, sb in ((lo2, -1), (hi2, 1)):
+            if a is not None and b is not None:
+                p = 2 * q * a * b
+            else:  # an infinite corner: only its sign matters
+                sign = q * (sa if a is None else a) * (sb if b is None else b)
+                if sign < 0:
+                    return None
+                if sign > 0:
+                    continue
+                p = 0
+            if best is None or p < best:
+                best = p
+    return best
 
 
 def _square_min(lo, hi):
-    if lo <= 0 <= hi:
-        return 0
-    if lo > 0:
-        return lo * lo if lo != INF else INF
-    return hi * hi if hi != -INF else INF
+    if lo is not None and lo > 0:
+        return lo * lo
+    if hi is not None and hi < 0:
+        return hi * hi
+    return 0
 
 
-def _square_max(lo, hi):
-    a = INF if lo == -INF else lo * lo
-    b = INF if hi == INF else hi * hi
-    return max(a, b)
+def _sep_min(q, t, lo, hi):
+    """min of q*v^2 + t*v over the integers lo <= v <= hi."""
+    if q > 0:
+        v = min(max(-t // (2 * q), lo), hi)  # floor of the real minimiser
+        w = min(v + 1, hi)
+        return min((q * v + t) * v, (q * w + t) * w)
+    return min((q * lo + t) * lo, (q * hi + t) * hi)
+
+
+def _quad_range(A, B, C, lo, hi):
+    """An integer interval inside [lo, hi] holding every v there with
+    A v^2 + B v + C <= 0 (rounded outward; all of [lo, hi] when A < 0)."""
+    if A > 0:
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return 1, 0
+        s = math.isqrt(disc) + 1
+        return max(lo, -((B + s) // (2 * A))), min(hi, (s - B) // (2 * A))
+    if A == 0:
+        if B > 0:
+            hi = min(hi, -C // B)
+        elif B < 0:
+            lo = max(lo, -(-C // -B))
+        elif C > 0:
+            return 1, 0
+    return lo, hi
+
+
+@lru_cache(maxsize=512)
+def _pd_adjugate(m):
+    """(det m, adjugate of m) when the integer matrix m (a tuple of row
+    tuples) is symmetric positive definite, else None."""
+    k = len(m)
+    if any(m[i][j] != m[j][i] for i in range(k) for j in range(i)):
+        return None
+    if any(det([r[:t] for r in m[:t]]) <= 0 for t in range(1, k + 1)):
+        return None
+
+    def minor(i, j):
+        return [r[:j] + r[j + 1 :] for a, r in enumerate(m) if a != i]
+
+    adj = tuple(tuple((-1) ** (i + j) * det(minor(j, i)) for j in range(k)) for i in range(k))
+    return det(m), adj
+
+
+@lru_cache(maxsize=256)
+def _tail_bounds(quad):
+    """Per level i: (4 det Q[i:, i:], det B, adj B, adj B . Q[i+1:, i]) with
+    B = Q[i+1:, i+1:] when B is positive definite, else None."""
+    n = len(quad)
+    out = []
+    for i in range(n):
+        pd = _pd_adjugate(tuple(r[i + 1 :] for r in quad[i + 1 :]))
+        if pd is None:
+            out.append(None)
+            continue
+        D, adj = pd
+        c = [quad[j][i] for j in range(i + 1, n)]
+        w = tuple(sum(map(mul, row, c)) for row in adj)
+        out.append((4 * (D * quad[i][i] - sum(map(mul, w, c))), D, adj, w))
+    return tuple(out)
 
 
 class QuadExpr:
@@ -111,19 +196,7 @@ class QuadExpr:
         return acc
 
     def denominator_lcm(self) -> int:
-        import math as _math
-
-        d = 1
-        for row in self.quad:
-            for x in row:
-                if not isinstance(x, int):
-                    d = d * x.denominator // _math.gcd(d, x.denominator)
-        for x in self.lin:
-            if not isinstance(x, int):
-                d = d * x.denominator // _math.gcd(d, x.denominator)
-        if not isinstance(self.const, int):
-            d = d * self.const.denominator // _math.gcd(d, self.const.denominator)
-        return d
+        return _den_lcm([x for row in self.quad for x in row] + [*self.lin, self.const])
 
     def scaled(self, k: int) -> "QuadExpr":
         return QuadExpr(
@@ -135,25 +208,20 @@ class QuadExpr:
 
     def substitute_affine(self, cols: Sequence[Sequence[int]], offset: Sequence[int]) -> "QuadExpr":
         """T(offset + sum z_k col_k) as a QuadExpr in z."""
-        r = len(cols)
-        n = self.n
         q = self.quad
 
         def qform(a, b):
-            return sum(a[i] * q[i][j] * b[j] for i in range(n) for j in range(n))
+            return sum(a[i] * sum(map(mul, q[i], b)) for i in range(self.n))
 
-        newq = [[qform(cols[i], cols[j]) for j in range(r)] for i in range(r)]
-        newlin = [
-            2 * qform(offset, cols[k])
-            + sum(self.lin[i] * cols[k][i] for i in range(n))
-            for k in range(r)
-        ]
-        newconst = (
-            qform(offset, offset)
-            + sum(self.lin[i] * offset[i] for i in range(n))
-            + self.const
+        def lin(v):
+            return sum(map(mul, self.lin, v))
+
+        return QuadExpr(
+            len(cols),
+            [[qform(a, b) for b in cols] for a in cols],
+            [2 * qform(offset, c) + lin(c) for c in cols],
+            qform(offset, offset) + lin(offset) + self.const,
         )
-        return QuadExpr(r, newq, newlin, newconst)
 
 
 def enumerate_sublevel(
@@ -165,257 +233,178 @@ def enumerate_sublevel(
 ) -> list[tuple[int, ...]]:
     """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b).
 
-    Raises NotMultipliable when the solution set cannot be certified finite.
+    Raises NotMultipliable when the solution set cannot be certified finite,
+    and its subclass EnumerationLimit when the certified box holds more than
+    ``max_points`` points.
     """
     n = T.n
     scale = T.denominator_lcm()
     if scale != 1:
         T = T.scaled(scale)
-        limit = Fraction(limit) * scale
-    limit = math.floor(limit) if not isinstance(limit, int) else limit
+    limit = limit * scale if isinstance(limit, int) else math.floor(Fraction(limit) * scale)
+    rows = []
+    for coeffs, b in ineqs:
+        d = _den_lcm((*coeffs, b))
+        rows.append((tuple(int(c * d) for c in coeffs), int(b * d)))
     if n == 0:
-        ok = T.const <= limit and all(b >= 0 for _, b in ineqs)
+        ok = T.const <= limit and all(b >= 0 for _, b in rows)
         return [()] if ok else []
 
-    lo = [-INF] * n
-    hi = [INF] * n
+    Q, L = T.quad, T.lin
+    lo = [None] * n
+    hi = [None] * n
 
-    def set_lower(i, val) -> bool:
-        v = math.ceil(val)
-        if v > lo[i]:
+    def set_lower(i, v) -> bool:
+        if lo[i] is None or v > lo[i]:
             lo[i] = v
             return True
         return False
 
-    def set_upper(i, val) -> bool:
-        v = math.floor(val)
-        if v < hi[i]:
+    def set_upper(i, v) -> bool:
+        if hi[i] is None or v < hi[i]:
             hi[i] = v
             return True
         return False
 
-    def propagate_ineqs() -> Optional[bool]:
+    def crossed(i) -> bool:
+        return lo[i] is not None and hi[i] is not None and lo[i] > hi[i]
+
+    def propagate_ineqs():
         changed = False
-        for coeffs, b in ineqs:
-            # sum coeffs.y + b >= 0
+        for coeffs, b in rows:
             for i, ai in enumerate(coeffs):
                 if ai == 0:
                     continue
-                # ai*yi >= -b - max(sum_{j!=i} aj*yj)
-                other_max = Fraction(0)
+                # ai*y_i >= -s, s = b + max of the other terms
+                s = b
                 for j, aj in enumerate(coeffs):
-                    if j == i or aj == 0:
-                        continue
-                    _, mab = _interval_scale(Fraction(aj), lo[j], hi[j])
-                    other_max += mab
-                    if other_max == INF:
-                        break
-                if other_max == INF:
-                    continue
-                num = -b - other_max
-                bnd = Fraction(num, ai) if isinstance(num, int) else num / ai
-                if ai > 0:
-                    changed |= set_lower(i, bnd)
+                    if j != i and aj:
+                        m = _lin_min(-aj, lo[j], hi[j])
+                        if m is None:
+                            break
+                        s -= m
                 else:
-                    changed |= set_upper(i, bnd)
-                if lo[i] > hi[i]:
-                    return None
+                    if ai > 0:
+                        changed |= set_lower(i, -(s // ai))
+                    else:
+                        changed |= set_upper(i, -s // ai)
+                    if crossed(i):
+                        return None
         return changed
 
-    def rest_min(i: int):
-        """Sound lower bound of T over current intervals, excluding all
-        terms that involve y_i."""
-        acc = T.const
+    def lin_coeff_interval(i, ublock):
+        """Interval of lin_i + 2*sum_{j not in ublock} Q_ij y_j over the box
+        (terms inside ublock, which holds i, stay in the quadratic block)."""
+        a = b = L[i]
         for j in range(n):
-            if j == i:
+            qij = Q[i][j]
+            if qij == 0 or j in ublock:
                 continue
-            qjj = T.quad[j][j]
-            if qjj > 0:
-                acc += qjj * _square_min(lo[j], hi[j])
-            elif qjj < 0:
-                mx = _square_max(lo[j], hi[j])
-                if mx == INF:
-                    return -INF
-                acc += qjj * mx
-            la, _ = _interval_scale(T.lin[j], lo[j], hi[j])
-            if la == -INF:
-                return -INF
-            acc += la
-            for k in range(j + 1, n):
-                if k == i:
-                    continue
-                qjk = T.quad[j][k]
-                if qjk > 0:
-                    pm = _product_min(lo[j], hi[j], lo[k], hi[k])
-                    if pm == -INF:
-                        return -INF
-                    acc += 2 * qjk * pm
-                elif qjk < 0:
-                    # max(y_j*y_k) = -min(y_j*(-y_k))
-                    mlo = -hi[k] if hi[k] != INF else -INF
-                    mhi = -lo[k] if lo[k] != -INF else INF
-                    pmax = -_product_min(lo[j], hi[j], mlo, mhi)
-                    if pmax == INF:
-                        return -INF
-                    acc += 2 * qjk * pmax
-        return acc
-
-    def lin_coeff_interval(i: int):
-        """Interval of lin_i + 2*sum_j Q_ij y_j over current boxes."""
-        a = Fraction(T.lin[i])
-        b = Fraction(T.lin[i])
-        for j in range(n):
-            if j == i:
-                continue
-            qij = T.quad[i][j]
-            if qij:
-                la, lb = _interval_scale(2 * qij, lo[j], hi[j])
-                a = -INF if la == -INF else (a + la if a != -INF else -INF)
-                b = INF if lb == INF else (b + lb if b != INF else INF)
-        # the diagonal cross with itself is part of the quadratic term
+            if a is not None:
+                m = _lin_min(2 * qij, lo[j], hi[j])
+                a = None if m is None else a + m
+            if b is not None:
+                m = _lin_min(-2 * qij, lo[j], hi[j])
+                b = None if m is None else b - m
         return a, b
 
-    def propagate_quad() -> Optional[bool]:
+    def bounded_part_min(ublock):
+        """Lower bound of T over the box without the terms that involve a
+        variable of ublock; None is -inf."""
+        acc = T.const
+        for j in range(n):
+            if j in ublock:
+                continue
+            lj, hj = lo[j], hi[j]
+            qjj = Q[j][j]
+            if qjj > 0:
+                acc += qjj * _square_min(lj, hj)
+            elif qjj < 0:
+                if lj is None or hj is None:
+                    return None
+                acc += qjj * max(lj * lj, hj * hj)
+            m = _lin_min(L[j], lj, hj)
+            if m is None:
+                return None
+            acc += m
+            for k in range(j + 1, n):
+                if Q[j][k] and k not in ublock:
+                    m = _cross_min(Q[j][k], lj, hj, lo[k], hi[k])
+                    if m is None:
+                        return None
+                    acc += m
+        return acc
+
+    def propagate_quad():
         changed = False
         for i in range(n):
-            a = T.quad[i][i]
+            a = Q[i][i]
             if a < 0:
                 continue
-            rmin = rest_min(i)
-            if rmin == -INF:
+            rmin = bounded_part_min((i,))
+            if rmin is None:
                 continue
-            llo, lhi = lin_coeff_interval(i)
-            if llo == -INF or lhi == INF:
+            llo, lhi = lin_coeff_interval(i, (i,))
+            if llo is None or lhi is None:
                 continue
             C = limit - rmin
             if a == 0:
                 # purely linear in y_i: usable when the coefficient interval
                 # is sign-definite
                 if llo > 0:
-                    changed |= set_upper(i, max(C / llo, C / lhi))
+                    changed |= set_upper(i, max(C // llo, C // lhi))
                 elif lhi < 0:
-                    changed |= set_lower(i, min(C / llo, C / lhi))
-                if lo[i] > hi[i]:
-                    return None
-                continue
-            # a*y^2 + L*y <= C for some L in [llo, lhi]
-            # worst-case (widest) roots: disc with the endpoint L's
-            best_hi = None
-            best_lo = None
-            for L in (llo, lhi):
-                disc = L * L + 4 * a * C
-                if disc < 0:
-                    continue
-                s = frac_sqrt_upper(disc)
-                r_hi = (-L + s) / (2 * a)
-                r_lo = (-L - s) / (2 * a)
-                best_hi = r_hi if best_hi is None else max(best_hi, r_hi)
-                best_lo = r_lo if best_lo is None else min(best_lo, r_lo)
-            if best_hi is None:
-                # no solutions at all
-                return None
-            changed |= set_upper(i, best_hi)
-            changed |= set_lower(i, best_lo)
-            if lo[i] > hi[i]:
+                    changed |= set_lower(i, min(-(-C // llo), -(-C // lhi)))
+            else:
+                # a*y^2 + Lc*y <= C for some Lc in [llo, lhi]: widest roots
+                best_lo = best_hi = None
+                for Lc in (llo, lhi):
+                    disc = Lc * Lc + 4 * a * C
+                    if disc < 0:
+                        continue
+                    s = math.isqrt(disc) + 1 if disc else 0
+                    r_hi, r_lo = (s - Lc) // (2 * a), -((Lc + s) // (2 * a))
+                    best_hi = r_hi if best_hi is None else max(best_hi, r_hi)
+                    best_lo = r_lo if best_lo is None else min(best_lo, r_lo)
+                if best_hi is None:
+                    return None  # no solutions at all
+                changed |= set_upper(i, best_hi)
+                changed |= set_lower(i, best_lo)
+            if crossed(i):
                 return None
         return changed
 
-    def pd_fallback() -> Optional[bool]:
-        unbounded = [i for i in range(n) if lo[i] == -INF or hi[i] == INF]
-        if not unbounded:
+    def pd_fallback():
+        u = [i for i in range(n) if lo[i] is None or hi[i] is None]
+        if not u:
             return False
-        from .intlinalg import is_positive_definite
-
-        u = unbounded
-        quu = [[T.quad[i][j] for j in u] for i in u]
-        try:
-            if not is_positive_definite(quu):
-                return None
-        except Exception:
+        pd = _pd_adjugate(tuple(tuple(Q[i][j] for j in u) for i in u))
+        if pd is None:
             return None
-        # linear coefficient bound M_i and base C'
-        Ms = []
+        D, adj = pd
+        M = 0  # bound on the linear coefficients of the block
         for i in u:
-            llo, lhi = lin_coeff_interval_restricted(i, set(u))
-            if llo == -INF or lhi == INF:
+            llo, lhi = lin_coeff_interval(i, u)
+            if llo is None or lhi is None:
                 return None
-            Ms.append(max(abs(llo), abs(lhi)))
-        base = bounded_part_min(set(u))
-        if base == -INF:
+            M = max(M, abs(llo), abs(lhi))
+        base = bounded_part_min(u)
+        if base is None:
             return None
-        Cp = limit - base
-        # y^T Quu y >= ||y||_1^2 / (k * trace(Quu^-1))
-        k = len(u)
-        tr = _trace_inverse(quu)
-        if tr is None or tr <= 0:
-            return None
-        mu = Fraction(1, 1) / tr
-        M = max(Ms) if Ms else Fraction(0)
-        # (mu/k) s^2 - M s - C' <= 0  for s = ||y_U||_1
-        a = mu / k
-        disc = M * M + 4 * a * Cp
-        if disc < 0:
+        # y^T Quu y >= ||y||_1^2 / (k tr(Quu^-1)) with tr(Quu^-1) = P / D, so
+        # s = ||y_U||_1 has D s^2 - kP M s - kP (limit - base) <= 0
+        kP = len(u) * sum(adj[i][i] for i in range(len(u)))
+        num = M * M * kP + 4 * D * (limit - base)  # kP * discriminant
+        if num < 0:
             return "empty"  # no feasible point at all
-        s = (M + frac_sqrt_upper(disc)) / (2 * a)
-        changed = False
-        for i in u:
-            changed |= set_upper(i, s)
-            changed |= set_lower(i, -s)
-        return changed
-
-    def lin_coeff_interval_restricted(i: int, ublock: set):
-        """lin_i + 2*sum_{j not in ublock} Q_ij y_j (U-internal terms stay
-        in the quadratic block)."""
-        a = Fraction(T.lin[i])
-        b = Fraction(T.lin[i])
-        for j in range(n):
-            if j == i or j in ublock:
-                continue
-            qij = T.quad[i][j]
-            if qij:
-                la, lb = _interval_scale(2 * qij, lo[j], hi[j])
-                a = -INF if la == -INF else a + la
-                b = INF if lb == INF else b + lb
-        return a, b
-
-    def bounded_part_min(ublock: set):
-        acc = T.const
-        for j in range(n):
-            if j in ublock:
-                continue
-            qjj = T.quad[j][j]
-            if qjj > 0:
-                acc += qjj * _square_min(lo[j], hi[j])
-            elif qjj < 0:
-                mx = _square_max(lo[j], hi[j])
-                if mx == INF:
-                    return -INF
-                acc += qjj * mx
-            la, _ = _interval_scale(T.lin[j], lo[j], hi[j])
-            if la == -INF:
-                return -INF
-            acc += la
-            for k2 in range(j + 1, n):
-                if k2 in ublock:
-                    continue
-                qjk = T.quad[j][k2]
-                if qjk:
-                    if qjk > 0:
-                        pm = _product_min(lo[j], hi[j], lo[k2], hi[k2])
-                        if pm == -INF:
-                            return -INF
-                        acc += 2 * qjk * pm
-                    else:
-                        mlo = -hi[k2] if hi[k2] != INF else -INF
-                        mhi = -lo[k2] if lo[k2] != -INF else INF
-                        pmax = -_product_min(lo[j], hi[j], mlo, mhi)
-                        if pmax == INF:
-                            return -INF
-                        acc += 2 * qjk * pmax
-        return acc
+        g = math.gcd(num, kP)
+        p, q = num // g, kP // g
+        r = math.isqrt(p * q) + 1 if p else 0  # sqrt(p / q) <= r / q
+        s = (M * q + r) * kP // (2 * D * q)
+        return any([set_upper(i, s) | set_lower(i, -s) for i in u])
 
     # --- main propagation loop ---------------------------------------------
-    for round_no in range(max_rounds):
+    for _ in range(max_rounds):
         res1 = propagate_ineqs()
         if res1 is None:
             return []
@@ -423,13 +412,14 @@ def enumerate_sublevel(
         if res2 is None:
             return []
         if not (res1 or res2):
-            if all(lo[i] != -INF and hi[i] != INF for i in range(n)):
+            if None not in lo and None not in hi:
                 break
             res3 = pd_fallback()
             if res3 == "empty":
                 return []
             if res3 is None:
-                if _definitely_empty(T, limit, lo, hi):
+                # only a constant T above the limit is certified empty here
+                if T.const > limit and not any(L) and not any(map(any, Q)):
                     return []
                 raise NotMultipliable(
                     "cannot certify a finite convolution: unbounded directions "
@@ -438,7 +428,7 @@ def enumerate_sublevel(
             if not res3:
                 break
     else:
-        if any(lo[i] == -INF or hi[i] == INF for i in range(n)):
+        if None in lo or None in hi:
             raise NotMultipliable("bound propagation did not converge")
 
     if any(lo[i] > hi[i] for i in range(n)):
@@ -447,64 +437,70 @@ def enumerate_sublevel(
     for i in range(n):
         size *= hi[i] - lo[i] + 1
         if size > max_points:
-            raise NotMultipliable(f"certified box too large ({size} > {max_points})")
+            raise EnumerationLimit(f"certified box too large ({size} > {max_points})")
 
-    # incremental walk: the value accumulates one variable at a time
-    # (y^T Q y = sum_i Q_ii y_i^2 + 2 sum_{j<i} Q_ij y_i y_j)
-    out = []
+    # --- pruned walk (see the module docstring) -----------------------------
+    tails = _tail_bounds(Q)
+    cross = [0] * (n + 1)  # cross[i]: box minimum of the cross terms in y_i..
+    for i in range(n - 1, -1, -1):
+        cross[i] = cross[i + 1] + sum(
+            _cross_min(Q[i][k], lo[i], hi[i], lo[k], hi[k]) for k in range(i + 1, n) if Q[i][k]
+        )
+    # rows coupling y_i with other variables bound y_i given the prefix:
+    # (prefix coefficients, b + box maximum of the suffix terms, coefficient of y_i)
+    cuts = [
+        [
+            (c[:i], b + sum(-_lin_min(-c[k], lo[k], hi[k]) for k in range(i + 1, n)), c[i])
+            for c, b in rows
+            if c[i] and sum(map(bool, c)) > 1
+        ]
+        for i in range(n)
+    ]
+    lin = list(L)
     y = [0] * n
-    Q = T.quad
-    L = T.lin
+    out = []
+    last = n - 1
 
     def leaf_ok():
-        for coeffs, b in ineqs:
-            if sum(c * yy for c, yy in zip(coeffs, y)) + b < 0:
-                return False
-        return True
+        return all(sum(map(mul, coeffs, y)) + b >= 0 for coeffs, b in rows)
 
     def rec(i, acc):
-        if i == n:
-            if acc <= limit and leaf_ok():
-                out.append(tuple(y))
+        a, b = lo[i], hi[i]
+        if tails[i] is not None:
+            A, D, adj, w = tails[i]
+            rest = lin[i + 1 :]
+            Bc = 4 * (D * lin[i] - sum(map(mul, w, rest)))
+            Cc = 4 * D * (acc - limit) - sum(t * sum(map(mul, row, rest)) for t, row in zip(rest, adj))
+            a, b = _quad_range(A, Bc, Cc, a, b)
+        for pre, s, ci in cuts[i]:
+            s += sum(map(mul, pre, y))
+            if ci > 0:
+                a = max(a, -(s // ci))
+            else:
+                b = min(b, s // -ci)
+        qii, li = Q[i][i], lin[i]
+        if i == last:
+            for v in range(a, b + 1):
+                if acc + (qii * v + li) * v <= limit:
+                    y[i] = v
+                    if leaf_ok():
+                        out.append(tuple(y))
             return
         row = Q[i]
-        lin_i = L[i] + 2 * sum(row[j] * y[j] for j in range(i))
-        qii = row[i]
-        for v in range(int(lo[i]), int(hi[i]) + 1):
-            y[i] = v
-            rec(i + 1, acc + qii * v * v + lin_i * v)
-        y[i] = 0
+        base = lin[i + 1 :]
+        nxt = range(i + 1, n)
+        for v in range(a, b + 1):
+            acc2 = acc + (qii * v + li) * v
+            bound = acc2 + cross[i + 1]
+            for j in nxt:
+                t = base[j - i - 1] + 2 * row[j] * v
+                lin[j] = t
+                bound += _sep_min(Q[j][j], t, lo[j], hi[j])
+            if bound <= limit:
+                y[i] = v
+                rec(i + 1, acc2)
+        lin[i + 1 :] = base
 
     rec(0, T.const)
     return out
 
-
-def _trace_inverse(q) -> Optional[Fraction]:
-    """Trace of the inverse of a PD rational matrix (Gauss-Jordan)."""
-    k = len(q)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(q)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(k):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return sum(a[i][k + i] for i in range(k))
-
-
-def _definitely_empty(T: QuadExpr, limit, lo, hi) -> bool:
-    """Quick certificate that no feasible point exists: constant-direction
-    minimum already above the limit."""
-    # evaluate T at the box corner closest to the unconstrained minimum is
-    # not sound in general; only report empty when T has no negative
-    # directions at all and the constant exceeds the limit.
-    if T.const > limit and all(
-        T.quad[i][j] == 0 and T.lin[i] == 0 for i in range(T.n) for j in range(T.n)
-    ):
-        return True
-    return False

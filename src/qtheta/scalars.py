@@ -341,12 +341,18 @@ class CycloRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
+        if n == 0:
+            return self.field.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base  # the lowest set bit; square only up to the top bit
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

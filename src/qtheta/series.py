@@ -179,6 +179,9 @@ class LatticeFactor:
 Factor = Union[FiniteFactor, LatticeFactor]
 
 
+_ZERO_TERM = object()  # combo marker: a chosen finite value is zero
+
+
 class _SubstEngine:
     """Substitutes y = y0 + K z into a fixed quadratic bound cheaply."""
 
@@ -422,6 +425,8 @@ class TorusSeries:
                     raise NotMultipliable(
                         "window-only factor inside a product that needs enumeration"
                     )
+                if engine is _ZERO_TERM:
+                    continue
                 Tz, zin = engine.at_offset(particular)
                 pts = enumerate_sublevel(Tz, order + slack, ineqs=zin)
                 ys = [
@@ -464,7 +469,7 @@ class TorusSeries:
         engine = self._combo_cache.get(key)
         if engine is None and key not in self._combo_cache:
             T, ineqs = self._assemble_bound(word, chosen, lat_pos)
-            engine = None if T is None else _SubstEngine(T, ineqs, kernel)
+            engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
             self._combo_cache[key] = engine
         return engine
 
@@ -490,8 +495,9 @@ class TorusSeries:
 
         T = sum of factor-value valuations (exact for finite ones, certified
         for lattice ones) + sum of pairwise alpha exponents of the ordered
-        word.  Returns (QuadExpr, cone inequalities) or (None, None) when a
-        lattice factor lacks a certificate.
+        word.  Returns (QuadExpr, cone inequalities), (None, None) when a
+        lattice factor lacks a certificate, or (_ZERO_TERM, None) when a
+        chosen finite value is zero, so every term of the combo vanishes.
         """
         A = self.param.A
         k_total = sum(word[i].nparams for i in lat_pos)
@@ -516,7 +522,7 @@ class TorusSeries:
         for _wi, (p, val) in chosen.items():
             vv = _scalar_val(val)
             if vv == INF:
-                return QuadExpr(k_total, Q, L, Fraction(10**9)), []
+                return _ZERO_TERM, None
             C += Fraction(vv)
 
         # pairwise alpha exponents over the word

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
@@ -450,6 +451,7 @@ def _verify_parallel(identity_id, spec, field, jobs) -> dict:
     cells = sorted(spec.cells())
     if not cells or spec.order < 0:
         return verify_equation(spec)  # the vacuous-check failure report
+    jobs = min(jobs, os.cpu_count() or 1, len(cells))
     chunks = [cells[i::jobs] for i in range(jobs)]
     m_order = spec.param.field.order
     results = []

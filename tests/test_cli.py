@@ -231,3 +231,29 @@ def test_cyclotomic_order_flag(capsys):
     # rational identities hold verbatim over larger cyclotomic fields
     code, rep = run(["--cyclotomic-order", "4", "verify", "E016"], capsys)
     assert code == 0 and rep["status"] == "pass"
+
+
+def test_enumeration_cap_reported_as_resource_limit(tmp_path, capsys):
+    # a three-factor braid word at a huge order certifies a box of a million
+    # points: the CLI reports the resource limit, not a mathematical failure
+    theta = [{"type": "builtin", "name": f"theta_on_Tq_{x}"} for x in "uvu"]
+    spec = {
+        "schema": 1,
+        "identity": "braid-word",
+        "mode": "product_identity",
+        "param": {"m": 1, "rank": 2, "A": [[0, 2], [-2, 0]], "S": [[0, 0], [0, 0]]},
+        "window": 0,
+        "order": 10,
+        "terms": [
+            {"coeff": {"m": 1, "coeff": [c], "uexp": 0}, "word": theta}
+            for c in ("1", "-1")
+        ],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, rep = run(["verify", str(path)], capsys)
+    assert code == 0 and rep["status"] == "pass"
+    code, rep = run(["verify", str(path), "--order", str(10**12)], capsys)
+    assert code == 1
+    assert rep["status"] == "fail" and rep["error"] == "EnumerationLimit"
+    assert "certified box too large" in rep["message"]

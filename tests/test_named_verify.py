@@ -212,3 +212,54 @@ def test_r_series_cells():
     th1 = ScalarSeries.q_power(F, 1)
     expect = (d1 * th1 + d1 * th1).truncate(12)
     assert got.equal_to_order(expect, 12)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    seen = []
+
+    def __init__(self, max_workers=None):
+        self.seen.append(max_workers)
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        fut = Future()
+        fut.set_result(fn(*args))
+        _InlinePool.seen.append(("chunk", len(args[-1])))
+        return fut
+
+
+def test_verify_jobs_clamped_to_cpus_and_cells(monkeypatch):
+    # no process is started: the executor is replaced by an inline recorder
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _InlinePool.seen = []
+    rep = verify_named("E016", jobs=64)
+    assert rep == verify_named("E016")
+    workers = [s for s in _InlinePool.seen if not isinstance(s, tuple)]
+    chunks = [s for s in _InlinePool.seen if isinstance(s, tuple)]
+    assert workers and all(w == 3 for w in workers)
+    assert len(chunks) == 3 * len(workers)
+    # fewer cells than CPUs: one worker per cell
+    _InlinePool.seen = []
+    rep = verify_named("E016", window=0, jobs=64)
+    assert rep["status"] == "pass" and rep["cells_checked"] == len(identity_specs("E016"))
+    workers = [s for s in _InlinePool.seen if not isinstance(s, tuple)]
+    assert workers and all(w == 1 for w in workers)
+    # and a machine that does not report its CPU count gets one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    _InlinePool.seen = []
+    verify_named("E016", jobs=8)
+    assert all(w == 1 for w in _InlinePool.seen if not isinstance(w, tuple))

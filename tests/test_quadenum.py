@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta.errors import NotMultipliable
+from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.quadenum import QuadExpr, enumerate_sublevel, frac_sqrt_upper
 
 
@@ -143,3 +143,143 @@ def test_pd_fallback_empty_region():
     # the region is empty and must be reported as such, not refused
     T = QuadExpr(2, [[4, -3], [-3, 4]], [0, 0], 50)
     assert enumerate_sublevel(T, 10) == []
+
+
+# --- the pruned walk --------------------------------------------------------
+
+E026_Q = [
+    [8, 0, 4, 0, -8],
+    [0, 8, 0, 4, 4],
+    [4, 0, 4, 0, -4],
+    [0, 4, 0, 2, 2],
+    [-8, 4, -4, 2, 10],
+]
+
+
+def _unit_rows(n, idx):
+    return [(tuple(1 if j == i else 0 for j in range(n)), 0) for i in idx]
+
+
+def _brute_ranges(T, limit, ineqs, ranges):
+    return [
+        y
+        for y in itertools.product(*ranges)
+        if T.value(y) <= limit
+        and all(sum(c * v for c, v in zip(a, y)) + b >= 0 for a, b in ineqs)
+    ]
+
+
+def _match_brute(T, limit, ineqs, box, **kw):
+    pts = sorted(enumerate_sublevel(T, limit, ineqs=ineqs, **kw))
+    assert all(abs(v) < box for p in pts for v in p)  # brute's box has slack
+    assert pts == brute(T, limit, ineqs, box)
+    return pts
+
+
+def test_e026_shaped_forms_match_bruteforce():
+    # singular PSD valuation form of the Yang-Baxter identity, four cone
+    # variables and the two coupling rows, at random cells.  The rows keep
+    # y1 + y3 + y4 <= 2 and y0 <= y3 + y4 + 1, so brute force can walk a
+    # small box that still holds every solution
+    rng = random.Random(2026)
+    ranges = [range(0, 5), range(0, 4), range(-9, 10), range(0, 4), range(0, 4)]
+    sizes = []
+    for _ in range(12):
+        lin = [rng.randint(-12, 12) for _ in range(5)]
+        T = QuadExpr(5, E026_Q, lin, rng.randint(0, 10))
+        limit = rng.randint(4, 14)
+        ineqs = _unit_rows(5, (0, 1, 3, 4)) + [
+            ((-1, 0, 0, 1, 1), rng.randint(-1, 1)),
+            ((0, -1, 0, -1, -1), rng.randint(1, 2)),
+        ]
+        pts = sorted(enumerate_sublevel(T, limit, ineqs=ineqs))
+        assert all(abs(p[2]) < 9 for p in pts)
+        assert pts == _brute_ranges(T, limit, ineqs, ranges)
+        sizes.append(len(pts))
+    assert sum(1 for k in sizes if k) >= 8
+
+
+def test_random_singular_psd_forms_with_cones_match_bruteforce():
+    # Q = 2 R^T R with R of rank n - 1; each variable boxed by two rows (a
+    # cone when its lower end is 0) plus one coupling row of the E026 shape
+    rng = random.Random(77)
+    for _ in range(20):
+        n = rng.choice([4, 5])
+        r = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+        q = [[2 * sum(row[i] * row[j] for row in r) for j in range(n)] for i in range(n)]
+        lin = [rng.randint(-6, 6) for _ in range(n)]
+        T = QuadExpr(n, q, lin, rng.randint(-2, 2))
+        ineqs = []
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            ineqs.append((tuple(e), rng.randint(0, 2)))
+            ineqs.append((tuple(-x for x in e), rng.randint(1, 2)))
+        a, b, c = rng.sample(range(n), 3)
+        row = [0] * n
+        row[a], row[b], row[c] = -1, 1, 1
+        ineqs.append((tuple(row), rng.randint(-1, 1)))
+        limit = rng.randint(0, 12)
+        pts = sorted(enumerate_sublevel(T, limit, ineqs=ineqs))
+        assert pts == _brute_ranges(T, limit, ineqs, [range(-2, 3)] * n)
+
+
+def test_negative_tail_minimum_is_summed_not_cut():
+    # the remaining variables can pull the value down again: y2^2 - 10 y2 has
+    # minimum -25, so y0 = +-5 (25 on its own, above the limit) is feasible
+    T = QuadExpr(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, -10], 0)
+    pts = _match_brute(T, 5, [], 11)
+    assert (5, 0, 5) in pts and (-5, 0, 5) in pts
+    # the same trap through a cross term: -2 y0 y1 is negative for y0, y1 > 0
+    T2 = QuadExpr(2, [[2, -1], [-1, 1]], [0, -6], 0)
+    pts = _match_brute(T2, 3, [], 15)
+    assert (6, 9) in pts
+    rng = random.Random(9)
+    for _ in range(15):
+        n = rng.choice([2, 3])
+        q = [[3 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = q[j][i] = rng.randint(-1, 1)
+        lin = [rng.randint(-10, 10) for _ in range(n)]
+        lin[-1] = -abs(lin[-1]) - 6  # the last variable's minimum is negative
+        T = QuadExpr(n, q, lin, rng.randint(-3, 3))
+        # the certified box can exceed a million points here; the walk
+        # must still visit only the prefixes that can reach the limit
+        _match_brute(T, rng.randint(-8, 6), [], 8, max_points=2_000_000)
+
+
+def test_fraction_inequality_rows():
+    T = QuadExpr(2, [[1, 0], [0, 1]], [0, 0], 0)
+    ineqs = [
+        ((Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6)),
+        ((Fraction(-2, 3), Fraction(1, 4)), Fraction(7, 5)),
+    ]
+    _match_brute(T, 20, ineqs, 7)
+    # Fraction entries in the form and the limit as well
+    T2 = QuadExpr(2, [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], [Fraction(-1, 2), 1], Fraction(1, 7))
+    _match_brute(T2, Fraction(40, 3), ineqs, 8)
+
+
+def test_linear_and_concave_innermost_variable():
+    # q == 0 innermost: 2 y0^2 + 2 y0 y1 + 3 y1 on the cone 0 <= y1 <= 6
+    T = QuadExpr(2, [[2, 1], [1, 0]], [0, 3], 0)
+    ineqs = [((0, 1), 0), ((0, -1), 6)]
+    _match_brute(T, 9, ineqs, 10)
+    # q == 0 with a negative coefficient once the prefix is fixed
+    T2 = QuadExpr(2, [[3, -2], [-2, 0]], [0, 1], 0)
+    _match_brute(T2, 8, [((0, 1), 0), ((0, -1), 5)], 9)
+    # q < 0 innermost: the last variable walks its box
+    T3 = QuadExpr(2, [[3, 1], [1, -1]], [0, 1], 0)
+    ineqs3 = [((0, 1), 3), ((0, -1), 3)]
+    pts = _match_brute(T3, 4, ineqs3, 8)
+    assert (0, 3) in pts and (0, -3) in pts
+
+
+def test_enumeration_limit_is_a_refusal():
+    T = QuadExpr(2, [[1, 0], [0, 1]], [0, 0], 0)
+    with pytest.raises(EnumerationLimit) as exc:
+        enumerate_sublevel(T, 100, max_points=10)
+    assert isinstance(exc.value, NotMultipliable)
+    assert "certified box too large" in str(exc.value)
+    assert len(enumerate_sublevel(T, 100, max_points=21 * 21)) == 317

@@ -258,3 +258,28 @@ def test_braid_identity_small():
     lhs = th_u.mul(th_v).mul(th_u)
     rhs = th_v.mul(th_u).mul(th_v)
     assert series_equal(lhs, rhs, 2, 12)
+
+
+def test_zero_valued_finite_factor_skips_enumeration(monkeypatch):
+    # a zero finite value makes every term of its combo vanish: the
+    # coefficient is zero at any order and no sublevel set is enumerated
+    import qtheta.series as series_mod
+
+    calls = []
+    real = series_mod.enumerate_sublevel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", counting)
+    p = QuantParam.trivial(F, 1)
+    th = theta_lift(p, (1,))
+    sq = th.mul(th)
+    assert not sq.coeff((0,), 16).is_zero() and calls  # the product enumerates
+    calls.clear()
+    zero = sq.scaled(ScalarSeries.zero(F, INF))
+    for order in (16, 10**9):
+        c = zero.coeff((0,), order)
+        assert c.is_zero() and c.trunc >= order
+    assert calls == []
