@@ -277,10 +277,5 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
-def cli_run(argv: list[str]) -> int:
-    """Callable alias for the entry point."""
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

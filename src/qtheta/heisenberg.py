@@ -14,7 +14,6 @@ their pullbacks and transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,9 +27,8 @@ from .errors import (
     ParamMismatch,
 )
 from .intlinalg import LatticeMap, Vec, det, solve_integer, vec_add, vec_neg, vec_sub, zero_vec
-from .quadenum import QuadExpr
 from .scalars import INF, UnitMonomial
-from .series import FiniteFactor, LatticeFactor, TorusSeries
+from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
 
@@ -227,13 +225,11 @@ def heis_act(a, f: TorusSeries) -> TorusSeries:
     if raw.param != f.param:
         raise ParamMismatch("action over a different torus")
     p = raw.param
-    shifted = f.shift_pullback(raw.x)
-    front = TorusSeries.from_dict(p, {tuple(raw.g): raw.c}, label="e(g)")
+    front = TorusSeries.exponent(p, raw.g, raw.c)
     # e(h)^-1 = eps(h) e(-h)
-    back = TorusSeries.from_dict(
-        p, {vec_neg(raw.h): p.epsilon(raw.h)}, label="e(h)^-1"
-    )
-    out = front._mul_unchecked(shifted)._mul_unchecked(back)
+    back = TorusSeries.exponent(p, vec_neg(raw.h), p.epsilon(raw.h))
+    word = front.factors + f.shift_pullback(raw.x).factors + back.factors
+    out = TorusSeries(p, word, f"act({f.label})")
     if f.kind == "algebraic":
         return out.materialize(out.support_points(), INF)
     return out
@@ -413,13 +409,6 @@ class TorusMorphism:
                         acc = -acc
         return acc
 
-    def point_pushforward(self, x: TorusPoint) -> TorusPoint:
-        """phi(x): h -> a_h x(f h), the induced map on commutative points."""
-        basis = self.source_param.lattice.basis()
-        return TorusPoint(
-            tuple(self.a_value(b) * x.eval(self.f(b)) for b in basis)
-        )
-
     def point_pushforward_plain(self, x: TorusPoint) -> TorusPoint:
         """The a-less induced map h -> x(f h) (used by transport)."""
         basis = self.source_param.lattice.basis()
@@ -431,55 +420,9 @@ class TorusMorphism:
         """F^* applied factorwise: sum a_h coeff_h e(f h)."""
         if series.param != self.source_param:
             raise ParamMismatch("series does not live on the morphism's source")
-        p2 = self.target_param
-        new = []
-        for fac in series.factors:
-            if fac.is_finite:
-                new.append(
-                    fac.map_points(
-                        lambda pt: self.f(pt),
-                        lambda pt, v: self.a_value(pt) * v
-                        if isinstance(v, UnitMonomial)
-                        else v.scale(self.a_value(pt)),
-                        p2,
-                    )
-                )
-            else:
-                lf: LatticeFactor = fac
-
-                def mk(lf=lf):
-                    def cf(y, order):
-                        c = lf.coeff_at(y, order)
-                        if c is None:
-                            return None
-                        a = self.a_value(lf.point(y))
-                        return a * c if isinstance(c, UnitMonomial) else c.scale(a)
-
-                    return cf
-
-                val = lf.val
-                if val is not None:
-                    # valuation shifts by uexp(a_{p(y)}), affine in y
-                    w = [av.uexp for av in self.avals]
-                    lin = list(val.lin)
-                    for i, g in enumerate(lf.gens):
-                        lin[i] += Fraction(sum(wc * gc for wc, gc in zip(w, g)))
-                    const = val.const + Fraction(
-                        sum(wc * tc for wc, tc in zip(w, lf.offset))
-                    )
-                    val = QuadExpr(lf.nparams, val.quad, lin, const)
-                new.append(
-                    LatticeFactor(
-                        p2,
-                        self.f(lf.offset),
-                        [self.f(g) for g in lf.gens],
-                        mk(),
-                        val,
-                        lf.cones,
-                        f"{lf.label}^pull",
-                    )
-                )
-        return TorusSeries(p2, new, f"pull({series.label})")
+        return series.pullback(
+            self.target_param, self.f, self.a_value, f"pull({series.label})"
+        )
 
 
 def morphism_new(

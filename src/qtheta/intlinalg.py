@@ -55,10 +55,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple((0,) * m for _ in range(n))
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 

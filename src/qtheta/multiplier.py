@@ -16,7 +16,6 @@ valuation of <b, b> grows positive definitely (ampleness).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,7 +56,7 @@ from .intlinalg import (
 )
 from .quadenum import QuadExpr
 from .scalars import INF, UnitMonomial
-from .series import LatticeFactor, TorusSeries, series_equal_on_cells
+from .series import TorusSeries, series_equal_on_cells
 from .torus import QuantParam, TorusPoint
 
 
@@ -501,32 +500,10 @@ def boxtimes(L1: Multiplier, L2: Multiplier) -> Multiplier:
 def boxtimes_series(a: TorusSeries, b: TorusSeries) -> TorusSeries:
     """External product of functions: coefficient at (h, g) is a_h * b_g."""
     p = a.param.direct_sum(b.param)
-    d1, d2 = a.param.rank, b.param.rank
-
-    def lift(series, left: bool):
-        out = []
-        for fac in series.factors:
-            pad = (lambda v: tuple(v) + zero_vec(d2)) if left else (
-                lambda v: zero_vec(d1) + tuple(v)
-            )
-            if fac.is_finite:
-                out.append(
-                    type(fac)(p, {pad(pt): v for pt, v in fac.table.items()}, fac.label)
-                )
-            else:
-                out.append(
-                    LatticeFactor(
-                        p,
-                        pad(fac.offset),
-                        [pad(g) for g in fac.gens],
-                        fac.coeff,
-                        fac.val,
-                        fac.cones,
-                        fac.label,
-                    )
-                )
-        return out
-    return TorusSeries(p, lift(a, True) + lift(b, False), f"({a.label})box({b.label})")
+    za, zb = zero_vec(a.param.rank), zero_vec(b.param.rank)
+    left = a.pullback(p, lambda h: h + zb)
+    right = b.pullback(p, lambda g: za + g)
+    return TorusSeries(p, left.factors + right.factors, f"({a.label})box({b.label})")
 
 
 def pullback(F: TorusMorphism, L: Multiplier, lift_choice: str = "canonical") -> Multiplier:

@@ -46,14 +46,7 @@ from typing import Sequence
 from .errors import EnumerationLimit, NotMultipliable
 from .intlinalg import det
 
-
-def frac_sqrt_upper(x) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    return Fraction(math.isqrt(p * q) + 1, q)
+_MAX_ROUNDS = 64  # cap on bound-propagation rounds
 
 
 def _den_lcm(values) -> int:
@@ -206,30 +199,12 @@ class QuadExpr:
             self.const * k,
         )
 
-    def substitute_affine(self, cols: Sequence[Sequence[int]], offset: Sequence[int]) -> "QuadExpr":
-        """T(offset + sum z_k col_k) as a QuadExpr in z."""
-        q = self.quad
-
-        def qform(a, b):
-            return sum(a[i] * sum(map(mul, q[i], b)) for i in range(self.n))
-
-        def lin(v):
-            return sum(map(mul, self.lin, v))
-
-        return QuadExpr(
-            len(cols),
-            [[qform(a, b) for b in cols] for a in cols],
-            [2 * qform(offset, c) + lin(c) for c in cols],
-            qform(offset, offset) + lin(offset) + self.const,
-        )
-
 
 def enumerate_sublevel(
     T: QuadExpr,
     limit,
     ineqs: Sequence[tuple[Sequence[int], int]] = (),
     max_points: int = 500_000,
-    max_rounds: int = 64,
 ) -> list[tuple[int, ...]]:
     """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b).
 
@@ -404,7 +379,7 @@ def enumerate_sublevel(
         return any([set_upper(i, s) | set_lower(i, -s) for i in u])
 
     # --- main propagation loop ---------------------------------------------
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         res1 = propagate_ineqs()
         if res1 is None:
             return []

@@ -636,6 +636,8 @@ class ScalarSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, UnitMonomial):
+            return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

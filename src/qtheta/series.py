@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch
@@ -58,16 +59,6 @@ def _scalar_val(x: Scalar):
     return x.valuation()
 
 
-def _scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, UnitMonomial) and isinstance(b, UnitMonomial):
-        return a * b
-    if isinstance(a, UnitMonomial):
-        return b.scale(a)
-    if isinstance(b, UnitMonomial):
-        return a.scale(b)
-    return a * b
-
-
 def _as_series(x: Scalar, field) -> ScalarSeries:
     return x.to_series() if isinstance(x, UnitMonomial) else x
 
@@ -88,20 +79,6 @@ class FiniteFactor:
 
     def items(self):
         return self.table.items()
-
-    def transform_values(self, fn: Callable[[Vec, Scalar], Scalar], label=None) -> "FiniteFactor":
-        return FiniteFactor(
-            self.param,
-            {p: fn(p, v) for p, v in self.table.items()},
-            label if label is not None else self.label,
-        )
-
-    def map_points(self, point_fn, value_fn, new_param, label=None) -> "FiniteFactor":
-        return FiniteFactor(
-            new_param,
-            {tuple(point_fn(p)): value_fn(p, v) for p, v in self.table.items()},
-            label if label is not None else self.label,
-        )
 
     def __repr__(self):
         return f"FiniteFactor({self.label}, {len(self.table)} pts)"
@@ -160,17 +137,6 @@ class LatticeFactor:
             hit = self.coeff(y, order)
             self._memo[key] = hit
         return hit
-
-    def wrap(self, coeff_fn, val, label=None, cones=None) -> "LatticeFactor":
-        return LatticeFactor(
-            self.param,
-            self.offset,
-            self.gens,
-            coeff_fn,
-            val,
-            self.cones if cones is None else cones,
-            label if label is not None else self.label,
-        )
 
     def __repr__(self):
         return f"LatticeFactor({self.label}, params={self.nparams})"
@@ -304,49 +270,51 @@ class TorusSeries:
             self.param, self.factors + other.factors, f"({self.label})*({other.label})"
         )
 
-    def _mul_unchecked(self, other: "TorusSeries") -> "TorusSeries":
-        return TorusSeries(
-            self.param, self.factors + other.factors, f"({self.label})*({other.label})"
-        )
-
     def scaled(self, scalar: Scalar) -> "TorusSeries":
         front = FiniteFactor(self.param, {zero_vec(self.param.rank): scalar}, "scale")
         return TorusSeries(self.param, (front,) + self.factors, self.label)
+
+    def pullback(self, param: QuantParam, point_map, scale=None, label: str = "") -> "TorusSeries":
+        """Factorwise pullback onto ``param``: the coefficient at h moves to
+        ``point_map(h)`` and, when ``scale`` is given, is multiplied by the
+        unit monomial ``scale(h)``.
+
+        ``point_map`` must be linear and the u-exponent of ``scale(h)`` linear
+        in h, so each certificate moves by w.(offset + G y) with
+        w_i = uexp(scale(e_i)).  Kind is preserved.
+        """
+        if scale is not None:
+            w = [scale(b).uexp for b in self.param.lattice.basis()]
+        new = []
+        for f in self.factors:
+            if f.is_finite:
+                table = {
+                    point_map(p): v if scale is None else scale(p) * v for p, v in f.items()
+                }
+                new.append(FiniteFactor(param, table, f.label))
+                continue
+            coeff, val = f.coeff, f.val
+            if scale is not None:
+
+                def coeff(y, order, f=f):
+                    c = f.coeff_at(y, order)
+                    return None if c is None else scale(f.point(y)) * c
+
+                if val is not None:
+                    lin = [a + sum(map(mul, w, g)) for a, g in zip(val.lin, f.gens)]
+                    const = val.const + sum(map(mul, w, f.offset))
+                    val = QuadExpr(f.nparams, val.quad, lin, const)
+            gens = [point_map(g) for g in f.gens]
+            new.append(
+                LatticeFactor(param, point_map(f.offset), gens, coeff, val, f.cones, f.label)
+            )
+        return TorusSeries(param, new, label)
 
     def shift_pullback(self, x: TorusPoint) -> "TorusSeries":
         """x^*: coefficient at h becomes h(x) * a_h; kind preserved."""
         if x.rank != self.param.rank:
             raise ParamMismatch("point rank mismatch")
-        new = []
-        w = x.uexp_vector()
-        for f in self.factors:
-            if f.is_finite:
-                new.append(
-                    f.transform_values(lambda p, v: _scalar_mul(x.eval(p), v))
-                )
-            else:
-                fac: LatticeFactor = f
-
-                def mk(fac=fac):
-                    def cf(y, order):
-                        c = fac.coeff_at(y, order)
-                        if c is None:
-                            return None
-                        return _scalar_mul(x.eval(fac.point(y)), c)
-
-                    return cf
-
-                val = fac.val
-                if val is not None:
-                    # valuation shifts by uexp(p(y)(x)) = w.offset + (M^T w).y
-                    k = fac.nparams
-                    lin = list(val.lin)
-                    for i, g in enumerate(fac.gens):
-                        lin[i] += Fraction(sum(wc * gc for wc, gc in zip(w, g)))
-                    const = val.const + Fraction(sum(wc * tc for wc, tc in zip(w, fac.offset)))
-                    val = QuadExpr(k, val.quad, lin, const)
-                new.append(fac.wrap(mk(), val, label=f"{fac.label}^shift"))
-        return TorusSeries(self.param, new, f"shift({self.label})")
+        return self.pullback(self.param, lambda h: h, x.eval, f"shift({self.label})")
 
     # -- coefficient engine ---------------------------------------------------
 
@@ -613,15 +581,13 @@ class TorusSeries:
                 v = c
             if isinstance(v, ScalarSeries) and v.is_zero() and v.trunc == INF:
                 return None
-            acc = _scalar_mul(acc, v)
+            acc = acc * v
         return _as_series(acc, field).truncate(order)
 
     # -- materialization and comparison ---------------------------------------
 
     def window_cells(self, radius: int) -> list[Vec]:
-        d = self.param.rank
-        rng = range(-radius, radius + 1)
-        return [tuple(c) for c in itertools.product(rng, repeat=d)]
+        return self.param.window_cells(radius)
 
     def materialize(self, cells: Iterable[Vec], order) -> "TorusSeries":
         table = {}

@@ -436,9 +436,5 @@ def mumford_theta_pullback(
     box_series = boxtimes_series(th1, th2)
     pulled = morphism_pullback(M, box_series)
     pulled_mult = pullback(M, boxtimes(L, L))
-    cells = [
-        tuple(c)
-        for c in itertools.product(range(-window, window + 1), repeat=2 * beta.rank)
-    ]
-    ok = theta_membership(pulled_mult, pulled, cells, order)
+    ok = theta_membership(pulled_mult, pulled, pulled.window_cells(window), order)
     return pulled, pulled_mult, ok

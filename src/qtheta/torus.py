@@ -13,11 +13,12 @@ monomials (their values on the basis characters).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, LatticeMismatch
-from .intlinalg import Lattice, Mat, Vec, bilinear_eval, mat, transpose, zero_vec
+from .intlinalg import Lattice, Mat, Vec, mat
 from .scalars import CycloField, UnitMonomial
 
 
@@ -80,10 +81,10 @@ class QuantParam:
     def rank(self) -> int:
         return self.lattice.rank
 
-    def is_trivial(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.A) and all(
-            all(x == 0 for x in r) for r in self.S
-        )
+    def window_cells(self, radius: int) -> list[Vec]:
+        """The centred box [-radius, radius]^d of lattice cells."""
+        rng = range(-radius, radius + 1)
+        return list(itertools.product(rng, repeat=self.rank))
 
     # -- pairing values ------------------------------------------------------
 
@@ -103,9 +104,6 @@ class QuantParam:
 
     def epsilon(self, h: Vec) -> UnitMonomial:
         return self.alpha(h, h)
-
-    def epsilon_sign(self, h: Vec) -> int:
-        return bilinear_eval(self.S, h, h) % 2
 
     # -- derived data --------------------------------------------------------
 

@@ -20,7 +20,6 @@ Registered identities (verified at their desk-scale default windows):
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field as dc_field
@@ -63,8 +62,7 @@ class EquationSpec:
     label: str = ""
 
     def cells(self):
-        rng = range(-self.window, self.window + 1)
-        return [tuple(c) for c in itertools.product(rng, repeat=self.param.rank)]
+        return self.param.window_cells(self.window)
 
 
 def _term_series(param: QuantParam, term: EquationTerm) -> TorusSeries:
@@ -123,10 +121,15 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
             bad = min(total.terms)
             first_mismatch = {"cell": list(h), "uexp": int(bad)}
             break
+    return _report(spec.label, spec.window, order, checked, first_mismatch)
+
+
+def _report(identity, window, order, checked, first_mismatch) -> dict:
+    """The schema-1 verification report; ``first_mismatch`` None means pass."""
     report = {
         "schema": 1,
-        "identity": spec.label,
-        "window": spec.window,
+        "identity": identity,
+        "window": window,
         "order": int(order),
         "cells_checked": checked,
         "status": "pass" if first_mismatch is None else "fail",
@@ -410,30 +413,18 @@ def verify_named(
     """Run a registered identity at its canonical (or given) window/order."""
     specs = identity_specs(identity_id, field, window, order)
     total_checked = 0
-    status = "pass"
     first = None
-    for spec in specs:
+    for spec_index, spec in enumerate(specs):
         if jobs > 1:
-            rep = _verify_parallel(identity_id, spec, field, jobs)
+            rep = _verify_parallel(identity_id, spec_index, spec, jobs)
         else:
             rep = verify_equation(spec)
         total_checked += rep["cells_checked"]
-        if rep["status"] == "fail" and first is None:
-            status = "fail"
+        if rep["status"] == "fail":
             first = dict(rep["first_mismatch"])
             first["equation"] = spec.label
             break
-    report = {
-        "schema": 1,
-        "identity": identity_id,
-        "window": specs[0].window,
-        "order": int(specs[0].order),
-        "cells_checked": total_checked,
-        "status": status,
-    }
-    if first is not None:
-        report["first_mismatch"] = first
-    return report
+    return _report(identity_id, specs[0].window, specs[0].order, total_checked, first)
 
 
 def _verify_chunk(identity_id, spec_index, window, order, m_order, cell_chunk):
@@ -443,11 +434,9 @@ def _verify_chunk(identity_id, spec_index, window, order, m_order, cell_chunk):
     return verify_equation(spec, cells=cell_chunk)
 
 
-def _verify_parallel(identity_id, spec, field, jobs) -> dict:
+def _verify_parallel(identity_id, spec_index, spec, jobs) -> dict:
     from concurrent.futures import ProcessPoolExecutor
 
-    specs = identity_specs(identity_id, field, spec.window, spec.order)
-    spec_index = next(i for i, s in enumerate(specs) if s.label == spec.label)
     cells = sorted(spec.cells())
     if not cells or spec.order < 0:
         return verify_equation(spec)  # the vacuous-check failure report
@@ -466,20 +455,9 @@ def _verify_parallel(identity_id, spec, field, jobs) -> dict:
         for f in futs:
             results.append(f.result())
     checked = sum(r["cells_checked"] for r in results)
-    bad = [r for r in results if r["status"] == "fail"]
-    report = {
-        "schema": 1,
-        "identity": spec.label,
-        "window": spec.window,
-        "order": int(spec.order),
-        "cells_checked": checked,
-        "status": "fail" if bad else "pass",
-    }
-    if bad:
-        report["first_mismatch"] = sorted(
-            (b["first_mismatch"] for b in bad), key=lambda x: x["cell"]
-        )[0]
-    return report
+    bad = [r["first_mismatch"] for r in results if r["status"] == "fail"]
+    first = min(bad, key=lambda x: x["cell"]) if bad else None
+    return _report(spec.label, spec.window, spec.order, checked, first)
 
 
 def emit_report(results: Union[dict, Sequence[dict]]) -> str:

@@ -30,6 +30,7 @@ from qtheta.heisenberg import (
     twist,
 )
 from qtheta.intlinalg import LatticeMap, mat
+from qtheta.named import eq_series, theta_series
 from qtheta.scalars import INF, CycloField, UnitMonomial
 from qtheta.series import TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
@@ -456,6 +457,28 @@ def test_morphism_pullback_series():
     assert pulled2.coeff((2,), INF) == q_mono(1).to_series()
     assert pulled2.coeff((-4,), INF) == q_mono(4).to_series()
     assert pulled2.coeff((1,), INF).is_zero()
+
+
+def test_pullback_shifts_lattice_certificates():
+    # a proper series pulled back by a point with nonzero u-exponents: the
+    # lattice certificates must move by the same linear form as the values
+    s = theta_series(TQ, (1, 0), prefactor=UnitMonomial(-F.one(), 3)).mul(eq_series(TQ, (1, 1)))
+    x = TorusPoint((UnitMonomial(-F.one(), 1), UnitMonomial(F.one(), -2)))
+    shifted = s.shift_pullback(x)
+    pulled = morphism_pullback(shift_morphism(TQ, x), s)
+    assert series_equal_on_cells(shifted, pulled, TQ.window_cells(2), 16)
+    # theta: 2n^2 + 3n + uexp(x(n, 0)); e_q: 2k^2 + uexp(x(k, k))
+    assert [f.val.lin for f in shifted.factors] == [(4,), (-1,)]
+    for fac in shifted.factors + pulled.factors:
+        for n in range(-4, 5):
+            c = fac.coeff_at((n,), 40)
+            if c is not None:
+                assert c.valuation() >= fac.val.value((n,))
+    # the certificates drive the enumeration of a product with another series
+    th = theta_series(TQ, (0, 1))
+    big = TQ.window_cells(4)
+    expanded = shifted.materialize(big, 30).mul(th.materialize(big, 30))
+    assert series_equal_on_cells(shifted.mul(th), expanded, TQ.window_cells(1), 10)
 
 
 def test_heis_transport():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qtheta.errors import EnumerationLimit, NotMultipliable
-from qtheta.quadenum import QuadExpr, enumerate_sublevel, frac_sqrt_upper
+from qtheta.quadenum import QuadExpr, enumerate_sublevel
+from qtheta.series import _SubstEngine
 
 
 def brute(T, limit, ineqs, box):
@@ -18,12 +19,6 @@ def brute(T, limit, ineqs, box):
         if all(sum(c * yy for c, yy in zip(a, y)) + b >= 0 for a, b in ineqs):
             out.append(y)
     return sorted(out)
-
-
-def test_sqrt_upper():
-    for x in (Fraction(2), Fraction(49), Fraction(1, 3), Fraction(10, 7)):
-        s = frac_sqrt_upper(x)
-        assert s * s >= x
 
 
 def test_single_quadratic():
@@ -128,14 +123,16 @@ def test_random_with_cones_match_bruteforce():
 
 
 def test_substitute_affine():
+    # the engine's substitution y = y0 + z*(1, 1), for the bound and a row
     T = QuadExpr(2, [[1, 0], [0, 1]], [1, -1], 3)
-    # y = (2, -1) + z1*(1,1)
-    S = T.substitute_affine([(1, 1)], (2, -1))
+    row, c = (3, -1), 4
+    S, ((coeffs, c0),) = _SubstEngine(T, [(row, c)], [(1, 1)]).at_offset((2, -1))
     rng = random.Random(2)
     for _ in range(20):
         z = rng.randint(-10, 10)
         y = (2 + z, -1 + z)
         assert S.value((z,)) == T.value(y)
+        assert coeffs[0] * z + c0 == row[0] * y[0] + row[1] * y[1] + c
 
 
 def test_pd_fallback_empty_region():
