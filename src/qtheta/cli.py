@@ -17,14 +17,11 @@ usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import QThetaError, UnknownName, UnresolvedReference
 from .heisenberg import HeisElement, HeisRaw
 from .jsonio import (
-    dump,
-    heis_from_json,
     load,
     monomial_from_json,
     multiplier_from_json,

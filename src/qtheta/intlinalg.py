@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotSymmetric
@@ -249,39 +250,62 @@ def snf_diagonal(d: Mat) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+class IntegerSolver:
+    """M y = t over the integers, with M factored once.
+
+    With U M V = D in Smith normal form, M y = t is solvable exactly when
+    every zero row of U annihilates t and each pivot row's (U t)_i is
+    divisible by its elementary divisor d_i; then
+    y = sum_i ((U t)_i / d_i) V[:, i] is one solution and the remaining
+    columns of V span the kernel.  ``ncols`` gives the width of a matrix
+    with no rows.
+    """
+
+    __slots__ = ("nrows", "ncols", "pivots", "zero_rows", "kernel")
+
+    def __init__(self, m: Mat, ncols: Optional[int] = None):
+        self.nrows = len(m)
+        self.ncols = len(m[0]) if m else ncols or 0
+        u, d, v = smith_normal_form(m) if m else ((), (), identity(self.ncols))
+        diag = snf_diagonal(d)
+        rank = sum(1 for x in diag if x)
+        vt = transpose(v)
+        # (row of U, elementary divisor, column of V) for each pivot
+        self.pivots = tuple((u[i], diag[i], vt[i]) for i in range(rank))
+        self.zero_rows = u[rank:]
+        self.kernel = list(vt[rank:])
+
+    def solve(self, target: Vec) -> Optional[Vec]:
+        """One integer solution of M y = target, or None when there is none."""
+        if len(target) != self.nrows:
+            raise DimensionMismatch("integer solve target length mismatch")
+        for row in self.zero_rows:
+            if sum(map(mul, row, target)):
+                return None
+        y = [0] * self.ncols
+        for row, d, col in self.pivots:
+            z, r = divmod(sum(map(mul, row, target)), d)
+            if r:
+                return None
+            if z:
+                for j, c in enumerate(col):
+                    if c:
+                        y[j] += z * c
+        return tuple(y)
+
+
 def solve_integer(m: Mat, target: Vec) -> Optional[tuple[Vec, list[Vec]]]:
     """Solve M y = target over the integers.
 
     Returns (particular solution, kernel basis) or None when unsolvable.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if len(target) != rows:
-        raise DimensionMismatch("solve_integer target length mismatch")
-    u, d, v = smith_normal_form(m)
-    w = mat_vec(u, target)
-    diag = snf_diagonal(d)
-    z = [0] * cols
-    for i in range(rows):
-        di = diag[i] if i < len(diag) else 0
-        if di:
-            if w[i] % di:
-                return None
-            z[i] = w[i] // di
-        elif w[i]:
-            return None
-    particular = mat_vec(v, tuple(z))
-    rank = sum(1 for x in diag if x)
-    vt = transpose(v)
-    kernel = [vt[j] for j in range(rank, cols)]
-    return particular, kernel
+    solver = IntegerSolver(m)
+    y = solver.solve(target)
+    return None if y is None else (y, solver.kernel)
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
-    rows = len(m)
-    sol = solve_integer(m, zero_vec(rows))
-    assert sol is not None
-    return sol[1]
+    return IntegerSolver(m).kernel
 
 
 def image_basis(m: Mat) -> list[Vec]:

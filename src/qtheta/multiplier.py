@@ -16,7 +16,7 @@ valuation of <b, b> grows positive definitely (ampleness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -55,7 +55,7 @@ from .intlinalg import (
     zero_vec,
 )
 from .quadenum import QuadExpr
-from .scalars import INF, UnitMonomial
+from .scalars import UnitMonomial
 from .series import TorusSeries, series_equal_on_cells
 from .torus import QuantParam, TorusPoint
 

@@ -20,7 +20,7 @@ from .errors import UnknownName
 from .intlinalg import Vec, zero_vec
 from .quadenum import QuadExpr
 from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
-from .series import LatticeFactor, TorusSeries
+from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
 # -- scalar coefficient caches -------------------------------------------------

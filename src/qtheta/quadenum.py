@@ -13,8 +13,10 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
 
 1. Certification.  Interval propagation over the linear constraints and the
    per-variable quadratic bounds, with a positive definite block fallback,
-   yields a box holding every solution.  A box of more than ``max_points``
-   points is refused with ``EnumerationLimit``.
+   yields a box holding every solution.  A round that only pushes out the
+   finite end of half-bounded intervals is no progress and hands over to the
+   fallback, since such rounds can repeat without end.  A box of more than
+   ``max_points`` points is refused with ``EnumerationLimit``.
 2. Pruned walk.  With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
    where the linear coefficients lin_j of R are updated as the prefix grows.
    Each of these cuts holds at every point of the box, so none loses a
@@ -229,23 +231,19 @@ def enumerate_sublevel(
     lo = [None] * n
     hi = [None] * n
 
-    def set_lower(i, v) -> bool:
+    def set_lower(i, v):
         if lo[i] is None or v > lo[i]:
             lo[i] = v
-            return True
-        return False
 
-    def set_upper(i, v) -> bool:
+    def set_upper(i, v):
         if hi[i] is None or v < hi[i]:
             hi[i] = v
-            return True
-        return False
 
     def crossed(i) -> bool:
         return lo[i] is not None and hi[i] is not None and lo[i] > hi[i]
 
-    def propagate_ineqs():
-        changed = False
+    def propagate_ineqs() -> bool:
+        """Tighten bounds by the inequality rows; True when certified empty."""
         for coeffs, b in rows:
             for i, ai in enumerate(coeffs):
                 if ai == 0:
@@ -260,12 +258,12 @@ def enumerate_sublevel(
                         s -= m
                 else:
                     if ai > 0:
-                        changed |= set_lower(i, -(s // ai))
+                        set_lower(i, -(s // ai))
                     else:
-                        changed |= set_upper(i, -s // ai)
+                        set_upper(i, -s // ai)
                     if crossed(i):
-                        return None
-        return changed
+                        return True
+        return False
 
     def lin_coeff_interval(i, ublock):
         """Interval of lin_i + 2*sum_{j not in ublock} Q_ij y_j over the box
@@ -310,8 +308,8 @@ def enumerate_sublevel(
                     acc += m
         return acc
 
-    def propagate_quad():
-        changed = False
+    def propagate_quad() -> bool:
+        """Tighten bounds by the quadratic bound; True when certified empty."""
         for i in range(n):
             a = Q[i][i]
             if a < 0:
@@ -327,9 +325,9 @@ def enumerate_sublevel(
                 # purely linear in y_i: usable when the coefficient interval
                 # is sign-definite
                 if llo > 0:
-                    changed |= set_upper(i, max(C // llo, C // lhi))
+                    set_upper(i, max(C // llo, C // lhi))
                 elif lhi < 0:
-                    changed |= set_lower(i, min(-(-C // llo), -(-C // lhi)))
+                    set_lower(i, min(-(-C // llo), -(-C // lhi)))
             else:
                 # a*y^2 + Lc*y <= C for some Lc in [llo, lhi]: widest roots
                 best_lo = best_hi = None
@@ -342,17 +340,17 @@ def enumerate_sublevel(
                     best_hi = r_hi if best_hi is None else max(best_hi, r_hi)
                     best_lo = r_lo if best_lo is None else min(best_lo, r_lo)
                 if best_hi is None:
-                    return None  # no solutions at all
-                changed |= set_upper(i, best_hi)
-                changed |= set_lower(i, best_lo)
+                    return True  # no solutions at all
+                set_upper(i, best_hi)
+                set_lower(i, best_lo)
             if crossed(i):
-                return None
-        return changed
+                return True
+        return False
 
     def pd_fallback():
+        """Bound the unbounded variables by their positive definite block:
+        True when bounded, "empty" when certified empty, None when not PD."""
         u = [i for i in range(n) if lo[i] is None or hi[i] is None]
-        if not u:
-            return False
         pd = _pd_adjugate(tuple(tuple(Q[i][j] for j in u) for i in u))
         if pd is None:
             return None
@@ -376,17 +374,29 @@ def enumerate_sublevel(
         p, q = num // g, kP // g
         r = math.isqrt(p * q) + 1 if p else 0  # sqrt(p / q) <= r / q
         s = (M * q + r) * kP // (2 * D * q)
-        return any([set_upper(i, s) | set_lower(i, -s) for i in u])
+        for i in u:
+            set_upper(i, s)
+            set_lower(i, -s)
+        return True
+
+    def progressed(before) -> bool:
+        """Did the round find a new bound or shrink a bounded interval?
+        Pushing out the finite end of a half-bounded interval is no progress:
+        it can go on forever (y1 >= 2 y0^2 + 1 and y0 >= (4 y1 + 1) / 3
+        double the bounds' digits every round)."""
+        for (a, b), l, h in zip(before, lo, hi):
+            if (a is None) != (l is None) or (b is None) != (h is None):
+                return True
+            if l is not None and h is not None and (a, b) != (l, h):
+                return True
+        return False
 
     # --- main propagation loop ---------------------------------------------
     for _ in range(_MAX_ROUNDS):
-        res1 = propagate_ineqs()
-        if res1 is None:
+        before = list(zip(lo, hi))
+        if propagate_ineqs() or propagate_quad():
             return []
-        res2 = propagate_quad()
-        if res2 is None:
-            return []
-        if not (res1 or res2):
+        if not progressed(before):
             if None not in lo and None not in hi:
                 break
             res3 = pd_fallback()
@@ -400,8 +410,6 @@ def enumerate_sublevel(
                     "cannot certify a finite convolution: unbounded directions "
                     "with non positive definite valuation growth"
                 )
-            if not res3:
-                break
     else:
         if None in lo or None in hi:
             raise NotMultipliable("bound propagation did not converge")

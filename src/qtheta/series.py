@@ -35,15 +35,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch
-from .intlinalg import (
-    Vec,
-    smith_normal_form,
-    snf_diagonal,
-    transpose,
-    vec_add,
-    vec_sub,
-    zero_vec,
-)
+from .intlinalg import IntegerSolver, Vec, vec_add, vec_sub, zero_vec
 from .quadenum import QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial
 from .torus import QuantParam, TorusPoint
@@ -319,29 +311,13 @@ class TorusSeries:
     # -- coefficient engine ---------------------------------------------------
 
     def _lattice_solver(self):
-        """Cached SNF factorization of the concatenated generator matrix."""
+        """The lattice factors and a cached exact solver for their
+        concatenated generator matrix (None when there are none)."""
         if self._solver is None:
             lat = [f for f in self.factors if not f.is_finite]
-            cols = []
-            for f in lat:
-                cols.extend(f.gens)
-            d = self.param.rank
-            mtx = tuple(tuple(c[i] for c in cols) for i in range(d))  # d x k
-            if cols and d > 0:
-                u, dd, v = smith_normal_form(mtx)
-                diag = snf_diagonal(dd)
-                rank = sum(1 for x in diag if x)
-                vt = transpose(v)
-                kernel = [vt[j] for j in range(rank, len(cols))]
-                self._solver = (lat, mtx, u, diag, v, kernel)
-            elif cols:
-                # rank-0 torus: every parameter direction is unconstrained
-                from .intlinalg import identity
-
-                ident = identity(len(cols))
-                self._solver = (lat, mtx, (), [], ident, list(ident))
-            else:
-                self._solver = (lat, mtx, None, None, None, [])
+            cols = [g for f in lat for g in f.gens]
+            mtx = tuple(tuple(c[i] for c in cols) for i in range(self.param.rank))  # d x k
+            self._solver = (lat, IntegerSolver(mtx, len(cols)) if cols else None)
         return self._solver
 
     def coeff(self, h: Vec, order, _slack=0) -> ScalarSeries:
@@ -358,7 +334,8 @@ class TorusSeries:
     def _coeff_impl(self, h: Vec, order, slack) -> ScalarSeries:
         field = self.param.field
         total = ScalarSeries.zero(field, order)
-        lat, mtx, u, diag, v, kernel = self._lattice_solver()
+        lat, solver = self._lattice_solver()
+        kernel = solver.kernel if solver else []
         word = list(self.factors)
         fin_pos = [i for i, f in enumerate(word) if f.is_finite]
         lat_pos = [i for i, f in enumerate(word) if not f.is_finite]
@@ -378,7 +355,7 @@ class TorusSeries:
                 continue
             for f in lat:
                 residual = vec_sub(residual, f.offset)
-            particular = self._solve(mtx, u, diag, v, residual)
+            particular = solver.solve(residual)
             if particular is None:
                 continue
             if kcols == 0:
@@ -440,23 +417,6 @@ class TorusSeries:
             engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
             self._combo_cache[key] = engine
         return engine
-
-    @staticmethod
-    def _solve(mtx, u, diag, v, target):
-        from .intlinalg import mat_vec
-
-        w = mat_vec(u, target)
-        cols = len(v) if v else 0
-        z = [0] * cols
-        for i in range(len(w)):
-            di = diag[i] if i < len(diag) else 0
-            if di:
-                if w[i] % di:
-                    return None
-                z[i] = w[i] // di
-            elif w[i]:
-                return None
-        return mat_vec(v, tuple(z))
 
     def _assemble_bound(self, word, chosen, lat_pos):
         """Exact valuation bound T(y) over the concatenated parameter space.

@@ -39,7 +39,6 @@ from .intlinalg import (
     mat_inverse_unimodular,
     smith_normal_form,
     snf_diagonal,
-    solve_integer,
     transpose,
     zero_vec,
 )

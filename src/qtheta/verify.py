@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import NotMultipliable, UnknownName, UnresolvedReference
@@ -38,7 +38,7 @@ from .named import (
     weinstein_theta,
     _yang_baxter_param,
 )
-from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
+from .scalars import CycloField, ScalarSeries, UnitMonomial
 from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
@@ -65,7 +65,9 @@ class EquationSpec:
         return self.param.window_cells(self.window)
 
 
-def _term_series(param: QuantParam, term: EquationTerm) -> TorusSeries:
+def _term_series(term: EquationTerm) -> tuple[UnitMonomial, TorusSeries]:
+    """(coefficient, series of the word).  The coefficient is applied to each
+    cell's value, so a word that is one shared series keeps its cache."""
     acc: Optional[TorusSeries] = None
     for op in reversed(term.word):
         if isinstance(op, (HeisRaw, HeisElement)):
@@ -78,9 +80,7 @@ def _term_series(param: QuantParam, term: EquationTerm) -> TorusSeries:
             raise UnresolvedReference(f"unknown word factor {op!r}")
     if acc is None:
         raise UnresolvedReference("empty word")
-    if not term.coefficient.is_one():
-        acc = acc.scaled(term.coefficient)
-    return acc
+    return term.coefficient, acc
 
 
 def verify_equation(spec: EquationSpec, cells=None) -> dict:
@@ -92,7 +92,7 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
                     raise NotMultipliable(
                         "formal-kind operand in a product identity"
                     )
-    series = [_term_series(spec.param, t) for t in spec.terms]
+    terms = [_term_series(t) for t in spec.terms]
     the_cells = sorted(spec.cells() if cells is None else list(cells))
     order = spec.order
     field = spec.param.field
@@ -106,8 +106,10 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no cells to check"}
     for h in the_cells:
         total = ScalarSeries.zero(field, order)
-        for s in series:
-            total = total + s.coeff(h, order)
+        for c, s in terms:
+            # c * (value known to order - uexp(c)) is known to order
+            x = s.coeff(h, order - c.uexp)
+            total = total + (x if c.is_one() else x * c)
         checked += 1
         if total.trunc < order:
             # a silent precision drop would weaken the pass claim

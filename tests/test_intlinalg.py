@@ -1,13 +1,17 @@
 """Smith normal form, quotients, definiteness: exact integer linear algebra."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtheta.errors import NotSymmetric
 from qtheta.intlinalg import (
     INFINITE,
+    IntegerSolver,
     Lattice,
     LatticeMap,
     bilinear_eval,
@@ -187,3 +191,78 @@ def test_bilinear_eval():
     for _ in range(20):
         g = (rng.randint(-5, 5), rng.randint(-5, 5))
         assert bilinear_eval(q, g, g) == 0  # antisymmetry
+
+
+# -- the one integer solver -----------------------------------------------------
+
+
+def _minor_gcd(m, r):
+    """gcd of all r x r minors of an integer matrix (0 when all vanish)."""
+    g = 0
+    for rows in itertools.combinations(range(len(m)), r):
+        for cols in itertools.combinations(range(len(m[0])), r):
+            g = math.gcd(g, det(tuple(tuple(m[i][j] for j in cols) for i in rows)))
+    return g
+
+
+def _rank(m):
+    rows, cols = len(m), len(m[0])
+    for r in range(min(rows, cols), 0, -1):
+        if _minor_gcd(m, r):
+            return r
+    return 0
+
+
+def _solvable(m, t):
+    """Integer solvability of M y = t without Smith normal form: the augmented
+    matrix must keep the rank r and the gcd of the r x r minors."""
+    aug = tuple(row + (x,) for row, x in zip(m, t))
+    r = _rank(m)
+    if _rank(aug) != r:
+        return False
+    return r == 0 or _minor_gcd(m, r) == _minor_gcd(aug, r)
+
+
+@st.composite
+def solver_cases(draw):
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    m = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(d)]
+    if d > 1 and draw(st.booleans()):  # rank-deficient: a row of combinations
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (d - 1)])]
+    if draw(st.booleans()):  # elementary divisors other than 1
+        f, i = draw(st.sampled_from([2, 3, 4, 6])), draw(st.integers(0, d - 1))
+        m[i] = [f * x for x in m[i]]
+    if draw(st.booleans()):  # a target in the image
+        x = [draw(st.integers(-3, 3)) for _ in range(k)]
+        t = tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+    else:
+        t = tuple(draw(st.integers(-8, 8)) for _ in range(d))
+    return mat(m), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+def test_integer_solver_properties(case):
+    m, t = case
+    solver = IntegerSolver(m)
+    y = solver.solve(t)
+    if y is not None:
+        assert mat_vec(m, y) == t
+    assert (y is not None) == _solvable(m, t)
+    if y is None:  # nothing in a small box either
+        k = len(m[0])
+        box = itertools.product(range(-3, 4), repeat=k) if k <= 4 else ()
+        assert all(mat_vec(m, x) != t for x in box)
+    assert len(solver.kernel) == len(m[0]) - _rank(m)
+    for v in solver.kernel:
+        assert mat_vec(m, v) == (0,) * len(m)
+    assert solve_integer(m, t) == (None if y is None else (y, solver.kernel))
+
+
+def test_integer_solver_without_rows():
+    # a matrix with no rows: every parameter is free
+    solver = IntegerSolver((), 3)
+    assert solver.solve(()) == (0, 0, 0)
+    assert solver.kernel == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

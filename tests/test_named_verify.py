@@ -1,5 +1,6 @@
 """Named series registry and the identity verifier."""
 
+import collections
 import json
 import random
 
@@ -26,6 +27,7 @@ from qtheta.verify import (
     REGISTRY,
     EquationSpec,
     EquationTerm,
+    _term_series,
     emit_report,
     identity_specs,
     verify_equation,
@@ -263,3 +265,78 @@ def test_verify_jobs_clamped_to_cpus_and_cells(monkeypatch):
     _InlinePool.seen = []
     verify_named("E016", jobs=8)
     assert all(w == 1 for w in _InlinePool.seen if not isinstance(w, tuple))
+
+
+def _rescaled(spec, mono):
+    """The same equation with every term coefficient multiplied by ``mono``."""
+    for t in spec.terms:
+        t.coefficient = t.coefficient * mono
+    return spec
+
+
+def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
+    # a coefficient of u-exponent e is applied after the lookup, so its word
+    # must be known to order - e: E332's q^-1 spec (e = -2) asks for order + 2
+    q3 = UnitMonomial.q_power(F, 3)
+    specs = identity_specs("E332", window=3, order=15)
+    cases = [
+        specs[5],  # q^-1 u theta(u) theta(v) v u^-1 = theta(u) theta(v)
+        _rescaled(specs[1], q3),  # q^3 u theta(u) u^-1 = q^3 theta(u)
+        _rescaled(specs[0], q3),  # q^4 u v^-1 theta(u) v = q^3 theta(u)
+    ]
+    assert specs[5].terms[0].coefficient.uexp == -2
+    asked = []
+    orig = TorusSeries.coeff
+
+    def recording(self, h, order, _slack=0):
+        asked.append(order)
+        return orig(self, h, order, _slack)
+
+    monkeypatch.setattr(TorusSeries, "coeff", recording)
+    for spec in cases:
+        asked.clear()
+        rep = verify_equation(spec)
+        assert rep["status"] == "pass", rep
+        assert rep["cells_checked"] == len(spec.cells())
+        assert set(asked) == {spec.order - t.coefficient.uexp for t in spec.terms}
+        for t in spec.terms:
+            c, s = _term_series(t)
+            for h in spec.cells():
+                assert (s.coeff(h, spec.order - c.uexp) * c).trunc == spec.order
+
+
+def test_corrupted_specs_report_the_same_first_mismatch():
+    # reference reports of the verifier that scaled each term's series
+    def run(index, which, mono, window=None, order=None):
+        spec = identity_specs("E332", window=window, order=order)[index]
+        spec.terms[which].coefficient = spec.terms[which].coefficient * mono
+        rep = verify_equation(spec)
+        assert rep["status"] == "fail"
+        return rep["cells_checked"], rep["first_mismatch"]
+
+    qm1, q3 = UnitMonomial.q_power(F, -1), UnitMonomial.q_power(F, 3)
+    assert run(0, 0, qm1) == (28, {"cell": [-3, 0], "uexp": 16})
+    assert run(0, 1, UnitMonomial(F.one(), 1)) == (28, {"cell": [-3, 0], "uexp": 18})
+    assert run(5, 1, q3) == (19, {"cell": [-4, 2], "uexp": 24})
+    assert run(5, 0, UnitMonomial(-F.one(), 0), 3, 15) == (5, {"cell": [-3, 1], "uexp": 14})
+
+
+def test_e313_computes_each_theta_w_cell_once(monkeypatch):
+    # the -theta_W term is the one shared series in all ten specs, so its
+    # cell coefficients are computed once, not once per spec
+    specs = identity_specs("E313", window=1, order=8)
+    theta_w = specs[0].terms[1].word[0]
+    assert len(specs) == 10 and all(s.terms[1].word == [theta_w] for s in specs)
+    counts = collections.Counter()
+    orig = TorusSeries._coeff_impl
+
+    def counting(self, h, order, slack):
+        if theta_w.factors[0] in self.factors:  # theta_W, scaled or not
+            counts[h] += 1
+        return orig(self, h, order, slack)
+
+    monkeypatch.setattr(TorusSeries, "_coeff_impl", counting)
+    for spec in specs:
+        assert verify_equation(spec)["status"] == "pass"
+    assert set(counts) == set(specs[0].cells())
+    assert set(counts.values()) == {1}

@@ -280,3 +280,20 @@ def test_enumeration_limit_is_a_refusal():
     assert isinstance(exc.value, NotMultipliable)
     assert "certified box too large" in str(exc.value)
     assert len(enumerate_sublevel(T, 100, max_points=21 * 21)) == 317
+
+
+def test_runaway_propagation_stops():
+    # T = 4 y0^2 - 2 y1 + 3 <= 1 with 3 y0 - 4 y1 - 1 >= 0, 4 y0 + 3 y1 - 3 >= 0
+    # is empty, but the passes only push two lower bounds up (y1 >= 2 y0^2 + 1,
+    # y0 >= (4 y1 + 1) / 3), doubling their digits each round
+    import time
+
+    T = QuadExpr(2, [[4, 0], [0, 0]], [0, -2], 3)
+    rows = [((3, -4), -1), ((4, 3), -3)]
+    t0 = time.perf_counter()
+    try:
+        assert enumerate_sublevel(T, 1, ineqs=rows) == []
+    except NotMultipliable:
+        pass
+    assert time.perf_counter() - t0 < 1.0
+    assert brute(T, 1, rows, 30) == []
