@@ -554,6 +554,15 @@ class ScalarSeries:
         self.terms = clean
         self.trunc = trunc
 
+    @classmethod
+    def _clean(cls, field: CycloField, terms: dict, trunc) -> "ScalarSeries":
+        """Wraps ``terms`` as they are: nonzero coefficients, exponents <= trunc."""
+        s = cls.__new__(cls)
+        s.field = field
+        s.terms = terms
+        s.trunc = trunc
+        return s
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -624,7 +633,7 @@ class ScalarSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarSeries(self.field, {e: -c for e, c in self.terms.items()}, self.trunc)
+        return ScalarSeries._clean(self.field, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -641,37 +650,43 @@ class ScalarSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # validity order: unknown(a)*known(b) enters at > trunc(a)+val(b)
-        bound_a = self.trunc + other.valuation()  # inf-safe
-        bound_b = other.trunc + self.valuation()
-        trunc = min(bound_a, bound_b)
+        return self.mul_to(other, INF)
+
+    __rmul__ = __mul__
+
+    def mul_to(self, other: "ScalarSeries", cap) -> "ScalarSeries":
+        """``(self * other).truncate(cap)``; pairs above ``cap`` are never formed."""
+        # validity order: unknown(a)*b enters above trunc(a) + val(b), and a
+        # series with no known term has valuation above its trunc (inf-safe)
+        va = self.valuation() if self.terms else self.trunc + 1
+        vb = other.valuation() if other.terms else other.trunc + 1
+        trunc = min(self.trunc + vb, other.trunc + va, cap)
         out: dict[int, CycloRational] = {}
         if self.terms and other.terms:
+            right = sorted(other.terms.items())
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+                top = trunc - e1
+                for e2, c2 in right:
+                    if e2 > top:
+                        break
                     e = e1 + e2
-                    if e > trunc:
-                        continue
                     p = c1 * c2
                     cur = out.get(e)
                     s = p if cur is None else cur + p
                     if s.is_zero():
-                        out.pop(e, None)
+                        del out[e]
                     else:
                         out[e] = s
-        return ScalarSeries(self.field, out, trunc)
-
-    __rmul__ = __mul__
+        return ScalarSeries._clean(self.field, out, trunc)
 
     def scale(self, mono: UnitMonomial) -> "ScalarSeries":
-        return ScalarSeries(
-            self.field,
-            {e + mono.uexp: c * mono.coeff for e, c in self.terms.items()},
-            self.trunc + mono.uexp,
+        k, m = mono.uexp, mono.coeff
+        return ScalarSeries._clean(
+            self.field, {e + k: c * m for e, c in self.terms.items()}, self.trunc + k
         )
 
     def shift(self, k: int) -> "ScalarSeries":
-        return ScalarSeries(
+        return ScalarSeries._clean(
             self.field, {e + k: c for e, c in self.terms.items()}, self.trunc + k
         )
 
@@ -731,7 +746,7 @@ class ScalarSeries:
 
     def truncate(self, order) -> "ScalarSeries":
         new_trunc = min(self.trunc, order)
-        return ScalarSeries(
+        return ScalarSeries._clean(
             self.field, {e: c for e, c in self.terms.items() if e <= new_trunc}, new_trunc
         )
 

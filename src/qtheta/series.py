@@ -30,6 +30,7 @@ refused, but single Heisenberg actions still evaluate cell by cell).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -45,14 +46,6 @@ Scalar = Union[UnitMonomial, ScalarSeries]
 ALGEBRAIC = "algebraic"
 PROPER = "proper"
 FORMAL = "formal"
-
-
-def _scalar_val(x: Scalar):
-    return x.valuation()
-
-
-def _as_series(x: Scalar, field) -> ScalarSeries:
-    return x.to_series() if isinstance(x, UnitMonomial) else x
 
 
 class FiniteFactor:
@@ -138,6 +131,39 @@ Factor = Union[FiniteFactor, LatticeFactor]
 
 
 _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
+
+
+def _alpha_form(pair, word, chosen, offs):
+    """sum over i < j of pair(p_i, p_j) for the ordered word's points, where
+    p_i is a finite factor's chosen point or ``offset + G y`` on a lattice
+    factor's parameter block (starting at ``offs[i]``), as an integer
+    quadratic in the concatenated parameters y: (const, ((a, coeff), ...),
+    ((a, b, coeff), ...)), the last being unsymmetrised terms coeff*y_a*y_b.
+    """
+    data = [
+        (chosen[wi][0], ()) if f.is_finite else (f.offset, tuple(enumerate(f.gens, offs[wi])))
+        for wi, f in enumerate(word)
+    ]
+    const = 0
+    lin = {}
+    cross = []
+    for i, (ti, gi) in enumerate(data):
+        for tj, gj in data[i + 1 :]:
+            const += pair(ti, tj)
+            for b, col in gj:
+                lin[b] = lin.get(b, 0) + pair(ti, col)
+            for a, col in gi:
+                lin[a] = lin.get(a, 0) + pair(col, tj)
+                for b, colj in gj:
+                    x = pair(col, colj)
+                    if x:
+                        cross.append((a, b, x))
+    return const, tuple((a, x) for a, x in sorted(lin.items()) if x), tuple(cross)
+
+
+def _form_at(form, y) -> int:
+    const, lin, cross = form
+    return const + sum(x * y[a] for a, x in lin) + sum(x * y[a] * y[b] for a, b, x in cross)
 
 
 class _SubstEngine:
@@ -349,7 +375,8 @@ class TorusSeries:
             if not lat:
                 if any(residual):
                     continue
-                term = self._combine_term(word, chosen, {}, order)
+                forms, _ = self._combo_plan(word, chosen, lat_pos, kernel, combo)
+                term = self._combine_term(word, chosen, {}, order, forms, ())
                 if term is not None:
                     total = total + term
                 continue
@@ -358,14 +385,12 @@ class TorusSeries:
             particular = solver.solve(residual)
             if particular is None:
                 continue
+            if kcols and order == INF:
+                raise NotMultipliable("infinite-order product coefficient needs a finite order")
+            forms, engine = self._combo_plan(word, chosen, lat_pos, kernel, combo)
             if kcols == 0:
                 ys = [particular]
             else:
-                if order == INF:
-                    raise NotMultipliable(
-                        "infinite-order product coefficient needs a finite order"
-                    )
-                engine = self._combo_engine(word, chosen, lat_pos, kernel, combo)
                 if engine is None:
                     raise NotMultipliable(
                         "window-only factor inside a product that needs enumeration"
@@ -399,100 +424,75 @@ class TorusSeries:
                     blocks[wi] = blk
                 if not ok:
                     continue
-                term = self._combine_term(word, chosen, blocks, order)
+                term = self._combine_term(word, chosen, blocks, order, forms, y)
                 if term is not None:
                     total = total + term
         return total.truncate(order)
 
-    def _combo_engine(self, word, chosen, lat_pos, kernel, combo):
-        """Cached bound assembly + kernel substitution for one finite combo.
+    def _combo_plan(self, word, chosen, lat_pos, kernel, combo):
+        """Cached plan for one finite combo: the ordered word's alpha exponent
+        and sign as integer quadratics in the concatenated lattice parameters,
+        and, when there is a kernel, the bound assembly + kernel substitution.
 
         The full-parameter bound is independent of the target cell; only the
         particular solution moves, contributing linear and constant terms.
         """
         key = tuple(p for p, _v in combo)
-        engine = self._combo_cache.get(key)
-        if engine is None and key not in self._combo_cache:
-            T, ineqs = self._assemble_bound(word, chosen, lat_pos)
-            engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
-            self._combo_cache[key] = engine
-        return engine
+        plan = self._combo_cache.get(key)
+        if plan is None:
+            offs = {}
+            pos = 0
+            for wi in lat_pos:
+                offs[wi] = pos
+                pos += word[wi].nparams
+            forms = tuple(
+                _alpha_form(pair, word, chosen, offs)
+                for pair in (self.param.alpha_exp, self.param.alpha_sign)
+            )
+            engine = None
+            if kernel:
+                T, ineqs = self._assemble_bound(word, chosen, offs, forms[0])
+                engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
+            plan = self._combo_cache[key] = (forms, engine)
+        return plan
 
-    def _assemble_bound(self, word, chosen, lat_pos):
+    def _assemble_bound(self, word, chosen, offs, alpha):
         """Exact valuation bound T(y) over the concatenated parameter space.
 
         T = sum of factor-value valuations (exact for finite ones, certified
-        for lattice ones) + sum of pairwise alpha exponents of the ordered
-        word.  Returns (QuadExpr, cone inequalities), (None, None) when a
-        lattice factor lacks a certificate, or (_ZERO_TERM, None) when a
-        chosen finite value is zero, so every term of the combo vanishes.
+        for lattice ones) + the alpha exponent of the ordered word (the form
+        ``alpha`` of :func:`_alpha_form`, symmetrised).  Returns (QuadExpr,
+        cone inequalities), (None, None) when a lattice factor lacks a
+        certificate, or (_ZERO_TERM, None) when a chosen finite value is
+        zero, so every term of the combo vanishes.
         """
-        A = self.param.A
-        k_total = sum(word[i].nparams for i in lat_pos)
-        offs = {}
-        pos = 0
-        for wi in lat_pos:
-            offs[wi] = pos
-            pos += word[wi].nparams
+        k_total = sum(word[wi].nparams for wi in offs)
         Q = [[Fraction(0)] * k_total for _ in range(k_total)]
         L = [Fraction(0)] * k_total
         C = Fraction(0)
-        for wi in lat_pos:
+        for wi, base in offs.items():
             f = word[wi]
             if f.val is None:
                 return None, None
-            base = offs[wi]
             for i in range(f.nparams):
                 L[base + i] += f.val.lin[i]
                 for j in range(f.nparams):
                     Q[base + i][base + j] += f.val.quad[i][j]
             C += f.val.const
-        for _wi, (p, val) in chosen.items():
-            vv = _scalar_val(val)
+        for _p, val in chosen.values():
+            vv = val.valuation()
             if vv == INF:
                 return _ZERO_TERM, None
-            C += Fraction(vv)
-
-        # pairwise alpha exponents over the word
-        def point_data(wi):
-            """(const vector, columns, param offset) of the factor's point."""
-            f = word[wi]
-            if f.is_finite:
-                return chosen[wi][0], (), None
-            return f.offset, f.gens, offs[wi]
-
-        d = self.param.rank
-        n_word = len(word)
-        for i in range(n_word):
-            ti, gi, oi = point_data(i)
-            for j in range(i + 1, n_word):
-                tj, gj, oj = point_data(j)
-                # exp = (ti + Gi yi)^T A (tj + Gj yj)
-                C += Fraction(
-                    sum(ti[a] * A[a][b] * tj[b] for a in range(d) for b in range(d))
-                )
-                if oj is not None:
-                    for jj, col in enumerate(gj):
-                        L[oj + jj] += Fraction(
-                            sum(ti[a] * A[a][b] * col[b] for a in range(d) for b in range(d))
-                        )
-                if oi is not None:
-                    for ii, col in enumerate(gi):
-                        L[oi + ii] += Fraction(
-                            sum(col[a] * A[a][b] * tj[b] for a in range(d) for b in range(d))
-                        )
-                if oi is not None and oj is not None:
-                    for ii, ci in enumerate(gi):
-                        for jj, cj in enumerate(gj):
-                            cross = Fraction(
-                                sum(ci[a] * A[a][b] * cj[b] for a in range(d) for b in range(d))
-                            )
-                            if cross:
-                                Q[oi + ii][oj + jj] += cross / 2
-                                Q[oj + jj][oi + ii] += cross / 2
+            C += vv
+        const, lin, cross = alpha
+        C += const
+        for a, x in lin:
+            L[a] += x
+        for a, b, x in cross:
+            Q[a][b] += Fraction(x, 2)
+            Q[b][a] += Fraction(x, 2)
         ineqs = []
-        for wi in lat_pos:
-            base = offs[wi]
+        for wi, base in offs.items():
             for i, flag in enumerate(word[wi].cones):
                 if flag:
                     row = [0] * k_total
@@ -500,49 +500,52 @@ class TorusSeries:
                     ineqs.append((tuple(row), 0))
         return QuadExpr(k_total, Q, L, C), ineqs
 
-    def _combine_term(self, word, chosen, blocks, order) -> Optional[ScalarSeries]:
-        """Exact value of one decomposition term, truncated at ``order``."""
-        param = self.param
-        field = param.field
-        # factor points and value lower bounds
-        pts = []
-        vals = []
-        lbs = []
+    def _combine_term(self, word, chosen, blocks, order, forms, y) -> Optional[ScalarSeries]:
+        """Exact value of one decomposition term, truncated at ``order``.
+
+        The alpha monomial and every unit-monomial value fold into one
+        monomial.  The series values are multiplied in word order, each
+        product capped at ``order`` less the monomial's u-exponent and the
+        certified lower bounds of the series still to come; no cap when a
+        lattice factor has no certificate or a value is an empty series.
+        """
+        one = self.param.field.one()
+        aexp = _form_at(forms[0], y)
+        mono = UnitMonomial(-one if _form_at(forms[1], y) % 2 else one, aexp)
+        lbs = [
+            chosen[wi][1].valuation()
+            if f.is_finite
+            else (f.val.value(blocks[wi]) if f.val is not None else 0)
+            for wi, f in enumerate(word)
+        ]
+        total_lb = aexp + sum(lb for lb in lbs if lb != INF)
+        capped = True
+        series = []  # (value, integer lower bound) of the series-valued factors
         for wi, f in enumerate(word):
             if f.is_finite:
-                p, vv = chosen[wi]
-                pts.append(p)
-                vals.append(vv)
-                lbs.append(_scalar_val(vv))
+                v = chosen[wi][1]
             else:
-                y = blocks[wi]
-                pts.append(f.point(y))
-                vals.append(("lat", f, y))
-                lbs.append(f.val.value(y) if f.val is not None else 0)
-        # exact alpha monomial of the ordered word
-        aexp = 0
-        asign = 0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                aexp += param.alpha_exp(pts[i], pts[j])
-                asign ^= param.alpha_sign(pts[i], pts[j])
-        acc: Optional[Scalar] = UnitMonomial(
-            -field.one() if asign else field.one(), aexp
-        )
-        total_lb = aexp + sum(lb for lb in lbs if lb != INF)
-        for idx, v in enumerate(vals):
-            if isinstance(v, tuple) and v and v[0] == "lat":
-                _, f, y = v
-                own = lbs[idx] if lbs[idx] != INF else 0
-                need = order - (total_lb - own)
-                c = f.coeff_at(y, need)
-                if c is None:
+                v = f.coeff_at(blocks[wi], order - (total_lb - lbs[wi]))
+                if v is None:
                     return None
-                v = c
-            if isinstance(v, ScalarSeries) and v.is_zero() and v.trunc == INF:
-                return None
-            acc = acc * v
-        return _as_series(acc, field).truncate(order)
+                capped = capped and f.val is not None
+            if isinstance(v, UnitMonomial):
+                mono = mono * v
+                continue
+            if not v.terms:
+                if v.trunc == INF:
+                    return None
+                capped = False
+            series.append((v, math.ceil(lbs[wi]) if v.terms else 0))
+        if not series:
+            return mono.to_series().truncate(order)
+        head = order - mono.uexp if capped else INF
+        rest = sum(lb for _v, lb in series[1:])
+        acc = series[0][0]
+        for v, lb in series[1:]:
+            rest -= lb
+            acc = acc.mul_to(v, head - rest)
+        return acc.scale(mono).truncate(order)
 
     # -- materialization and comparison ---------------------------------------
 

@@ -160,6 +160,15 @@ def test_series_mul_polynomials():
     assert prod.coefficient(2).is_zero()
 
 
+def test_series_mul_of_unknown_zeros_stays_truncated():
+    # (0 + O(u^6)) * (0 + O(u^3)) is O(u^9), never an exact zero
+    f = CycloField(1)
+    a, b = ScalarSeries.zero(f, 5), ScalarSeries.zero(f, 2)
+    assert (a * b).trunc == 8 and (b * a).trunc == 8
+    assert (a * series(f, [(1, 1)])).trunc == 6
+    assert (a * ScalarSeries.zero(f)).trunc == INF
+
+
 def test_series_additive_inverse_random():
     f = CycloField(4)
     rng = random.Random(11)

@@ -138,3 +138,43 @@ def test_series_json_roundtrip_text(m, terms, trunc):
     back = series_from_json(json.loads(text))
     assert back == s
     assert json.dumps(series_to_json(back), sort_keys=True) == text
+
+
+def ref_series_mul(a, b):
+    """Every pair, summed, kept up to the product's validity order: the
+    unknown tail of one factor times the lowest possible term of the other,
+    which for a series with no known term lies just above its trunc."""
+    va = a.valuation() if a.terms else a.trunc + 1
+    vb = b.valuation() if b.terms else b.trunc + 1
+    trunc = min(a.trunc + vb, b.trunc + va)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, a.field.zero()) + c1 * c2
+    return ScalarSeries(a.field, out, trunc)
+
+
+small_series_terms = st.dictionaries(
+    st.integers(-8, 10), st.lists(st.integers(-3, 3), min_size=1, max_size=4), max_size=6
+)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([1, 5]),
+    small_series_terms,
+    small_series_terms,
+    st.sampled_from([INF, -4, 3, 9]),
+    st.sampled_from([INF, -1, 6]),
+    st.integers(-20, 20) | st.just(INF),
+)
+def test_mul_to_is_the_truncated_product(m, ta, tb, trunc_a, trunc_b, cap):
+    f = CycloField(m)
+    a = ScalarSeries(f, {e: f.element(v) for e, v in ta.items()}, trunc_a)
+    b = ScalarSeries(f, {e: f.element(v) for e, v in tb.items()}, trunc_b)
+    ref = ref_series_mul(a, b)
+    assert a * b == ref
+    low = min(a.valuation(), b.valuation()) - 1  # below both valuations
+    for c in (cap, low):
+        assert a.mul_to(b, c) == ref.truncate(c) == (a * b).truncate(c)
+        assert b.mul_to(a, c) == ref.truncate(c)

@@ -1,14 +1,17 @@
 """Quantum torus pairing data and the exact truncated product engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qtheta.errors import NotMultipliable
+from qtheta.named import eq_addition_series, eq_inv_series, eq_series
 from qtheta.quadenum import QuadExpr
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.series import (
+    FiniteFactor,
     TorusSeries,
     conjugation_check,
     series_equal,
@@ -283,3 +286,98 @@ def test_zero_valued_finite_factor_skips_enumeration(monkeypatch):
         c = zero.coeff((0,), order)
         assert c.is_zero() and c.trunc >= order
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# order-bounded products in the term combination: each product is capped by
+# the certified lower bounds of the factors still to come
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_lattice_certificates_bound_coefficient_valuations(m):
+    f = CycloField(m)
+    p = QuantParam.standard_tq(f)
+    x = TorusPoint((UnitMonomial(f.zeta(), 1), UnitMonomial(-f.one(), -2)))
+    cases = []
+    for uexp in (3, -3):
+        mu = UnitMonomial(f.zeta(), uexp)
+        cases += [eq_series(p, (1, 0), mu), eq_inv_series(p, (0, 1), mu)]
+    cases += [eq_addition_series(p, (1, 0), (0, 1)), eq_addition_series(p, (1, 1), (1, -1))]
+    cases += [s.shift_pullback(x) for s in cases]
+    for s in cases:
+        (fac,) = s.factors
+        for y in itertools.product(range(-1, 5), repeat=fac.nparams):
+            c = fac.coeff_at(y, 60)
+            if c is not None:
+                assert c.valuation() >= fac.val.value(y), (s.label, y)
+
+
+def _word_coeff_reference(param, tables, h, order):
+    """Coefficient at h of the product of finitely supported factors, built
+    pair by pair with the plain product and truncated at the end."""
+    f = param.field
+    total = ScalarSeries.zero(f, order)
+    for combo in itertools.product(*[t.items() for t in tables]):
+        pts = [pt for pt, _v in combo]
+        if tuple(map(sum, zip(*pts))) != tuple(h):
+            continue
+        term = UnitMonomial.one(f).to_series()
+        for i, (pt, v) in enumerate(combo):
+            for q in pts[i + 1 :]:
+                term = term * param.alpha(pt, q)
+            term = term * (v if isinstance(v, ScalarSeries) else v.to_series())
+        total = total + term.truncate(order)
+    return total
+
+
+def test_uncertified_lattice_factor_is_multiplied_without_caps():
+    # finite factors with series values, then a window-only lattice factor
+    # whose coefficients have valuation -4: without a certificate nothing
+    # bounds what it brings down, so the products before it are not capped
+    p = QuantParam(F, TQ.lattice, TQ.A, ((1, 0), (0, 0)))
+
+    def ser(terms):
+        return ScalarSeries(F, {e: F.from_rational(c) for e, c in terms.items()})
+
+    f1 = {(1, 0): ser({0: 1, 3: 2, 5: -1}), (0, 0): ser({1: 3, 4: 1})}
+    f2 = {
+        (0, 1): ser({0: 1, 2: 1, 4: 5}),
+        (1, 1): UnitMonomial(-F.one(), 1),
+        (2, 0): ScalarSeries.zero(F, 3),  # zero only up to u^3
+    }
+
+    def coeff(y, order):
+        return ser({-4: 1, -3: y[0] or 1, -2: 1 + y[1]})
+
+    lat = TorusSeries.rule(p, (0, 0), [(1, 0), (0, 1)], coeff, None)
+    word = TorusSeries(
+        p, [FiniteFactor(p, f1), FiniteFactor(p, f2)] + list(lat.factors)
+    )
+    assert word.kind == "formal"
+    order = 6
+    for h in itertools.product(range(-1, 3), repeat=2):
+        lat_table = {}
+        for t1 in f1:
+            for t2 in f2:
+                y = tuple(a - b - c for a, b, c in zip(h, t1, t2))
+                lat_table[y] = coeff(y, order)
+        ref = _word_coeff_reference(p, [f1, f2, lat_table], h, order)
+        assert word.coeff(h, order) == ref, h
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_certified_word_equals_product_of_materialized_operands(m):
+    # later factors have coefficients of negative valuation, so a cap that
+    # ignored them would drop terms that come back below the order
+    f = CycloField(m)
+    p = QuantParam(f, TQ.lattice, TQ.A, ((0, 1), (1, 1)))
+    a = eq_series(p, (1, 0), UnitMonomial(f.zeta(), 1))
+    b = eq_series(p, (0, 1), UnitMonomial(f.zeta(2), -5))
+    c = eq_inv_series(p, (1, 0), UnitMonomial(-f.one(), -4))
+    word = a.mul(b).mul(c)
+    order = 8
+    box = list(itertools.product(range(0, 7), repeat=2))
+    tables = [s.materialize(box, order + 40).factors[0].table for s in (a, b, c)]
+    for h in itertools.product(range(0, 4), repeat=2):
+        got = word.coeff(h, order)
+        assert got == _word_coeff_reference(p, tables, h, order), h
