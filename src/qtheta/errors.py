@@ -98,10 +98,6 @@ class SqrtMismatch(QThetaError):
     """Supplied square root data does not square to the structure pairing."""
 
 
-class InconsistentRecurrence(QThetaError):
-    """Theta coefficient recurrence is overdetermined and inconsistent."""
-
-
 class InfiniteIndex(QThetaError):
     """A finite coset index is required."""
 

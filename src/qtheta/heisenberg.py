@@ -28,7 +28,7 @@ from .errors import (
 )
 from .intlinalg import LatticeMap, Vec, det, solve_integer, vec_add, vec_neg, vec_sub, zero_vec
 from .scalars import INF, UnitMonomial
-from .series import TorusSeries
+from .series import GaussRule, TorusSeries
 from .torus import QuantParam, TorusPoint
 
 
@@ -366,6 +366,19 @@ class TorusMorphism:
                     raise IncompatibleQuantization(
                         f"squared-pairing compatibility fails on basis pair ({i}, {j})"
                     )
+        # a_h = prod a_i^h_i, flipped for each i with eps1(e_i) eps2(f e_i) = -1
+        # and odd h_i(h_i - 1)/2 (the sign form counts half turns: h_i^2 - h_i),
+        # and for each i < j with eps_f(e_i, e_j) = -1 and odd h_i h_j
+        sign = []
+        for i in range(d1):
+            if not (source_param.epsilon(basis[i]) * target_param.epsilon(f(basis[i]))).is_one():
+                sign += [(i, i, 1), (i, d1, -1)]
+            for j in range(i + 1, d1):
+                if not self.char_sign(basis[i], basis[j]).is_one():
+                    sign.append((i, j, 2))
+        self.scale_rule = GaussRule.character(source_param.field, self.avals).times(
+            GaussRule(d1, source_param.field.one(), sform=sign)
+        )
 
     # -- scalar data -------------------------------------------------------------
 
@@ -391,23 +404,7 @@ class TorusMorphism:
 
     def a_value(self, h: Vec) -> UnitMonomial:
         """a_h with the normal-ordering sign corrections."""
-        p1, p2 = self.source_param, self.target_param
-        basis = p1.lattice.basis()
-        field = p1.field
-        acc = UnitMonomial.one(field)
-        for i, hi in enumerate(h):
-            if hi:
-                acc = acc * (self.avals[i] ** hi)
-                s = p1.epsilon(basis[i]) * p2.epsilon(self.f(basis[i]))
-                if not s.is_one() and (hi * (hi - 1) // 2) % 2:
-                    acc = -acc
-        for i in range(len(h)):
-            for j in range(i + 1, len(h)):
-                if h[i] and h[j]:
-                    t = self.char_sign(basis[i], basis[j])
-                    if not t.is_one() and (h[i] * h[j]) % 2:
-                        acc = -acc
-        return acc
+        return self.scale_rule.at(h)
 
     def point_pushforward_plain(self, x: TorusPoint) -> TorusPoint:
         """The a-less induced map h -> x(f h) (used by transport)."""
@@ -421,7 +418,7 @@ class TorusMorphism:
         if series.param != self.source_param:
             raise ParamMismatch("series does not live on the morphism's source")
         return series.pullback(
-            self.target_param, self.f, self.a_value, f"pull({series.label})"
+            self.target_param, self.f, self.scale_rule, f"pull({series.label})"
         )
 
 

@@ -230,17 +230,6 @@ class ThetaBasis:
     window: int
     order: object
 
-    def coefficient_table(self, index: int, radius: Optional[int] = None, order=None):
-        radius = self.window if radius is None else radius
-        order = self.order if order is None else order
-        series = self.basis[index]
-        out = {}
-        for h in series.window_cells(radius):
-            c = series.coeff(h, order)
-            if not c.is_zero():
-                out[h] = c
-        return out
-
 
 # ---------------------------------------------------------------------------
 # construction and operations

@@ -20,7 +20,7 @@ from .errors import UnknownName
 from .intlinalg import Vec, zero_vec
 from .quadenum import QuadExpr
 from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
-from .series import TorusSeries
+from .series import GaussRule, TorusSeries
 from .torus import QuantParam, TorusPoint
 
 # -- scalar coefficient caches -------------------------------------------------
@@ -76,13 +76,14 @@ def eq_inv_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
 # -- lifted one-variable series --------------------------------------------------
 
 
-def _power_sign(param: QuantParam, direction: Vec, k: int) -> UnitMonomial:
-    """e(v)^k = eps(v)^(k(k-1)/2) e(k v)."""
-    eps = param.epsilon(direction)
-    sign = UnitMonomial.one(param.field)
-    if not eps.is_one() and (k * (k - 1) // 2) % 2:
-        sign = -sign
-    return sign
+def _lift_rule(param: QuantParam, direction: Vec, prefactor, square: int) -> GaussRule:
+    """k -> q^(square k^2) prefactor^k eps(direction)^(k(k-1)/2), the last
+    factor being the reordering sign of e(direction)^k = eps^(k(k-1)/2) e(k direction)."""
+    f = param.field
+    mu = prefactor if prefactor is not None else UnitMonomial.one(f)
+    sign = [] if param.epsilon(direction).is_one() else [(0, 0, 1), (0, 1, -1)]
+    own = GaussRule(1, f.one(), [(0, 0, 2 * square)], sign)
+    return GaussRule.character(f, [mu]).times(own)
 
 
 def theta_series(
@@ -90,58 +91,49 @@ def theta_series(
 ) -> TorusSeries:
     """theta_q at the argument ``prefactor * e(direction)``.
 
-    Coefficient at n*direction: q^(n^2) * prefactor^n * reordering sign.
+    Coefficient at n*direction: q^(n^2) * prefactor^n * reordering sign, a
+    Gauss rule whose u-form is the exact valuation.
     """
+    rule = _lift_rule(param, direction, prefactor, 1)
+    val = rule.valuation_form()
+    return TorusSeries.rule(
+        param, zero_vec(param.rank), [direction], None, val, label=label, gauss=rule
+    )
+
+
+def _eq_lift(param, direction, prefactor, base, base_val, label) -> TorusSeries:
+    """A one-variable series at ``prefactor * e(direction)`` with t^k
+    coefficient ``base(field, k, order)``, supported on k >= 0; the
+    certificate is the base's plus the Gauss part's u-form."""
     f = param.field
-    mu = prefactor if prefactor is not None else UnitMonomial.one(f)
+    rule = _lift_rule(param, direction, prefactor, 0)
 
     def coeff(y, order):
-        (n,) = y
-        return UnitMonomial.q_power(f, n * n) * (mu**n) * _power_sign(param, direction, n)
+        (k,) = y
+        return base(f, k, order) if k >= 0 else None
 
-    val = QuadExpr(1, [[2]], [Fraction(mu.uexp)], 0)
-    return TorusSeries.rule(param, zero_vec(param.rank), [direction], coeff, val, label=label)
+    val = base_val + rule.valuation_form()
+    gens = [direction]
+    return TorusSeries.rule(
+        param, zero_vec(param.rank), gens, coeff, val, cones=(True,), label=label, gauss=rule
+    )
 
 
 def eq_series(
     param: QuantParam, direction: Vec, prefactor: UnitMonomial | None = None, label="e_q"
 ) -> TorusSeries:
     """e_q at the argument ``prefactor * e(direction)``; supported on the
-    nonnegative half line."""
-    f = param.field
-    mu = prefactor if prefactor is not None else UnitMonomial.one(f)
-
-    def coeff(y, order):
-        (k,) = y
-        if k < 0:
-            return None
-        base = eq_coefficient(f, k, order)
-        return base.scale((mu**k) * _power_sign(param, direction, k))
-
-    val = QuadExpr(1, [[2]], [Fraction(mu.uexp)], 0)
-    return TorusSeries.rule(
-        param, zero_vec(param.rank), [direction], coeff, val, cones=(True,), label=label
-    )
+    nonnegative half line, where the base has valuation 2k^2."""
+    val = QuadExpr(1, [[2]], [0], 0)
+    return _eq_lift(param, direction, prefactor, eq_coefficient, val, label)
 
 
 def eq_inv_series(
     param: QuantParam, direction: Vec, prefactor: UnitMonomial | None = None, label="1/e_q"
 ) -> TorusSeries:
     """1/e_q at ``prefactor * e(direction)``: linear valuation growth 2k."""
-    f = param.field
-    mu = prefactor if prefactor is not None else UnitMonomial.one(f)
-
-    def coeff(y, order):
-        (k,) = y
-        if k < 0:
-            return None
-        base = eq_inv_coefficient(f, k, order)
-        return base.scale((mu**k) * _power_sign(param, direction, k))
-
-    val = QuadExpr(1, [[0]], [Fraction(2 + mu.uexp)], 0)
-    return TorusSeries.rule(
-        param, zero_vec(param.rank), [direction], coeff, val, cones=(True,), label=label
-    )
+    val = QuadExpr(1, [[0]], [2], 0)
+    return _eq_lift(param, direction, prefactor, eq_inv_coefficient, val, label)
 
 
 def eq_addition_series(
@@ -213,12 +205,12 @@ def weinstein_theta(param: QuantParam) -> TorusSeries:
     dbl = weinstein_param(param)
     d = param.rank
 
-    def coeff(y, order):
-        g, h = y[:d], y[d:]
-        return param.alpha(g, h)
+    def cross(m, k):  # g^T m h as cross terms in y = (g, h)
+        return tuple((i, d + j, k * m[i][j]) for i in range(d) for j in range(d))
 
+    rule = GaussRule(2 * d, param.field.one(), cross(param.A, 1), cross(param.S, 2))
     gens = dbl.lattice.basis()
-    return TorusSeries.rule(dbl, zero_vec(2 * d), gens, coeff, None, label="theta_W")
+    return TorusSeries.rule(dbl, zero_vec(2 * d), gens, None, None, label="theta_W", gauss=rule)
 
 
 def weinstein_pair_sq(param: QuantParam, k: Vec, j: Vec) -> UnitMonomial:

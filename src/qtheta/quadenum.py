@@ -176,10 +176,6 @@ class QuadExpr:
         self.lin = tuple(self._norm(x) for x in lin)
         self.const = self._norm(const)
 
-    @classmethod
-    def zero(cls, n: int) -> "QuadExpr":
-        return cls(n, [[0] * n for _ in range(n)], [0] * n, 0)
-
     def value(self, y: Sequence[int]):
         q = self.quad
         acc = self.const
@@ -189,6 +185,14 @@ class QuadExpr:
                 row = q[i]
                 acc += yi * sum(row[j] * y[j] for j in range(self.n) if y[j])
         return acc
+
+    def __add__(self, other: "QuadExpr") -> "QuadExpr":
+        return QuadExpr(
+            self.n,
+            [[a + b for a, b in zip(r, s)] for r, s in zip(self.quad, other.quad)],
+            [a + b for a, b in zip(self.lin, other.lin)],
+            self.const + other.const,
+        )
 
     def denominator_lcm(self) -> int:
         return _den_lcm([x for row in self.quad for x in row] + [*self.lin, self.const])

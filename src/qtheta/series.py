@@ -9,7 +9,9 @@ with known support structure:
   ``offset + sum_i y_i gen_i`` of lattice points, together with an exact
   quadratic lower bound for the u-adic valuation of the coefficient at the
   parameter ``y`` (the properness certificate) and optional cone constraints
-  ``y_i >= 0``.
+  ``y_i >= 0``.  The rule is a closure, a :class:`GaussRule` (a unit
+  monomial whose u-exponent and sign are integer quadratics in ``y``), or
+  the product of both.
 
 The product of two series is word concatenation (cost O(1)); all the work
 happens when a coefficient is requested: the engine solves the affine
@@ -32,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch
@@ -72,23 +73,26 @@ class FiniteFactor:
 class LatticeFactor:
     """Rule-defined factor on an affine family of lattice points.
 
-    ``coeff(y, order)`` returns the coefficient at ``offset + sum y_i gens_i``
-    exact to the given order (or exactly); ``val`` is a QuadExpr lower bound
-    for its valuation, valid wherever the coefficient is nonzero.  ``None``
-    marks a window-only (formal) factor.
+    The coefficient at ``offset + sum y_i gens_i`` is ``coeff(y, order)``
+    (exact to the given order, or exactly; None off the support) times
+    ``gauss.at(y)``; either part may be None, not both.  A factor with no
+    closure is a *Gauss factor*.  ``val`` is a QuadExpr lower bound for the
+    coefficient's valuation, valid wherever it is nonzero.  ``None`` marks a
+    window-only (formal) factor.
     """
 
-    __slots__ = ("param", "offset", "gens", "coeff", "val", "cones", "label", "_memo")
+    __slots__ = ("param", "offset", "gens", "coeff", "val", "cones", "label", "gauss", "_memo")
 
     def __init__(
         self,
         param: QuantParam,
         offset: Vec,
         gens: Sequence[Vec],
-        coeff: Callable[[tuple, object], Optional[Scalar]],
+        coeff: Optional[Callable[[tuple, object], Optional[Scalar]]],
         val: Optional[QuadExpr],
         cones: Sequence[bool] = (),
         label: str = "",
+        gauss: Optional["GaussRule"] = None,
     ):
         self.param = param
         self.offset = tuple(offset)
@@ -97,6 +101,7 @@ class LatticeFactor:
         self.val = val
         self.cones = tuple(cones) if cones else (False,) * len(self.gens)
         self.label = label or "lattice"
+        self.gauss = gauss
         self._memo: dict = {}
 
     @property
@@ -107,19 +112,15 @@ class LatticeFactor:
     def nparams(self) -> int:
         return len(self.gens)
 
-    def point(self, y: Sequence[int]) -> Vec:
-        p = list(self.offset)
-        for yi, g in zip(y, self.gens):
-            if yi:
-                for k in range(len(p)):
-                    p[k] += yi * g[k]
-        return tuple(p)
-
     def coeff_at(self, y: tuple, order) -> Optional[Scalar]:
+        if self.coeff is None:
+            return self.gauss.at(y)
         key = (y, order)
         hit = self._memo.get(key)
         if hit is None and key not in self._memo:
             hit = self.coeff(y, order)
+            if hit is not None and self.gauss is not None:
+                hit = self.gauss.at(y) * hit
             self._memo[key] = hit
         return hit
 
@@ -133,37 +134,110 @@ Factor = Union[FiniteFactor, LatticeFactor]
 _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
 
 
-def _alpha_form(pair, word, chosen, offs):
+# A form is an integer quadratic in y = (y_0, ..., y_{n-1}) stored as terms
+# (a, b, x) of sum x y_a y_b, where index n stands for the constant 1: (a, n)
+# terms are linear and (n, n) is the constant.
+
+
+def _form(terms, mod=0):
+    """The terms merged (a <= b), reduced mod ``mod`` when given, zeros dropped."""
+    acc = {}
+    for a, b, x in terms:
+        key = (a, b) if a <= b else (b, a)
+        acc[key] = acc.get(key, 0) + x
+    red = {k: x % mod if mod else x for k, x in acc.items()}
+    return tuple((a, b, x) for (a, b), x in sorted(red.items()) if x)
+
+
+def _form_at(form, ye) -> int:
+    """The form at ye = (*y, 1)."""
+    return sum(x * ye[a] * ye[b] for a, b, x in form)
+
+
+def _quad(form, n) -> QuadExpr:
+    """The form as a QuadExpr in n variables (cross terms symmetrised)."""
+    Q = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for a, b, x in form:
+        Q[a][b] += Fraction(x, 2)
+        Q[b][a] += Fraction(x, 2)
+    return QuadExpr(n, [row[:n] for row in Q[:n]], [2 * x for x in Q[n][:n]], Q[n][n])
+
+
+def _alpha_form(pair, word, chosen, offs, n):
     """sum over i < j of pair(p_i, p_j) for the ordered word's points, where
     p_i is a finite factor's chosen point or ``offset + G y`` on a lattice
-    factor's parameter block (starting at ``offs[i]``), as an integer
-    quadratic in the concatenated parameters y: (const, ((a, coeff), ...),
-    ((a, b, coeff), ...)), the last being unsymmetrised terms coeff*y_a*y_b.
-    """
+    factor's parameter block (starting at ``offs[i]``), as a form in the n
+    concatenated parameters y."""
     data = [
-        (chosen[wi][0], ()) if f.is_finite else (f.offset, tuple(enumerate(f.gens, offs[wi])))
+        [(n, chosen[wi][0])] if f.is_finite else [(n, f.offset), *enumerate(f.gens, offs[wi])]
         for wi, f in enumerate(word)
     ]
-    const = 0
-    lin = {}
-    cross = []
-    for i, (ti, gi) in enumerate(data):
-        for tj, gj in data[i + 1 :]:
-            const += pair(ti, tj)
-            for b, col in gj:
-                lin[b] = lin.get(b, 0) + pair(ti, col)
-            for a, col in gi:
-                lin[a] = lin.get(a, 0) + pair(col, tj)
-                for b, colj in gj:
-                    x = pair(col, colj)
-                    if x:
-                        cross.append((a, b, x))
-    return const, tuple((a, x) for a, x in sorted(lin.items()) if x), tuple(cross)
+    return _form(
+        (a, b, pair(v, w))
+        for i, di in enumerate(data)
+        for dj in data[i + 1 :]
+        for a, v in di
+        for b, w in dj
+    )
 
 
-def _form_at(form, y) -> int:
-    const, lin, cross = form
-    return const + sum(x * y[a] for a, x in lin) + sum(x * y[a] * y[b] for a, b, x in cross)
+class GaussRule:
+    """The unit monomial c (-1)^(s(y)/2) u^q(y) prod_k b_k^(l_k(y)) of an
+    integer vector y of length n.
+
+    q and s are forms.  s is twice the sign exponent, so that k(k-1)/2 is
+    the integer form k^2 - k: s(y) is even for every y and is kept mod 4.
+    Each l_k is an affine form; the bases b_k carry the coefficients other
+    than +-1.
+    """
+
+    __slots__ = ("n", "const", "uform", "sform", "chars")
+
+    def __init__(self, n: int, const, uform=(), sform=(), chars=()):
+        self.n = n
+        self.const = const
+        self.uform = _form(uform)
+        self.sform = _form(sform, 4)
+        self.chars = tuple((b, _form(l)) for b, l in chars)
+
+    @classmethod
+    def character(cls, field, values: Sequence[UnitMonomial]) -> "GaussRule":
+        """y -> prod values_i^y_i: the character e(y) at a torus point."""
+        n = len(values)
+        chars = [(v.coeff, [(i, n, 1)]) for i, v in enumerate(values) if not v.coeff.is_one()]
+        return cls(n, field.one(), [(i, n, v.uexp) for i, v in enumerate(values)], (), chars)
+
+    def times(self, other: "GaussRule") -> "GaussRule":
+        """The pointwise product of two rules in the same variables."""
+        u, s, chars = self.uform + other.uform, self.sform + other.sform, self.chars + other.chars
+        return GaussRule(self.n, self.const * other.const, u, s, chars)
+
+    def compose(self, offset: Vec, gens: Sequence[Vec]) -> "GaussRule":
+        """The rule of z at y = offset + sum_j z_j gens[j]."""
+        cols = [(*g, 0) for g in gens] + [(*offset, 1)]
+
+        def subst(form):
+            return [
+                (j, k, sum(x * u[a] * v[b] for a, b, x in form))
+                for j, u in enumerate(cols)
+                for k, v in enumerate(cols)
+            ]
+
+        chars = [(b, subst(l)) for b, l in self.chars]
+        return GaussRule(len(gens), self.const, subst(self.uform), subst(self.sform), chars)
+
+    def valuation_form(self) -> QuadExpr:
+        """q as a QuadExpr: the exact valuation, a derived certificate."""
+        return _quad(self.uform, self.n)
+
+    def at(self, y) -> UnitMonomial:
+        ye = (*y, 1)
+        c = self.const
+        if _form_at(self.sform, ye) % 4:
+            c = -c
+        for b, l in self.chars:
+            c = c * b ** _form_at(l, ye)
+        return UnitMonomial(c, _form_at(self.uform, ye))
 
 
 class _SubstEngine:
@@ -226,7 +300,7 @@ class TorusSeries:
         self.factors = tuple(factors)
         self.label = label
         self._cache: dict = {}
-        self._solver = None
+        self._layout_cache = None
         self._combo_cache: dict = {}
 
     # -- constructors --------------------------------------------------------
@@ -255,12 +329,14 @@ class TorusSeries:
         param: QuantParam,
         offset: Vec,
         gens: Sequence[Vec],
-        coeff: Callable,
+        coeff: Optional[Callable],
         val: Optional[QuadExpr],
         cones: Sequence[bool] = (),
         label: str = "",
+        gauss: Optional[GaussRule] = None,
     ) -> "TorusSeries":
-        return cls(param, [LatticeFactor(param, offset, gens, coeff, val, cones, label)], label)
+        factor = LatticeFactor(param, offset, gens, coeff, val, cones, label, gauss)
+        return cls(param, [factor], label)
 
     # -- structure -----------------------------------------------------------
 
@@ -292,39 +368,37 @@ class TorusSeries:
         front = FiniteFactor(self.param, {zero_vec(self.param.rank): scalar}, "scale")
         return TorusSeries(self.param, (front,) + self.factors, self.label)
 
-    def pullback(self, param: QuantParam, point_map, scale=None, label: str = "") -> "TorusSeries":
+    def pullback(
+        self, param: QuantParam, point_map, scale: Optional[GaussRule] = None, label: str = ""
+    ) -> "TorusSeries":
         """Factorwise pullback onto ``param``: the coefficient at h moves to
-        ``point_map(h)`` and, when ``scale`` is given, is multiplied by the
-        unit monomial ``scale(h)``.
+        ``point_map(h)`` and, when ``scale`` is given, is multiplied by
+        ``scale.at(h)``, a Gauss rule on this series' lattice.
 
-        ``point_map`` must be linear and the u-exponent of ``scale(h)`` linear
-        in h, so each certificate moves by w.(offset + G y) with
-        w_i = uexp(scale(e_i)).  Kind is preserved.
+        ``point_map`` must be linear.  On a lattice factor the scale becomes
+        the Gauss rule of y at h = offset + G y, multiplied into the factor's
+        Gauss part, and its u-form there is added to the certificate.  Kind
+        is preserved.
         """
-        if scale is not None:
-            w = [scale(b).uexp for b in self.param.lattice.basis()]
         new = []
         for f in self.factors:
             if f.is_finite:
                 table = {
-                    point_map(p): v if scale is None else scale(p) * v for p, v in f.items()
+                    point_map(p): v if scale is None else scale.at(p) * v for p, v in f.items()
                 }
                 new.append(FiniteFactor(param, table, f.label))
                 continue
-            coeff, val = f.coeff, f.val
+            gauss, val = f.gauss, f.val
             if scale is not None:
-
-                def coeff(y, order, f=f):
-                    c = f.coeff_at(y, order)
-                    return None if c is None else scale(f.point(y)) * c
-
+                moved = scale.compose(f.offset, f.gens)
+                gauss = moved if gauss is None else gauss.times(moved)
                 if val is not None:
-                    lin = [a + sum(map(mul, w, g)) for a, g in zip(val.lin, f.gens)]
-                    const = val.const + sum(map(mul, w, f.offset))
-                    val = QuadExpr(f.nparams, val.quad, lin, const)
+                    val = val + moved.valuation_form()
             gens = [point_map(g) for g in f.gens]
             new.append(
-                LatticeFactor(param, point_map(f.offset), gens, coeff, val, f.cones, f.label)
+                LatticeFactor(
+                    param, point_map(f.offset), gens, f.coeff, val, f.cones, f.label, gauss
+                )
             )
         return TorusSeries(param, new, label)
 
@@ -332,19 +406,30 @@ class TorusSeries:
         """x^*: coefficient at h becomes h(x) * a_h; kind preserved."""
         if x.rank != self.param.rank:
             raise ParamMismatch("point rank mismatch")
-        return self.pullback(self.param, lambda h: h, x.eval, f"shift({self.label})")
+        scale = GaussRule.character(self.param.field, x.values)
+        return self.pullback(self.param, lambda h: h, scale, f"shift({self.label})")
 
     # -- coefficient engine ---------------------------------------------------
 
-    def _lattice_solver(self):
-        """The lattice factors and a cached exact solver for their
-        concatenated generator matrix (None when there are none)."""
-        if self._solver is None:
-            lat = [f for f in self.factors if not f.is_finite]
-            cols = [g for f in lat for g in f.gens]
+    def _layout(self):
+        """Cached: the lattice factors' word positions with their parameter
+        blocks [a, b) in the concatenated parameters, the cone-constrained
+        parameters, the sum of the factors' offsets and an exact solver for
+        their generator matrix (None when there are no parameters)."""
+        if self._layout_cache is None:
+            blocks, cones, cols = [], [], []
+            offset = zero_vec(self.param.rank)
+            for wi, f in enumerate(self.factors):
+                if not f.is_finite:
+                    a = len(cols)
+                    blocks.append((wi, a, a + f.nparams))
+                    cones += [a + i for i, flag in enumerate(f.cones) if flag]
+                    cols += f.gens
+                    offset = vec_add(offset, f.offset)
             mtx = tuple(tuple(c[i] for c in cols) for i in range(self.param.rank))  # d x k
-            self._solver = (lat, IntegerSolver(mtx, len(cols)) if cols else None)
-        return self._solver
+            solver = IntegerSolver(mtx, len(cols)) if cols else None
+            self._layout_cache = (blocks, cones, offset, solver)
+        return self._layout_cache
 
     def coeff(self, h: Vec, order, _slack=0) -> ScalarSeries:
         """Coefficient at e(h), exact up to u-exponent ``order``."""
@@ -358,36 +443,29 @@ class TorusSeries:
         return out
 
     def _coeff_impl(self, h: Vec, order, slack) -> ScalarSeries:
-        field = self.param.field
-        total = ScalarSeries.zero(field, order)
-        lat, solver = self._lattice_solver()
+        blocks, cones, offset, solver = self._layout()
         kernel = solver.kernel if solver else []
-        word = list(self.factors)
-        fin_pos = [i for i, f in enumerate(word) if f.is_finite]
-        lat_pos = [i for i, f in enumerate(word) if not f.is_finite]
         kcols = len(kernel)
+        word = self.factors
+        fin_pos = [i for i, f in enumerate(word) if f.is_finite]
+        total = None
 
         for combo in itertools.product(*[list(word[i].items()) for i in fin_pos]):
             chosen = dict(zip(fin_pos, combo))  # word index -> (point, value)
-            residual = h
+            residual = vec_sub(h, offset)
             for p, _vv in combo:
                 residual = vec_sub(residual, p)
-            if not lat:
+            if solver is None:
                 if any(residual):
                     continue
-                forms, _ = self._combo_plan(word, chosen, lat_pos, kernel, combo)
-                term = self._combine_term(word, chosen, {}, order, forms, ())
-                if term is not None:
-                    total = total + term
-                continue
-            for f in lat:
-                residual = vec_sub(residual, f.offset)
-            particular = solver.solve(residual)
-            if particular is None:
-                continue
+                particular = ()
+            else:
+                particular = solver.solve(residual)
+                if particular is None:
+                    continue
             if kcols and order == INF:
                 raise NotMultipliable("infinite-order product coefficient needs a finite order")
-            forms, engine = self._combo_plan(word, chosen, lat_pos, kernel, combo)
+            plan, engine = self._combo_plan(chosen, combo)
             if kcols == 0:
                 ys = [particular]
             else:
@@ -407,125 +485,111 @@ class TorusSeries:
                     for z in pts
                 ]
             for y in ys:
-                # split y into per-position blocks, check cones
-                blocks = {}
-                pos = 0
-                ok = True
-                for wi in lat_pos:
-                    f = word[wi]
-                    blk = y[pos : pos + f.nparams]
-                    pos += f.nparams
-                    for flag, yi in zip(f.cones, blk):
-                        if flag and yi < 0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    blocks[wi] = blk
-                if not ok:
+                if any(y[i] < 0 for i in cones):
                     continue
-                term = self._combine_term(word, chosen, blocks, order, forms, y)
+                parts = {wi: y[a:b] for wi, a, b in blocks}
+                term = self._combine_term(word, chosen, parts, order, plan, y)
                 if term is not None:
-                    total = total + term
+                    total = term if total is None else total + term
+        if total is None:
+            return ScalarSeries.zero(self.param.field, order)
         return total.truncate(order)
 
-    def _combo_plan(self, word, chosen, lat_pos, kernel, combo):
-        """Cached plan for one finite combo: the ordered word's alpha exponent
-        and sign as integer quadratics in the concatenated lattice parameters,
-        and, when there is a kernel, the bound assembly + kernel substitution.
+    def _combo_plan(self, chosen, combo):
+        """Cached plan for one finite combo.
 
-        The full-parameter bound is independent of the target cell; only the
+        The term plan is one Gauss rule in the concatenated lattice
+        parameters -- the ordered word's alpha, every unit-monomial finite
+        value and every Gauss factor at its block -- and the word positions
+        left over (series values and closure factors).  With a kernel, the
+        plan also holds the bound assembly + kernel substitution: the
+        full-parameter bound is independent of the target cell; only the
         particular solution moves, contributing linear and constant terms.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
         if plan is None:
-            offs = {}
-            pos = 0
-            for wi in lat_pos:
-                offs[wi] = pos
-                pos += word[wi].nparams
-            forms = tuple(
-                _alpha_form(pair, word, chosen, offs)
-                for pair in (self.param.alpha_exp, self.param.alpha_sign)
-            )
+            word = self.factors
+            blocks, _cones, _offset, solver = self._layout()
+            offs = {wi: a for wi, a, _b in blocks}
+            n = blocks[-1][2] if blocks else 0
+            alpha = _alpha_form(self.param.alpha_exp, word, chosen, offs, n)
+            sign = _alpha_form(lambda g, h: 2 * self.param.alpha_sign(g, h), word, chosen, offs, n)
+            rule = GaussRule(n, self.param.field.one(), alpha, sign)
+            rest = []
+            for wi, f in enumerate(word):
+                v = chosen[wi][1] if f.is_finite else None
+                if isinstance(v, UnitMonomial):
+                    rule = rule.times(GaussRule(n, v.coeff, [(n, n, v.uexp)]))
+                elif not f.is_finite and f.coeff is None:
+                    at = offs[wi]
+                    cols = [tuple(int(j - at == i) for i in range(f.nparams)) for j in range(n)]
+                    rule = rule.times(f.gauss.compose(zero_vec(f.nparams), cols))
+                else:
+                    rest.append(wi)
             engine = None
+            kernel = solver.kernel if solver else []
             if kernel:
-                T, ineqs = self._assemble_bound(word, chosen, offs, forms[0])
+                T, ineqs = self._assemble_bound(chosen, alpha, n)
                 engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
-            plan = self._combo_cache[key] = (forms, engine)
+            plan = self._combo_cache[key] = ((rule, tuple(rest)), engine)
         return plan
 
-    def _assemble_bound(self, word, chosen, offs, alpha):
-        """Exact valuation bound T(y) over the concatenated parameter space.
+    def _assemble_bound(self, chosen, alpha, n):
+        """Exact valuation bound T(y) over the n concatenated parameters.
 
         T = sum of factor-value valuations (exact for finite ones, certified
         for lattice ones) + the alpha exponent of the ordered word (the form
-        ``alpha`` of :func:`_alpha_form`, symmetrised).  Returns (QuadExpr,
+        ``alpha`` of :func:`_alpha_form`).  A finite value that is a series
+        with no known term counts as valuation trunc + 1.  Returns (QuadExpr,
         cone inequalities), (None, None) when a lattice factor lacks a
-        certificate, or (_ZERO_TERM, None) when a chosen finite value is
-        zero, so every term of the combo vanishes.
+        certificate, or (_ZERO_TERM, None) when a chosen finite value is an
+        exact zero, so every term of the combo vanishes.
         """
-        k_total = sum(word[wi].nparams for wi in offs)
-        Q = [[Fraction(0)] * k_total for _ in range(k_total)]
-        L = [Fraction(0)] * k_total
-        C = Fraction(0)
-        for wi, base in offs.items():
-            f = word[wi]
-            if f.val is None:
+        blocks, cones, _offset, _solver = self._layout()
+        terms = list(alpha)
+        for wi, a, _b in blocks:
+            v = self.factors[wi].val
+            if v is None:
                 return None, None
-            for i in range(f.nparams):
-                L[base + i] += f.val.lin[i]
-                for j in range(f.nparams):
-                    Q[base + i][base + j] += f.val.quad[i][j]
-            C += f.val.const
+            terms += [(a + i, a + j, x) for i, row in enumerate(v.quad) for j, x in enumerate(row)]
+            terms += [(a + i, n, x) for i, x in enumerate(v.lin)] + [(n, n, v.const)]
         for _p, val in chosen.values():
             vv = val.valuation()
             if vv == INF:
-                return _ZERO_TERM, None
-            C += vv
-        const, lin, cross = alpha
-        C += const
-        for a, x in lin:
-            L[a] += x
-        for a, b, x in cross:
-            Q[a][b] += Fraction(x, 2)
-            Q[b][a] += Fraction(x, 2)
-        ineqs = []
-        for wi, base in offs.items():
-            for i, flag in enumerate(word[wi].cones):
-                if flag:
-                    row = [0] * k_total
-                    row[base + i] = 1
-                    ineqs.append((tuple(row), 0))
-        return QuadExpr(k_total, Q, L, C), ineqs
+                if val.trunc == INF:
+                    return _ZERO_TERM, None
+                vv = val.trunc + 1
+            terms.append((n, n, vv))
+        return _quad(terms, n), [(tuple(int(i == c) for i in range(n)), 0) for c in cones]
 
-    def _combine_term(self, word, chosen, blocks, order, forms, y) -> Optional[ScalarSeries]:
+    def _combine_term(self, word, chosen, blocks, order, plan, y) -> Optional[ScalarSeries]:
         """Exact value of one decomposition term, truncated at ``order``.
 
-        The alpha monomial and every unit-monomial value fold into one
-        monomial.  The series values are multiplied in word order, each
-        product capped at ``order`` less the monomial's u-exponent and the
-        certified lower bounds of the series still to come; no cap when a
-        lattice factor has no certificate or a value is an empty series.
+        The plan's Gauss rule gives one monomial, into which the remaining
+        unit-monomial values fold.  The series values are multiplied in word
+        order, each product capped at ``order`` less the monomial's
+        u-exponent and the certified lower bounds of the series still to
+        come; no cap when a closure factor has no certificate or a value is
+        an empty series.
         """
-        one = self.param.field.one()
-        aexp = _form_at(forms[0], y)
-        mono = UnitMonomial(-one if _form_at(forms[1], y) % 2 else one, aexp)
+        rule, rest = plan
+        mono = rule.at(y)
         lbs = [
             chosen[wi][1].valuation()
-            if f.is_finite
-            else (f.val.value(blocks[wi]) if f.val is not None else 0)
-            for wi, f in enumerate(word)
+            if word[wi].is_finite
+            else (word[wi].val.value(blocks[wi]) if word[wi].val is not None else 0)
+            for wi in rest
         ]
-        total_lb = aexp + sum(lb for lb in lbs if lb != INF)
+        total_lb = mono.uexp + sum(lb for lb in lbs if lb != INF)
         capped = True
         series = []  # (value, integer lower bound) of the series-valued factors
-        for wi, f in enumerate(word):
+        for wi, lb in zip(rest, lbs):
+            f = word[wi]
             if f.is_finite:
                 v = chosen[wi][1]
             else:
-                v = f.coeff_at(blocks[wi], order - (total_lb - lbs[wi]))
+                v = f.coeff_at(blocks[wi], order - (total_lb - lb))
                 if v is None:
                     return None
                 capped = capped and f.val is not None
@@ -536,15 +600,15 @@ class TorusSeries:
                 if v.trunc == INF:
                     return None
                 capped = False
-            series.append((v, math.ceil(lbs[wi]) if v.terms else 0))
+            series.append((v, math.ceil(lb) if v.terms else 0))
         if not series:
-            return mono.to_series().truncate(order)
+            return mono.to_series(order)
         head = order - mono.uexp if capped else INF
-        rest = sum(lb for _v, lb in series[1:])
+        rest_lb = sum(lb for _v, lb in series[1:])
         acc = series[0][0]
         for v, lb in series[1:]:
-            rest -= lb
-            acc = acc.mul_to(v, head - rest)
+            rest_lb -= lb
+            acc = acc.mul_to(v, head - rest_lb)
         return acc.scale(mono).truncate(order)
 
     # -- materialization and comparison ---------------------------------------

@@ -81,11 +81,6 @@ class SmallHeisStructure:
                     pt = pt * (gen**a)
             yield combo, pt
 
-    def duality_value(self, kappa_index: tuple, coset_index: int) -> CycloRational:
-        e = self.duality[(tuple(kappa_index), coset_index)]
-        field = self.multiplier.param.field
-        return field.root_of_unity(self.torsion_order) ** e
-
 
 def _check_injective_image(L: Multiplier):
     """The hypothesis of the normalizer description: L(B) -> T x H injective.

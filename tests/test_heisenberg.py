@@ -1,6 +1,8 @@
 """Large Heisenberg group: group law, normal forms, groupoid, morphisms."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,8 +33,8 @@ from qtheta.heisenberg import (
 )
 from qtheta.intlinalg import LatticeMap, mat
 from qtheta.named import eq_series, theta_series
-from qtheta.scalars import INF, CycloField, UnitMonomial
-from qtheta.series import TorusSeries, series_equal_on_cells
+from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
+from qtheta.series import GaussRule, TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
 
 F = CycloField(1)
@@ -569,3 +571,71 @@ def test_h_minus_projection_kernel():
         elem = HeisElement.from_raw(a)
         if elem.h_l == (0, 0):
             assert same_class(a, HeisRaw(TQ, elem.c, elem.x, (0, 0), (0, 0)))
+
+
+def _point(fac, y):
+    """A lattice factor's point offset + G y."""
+    return tuple(o + sum(yi * g[k] for yi, g in zip(y, fac.gens)) for k, o in enumerate(fac.offset))
+
+
+def _old_a_value(F_, h):
+    """a_h as the closure formula: prod a_i^h_i with a flip for each i with
+    eps1(e_i) eps2(f e_i) = -1 and odd h_i(h_i-1)/2, and for each i < j with
+    eps_f(e_i, e_j) = -1 and odd h_i h_j."""
+    p1, p2 = F_.source_param, F_.target_param
+    basis = p1.lattice.basis()
+    acc = UnitMonomial.one(p1.field)
+    for i, hi in enumerate(h):
+        acc = acc * F_.avals[i] ** hi
+        s = p1.epsilon(basis[i]) * p2.epsilon(F_.f(basis[i]))
+        if not s.is_one() and (hi * (hi - 1) // 2) % 2:
+            acc = -acc
+        for j in range(i + 1, len(h)):
+            if not F_.char_sign(basis[i], basis[j]).is_one() and (h[i] * h[j]) % 2:
+                acc = -acc
+    return acc
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_morphism_gauss_rule_matches_the_closure_formula(m):
+    f = CycloField(m)
+    p = QuantParam(f, TQ.lattice, TQ.A, ((1, 1), (1, 0)))  # S != 0
+    p0 = QuantParam(f, TQ.lattice, TQ.A, ((0, 0), (0, 0)))
+    avals = (UnitMonomial(f.zeta(), 1), UnitMonomial(f.from_rational(Fraction(-3, 2)), -2))
+    # identity lattice map from S != 0 to S = 0: both sign corrections fire
+    signed = morphism_new(LatticeMap.identity(2), avals, p, p0)
+    assert not signed.is_characteristic_trivial()
+    x = TorusPoint(avals)
+    morphisms = [signed, mumford_morphism(p), scaling_morphism(p, 3), shift_morphism(p, x)]
+    for F_ in morphisms:
+        d = F_.source_param.rank
+        r = 3 if d == 2 else 1
+        for h in itertools.product(range(-r, r + 1), repeat=d):
+            assert F_.a_value(h) == _old_a_value(F_, h), h
+    # pullbacks of a Gauss factor, a closure x Gauss factor and a rule off
+    # the origin equal the coefficient times the closure formula of a_h
+    rule = GaussRule(2, f.one(), [(0, 2, 1), (0, 1, 3)], [(1, 2, -1), (1, 1, 1)])
+    for F_ in (signed, shift_morphism(p, x)):
+        src = F_.source_param
+        cases = [
+            theta_series(src, (1, 1), UnitMonomial(f.zeta(2), 3)),
+            eq_series(src, (1, 0), UnitMonomial(-f.one(), 1)),
+            TorusSeries.rule(
+                src, (2, -1), [(1, -1), (0, 2)], None, rule.valuation_form(), gauss=rule
+            ),
+        ]
+        for s in cases:
+            (fac,) = s.factors
+            (pulled,) = F_.pullback_series(s).factors
+            for y in itertools.product(range(-2, 4), repeat=fac.nparams):
+                assert _point(pulled, y) == F_.f(_point(fac, y))
+                c = fac.coeff_at(y, 30)
+                got = pulled.coeff_at(y, 30)
+                if c is None:
+                    assert got is None
+                    continue
+                want = _old_a_value(F_, _point(fac, y)) * c
+                if isinstance(got, ScalarSeries):
+                    got, want = got.truncate(20), want.truncate(20)
+                assert got == want, y
+                assert got.valuation() >= pulled.val.value(y)

@@ -7,11 +7,21 @@ from fractions import Fraction
 import pytest
 
 from qtheta.errors import NotMultipliable
-from qtheta.named import eq_addition_series, eq_inv_series, eq_series
+from qtheta.named import (
+    builtin_series,
+    eq_addition_series,
+    eq_coefficient,
+    eq_inv_coefficient,
+    eq_inv_series,
+    eq_series,
+    theta_series,
+    weinstein_theta,
+)
 from qtheta.quadenum import QuadExpr
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.series import (
     FiniteFactor,
+    GaussRule,
     TorusSeries,
     conjugation_check,
     series_equal,
@@ -381,3 +391,161 @@ def test_certified_word_equals_product_of_materialized_operands(m):
     for h in itertools.product(range(0, 4), repeat=2):
         got = word.coeff(h, order)
         assert got == _word_coeff_reference(p, tables, h, order), h
+
+
+def test_empty_finite_value_bounds_a_kernel_product_by_its_truncation():
+    # a series with no known term up to u^3 is not an exact zero: the term
+    # it scales is unknown from u^4 on, with or without an enumeration
+    th = theta_series(QuantParam.trivial(F, 1), (1,))
+    zero = ScalarSeries.zero(F, 3)
+    plain = th.scaled(zero).coeff((0,), 16)
+    kernel = th.mul(th).scaled(zero).coeff((0,), 16)
+    assert plain.is_zero() and plain.trunc == 3
+    assert kernel.is_zero() and kernel.trunc == 3
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules: theta-type coefficients and their pullbacks as integer forms,
+# checked against the closure formulas they replace
+
+
+def _point(fac, y):
+    """A lattice factor's point offset + G y."""
+    return tuple(o + sum(yi * g[k] for yi, g in zip(y, fac.gens)) for k, o in enumerate(fac.offset))
+
+
+def _old_lift(param, direction, mu, n):
+    """mu^n times the reordering sign of e(direction)^n, as a closure would
+    compute it: a flip when eps(direction) != 1 and n(n-1)/2 is odd."""
+    c = mu**n
+    if not param.epsilon(direction).is_one() and (n * (n - 1) // 2) % 2:
+        c = -c
+    return c
+
+
+def _same(a, b, order):
+    if isinstance(a, ScalarSeries):
+        return a.truncate(order) == b.truncate(order)
+    return a == b
+
+
+def _gauss_cases(m):
+    """A pairing with S != 0 (eps(1, 0) = eps(1, 1) = -1), prefactors with
+    coefficients other than +-1 (zeta_5 u^3 at m=5), and shift points with
+    such coefficients and nonzero u-exponents."""
+    f = CycloField(m)
+    p = QuantParam(f, TQ.lattice, TQ.A, ((1, 1), (1, 0)))
+    mus = [None, UnitMonomial(f.zeta(), 3), UnitMonomial(f.from_rational(Fraction(-1, 2)), -1)]
+    points = [
+        TorusPoint((UnitMonomial(3 * f.zeta(2), 1), UnitMonomial(-f.one(), -2))),
+        TorusPoint((UnitMonomial(f.from_rational(Fraction(2, 3)), -3), UnitMonomial(f.one(), 2))),
+    ]
+    return f, p, mus, points
+
+
+def _offset_gauss_series(f, p):
+    """A Gauss factor off the origin, with cross terms in both forms (index 2
+    of a form term stands for the constant 1)."""
+    rule = GaussRule(
+        2,
+        f.zeta(),
+        [(2, 2, 1), (0, 2, 3), (1, 2, -1), (0, 0, 2), (0, 1, 1), (1, 1, 1)],
+        [(2, 2, 2), (0, 2, -1), (1, 2, 2), (0, 0, 1), (0, 1, 2)],
+        [(f.from_rational(-3), [(2, 2, 1), (0, 2, 1), (1, 2, -1)])],
+    )
+    return rule, TorusSeries.rule(
+        p, (1, -2), [(1, 1), (2, -1)], None, rule.valuation_form(), gauss=rule
+    )
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_named_gauss_rules_match_their_closure_formulas(m):
+    f, p, mus, _points = _gauss_cases(m)
+    for direction in ((1, 0), (1, 1), (0, 1)):
+        for mu in mus:
+            mono = mu or UnitMonomial.one(f)
+            th, eq, inv = (b(p, direction, mu) for b in (theta_series, eq_series, eq_inv_series))
+            for n in range(-5, 6):
+                lift = _old_lift(p, direction, mono, n)
+                assert th.factors[0].coeff_at((n,), 30) == UnitMonomial.q_power(f, n * n) * lift
+                for s, base in ((eq, eq_coefficient), (inv, eq_inv_coefficient)):
+                    got = s.factors[0].coeff_at((n,), 30)
+                    if n < 0:
+                        assert got is None
+                    else:
+                        assert _same(got, base(f, n, 30).scale(lift), 20)
+    (fac,) = weinstein_theta(p).factors
+    for y in itertools.product(range(-2, 3), repeat=4):
+        assert fac.coeff_at(y, 30) == p.alpha(y[:2], y[2:])
+    # the offset rule against its own forms, written out
+    rule, _s = _offset_gauss_series(f, p)
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        s2 = 2 - a + 2 * b + a * a + 2 * a * b
+        assert s2 % 2 == 0
+        want = f.zeta() * f.from_rational(-3) ** (1 + a - b)
+        want = -want if (s2 // 2) % 2 else want
+        assert rule.at((a, b)) == UnitMonomial(want, 1 + 3 * a - b + 2 * a * a + a * b + b * b)
+
+
+def test_named_series_keep_their_kind():
+    kinds = {
+        "theta_jacobi": "proper",
+        "e_q": "proper",
+        "e_q_inv": "proper",
+        "theta_on_Tq_u": "proper",
+        "theta_on_Tq_v": "proper",
+        "theta_weinstein": "formal",
+        "r_fv": "proper",
+    }
+    for name, kind in kinds.items():
+        s = builtin_series(name, F)
+        assert s.kind == kind, name
+        point = TorusPoint((q_mono(1),) * s.param.rank)
+        assert s.shift_pullback(point).kind == kind, name
+    added = eq_addition_series(TQ, (1, 0), (0, 1))
+    assert added.shift_pullback(TorusPoint((q_mono(1),) * 2)).kind == "proper"
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_shift_pullbacks_match_the_wrapped_closure(m):
+    f, p, mus, points = _gauss_cases(m)
+    _rule, off = _offset_gauss_series(f, p)
+    cases = [
+        theta_series(p, (1, 1), mus[1]),
+        theta_series(p, (1, 0), mus[2]),
+        eq_series(p, (1, 0), mus[2]),
+        eq_inv_series(p, (0, 1), mus[1]),
+        eq_addition_series(p, (1, 0), (0, 1)),
+        off,
+    ]
+    for s in cases:
+        (fac,) = s.factors
+        for x in points + [points[0] * points[1]]:
+            (pulled,) = s.shift_pullback(x).factors
+            assert pulled.gens == fac.gens and pulled.offset == fac.offset
+            for y in itertools.product(range(-2, 4), repeat=fac.nparams):
+                c = fac.coeff_at(y, 30)
+                got = pulled.coeff_at(y, 30)
+                if c is None:
+                    assert got is None
+                    continue
+                assert _same(got, x.eval(_point(fac, y)) * c, 20), (s.label, y)
+                for g in (fac, pulled):
+                    v = g.coeff_at(y, 30).valuation()
+                    assert v >= g.val.value(y), (s.label, y)
+                    if g.coeff is None:  # a derived certificate is exact
+                        assert v == g.val.value(y)
+    # theta_W and a rank-4 point with every kind of coefficient
+    theta_w = weinstein_theta(p)
+    x = TorusPoint(
+        (
+            UnitMonomial(f.zeta(), 1),
+            UnitMonomial(-f.one(), 0),
+            UnitMonomial(f.from_rational(2), -1),
+            UnitMonomial(f.one(), 2),
+        )
+    )
+    (pulled,) = theta_w.shift_pullback(x).factors
+    assert pulled.val is None and pulled.coeff is None
+    for y in itertools.product(range(-1, 2), repeat=4):
+        assert pulled.coeff_at(y, 30) == x.eval(y) * p.alpha(y[:2], y[2:])
