@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotSymmetric
@@ -270,9 +269,9 @@ class IntegerSolver:
         diag = snf_diagonal(d)
         rank = sum(1 for x in diag if x)
         vt = transpose(v)
-        # (row of U, elementary divisor, column of V) for each pivot
-        self.pivots = tuple((u[i], diag[i], vt[i]) for i in range(rank))
-        self.zero_rows = u[rank:]
+        # (row of U, elementary divisor, column of V) per pivot, sparse rows
+        self.pivots = tuple((_sparse(u[i]), diag[i], _sparse(vt[i])) for i in range(rank))
+        self.zero_rows = tuple(_sparse(row) for row in u[rank:])
         self.kernel = list(vt[rank:])
 
     def solve(self, target: Vec) -> Optional[Vec]:
@@ -280,18 +279,21 @@ class IntegerSolver:
         if len(target) != self.nrows:
             raise DimensionMismatch("integer solve target length mismatch")
         for row in self.zero_rows:
-            if sum(map(mul, row, target)):
+            if sum(x * target[i] for i, x in row):
                 return None
         y = [0] * self.ncols
         for row, d, col in self.pivots:
-            z, r = divmod(sum(map(mul, row, target)), d)
+            z, r = divmod(sum(x * target[i] for i, x in row), d)
             if r:
                 return None
             if z:
-                for j, c in enumerate(col):
-                    if c:
-                        y[j] += z * c
+                for j, c in col:
+                    y[j] += z * c
         return tuple(y)
+
+
+def _sparse(v: Vec) -> tuple[tuple[int, int], ...]:
+    return tuple((i, x) for i, x in enumerate(v) if x)
 
 
 def solve_integer(m: Mat, target: Vec) -> Optional[tuple[Vec, list[Vec]]]:

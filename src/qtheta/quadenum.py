@@ -49,6 +49,7 @@ from .errors import EnumerationLimit, NotMultipliable
 from .intlinalg import det
 
 _MAX_ROUNDS = 64  # cap on bound-propagation rounds
+MAX_POINTS = 500_000  # default cap on the certified box
 
 
 def _den_lcm(values) -> int:
@@ -210,7 +211,7 @@ def enumerate_sublevel(
     T: QuadExpr,
     limit,
     ineqs: Sequence[tuple[Sequence[int], int]] = (),
-    max_points: int = 500_000,
+    max_points: int = MAX_POINTS,
 ) -> list[tuple[int, ...]]:
     """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b).
 

@@ -31,14 +31,17 @@ refused, but single Heisenberg actions still evaluate cell by cell).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch
 from .intlinalg import IntegerSolver, Vec, vec_add, vec_sub, zero_vec
-from .quadenum import QuadExpr, enumerate_sublevel
+from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial
 from .torus import QuantParam, TorusPoint
 
@@ -289,6 +292,9 @@ class _SubstEngine:
         return Tz, zin
 
 
+_Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
+
+
 class TorusSeries:
     """A formal function represented as an ordered product of factors."""
 
@@ -411,11 +417,12 @@ class TorusSeries:
 
     # -- coefficient engine ---------------------------------------------------
 
-    def _layout(self):
+    def _layout(self) -> _Layout:
         """Cached: the lattice factors' word positions with their parameter
         blocks [a, b) in the concatenated parameters, the cone-constrained
-        parameters, the sum of the factors' offsets and an exact solver for
-        their generator matrix (None when there are no parameters)."""
+        parameters, the sum of the factors' offsets, an exact solver for
+        their generator matrix G (None when there are no parameters), G's
+        rows, and the finite factors' word positions and item lists."""
         if self._layout_cache is None:
             blocks, cones, cols = [], [], []
             offset = zero_vec(self.param.rank)
@@ -428,7 +435,9 @@ class TorusSeries:
                     offset = vec_add(offset, f.offset)
             mtx = tuple(tuple(c[i] for c in cols) for i in range(self.param.rank))  # d x k
             solver = IntegerSolver(mtx, len(cols)) if cols else None
-            self._layout_cache = (blocks, cones, offset, solver)
+            fin_pos = tuple(i for i, f in enumerate(self.factors) if f.is_finite)
+            items = tuple(list(self.factors[i].items()) for i in fin_pos)
+            self._layout_cache = _Layout(blocks, cones, offset, solver, mtx, fin_pos, items)
         return self._layout_cache
 
     def coeff(self, h: Vec, order, _slack=0) -> ScalarSeries:
@@ -442,19 +451,59 @@ class TorusSeries:
         self._cache[key] = out
         return out
 
+    def coeffs(self, cells: Iterable[Vec], order) -> dict:
+        """Coefficients at many cells, ``{h: coeff(h, order)}``.
+
+        When the layout has a kernel, each finite combo is enumerated once
+        over the cells' bounding box (the cell is one more set of linear
+        rows), with a box budget of the per-cell ones it replaces; the
+        results land in the cache ``coeff`` reads.  Cells the pass leaves
+        out -- every cell when it is refused -- go through ``coeff``.
+        """
+        cells = [tuple(h) for h in cells]
+        solver = self._layout().solver
+        todo = set()
+        if order != INF and solver is not None and solver.kernel:
+            todo = {h for h in cells if (h, order, 0) not in self._cache}
+        if todo:
+            with contextlib.suppress(NotMultipliable):
+                self._cache.update(self._window_coeffs(todo, order))
+        return {h: self.coeff(h, order) for h in cells}
+
+    def _window_coeffs(self, cells: set, order) -> dict:
+        """The coeffs pass over a layout with a kernel, as cache entries;
+        raises NotMultipliable where any combo cannot be certified."""
+        lay = self._layout()
+        lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
+        sums: dict = {}
+        for combo in itertools.product(*lay.items):
+            chosen, base, term, (T, ineqs), _engine = self._combo_plan(combo)
+            if T is None:
+                raise NotMultipliable("window-only factor inside a product that needs enumeration")
+            if T is _ZERO_TERM:
+                continue
+            rows = [*ineqs]  # the cone rows, then lo <= base + G y <= hi
+            for g, b, l, u in zip(lay.mtx, base, lo, hi):
+                rows += [(g, b - l), (tuple(-x for x in g), u - b)]
+            for y in enumerate_sublevel(T, order, rows, MAX_POINTS * len(cells)):
+                h = tuple(b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base))
+                if h in cells:
+                    t = self._combine_term(chosen, term, y, order)
+                    if t is not None:
+                        sums[h] = t if h not in sums else sums[h] + t
+        zero = ScalarSeries.zero(self.param.field, order)
+        return {(h, order, 0): sums[h].truncate(order) if h in sums else zero for h in cells}
+
     def _coeff_impl(self, h: Vec, order, slack) -> ScalarSeries:
-        blocks, cones, offset, solver = self._layout()
+        lay = self._layout()
+        solver = lay.solver
         kernel = solver.kernel if solver else []
         kcols = len(kernel)
-        word = self.factors
-        fin_pos = [i for i, f in enumerate(word) if f.is_finite]
         total = None
 
-        for combo in itertools.product(*[list(word[i].items()) for i in fin_pos]):
-            chosen = dict(zip(fin_pos, combo))  # word index -> (point, value)
-            residual = vec_sub(h, offset)
-            for p, _vv in combo:
-                residual = vec_sub(residual, p)
+        for combo in itertools.product(*lay.items):
+            chosen, base, term, _bound, engine = self._combo_plan(combo)
+            residual = vec_sub(h, base)
             if solver is None:
                 if any(residual):
                     continue
@@ -465,7 +514,6 @@ class TorusSeries:
                     continue
             if kcols and order == INF:
                 raise NotMultipliable("infinite-order product coefficient needs a finite order")
-            plan, engine = self._combo_plan(chosen, combo)
             if kcols == 0:
                 ys = [particular]
             else:
@@ -485,34 +533,36 @@ class TorusSeries:
                     for z in pts
                 ]
             for y in ys:
-                if any(y[i] < 0 for i in cones):
+                if any(y[i] < 0 for i in lay.cones):
                     continue
-                parts = {wi: y[a:b] for wi, a, b in blocks}
-                term = self._combine_term(word, chosen, parts, order, plan, y)
-                if term is not None:
-                    total = term if total is None else total + term
+                term_value = self._combine_term(chosen, term, y, order)
+                if term_value is not None:
+                    total = term_value if total is None else total + term_value
         if total is None:
             return ScalarSeries.zero(self.param.field, order)
         return total.truncate(order)
 
-    def _combo_plan(self, chosen, combo):
-        """Cached plan for one finite combo.
+    def _combo_plan(self, combo):
+        """Cached plan for one finite combo: (chosen, base, term plan, bound,
+        engine); a cell h is reached when h - base = G y.
 
         The term plan is one Gauss rule in the concatenated lattice
         parameters -- the ordered word's alpha, every unit-monomial finite
         value and every Gauss factor at its block -- and the word positions
         left over (series values and closure factors).  With a kernel, the
-        plan also holds the bound assembly + kernel substitution: the
-        full-parameter bound is independent of the target cell; only the
-        particular solution moves, contributing linear and constant terms.
+        bound is :meth:`_assemble_bound`'s, independent of the target cell,
+        and the engine substitutes the kernel: only the particular solution
+        moves, contributing linear and constant terms.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
         if plan is None:
             word = self.factors
-            blocks, _cones, _offset, solver = self._layout()
-            offs = {wi: a for wi, a, _b in blocks}
-            n = blocks[-1][2] if blocks else 0
+            lay = self._layout()
+            chosen = dict(zip(lay.fin_pos, combo))  # word index -> (point, value)
+            base = tuple(map(sum, zip(lay.offset, *key)))
+            offs = {wi: a for wi, a, _b in lay.blocks}
+            n = lay.blocks[-1][2] if lay.blocks else 0
             alpha = _alpha_form(self.param.alpha_exp, word, chosen, offs, n)
             sign = _alpha_form(lambda g, h: 2 * self.param.alpha_sign(g, h), word, chosen, offs, n)
             rule = GaussRule(n, self.param.field.one(), alpha, sign)
@@ -526,13 +576,13 @@ class TorusSeries:
                     cols = [tuple(int(j - at == i) for i in range(f.nparams)) for j in range(n)]
                     rule = rule.times(f.gauss.compose(zero_vec(f.nparams), cols))
                 else:
-                    rest.append(wi)
-            engine = None
-            kernel = solver.kernel if solver else []
+                    rest.append((wi, None if f.is_finite else slice(offs[wi], offs[wi] + f.nparams)))
+            bound = engine = None
+            kernel = lay.solver.kernel if lay.solver else []
             if kernel:
-                T, ineqs = self._assemble_bound(chosen, alpha, n)
+                bound = T, ineqs = self._assemble_bound(chosen, alpha, n)
                 engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
-            plan = self._combo_cache[key] = ((rule, tuple(rest)), engine)
+            plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), bound, engine)
         return plan
 
     def _assemble_bound(self, chosen, alpha, n):
@@ -546,9 +596,9 @@ class TorusSeries:
         certificate, or (_ZERO_TERM, None) when a chosen finite value is an
         exact zero, so every term of the combo vanishes.
         """
-        blocks, cones, _offset, _solver = self._layout()
+        lay = self._layout()
         terms = list(alpha)
-        for wi, a, _b in blocks:
+        for wi, a, _b in lay.blocks:
             v = self.factors[wi].val
             if v is None:
                 return None, None
@@ -561,35 +611,36 @@ class TorusSeries:
                     return _ZERO_TERM, None
                 vv = val.trunc + 1
             terms.append((n, n, vv))
-        return _quad(terms, n), [(tuple(int(i == c) for i in range(n)), 0) for c in cones]
+        return _quad(terms, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
 
-    def _combine_term(self, word, chosen, blocks, order, plan, y) -> Optional[ScalarSeries]:
-        """Exact value of one decomposition term, truncated at ``order``.
+    def _combine_term(self, chosen, term, y, order) -> Optional[ScalarSeries]:
+        """Exact value of one decomposition term, known to ``order`` (it may
+        hold exponents above; the caller truncates the cell's sum).
 
-        The plan's Gauss rule gives one monomial, into which the remaining
-        unit-monomial values fold.  The series values are multiplied in word
-        order, each product capped at ``order`` less the monomial's
-        u-exponent and the certified lower bounds of the series still to
-        come; no cap when a closure factor has no certificate or a value is
-        an empty series.
+        The term plan's Gauss rule gives one monomial, into which the
+        remaining unit-monomial values fold.  The series values are
+        multiplied in word order, each product capped at ``order`` less the
+        monomial's u-exponent and the certified lower bounds of the series
+        still to come; no cap when a closure factor has no certificate or a
+        value is an empty series.
         """
-        rule, rest = plan
+        rule, rest = term
+        word = self.factors
         mono = rule.at(y)
+        parts = [chosen[wi][1] if span is None else y[span] for wi, span in rest]
         lbs = [
-            chosen[wi][1].valuation()
-            if word[wi].is_finite
-            else (word[wi].val.value(blocks[wi]) if word[wi].val is not None else 0)
-            for wi in rest
+            p.valuation()
+            if span is None
+            else (word[wi].val.value(p) if word[wi].val is not None else 0)
+            for (wi, span), p in zip(rest, parts)
         ]
         total_lb = mono.uexp + sum(lb for lb in lbs if lb != INF)
         capped = True
         series = []  # (value, integer lower bound) of the series-valued factors
-        for wi, lb in zip(rest, lbs):
-            f = word[wi]
-            if f.is_finite:
-                v = chosen[wi][1]
-            else:
-                v = f.coeff_at(blocks[wi], order - (total_lb - lb))
+        for (wi, span), v, lb in zip(rest, parts, lbs):
+            if span is not None:
+                f = word[wi]
+                v = f.coeff_at(v, order - (total_lb - lb))
                 if v is None:
                     return None
                 capped = capped and f.val is not None
@@ -602,14 +653,14 @@ class TorusSeries:
                 capped = False
             series.append((v, math.ceil(lb) if v.terms else 0))
         if not series:
-            return mono.to_series(order)
+            return mono.to_series()
         head = order - mono.uexp if capped else INF
         rest_lb = sum(lb for _v, lb in series[1:])
         acc = series[0][0]
         for v, lb in series[1:]:
             rest_lb -= lb
             acc = acc.mul_to(v, head - rest_lb)
-        return acc.scale(mono).truncate(order)
+        return acc.scale(mono)
 
     # -- materialization and comparison ---------------------------------------
 

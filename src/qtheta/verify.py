@@ -92,7 +92,7 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
                     raise NotMultipliable(
                         "formal-kind operand in a product identity"
                     )
-    terms = [_term_series(t) for t in spec.terms]
+    terms = [(c, s, c.uexp == 0 and (-c.coeff).is_one()) for c, s in map(_term_series, spec.terms)]
     the_cells = sorted(spec.cells() if cells is None else list(cells))
     order = spec.order
     field = spec.param.field
@@ -104,12 +104,18 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
         the_cells = []
     elif not the_cells:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no cells to check"}
+    tables = []  # each term's cells in one pass; a refusal is met again cell by cell
+    for c, s, _neg in terms:
+        try:
+            tables.append(s.coeffs(the_cells, order - c.uexp))
+        except NotMultipliable:
+            tables.append({})
     for h in the_cells:
         total = ScalarSeries.zero(field, order)
-        for c, s in terms:
+        for (c, s, neg), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
-            x = s.coeff(h, order - c.uexp)
-            total = total + (x if c.is_one() else x * c)
+            x = table[h] if table else s.coeff(h, order - c.uexp)
+            total = total + (-x if neg else x if c.is_one() else x * c)
         checked += 1
         if total.trunc < order:
             # a silent precision drop would weaken the pass claim

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qtheta.errors import NotMultipliable, UnknownName
+from qtheta.errors import EnumerationLimit, NotMultipliable, UnknownName
 from qtheta.named import (
     builtin_series,
     eq_addition_series,
@@ -286,13 +286,18 @@ def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
     ]
     assert specs[5].terms[0].coefficient.uexp == -2
     asked = []
-    orig = TorusSeries.coeff
+    orig, orig_window = TorusSeries.coeff, TorusSeries.coeffs
 
     def recording(self, h, order, _slack=0):
         asked.append(order)
         return orig(self, h, order, _slack)
 
+    def recording_window(self, cells, order):
+        asked.append(order)
+        return orig_window(self, cells, order)
+
     monkeypatch.setattr(TorusSeries, "coeff", recording)
+    monkeypatch.setattr(TorusSeries, "coeffs", recording_window)
     for spec in cases:
         asked.clear()
         rep = verify_equation(spec)
@@ -319,6 +324,31 @@ def test_corrupted_specs_report_the_same_first_mismatch():
     assert run(0, 1, UnitMonomial(F.one(), 1)) == (28, {"cell": [-3, 0], "uexp": 18})
     assert run(5, 1, q3) == (19, {"cell": [-4, 2], "uexp": 24})
     assert run(5, 0, UnitMonomial(-F.one(), 0), 3, 15) == (5, {"cell": [-3, 1], "uexp": 14})
+
+
+@pytest.mark.parametrize("refused_first", [False, True])
+def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, refused_first):
+    # the verifier computes each term over all cells before comparing; a
+    # refusal met there must not hide an earlier cell's mismatch, and a
+    # refusal at an earlier cell is still raised
+    spec = identity_specs("E332", window=2, order=10)[1]  # u theta(u) u^-1 = theta(u)
+    spec.terms[1].coefficient = spec.terms[1].coefficient * UnitMonomial(F.one(), 1)
+    cells = sorted(spec.cells())
+    refused = cells[0] if refused_first else cells[-1]
+    orig = TorusSeries._coeff_impl
+
+    def refusing(self, h, order, slack):
+        if h == refused:
+            raise EnumerationLimit("certified box too large")
+        return orig(self, h, order, slack)
+
+    monkeypatch.setattr(TorusSeries, "_coeff_impl", refusing)
+    if refused_first:
+        with pytest.raises(EnumerationLimit):
+            verify_equation(spec)
+    else:
+        rep = verify_equation(spec)
+        assert rep["status"] == "fail" and rep["first_mismatch"]["cell"] == [-2, 0]
 
 
 def test_e313_computes_each_theta_w_cell_once(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta.errors import NotMultipliable
+from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.named import (
     builtin_series,
     eq_addition_series,
@@ -37,6 +37,7 @@ from qtheta.torus import (
     hidden_point,
     point_eval,
 )
+from qtheta.verify import _term_series, identity_specs
 
 F = CycloField(1)
 TQ = QuantParam.standard_tq(F)
@@ -549,3 +550,112 @@ def test_shift_pullbacks_match_the_wrapped_closure(m):
     assert pulled.val is None and pulled.coeff is None
     for y in itertools.product(range(-1, 2), repeat=4):
         assert pulled.coeff_at(y, 30) == x.eval(y) * p.alpha(y[:2], y[2:])
+
+
+# ---------------------------------------------------------------------------
+# window-wide coefficients: one certified enumeration per term and combo,
+# equal to the per-cell coefficients
+
+
+def _fresh_terms(name, m, window):
+    """The term series of a registry identity's first spec, with empty caches."""
+    spec = identity_specs(name, CycloField(m), window=window)[0]
+    return sorted(spec.cells()), spec.order, [_term_series(t)[1] for t in spec.terms]
+
+
+def _record_enumerations(monkeypatch):
+    """Patch the engine's enumerator to log (points returned or the error)."""
+    import qtheta.series as series_mod
+
+    log = []
+    real = series_mod.enumerate_sublevel
+
+    def recording(*args, **kwargs):
+        try:
+            out = real(*args, **kwargs)
+        except NotMultipliable as e:
+            log.append(e)
+            raise
+        log.append(len(out))
+        return out
+
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", recording)
+    return log
+
+
+def _not_a_box(cells):
+    return [h for i, h in enumerate(cells) if i % 5 in (0, 3) or h[0] == h[-1]]
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("name, window", [("E024", 2), ("E025", 2), ("E026", 1)])
+def test_window_coeffs_equal_per_cell_coeffs(monkeypatch, name, window, m):
+    cells, order, _ = _fresh_terms(name, m, window)
+    log = _record_enumerations(monkeypatch)
+    for subset in (cells, cells[1::3], _not_a_box(cells)):
+        _c, _o, by_cell = _fresh_terms(name, m, window)
+        _c, _o, by_window = _fresh_terms(name, m, window)
+        for a, b in zip(by_cell, by_window):
+            kernel = bool(b._layout().solver.kernel)
+            log.clear()
+            want = {h: a.coeff(h, order) for h in subset}
+            per_cell = list(log)
+            log.clear()
+            got = b.coeffs(subset, order)
+            assert got == want
+            # one enumeration for the one combo, and coeff reads the cache
+            assert all(b.coeff(h, order) is x for h, x in got.items())
+            assert log == ([log[0]] if kernel else [])
+            assert all(isinstance(x, int) for x in per_cell)
+            if kernel and subset is cells:  # the box holds exactly their points
+                assert log[0] == sum(per_cell)
+    assert any(b._layout().solver.kernel for b in by_window)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_window_coeffs_of_a_word_with_finite_factors(monkeypatch, m):
+    # three combos that reach cells, one exact-zero combo and one known
+    # only to u^5, around a kernel with cones and a nontrivial alpha
+    f = CycloField(m)
+    ser = ScalarSeries(f, {0: f.one(), 3: f.zeta(), 7: -f.one()})
+    table = {
+        (0, 0): UnitMonomial(f.zeta(), 1),
+        (1, -1): ser,
+        (-1, 0): ScalarSeries.zero(f, INF),
+        (0, 2): ScalarSeries.zero(f, 5),
+        (2, 1): UnitMonomial(-f.one(), -1),
+    }
+
+    def word():
+        p = QuantParam.standard_tq(f)
+        poly = TorusSeries.from_dict(p, table)
+        word = theta_series(p, (1, 0)).mul(poly).mul(eq_series(p, (1, 0)))
+        return word.mul(theta_series(p, (0, 1)))
+
+    cells = list(itertools.product(range(-2, 3), repeat=2))
+    log = _record_enumerations(monkeypatch)
+    for subset in (cells, cells[::2], _not_a_box(cells) + [(6, -5)]):
+        ref, got = word(), word()
+        assert len(got._layout().solver.kernel) == 1
+        want = {h: ref.coeff(h, 9) for h in subset}
+        log.clear()
+        assert got.coeffs(subset, 9) == want
+        assert len(log) == len(table) - 1  # the exact-zero combo is skipped
+        assert any(not c.is_zero() for c in want.values())
+
+
+def test_refused_window_falls_back_to_per_cell_coeffs(monkeypatch):
+    # a window budget of one point per cell is refused; each cell's own
+    # enumeration keeps the default cap and succeeds
+    import qtheta.series as series_mod
+
+    cells, order, by_cell = _fresh_terms("E026", 1, 1)
+    _c, _o, by_window = _fresh_terms("E026", 1, 1)
+    want = [{h: s.coeff(h, order) for h in cells} for s in by_cell]
+    monkeypatch.setattr(series_mod, "MAX_POINTS", 1)
+    log = _record_enumerations(monkeypatch)
+    for s, w in zip(by_window, want):
+        log.clear()
+        assert s.coeffs(cells, order) == w
+        assert isinstance(log[0], EnumerationLimit)
+        assert len(log) == 1 + len(cells) and all(isinstance(x, int) for x in log[1:])
