@@ -9,15 +9,17 @@ coefficient cocycle), the structure pairing
 
 must be symmetric, and optional square-root data must square to it.  Theta
 functions are the invariants of the image; their coefficients satisfy a
-unit-monomial recurrence over the cosets of h-(B) in H, which yields exact
-dimension counts, canonical bases, and properness certificates when the
-valuation of <b, b> grows positive definitely (ampleness).
+unit-monomial recurrence over the cosets of h-(B) in H.  On each coset its
+solution is a quadratic character of B, a :class:`~qtheta.series.GaussRule`
+fitted from a few recurrence steps and proven by a finite check.  That
+yields exact dimension counts and canonical bases of pure Gauss factors,
+and, when the valuation of <b, b> grows positive definitely (ampleness),
+properness certificates: the rule's u-form, the exact valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -54,9 +56,8 @@ from .intlinalg import (
     vec_sub,
     zero_vec,
 )
-from .quadenum import QuadExpr
 from .scalars import UnitMonomial
-from .series import TorusSeries, series_equal_on_cells
+from .series import GaussRule, TorusSeries, series_equal_on_cells
 from .torus import QuantParam, TorusPoint
 
 
@@ -269,31 +270,58 @@ def _recurrence_factor(L: Multiplier, i: int, h: Vec) -> UnitMonomial:
     )
 
 
-class _RecurrenceWalker:
-    """Coefficients of the basis theta for one coset representative."""
+def _theta_rule(L: Multiplier, rep: Vec) -> GaussRule:
+    """The basis theta's coefficient phi(b) at rep - h-(b) as a Gauss rule
+    in b: the solution of phi(b + e_i) = phi(b) f_i(b) with phi(0) = 1,
+    where f_i(b) is the recurrence factor at rep - h-(b).
 
-    def __init__(self, L: Multiplier, rep: Vec):
-        self.L = L
-        self.rep = tuple(rep)
-        self.memo: dict[Vec, UnitMonomial] = {zero_vec(L.rank): UnitMonomial.one(L.param.field)}
+    Each f_i(b) = f_i(0) prod_k G_ik^(b_k) has exponents affine in b, so
+    phi(b) = prod_i f_i(0)^(b_i) G_ii^(b_i(b_i-1)/2) prod_{i<j} G_ji^(b_i b_j).
+    A base's u-exponent enters the u-form, a base -1 the sign form and any
+    other coefficient a character.  The rule is proven before it is returned
+    (:func:`_check_recurrence`).
+    """
+    r = L.rank
+    e = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    f0 = [_recurrence_step(L, rep, i, zero_vec(r)) for i in range(r)]
+    bases = [(f0[i], [(i, r, 2)]) for i in range(r)]  # (base, exponent form)
+    for i in range(r):
+        for j in range(i, r):
+            form = [(i, i, 1), (i, r, -1)] if i == j else [(i, j, 2)]
+            bases.append((_recurrence_step(L, rep, j, e[i]) / f0[j], form))
+    uform, sform, chars = [], [], []
+    for base, form in bases:
+        uform += [(a, b, base.uexp * x) for a, b, x in form]
+        if (-base.coeff).is_one():
+            sform += form
+        elif not base.coeff.is_one():
+            chars.append((base.coeff, form))
+    rule = GaussRule(r, L.param.field.one(), uform, sform, chars)
+    _check_recurrence(L, rep, rule)
+    return rule
 
-    def phi(self, b: Vec) -> UnitMonomial:
-        b = tuple(b)
-        hit = self.memo.get(b)
-        if hit is not None:
-            return hit
-        i = next(k for k, x in enumerate(b) if x)
-        e = tuple(1 if k == i else 0 for k in range(len(b)))
-        if b[i] > 0:
-            prev = vec_sub(b, e)
-            h_prev = vec_sub(self.rep, self.L.h_minus(prev))
-            out = self.phi(prev) * _recurrence_factor(self.L, i, h_prev)
-        else:
-            nxt = vec_add(b, e)
-            h_here = vec_sub(self.rep, self.L.h_minus(b))
-            out = self.phi(nxt) * _recurrence_factor(self.L, i, h_here).inverse()
-        self.memo[b] = out
-        return out
+
+def _recurrence_step(L: Multiplier, rep: Vec, i: int, b: Vec) -> UnitMonomial:
+    """f_i(b) = phi(b + e_i) / phi(b) on the coset of ``rep``."""
+    return _recurrence_factor(L, i, vec_sub(rep, L.h_minus(b)))
+
+
+def _check_recurrence(L: Multiplier, rep: Vec, rule: GaussRule):
+    """Raise unless rule(b + e_i) = rule(b) f_i(b) at b = 0 and every b = e_k.
+
+    Both sides are unit monomials with exponents affine in b, so their
+    quotient is C prod_k beta_k^(b_k), and agreement at these r + 1 points is
+    agreement on all of B.  As rule(0) = 1, the rule is then the recurrence's
+    solution everywhere, which also proves the recurrence path independent.
+    """
+    r = L.rank
+    e = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    for b in (zero_vec(r), *e):
+        for i in range(r):
+            if rule.at(vec_add(b, e[i])) != rule.at(b) * _recurrence_step(L, rep, i, b):
+                raise CocycleFailure(
+                    f"theta recurrence of coset {rep} fails at generator {i} from {b}"
+                )
 
 
 def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
@@ -309,7 +337,6 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
         raise InfiniteIndex("theta basis needs a finite coset index")
     hm = L.h_minus_matrix
     img_cols = image_basis(hm)  # basis of h-(B) inside H
-    s = len(img_cols)
     # preimages of the image basis columns under h-
     pre = []
     for col in img_cols:
@@ -320,7 +347,6 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
     kern = kernel_basis(hm)
     inconsistent = []
     consistent_reps = []
-    walkers = []
     for rep in quot.coset_reps:
         reason = None
         for k in kern:
@@ -338,31 +364,20 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
                 break
         if reason is None:
             consistent_reps.append(rep)
-            walkers.append(_RecurrenceWalker(L, rep))
         else:
             inconsistent.append((rep, reason))
 
+    # each basis theta is one Gauss factor in image coordinates y, taken at
+    # b = sum_k y_k pre_k; its u-form is the exact valuation certificate
     ample = L.is_ample()
     basis = []
-    for rep, walker in zip(consistent_reps, walkers):
-        val = _valuation_certificate(L, walker, pre, img_cols) if ample else None
-
-        def coeff(y, _order, walker=walker, pre=pre):
-            b = zero_vec(L.rank)
-            for yk, p in zip(y, pre):
-                if yk:
-                    b = vec_add(b, tuple(yk * x for x in p))
-            return walker.phi(b)
-
-        series = TorusSeries.rule(
-            L.param,
-            rep,
-            [vec_neg(c) for c in img_cols],
-            coeff,
-            val,
-            label=f"theta[{rep}]",
+    for rep in consistent_reps:
+        rule = _theta_rule(L, rep).compose(zero_vec(L.rank), pre)
+        val = rule.valuation_form() if ample else None
+        gens = [vec_neg(c) for c in img_cols]
+        basis.append(
+            TorusSeries.rule(L.param, rep, gens, None, val, label=f"theta[{rep}]", gauss=rule)
         )
-        basis.append(series)
     return ThetaBasis(
         multiplier=L,
         dim=len(basis),
@@ -372,49 +387,6 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
         window=window,
         order=order,
     )
-
-
-def _valuation_certificate(L, walker, pre, img_cols) -> QuadExpr:
-    """Exact quadratic model of uexp(phi) in image-lattice coordinates.
-
-    phi is a quadratic character of B (a consequence of the pairing
-    structure), so sampling on basis vectors and pairs determines it; the
-    model is verified on extra sample points.
-    """
-    s = len(img_cols)
-
-    def v(z):
-        b = zero_vec(L.rank)
-        for zk, p in zip(z, pre):
-            if zk:
-                b = vec_add(b, tuple(zk * x for x in p))
-        return Fraction(walker.phi(b).uexp)
-
-    quad = [[Fraction(0)] * s for _ in range(s)]
-    lin = [Fraction(0)] * s
-    for k in range(s):
-        ek = tuple(1 if i == k else 0 for i in range(s))
-        mek = tuple(-1 if i == k else 0 for i in range(s))
-        quad[k][k] = (v(ek) + v(mek)) / 2
-        lin[k] = (v(ek) - v(mek)) / 2
-    for k in range(s):
-        for l in range(k + 1, s):
-            ekl = tuple(1 if i in (k, l) else 0 for i in range(s))
-            cross = (v(ekl) - v(tuple(1 if i == k else 0 for i in range(s))) - v(
-                tuple(1 if i == l else 0 for i in range(s))
-            )) / 2
-            quad[k][l] = cross
-            quad[l][k] = cross
-    model = QuadExpr(s, quad, lin, 0)
-    # spot-check the quadratic model
-    import random as _random
-
-    rng = _random.Random(12345)
-    for _ in range(6):
-        z = tuple(rng.randint(-2, 2) for _ in range(s))
-        if model.value(z) != v(z):
-            raise AssertionError("theta coefficient valuation is not quadratic")
-    return model
 
 
 def theta_membership(L: Multiplier, series: TorusSeries, cells, order) -> bool:

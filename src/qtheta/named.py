@@ -82,7 +82,7 @@ def _lift_rule(param: QuantParam, direction: Vec, prefactor, square: int) -> Gau
     f = param.field
     mu = prefactor if prefactor is not None else UnitMonomial.one(f)
     sign = [] if param.epsilon(direction).is_one() else [(0, 0, 1), (0, 1, -1)]
-    own = GaussRule(1, f.one(), [(0, 0, 2 * square)], sign)
+    own = GaussRule(1, f.one(), [(0, 0, 4 * square)], sign)
     return GaussRule.character(f, [mu]).times(own)
 
 
@@ -205,10 +205,10 @@ def weinstein_theta(param: QuantParam) -> TorusSeries:
     dbl = weinstein_param(param)
     d = param.rank
 
-    def cross(m, k):  # g^T m h as cross terms in y = (g, h)
-        return tuple((i, d + j, k * m[i][j]) for i in range(d) for j in range(d))
+    def cross(m):  # the form g^T m h in y = (g, h)
+        return tuple((i, d + j, 2 * m[i][j]) for i in range(d) for j in range(d))
 
-    rule = GaussRule(2 * d, param.field.one(), cross(param.A, 1), cross(param.S, 2))
+    rule = GaussRule(2 * d, param.field.one(), cross(param.A), cross(param.S))
     gens = dbl.lattice.basis()
     return TorusSeries.rule(dbl, zero_vec(2 * d), gens, None, None, label="theta_W", gauss=rule)
 

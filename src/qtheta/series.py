@@ -137,9 +137,11 @@ Factor = Union[FiniteFactor, LatticeFactor]
 _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
 
 
-# A form is an integer quadratic in y = (y_0, ..., y_{n-1}) stored as terms
-# (a, b, x) of sum x y_a y_b, where index n stands for the constant 1: (a, n)
-# terms are linear and (n, n) is the constant.
+# A form is an integer-valued quadratic in y = (y_0, ..., y_{n-1}) counted in
+# half steps: terms (a, b, x) of (sum x y_a y_b) / 2 with integer x, where
+# index n stands for the constant 1: (a, n) terms are linear and (n, n) is the
+# constant.  So y(y - 1)/2 is the form y^2 - y, and every form is stored at
+# twice its value.
 
 
 def _form(terms, mod=0):
@@ -153,16 +155,28 @@ def _form(terms, mod=0):
 
 
 def _form_at(form, ye) -> int:
-    """The form at ye = (*y, 1)."""
+    """Twice the form's value at ye = (*y, 1)."""
     return sum(x * ye[a] * ye[b] for a, b, x in form)
 
 
+def _check_half_steps(form, n):
+    """Raise unless the merged form is integer-valued on Z^n: its constant,
+    cross terms and each y_a^2 + y_a pair of coefficients are even."""
+    par = {}
+    for a, b, x in form:
+        key = (a, a) if b == n else (a, b)
+        par[key] = par.get(key, 0) + x
+    if any(x % 2 for x in par.values()):
+        raise ValueError(f"form {form} is not integer-valued")
+
+
 def _quad(form, n) -> QuadExpr:
-    """The form as a QuadExpr in n variables (cross terms symmetrised)."""
+    """The form's value as a QuadExpr in n variables (cross terms
+    symmetrised)."""
     Q = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for a, b, x in form:
-        Q[a][b] += Fraction(x, 2)
-        Q[b][a] += Fraction(x, 2)
+        Q[a][b] += Fraction(x, 4)
+        Q[b][a] += Fraction(x, 4)
     return QuadExpr(n, [row[:n] for row in Q[:n]], [2 * x for x in Q[n][:n]], Q[n][n])
 
 
@@ -176,7 +190,7 @@ def _alpha_form(pair, word, chosen, offs, n):
         for wi, f in enumerate(word)
     ]
     return _form(
-        (a, b, pair(v, w))
+        (a, b, 2 * pair(v, w))
         for i, di in enumerate(data)
         for dj in data[i + 1 :]
         for a, v in di
@@ -185,13 +199,14 @@ def _alpha_form(pair, word, chosen, offs, n):
 
 
 class GaussRule:
-    """The unit monomial c (-1)^(s(y)/2) u^q(y) prod_k b_k^(l_k(y)) of an
+    """The unit monomial c (-1)^s(y) u^q(y) prod_k b_k^(l_k(y)) of an
     integer vector y of length n.
 
-    q and s are forms.  s is twice the sign exponent, so that k(k-1)/2 is
-    the integer form k^2 - k: s(y) is even for every y and is kept mod 4.
-    Each l_k is an affine form; the bases b_k carry the coefficients other
-    than +-1.
+    q, s and the l_k are integer-valued quadratics given as forms, which
+    count half steps: y(y-1)/2 is the form y^2 - y, so a half-integer
+    coefficient (an odd valuation diagonal, say) needs no other kind.  s is
+    kept mod 4, as only its parity matters.  The bases b_k carry the
+    coefficients other than +-1.
     """
 
     __slots__ = ("n", "const", "uform", "sform", "chars")
@@ -202,13 +217,15 @@ class GaussRule:
         self.uform = _form(uform)
         self.sform = _form(sform, 4)
         self.chars = tuple((b, _form(l)) for b, l in chars)
+        for form in (self.uform, self.sform, *(l for _b, l in self.chars)):
+            _check_half_steps(form, n)
 
     @classmethod
     def character(cls, field, values: Sequence[UnitMonomial]) -> "GaussRule":
         """y -> prod values_i^y_i: the character e(y) at a torus point."""
         n = len(values)
-        chars = [(v.coeff, [(i, n, 1)]) for i, v in enumerate(values) if not v.coeff.is_one()]
-        return cls(n, field.one(), [(i, n, v.uexp) for i, v in enumerate(values)], (), chars)
+        chars = [(v.coeff, [(i, n, 2)]) for i, v in enumerate(values) if not v.coeff.is_one()]
+        return cls(n, field.one(), [(i, n, 2 * v.uexp) for i, v in enumerate(values)], (), chars)
 
     def times(self, other: "GaussRule") -> "GaussRule":
         """The pointwise product of two rules in the same variables."""
@@ -239,8 +256,8 @@ class GaussRule:
         if _form_at(self.sform, ye) % 4:
             c = -c
         for b, l in self.chars:
-            c = c * b ** _form_at(l, ye)
-        return UnitMonomial(c, _form_at(self.uform, ye))
+            c = c * b ** (_form_at(l, ye) >> 1)
+        return UnitMonomial(c, _form_at(self.uform, ye) >> 1)
 
 
 class _SubstEngine:
@@ -564,13 +581,13 @@ class TorusSeries:
             offs = {wi: a for wi, a, _b in lay.blocks}
             n = lay.blocks[-1][2] if lay.blocks else 0
             alpha = _alpha_form(self.param.alpha_exp, word, chosen, offs, n)
-            sign = _alpha_form(lambda g, h: 2 * self.param.alpha_sign(g, h), word, chosen, offs, n)
+            sign = _alpha_form(self.param.alpha_sign, word, chosen, offs, n)
             rule = GaussRule(n, self.param.field.one(), alpha, sign)
             rest = []
             for wi, f in enumerate(word):
                 v = chosen[wi][1] if f.is_finite else None
                 if isinstance(v, UnitMonomial):
-                    rule = rule.times(GaussRule(n, v.coeff, [(n, n, v.uexp)]))
+                    rule = rule.times(GaussRule(n, v.coeff, [(n, n, 2 * v.uexp)]))
                 elif not f.is_finite and f.coeff is None:
                     at = offs[wi]
                     cols = [tuple(int(j - at == i) for i in range(f.nparams)) for j in range(n)]
@@ -597,7 +614,7 @@ class TorusSeries:
         exact zero, so every term of the combo vanishes.
         """
         lay = self._layout()
-        terms = list(alpha)
+        terms = []
         for wi, a, _b in lay.blocks:
             v = self.factors[wi].val
             if v is None:
@@ -611,7 +628,8 @@ class TorusSeries:
                     return _ZERO_TERM, None
                 vv = val.trunc + 1
             terms.append((n, n, vv))
-        return _quad(terms, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
+        form = [*alpha, *((a, b, 2 * x) for a, b, x in terms)]  # in half steps
+        return _quad(form, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
 
     def _combine_term(self, chosen, term, y, order) -> Optional[ScalarSeries]:
         """Exact value of one decomposition term, known to ``order`` (it may

@@ -1,10 +1,12 @@
 """Command-line driver: subcommands, exit codes, JSON round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qtheta.cli import builtin_multiplier, main
+from qtheta.heisenberg import HeisElement
 from qtheta.jsonio import (
     heis_from_json,
     heis_to_json,
@@ -14,6 +16,7 @@ from qtheta.jsonio import (
     param_to_json,
     smallelem_to_json,
 )
+from qtheta.multiplier import multiplier_new
 from qtheta.scalars import CycloField, UnitMonomial
 from qtheta.torus import QuantParam, TorusPoint
 
@@ -109,6 +112,32 @@ def test_theta_from_json_file(tmp_path, capsys):
     path.write_text(json.dumps(mult))
     code, rep = run(["theta", str(path), "--window", "4", "--order", "40"], capsys)
     assert code == 0 and rep["dim"] == 2
+
+
+SNAPSHOTS = Path(__file__).parent / "data" / "cli"
+
+
+@pytest.mark.parametrize(
+    "name", ["theta_jacobi2", "theta_odd", "act_jacobi2", "small_group_jacobi2"]
+)
+def test_theta_reports_match_snapshots(name, tmp_path, capsys):
+    """Full reports, byte for byte, against snapshots recorded when theta
+    coefficients were still walked one recurrence step at a time.
+    ``theta_odd`` is the rank-1 multiplier [u; x = (u), h = (1)], whose
+    valuation diagonal is odd."""
+    p1, u = QuantParam.trivial(F, 1), UnitMonomial(F.one(), 1)
+    odd = multiplier_new(p1, [HeisElement(p1, u, TorusPoint((u,)), (1,))])
+    (tmp_path / "odd.json").write_text(json.dumps(multiplier_to_json(odd)))
+    elem = smallelem_to_json(UnitMonomial.one(F), TorusPoint((UnitMonomial(-F.one(), 0),)), (0,))
+    (tmp_path / "elem.json").write_text(json.dumps(elem))
+    args = {
+        "theta_jacobi2": ["theta", "builtin:jacobi2"],
+        "theta_odd": ["theta", str(tmp_path / "odd.json")],
+        "act_jacobi2": ["act", str(tmp_path / "elem.json"), "builtin:jacobi2"],
+        "small_group_jacobi2": ["small-group", "builtin:jacobi2"],
+    }[name]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (SNAPSHOTS / f"{name}.json").read_text()
 
 
 def test_compose_subcommand(capsys):

@@ -614,7 +614,7 @@ def test_morphism_gauss_rule_matches_the_closure_formula(m):
             assert F_.a_value(h) == _old_a_value(F_, h), h
     # pullbacks of a Gauss factor, a closure x Gauss factor and a rule off
     # the origin equal the coefficient times the closure formula of a_h
-    rule = GaussRule(2, f.one(), [(0, 2, 1), (0, 1, 3)], [(1, 2, -1), (1, 1, 1)])
+    rule = GaussRule(2, f.one(), [(0, 2, 2), (0, 1, 6)], [(1, 2, -1), (1, 1, 1)])
     for F_ in (signed, shift_morphism(p, x)):
         src = F_.source_param
         cases = [
