@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "act":
             L = _load_multiplier(args.multiplier, field)
             elem = _read_json(args.element, smallelem_from_json)
-            tb = theta_dim_basis(L, window=args.window, order=max(args.order, 120))
+            tb = theta_dim_basis(L, window=args.window, order=args.order)
             matrix = act_on_theta(L, elem, tb, window=args.window, order=args.order)
             report = {
                 "schema": 1,

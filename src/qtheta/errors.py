@@ -18,6 +18,10 @@ class NotInvertible(QThetaError):
     """Series has no invertible leading term inside its truncation window."""
 
 
+class PrecisionShortfall(QThetaError):
+    """An operand is known only below the order a comparison asks for."""
+
+
 class NotSymmetric(QThetaError):
     """Matrix expected to be symmetric is not."""
 

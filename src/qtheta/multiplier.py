@@ -330,7 +330,9 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
     Basis elements are normalized to coefficient 1 at their canonical coset
     representative; all other coefficients follow the recurrence.  With a
     non-injective h- the recurrence may be overdetermined: offending cosets
-    are dropped (the reported dimension shrinks accordingly).
+    are dropped (the reported dimension shrinks accordingly).  ``window``
+    and ``order`` do not change the basis, whose series are exact rules;
+    they are only stored on the result and remain for positional callers.
     """
     quot = L.quotient()
     if quot.index == INFINITE:

@@ -33,8 +33,9 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
      of Q_jj y_j^2 + lin_j y_j (j > i) and of each remaining cross term
      2 Q_jk y_j y_k exceeds the limit.  The minima may be negative, so the
      sum is always completed before it is compared.
-   Every emitted point still passes the exact test T(y) <= limit and every
-   inequality.
+   Every emitted point still passes the exact test T(y) <= limit.  The rows
+   need no test there: each is exact at its last nonzero variable's cut or,
+   with one nonzero variable, in the box.
 """
 
 from __future__ import annotations
@@ -227,10 +228,13 @@ def enumerate_sublevel(
     rows = []
     for coeffs, b in ineqs:
         d = _den_lcm((*coeffs, b))
-        rows.append((tuple(int(c * d) for c in coeffs), int(b * d)))
+        row = tuple(int(c * d) for c in coeffs), int(b * d)
+        if any(row[0]):
+            rows.append(row)
+        elif row[1] < 0:
+            return []  # a constant row that fails everywhere
     if n == 0:
-        ok = T.const <= limit and all(b >= 0 for _, b in rows)
-        return [()] if ok else []
+        return [()] if T.const <= limit else []
 
     Q, L = T.quad, T.lin
     lo = [None] * n
@@ -435,7 +439,9 @@ def enumerate_sublevel(
             _cross_min(Q[i][k], lo[i], hi[i], lo[k], hi[k]) for k in range(i + 1, n) if Q[i][k]
         )
     # rows coupling y_i with other variables bound y_i given the prefix:
-    # (prefix coefficients, b + box maximum of the suffix terms, coefficient of y_i)
+    # (prefix coefficients, b + box maximum of the suffix terms, coefficient of y_i);
+    # at a row's last nonzero variable the suffix is empty and the cut exact, and
+    # propagate_ineqs made the box exact for one-variable rows, so no leaf test
     cuts = [
         [
             (c[:i], b + sum(-_lin_min(-c[k], lo[k], hi[k]) for k in range(i + 1, n)), c[i])
@@ -448,9 +454,6 @@ def enumerate_sublevel(
     y = [0] * n
     out = []
     last = n - 1
-
-    def leaf_ok():
-        return all(sum(map(mul, coeffs, y)) + b >= 0 for coeffs, b in rows)
 
     def rec(i, acc):
         a, b = lo[i], hi[i]
@@ -471,8 +474,7 @@ def enumerate_sublevel(
             for v in range(a, b + 1):
                 if acc + (qii * v + li) * v <= limit:
                     y[i] = v
-                    if leaf_ok():
-                        out.append(tuple(y))
+                    out.append(tuple(y))
             return
         row = Q[i]
         base = lin[i + 1 :]

@@ -23,7 +23,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import DivisionByZero, MissingRootsOfUnity, NoMonomialRoot, NotInvertible
+from .errors import DivisionByZero, MissingRootsOfUnity, NoMonomialRoot, NotInvertible, PrecisionShortfall
 
 INF = math.inf
 
@@ -755,10 +755,11 @@ class ScalarSeries:
     def equal_to_order(self, other: "ScalarSeries", order) -> bool:
         """Coefficientwise equality for all exponents <= order.
 
-        Both operands must actually know their coefficients that far.
+        Both operands must actually know their coefficients that far;
+        otherwise PrecisionShortfall is raised.
         """
         if self.trunc < order or other.trunc < order:
-            raise NotInvertible(
+            raise PrecisionShortfall(
                 f"cannot compare to order {order}: known only to "
                 f"{min(self.trunc, other.trunc)}"
             )

@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import NotMultipliable, ParamMismatch
+from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
 from .intlinalg import IntegerSolver, Vec, vec_add, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial
@@ -474,8 +474,11 @@ class TorusSeries:
         When the layout has a kernel, each finite combo is enumerated once
         over the cells' bounding box (the cell is one more set of linear
         rows), with a box budget of the per-cell ones it replaces; the
-        results land in the cache ``coeff`` reads.  Cells the pass leaves
-        out -- every cell when it is refused -- go through ``coeff``.
+        results land in the cache ``coeff`` reads.  Within a combo, points
+        that share their closure factors' parameters and Gauss u-exponent
+        share one series part (:meth:`_combine_term`), which is dropped when
+        the pass returns.  Cells the pass leaves out -- every cell when it
+        is refused -- go through ``coeff``.
         """
         cells = [tuple(h) for h in cells]
         solver = self._layout().solver
@@ -502,10 +505,11 @@ class TorusSeries:
             rows = [*ineqs]  # the cone rows, then lo <= base + G y <= hi
             for g, b, l, u in zip(lay.mtx, base, lo, hi):
                 rows += [(g, b - l), (tuple(-x for x in g), u - b)]
+            memo: dict = {}
             for y in enumerate_sublevel(T, order, rows, MAX_POINTS * len(cells)):
                 h = tuple(b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base))
                 if h in cells:
-                    t = self._combine_term(chosen, term, y, order)
+                    t = self._combine_term(chosen, term, y, order, memo)
                     if t is not None:
                         sums[h] = t if h not in sums else sums[h] + t
         zero = ScalarSeries.zero(self.param.field, order)
@@ -549,10 +553,11 @@ class TorusSeries:
                     )
                     for z in pts
                 ]
+            memo: dict = {}
             for y in ys:
                 if any(y[i] < 0 for i in lay.cones):
                     continue
-                term_value = self._combine_term(chosen, term, y, order)
+                term_value = self._combine_term(chosen, term, y, order, memo)
                 if term_value is not None:
                     total = term_value if total is None else total + term_value
         if total is None:
@@ -631,29 +636,57 @@ class TorusSeries:
         form = [*alpha, *((a, b, 2 * x) for a, b, x in terms)]  # in half steps
         return _quad(form, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
 
-    def _combine_term(self, chosen, term, y, order) -> Optional[ScalarSeries]:
+    def _combine_term(self, chosen, term, y, order, memo) -> Optional[ScalarSeries]:
         """Exact value of one decomposition term, known to ``order`` (it may
         hold exponents above; the caller truncates the cell's sum).
 
-        The term plan's Gauss rule gives one monomial, into which the
-        remaining unit-monomial values fold.  The series values are
-        multiplied in word order, each product capped at ``order`` less the
-        monomial's u-exponent and the certified lower bounds of the series
-        still to come; no cap when a closure factor has no certificate or a
-        value is an empty series.
+        The term plan's Gauss rule gives one monomial, and the series part
+        (:meth:`_series_part`) multiplies it.  That part depends on y only
+        through the closure factors' parameter slices and on the monomial
+        only through its u-exponent, so ``memo`` -- a dict the caller keeps
+        for one combo at one order -- holds it under (slices, u-exponent),
+        and each other point with the same key costs one lookup and one
+        scale.  A term with no series part is the monomial itself.
         """
         rule, rest = term
-        word = self.factors
         mono = rule.at(y)
-        parts = [chosen[wi][1] if span is None else y[span] for wi, span in rest]
+        if not rest:
+            return mono.to_series()
+        key = (tuple(y[span] for _wi, span in rest if span is not None), mono.uexp)
+        part = memo.get(key)
+        if part is None and key not in memo:
+            part = memo[key] = self._series_part(chosen, rest, key[0], order, mono.uexp)
+        if part is None:
+            return None
+        fold, acc = part
+        if fold is not None:
+            mono = mono * fold
+        return mono.to_series() if acc is None else acc.scale(mono)
+
+    def _series_part(self, chosen, rest, slices, order, uexp):
+        """The term's factors left over by the Gauss rule, at the closure
+        factors' parameter ``slices`` and a Gauss monomial of u-exponent
+        ``uexp``: (fold, product), or None when the term vanishes.
+
+        Unit-monomial closure values multiply into ``fold`` (None when
+        there are none).  The series values are multiplied in word order
+        into ``product`` (None when there are none), each product capped at
+        ``order`` less the monomial's and fold's u-exponents and the
+        certified lower bounds of the series still to come; no cap when a
+        closure factor has no certificate or a value is an empty series.
+        """
+        word = self.factors
+        slices = iter(slices)
+        parts = [chosen[wi][1] if span is None else next(slices) for wi, span in rest]
         lbs = [
             p.valuation()
             if span is None
             else (word[wi].val.value(p) if word[wi].val is not None else 0)
             for (wi, span), p in zip(rest, parts)
         ]
-        total_lb = mono.uexp + sum(lb for lb in lbs if lb != INF)
+        total_lb = uexp + sum(lb for lb in lbs if lb != INF)
         capped = True
+        fold = None
         series = []  # (value, integer lower bound) of the series-valued factors
         for (wi, span), v, lb in zip(rest, parts, lbs):
             if span is not None:
@@ -663,7 +696,7 @@ class TorusSeries:
                     return None
                 capped = capped and f.val is not None
             if isinstance(v, UnitMonomial):
-                mono = mono * v
+                fold = v if fold is None else fold * v
                 continue
             if not v.terms:
                 if v.trunc == INF:
@@ -671,14 +704,14 @@ class TorusSeries:
                 capped = False
             series.append((v, math.ceil(lb) if v.terms else 0))
         if not series:
-            return mono.to_series()
-        head = order - mono.uexp if capped else INF
+            return fold, None
+        head = order - uexp - (fold.uexp if fold is not None else 0) if capped else INF
         rest_lb = sum(lb for _v, lb in series[1:])
         acc = series[0][0]
         for v, lb in series[1:]:
             rest_lb -= lb
             acc = acc.mul_to(v, head - rest_lb)
-        return acc.scale(mono)
+        return fold, acc
 
     # -- materialization and comparison ---------------------------------------
 
@@ -735,7 +768,11 @@ def torus_series_mul(f: TorusSeries, g: TorusSeries, window: int, order) -> Toru
 
 def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], order) -> bool:
     for h in cells:
-        if not a.coeff(h, order).equal_to_order(b.coeff(h, order), order):
+        try:
+            same = a.coeff(h, order).equal_to_order(b.coeff(h, order), order)
+        except PrecisionShortfall as exc:
+            raise PrecisionShortfall(f"{exc} at cell {tuple(h)}") from exc
+        if not same:
             return False
     return True
 

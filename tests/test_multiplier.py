@@ -11,6 +11,8 @@ from qtheta.errors import (
     InfiniteIndex,
     NonSymmetricPairing,
     NotComposable,
+    NotInvertible,
+    PrecisionShortfall,
     SqrtMismatch,
 )
 from qtheta.heisenberg import HeisElement, HeisRaw, heis_act, mumford_morphism, scaling_morphism, shift_morphism
@@ -439,6 +441,21 @@ def odd_diagonal_multiplier():
     u^(n(n+1)/2)."""
     u = UnitMonomial(F.one(), 1)
     return multiplier_new(P1, [HeisElement(P1, u, TorusPoint((u,)), (1,))])
+
+
+def test_membership_precision_shortfall_names_the_cell():
+    # heis_act multiplies some cells of the product by unit monomials of
+    # negative u-exponent, so there the acted table is known only below N:
+    # comparing to N is a precision shortfall at that cell, not a division
+    # error
+    L = odd_diagonal_multiplier()
+    window, order = 5, 40
+    (th,) = theta_dim_basis(L, window=window, order=order).basis
+    prod = theta_product(L, L, th, th, window=window, order=order)
+    cells = [(n,) for n in range(-3, 4)]
+    with pytest.raises(PrecisionShortfall, match=r"known only to 37 at cell \(-3,\)") as exc:
+        theta_membership(compose(L, L), prod, cells, order)
+    assert not isinstance(exc.value, NotInvertible)
 
 
 def zeta5_multiplier():

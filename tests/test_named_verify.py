@@ -1,7 +1,9 @@
 """Named series registry and the identity verifier."""
 
 import collections
+import hashlib
 import json
+import pathlib
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from qtheta.named import (
     weinstein_theta,
     _yang_baxter_param,
 )
-from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
+from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial, series_to_json
 from qtheta.series import TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
 from qtheta.verify import (
@@ -370,3 +372,29 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
         assert verify_equation(spec)["status"] == "pass"
     assert set(counts) == set(specs[0].cells())
     assert set(counts.values()) == {1}
+
+
+# sha256 of every term's coefficient table (per cell, in sorted cell order:
+# the cell and its series_to_json, whose "N" is the trunc), at the registry
+# defaults, recorded before the window pass shared each combo's series part
+# across points; the words with closure factors (E016, E023, E024, E026) and
+# the theta and exponent words (E012, E025, E332)
+TERM_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "term_digests.json").read_text()
+)
+DIGEST_CASES = sorted({tuple(k.split("/")[:2]) for k in TERM_DIGESTS})
+
+
+@pytest.mark.parametrize("name, m", DIGEST_CASES)
+def test_term_tables_match_recorded_digests(name, m):
+    got = {}
+    field = CycloField(int(m.removeprefix("m=")))
+    for spec in identity_specs(name, field):
+        cells = sorted(spec.cells())
+        for ti, term in enumerate(spec.terms):
+            c, s = _term_series(term)
+            table = s.coeffs(cells, spec.order - c.uexp)
+            blob = json.dumps([[list(h), series_to_json(table[h])] for h in cells], sort_keys=True)
+            got[f"{name}/{m}/{spec.label}/{ti}"] = hashlib.sha256(blob.encode()).hexdigest()
+    want = {k: v for k, v in TERM_DIGESTS.items() if k.startswith(f"{name}/{m}/")}
+    assert got == want

@@ -297,3 +297,53 @@ def test_runaway_propagation_stops():
         pass
     assert time.perf_counter() - t0 < 1.0
     assert brute(T, 1, rows, 30) == []
+
+
+def _box_rows(n, r):
+    """-r <= y_i <= r for every variable, so brute force walks exactly the box."""
+    return [(tuple(s * (j == i) for j in range(n)), r) for i in range(n) for s in (1, -1)]
+
+
+def test_rows_hold_without_a_leaf_check():
+    # each multi-variable row is cut exactly at its last nonzero variable,
+    # each one-variable row is exact in the box and a constant row is settled
+    # up front, so every emitted point meets every row
+    T = QuadExpr(3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [1, -2, 0], 0)
+    # a row whose last nonzero coefficient sits at an inner variable
+    inner = [((1, -2, 0), 1), ((0, 1, 0), 1)]
+    pts = _brute_ranges(T, 12, inner + _box_rows(3, 4), [range(-4, 5)] * 3)
+    assert pts and sorted(enumerate_sublevel(T, 12, inner + _box_rows(3, 4))) == pts
+    # a row with a negative coefficient on the last variable
+    neg = [((1, 1, -1), 0), ((-2, 0, -3), 2)]
+    pts = _brute_ranges(T, 12, neg + _box_rows(3, 4), [range(-4, 5)] * 3)
+    assert pts and sorted(enumerate_sublevel(T, 12, neg + _box_rows(3, 4))) == pts
+    # constant rows: one that fails everywhere empties the set, one that holds
+    # everywhere changes nothing
+    assert enumerate_sublevel(T, 12, [((0, 0, 0), -1)] + neg) == []
+    assert sorted(enumerate_sublevel(T, 12, [((0, 0, 0), 0)] + neg + _box_rows(3, 4))) == pts
+    assert enumerate_sublevel(QuadExpr(0, [], [], 0), 1, [((), -1)]) == []
+
+
+def test_e026_window_rows_match_bruteforce():
+    # the window pass's rows: cones, then lo <= base + G y <= hi for each of
+    # the four coordinates (8 rows) with G's columns Yang-Baxter directions
+    # (t, z + t, z - t); most rows end at an inner variable, several with a
+    # negative coefficient there
+    cols = [(1, 0, 0, 0), (1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1)]
+    G = [tuple(c[k] for c in cols) for k in range(4)]
+    rng = random.Random(26)
+    hits = 0
+    for _ in range(10):
+        lin = [rng.randint(-8, 8) for _ in range(5)]
+        T = QuadExpr(5, E026_Q, lin, rng.randint(0, 4))
+        limit = rng.randint(10, 24)
+        base = [rng.randint(-1, 1) for _ in range(4)]
+        rows = _unit_rows(5, (1, 2, 4))
+        for g, b in zip(G, base):
+            lo = rng.randint(-2, 0)
+            rows += [(g, b - lo), (tuple(-x for x in g), lo + rng.randint(2, 4) - b)]
+        assert len(rows) == 3 + 8
+        pts = sorted(enumerate_sublevel(T, limit, rows + _box_rows(5, 2)))
+        assert pts == _brute_ranges(T, limit, rows + _box_rows(5, 2), [range(-2, 3)] * 5)
+        hits += bool(pts)
+    assert hits >= 8

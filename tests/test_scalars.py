@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta.errors import DivisionByZero, NotInvertible
+from qtheta.errors import DivisionByZero, NotInvertible, PrecisionShortfall
 from qtheta.scalars import (
     INF,
     CycloField,
@@ -217,6 +217,14 @@ def test_series_invert_two_sided_random():
             order = prod.trunc
             assert order >= 8 - abs(v) - 2
             assert prod.equal_to_order(ScalarSeries.one(f).truncate(order), order)
+
+
+def test_compare_beyond_known_order_is_a_precision_shortfall():
+    f = CycloField(1)
+    known = ScalarSeries.one(f, trunc=5)
+    assert known.equal_to_order(ScalarSeries.one(f), 5)
+    with pytest.raises(PrecisionShortfall, match="cannot compare to order 6: known only to 5"):
+        known.equal_to_order(ScalarSeries.one(f), 6)
 
 
 def test_series_invert_zero_raises():

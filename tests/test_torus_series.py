@@ -25,6 +25,7 @@ from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.series import (
     FiniteFactor,
     GaussRule,
+    LatticeFactor,
     TorusSeries,
     conjugation_check,
     series_equal,
@@ -680,3 +681,109 @@ def test_refused_window_falls_back_to_per_cell_coeffs(monkeypatch):
         assert s.coeffs(cells, order) == w
         assert isinstance(log[0], EnumerationLimit)
         assert len(log) == 1 + len(cells) and all(isinstance(x, int) for x in log[1:])
+
+
+# ---------------------------------------------------------------------------
+# the series part of a term -- closure values and their capped product -- is
+# computed once per (closure slices, monomial u-exponent) within one pass
+
+
+@pytest.mark.parametrize("orders", [(12, 7), (7, 12)])
+def test_one_series_asked_at_two_orders(orders):
+    # the products are capped by the order, so a series part kept from one
+    # pass would be wrong at the other order in either direction
+    cells, _order, terms = _fresh_terms("E026", 1, 1)
+    for order in orders:
+        _c, _o, fresh = _fresh_terms("E026", 1, 1)
+        for s, ref in zip(terms, fresh):
+            got = s.coeffs(cells, order)
+            assert got == {h: ref.coeff(h, order) for h in cells}
+            assert all(x.trunc == order for x in got.values())
+
+
+def _fold_word(f, with_eq=True):
+    """theta(v) . g(u) . e_q(v) . g(u) over a torus with alpha and signs (or
+    without e_q), where the closure g returns unit monomials at even k,
+    series at odd k and, at k = 3, a series with no term known to u^2; with
+    the factors' coefficient tables on a box that holds every term below
+    u^8 at the cells used here."""
+    p = QuantParam(f, TQ.lattice, TQ.A, ((0, 1), (1, 1)))
+
+    def g(y, order):
+        (k,) = y
+        if k == 3:
+            return ScalarSeries.zero(f, 2)
+        if k % 2:
+            return ScalarSeries(f, {2 * k - 1: f.zeta(), 2 * k + 2: -f.one()})
+        return UnitMonomial(f.zeta(k), 2 * k - 1)
+
+    val = QuadExpr(1, [[0]], [2], -1)
+    gser = TorusSeries.rule(p, (0, 0), [(1, 0)], g, val, cones=(True,), label="g")
+    middle = [eq_series(p, (0, 1))] if with_eq else []
+    word = theta_series(p, (0, 1))
+    for s in [gser, *middle, gser]:
+        word = word.mul(s)
+    box = [(0, b) for b in range(-5, 9)]
+    tables = [
+        {(k, 0): g((k,), INF) for k in range(0, 6)}
+        if fac.label == "g"
+        else TorusSeries(p, [fac]).materialize(box, 48).factors[0].table
+        for fac in word.factors
+    ]
+    return p, word, tables
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("with_eq", [True, False])
+def test_closure_unit_monomials_fold_into_the_shared_monomial(monkeypatch, m, with_eq):
+    # with e_q every series part is a product, and without it every even
+    # pair of closure values is a unit monomial with no product at all
+    p, word, tables = _fold_word(CycloField(m), with_eq)
+    order = 8
+    cells = list(itertools.product(range(0, 4), range(-2, 3)))
+    calls = []
+    real = LatticeFactor.coeff_at
+    monkeypatch.setattr(
+        LatticeFactor, "coeff_at", lambda fac, y, o: calls.append(y) or real(fac, y, o)
+    )
+    points = _record_enumerations(monkeypatch)
+    got = word.coeffs(cells, order)
+    closures = 2 + with_eq
+    assert len(calls) < closures * points[0]  # points share their series parts
+    for h in cells:
+        assert got[h] == _word_coeff_reference(p, tables, h, order), h
+    assert sum(not x.is_zero() for x in got.values()) > 10
+
+
+def test_an_empty_finite_trunc_closure_value_leaves_the_product_uncapped():
+    # at k = 3 the closure knows no term up to u^2: the terms it scales are
+    # known only to its trunc plus their valuation, shared or not
+    p, word, tables = _fold_word(CycloField(1))
+    got = word.coeffs([(3, 0), (3, 1), (3, 2), (4, 0), (5, 2)], 8)
+    for h, x in got.items():
+        assert x == _word_coeff_reference(p, tables, h, 8), h
+    assert [got[(3, b)].trunc for b in range(3)] == [1, -3, -7]
+
+
+def test_series_parts_are_dropped_when_coeffs_returns(monkeypatch):
+    import gc
+    import types
+
+    memos = []
+    real = TorusSeries._combine_term
+
+    def spy(self, chosen, term, y, order, memo):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return real(self, chosen, term, y, order, memo)
+
+    monkeypatch.setattr(TorusSeries, "_combine_term", spy)
+    cells, order, terms = _fresh_terms("E026", 1, 1)
+    for s in terms:
+        s.coeffs(cells, order)
+        s.coeff((5, 5, 5, 5), order)  # a cell outside the window: one per-cell pass
+    assert len(memos) == 4 and all(memos)
+    gc.collect()
+    for memo in memos:
+        holders = [r for r in gc.get_referrers(memo) if not isinstance(r, types.FrameType)]
+        assert holders == [memos]
