@@ -9,9 +9,9 @@ Subcommands:
   small-group <multiplier.json>        small Heisenberg structure report
   act <elem.json> <multiplier.json>    action matrix on the canonical basis
 
-Global flags: --cyclotomic-order M, --out FILE, --jobs K, --window R,
---order N.  Mathematical failures exit 1 with a JSON report on stdout;
-usage errors exit 2.
+Global flags: --cyclotomic-order M, --out FILE, --window R, --order N.
+Mathematical failures exit 1 with a JSON report on stdout; usage errors,
+malformed input and unknown names exit 2.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .series import TorusSeries
 from .smallheis import act_on_theta, group_structure
 from .torus import QuantParam, TorusPoint
 from .verify import (
+    OPERATOR,
+    PRODUCT,
     REGISTRY,
     EquationSpec,
     EquationTerm,
@@ -67,10 +69,11 @@ class InputError(Exception):
 
 
 def _read_json(path: str, parse):
-    """``parse(load(path))``, with malformed content reported as InputError."""
+    """``parse(load(path))``, with malformed content -- unknown names too --
+    reported as InputError."""
     try:
         return parse(load(path))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, UnknownName, UnresolvedReference) as exc:
         # json.JSONDecodeError is a ValueError
         raise InputError(f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -84,7 +87,10 @@ def _non_negative(text: str) -> int:
 
 def _load_multiplier(arg: str, field: CycloField) -> Multiplier:
     if arg.startswith("builtin:"):
-        return builtin_multiplier(arg.split(":", 1)[1], field)
+        try:
+            return builtin_multiplier(arg.split(":", 1)[1], field)
+        except UnknownName as exc:
+            raise InputError(str(exc)) from exc
     return _read_json(arg, multiplier_from_json)
 
 
@@ -120,12 +126,15 @@ def _spec_from_json(data: dict) -> EquationSpec:
             else:
                 raise UnresolvedReference(f"unknown word factor type {kind!r}")
         terms.append(EquationTerm(coeff, word))
+    mode = data.get("mode", PRODUCT)
+    if mode not in (PRODUCT, OPERATOR):
+        raise ValueError(f"unknown mode {mode!r}")
     return EquationSpec(
         param,
         terms,
         data["window"],
         data["order"],
-        mode=data.get("mode", "product_identity"),
+        mode=mode,
         label=data.get("identity", "custom"),
     )
 
@@ -142,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qtheta", description=__doc__)
     parser.add_argument("--cyclotomic-order", type=int, default=1, metavar="M")
     parser.add_argument("--out", default=None, metavar="FILE")
-    parser.add_argument("--jobs", type=int, default=1, metavar="K")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify a named or JSON identity")
@@ -183,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                     field,
                     window=args.window,
                     order=args.order,
-                    jobs=args.jobs,
                 )
             else:
                 spec = _read_json(args.identity, _spec_from_json)

@@ -457,14 +457,14 @@ class TorusSeries:
             self._layout_cache = _Layout(blocks, cones, offset, solver, mtx, fin_pos, items)
         return self._layout_cache
 
-    def coeff(self, h: Vec, order, _slack=0) -> ScalarSeries:
+    def coeff(self, h: Vec, order) -> ScalarSeries:
         """Coefficient at e(h), exact up to u-exponent ``order``."""
         h = tuple(h)
-        key = (h, order, _slack)
+        key = (h, order)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = self._coeff_impl(h, order, _slack)
+        out = self._coeff_impl(h, order)
         self._cache[key] = out
         return out
 
@@ -484,7 +484,7 @@ class TorusSeries:
         solver = self._layout().solver
         todo = set()
         if order != INF and solver is not None and solver.kernel:
-            todo = {h for h in cells if (h, order, 0) not in self._cache}
+            todo = {h for h in cells if (h, order) not in self._cache}
         if todo:
             with contextlib.suppress(NotMultipliable):
                 self._cache.update(self._window_coeffs(todo, order))
@@ -513,9 +513,9 @@ class TorusSeries:
                     if t is not None:
                         sums[h] = t if h not in sums else sums[h] + t
         zero = ScalarSeries.zero(self.param.field, order)
-        return {(h, order, 0): sums[h].truncate(order) if h in sums else zero for h in cells}
+        return {(h, order): sums[h].truncate(order) if h in sums else zero for h in cells}
 
-    def _coeff_impl(self, h: Vec, order, slack) -> ScalarSeries:
+    def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
         lay = self._layout()
         solver = lay.solver
         kernel = solver.kernel if solver else []
@@ -545,7 +545,7 @@ class TorusSeries:
                 if engine is _ZERO_TERM:
                     continue
                 Tz, zin = engine.at_offset(particular)
-                pts = enumerate_sublevel(Tz, order + slack, ineqs=zin)
+                pts = enumerate_sublevel(Tz, order, ineqs=zin)
                 ys = [
                     tuple(
                         particular[i] + sum(z[j] * kernel[j][i] for j in range(kcols))

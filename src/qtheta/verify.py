@@ -21,7 +21,6 @@ Registered identities (verified at their desk-scale default windows):
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -83,7 +82,7 @@ def _term_series(term: EquationTerm) -> tuple[UnitMonomial, TorusSeries]:
     return term.coefficient, acc
 
 
-def verify_equation(spec: EquationSpec, cells=None) -> dict:
+def verify_equation(spec: EquationSpec) -> dict:
     """Expand all terms on the window and compare coefficient-exactly."""
     if spec.mode == PRODUCT:
         for t in spec.terms:
@@ -93,7 +92,7 @@ def verify_equation(spec: EquationSpec, cells=None) -> dict:
                         "formal-kind operand in a product identity"
                     )
     terms = [(c, s, c.uexp == 0 and (-c.coeff).is_one()) for c, s in map(_term_series, spec.terms)]
-    the_cells = sorted(spec.cells() if cells is None else list(cells))
+    the_cells = sorted(spec.cells())
     order = spec.order
     field = spec.param.field
     checked = 0
@@ -416,56 +415,19 @@ def verify_named(
     field: Optional[CycloField] = None,
     window: Optional[int] = None,
     order: Optional[int] = None,
-    jobs: int = 1,
 ) -> dict:
     """Run a registered identity at its canonical (or given) window/order."""
     specs = identity_specs(identity_id, field, window, order)
     total_checked = 0
     first = None
-    for spec_index, spec in enumerate(specs):
-        if jobs > 1:
-            rep = _verify_parallel(identity_id, spec_index, spec, jobs)
-        else:
-            rep = verify_equation(spec)
+    for spec in specs:
+        rep = verify_equation(spec)
         total_checked += rep["cells_checked"]
         if rep["status"] == "fail":
             first = dict(rep["first_mismatch"])
             first["equation"] = spec.label
             break
     return _report(identity_id, specs[0].window, specs[0].order, total_checked, first)
-
-
-def _verify_chunk(identity_id, spec_index, window, order, m_order, cell_chunk):
-    """Worker: rebuild the identity and verify a chunk of cells."""
-    field = CycloField(m_order)
-    spec = identity_specs(identity_id, field, window, order)[spec_index]
-    return verify_equation(spec, cells=cell_chunk)
-
-
-def _verify_parallel(identity_id, spec_index, spec, jobs) -> dict:
-    from concurrent.futures import ProcessPoolExecutor
-
-    cells = sorted(spec.cells())
-    if not cells or spec.order < 0:
-        return verify_equation(spec)  # the vacuous-check failure report
-    jobs = min(jobs, os.cpu_count() or 1, len(cells))
-    chunks = [cells[i::jobs] for i in range(jobs)]
-    m_order = spec.param.field.order
-    results = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [
-            pool.submit(
-                _verify_chunk, identity_id, spec_index, spec.window, spec.order, m_order, ch
-            )
-            for ch in chunks
-            if ch
-        ]
-        for f in futs:
-            results.append(f.result())
-    checked = sum(r["cells_checked"] for r in results)
-    bad = [r["first_mismatch"] for r in results if r["status"] == "fail"]
-    first = min(bad, key=lambda x: x["cell"]) if bad else None
-    return _report(spec.label, spec.window, spec.order, checked, first)
 
 
 def emit_report(results: Union[dict, Sequence[dict]]) -> str:

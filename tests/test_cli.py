@@ -45,9 +45,12 @@ def test_verify_pass_exit_zero(capsys):
     assert rep["status"] == "pass" and rep["identity"] == "E016"
 
 
-def test_verify_parallel_jobs(capsys):
-    code, rep = run(["--jobs", "2", "verify", "E023"], capsys)
-    assert code == 0 and rep["status"] == "pass"
+def test_jobs_flag_is_a_usage_error(capsys):
+    # verification has one serial path; there is no --jobs to ask for another
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "verify", "E016"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_custom_spec_and_failure(tmp_path, capsys):
@@ -199,6 +202,24 @@ def test_bad_cyclotomic_order_exits_two(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def _theta_shift_spec(mode="product_identity", word=None):
+    """theta_jacobi - theta_jacobi = 0 as a JSON spec, which passes as it
+    stands; ``mode`` and ``word`` (the first term's) make it malformed."""
+    theta = {"type": "builtin", "name": "theta_jacobi"}
+    spec = {
+        "schema": 1,
+        "mode": mode,
+        "param": {"m": 1, "rank": 1, "A": [[0]], "S": [[0]]},
+        "window": 2,
+        "order": 10,
+        "terms": [
+            {"word": word or [theta]},
+            {"coeff": {"m": 1, "coeff": ["-1"], "uexp": 0}, "word": [theta]},
+        ],
+    }
+    return json.dumps(spec)
+
+
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -207,6 +228,16 @@ def test_bad_cyclotomic_order_exits_two(capsys):
         (["theta"], json.dumps({"param": {"m": 1}})),
         (["compose", "builtin:jacobi"], "[1, 2"),
         (["act", "ELEM", "builtin:jacobi2"], json.dumps({"c": {"m": 1}})),
+        # a typo must not run the spec as an operator equation
+        pytest.param(["verify"], _theta_shift_spec(mode="product-identity"), id="unknown-mode"),
+        pytest.param(
+            ["verify"],
+            _theta_shift_spec(word=[{"type": "builtin", "name": "theta_on_Tq_x"}]),
+            id="unknown-builtin-series",
+        ),
+        pytest.param(
+            ["verify"], _theta_shift_spec(word=[{"type": "theta"}]), id="unknown-word-type"
+        ),
     ],
 )
 def test_malformed_input_file_exits_two(command, text, tmp_path, capsys):
@@ -220,6 +251,14 @@ def test_malformed_input_file_exits_two(command, text, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "malformed input" in captured.err
+
+
+def test_unknown_builtin_multiplier_exits_two(capsys):
+    assert main(["theta", "builtin:nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "'nope'" in captured.err
 
 
 def test_verify_operator_mode_spec(tmp_path, capsys):

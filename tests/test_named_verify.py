@@ -172,12 +172,12 @@ def test_verify_detects_corruption():
 def test_verify_fails_vacuous_checks():
     # an empty window or a negative order compares nothing: never a pass
     for window, order in [(-1, 40), (10, -3)]:
-        for jobs in (1, 2):
-            rep = verify_named("E016", window=window, order=order, jobs=jobs)
-            assert rep["status"] == "fail" and rep["cells_checked"] == 0
-            assert rep["first_mismatch"]["cell"] is None
+        rep = verify_named("E016", window=window, order=order)
+        assert rep["status"] == "fail" and rep["cells_checked"] == 0
+        assert rep["first_mismatch"]["cell"] is None
     spec = identity_specs("E016")[0]
-    assert verify_equation(spec, cells=[])["status"] == "fail"
+    spec.window = -1
+    assert verify_equation(spec)["status"] == "fail"
 
 
 def test_report_determinism():
@@ -218,57 +218,6 @@ def test_r_series_cells():
     assert got.equal_to_order(expect, 12)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-
-    seen = []
-
-    def __init__(self, max_workers=None):
-        self.seen.append(max_workers)
-        self.submitted = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        fut = Future()
-        fut.set_result(fn(*args))
-        _InlinePool.seen.append(("chunk", len(args[-1])))
-        return fut
-
-
-def test_verify_jobs_clamped_to_cpus_and_cells(monkeypatch):
-    # no process is started: the executor is replaced by an inline recorder
-    import concurrent.futures
-    import os
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    _InlinePool.seen = []
-    rep = verify_named("E016", jobs=64)
-    assert rep == verify_named("E016")
-    workers = [s for s in _InlinePool.seen if not isinstance(s, tuple)]
-    chunks = [s for s in _InlinePool.seen if isinstance(s, tuple)]
-    assert workers and all(w == 3 for w in workers)
-    assert len(chunks) == 3 * len(workers)
-    # fewer cells than CPUs: one worker per cell
-    _InlinePool.seen = []
-    rep = verify_named("E016", window=0, jobs=64)
-    assert rep["status"] == "pass" and rep["cells_checked"] == len(identity_specs("E016"))
-    workers = [s for s in _InlinePool.seen if not isinstance(s, tuple)]
-    assert workers and all(w == 1 for w in workers)
-    # and a machine that does not report its CPU count gets one worker
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    _InlinePool.seen = []
-    verify_named("E016", jobs=8)
-    assert all(w == 1 for w in _InlinePool.seen if not isinstance(w, tuple))
-
-
 def _rescaled(spec, mono):
     """The same equation with every term coefficient multiplied by ``mono``."""
     for t in spec.terms:
@@ -290,9 +239,9 @@ def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
     asked = []
     orig, orig_window = TorusSeries.coeff, TorusSeries.coeffs
 
-    def recording(self, h, order, _slack=0):
+    def recording(self, h, order):
         asked.append(order)
-        return orig(self, h, order, _slack)
+        return orig(self, h, order)
 
     def recording_window(self, cells, order):
         asked.append(order)
@@ -339,10 +288,10 @@ def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, re
     refused = cells[0] if refused_first else cells[-1]
     orig = TorusSeries._coeff_impl
 
-    def refusing(self, h, order, slack):
+    def refusing(self, h, order):
         if h == refused:
             raise EnumerationLimit("certified box too large")
-        return orig(self, h, order, slack)
+        return orig(self, h, order)
 
     monkeypatch.setattr(TorusSeries, "_coeff_impl", refusing)
     if refused_first:
@@ -362,10 +311,10 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     counts = collections.Counter()
     orig = TorusSeries._coeff_impl
 
-    def counting(self, h, order, slack):
+    def counting(self, h, order):
         if theta_w.factors[0] in self.factors:  # theta_W, scaled or not
             counts[h] += 1
-        return orig(self, h, order, slack)
+        return orig(self, h, order)
 
     monkeypatch.setattr(TorusSeries, "_coeff_impl", counting)
     for spec in specs:
