@@ -98,6 +98,8 @@ def _spec_from_json(data: dict) -> EquationSpec:
     param = param_from_json(data["param"])
     field = param.field
     terms = []
+    if not data["terms"]:
+        raise ValueError("spec has no terms")
     for t in data["terms"]:
         coeff = monomial_from_json(t["coeff"]) if "coeff" in t else UnitMonomial.one(field)
         word = []
@@ -125,6 +127,8 @@ def _spec_from_json(data: dict) -> EquationSpec:
                 )
             else:
                 raise UnresolvedReference(f"unknown word factor type {kind!r}")
+        if not word or isinstance(word[-1], HeisRaw):
+            raise ValueError("operator factor with nothing to act on" if word else "empty word")
         terms.append(EquationTerm(coeff, word))
     mode = data.get("mode", PRODUCT)
     if mode not in (PRODUCT, OPERATOR):

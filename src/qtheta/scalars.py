@@ -619,16 +619,8 @@ class ScalarSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ScalarSeries(self.field, out, trunc)
+        return ScalarSeries(self.field, out, add_into(out, other, INF, self.trunc))
 
     __radd__ = __add__
 
@@ -793,6 +785,29 @@ class ScalarSeries:
         if self.trunc is INF:
             return body
         return f"{body} + O(u^{int(self.trunc) + 1})"
+
+
+def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg: bool = False):
+    """Adds ``x`` (a ScalarSeries or UnitMonomial), negated or times ``mono``
+    when asked, into ``acc``, a dict of exponent -> nonzero value, dropping
+    exponents above ``top``; returns the lower of ``trunc`` and x's trunc."""
+    unit = isinstance(x, UnitMonomial)
+    items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
+    k = 0 if mono is None else mono.uexp
+    for e, c in items:
+        e += k
+        if e > top:
+            continue
+        c = -c if neg else c if mono is None else c * mono.coeff
+        cur = acc.get(e)
+        if cur is not None:
+            c = cur + c
+            if c.is_zero():
+                del acc[e]
+                continue
+        acc[e] = c
+    xt += k
+    return xt if xt < trunc else trunc
 
 
 # ---------------------------------------------------------------------------

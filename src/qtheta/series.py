@@ -24,6 +24,10 @@ dropped term provably lies above the truncation order, so coefficients are
 exact to the requested order -- the sum is "restricted by the enumerators to
 finitely many terms".
 
+A pure-Gauss word whose G is square with det +-1 (theta_W and its
+Heisenberg actions, say) skips the solve: its coefficients are rules in
+*cell coordinates* (:meth:`TorusSeries._cell_rules`).
+
 Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
 valuation certificates), *formal* (some factor is window-only; products are
 refused, but single Heisenberg actions still evaluate cell by cell).
@@ -40,9 +44,10 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
-from .intlinalg import IntegerSolver, Vec, vec_add, vec_sub, zero_vec
+from .intlinalg import IntegerSolver, Vec, det, mat_inverse_unimodular, mat_vec
+from .intlinalg import vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
-from .scalars import INF, ScalarSeries, UnitMonomial
+from .scalars import INF, ScalarSeries, UnitMonomial, add_into
 from .torus import QuantParam, TorusPoint
 
 Scalar = Union[UnitMonomial, ScalarSeries]
@@ -156,7 +161,7 @@ def _form(terms, mod=0):
 
 def _form_at(form, ye) -> int:
     """Twice the form's value at ye = (*y, 1)."""
-    return sum(x * ye[a] * ye[b] for a, b, x in form)
+    return sum([x * ye[a] * ye[b] for a, b, x in form])
 
 
 def _check_half_steps(form, n):
@@ -253,7 +258,7 @@ class GaussRule:
     def at(self, y) -> UnitMonomial:
         ye = (*y, 1)
         c = self.const
-        if _form_at(self.sform, ye) % 4:
+        if self.sform and _form_at(self.sform, ye) % 4:
             c = -c
         for b, l in self.chars:
             c = c * b ** (_form_at(l, ye) >> 1)
@@ -325,6 +330,7 @@ class TorusSeries:
         self._cache: dict = {}
         self._layout_cache = None
         self._combo_cache: dict = {}
+        self._cell_cache = None
 
     # -- constructors --------------------------------------------------------
 
@@ -478,7 +484,8 @@ class TorusSeries:
         that share their closure factors' parameters and Gauss u-exponent
         share one series part (:meth:`_combine_term`), which is dropped when
         the pass returns.  Cells the pass leaves out -- every cell when it
-        is refused -- go through ``coeff``.
+        is refused -- go through ``coeff``, as do layouts with no kernel
+        (a few rule evaluations per cell with :meth:`_cell_rules`).
         """
         cells = [tuple(h) for h in cells]
         solver = self._layout().solver
@@ -495,7 +502,7 @@ class TorusSeries:
         raises NotMultipliable where any combo cannot be certified."""
         lay = self._layout()
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
-        sums: dict = {}
+        sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in itertools.product(*lay.items):
             chosen, base, term, (T, ineqs), _engine = self._combo_plan(combo)
             if T is None:
@@ -511,28 +518,33 @@ class TorusSeries:
                 if h in cells:
                     t = self._combine_term(chosen, term, y, order, memo)
                     if t is not None:
-                        sums[h] = t if h not in sums else sums[h] + t
+                        acc = sums.setdefault(h, [{}, order])
+                        acc[1] = add_into(acc[0], t, order, acc[1])
         zero = ScalarSeries.zero(self.param.field, order)
-        return {(h, order): sums[h].truncate(order) if h in sums else zero for h in cells}
+        return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
+        """The combos' terms at h, summed in one dict.  With cell rules each
+        is one rule at h; else h - base is solved (for a non-unimodular G,
+        the coset test) and any kernel enumerated around the solution."""
+        field = self.param.field
+        acc: dict = {}
+        rules = self._cell_rules()
+        if rules is not None:
+            for rule in rules:
+                add_into(acc, rule.at(h), order, order)
+            return ScalarSeries._clean(field, acc, order)
         lay = self._layout()
         solver = lay.solver
         kernel = solver.kernel if solver else []
-        kcols = len(kernel)
-        total = None
-
+        kcols, kt = len(kernel), list(zip(*kernel))  # kt[i]: the kernel vectors' i-th entries
+        trunc = order
         for combo in itertools.product(*lay.items):
             chosen, base, term, _bound, engine = self._combo_plan(combo)
             residual = vec_sub(h, base)
-            if solver is None:
-                if any(residual):
-                    continue
-                particular = ()
-            else:
-                particular = solver.solve(residual)
-                if particular is None:
-                    continue
+            particular = solver.solve(residual) if solver else (None if any(residual) else ())
+            if particular is None:
+                continue
             if kcols and order == INF:
                 raise NotMultipliable("infinite-order product coefficient needs a finite order")
             if kcols == 0:
@@ -546,23 +558,31 @@ class TorusSeries:
                     continue
                 Tz, zin = engine.at_offset(particular)
                 pts = enumerate_sublevel(Tz, order, ineqs=zin)
-                ys = [
-                    tuple(
-                        particular[i] + sum(z[j] * kernel[j][i] for j in range(kcols))
-                        for i in range(len(particular))
-                    )
-                    for z in pts
-                ]
+                ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
             memo: dict = {}
             for y in ys:
                 if any(y[i] < 0 for i in lay.cones):
                     continue
                 term_value = self._combine_term(chosen, term, y, order, memo)
                 if term_value is not None:
-                    total = term_value if total is None else total + term_value
-        if total is None:
-            return ScalarSeries.zero(self.param.field, order)
-        return total.truncate(order)
+                    trunc = add_into(acc, term_value, order, trunc)
+        return ScalarSeries(field, acc, trunc)
+
+    def _cell_rules(self) -> Optional[list]:
+        """Cached: each combo's rule composed with y = G^-1 (h - base), a
+        rule of the cell h; None unless G is square with det +-1, there are
+        no cones and every term plan is pure Gauss (nothing left over)."""
+        if self._cell_cache is None:
+            lay = self._layout()
+            mtx, rules = lay.mtx, None
+            if lay.blocks and not lay.cones and len(mtx) == len(mtx[0]) and abs(det(mtx)) == 1:
+                inv = mat_inverse_unimodular(mtx)
+                plans = [self._combo_plan(combo) for combo in itertools.product(*lay.items)]
+                if not any(rest for _c, _b, (_r, rest), _t, _e in plans):
+                    cols = list(zip(*inv))
+                    rules = [p[2][0].compose(vec_neg(mat_vec(inv, p[1])), cols) for p in plans]
+            self._cell_cache = (rules,)
+        return self._cell_cache[0]
 
     def _combo_plan(self, combo):
         """Cached plan for one finite combo: (chosen, base, term plan, bound,
@@ -636,9 +656,9 @@ class TorusSeries:
         form = [*alpha, *((a, b, 2 * x) for a, b, x in terms)]  # in half steps
         return _quad(form, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
 
-    def _combine_term(self, chosen, term, y, order, memo) -> Optional[ScalarSeries]:
+    def _combine_term(self, chosen, term, y, order, memo) -> Optional[Scalar]:
         """Exact value of one decomposition term, known to ``order`` (it may
-        hold exponents above; the caller truncates the cell's sum).
+        hold exponents above; the caller's sum drops them).
 
         The term plan's Gauss rule gives one monomial, and the series part
         (:meth:`_series_part`) multiplies it.  That part depends on y only
@@ -651,7 +671,7 @@ class TorusSeries:
         rule, rest = term
         mono = rule.at(y)
         if not rest:
-            return mono.to_series()
+            return mono
         key = (tuple(y[span] for _wi, span in rest if span is not None), mono.uexp)
         part = memo.get(key)
         if part is None and key not in memo:
@@ -661,7 +681,7 @@ class TorusSeries:
         fold, acc = part
         if fold is not None:
             mono = mono * fold
-        return mono.to_series() if acc is None else acc.scale(mono)
+        return mono if acc is None else acc.scale(mono)
 
     def _series_part(self, chosen, rest, slices, order, uexp):
         """The term's factors left over by the Gauss rule, at the closure

@@ -20,6 +20,7 @@ Registered identities (verified at their desk-scale default windows):
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -37,7 +38,7 @@ from .named import (
     weinstein_theta,
     _yang_baxter_param,
 )
-from .scalars import CycloField, ScalarSeries, UnitMonomial
+from .scalars import CycloField, UnitMonomial, add_into
 from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
@@ -92,9 +93,9 @@ def verify_equation(spec: EquationSpec) -> dict:
                         "formal-kind operand in a product identity"
                     )
     terms = [(c, s, c.uexp == 0 and (-c.coeff).is_one()) for c, s in map(_term_series, spec.terms)]
+    terms = [(c, s, None if neg or c.is_one() else c, neg) for c, s, neg in terms]
     the_cells = sorted(spec.cells())
     order = spec.order
-    field = spec.param.field
     checked = 0
     first_mismatch = None
     # a pass must mean something was compared
@@ -103,30 +104,30 @@ def verify_equation(spec: EquationSpec) -> dict:
         the_cells = []
     elif not the_cells:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no cells to check"}
-    tables = []  # each term's cells in one pass; a refusal is met again cell by cell
-    for c, s, _neg in terms:
-        try:
-            tables.append(s.coeffs(the_cells, order - c.uexp))
-        except NotMultipliable:
-            tables.append({})
+    elif not terms:
+        first_mismatch = {"cell": None, "uexp": None, "reason": "no terms to compare"}
+        the_cells = []
+    for c, s, _mono, _neg in terms:
+        # one pass fills the series cache; a refusal is met again cell by cell
+        with contextlib.suppress(NotMultipliable):
+            s.coeffs(the_cells, order - c.uexp)
     for h in the_cells:
-        total = ScalarSeries.zero(field, order)
-        for (c, s, neg), table in zip(terms, tables):
+        acc: dict = {}
+        trunc = order
+        for c, s, mono, neg in terms:
             # c * (value known to order - uexp(c)) is known to order
-            x = table[h] if table else s.coeff(h, order - c.uexp)
-            total = total + (-x if neg else x if c.is_one() else x * c)
+            trunc = add_into(acc, s.coeff(h, order - c.uexp), order, trunc, mono, neg)
         checked += 1
-        if total.trunc < order:
+        if trunc < order:
             # a silent precision drop would weaken the pass claim
             first_mismatch = {
                 "cell": list(h),
                 "uexp": None,
-                "reason": f"coefficient known only to order {total.trunc}",
+                "reason": f"coefficient known only to order {trunc}",
             }
             break
-        if not total.is_zero():
-            bad = min(total.terms)
-            first_mismatch = {"cell": list(h), "uexp": int(bad)}
+        if acc:
+            first_mismatch = {"cell": list(h), "uexp": int(min(acc))}
             break
     return _report(spec.label, spec.window, order, checked, first_mismatch)
 

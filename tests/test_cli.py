@@ -202,6 +202,15 @@ def test_bad_cyclotomic_order_exits_two(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+_HEIS = {  # c e(g) x^* e(h)^-1 on the rank-1 torus
+    "type": "heis",
+    "c": {"m": 1, "coeff": ["1"], "uexp": 2},
+    "x": [{"m": 1, "coeff": ["1"], "uexp": 4}],
+    "g": [1],
+    "h": [0],
+}
+
+
 def _theta_shift_spec(mode="product_identity", word=None):
     """theta_jacobi - theta_jacobi = 0 as a JSON spec, which passes as it
     stands; ``mode`` and ``word`` (the first term's) make it malformed."""
@@ -213,7 +222,7 @@ def _theta_shift_spec(mode="product_identity", word=None):
         "window": 2,
         "order": 10,
         "terms": [
-            {"word": word or [theta]},
+            {"word": [theta] if word is None else word},
             {"coeff": {"m": 1, "coeff": ["-1"], "uexp": 0}, "word": [theta]},
         ],
     }
@@ -237,6 +246,16 @@ def _theta_shift_spec(mode="product_identity", word=None):
         ),
         pytest.param(
             ["verify"], _theta_shift_spec(word=[{"type": "theta"}]), id="unknown-word-type"
+        ),
+        # specs that would compare nothing, or act on nothing
+        pytest.param(
+            ["verify"], json.dumps({**json.loads(_theta_shift_spec()), "terms": []}), id="no-terms"
+        ),
+        pytest.param(["verify"], _theta_shift_spec(word=[]), id="empty-word"),
+        pytest.param(
+            ["verify"],
+            _theta_shift_spec(word=[{"type": "builtin", "name": "theta_jacobi"}, _HEIS]),
+            id="dangling-operator",
         ),
     ],
 )

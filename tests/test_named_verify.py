@@ -180,6 +180,15 @@ def test_verify_fails_vacuous_checks():
     assert verify_equation(spec)["status"] == "fail"
 
 
+def test_verify_fails_a_spec_with_no_terms():
+    # 0 = 0 on every cell would be a pass that compared nothing
+    spec = identity_specs("E016")[0]
+    spec.terms = []
+    rep = verify_equation(spec)
+    assert rep["status"] == "fail" and rep["cells_checked"] == 0
+    assert rep["first_mismatch"] == {"cell": None, "uexp": None, "reason": "no terms to compare"}
+
+
 def test_report_determinism():
     r1 = emit_report(verify_named("E016"))
     r2 = emit_report(verify_named("E016"))

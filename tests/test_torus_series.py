@@ -786,3 +786,68 @@ def test_series_parts_are_dropped_when_coeffs_returns(monkeypatch):
     for memo in memos:
         holders = [r for r in gc.get_referrers(memo) if not isinstance(r, types.FrameType)]
         assert holders == [memos]
+
+
+# ---------------------------------------------------------------------------
+# cell coordinates: a kernel-free pure-Gauss word with a square unimodular G
+# is evaluated by rules composed with y = G^-1 (h - base), no solve per cell
+
+
+def _cell_words(m):
+    """Kernel-free Gauss words on G = [[1, 1], [1, 0]] (det -1) with a base
+    off the origin: one finite combo, the same shifted by points with
+    coefficients other than +-1, and two finite combos."""
+    f, p, _mus, points = _gauss_cases(m)
+    rule, _s = _offset_gauss_series(f, p)
+    plain = TorusSeries.rule(p, (1, -2), [(1, 0), (0, 1)], None, rule.valuation_form(), gauss=rule)
+    pulled = plain.pullback(p, lambda v: (v[0] + v[1], v[0]))
+    front = TorusSeries.exponent(p, (2, 1), UnitMonomial(f.zeta(), 1))
+    back = TorusSeries.exponent(p, (0, -1), UnitMonomial(f.from_rational(-2), -3))
+    one_combo = front.mul(pulled).mul(back)
+    two = TorusSeries.from_dict(
+        p, {(0, 0): UnitMonomial(-f.one(), 2), (1, 3): UnitMonomial(f.zeta(2), 0)}
+    )
+    return [one_combo, one_combo.shift_pullback(points[0] * points[1]), two.mul(pulled).mul(back)]
+
+
+def _solver_coeffs(monkeypatch, word, cells, order):
+    """The coefficients of a cache-free copy of ``word`` through the solver."""
+    fresh = TorusSeries(word.param, word.factors)
+    with monkeypatch.context() as mp:
+        mp.setattr(TorusSeries, "_cell_rules", lambda self: None)
+        return {h: fresh.coeff(h, order) for h in cells}
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("order", [12, INF])
+def test_cell_rules_match_the_solver_path(monkeypatch, m, order):
+    cells = list(itertools.product(range(-3, 4), repeat=2))
+    for word, combos in zip(_cell_words(m), (1, 1, 2)):
+        rules = word._cell_rules()
+        assert rules is not None and len(rules) == combos
+        want = _solver_coeffs(monkeypatch, word, cells, order)
+        got = word.coeffs(cells, order)
+        assert got == want
+        assert all(x.trunc == order for x in got.values())
+        assert any(not x.is_zero() for x in got.values())
+        if order != INF:  # the order cuts some cells' terms
+            assert any(x.is_zero() for x in got.values())
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_cell_rules_fall_back_to_the_solver(m):
+    f, p, _mus, _points = _gauss_cases(m)
+    rule, _s = _offset_gauss_series(f, p)
+    # G = diag(2, 1) is not unimodular: the solve is the coset test
+    coset = TorusSeries.rule(p, (1, 0), [(2, 0), (0, 1)], None, rule.valuation_form(), gauss=rule)
+    assert coset._cell_rules() is None
+    cells = list(itertools.product(range(-3, 4), repeat=2))
+    got = coset.coeffs(cells, INF)
+    assert all(got[h].is_zero() == (h[0] % 2 == 0) for h in cells)
+    # a closure factor keeps the general path, on the cell words' unimodular G
+    closure = TorusSeries.rule(
+        p, (1, -2), [(1, 1), (1, 0)], lambda y, _order: UnitMonomial(f.zeta(), y[0]), None,
+        gauss=rule,
+    )
+    assert closure._cell_rules() is None
+    assert any(not x.is_zero() for x in closure.coeffs(cells, 20).values())
