@@ -27,7 +27,6 @@ from .jsonio import (
     multiplier_from_json,
     multiplier_to_json,
     param_from_json,
-    point_from_json,
     smallelem_from_json,
 )
 from .multiplier import Multiplier, compose as compose_multipliers, multiplier_new, power, theta_dim_basis
@@ -96,12 +95,37 @@ def _load_multiplier(arg: str, field: CycloField) -> Multiplier:
 
 def _spec_from_json(data: dict) -> EquationSpec:
     param = param_from_json(data["param"])
-    field = param.field
+    field, rank = param.field, param.rank
+
+    def count(key):
+        v = data[key]
+        if type(v) is not int or v < 0:  # bool is an int subclass
+            raise ValueError(f"{key} must be a non-negative integer, got {v!r}")
+        return v
+
+    def vec(w, key):
+        v = w[key]
+        if not isinstance(v, list) or len(v) != rank or any(type(x) is not int for x in v):
+            raise ValueError(f"{key} must be {rank} integers, got {v!r}")
+        return tuple(v)
+
+    def mono(d):
+        c = monomial_from_json(d)
+        if c.field is not field:
+            raise ValueError(f"monomial over Q(zeta_{c.field.order}) in a spec over Q(zeta_{field.order})")
+        return c
+
+    def point(w):
+        v = w["x"]
+        if not isinstance(v, list) or len(v) != rank:
+            raise ValueError(f"x must be {rank} monomials, got {v!r}")
+        return TorusPoint(tuple(map(mono, v)))
+
     terms = []
     if not data["terms"]:
         raise ValueError("spec has no terms")
     for t in data["terms"]:
-        coeff = monomial_from_json(t["coeff"]) if "coeff" in t else UnitMonomial.one(field)
+        coeff = mono(t["coeff"]) if "coeff" in t else UnitMonomial.one(field)
         word = []
         for w in t["word"]:
             kind = w.get("type")
@@ -113,18 +137,10 @@ def _spec_from_json(data: dict) -> EquationSpec:
                     )
                 word.append(s)
             elif kind == "exponent":
-                c = monomial_from_json(w["coeff"]) if "coeff" in w else None
-                word.append(TorusSeries.exponent(param, tuple(w["h"]), c))
+                c = mono(w["coeff"]) if "coeff" in w else None
+                word.append(TorusSeries.exponent(param, vec(w, "h"), c))
             elif kind == "heis":
-                word.append(
-                    HeisRaw(
-                        param,
-                        monomial_from_json(w["c"]),
-                        point_from_json(w["x"]),
-                        tuple(w["g"]),
-                        tuple(w["h"]),
-                    )
-                )
+                word.append(HeisRaw(param, mono(w["c"]), point(w), vec(w, "g"), vec(w, "h")))
             else:
                 raise UnresolvedReference(f"unknown word factor type {kind!r}")
         if not word or isinstance(word[-1], HeisRaw):
@@ -136,8 +152,8 @@ def _spec_from_json(data: dict) -> EquationSpec:
     return EquationSpec(
         param,
         terms,
-        data["window"],
-        data["order"],
+        count("window"),
+        count("order"),
         mode=mode,
         label=data.get("identity", "custom"),
     )

@@ -17,7 +17,17 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
    finite end of half-bounded intervals is no progress and hands over to the
    fallback, since such rounds can repeat without end.  A box of more than
    ``max_points`` points is refused with ``EnumerationLimit``.
-2. Pruned walk.  With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
+2. Pruned walk.  The walk first reorders the variables (``_walk_order``):
+   those outside a positive definite principal block, in their order, then
+   the block, grown greedily over the variables with Q_ii > 0.  A
+   permutation of the variables is a bijection of Z^n that carries T, the
+   rows and the box along with it, so the walk meets the same points; each
+   is mapped back through the inverse permutation as it is emitted.  With
+   the block last, B below is positive definite at every level from the
+   last variable outside the block on, not only at the last level (E026's
+   form is singular: only its three theta parameters have Q_ii > 0).
+   Positive definite forms keep their order.
+   With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
    where the linear coefficients lin_j of R are updated as the prefix grows.
    Each of these cuts holds at every point of the box, so none loses a
    solution:
@@ -43,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import EnumerationLimit, NotMultipliable
@@ -154,6 +164,21 @@ def _tail_bounds(quad):
         w = tuple(sum(map(mul, row, c)) for row in adj)
         out.append((4 * (D * quad[i][i] - sum(map(mul, w, c))), D, adj, w))
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _walk_order(quad):
+    """The walk's variable order: the variables outside a positive definite
+    principal block, in their order, then the block, grown greedily over the
+    positive diagonal entries; None when that is the order given."""
+    n = len(quad)
+    block = []
+    for i in range(n):
+        grown = block + [i]
+        if quad[i][i] > 0 and _pd_adjugate(tuple(tuple(quad[a][b] for b in grown) for a in grown)):
+            block = grown
+    order = tuple(i for i in range(n) if i not in block) + tuple(block)
+    return None if order == tuple(range(n)) else order
 
 
 class QuadExpr:
@@ -432,6 +457,15 @@ def enumerate_sublevel(
             raise EnumerationLimit(f"certified box too large ({size} > {max_points})")
 
     # --- pruned walk (see the module docstring) -----------------------------
+    order = _walk_order(Q)
+    emit = tuple
+    if order is not None:
+        Q = tuple(tuple(Q[i][j] for j in order) for i in order)
+        L = [L[i] for i in order]
+        lo = [lo[i] for i in order]
+        hi = [hi[i] for i in order]
+        rows = [(tuple(c[i] for i in order), b) for c, b in rows]
+        emit = itemgetter(*sorted(range(n), key=order.__getitem__))
     tails = _tail_bounds(Q)
     cross = [0] * (n + 1)  # cross[i]: box minimum of the cross terms in y_i..
     for i in range(n - 1, -1, -1):
@@ -474,7 +508,7 @@ def enumerate_sublevel(
             for v in range(a, b + 1):
                 if acc + (qii * v + li) * v <= limit:
                     y[i] = v
-                    out.append(tuple(y))
+                    out.append(emit(y))
             return
         row = Q[i]
         base = lin[i + 1 :]

@@ -211,20 +211,25 @@ _HEIS = {  # c e(g) x^* e(h)^-1 on the rank-1 torus
 }
 
 
-def _theta_shift_spec(mode="product_identity", word=None):
+_THETA = {"type": "builtin", "name": "theta_jacobi"}
+_M5 = {"m": 5, "coeff": ["1", "0", "0", "0"], "uexp": 0}  # a monomial over Q(zeta_5)
+
+
+def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
     """theta_jacobi - theta_jacobi = 0 as a JSON spec, which passes as it
-    stands; ``mode`` and ``word`` (the first term's) make it malformed."""
-    theta = {"type": "builtin", "name": "theta_jacobi"}
+    stands; ``mode``, ``word`` and ``coeff`` (the first term's) and the
+    top-level ``fields`` make it malformed."""
+    first = {"word": [_THETA] if word is None else word}
+    if coeff is not None:
+        first["coeff"] = coeff
     spec = {
         "schema": 1,
         "mode": mode,
         "param": {"m": 1, "rank": 1, "A": [[0]], "S": [[0]]},
         "window": 2,
         "order": 10,
-        "terms": [
-            {"word": [theta] if word is None else word},
-            {"coeff": {"m": 1, "coeff": ["-1"], "uexp": 0}, "word": [theta]},
-        ],
+        "terms": [first, {"coeff": {"m": 1, "coeff": ["-1"], "uexp": 0}, "word": [_THETA]}],
+        **fields,
     }
     return json.dumps(spec)
 
@@ -254,8 +259,46 @@ def _theta_shift_spec(mode="product_identity", word=None):
         pytest.param(["verify"], _theta_shift_spec(word=[]), id="empty-word"),
         pytest.param(
             ["verify"],
-            _theta_shift_spec(word=[{"type": "builtin", "name": "theta_jacobi"}, _HEIS]),
+            _theta_shift_spec(word=[_THETA, _HEIS]),
             id="dangling-operator",
+        ),
+        # window and order are non-negative ints: no strings, nulls, floats,
+        # bools or negatives (the --window and --order flags refuse those too)
+        *(
+            pytest.param(["verify"], _theta_shift_spec(**{key: value}), id=f"{key}-{value!r}")
+            for key, value in [
+                ("order", "40"),
+                ("order", None),
+                ("order", 40.5),
+                ("order", -3),
+                ("order", True),
+                ("window", 2.5),
+                ("window", -1),
+            ]
+        ),
+        # every vector has the torus rank and every monomial the spec's field
+        pytest.param(
+            ["verify"], _theta_shift_spec(word=[{"type": "exponent", "h": [1, 0]}]), id="exponent-h-rank"
+        ),
+        pytest.param(["verify"], _theta_shift_spec(coeff=_M5), id="term-coeff-field"),
+        pytest.param(
+            ["verify"],
+            _theta_shift_spec(word=[{"type": "exponent", "h": [1], "coeff": _M5}]),
+            id="exponent-coeff-field",
+        ),
+        *(
+            pytest.param(
+                ["verify"],
+                _theta_shift_spec(mode="operator_equation", word=[{**_HEIS, key: value}, _THETA]),
+                id=f"heis-{what}",
+            )
+            for what, key, value in [
+                ("g-rank", "g", [1, 0]),
+                ("h-rank", "h", []),
+                ("x-rank", "x", [_HEIS["x"][0]] * 2),
+                ("x-field", "x", [_M5]),
+                ("c-field", "c", _M5),
+            ]
         ),
     ],
 )

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qtheta.errors import EnumerationLimit, NotMultipliable
-from qtheta.quadenum import QuadExpr, enumerate_sublevel
+from qtheta.quadenum import QuadExpr, _walk_order, enumerate_sublevel
+from qtheta.scalars import CycloField
 from qtheta.series import _SubstEngine
+from qtheta.verify import _term_series, identity_specs
 
 
 def brute(T, limit, ineqs, box):
@@ -133,6 +135,20 @@ def test_substitute_affine():
         y = (2 + z, -1 + z)
         assert S.value((z,)) == T.value(y)
         assert coeffs[0] * z + c0 == row[0] * y[0] + row[1] * y[1] + c
+
+
+def test_constant_form_above_the_limit_is_empty():
+    # T constant: no bound on any variable, and no positive definite block,
+    # so only the constant decides -- above the limit the set is certified
+    # empty, at or below it the set is every integer point and is refused
+    assert enumerate_sublevel(QuadExpr(1, [[0]], [0], 10), 5) == []
+    with pytest.raises(NotMultipliable):
+        enumerate_sublevel(QuadExpr(1, [[0]], [0], 3), 5)
+    # the same with one cone row on two variables, which bounds neither
+    cone = [((1, 1), 0)]
+    assert enumerate_sublevel(QuadExpr(2, [[0, 0], [0, 0]], [0, 0], 10), 5, cone) == []
+    with pytest.raises(NotMultipliable):
+        enumerate_sublevel(QuadExpr(2, [[0, 0], [0, 0]], [0, 0], 3), 5, cone)
 
 
 def test_pd_fallback_empty_region():
@@ -347,3 +363,89 @@ def test_e026_window_rows_match_bruteforce():
         assert pts == _brute_ranges(T, limit, rows + _box_rows(5, 2), [range(-2, 3)] * 5)
         hits += bool(pts)
     assert hits >= 8
+
+
+# --- the walk order -----------------------------------------------------------
+
+
+def test_walk_order_puts_e026_theta_parameters_last():
+    # the window form of E026's kernel term: only the theta parameters y0,
+    # y3 and y6 have a positive diagonal, and together they are positive
+    # definite, so the walk takes the six cone variables first
+    spec = identity_specs("E026", CycloField(1), window=1)[0]
+    forms = []
+    for term in spec.terms:
+        s = _term_series(term)[1]
+        lay = s._layout()
+        if lay.solver is not None and lay.solver.kernel:
+            forms += [s._combo_plan(c)[3][0] for c in itertools.product(*lay.items)]
+    assert forms
+    for T in forms:
+        assert T.n == 9 and [i for i in range(9) if T.quad[i][i] > 0] == [0, 3, 6]
+        assert _walk_order(T.quad) == (1, 2, 4, 5, 7, 8, 0, 3, 6)
+    # a positive definite form keeps its order, as does one whose block is
+    # already last; a positive diagonal entry that would make the block
+    # singular stays in front
+    assert _walk_order(((2, 1), (1, 2))) is None
+    assert _walk_order(((0, 1), (1, 2))) is None
+    assert _walk_order(((1, 1, 0), (1, 1, 0), (0, 0, 0))) == (1, 2, 0)
+
+
+def _interleaved_form(rng, n):
+    """A singular form whose positive diagonal entries are interleaved with
+    zero-diagonal cone variables, like E026's: the positive ones carry 2 R^T R
+    with R of deficient rank (so greedy growth may drop one), the cone
+    variables only cross terms."""
+    pos = sorted(rng.sample(range(n), rng.choice([1, 2, n // 2])))
+    k = len(pos)
+    r = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(max(k - 1, 1))]
+    for j in range(k):
+        r[0][j] = r[0][j] or 1  # every positive variable has a nonzero column
+    q = [[0] * n for _ in range(n)]
+    for a, i in enumerate(pos):
+        for b, j in enumerate(pos):
+            q[i][j] = 2 * sum(row[a] * row[b] for row in r)
+    for i in range(n):
+        for j in range(i):
+            if i not in pos or j not in pos:
+                q[i][j] = q[j][i] = rng.randint(-1, 1)
+    return q, pos
+
+
+def test_interleaved_singular_forms_match_bruteforce():
+    # the walk reorders these forms; each point must come back in the
+    # caller's variable order, under the caller's rows
+    rng = random.Random(1313)
+    orders = set()
+    for _ in range(40):
+        n = rng.choice([3, 4, 5])
+        q, pos = _interleaved_form(rng, n)
+        lin = [rng.randint(-4, 4) for _ in range(n)]
+        T = QuadExpr(n, q, lin, rng.randint(-2, 2))
+        rows = []
+        for i in range(n):  # cones on the zero-diagonal variables, a box on all
+            e = tuple(int(j == i) for j in range(n))
+            rows.append((e, 0 if i not in pos else rng.randint(1, 2)))
+            rows.append((tuple(-x for x in e), rng.randint(1, 2)))
+        a, b, c = rng.sample(range(n), 3)
+        row = [0] * n
+        row[a], row[b], row[c] = -1, 1, rng.choice([1, 2])
+        rows.append((tuple(row), rng.randint(-1, 1)))
+        limit = rng.randint(0, 10)
+        pts = sorted(enumerate_sublevel(T, limit, rows))
+        assert pts == _brute_ranges(T, limit, rows, [range(-2, 3)] * n)
+        orders.add(_walk_order(T.quad))
+    assert len(orders) >= 6
+    # some orders are not involutions, so mapping back by the order itself fails
+    assert any(o is not None and any(o[o[i]] != i for i in range(len(o))) for o in orders)
+
+
+def test_three_cycle_walk_order_matches_bruteforce():
+    # diagonal (+, 0, 0): the walk order (1, 2, 0) is a 3-cycle, with cross
+    # terms and rows that tell every variable apart
+    T = QuadExpr(3, [[2, 1, -1], [1, 0, 1], [-1, 1, 0]], [1, 3, 2], 0)
+    assert _walk_order(T.quad) == (1, 2, 0)
+    rows = _unit_rows(3, (1, 2)) + [((0, -1, 0), 3), ((0, 0, -1), 2), ((1, -1, 2), 1)]
+    pts = sorted(enumerate_sublevel(T, 9, rows))
+    assert len(pts) >= 5 and any(p[1] != p[2] for p in pts)
+    assert pts == _brute_ranges(T, 9, rows, [range(-9, 10), range(0, 4), range(0, 3)])
