@@ -15,8 +15,16 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
    per-variable quadratic bounds, with a positive definite block fallback,
    yields a box holding every solution.  A round that only pushes out the
    finite end of half-bounded intervals is no progress and hands over to the
-   fallback, since such rounds can repeat without end.  A box of more than
-   ``max_points`` points is refused with ``EnumerationLimit``.
+   fallback, since such rounds can repeat without end.  The fallback takes
+   the still unbounded variables' block Q_U (determinant D, adjugate A) and
+   bounds each coordinate by Fincke-Pohst: with l the block's linear part
+   and R4 = 4D (limit - base) + l^T A l, the set is empty when R4 < 0 and
+   otherwise 2D y_i lies in -(A l)_i +- sqrt(R4 A_ii), rounded outward with
+   ``math.isqrt``.  Where l is only known as an interval (it holds the
+   bounded variables' cross terms), its midpoint and half-width bound
+   (A l)_i and l^T A l from above, which is exact for a single point.  A
+   box of more than ``max_points`` points is refused with
+   ``EnumerationLimit``.
 2. Pruned walk.  The walk first reorders the variables (``_walk_order``):
    those outside a positive definite principal block, in their order, then
    the block, grown greedily over the variables with Q_ii > 0.  A
@@ -26,7 +34,8 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
    the block last, B below is positive definite at every level from the
    last variable outside the block on, not only at the last level (E026's
    form is singular: only its three theta parameters have Q_ii > 0).
-   Positive definite forms keep their order.
+   Positive definite forms keep their order, as does any order whose
+   positive definite suffix is as long as the greedy block.
    With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
    where the linear coefficients lin_j of R are updated as the prefix grows.
    Each of these cuts holds at every point of the box, so none loses a
@@ -170,15 +179,21 @@ def _tail_bounds(quad):
 def _walk_order(quad):
     """The walk's variable order: the variables outside a positive definite
     principal block, in their order, then the block, grown greedily over the
-    positive diagonal entries; None when that is the order given."""
+    positive diagonal entries; None, keeping the given order, when its
+    positive definite suffix is at least as long as that block (as it is
+    when the block already ends the given order)."""
     n = len(quad)
+    tail = 0  # every suffix of a positive definite suffix is one too
+    while tail < n and _pd_adjugate(tuple(r[n - tail - 1 :] for r in quad[n - tail - 1 :])):
+        tail += 1
     block = []
     for i in range(n):
         grown = block + [i]
         if quad[i][i] > 0 and _pd_adjugate(tuple(tuple(quad[a][b] for b in grown) for a in grown)):
             block = grown
-    order = tuple(i for i in range(n) if i not in block) + tuple(block)
-    return None if order == tuple(range(n)) else order
+    if len(block) <= tail:
+        return None
+    return tuple(i for i in range(n) if i not in block) + tuple(block)
 
 
 class QuadExpr:
@@ -389,28 +404,32 @@ def enumerate_sublevel(
         if pd is None:
             return None
         D, adj = pd
-        M = 0  # bound on the linear coefficients of the block
+        # the block's linear part is l = (mid + d) / 2 with |d_j| <= wid_j
+        mid, wid = [], []
         for i in u:
             llo, lhi = lin_coeff_interval(i, u)
             if llo is None or lhi is None:
                 return None
-            M = max(M, abs(llo), abs(lhi))
+            mid.append(llo + lhi)
+            wid.append(lhi - llo)
         base = bounded_part_min(u)
         if base is None:
             return None
-        # y^T Quu y >= ||y||_1^2 / (k tr(Quu^-1)) with tr(Quu^-1) = P / D, so
-        # s = ||y_U||_1 has D s^2 - kP M s - kP (limit - base) <= 0
-        kP = len(u) * sum(adj[i][i] for i in range(len(u)))
-        num = M * M * kP + 4 * D * (limit - base)  # kP * discriminant
-        if num < 0:
+        # Fincke-Pohst per coordinate: y^T Quu y + l.y <= limit - base and
+        # Quu^-1 = adj / D give (2D y_i + (adj l)_i)^2 <= adj_ii R4 with
+        # R4 = 4D (limit - base) + l^T adj l; doubled, 2 (adj l)_i lies in
+        # am_i +- spread_i and 4 R4 <= r16 (equal when every wid_j is 0)
+        am = [sum(map(mul, row, mid)) for row in adj]
+        spread = [sum(abs(a) * w for a, w in zip(row, wid)) for row in adj]
+        r16 = 16 * D * (limit - base) + sum(
+            m * a + (2 * abs(a) + s) * w for m, a, s, w in zip(mid, am, spread, wid)
+        )
+        if r16 < 0:
             return "empty"  # no feasible point at all
-        g = math.gcd(num, kP)
-        p, q = num // g, kP // g
-        r = math.isqrt(p * q) + 1 if p else 0  # sqrt(p / q) <= r / q
-        s = (M * q + r) * kP // (2 * D * q)
-        for i in u:
-            set_upper(i, s)
-            set_lower(i, -s)
+        for k, i in enumerate(u):
+            s = math.isqrt(r16 * adj[k][k]) + 1 + spread[k]
+            set_upper(i, (s - am[k]) // (4 * D))
+            set_lower(i, -((s + am[k]) // (4 * D)))
         return True
 
     def progressed(before) -> bool:

@@ -739,21 +739,14 @@ class TorusSeries:
         return self.param.window_cells(radius)
 
     def materialize(self, cells: Iterable[Vec], order) -> "TorusSeries":
-        table = {}
-        for h in cells:
-            c = self.coeff(h, order)
-            if not c.is_zero():
-                table[tuple(h)] = c
+        table = {h: c for h, c in self.coeffs(cells, order).items() if not c.is_zero()}
         return TorusSeries.from_dict(self.param, table, label=f"window({self.label})")
 
     def window_dump(self, radius: int, order) -> dict:
         from .scalars import series_to_json
 
-        coeffs = []
-        for h in self.window_cells(radius):
-            c = self.coeff(h, order)
-            if not c.is_zero():
-                coeffs.append([list(h), series_to_json(c)])
+        table = self.coeffs(self.window_cells(radius), order)
+        coeffs = [[list(h), series_to_json(c)] for h, c in table.items() if not c.is_zero()]
         return {
             "lattice": self.param.rank,
             "window": radius,
@@ -787,11 +780,13 @@ def torus_series_mul(f: TorusSeries, g: TorusSeries, window: int, order) -> Toru
 
 
 def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], order) -> bool:
+    cells = [tuple(h) for h in cells]
+    ta, tb = a.coeffs(cells, order), b.coeffs(cells, order)
     for h in cells:
         try:
-            same = a.coeff(h, order).equal_to_order(b.coeff(h, order), order)
+            same = ta[h].equal_to_order(tb[h], order)
         except PrecisionShortfall as exc:
-            raise PrecisionShortfall(f"{exc} at cell {tuple(h)}") from exc
+            raise PrecisionShortfall(f"{exc} at cell {h}") from exc
         if not same:
             return False
     return True

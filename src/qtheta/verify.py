@@ -20,7 +20,6 @@ Registered identities (verified at their desk-scale default windows):
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -107,16 +106,20 @@ def verify_equation(spec: EquationSpec) -> dict:
     elif not terms:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no terms to compare"}
         the_cells = []
+    tables = []
     for c, s, _mono, _neg in terms:
-        # one pass fills the series cache; a refusal is met again cell by cell
-        with contextlib.suppress(NotMultipliable):
-            s.coeffs(the_cells, order - c.uexp)
+        # one pass per term; a refusal is met again cell by cell
+        try:
+            tables.append(s.coeffs(the_cells, order - c.uexp))
+        except NotMultipliable:
+            tables.append(None)
     for h in the_cells:
         acc: dict = {}
         trunc = order
-        for c, s, mono, neg in terms:
+        for (c, s, mono, neg), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
-            trunc = add_into(acc, s.coeff(h, order - c.uexp), order, trunc, mono, neg)
+            value = s.coeff(h, order - c.uexp) if table is None else table[h]
+            trunc = add_into(acc, value, order, trunc, mono, neg)
         checked += 1
         if trunc < order:
             # a silent precision drop would weaken the pass claim

@@ -332,6 +332,23 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     assert set(counts.values()) == {1}
 
 
+def test_verify_equation_compares_the_tables_coeffs_returns(monkeypatch):
+    # the E313 words have no kernel, so coeffs asks coeff once per cell and
+    # term; the comparison reads that table instead of asking again
+    spec = identity_specs("E313", window=1, order=8)[0]
+    calls = collections.Counter()
+    orig = TorusSeries.coeff
+
+    def counting(self, h, order):
+        calls[h] += 1
+        return orig(self, h, order)
+
+    monkeypatch.setattr(TorusSeries, "coeff", counting)
+    assert verify_equation(spec)["status"] == "pass"
+    assert set(calls) == set(spec.cells())
+    assert set(calls.values()) == {len(spec.terms)}
+
+
 # sha256 of every term's coefficient table (per cell, in sorted cell order:
 # the cell and its series_to_json, whose "N" is the trunc), at the registry
 # defaults, recorded before the window pass shared each combo's series part

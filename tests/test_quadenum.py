@@ -1,8 +1,10 @@
 """Sublevel enumeration: soundness and completeness against brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -449,3 +451,141 @@ def test_three_cycle_walk_order_matches_bruteforce():
     pts = sorted(enumerate_sublevel(T, 9, rows))
     assert len(pts) >= 5 and any(p[1] != p[2] for p in pts)
     assert pts == _brute_ranges(T, 9, rows, [range(-9, 10), range(0, 4), range(0, 3)])
+
+
+def test_walk_order_keeps_a_longer_positive_definite_suffix():
+    # the greedy block is {0} (neither {0, 1} nor {0, 2} is positive
+    # definite), but the given order already ends in the block {1, 2}
+    T = QuadExpr(3, [[1, 1, 2], [1, 1, 0], [2, 0, 1]], [0, 0, 0], 0)
+    assert _walk_order(T.quad) is None
+    rows = _box_rows(3, 6)
+    pts = sorted(enumerate_sublevel(T, 4, rows))
+    assert len(pts) == 643
+    assert pts == _brute_ranges(T, 4, rows, [range(-6, 7)] * 3)
+
+
+# --- the per-coordinate (Fincke-Pohst) certification ------------------------
+
+
+def _inverse(q):
+    """Exact inverse of a nonsingular rational matrix (Gauss-Jordan)."""
+    k = len(q)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(q)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(k):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[k:] for row in m]
+
+
+def _ellipse_ranges(q, lin, const, limit):
+    """Integer ranges holding every real y with y^T q y + lin.y + const <=
+    limit, for positive definite q: y_i lies within sqrt(R (q^-1)_ii) of the
+    centre -q^-1 lin / 2, R = limit - const + lin^T q^-1 lin / 4."""
+    qi = _inverse(q)
+    k = len(q)
+    w = [sum(qi[i][j] * lin[j] for j in range(k)) for i in range(k)]
+    r = limit - const + sum(a * b for a, b in zip(lin, w)) / 4
+    if r < 0:
+        return None
+    out = []
+    for i in range(k):
+        rad = math.isqrt(math.floor(r * qi[i][i])) + 1
+        c = -w[i] / 2
+        out.append(range(math.floor(c) - rad, math.ceil(c) + rad + 1))
+    return out
+
+
+def _pd_block(rng, k, skew):
+    # U^T diag(d) U with U unit upper triangular: skewed for a large skew
+    u = [[int(i == j) or (rng.randint(-skew, skew) if j > i else 0) for j in range(k)] for i in range(k)]
+    d = [rng.randint(1, 3) for _ in range(k)]
+    return [[sum(u[t][i] * d[t] * u[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+
+
+def _coupled_boxes(T, limit, k, zranges):
+    """Boxes holding every solution: for each value z of the bounded
+    variables y_k.. (in zranges), the first k variables range over the exact
+    real ellipse of the positive definite block Q[:k, :k] at z."""
+    q = [row[:k] for row in T.quad[:k]]
+    out = []
+    for z in itertools.product(*zranges):
+        lin = [T.lin[i] + 2 * sum(T.quad[i][k + j] * v for j, v in enumerate(z)) for i in range(k)]
+        ranges = _ellipse_ranges(q, lin, T.value((0,) * k + z), limit)
+        if ranges is not None:
+            out.append((ranges, z))
+    return out
+
+
+def _random_coupled_case(rng, k):
+    """T with a positive definite block on y_0..y_{k-1} (skewed for a large
+    skew), Fraction entries, up to two variables bounded by rows and coupled
+    to the block, and up to two rows on the block; with the brute-force
+    boxes of ``_coupled_boxes``."""
+    nz = rng.choice([0, 1, 2]) if k < 4 else rng.choice([0, 1])
+    n = k + nz
+    scale = Fraction(rng.randint(1, 4), rng.choice([1, 2, 3]))
+    block = _pd_block(rng, k, rng.randint(0, {1: 6, 2: 4, 3: 2, 4: 1}[k]))
+    q = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k):
+            q[i][j] = block[i][j] * scale
+    for z in range(k, n):
+        q[z][z] = rng.choice([0, 0, 1])
+        for i in range(k):
+            q[i][z] = q[z][i] = Fraction(rng.randint(-8, 8), 2)
+    lin = [Fraction(rng.randint(-9, 9), rng.choice([1, 2])) for _ in range(n)]
+    T = QuadExpr(n, q, lin, Fraction(rng.randint(-6, 6), rng.choice([1, 3])))
+    limit = Fraction(rng.randint(0, 24), rng.choice([1, 2]))
+    zhi = [rng.randint(1, 3) for _ in range(nz)]
+    rows = []
+    for j, h in enumerate(zhi):
+        e = tuple(int(t == k + j) for t in range(n))
+        rows += [(e, 0), (tuple(-x for x in e), h)]
+    for _ in range(rng.randint(0, 2)):
+        a = [rng.randint(-2, 2) for _ in range(k)] + [0] * nz
+        rows.append((tuple(a), Fraction(rng.randint(-1, 6), rng.choice([1, 2]))))
+    return T, limit, rows, _coupled_boxes(T, limit, k, [range(h + 1) for h in zhi])
+
+
+def test_per_coordinate_bound_matches_bruteforce():
+    # the fallback bounds each block; with coupled variables the block's
+    # linear part is an interval.  Forms whose brute-force boxes exceed
+    # 4,000 points are drawn again, to keep the test fast
+    rng = random.Random(1985)
+    nonempty = coupled = 0
+    for case in range(60):
+        k = 1 + case % 4
+        while True:
+            T, limit, rows, boxes = _random_coupled_case(rng, k)
+            if sum(math.prod(map(len, r)) for r, _z in boxes) <= 4000:
+                break
+        expect = sorted(
+            p
+            for ranges, z in boxes
+            for p in (y + z for y in itertools.product(*ranges))
+            if T.value(p) <= limit and all(sum(map(mul, a, p)) + b >= 0 for a, b in rows)
+        )
+        pts = sorted(enumerate_sublevel(T, limit, rows))
+        assert pts == expect, case
+        nonempty += bool(pts)
+        coupled += bool(pts) and T.n > k
+    assert nonempty >= 30 and coupled >= 10
+
+
+def test_replayed_refusal_is_certified_tight():
+    # a call of the theta-products benchmark (pair 18 at seed 7): the trace
+    # bound ||y||_1^2 <= k tr(Q^-1) y^T Q y certified a box of 23,889,720,969
+    # points and refused it; the form is positive definite (det 24) and
+    # skewed, and its real minimum 7887/2 lies far above the limit 40
+    q, lin, const = [[100, -176], [-176, 310]], [-1284, 2262], 8070
+    T = QuadExpr(2, q, lin, const)
+    assert _ellipse_ranges(q, lin, const, 40) is None
+    assert enumerate_sublevel(T, 40, max_points=1) == []
+    # just above the minimum the certified box is small and holds the set
+    pts = sorted(enumerate_sublevel(T, 4000, max_points=56 * 32))
+    assert len(pts) == 36
+    assert pts == _brute_ranges(T, 4000, [], _ellipse_ranges(q, lin, const, 4000))

@@ -1,6 +1,7 @@
 """Quantum torus pairing data and the exact truncated product engine."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from test_multiplier import oracle_multipliers
 
 from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.heisenberg import heis_act
-from qtheta.multiplier import theta_dim_basis
+from qtheta.multiplier import theta_dim_basis, theta_membership
 from qtheta.named import (
     builtin_series,
     eq_addition_series,
@@ -851,3 +852,99 @@ def test_cell_rules_fall_back_to_the_solver(m):
     )
     assert closure._cell_rules() is None
     assert any(not x.is_zero() for x in closure.coeffs(cells, 20).values())
+
+
+# ---------------------------------------------------------------------------
+# window_dump, materialize and series_equal_on_cells take their coefficients
+# from one coeffs pass, and give what per-cell coeff gives
+
+
+def _ample(f, s):
+    """A multiplier over the trivial pairing on Z^2 with period basis change
+    f (unimodular), valuation form s and X = f^-T s (as in the theta-products
+    benchmark, with trivial signs)."""
+    from qtheta.heisenberg import HeisElement
+    from qtheta.intlinalg import mat, mat_inverse_unimodular, mat_mul, transpose
+    from qtheta.multiplier import multiplier_new
+
+    p = QuantParam.trivial(F, 2)
+    x = mat_mul(transpose(mat_inverse_unimodular(mat(f))), mat(s))
+    images = [
+        HeisElement(
+            p,
+            UnitMonomial(F.one(), s[i][i]),
+            TorusPoint(tuple(UnitMonomial(F.one(), x[k][i]) for k in range(2))),
+            tuple(f[k][i] for k in range(2)),
+        )
+        for i in range(2)
+    ]
+    return multiplier_new(p, images)
+
+
+# pair 1 of the theta-products benchmark, whose product the window pass
+# already answered, and pair 0, whose per-cell boxes the trace bound
+# certified at over 10**7 points each and refused
+ACCEPTED_PAIR = (((1, 0), (4, 1)), [[8, 2], [2, 6]])
+REFUSED_PAIR = (((-1, -3), (2, 5)), [[6, -2], [-2, 8]])
+
+
+def _theta_square(pair, window, order):
+    """(L composed with itself, the square of L's first basis theta)."""
+    from qtheta.multiplier import compose
+
+    L = _ample(*pair)
+    th = theta_dim_basis(L, window, order).basis[0]
+    return compose(L, L), th.mul(th)
+
+
+def _routed_words():
+    """(name, fresh-word factory, radius, order): E026 terms with a kernel
+    and one theta product."""
+    out = []
+    for i, word in enumerate(_fresh_terms("E026", 1, 1)[2]):
+        if word._layout().solver.kernel:
+            out.append((f"E026[{i}]", lambda i=i: _fresh_terms("E026", 1, 1)[2][i], 1, 12))
+    out.append(("theta^2", lambda: _theta_square(ACCEPTED_PAIR, 2, 40)[1], 2, 40))
+    return out
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_window_routines_match_per_cell_coeff(monkeypatch, refused):
+    import qtheta.series as series_mod
+
+    words = _routed_words()
+    assert len(words) >= 3
+    for name, fresh, radius, order in words:
+        ref = fresh()
+        cells = ref.window_cells(radius)
+        want = {h: ref.coeff(h, order) for h in cells}
+        nonzero = {h: c for h, c in want.items() if not c.is_zero()}
+        assert nonzero, name
+        with monkeypatch.context() as mp:
+            if refused:  # a window budget of one point per cell
+                mp.setattr(series_mod, "MAX_POINTS", 1)
+            log = _record_enumerations(mp)
+            dump = fresh().window_dump(radius, order)
+            assert [tuple(h) for h, _c in dump["coeffs"]] == list(nonzero), name
+            assert dump == ref.window_dump(radius, order)
+            if refused:
+                assert isinstance(log[0], EnumerationLimit)
+                assert len(log) > len(cells)  # then cell by cell
+            else:
+                # one enumeration per finite combo
+                combos = math.prod(map(len, ref._layout().items))
+                assert all(isinstance(x, int) for x in log) and 1 <= len(log) <= combos
+            assert fresh().materialize(cells, order).factors[0].table == nonzero
+            word = fresh()
+            assert series_equal_on_cells(word, ref, cells, order)
+            assert all(word._cache[(h, order)] == c for h, c in want.items())
+            assert not series_equal_on_cells(fresh(), ref.scaled(UnitMonomial(-F.one(), 0)), cells, order)
+
+
+def test_theta_product_refused_before_is_a_member():
+    # the per-cell boxes of this product were refused; now its window pass
+    # is certified and the product lies in the composed theta space
+    composed, prod = _theta_square(REFUSED_PAIR, 3, 40)
+    cells = prod.window_cells(3)
+    assert theta_membership(composed, prod, cells, 40)
+    assert any(not c.is_zero() for c in prod.coeffs(cells, 40).values())
