@@ -44,7 +44,6 @@ from .intlinalg import (
     image_basis,
     is_positive_definite,
     kernel_basis,
-    mat_inverse_unimodular,
     mat_vec,
     quotient_data,
     smith_normal_form,
@@ -469,7 +468,7 @@ def boxtimes_series(a: TorusSeries, b: TorusSeries) -> TorusSeries:
     return TorusSeries(p, left.factors + right.factors, f"({a.label})box({b.label})")
 
 
-def pullback(F: TorusMorphism, L: Multiplier, lift_choice: str = "canonical") -> Multiplier:
+def pullback(F: TorusMorphism, L: Multiplier) -> Multiplier:
     """F^*(L): the pulled-back multiplier on the source torus of F^*.
 
     Generator images [c a_{h}; x', f(h), 0] where x' is the canonical
@@ -479,16 +478,12 @@ def pullback(F: TorusMorphism, L: Multiplier, lift_choice: str = "canonical") ->
         raise ParamMismatch("multiplier does not live on the morphism's function source")
     if not F.is_characteristic_trivial():
         raise IncompatibleForm("pullback needs multiplicative scalar data")
-    if lift_choice != "canonical":
-        raise ValueError("only the canonical lift is implemented")
     p2 = F.target_param
     d2 = p2.rank
     fmat = F.f.matrix
     u, dmat, v = smith_normal_form(fmat)
     diag = snf_diagonal(dmat)
     rank = sum(1 for x in diag if x)
-    uinv = mat_inverse_unimodular(u)
-    uinv_cols = transpose(uinv)
     vt = transpose(v)
     new_images = []
     for img in L.images:

@@ -142,11 +142,13 @@ Factor = Union[FiniteFactor, LatticeFactor]
 _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
 
 
-# A form is an integer-valued quadratic in y = (y_0, ..., y_{n-1}) counted in
-# half steps: terms (a, b, x) of (sum x y_a y_b) / 2 with integer x, where
-# index n stands for the constant 1: (a, n) terms are linear and (n, n) is the
-# constant.  So y(y - 1)/2 is the form y^2 - y, and every form is stored at
-# twice its value.
+# A form is a quadratic in y = (y_0, ..., y_{n-1}) counted in half steps:
+# terms (a, b, x) of (sum x y_a y_b) / 2, where index n stands for the
+# constant 1: (a, n) terms are linear and (n, n) is the constant.  So
+# y(y - 1)/2 is the form y^2 - y, and every form is stored at twice its
+# value.  A Gauss rule's forms have integer x; a combo's valuation bound is a
+# form too (its x may be fractions), which :func:`_subst` moves to new
+# variables and :func:`_quad` hands to ``enumerate_sublevel``.
 
 
 def _form(terms, mod=0):
@@ -178,11 +180,20 @@ def _check_half_steps(form, n):
 def _quad(form, n) -> QuadExpr:
     """The form's value as a QuadExpr in n variables (cross terms
     symmetrised)."""
-    Q = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    Q = [[0] * (n + 1) for _ in range(n + 1)]
     for a, b, x in form:
-        Q[a][b] += Fraction(x, 4)
-        Q[b][a] += Fraction(x, 4)
+        Q[a][b] += x
+        Q[b][a] += x
+    Q = [[Fraction(x, 4) if x % 4 else x // 4 for x in row] for row in Q]  # ints stay ints
     return QuadExpr(n, [row[:n] for row in Q[:n]], [2 * x for x in Q[n][:n]], Q[n][n])
+
+
+def _subst(form, offset, gens):
+    """The merged form of z at y = offset + sum_j z_j gens[j], in which
+    index len(gens) is the constant."""
+    cols = [(*g, 0) for g in gens] + [(*offset, 1)]
+    nz = [[(j, c[a]) for j, c in enumerate(cols) if c[a]] for a in range(len(offset) + 1)]
+    return _form((j, k, x * u * v) for a, b, x in form for j, u in nz[a] for k, v in nz[b])
 
 
 def _alpha_form(pair, word, chosen, offs, n):
@@ -239,17 +250,9 @@ class GaussRule:
 
     def compose(self, offset: Vec, gens: Sequence[Vec]) -> "GaussRule":
         """The rule of z at y = offset + sum_j z_j gens[j]."""
-        cols = [(*g, 0) for g in gens] + [(*offset, 1)]
-
-        def subst(form):
-            return [
-                (j, k, sum(x * u[a] * v[b] for a, b, x in form))
-                for j, u in enumerate(cols)
-                for k, v in enumerate(cols)
-            ]
-
-        chars = [(b, subst(l)) for b, l in self.chars]
-        return GaussRule(len(gens), self.const, subst(self.uform), subst(self.sform), chars)
+        u, s = _subst(self.uform, offset, gens), _subst(self.sform, offset, gens)
+        chars = [(b, _subst(l, offset, gens)) for b, l in self.chars]
+        return GaussRule(len(gens), self.const, u, s, chars)
 
     def valuation_form(self) -> QuadExpr:
         """q as a QuadExpr: the exact valuation, a derived certificate."""
@@ -263,55 +266,6 @@ class GaussRule:
         for b, l in self.chars:
             c = c * b ** (_form_at(l, ye) >> 1)
         return UnitMonomial(c, _form_at(self.uform, ye) >> 1)
-
-
-class _SubstEngine:
-    """Substitutes y = y0 + K z into a fixed quadratic bound cheaply."""
-
-    __slots__ = ("T", "kernel", "quad_z", "QK", "LK", "ineq_rows")
-
-    def __init__(self, T: QuadExpr, ineqs, kernel):
-        self.T = T
-        self.kernel = kernel
-        n = T.n
-        r = len(kernel)
-        self.QK = [
-            tuple(sum(T.quad[i][j] * col[j] for j in range(n)) for i in range(n))
-            for col in kernel
-        ]
-        self.LK = [sum(T.lin[i] * col[i] for i in range(n)) for col in kernel]
-        self.quad_z = [
-            [sum(kernel[a][i] * self.QK[b][i] for i in range(n)) for b in range(r)]
-            for a in range(r)
-        ]
-        self.ineq_rows = [
-            (
-                tuple(sum(row[i] * col[i] for i in range(n)) for col in kernel),
-                row,
-                c,
-            )
-            for row, c in ineqs
-        ]
-
-    def at_offset(self, y0):
-        T = self.T
-        n = T.n
-        r = len(self.kernel)
-        lin = [
-            2 * sum(y0[i] * self.QK[j][i] for i in range(n)) + self.LK[j]
-            for j in range(r)
-        ]
-        const = (
-            sum(y0[i] * sum(T.quad[i][j] * y0[j] for j in range(n)) for i in range(n))
-            + sum(T.lin[i] * y0[i] for i in range(n))
-            + T.const
-        )
-        Tz = QuadExpr(r, self.quad_z, lin, const)
-        zin = [
-            (coeffs, c + sum(row[i] * y0[i] for i in range(len(row))))
-            for coeffs, row, c in self.ineq_rows
-        ]
-        return Tz, zin
 
 
 _Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
@@ -501,19 +455,20 @@ class TorusSeries:
         """The coeffs pass over a layout with a kernel, as cache entries;
         raises NotMultipliable where any combo cannot be certified."""
         lay = self._layout()
+        n = lay.blocks[-1][2]
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in itertools.product(*lay.items):
-            chosen, base, term, (T, ineqs), _engine = self._combo_plan(combo)
-            if T is None:
+            chosen, base, term, form = self._combo_plan(combo)
+            if form is None:
                 raise NotMultipliable("window-only factor inside a product that needs enumeration")
-            if T is _ZERO_TERM:
+            if form is _ZERO_TERM:
                 continue
-            rows = [*ineqs]  # the cone rows, then lo <= base + G y <= hi
-            for g, b, l, u in zip(lay.mtx, base, lo, hi):
+            rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
+            for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
                 rows += [(g, b - l), (tuple(-x for x in g), u - b)]
             memo: dict = {}
-            for y in enumerate_sublevel(T, order, rows, MAX_POINTS * len(cells)):
+            for y in enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells)):
                 h = tuple(b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base))
                 if h in cells:
                     t = self._combine_term(chosen, term, y, order, memo)
@@ -526,7 +481,9 @@ class TorusSeries:
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
         """The combos' terms at h, summed in one dict.  With cell rules each
         is one rule at h; else h - base is solved (for a non-unimodular G,
-        the coset test) and any kernel enumerated around the solution."""
+        the coset test) and any kernel K enumerated around the particular
+        solution: the combo's bound form at y = particular + K z (by
+        :func:`_subst`), with the cone rows y_c >= 0 in z."""
         field = self.param.field
         acc: dict = {}
         rules = self._cell_rules()
@@ -540,7 +497,7 @@ class TorusSeries:
         kcols, kt = len(kernel), list(zip(*kernel))  # kt[i]: the kernel vectors' i-th entries
         trunc = order
         for combo in itertools.product(*lay.items):
-            chosen, base, term, _bound, engine = self._combo_plan(combo)
+            chosen, base, term, form = self._combo_plan(combo)
             residual = vec_sub(h, base)
             particular = solver.solve(residual) if solver else (None if any(residual) else ())
             if particular is None:
@@ -550,14 +507,14 @@ class TorusSeries:
             if kcols == 0:
                 ys = [particular]
             else:
-                if engine is None:
+                if form is None:
                     raise NotMultipliable(
                         "window-only factor inside a product that needs enumeration"
                     )
-                if engine is _ZERO_TERM:
+                if form is _ZERO_TERM:
                     continue
-                Tz, zin = engine.at_offset(particular)
-                pts = enumerate_sublevel(Tz, order, ineqs=zin)
+                Tz = _quad(_subst(form, particular, kernel), kcols)
+                pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
                 ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
             memo: dict = {}
             for y in ys:
@@ -578,23 +535,23 @@ class TorusSeries:
             if lay.blocks and not lay.cones and len(mtx) == len(mtx[0]) and abs(det(mtx)) == 1:
                 inv = mat_inverse_unimodular(mtx)
                 plans = [self._combo_plan(combo) for combo in itertools.product(*lay.items)]
-                if not any(rest for _c, _b, (_r, rest), _t, _e in plans):
+                if not any(rest for _c, _b, (_r, rest), _f in plans):
                     cols = list(zip(*inv))
                     rules = [p[2][0].compose(vec_neg(mat_vec(inv, p[1])), cols) for p in plans]
             self._cell_cache = (rules,)
         return self._cell_cache[0]
 
     def _combo_plan(self, combo):
-        """Cached plan for one finite combo: (chosen, base, term plan, bound,
-        engine); a cell h is reached when h - base = G y.
+        """Cached plan for one finite combo: (chosen, base, term plan, form);
+        a cell h is reached when h - base = G y.
 
         The term plan is one Gauss rule in the concatenated lattice
         parameters -- the ordered word's alpha, every unit-monomial finite
         value and every Gauss factor at its block -- and the word positions
-        left over (series values and closure factors).  With a kernel, the
-        bound is :meth:`_assemble_bound`'s, independent of the target cell,
-        and the engine substitutes the kernel: only the particular solution
-        moves, contributing linear and constant terms.
+        left over (series values and closure factors).  With a kernel, form
+        is :meth:`_assemble_bound`'s valuation bound, independent of the
+        target cell (None without a kernel); ``_quad(form, n)`` hands it to
+        ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
@@ -619,42 +576,40 @@ class TorusSeries:
                     rule = rule.times(f.gauss.compose(zero_vec(f.nparams), cols))
                 else:
                     rest.append((wi, None if f.is_finite else slice(offs[wi], offs[wi] + f.nparams)))
-            bound = engine = None
-            kernel = lay.solver.kernel if lay.solver else []
-            if kernel:
-                bound = T, ineqs = self._assemble_bound(chosen, alpha, n)
-                engine = T if T is None or T is _ZERO_TERM else _SubstEngine(T, ineqs, kernel)
-            plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), bound, engine)
+            form = None
+            if lay.solver is not None and lay.solver.kernel:
+                form = self._assemble_bound(chosen, alpha, n)
+            plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form)
         return plan
 
     def _assemble_bound(self, chosen, alpha, n):
-        """Exact valuation bound T(y) over the n concatenated parameters.
+        """Exact valuation bound T(y) over the n concatenated parameters,
+        as a merged form.
 
         T = sum of factor-value valuations (exact for finite ones, certified
         for lattice ones) + the alpha exponent of the ordered word (the form
         ``alpha`` of :func:`_alpha_form`).  A finite value that is a series
-        with no known term counts as valuation trunc + 1.  Returns (QuadExpr,
-        cone inequalities), (None, None) when a lattice factor lacks a
-        certificate, or (_ZERO_TERM, None) when a chosen finite value is an
-        exact zero, so every term of the combo vanishes.
+        with no known term counts as valuation trunc + 1.  Returns the form,
+        None when a lattice factor lacks a certificate, or _ZERO_TERM when a
+        chosen finite value is an exact zero, so every term of the combo
+        vanishes.  The cone rows y_c >= 0 are the callers'.
         """
         lay = self._layout()
         terms = []
         for wi, a, _b in lay.blocks:
             v = self.factors[wi].val
             if v is None:
-                return None, None
+                return None
             terms += [(a + i, a + j, x) for i, row in enumerate(v.quad) for j, x in enumerate(row)]
             terms += [(a + i, n, x) for i, x in enumerate(v.lin)] + [(n, n, v.const)]
         for _p, val in chosen.values():
             vv = val.valuation()
             if vv == INF:
                 if val.trunc == INF:
-                    return _ZERO_TERM, None
+                    return _ZERO_TERM
                 vv = val.trunc + 1
             terms.append((n, n, vv))
-        form = [*alpha, *((a, b, 2 * x) for a, b, x in terms)]  # in half steps
-        return _quad(form, n), [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
+        return _form([*alpha, *((a, b, 2 * x) for a, b, x in terms)])  # in half steps
 
     def _combine_term(self, chosen, term, y, order, memo) -> Optional[Scalar]:
         """Exact value of one decomposition term, known to ``order`` (it may

@@ -36,7 +36,6 @@ from .intlinalg import (
     QuotientData,
     Vec,
     kernel_basis,
-    mat_inverse_unimodular,
     smith_normal_form,
     snf_diagonal,
     transpose,
@@ -120,7 +119,7 @@ def _smith_data(L: Multiplier):
     hm = L.h_minus_matrix
     u, d, v = smith_normal_form(hm)
     diag = snf_diagonal(d)
-    return hm, u, mat_inverse_unimodular(u), v, diag
+    return hm, u, v, diag
 
 
 def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]]:
@@ -128,7 +127,7 @@ def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]
     quot = L.quotient()
     if quot.index == INFINITE:
         raise InfiniteIndex("kernel group is finite only for finite index")
-    hm, u, uinv, v, diag = _smith_data(L)
+    hm, u, v, diag = _smith_data(L)
     field = L.param.field
     d = L.param.rank
     M = field.torsion_order
@@ -149,7 +148,7 @@ def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]
     return tuple(gens), tuple(orders)
 
 
-def gamma_lift(L: Multiplier, gamma: Vec, normalize_c: bool = True) -> list[SmallHeisElement]:
+def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
     """All solutions xi of the lifting equations for the given gamma.
 
     The image of xi on h-(B) is uniquely determined; lifts to the full torus
@@ -162,7 +161,7 @@ def gamma_lift(L: Multiplier, gamma: Vec, normalize_c: bool = True) -> list[Smal
     p = L.param
     d = p.rank
     field = p.field
-    hm, u, uinv, v, diag = _smith_data(L)
+    hm, u, v, diag = _smith_data(L)
     vt = transpose(v)
     # RHS(b) = gamma(x_l(b)) alpha^2(h-(b), gamma) is a homomorphism in b
     kern = kernel_basis(hm)
@@ -170,7 +169,6 @@ def gamma_lift(L: Multiplier, gamma: Vec, normalize_c: bool = True) -> list[Smal
         rhs = L.x_l(k).eval(gamma) * (p.alpha(L.h_minus(k), gamma) ** 2)
         if not rhs.is_one():
             return []  # no solution: equations inconsistent on the kernel
-    uinv_cols = transpose(uinv)
     base_vals = []
     for t in range(d):
         dt = diag[t] if t < len(diag) else 0
@@ -371,7 +369,6 @@ def commutant_dimension(mats: Sequence[Sequence[Sequence[ScalarSeries]]], field:
     # Gaussian elimination over the cyclotomic field
     rank = 0
     ncols = unknowns
-    pivot_col = 0
     rows = [r[:] for r in rows]
     for col in range(ncols):
         piv = None

@@ -11,7 +11,7 @@ import pytest
 from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.quadenum import QuadExpr, _walk_order, enumerate_sublevel
 from qtheta.scalars import CycloField
-from qtheta.series import _SubstEngine
+from qtheta.series import _form, _form_at, _quad, _subst
 from qtheta.verify import _term_series, identity_specs
 
 
@@ -127,16 +127,23 @@ def test_random_with_cones_match_bruteforce():
 
 
 def test_substitute_affine():
-    # the engine's substitution y = y0 + z*(1, 1), for the bound and a row
-    T = QuadExpr(2, [[1, 0], [0, 1]], [1, -1], 3)
-    row, c = (3, -1), 4
-    S, ((coeffs, c0),) = _SubstEngine(T, [(row, c)], [(1, 1)]).at_offset((2, -1))
+    # a bound form (cross terms, a fractional entry) as a QuadExpr, and its
+    # substitution y = y0 + K z for a kernel K of two vectors; the cone row
+    # y_c >= 0 becomes (the kernel vectors' c-th entries, y0[c]) in z
+    form = _form([(0, 0, 2), (0, 1, 3), (1, 1, Fraction(1, 2)), (0, 3, 2), (1, 2, -2), (3, 3, 6)])
+    T = _quad(form, 3)
+    y0, kernel = (2, -1, 0), [(1, 1, 0), (0, 2, -1)]
+    S = _quad(_subst(form, y0, kernel), 2)
+    kt = list(zip(*kernel))
     rng = random.Random(2)
     for _ in range(20):
-        z = rng.randint(-10, 10)
-        y = (2 + z, -1 + z)
-        assert S.value((z,)) == T.value(y)
-        assert coeffs[0] * z + c0 == row[0] * y[0] + row[1] * y[1] + c
+        y = tuple(rng.randint(-10, 10) for _ in range(3))
+        assert T.value(y) == _form_at(form, (*y, 1)) / 2
+        z = (rng.randint(-10, 10), rng.randint(-10, 10))
+        y = tuple(p + sum(map(mul, z, k)) for p, k in zip(y0, kt))
+        assert S.value(z) == T.value(y)
+        for c in range(3):
+            assert sum(map(mul, kt[c], z)) + y0[c] == y[c]
 
 
 def test_constant_form_above_the_limit_is_empty():
@@ -380,7 +387,7 @@ def test_walk_order_puts_e026_theta_parameters_last():
         s = _term_series(term)[1]
         lay = s._layout()
         if lay.solver is not None and lay.solver.kernel:
-            forms += [s._combo_plan(c)[3][0] for c in itertools.product(*lay.items)]
+            forms += [_quad(s._combo_plan(c)[3], 9) for c in itertools.product(*lay.items)]
     assert forms
     for T in forms:
         assert T.n == 9 and [i for i in range(9) if T.quad[i][i] > 0] == [0, 3, 6]
