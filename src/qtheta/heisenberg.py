@@ -408,8 +408,7 @@ class TorusMorphism:
 
     def point_pushforward_plain(self, x: TorusPoint) -> TorusPoint:
         """The a-less induced map h -> x(f h) (used by transport)."""
-        basis = self.source_param.lattice.basis()
-        return TorusPoint(tuple(x.eval(self.f(b)) for b in basis))
+        return x.on_columns(self.f.matrix)
 
     # -- series pullback ------------------------------------------------------------
 

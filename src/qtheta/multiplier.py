@@ -41,14 +41,11 @@ from .intlinalg import (
     LatticeMap,
     QuotientData,
     Vec,
-    image_basis,
     is_positive_definite,
-    kernel_basis,
     mat_vec,
     quotient_data,
     smith_normal_form,
     snf_diagonal,
-    solve_integer,
     transpose,
     vec_add,
     vec_neg,
@@ -337,15 +334,13 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
     if quot.index == INFINITE:
         raise InfiniteIndex("theta basis needs a finite coset index")
     hm = L.h_minus_matrix
-    img_cols = image_basis(hm)  # basis of h-(B) inside H
-    # preimages of the image basis columns under h-
-    pre = []
-    for col in img_cols:
-        sol = solve_integer(hm, col)
-        assert sol is not None
-        pre.append(sol[0])
-    # kernel consistency data
-    kern = kernel_basis(hm)
+    # with U h- V = D, V's first rank columns map onto a basis of h-(B)
+    # inside H (h- V e_i = d_i U^-1 e_i) and the others span ker(h-)
+    _u, d, v = smith_normal_form(hm)
+    rank = sum(1 for x in snf_diagonal(d) if x)
+    vt = transpose(v)
+    pre, kern = vt[:rank], vt[rank:]
+    img_cols = [mat_vec(hm, b) for b in pre]
     inconsistent = []
     consistent_reps = []
     for rep in quot.coset_reps:
@@ -500,16 +495,7 @@ def pullback(F: TorusMorphism, L: Multiplier) -> Multiplier:
                     raise NoLift(f"no monomial lift for generator image: {exc}")
             else:
                 vals_on_w.append(UnitMonomial.one(p2.field))
-        # x' on the standard basis: x'(e_j) = prod_t vals[t]^(U[t][j])
-        std_vals = []
-        for j in range(d2):
-            acc = UnitMonomial.one(p2.field)
-            for t in range(d2):
-                e = u[t][j]
-                if e:
-                    acc = acc * (vals_on_w[t] ** e)
-            std_vals.append(acc)
-        xprime = TorusPoint(tuple(std_vals))
+        xprime = TorusPoint(vals_on_w).on_columns(u)
         new_images.append(
             HeisElement.from_raw(
                 HeisRaw(

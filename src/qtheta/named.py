@@ -8,8 +8,10 @@ directions (with a unit-monomial argument prefactor), the quantum addition
 series, the lattice-kernel theta of the multiplication encoding, and the
 ratio appearing in the Yang-Baxter identity.
 
-Conventions: q = u^2;  e_q(t) = prod_{n>=0} (1 + q^(2n+1) t), whose t^k
-coefficient is q^(k^2) / prod_{i<=k} (1 - q^(2i)).
+Conventions: q = u^2;  e_q(t) = prod_{n>=0} (1 + q^(2n+1) t).  With
+P_k = prod_{i<=k} 1 / (1 - u^(4i)), Euler's closed forms give the t^k
+coefficient of e_q as u^(2k^2) P_k and that of 1/e_q as (-1)^k u^(2k) P_k;
+both come from one cached chain P_0, P_1, ... per field.
 """
 
 from __future__ import annotations
@@ -23,54 +25,50 @@ from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from .series import GaussRule, TorusSeries
 from .torus import QuantParam, TorusPoint
 
-# -- scalar coefficient caches -------------------------------------------------
+# -- scalar coefficient cache --------------------------------------------------
 
-_EQ_CACHE: dict[tuple[int, int], ScalarSeries] = {}
-_EQINV_CACHE: dict[tuple[int, int], ScalarSeries] = {}
+# field order -> [P_0, P_1, ...], each a list of coefficients of x = u^4, as
+# long as the highest order asked so far needs (not all of equal length)
+_P_CACHE: dict[int, list[list]] = {}
+
+
+def _p_chain(field: CycloField, k: int, n: int) -> list:
+    """P_k over ``field``, known to x^(n-1) at least, from the cached chain.
+
+    P_i = P_(i-1) / (1 - x^i), so P_i[j] = P_(i-1)[j] + P_i[j - i]: a new P_i
+    and a longer old one are filled by the same update."""
+    zero = field.zero()
+    chain = _P_CACHE.setdefault(field.order, [[field.one()]])
+    chain[0] += [zero] * (n - len(chain[0]))
+    for i in range(1, k + 1):
+        if i == len(chain):
+            chain.append([])
+        p, prev = chain[i], chain[i - 1]
+        for j in range(len(p), n):
+            p.append(prev[j] + p[j - i] if j >= i else prev[j])
+    return chain[k]
 
 
 def eq_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
-    """t^k coefficient of e_q(t), exact to the requested order."""
+    """t^k coefficient of e_q(t), u^(2k^2) P_k, exact to the requested order
+    and at least to its valuation 2k^2 (an infinite order asks for no more)."""
     if k < 0:
         return ScalarSeries.zero(field)
-    need = max(int(order) if order is not INF else 0, 2 * k * k) + 1
-    key = (field.order, k)
-    hit = _EQ_CACHE.get(key)
-    if hit is not None and hit.trunc >= need:
-        return hit
-    # c_k = c_{k-1} * q^(2k-1) / (1 - q^(2k)); compute the whole chain at
-    # a generous order so the cache stays monotone
-    work = need + 4 * k
-    c = ScalarSeries.one(field, work)
-    _EQ_CACHE[(field.order, 0)] = c
-    for i in range(1, k + 1):
-        denom = ScalarSeries(
-            field, {0: field.one(), 4 * i: -field.one()}, work
-        )
-        c = (c.shift(4 * i - 2)) * denom.invert()
-        _EQ_CACHE[(field.order, i)] = c
-    return _EQ_CACHE[key]
+    lead = 2 * k * k
+    top = max(0 if order == INF else int(order), lead)
+    n = (top - lead) // 4 + 1
+    p = _p_chain(field, k, n)
+    return ScalarSeries(field, {lead + 4 * j: p[j] for j in range(n)}, top)
 
 
 def eq_inv_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
-    """t^k coefficient of 1 / e_q(t) via the division recurrence."""
+    """t^k coefficient of 1 / e_q(t), (-1)^k u^(2k) P_k, exact to the
+    requested order and at least to its valuation 2k: the e_q coefficient
+    at the order that needs, times (-1)^k u^(2k - 2k^2)."""
     if k < 0:
         return ScalarSeries.zero(field)
-    need = max(int(order) if order is not INF else 0, 2 * k) + 1
-    key = (field.order, k)
-    hit = _EQINV_CACHE.get(key)
-    if hit is not None and hit.trunc >= need:
-        return hit
-    work = need + 4 * k
-    ds = [ScalarSeries.one(field, work)]
-    for i in range(1, k + 1):
-        acc = ScalarSeries.zero(field, work)
-        for j in range(1, i + 1):
-            acc = acc + eq_coefficient(field, j, work) * ds[i - j]
-        ds.append(-acc)
-        _EQINV_CACHE[(field.order, i)] = ds[i]
-    _EQINV_CACHE[(field.order, 0)] = ds[0]
-    return _EQINV_CACHE[key]
+    c = eq_coefficient(field, k, order - 2 * k + 2 * k * k).shift(2 * k - 2 * k * k)
+    return -c if k % 2 else c
 
 
 # -- lifted one-variable series --------------------------------------------------
@@ -174,7 +172,7 @@ def eq_addition_series(
         w = table(a + b).get((a, b))
         if w is None:
             return None
-        return eq_coefficient(f, a + b, order) * w
+        return eq_coefficient(f, a + b, order - w.valuation()) * w
 
     # word coefficients have valuation >= -|alpha_exp(dir1, dir2)| * a * b, so
     # the total 2(a+b)^2 + val(word) dominates the quadratic below

@@ -83,7 +83,9 @@ class LatticeFactor:
 
     The coefficient at ``offset + sum y_i gens_i`` is ``coeff(y, order)``
     (exact to the given order, or exactly; None off the support) times
-    ``gauss.at(y)``; either part may be None, not both.  A factor with no
+    ``gauss.at(y)``; either part may be None, not both.  :meth:`coeff_at`
+    asks the closure for the order less the Gauss part's u-exponent, so the
+    product is exact to the order it is asked for.  A factor with no
     closure is a *Gauss factor*.  ``val`` is a QuadExpr lower bound for the
     coefficient's valuation, valid wherever it is nonzero.  ``None`` marks a
     window-only (formal) factor.
@@ -126,9 +128,13 @@ class LatticeFactor:
         key = (y, order)
         hit = self._memo.get(key)
         if hit is None and key not in self._memo:
-            hit = self.coeff(y, order)
-            if hit is not None and self.gauss is not None:
-                hit = self.gauss.at(y) * hit
+            if self.gauss is None:
+                hit = self.coeff(y, order)
+            else:
+                g = self.gauss.at(y)
+                hit = self.coeff(y, order - g.uexp)
+                if hit is not None:
+                    hit = g * hit
             self._memo[key] = hit
         return hit
 

@@ -116,10 +116,8 @@ def normalizer_membership(
 
 
 def _smith_data(L: Multiplier):
-    hm = L.h_minus_matrix
-    u, d, v = smith_normal_form(hm)
-    diag = snf_diagonal(d)
-    return hm, u, v, diag
+    u, d, v = smith_normal_form(L.h_minus_matrix)
+    return u, v, snf_diagonal(d)
 
 
 def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]]:
@@ -127,7 +125,7 @@ def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]
     quot = L.quotient()
     if quot.index == INFINITE:
         raise InfiniteIndex("kernel group is finite only for finite index")
-    hm, u, v, diag = _smith_data(L)
+    u, v, diag = _smith_data(L)
     field = L.param.field
     d = L.param.rank
     M = field.torsion_order
@@ -161,11 +159,11 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
     p = L.param
     d = p.rank
     field = p.field
-    hm, u, v, diag = _smith_data(L)
+    u, v, diag = _smith_data(L)
     vt = transpose(v)
-    # RHS(b) = gamma(x_l(b)) alpha^2(h-(b), gamma) is a homomorphism in b
-    kern = kernel_basis(hm)
-    for k in kern:
+    # RHS(b) = gamma(x_l(b)) alpha^2(h-(b), gamma) is a homomorphism in b;
+    # V's columns past the rank span ker(h-)
+    for k in vt[sum(1 for x in diag if x) :]:
         rhs = L.x_l(k).eval(gamma) * (p.alpha(L.h_minus(k), gamma) ** 2)
         if not rhs.is_one():
             return []  # no solution: equations inconsistent on the kernel
@@ -183,19 +181,7 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
                 dt * field.torsion_order,
                 f"lifting needs a {dt}-th root of {rhs!r}",
             )
-    # xi on the standard basis: xi(e_j) = prod_t base_vals[t]^(U[t][j])
-    def to_point(wvals) -> TorusPoint:
-        std = []
-        for j in range(d):
-            acc = UnitMonomial.one(field)
-            for t in range(d):
-                e = u[t][j]
-                if e:
-                    acc = acc * (wvals[t] ** e)
-            std.append(acc)
-        return TorusPoint(tuple(std))
-
-    base = to_point(base_vals)
+    base = TorusPoint(base_vals).on_columns(u)
     gens, orders = kernel_group(L)
     out = []
     for _, kappa in SmallHeisStructure(

@@ -186,6 +186,14 @@ class TorusPoint:
             return UnitMonomial.one(self.values[0].field)
         return acc
 
+    def on_columns(self, m: Mat) -> "TorusPoint":
+        """The point with value self(m e_j) on e_j, i.e. prod_t values[t]^m[t][j].
+
+        For U M V = D in Smith normal form and Smith roots ``vals`` on the
+        columns of U^-1, ``TorusPoint(vals).on_columns(U)`` takes those
+        values there."""
+        return TorusPoint(tuple(self.eval(col) for col in zip(*m)))
+
     def uexp_vector(self) -> Vec:
         return tuple(v.uexp for v in self.values)
 

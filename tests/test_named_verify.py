@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from qtheta import named
 from qtheta.errors import EnumerationLimit, NotMultipliable, UnknownName
 from qtheta.named import (
     builtin_series,
@@ -39,39 +40,70 @@ from qtheta.verify import (
 F = CycloField(1)
 
 
-def test_eq_coefficients_match_product_expansion():
-    # expand prod_{n<=6} (1 + q^(2n+1) t) to t-degree 5 and compare
-    order = 40
-    degree = 5
-    poly = {0: ScalarSeries.one(F, order)}
-    for n in range(0, 20):
+# (k, order) requests that grow the cached P_k chain in k and in order in
+# turn, with 2k^2 above the order at k = 8 and k = 5
+EQ_REQUESTS = [(3, 10), (8, 20), (2, 60), (5, 12), (0, 7), (7, 40), (1, 3), (6, 90)]
+
+
+def _eq_product_coefficient(f, degree, order):
+    """t^degree coefficient of prod_n (1 + q^(2n+1) t), to u^order."""
+    poly = {0: ScalarSeries.one(f, order)}
+    for n in range(order // 4 + 1):  # the factors with 2(2n+1) <= order
         fac = 2 * (2 * n + 1)  # u-exponent of q^(2n+1)
         new = dict(poly)
         for k, c in poly.items():
             if k + 1 <= degree:
                 term = c.shift(fac)
                 cur = new.get(k + 1)
-                new[k + 1] = term if cur is None else cur + term
+                new[k + 1] = (term if cur is None else cur + term).truncate(order)
         poly = new
-    for k in range(degree + 1):
-        assert eq_coefficient(F, k, order).equal_to_order(poly[k].truncate(order), order)
+    return poly.get(degree, ScalarSeries.zero(f, order))
 
 
+@pytest.fixture
+def fresh_eq_cache(monkeypatch):
+    # the requests below must grow the chain themselves, not find it grown
+    monkeypatch.setattr(named, "_P_CACHE", {})
+
+
+@pytest.mark.usefixtures("fresh_eq_cache")
+def test_eq_coefficients_match_product_expansion():
+    for m in (1, 5):
+        f = CycloField(m)
+        for k, order in EQ_REQUESTS:
+            got = eq_coefficient(f, k, order)
+            assert got.trunc >= order
+            want = _eq_product_coefficient(f, k, order)
+            assert got.equal_to_order(want, order), (m, k, order)
+
+
+@pytest.mark.usefixtures("fresh_eq_cache")
 def test_eq_coefficient_valuations():
-    for k in range(7):
-        assert eq_coefficient(F, k, 120).valuation() == 2 * k * k
-        assert eq_inv_coefficient(F, k, 60).valuation() == 2 * k
+    # the certificates 2k^2 and 2k are exact: P_k has constant term 1
+    for m in (1, 5):
+        f = CycloField(m)
+        for k, order in EQ_REQUESTS:
+            c, d = eq_coefficient(f, k, order), eq_inv_coefficient(f, k, order)
+            assert c.leading() == (2 * k * k, f.one())
+            assert d.leading() == (2 * k, f.one() if k % 2 == 0 else -f.one())
+            assert c.trunc == max(order, 2 * k * k) and d.trunc == max(order, 2 * k)
+        # an infinite order asks for no more than the leading term
+        assert eq_coefficient(f, 3, INF) == ScalarSeries.monomial(f, 18, 1, 18)
+        assert eq_inv_coefficient(f, 3, INF) == ScalarSeries.monomial(f, 6, -1, 6)
+        assert builtin_series("e_q_inv", f).coeff((3,), INF).trunc == 6
 
 
+@pytest.mark.usefixtures("fresh_eq_cache")
 def test_eq_inverse_is_inverse():
-    # sum_j c_j d_{k-j} = [k == 0]
-    order = 50
-    for k in range(7):
-        acc = ScalarSeries.zero(F, order)
-        for j in range(k + 1):
-            acc = acc + eq_coefficient(F, j, order) * eq_inv_coefficient(F, k - j, order)
-        expect = ScalarSeries.one(F, order) if k == 0 else ScalarSeries.zero(F, order)
-        assert acc.equal_to_order(expect, order - 1)
+    # sum_j c_j d_{k-j} = [k == 0], which fixes every d_k to the order
+    for m in (1, 5):
+        f = CycloField(m)
+        for k, order in EQ_REQUESTS:
+            acc = ScalarSeries.zero(f, order)
+            for j in range(k + 1):
+                acc = acc + eq_coefficient(f, j, order) * eq_inv_coefficient(f, k - j, order)
+            expect = ScalarSeries.one(f, order) if k == 0 else ScalarSeries.zero(f, order)
+            assert acc.equal_to_order(expect, order), (m, k, order)
 
 
 def test_theta_series_prefactor():
