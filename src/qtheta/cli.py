@@ -21,6 +21,7 @@ import sys
 
 from .errors import QThetaError, UnknownName, UnresolvedReference
 from .heisenberg import HeisElement, HeisRaw
+from .intlinalg import INFINITE
 from .jsonio import (
     load,
     monomial_from_json,
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             report = {
                 "schema": 1,
                 "dim": tb.dim,
-                "index": None if L.index() == float("inf") else int(L.index()),
+                "index": None if L.index() == INFINITE else int(L.index()),
                 "ample": L.is_ample(),
                 "window": args.window,
                 "order": args.order,

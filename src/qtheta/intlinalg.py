@@ -2,13 +2,17 @@
 
 Vectors are int tuples, matrices are tuples of row tuples.  Provides Smith
 normal form with unimodular transforms, finite quotient data with canonical
-coset representatives, exact rational definiteness tests, and integer linear
-solving (particular solution + kernel basis) -- the workhorses behind coset
-indices, theta bases and support intersection.
+coset representatives, definiteness by integer leading minors, and integer
+linear solving (particular solution + kernel basis) -- the workhorses behind
+coset indices, theta bases and support intersection.  The Bareiss ``det``
+and ``smith_normal_form`` are the only eliminations: a unimodular inverse is
+read off the Smith transforms, and a rational form is scaled to integers
+before its minors are taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -37,10 +41,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
-
-
-def vec_scale(a: Vec, k: int) -> Vec:
-    return tuple(k * x for x in a)
 
 
 def zero_vec(n: int) -> Vec:
@@ -102,61 +102,6 @@ def det(m: Mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in r] for r in m]
-    sign = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= a[k][k]
-    return out
-
-
-def mat_inverse_unimodular(m: Mat) -> Mat:
-    """Exact inverse of an integer matrix with det +/-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        pv = a[k][k]
-        a[k] = [x / pv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix inverse is not integral")
-            row.append(int(x))
-        inv.append(tuple(row))
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +194,15 @@ def snf_diagonal(d: Mat) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def mat_inverse_unimodular(m: Mat) -> Mat:
+    """Inverse of a square integer matrix with det +-1: V U from U M V = I
+    (D = I, of M's row count, also says that M is square)."""
+    u, d, v = smith_normal_form(m)
+    if d != identity(len(m)):
+        raise ValueError("matrix is not square with det +-1")
+    return mat_mul(v, u)
+
+
 class IntegerSolver:
     """M y = t over the integers, with M factored once.
 
@@ -308,19 +262,6 @@ def solve_integer(m: Mat, target: Vec) -> Optional[tuple[Vec, list[Vec]]]:
 
 def kernel_basis(m: Mat) -> list[Vec]:
     return IntegerSolver(m).kernel
-
-
-def image_basis(m: Mat) -> list[Vec]:
-    """Basis of the column span of M inside Z^rows."""
-    u, d, _ = smith_normal_form(m)
-    diag = snf_diagonal(d)
-    uinv = mat_inverse_unimodular(u)
-    cols = []
-    ut = transpose(uinv)
-    for i, di in enumerate(diag):
-        if di:
-            cols.append(vec_scale(ut[i], di))
-    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +341,6 @@ class QuotientData:
     invariant_factors: tuple[int, ...]
     index: object  # int or math.inf
     coset_reps: tuple[Vec, ...]
-    _uinv: Mat
     _u: Mat
     _diag: tuple[int, ...]
 
@@ -426,17 +366,16 @@ def quotient_data(target: Lattice, image_map: LatticeMap) -> QuotientData:
     u, dd, _ = smith_normal_form(image_map.matrix)
     diag = [x for x in snf_diagonal(dd) if x]
     rank = len(diag)
-    uinv = mat_inverse_unimodular(u)
     factors = tuple(x for x in diag if x > 1)
     if rank < d:
-        return QuotientData(factors, INFINITE, (), uinv, u, ())
+        return QuotientData(factors, INFINITE, (), u, ())
     index = 1
     for x in diag:
         index *= x
     # pad diag to d entries (rank == d here)
     reps = []
     radices = diag
-    ut = transpose(uinv)
+    ut = transpose(mat_inverse_unimodular(u))
 
     def build(prefix):
         if len(prefix) == d:
@@ -448,7 +387,7 @@ def quotient_data(target: Lattice, image_map: LatticeMap) -> QuotientData:
             build(prefix + [r])
 
     build([])
-    return QuotientData(factors, index, tuple(reps), uinv, u, tuple(radices))
+    return QuotientData(factors, index, tuple(reps), u, tuple(radices))
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +395,15 @@ def quotient_data(target: Lattice, image_map: LatticeMap) -> QuotientData:
 
 
 def is_positive_definite(q: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester criterion with exact rationals.  Requires symmetric input."""
+    """Sylvester's criterion: q, scaled to integers by the lcm of its
+    denominators, has every leading minor's det positive.  Requires
+    symmetric input."""
     n = len(q)
     qq = [[Fraction(x) for x in row] for row in q]
     for i in range(n):
         for j in range(n):
             if qq[i][j] != qq[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in qq[:k]]
-        if frac_det(minor) <= 0:
-            return False
-    return True
+    scale = math.lcm(*(x.denominator for row in qq for x in row))
+    qi = [[x.numerator * (scale // x.denominator) for x in row] for row in qq]
+    return all(det(tuple(tuple(row[:k]) for row in qi[:k])) > 0 for k in range(1, n + 1))

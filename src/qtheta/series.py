@@ -25,8 +25,9 @@ exact to the requested order -- the sum is "restricted by the enumerators to
 finitely many terms".
 
 A pure-Gauss word whose G is square with det +-1 (theta_W and its
-Heisenberg actions, say) skips the solve: its coefficients are rules in
-*cell coordinates* (:meth:`TorusSeries._cell_rules`).
+Heisenberg actions, say) skips the per-cell solve: its coefficients are
+rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
+once with the G^-1 its solver reads off G's Smith form.
 
 Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
 valuation certificates), *formal* (some factor is window-only; products are
@@ -44,8 +45,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
-from .intlinalg import IntegerSolver, Vec, det, mat_inverse_unimodular, mat_vec
-from .intlinalg import vec_add, vec_neg, vec_sub, zero_vec
+from .intlinalg import IntegerSolver, Vec, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial, add_into
 from .torus import QuantParam, TorusPoint
@@ -486,10 +486,11 @@ class TorusSeries:
 
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
         """The combos' terms at h, summed in one dict.  With cell rules each
-        is one rule at h; else h - base is solved (for a non-unimodular G,
-        the coset test) and any kernel K enumerated around the particular
-        solution: the combo's bound form at y = particular + K z (by
-        :func:`_subst`), with the cone rows y_c >= 0 in z."""
+        is one rule at h; else the layout's solver solves h - base (for a
+        kernel-free G that is not square with det +-1, the coset test) and
+        any kernel K is enumerated around the particular solution: the
+        combo's bound form at y = particular + K z (by :func:`_subst`), with
+        the cone rows y_c >= 0 in z."""
         field = self.param.field
         acc: dict = {}
         rules = self._cell_rules()
@@ -533,17 +534,20 @@ class TorusSeries:
 
     def _cell_rules(self) -> Optional[list]:
         """Cached: each combo's rule composed with y = G^-1 (h - base), a
-        rule of the cell h; None unless G is square with det +-1, there are
-        no cones and every term plan is pure Gauss (nothing left over)."""
+        rule of the cell h; None unless there are no cones, every term plan
+        is pure Gauss (nothing left over) and G is square with det +-1.  The
+        layout's solver reads that last condition off G's Smith form: G has
+        no kernel and every unit vector e_j is solved, by G^-1 e_j."""
         if self._cell_cache is None:
             lay = self._layout()
-            mtx, rules = lay.mtx, None
-            if lay.blocks and not lay.cones and len(mtx) == len(mtx[0]) and abs(det(mtx)) == 1:
-                inv = mat_inverse_unimodular(mtx)
-                plans = [self._combo_plan(combo) for combo in itertools.product(*lay.items)]
-                if not any(rest for _c, _b, (_r, rest), _f in plans):
-                    cols = list(zip(*inv))
-                    rules = [p[2][0].compose(vec_neg(mat_vec(inv, p[1])), cols) for p in plans]
+            solver, rules = lay.solver, None
+            if solver is not None and not solver.kernel and not lay.cones:
+                d = solver.nrows
+                cols = [solver.solve(tuple(int(i == j) for i in range(d))) for j in range(d)]
+                if None not in cols:
+                    plans = [self._combo_plan(combo) for combo in itertools.product(*lay.items)]
+                    if not any(rest for _c, _b, (_r, rest), _f in plans):
+                        rules = [p[2][0].compose(vec_neg(solver.solve(p[1])), cols) for p in plans]
             self._cell_cache = (rules,)
         return self._cell_cache[0]
 

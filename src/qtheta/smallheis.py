@@ -260,13 +260,12 @@ def act_on_theta(
     basis: ThetaBasis,
     window: int,
     order,
-    verify: bool = True,
 ) -> list[list[ScalarSeries]]:
     """Matrix of the induced action on the canonical theta basis.
 
     Entry [k][j] is the coefficient of the image of theta_j on theta_k; the
     acted series is re-expanded through its values at the canonical coset
-    representatives.
+    representatives, and that re-expansion is checked on the window cells.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
@@ -281,22 +280,19 @@ def act_on_theta(
         acted_list.append(acted)
         for k, rep in enumerate(basis.coset_reps):
             matrix[k][j] = acted.coeff(rep, order)
-    if verify:
-        cells = basis.basis[0].window_cells(window)
-        for j in range(n):
-            for h in cells:
-                lhs = acted_list[j].coeff(h, order)
-                rhs = ScalarSeries.zero(field, order)
-                for k in range(n):
-                    if not matrix[k][j].is_zero():
-                        rhs = rhs + matrix[k][j] * basis.basis[k].coeff(h, order)
-                # entries may have negative valuation; compare at the order
-                # both sides actually know
-                eff = min(order, lhs.trunc, rhs.trunc)
-                if not lhs.equal_to_order(rhs, eff):
-                    raise NotInNormalizer(
-                        "acted theta does not re-expand in the basis"
-                    )
+    cells = basis.basis[0].window_cells(window)
+    for j in range(n):
+        for h in cells:
+            lhs = acted_list[j].coeff(h, order)
+            rhs = ScalarSeries.zero(field, order)
+            for k in range(n):
+                if not matrix[k][j].is_zero():
+                    rhs = rhs + matrix[k][j] * basis.basis[k].coeff(h, order)
+            # entries may have negative valuation; compare at the order
+            # both sides actually know
+            eff = min(order, lhs.trunc, rhs.trunc)
+            if not lhs.equal_to_order(rhs, eff):
+                raise NotInNormalizer("acted theta does not re-expand in the basis")
     return matrix
 
 

@@ -17,7 +17,6 @@ from qtheta.intlinalg import (
     bilinear_eval,
     det,
     identity,
-    image_basis,
     is_positive_definite,
     kernel_basis,
     mat,
@@ -28,6 +27,7 @@ from qtheta.intlinalg import (
     smith_normal_form,
     snf_diagonal,
     solve_integer,
+    transpose,
 )
 
 
@@ -79,6 +79,16 @@ def test_unimodular_inverse():
         m = mat(m)
         inv = mat_inverse_unimodular(m)
         assert mat_mul(m, inv) == identity(n)
+
+
+
+@pytest.mark.parametrize(
+    "m", [[[2, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 0]], [[1], [0]], [[0, 0], [0, 0]]],
+    ids=["det2", "det-2", "wide", "tall", "zero"],
+)
+def test_unimodular_inverse_refuses_other_matrices(m):
+    with pytest.raises(ValueError):
+        mat_inverse_unimodular(mat(m))
 
 
 def test_quotient_examples():
@@ -138,15 +148,29 @@ def test_solve_integer():
         assert mat_vec(m2, k) == (0,)
 
 
-def test_kernel_and_image_basis():
+def test_kernel_basis():
     m = mat([[2, 4], [1, 2]])
     ker = kernel_basis(m)
     assert len(ker) == 1 and mat_vec(m, ker[0]) == (0, 0)
-    img = image_basis(m)
-    assert len(img) == 1
-    # image contains column (2,1)
-    sol = solve_integer(tuple(zip(*img)), (2, 1))
-    assert sol is not None
+
+
+def test_snf_transforms_give_the_image():
+    """M V e_i = d_i U^-1 e_i, so the nonzero d_i U^-1 e_i span M's image
+    (the identity theta_dim_basis relies on)."""
+    rng = random.Random(23)
+    for _ in range(100):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        m = mat([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+        u, d, v = smith_normal_form(m)
+        mv, uinv = transpose(mat_mul(m, v)), transpose(mat_inverse_unimodular(u))
+        diag = snf_diagonal(d) + [0] * c
+        for i in range(c):
+            assert mv[i] == tuple(diag[i] * x for x in (uinv[i] if i < r else (0,) * r))
+    # the column (2, 1) of [[2, 4], [1, 2]] lies in that span
+    u, d, _v = smith_normal_form(mat([[2, 4], [1, 2]]))
+    uinv = transpose(mat_inverse_unimodular(u))
+    img = [tuple(di * x for x in col) for di, col in zip(snf_diagonal(d), uinv) if di]
+    assert len(img) == 1 and solve_integer(tuple(zip(*img)), (2, 1)) is not None
 
 
 def test_positive_definite_examples():
@@ -155,6 +179,13 @@ def test_positive_definite_examples():
     assert is_positive_definite([[2, 1], [1, 2]])  # minors 2, 3
     with pytest.raises(NotSymmetric):
         is_positive_definite([[1, 2], [0, 1]])
+    # det(-I) = 1 > 0, but the first leading minor is -1
+    assert not is_positive_definite([[-1, 0], [0, -1]])
+    # half-integer entries: minors 1/2 and 1/4, taken exactly as 1 and 1 at scale 2
+    half = Fraction(1, 2)
+    assert is_positive_definite([[half, half], [half, 1]])
+    assert not is_positive_definite([[half, half], [half, half]])
+    assert is_positive_definite([[Fraction(1, 3), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 2)]])
 
 
 def test_positive_definite_vs_bruteforce():

@@ -837,7 +837,7 @@ def test_cell_rules_match_the_solver_path(monkeypatch, m, order):
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_cell_rules_fall_back_to_the_solver(m):
-    f, p, _mus, _points = _gauss_cases(m)
+    f, p, mus, _points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
     # G = diag(2, 1) is not unimodular: the solve is the coset test
     coset = TorusSeries.rule(p, (1, 0), [(2, 0), (0, 1)], None, rule.valuation_form(), gauss=rule)
@@ -852,6 +852,16 @@ def test_cell_rules_fall_back_to_the_solver(m):
     )
     assert closure._cell_rules() is None
     assert any(not x.is_zero() for x in closure.coeffs(cells, 20).values())
+    # G = [[1], [0]] has no kernel, but e_2 is not solved (E332's single theta)
+    th = theta_series(p, (1, 0), mus[1])
+    assert th._cell_rules() is None
+    got = th.coeffs(cells, 30)
+    assert all(got[h].is_zero() == (h[1] != 0) for h in cells)
+    # G = [[1, 0, 1], [0, 1, 1]] solves every e_j, but has a kernel
+    word = theta_series(p, (1, 0)).mul(theta_series(p, (0, 1))).mul(theta_series(p, (1, 1)))
+    assert word._layout().solver.kernel and word._cell_rules() is None
+    fresh = TorusSeries(p, word.factors)
+    assert word.coeffs(cells, 12) == {h: fresh.coeff(h, 12) for h in cells}
 
 
 # ---------------------------------------------------------------------------
