@@ -19,17 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QThetaError, UnknownName, UnresolvedReference
+from .errors import DimensionMismatch, QThetaError, UnknownName, UnresolvedReference
 from .heisenberg import HeisElement, HeisRaw
 from .intlinalg import INFINITE
-from .jsonio import (
-    load,
-    monomial_from_json,
-    multiplier_from_json,
-    multiplier_to_json,
-    param_from_json,
-    smallelem_from_json,
-)
+from .jsonio import JsonReader, load, multiplier_from_json, multiplier_to_json, param_from_json
 from .multiplier import Multiplier, compose as compose_multipliers, multiplier_new, power, theta_dim_basis
 from .named import builtin_series
 from .scalars import CycloField, UnitMonomial, series_to_json
@@ -69,11 +62,13 @@ class InputError(Exception):
 
 
 def _read_json(path: str, parse):
-    """``parse(load(path))``, with malformed content -- unknown names too --
-    reported as InputError."""
+    """``parse(load(path))``, with malformed content -- unknown names and
+    misshapen matrices too -- reported as InputError."""
     try:
         return parse(load(path))
-    except (ValueError, KeyError, TypeError, UnknownName, UnresolvedReference) as exc:
+    except (
+        ValueError, KeyError, TypeError, DimensionMismatch, UnknownName, UnresolvedReference
+    ) as exc:
         # json.JSONDecodeError is a ValueError
         raise InputError(f"malformed input {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -96,7 +91,7 @@ def _load_multiplier(arg: str, field: CycloField) -> Multiplier:
 
 def _spec_from_json(data: dict) -> EquationSpec:
     param = param_from_json(data["param"])
-    field, rank = param.field, param.rank
+    read = JsonReader(param)
 
     def count(key):
         v = data[key]
@@ -104,44 +99,27 @@ def _spec_from_json(data: dict) -> EquationSpec:
             raise ValueError(f"{key} must be a non-negative integer, got {v!r}")
         return v
 
-    def vec(w, key):
-        v = w[key]
-        if not isinstance(v, list) or len(v) != rank or any(type(x) is not int for x in v):
-            raise ValueError(f"{key} must be {rank} integers, got {v!r}")
-        return tuple(v)
-
-    def mono(d):
-        c = monomial_from_json(d)
-        if c.field is not field:
-            raise ValueError(f"monomial over Q(zeta_{c.field.order}) in a spec over Q(zeta_{field.order})")
-        return c
-
-    def point(w):
-        v = w["x"]
-        if not isinstance(v, list) or len(v) != rank:
-            raise ValueError(f"x must be {rank} monomials, got {v!r}")
-        return TorusPoint(tuple(map(mono, v)))
-
     terms = []
     if not data["terms"]:
         raise ValueError("spec has no terms")
     for t in data["terms"]:
-        coeff = mono(t["coeff"]) if "coeff" in t else UnitMonomial.one(field)
+        coeff = read.mono(t["coeff"]) if "coeff" in t else UnitMonomial.one(param.field)
         word = []
         for w in t["word"]:
             kind = w.get("type")
             if kind == "builtin":
-                s = builtin_series(w["name"], field)
+                s = builtin_series(w["name"], param.field)
                 if s.param != param:
                     raise UnresolvedReference(
                         f"builtin {w['name']} lives on a different torus"
                     )
                 word.append(s)
             elif kind == "exponent":
-                c = mono(w["coeff"]) if "coeff" in w else None
-                word.append(TorusSeries.exponent(param, vec(w, "h"), c))
+                c = read.mono(w["coeff"]) if "coeff" in w else None
+                word.append(TorusSeries.exponent(param, read.vec(w, "h"), c))
             elif kind == "heis":
-                word.append(HeisRaw(param, mono(w["c"]), point(w), vec(w, "g"), vec(w, "h")))
+                c, x = read.mono(w["c"]), read.point(w, "x")
+                word.append(HeisRaw(param, c, x, read.vec(w, "g"), read.vec(w, "h")))
             else:
                 raise UnresolvedReference(f"unknown word factor type {kind!r}")
         if not word or isinstance(word[-1], HeisRaw):
@@ -274,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "act":
             L = _load_multiplier(args.multiplier, field)
-            elem = _read_json(args.element, smallelem_from_json)
+            elem = _read_json(args.element, JsonReader(L.param).smallelem)
             tb = theta_dim_basis(L, window=args.window, order=args.order)
             matrix = act_on_theta(L, elem, tb, window=args.window, order=args.order)
             report = {

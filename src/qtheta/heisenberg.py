@@ -237,22 +237,8 @@ def heis_act(a, f: TorusSeries) -> TorusSeries:
 
 def representatives(a: HeisRaw) -> tuple[HeisRaw, HeisRaw]:
     """Left and right representatives of the class of ``a``."""
-    p = a.param
-    left = HeisRaw(
-        p,
-        a.c * p.alpha(a.h, a.g) * p.epsilon(a.h),
-        a.x * (p.hidden_point(a.h) ** -2),
-        vec_sub(a.g, a.h),
-        zero_vec(p.rank),
-    )
-    right = HeisRaw(
-        p,
-        a.c * p.alpha(a.h, a.g) * p.epsilon(a.g),
-        a.x * (p.hidden_point(a.g) ** -2),
-        zero_vec(p.rank),
-        vec_sub(a.h, a.g),
-    )
-    return left, right
+    e = HeisElement.from_raw(a)
+    return e.left_raw(), e.right_raw()
 
 
 def same_class(a: HeisRaw, b: HeisRaw) -> bool:

@@ -5,13 +5,19 @@ normal form with unimodular transforms, finite quotient data with canonical
 coset representatives, definiteness by integer leading minors, and integer
 linear solving (particular solution + kernel basis) -- the workhorses behind
 coset indices, theta bases and support intersection.  The Bareiss ``det``
-and ``smith_normal_form`` are the only eliminations: a unimodular inverse is
-read off the Smith transforms, and a rational form is scaled to integers
-before its minors are taken.
+and ``smith_normal_form`` are the only eliminations, and each distinct
+matrix is factored once: :func:`smith` caches its :class:`IntegerSolver`
+(U, the elementary divisors, V's image preimages and kernel columns).
+Solving, kernels, unimodular inverses and quotients read it here; theta
+bases, the small Heisenberg group's kernel group and gamma lifts,
+multiplier pullbacks and the series coefficient layout read it elsewhere.
+A rational form is scaled to integers before its minors are taken.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,39 +200,35 @@ def snf_diagonal(d: Mat) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def mat_inverse_unimodular(m: Mat) -> Mat:
-    """Inverse of a square integer matrix with det +-1: V U from U M V = I
-    (D = I, of M's row count, also says that M is square)."""
-    u, d, v = smith_normal_form(m)
-    if d != identity(len(m)):
-        raise ValueError("matrix is not square with det +-1")
-    return mat_mul(v, u)
-
-
 class IntegerSolver:
-    """M y = t over the integers, with M factored once.
+    """M's Smith normal form U M V = D, kept as what its readers need.
 
-    With U M V = D in Smith normal form, M y = t is solvable exactly when
-    every zero row of U annihilates t and each pivot row's (U t)_i is
-    divisible by its elementary divisor d_i; then
-    y = sum_i ((U t)_i / d_i) V[:, i] is one solution and the remaining
-    columns of V span the kernel.  ``ncols`` gives the width of a matrix
-    with no rows.
+    ``u`` is U; ``divisors`` are the nonzero elementary divisors
+    d_1 | d_2 | ..., one per unit of M's rank; ``pre`` are V's first rank
+    columns, with M pre_i = d_i U^-1 e_i, so they map onto a basis of M's
+    image; ``kernel`` holds V's other columns, a basis of ker M.  M y = t is
+    solvable exactly when every zero row of U annihilates t and each pivot
+    row's (U t)_i is divisible by d_i; then y = sum_i ((U t)_i / d_i) pre_i
+    is one solution.  ``ncols`` gives the width of a matrix with no rows.
     """
 
-    __slots__ = ("nrows", "ncols", "pivots", "zero_rows", "kernel")
+    __slots__ = ("nrows", "ncols", "u", "divisors", "pre", "kernel", "pivots", "zero_rows")
 
     def __init__(self, m: Mat, ncols: Optional[int] = None):
         self.nrows = len(m)
         self.ncols = len(m[0]) if m else ncols or 0
         u, d, v = smith_normal_form(m) if m else ((), (), identity(self.ncols))
-        diag = snf_diagonal(d)
-        rank = sum(1 for x in diag if x)
+        self.u = u
+        self.divisors = tuple(x for x in snf_diagonal(d) if x)
+        rank = len(self.divisors)
         vt = transpose(v)
-        # (row of U, elementary divisor, column of V) per pivot, sparse rows
-        self.pivots = tuple((_sparse(u[i]), diag[i], _sparse(vt[i])) for i in range(rank))
-        self.zero_rows = tuple(_sparse(row) for row in u[rank:])
+        self.pre = vt[:rank]
         self.kernel = list(vt[rank:])
+        # (row of U, elementary divisor, column of V) per pivot, sparse rows
+        self.pivots = tuple(
+            (_sparse(row), x, _sparse(col)) for row, x, col in zip(u, self.divisors, self.pre)
+        )
+        self.zero_rows = tuple(_sparse(row) for row in u[rank:])
 
     def solve(self, target: Vec) -> Optional[Vec]:
         """One integer solution of M y = target, or None when there is none."""
@@ -250,18 +252,42 @@ def _sparse(v: Vec) -> tuple[tuple[int, int], ...]:
     return tuple((i, x) for i, x in enumerate(v) if x)
 
 
+def smith(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> IntegerSolver:
+    """The one factorization of ``m``, shared by every reader of the matrix.
+
+    Rows are made tuples, so lists of lists work too; ``ncols`` gives the
+    width of a matrix with no rows.  The result is cached per distinct
+    matrix and must not be changed by its readers.
+    """
+    m = tuple(map(tuple, m))
+    return _smith_cached(m, len(m[0]) if m else ncols or 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _smith_cached(m: Mat, ncols: int) -> IntegerSolver:
+    return IntegerSolver(m, ncols)
+
+
+def mat_inverse_unimodular(m: Mat) -> Mat:
+    """Inverse of a square integer matrix with det +-1: V U from U M V = I."""
+    s = smith(m)
+    if s.nrows != s.ncols or s.divisors != (1,) * s.ncols:
+        raise ValueError("matrix is not square with det +-1")
+    return mat_mul(transpose(s.pre), s.u)
+
+
 def solve_integer(m: Mat, target: Vec) -> Optional[tuple[Vec, list[Vec]]]:
     """Solve M y = target over the integers.
 
     Returns (particular solution, kernel basis) or None when unsolvable.
     """
-    solver = IntegerSolver(m)
+    solver = smith(m)
     y = solver.solve(target)
-    return None if y is None else (y, solver.kernel)
+    return None if y is None else (y, list(solver.kernel))
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
-    return IntegerSolver(m).kernel
+    return list(smith(m).kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +345,10 @@ class LatticeMap:
         return LatticeMap(mat_mul(self.matrix, other.matrix))
 
     def is_injective(self) -> bool:
-        return not kernel_basis(self.matrix)
+        return not smith(self.matrix).kernel
 
     def preimage(self, v: Vec) -> Optional[Vec]:
-        sol = solve_integer(self.matrix, v)
-        return None if sol is None else sol[0]
+        return smith(self.matrix).solve(v)
 
 
 INFINITE = float("inf")
@@ -362,32 +387,18 @@ class QuotientData:
 def quotient_data(target: Lattice, image_map: LatticeMap) -> QuotientData:
     if image_map.target_rank != target.rank:
         raise DimensionMismatch("image map does not target the given lattice")
-    d = target.rank
-    u, dd, _ = smith_normal_form(image_map.matrix)
-    diag = [x for x in snf_diagonal(dd) if x]
-    rank = len(diag)
+    s = smith(image_map.matrix, image_map.source_rank)
+    diag = s.divisors
     factors = tuple(x for x in diag if x > 1)
-    if rank < d:
-        return QuotientData(factors, INFINITE, (), u, ())
-    index = 1
-    for x in diag:
-        index *= x
-    # pad diag to d entries (rank == d here)
-    reps = []
-    radices = diag
-    ut = transpose(mat_inverse_unimodular(u))
-
-    def build(prefix):
-        if len(prefix) == d:
-            w = prefix
-            hv = tuple(sum(ut[i][k] * w[i] for i in range(d)) for k in range(d))
-            reps.append(hv)
-            return
-        for r in range(radices[len(prefix)]):
-            build(prefix + [r])
-
-    build([])
-    return QuotientData(factors, index, tuple(reps), u, tuple(radices))
+    if len(diag) < target.rank:
+        return QuotientData(factors, INFINITE, (), s.u, ())
+    # U^-1 e_i = M pre_i / d_i; the reps are sum_i w_i U^-1 e_i, 0 <= w_i < d_i
+    cols = [tuple(x // di for x in mat_vec(image_map.matrix, p)) for di, p in zip(diag, s.pre)]
+    reps = tuple(
+        tuple(sum(w * col[k] for w, col in zip(ws, cols)) for k in range(target.rank))
+        for ws in itertools.product(*(range(x) for x in diag))
+    )
+    return QuotientData(factors, math.prod(diag), reps, s.u, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,18 @@ vectors over the power basis):
   multiplier  {"param": param, "B_rank": int, "images": [heis],
                "sqrt": [[monomial]] | null}
   smallelem   {"c": monomial, "xi": point, "gamma": [int]}
+
+Multipliers, elements and the parts of CLI equation specs are read through
+:class:`JsonReader`, which refuses input of another field or rank.
 """
 
 from __future__ import annotations
 
 import json
 
+from .errors import DivisionByZero
 from .heisenberg import HeisElement
-from .intlinalg import Lattice, mat
+from .intlinalg import Lattice, Vec, mat
 from .multiplier import Multiplier
 from .scalars import CycloField, UnitMonomial, monomial_from_json, monomial_to_json
 from .torus import QuantParam, TorusPoint
@@ -37,12 +41,51 @@ def param_from_json(data: dict) -> QuantParam:
     return QuantParam(field, Lattice(data["rank"]), mat(data["A"]), mat(data["S"]))
 
 
+class JsonReader:
+    """Validated reading over one torus: a monomial must lie over its field
+    and have a nonzero coefficient, a vector must be ``rank`` ints and a
+    point ``rank`` such monomials; anything else raises ValueError."""
+
+    def __init__(self, param: QuantParam):
+        self.param = param
+
+    def mono(self, data: dict) -> UnitMonomial:
+        try:
+            c = monomial_from_json(data)
+        except DivisionByZero as exc:
+            raise ValueError(f"monomial with coefficient 0: {data!r}") from exc
+        field = self.param.field
+        if c.field is not field:
+            raise ValueError(f"monomial over Q(zeta_{c.field.order}), not Q(zeta_{field.order})")
+        return c
+
+    def vec(self, data: dict, key: str) -> Vec:
+        v, rank = data[key], self.param.rank
+        # bool is an int subclass
+        if not isinstance(v, list) or len(v) != rank or any(type(x) is not int for x in v):
+            raise ValueError(f"{key} must be {rank} integers, got {v!r}")
+        return tuple(v)
+
+    def point(self, data: dict, key: str) -> TorusPoint:
+        v, rank = data[key], self.param.rank
+        if not isinstance(v, list) or len(v) != rank:
+            raise ValueError(f"{key} must be {rank} monomials, got {v!r}")
+        return TorusPoint(tuple(map(self.mono, v)))
+
+    def heis(self, data: dict) -> HeisElement:
+        c, x = self.mono(data["c"]), self.point(data, "x")
+        return HeisElement(self.param, c, x, self.vec(data, "h_l"))
+
+    def smallelem(self, data: dict):
+        from .smallheis import SmallHeisElement
+
+        return SmallHeisElement(
+            self.mono(data["c"]), self.point(data, "xi"), self.vec(data, "gamma")
+        )
+
+
 def point_to_json(x: TorusPoint) -> list:
     return [monomial_to_json(v) for v in x.values]
-
-
-def point_from_json(data: list) -> TorusPoint:
-    return TorusPoint(tuple(monomial_from_json(v) for v in data))
 
 
 def heis_to_json(e: HeisElement) -> dict:
@@ -54,12 +97,7 @@ def heis_to_json(e: HeisElement) -> dict:
 
 
 def heis_from_json(data: dict, param: QuantParam) -> HeisElement:
-    return HeisElement(
-        param,
-        monomial_from_json(data["c"]),
-        point_from_json(data["x"]),
-        tuple(data["h_l"]),
-    )
+    return JsonReader(param).heis(data)
 
 
 def multiplier_to_json(L: Multiplier) -> dict:
@@ -75,10 +113,11 @@ def multiplier_to_json(L: Multiplier) -> dict:
 
 def multiplier_from_json(data: dict) -> Multiplier:
     param = param_from_json(data["param"])
-    images = [heis_from_json(i, param) for i in data["images"]]
+    read = JsonReader(param)
+    images = [read.heis(i) for i in data["images"]]
     sqrt = data.get("sqrt")
     if sqrt is not None:
-        sqrt = [[monomial_from_json(u) for u in row] for row in sqrt]
+        sqrt = [[read.mono(u) for u in row] for row in sqrt]
     return Multiplier(param, images, sqrt)
 
 
@@ -87,13 +126,10 @@ def smallelem_to_json(c: UnitMonomial, xi: TorusPoint, gamma) -> dict:
 
 
 def smallelem_from_json(data: dict):
-    from .smallheis import SmallHeisElement
-
-    return SmallHeisElement(
-        monomial_from_json(data["c"]),
-        point_from_json(data["xi"]),
-        tuple(data["gamma"]),
-    )
+    """An element over the field of its ``c`` and the rank of its ``gamma``
+    (``JsonReader(param).smallelem`` reads one for a given torus)."""
+    param = QuantParam.trivial(CycloField(data["c"]["m"]), len(data["gamma"]))
+    return JsonReader(param).smallelem(data)
 
 
 def load(path: str) -> dict:

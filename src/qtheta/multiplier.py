@@ -44,9 +44,7 @@ from .intlinalg import (
     is_positive_definite,
     mat_vec,
     quotient_data,
-    smith_normal_form,
-    snf_diagonal,
-    transpose,
+    smith,
     vec_add,
     vec_neg,
     vec_sub,
@@ -54,7 +52,7 @@ from .intlinalg import (
 )
 from .scalars import UnitMonomial
 from .series import GaussRule, TorusSeries, series_equal_on_cells
-from .torus import QuantParam, TorusPoint
+from .torus import QuantParam, TorusPoint, smith_root
 
 
 class Multiplier:
@@ -334,12 +332,10 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
     if quot.index == INFINITE:
         raise InfiniteIndex("theta basis needs a finite coset index")
     hm = L.h_minus_matrix
-    # with U h- V = D, V's first rank columns map onto a basis of h-(B)
-    # inside H (h- V e_i = d_i U^-1 e_i) and the others span ker(h-)
-    _u, d, v = smith_normal_form(hm)
-    rank = sum(1 for x in snf_diagonal(d) if x)
-    vt = transpose(v)
-    pre, kern = vt[:rank], vt[rank:]
+    # h-'s preimage columns map onto a basis of h-(B) inside H; its kernel
+    # columns span ker(h-)
+    s = smith(hm, L.rank)
+    pre, kern = s.pre, s.kernel
     img_cols = [mat_vec(hm, b) for b in pre]
     inconsistent = []
     consistent_reps = []
@@ -467,35 +463,27 @@ def pullback(F: TorusMorphism, L: Multiplier) -> Multiplier:
     """F^*(L): the pulled-back multiplier on the source torus of F^*.
 
     Generator images [c a_{h}; x', f(h), 0] where x' is the canonical
-    monomial solution of phi(x') = x_l (componentwise Smith roots).
+    monomial solution of x'(f(k)) = x_l(k) for all k (Smith roots, see
+    :func:`~qtheta.torus.smith_root`).  There is none, and ``NoLift`` is
+    raised, when some x_l is not 1 on ker f or a root is missing.
     """
     if L.param != F.source_param:
         raise ParamMismatch("multiplier does not live on the morphism's function source")
     if not F.is_characteristic_trivial():
         raise IncompatibleForm("pullback needs multiplicative scalar data")
     p2 = F.target_param
-    d2 = p2.rank
-    fmat = F.f.matrix
-    u, dmat, v = smith_normal_form(fmat)
-    diag = snf_diagonal(dmat)
-    rank = sum(1 for x in diag if x)
-    vt = transpose(v)
+    s = smith(F.f.matrix, L.param.rank)
+
+    def missing(d, value, exc):
+        return NoLift(f"no monomial lift for generator image: {exc}")
+
     new_images = []
     for img in L.images:
-        # solve x'(f(k)) = x_l(k) for all k in H1 (phi is induced by f alone;
-        # the scalar data enters the coefficient slot, not the point)
-        vals_on_w = []
-        for t in range(d2):
-            if t < rank and diag[t]:
-                k_t = vt[t]  # V column t
-                rhs = img.x.eval(k_t)
-                try:
-                    vals_on_w.append(rhs.nth_root(diag[t]))
-                except NoMonomialRoot as exc:
-                    raise NoLift(f"no monomial lift for generator image: {exc}")
-            else:
-                vals_on_w.append(UnitMonomial.one(p2.field))
-        xprime = TorusPoint(vals_on_w).on_columns(u)
+        # phi is induced by f alone; the scalar data enters the coefficient
+        # slot, not the point
+        xprime = smith_root(s, img.x.eval, p2.field, missing)
+        if xprime is None:
+            raise NoLift(f"generator image point {img.x} is not 1 on ker f")
         new_images.append(
             HeisElement.from_raw(
                 HeisRaw(
@@ -503,15 +491,12 @@ def pullback(F: TorusMorphism, L: Multiplier) -> Multiplier:
                     img.c * F.a_value(img.h_l),
                     xprime,
                     F.f(img.h_l),
-                    zero_vec(d2),
+                    zero_vec(p2.rank),
                 )
             )
         )
-    sqrt = None
-    if L.sqrt_pairing is not None:
-        # the pulled-back pairing equals the original one
-        sqrt = L.sqrt_pairing
-    return Multiplier(p2, new_images, sqrt)
+    # the pulled-back pairing equals the original one
+    return Multiplier(p2, new_images, L.sqrt_pairing)
 
 
 def compose(L2: Multiplier, L1: Multiplier) -> Multiplier:

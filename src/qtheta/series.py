@@ -45,7 +45,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
-from .intlinalg import IntegerSolver, Vec, vec_add, vec_neg, vec_sub, zero_vec
+from .intlinalg import Vec, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial, add_into
 from .torus import QuantParam, TorusPoint
@@ -403,8 +403,9 @@ class TorusSeries:
     def _layout(self) -> _Layout:
         """Cached: the lattice factors' word positions with their parameter
         blocks [a, b) in the concatenated parameters, the cone-constrained
-        parameters, the sum of the factors' offsets, an exact solver for
-        their generator matrix G (None when there are no parameters), G's
+        parameters, the sum of the factors' offsets, the shared Smith
+        factorization of their generator matrix G (:func:`intlinalg.smith`;
+        None when there are no parameters), G's
         rows, and the finite factors' word positions and item lists."""
         if self._layout_cache is None:
             blocks, cones, cols = [], [], []
@@ -417,7 +418,7 @@ class TorusSeries:
                     cols += f.gens
                     offset = vec_add(offset, f.offset)
             mtx = tuple(tuple(c[i] for c in cols) for i in range(self.param.rank))  # d x k
-            solver = IntegerSolver(mtx, len(cols)) if cols else None
+            solver = smith(mtx, len(cols)) if cols else None
             fin_pos = tuple(i for i, f in enumerate(self.factors) if f.is_finite)
             items = tuple(list(self.factors[i].items()) for i in fin_pos)
             self._layout_cache = _Layout(blocks, cones, offset, solver, mtx, fin_pos, items)

@@ -23,7 +23,6 @@ from .errors import (
     DimensionDeficit,
     InfiniteIndex,
     MissingRootsOfUnity,
-    NoMonomialRoot,
     NonInjectiveImage,
     NotAmple,
     NotInNormalizer,
@@ -31,20 +30,11 @@ from .errors import (
     ParamMismatch,
 )
 from .heisenberg import HeisRaw, heis_act, heis_mul, mumford_morphism, morphism_pullback
-from .intlinalg import (
-    INFINITE,
-    QuotientData,
-    Vec,
-    kernel_basis,
-    smith_normal_form,
-    snf_diagonal,
-    transpose,
-    zero_vec,
-)
+from .intlinalg import INFINITE, QuotientData, Vec, smith, zero_vec
 from .multiplier import Multiplier, ThetaBasis, boxtimes, boxtimes_series, pullback, theta_membership
 from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
 from .series import TorusSeries
-from .torus import QuantParam, TorusPoint
+from .torus import QuantParam, TorusPoint, smith_root
 
 
 @dataclass(frozen=True)
@@ -88,13 +78,11 @@ def _check_injective_image(L: Multiplier):
     x_l vanishes on a nonzero vector of ker(h-): torsion coefficient parts
     always die after raising to the torsion order.
     """
-    kern = kernel_basis(L.h_minus_matrix)
+    kern = smith(L.h_minus_matrix, L.rank).kernel
     if not kern:
         return
-    d = L.param.rank
     uexps = [L.x_l(k).uexp_vector() for k in kern]
-    stacked = tuple(tuple(uexps[j][i] for j in range(len(kern))) for i in range(d))
-    if kernel_basis(stacked):
+    if smith(tuple(zip(*uexps)), len(kern)).kernel:
         raise NonInjectiveImage(
             "h- kernel carries finite-order period points; the image is not "
             "injective into T(H,1) x H"
@@ -115,31 +103,24 @@ def normalizer_membership(
     return True
 
 
-def _smith_data(L: Multiplier):
-    u, d, v = smith_normal_form(L.h_minus_matrix)
-    return u, v, snf_diagonal(d)
-
-
 def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]]:
     """Generators and orders of the points killed on h-(B)."""
     quot = L.quotient()
     if quot.index == INFINITE:
         raise InfiniteIndex("kernel group is finite only for finite index")
-    u, v, diag = _smith_data(L)
     field = L.param.field
-    d = L.param.rank
     M = field.torsion_order
     gens = []
     orders = []
-    for t in range(d):
-        dt = diag[t] if t < len(diag) else 0
+    s = smith(L.h_minus_matrix, L.rank)
+    for row, dt in zip(s.u, s.divisors):
         if dt > 1:
             if M % dt:
                 raise MissingRootsOfUnity(dt)
             z = field.root_of_unity(dt)
             vals = tuple(
-                UnitMonomial(z ** (u[t][j] % dt), 0) if u[t][j] % dt else UnitMonomial.one(field)
-                for j in range(d)
+                UnitMonomial(z ** (x % dt), 0) if x % dt else UnitMonomial.one(field)
+                for x in row
             )
             gens.append(TorusPoint(vals))
             orders.append(dt)
@@ -157,31 +138,20 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
     if quot.index == INFINITE:
         raise InfiniteIndex("gamma lifts need a finite coset index")
     p = L.param
-    d = p.rank
     field = p.field
-    u, v, diag = _smith_data(L)
-    vt = transpose(v)
-    # RHS(b) = gamma(x_l(b)) alpha^2(h-(b), gamma) is a homomorphism in b;
-    # V's columns past the rank span ker(h-)
-    for k in vt[sum(1 for x in diag if x) :]:
-        rhs = L.x_l(k).eval(gamma) * (p.alpha(L.h_minus(k), gamma) ** 2)
-        if not rhs.is_one():
-            return []  # no solution: equations inconsistent on the kernel
-    base_vals = []
-    for t in range(d):
-        dt = diag[t] if t < len(diag) else 0
-        if dt == 0:
-            raise InfiniteIndex("gamma lifts need a finite coset index")
-        b_t = vt[t]  # preimage: h-(V col t) = dt * (Uinv col t)
-        rhs = L.x_l(b_t).eval(gamma) * (p.alpha(L.h_minus(b_t), gamma) ** 2)
-        try:
-            base_vals.append(rhs.nth_root(dt))
-        except NoMonomialRoot:
-            raise MissingRootsOfUnity(
-                dt * field.torsion_order,
-                f"lifting needs a {dt}-th root of {rhs!r}",
-            )
-    base = TorusPoint(base_vals).on_columns(u)
+
+    def rhs(b):
+        # gamma(x_l(b)) alpha^2(h-(b), gamma) is a homomorphism in b
+        return L.x_l(b).eval(gamma) * (p.alpha(L.h_minus(b), gamma) ** 2)
+
+    def missing(dt, value, exc):
+        return MissingRootsOfUnity(
+            dt * field.torsion_order, f"lifting needs a {dt}-th root of {value!r}"
+        )
+
+    base = smith_root(smith(L.h_minus_matrix, L.rank), rhs, field, missing)
+    if base is None:
+        return []  # no solution: equations inconsistent on the kernel
     gens, orders = kernel_group(L)
     out = []
     for _, kappa in SmallHeisStructure(

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import DimensionMismatch, LatticeMismatch
-from .intlinalg import Lattice, Mat, Vec, mat
+from .errors import DimensionMismatch, LatticeMismatch, NoMonomialRoot, QThetaError
+from .intlinalg import IntegerSolver, Lattice, Mat, Vec, mat
 from .scalars import CycloField, UnitMonomial
 
 
@@ -189,9 +189,9 @@ class TorusPoint:
     def on_columns(self, m: Mat) -> "TorusPoint":
         """The point with value self(m e_j) on e_j, i.e. prod_t values[t]^m[t][j].
 
-        For U M V = D in Smith normal form and Smith roots ``vals`` on the
+        For U M V = D in Smith normal form and values ``vals`` on the
         columns of U^-1, ``TorusPoint(vals).on_columns(U)`` takes those
-        values there."""
+        values there (see :func:`smith_root`)."""
         return TorusPoint(tuple(self.eval(col) for col in zip(*m)))
 
     def uexp_vector(self) -> Vec:
@@ -226,6 +226,31 @@ class TorusPoint:
 
     def __repr__(self):
         return "(" + ", ".join(repr(v) for v in self.values) + ")"
+
+
+def smith_root(
+    solver: IntegerSolver,
+    chi: Callable[[Vec], UnitMonomial],
+    field: CycloField,
+    missing: Callable[[int, UnitMonomial, NoMonomialRoot], QThetaError],
+) -> Optional[TorusPoint]:
+    """A point x with x(M k) = chi(k) for every k, for a character chi of
+    the source of the matrix M that ``solver`` factors; None when chi is not
+    1 on ker M.  As M p_i = d_i U^-1 e_i, x takes a d_i-th root of chi(p_i)
+    on U^-1 e_i and 1 past M's rank; a missing root raises
+    ``missing(d_i, chi(p_i), exc)``.
+    """
+    if any(not chi(k).is_one() for k in solver.kernel):
+        return None
+    vals = []
+    for d, p in zip(solver.divisors, solver.pre):
+        value = chi(p)
+        try:
+            vals.append(value.nth_root(d))
+        except NoMonomialRoot as exc:
+            raise missing(d, value, exc) from exc
+    vals += [UnitMonomial.one(field)] * (solver.nrows - len(vals))
+    return TorusPoint(vals).on_columns(solver.u)
 
 
 # ---------------------------------------------------------------------------

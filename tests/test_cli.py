@@ -215,6 +215,25 @@ _THETA = {"type": "builtin", "name": "theta_jacobi"}
 _M5 = {"m": 5, "coeff": ["1", "0", "0", "0"], "uexp": 0}  # a monomial over Q(zeta_5)
 
 
+_M3 = {"m": 3, "coeff": ["1", "0"], "uexp": 2}  # a monomial over Q(zeta_3)
+_ZERO = {"m": 1, "coeff": ["0"], "uexp": 0}  # no unit monomial
+
+
+def _jacobi2_with(image=(), **fields):
+    """builtin:jacobi2 as multiplier JSON, its generator image's fields
+    updated by ``image`` and its top-level fields by ``fields``."""
+    data = multiplier_to_json(builtin_multiplier("jacobi2", F))
+    data["images"][0].update(image)
+    data.update(fields)
+    return json.dumps(data)
+
+
+def _element(field=F, gamma=(0,)):
+    """The element [1; (-1), gamma] of jacobi2's small group, over ``field``."""
+    minus = UnitMonomial(-field.one(), 0)
+    return json.dumps(smallelem_to_json(UnitMonomial.one(field), TorusPoint((minus,)), gamma))
+
+
 def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
     """theta_jacobi - theta_jacobi = 0 as a JSON spec, which passes as it
     stands; ``mode``, ``word`` and ``coeff`` (the first term's) and the
@@ -299,6 +318,36 @@ def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
                 ("x-field", "x", [_M5]),
                 ("c-field", "c", _M5),
             ]
+        ),
+        # a zero coefficient is no unit monomial
+        pytest.param(["verify"], _theta_shift_spec(coeff=_ZERO), id="term-coeff-zero"),
+        pytest.param(
+            ["verify"],
+            _theta_shift_spec(mode="operator_equation", word=[{**_HEIS, "c": _ZERO}, _THETA]),
+            id="heis-c-zero",
+        ),
+        # multiplier and element JSON are read like specs: the param's field
+        # and rank, and nonzero monomials
+        pytest.param(["theta"], _jacobi2_with({"c": _M3}), id="multiplier-c-field"),
+        pytest.param(["theta"], _jacobi2_with({"h_l": [2, 0]}), id="multiplier-h_l-rank"),
+        pytest.param(["theta"], _jacobi2_with({"x": []}), id="multiplier-x-rank"),
+        pytest.param(["theta"], _jacobi2_with({"c": _ZERO}), id="multiplier-c-zero"),
+        pytest.param(
+            ["act", "ELEM", "builtin:jacobi2"], _element(field=CycloField(3)), id="element-field"
+        ),
+        pytest.param(
+            ["act", "ELEM", "builtin:jacobi2"], _element(gamma=(0, 0)), id="element-gamma-rank"
+        ),
+        # matrices of the wrong shape
+        pytest.param(
+            ["theta"],
+            _jacobi2_with(sqrt=[[_HEIS["c"]] * 2]),
+            id="multiplier-sqrt-shape",
+        ),
+        pytest.param(
+            ["theta"],
+            _jacobi2_with(param={"m": 1, "rank": 1, "A": [[0, 0]], "S": [[0]]}),
+            id="multiplier-param-A-shape",
         ),
     ],
 )

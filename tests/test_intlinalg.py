@@ -24,6 +24,7 @@ from qtheta.intlinalg import (
     mat_mul,
     mat_vec,
     quotient_data,
+    smith,
     smith_normal_form,
     snf_diagonal,
     solve_integer,
@@ -124,6 +125,33 @@ def test_quotient_index_matches_det():
             assert q.index == abs(dd)
 
 
+def _coset_reps_by_unimodular_inverse(m):
+    """Coset reps sum_i w_i U^-1 e_i (0 <= w_i < d_i) with U^-1 taken by
+    inverting U, the construction quotient_data reads off M's columns now."""
+    u, d, _ = smith_normal_form(m)
+    diag = [x for x in snf_diagonal(d) if x]
+    uinv_cols = transpose(mat_inverse_unimodular(u))
+    n = len(m)
+    return tuple(
+        tuple(sum(uinv_cols[i][k] * w[i] for i in range(n)) for k in range(n))
+        for w in itertools.product(*(range(x) for x in diag))
+    )
+
+
+def test_quotient_reps_match_the_unimodular_inverse_construction():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 4)
+        m = mat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if det(m) == 0 or abs(det(m)) > 200:
+            continue
+        q = quotient_data(Lattice(n), LatticeMap(m))
+        assert q.coset_reps == _coset_reps_by_unimodular_inverse(m)
+        assert [q.project(rep) for rep in q.coset_reps] == list(range(q.index))
+        checked += 1
+
+
 def test_quotient_reduce_is_translation_invariant():
     m = LatticeMap(mat([[2, 1], [0, 3]]))
     q = quotient_data(Lattice(2), m)
@@ -152,6 +180,16 @@ def test_kernel_basis():
     m = mat([[2, 4], [1, 2]])
     ker = kernel_basis(m)
     assert len(ker) == 1 and mat_vec(m, ker[0]) == (0, 0)
+
+
+def test_smith_is_shared_and_its_readers_return_copies():
+    rows = [[2, 4], [1, 2]]
+    s = smith(rows)
+    assert smith(mat(rows)) is s  # lists of lists and row tuples share one entry
+    kernel_basis(rows).append((9, 9))
+    solve_integer(rows, (2, 1))[1].clear()
+    assert kernel_basis(rows) == s.kernel and len(s.kernel) == 1
+    assert mat_vec(mat(rows), s.kernel[0]) == (0, 0)
 
 
 def test_snf_transforms_give_the_image():

@@ -9,13 +9,22 @@ from test_acceptance import invariance_oracle, random_ample_pair
 from qtheta.errors import (
     CocycleFailure,
     InfiniteIndex,
+    NoLift,
     NonSymmetricPairing,
     NotComposable,
     NotInvertible,
     PrecisionShortfall,
     SqrtMismatch,
 )
-from qtheta.heisenberg import HeisElement, HeisRaw, heis_act, mumford_morphism, scaling_morphism, shift_morphism
+from qtheta.heisenberg import (
+    HeisElement,
+    HeisRaw,
+    TorusMorphism,
+    heis_act,
+    mumford_morphism,
+    scaling_morphism,
+    shift_morphism,
+)
 from qtheta.intlinalg import LatticeMap, mat, solve_integer, vec_add, vec_sub, zero_vec
 from qtheta.multiplier import (
     Multiplier,
@@ -232,6 +241,26 @@ def test_pullback_scaling():
     pulled_theta = sc.pullback_series(tb.basis[0])
     cells = [(n,) for n in range(-5, 6)]
     assert theta_membership(Ln, pulled_theta, cells, 80)
+
+
+def test_pullback_along_a_non_injective_map():
+    # f(k) = k_1 + k_2 from trivial Z^2 to Z: x' with x'(f(k)) = x_l(k) exists
+    # only when x_l is 1 on ker f = Z (1, -1)
+    P2 = QuantParam.trivial(F, 2)
+    one = UnitMonomial.one(F)
+    f = LatticeMap.from_rows([[1, 1]])
+    sum_map = TorusMorphism(f, [one, one], P2, P1)
+
+    def on_z2(a, b):
+        x = TorusPoint((UnitMonomial(F.one(), a), UnitMonomial(F.one(), b)))
+        return multiplier_new(P2, [HeisElement(P2, one, x, (1, 0))])
+
+    with pytest.raises(NoLift):
+        pullback(sum_map, on_z2(3, 5))
+    L = on_z2(3, 3)
+    xprime = pullback(sum_map, L).images[0].x_l
+    for k in [(1, 0), (0, 1), (1, -1)]:
+        assert xprime.eval(f(k)) == L.images[0].x_l.eval(k)
 
 
 def test_compose_jacobi():

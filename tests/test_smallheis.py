@@ -10,8 +10,11 @@ from qtheta.errors import (
     MissingRootsOfUnity,
     NotInNormalizer,
 )
+from test_acceptance import random_ample_pair
+
+from qtheta import intlinalg
 from qtheta.heisenberg import HeisElement, heis_mul
-from qtheta.multiplier import multiplier_new, power, theta_dim_basis
+from qtheta.multiplier import compose, multiplier_new, power, theta_dim_basis
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.smallheis import (
     SmallHeisElement,
@@ -155,6 +158,56 @@ def test_missing_roots_reported():
     struct = group_structure(multiplier_new(p3, [img3]))
     assert struct.quotient.index == 3
     assert struct.kappa_orders == (3,)
+
+
+def test_gamma_lift_reports_the_missing_root_order():
+    # xi(2) = -u^4 needs a square root of -1: a root of unity of order
+    # d * torsion_order = 2 * 2 over Q, which Q(zeta_4) has
+    def halved(field):
+        p = QuantParam.trivial(field, 1)
+        x = TorusPoint((UnitMonomial(-field.one(), 4),))
+        return multiplier_new(p, [HeisElement(p, UnitMonomial.q_power(field, 4), x, (2,))])
+
+    with pytest.raises(MissingRootsOfUnity) as exc:
+        gamma_lift(halved(F), (1,))
+    assert exc.value.order == 2 * F.torsion_order == 4
+    L = halved(CycloField(4))
+    lifts = gamma_lift(L, (1,))
+    assert len(lifts) == 2
+    assert all(normalizer_membership(L, e.c, e.xi, e.gamma) for e in lifts)
+
+
+def test_each_matrix_is_factored_once(monkeypatch):
+    """Theta bases, the small group, gamma lifts and the action read one
+    shared Smith factorization per distinct integer matrix."""
+    l1, l2 = random_ample_pair(random.Random(5), 2)
+    composed = compose(l2, l1)  # h- = 2F: index 4, kernel group (Z/2)^2
+    one, zero = UnitMonomial.one(F), (0, 0)
+    calls = []
+    factor = intlinalg.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return factor(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    intlinalg._smith_cached.cache_clear()
+
+    def run():
+        for L in (l1, l2, composed):
+            basis = theta_dim_basis(L, 2, 12)
+            struct = group_structure(L)
+            for gen in struct.kappa_generators:
+                act_on_theta(L, SmallHeisElement(one, gen, zero), basis, 2, 12)
+            for gamma in [(0, 0), (1, 0), (0, 1)]:
+                gamma_lift(L, gamma)
+
+    run()
+    assert composed.h_minus_matrix in calls
+    assert len(calls) == len(set(calls))
+    calls.clear()
+    run()
+    assert calls == []
 
 
 def test_character_split_level2():
