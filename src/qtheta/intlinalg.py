@@ -7,7 +7,8 @@ linear solving (particular solution + kernel basis) -- the workhorses behind
 coset indices, theta bases and support intersection.  The Bareiss ``det``
 and ``smith_normal_form`` are the only eliminations, and each distinct
 matrix is factored once: :func:`smith` caches its :class:`IntegerSolver`
-(U, the elementary divisors, V's image preimages and kernel columns).
+(U, the elementary divisors, V's image preimages and kernel columns) for
+the 512 most recently used matrices.
 Solving, kernels, unimodular inverses and quotients read it here; theta
 bases, the small Heisenberg group's kernel group and gamma lifts,
 multiplier pullbacks and the series coefficient layout read it elsewhere.
@@ -223,7 +224,7 @@ class IntegerSolver:
         rank = len(self.divisors)
         vt = transpose(v)
         self.pre = vt[:rank]
-        self.kernel = list(vt[rank:])
+        self.kernel = vt[rank:]
         # (row of U, elementary divisor, column of V) per pivot, sparse rows
         self.pivots = tuple(
             (_sparse(row), x, _sparse(col)) for row, x, col in zip(u, self.divisors, self.pre)
@@ -257,13 +258,13 @@ def smith(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> IntegerSol
 
     Rows are made tuples, so lists of lists work too; ``ncols`` gives the
     width of a matrix with no rows.  The result is cached per distinct
-    matrix and must not be changed by its readers.
+    matrix (the 512 most recent) and holds only tuples.
     """
     m = tuple(map(tuple, m))
     return _smith_cached(m, len(m[0]) if m else ncols or 0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def _smith_cached(m: Mat, ncols: int) -> IntegerSolver:
     return IntegerSolver(m, ncols)
 

@@ -96,10 +96,6 @@ def heis_to_json(e: HeisElement) -> dict:
     }
 
 
-def heis_from_json(data: dict, param: QuantParam) -> HeisElement:
-    return JsonReader(param).heis(data)
-
-
 def multiplier_to_json(L: Multiplier) -> dict:
     return {
         "param": param_to_json(L.param),
@@ -123,13 +119,6 @@ def multiplier_from_json(data: dict) -> Multiplier:
 
 def smallelem_to_json(c: UnitMonomial, xi: TorusPoint, gamma) -> dict:
     return {"c": monomial_to_json(c), "xi": point_to_json(xi), "gamma": list(gamma)}
-
-
-def smallelem_from_json(data: dict):
-    """An element over the field of its ``c`` and the rank of its ``gamma``
-    (``JsonReader(param).smallelem`` reads one for a given torus)."""
-    param = QuantParam.trivial(CycloField(data["c"]["m"]), len(data["gamma"]))
-    return JsonReader(param).smallelem(data)
 
 
 def load(path: str) -> dict:

@@ -8,7 +8,7 @@ import pytest
 from qtheta.cli import builtin_multiplier, main
 from qtheta.heisenberg import HeisElement
 from qtheta.jsonio import (
-    heis_from_json,
+    JsonReader,
     heis_to_json,
     multiplier_from_json,
     multiplier_to_json,
@@ -36,7 +36,7 @@ def test_json_roundtrips():
     L2 = multiplier_from_json(multiplier_to_json(L))
     assert L2.images == L.images and L2.sqrt_pairing == L.sqrt_pairing
     img = L.images[0]
-    assert heis_from_json(heis_to_json(img), L.param) == img
+    assert JsonReader(L.param).heis(heis_to_json(img)) == img
 
 
 def test_verify_pass_exit_zero(capsys):
