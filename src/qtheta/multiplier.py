@@ -73,6 +73,7 @@ class Multiplier:
             tuple(tuple(row) for row in sqrt_pairing) if sqrt_pairing is not None else None
         )
         self._image_cache: dict[Vec, HeisElement] = {}
+        self._quotient: Optional[QuotientData] = None
         if not _validated:
             self._validate()
 
@@ -157,7 +158,10 @@ class Multiplier:
     # -- quotient and ampleness -----------------------------------------------------
 
     def quotient(self) -> QuotientData:
-        return quotient_data(self.param.lattice, self.h_minus_map())
+        """Cached: the cosets of h-(B) in the lattice, built once."""
+        if self._quotient is None:
+            self._quotient = quotient_data(self.param.lattice, self.h_minus_map())
+        return self._quotient
 
     def index(self):
         return self.quotient().index

@@ -790,7 +790,9 @@ class ScalarSeries:
 def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg: bool = False):
     """Adds ``x`` (a ScalarSeries or UnitMonomial), negated or times ``mono``
     when asked, into ``acc``, a dict of exponent -> nonzero value, dropping
-    exponents above ``top``; returns the lower of ``trunc`` and x's trunc."""
+    exponents above ``top``; returns the lower of ``trunc`` and x's trunc.
+    A negated value equal to the one held at its exponent deletes it before
+    ``-c`` or the sum is built: equal elements have equal normalised fields."""
     unit = isinstance(x, UnitMonomial)
     items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
     k = 0 if mono is None else mono.uexp
@@ -798,8 +800,11 @@ def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg:
         e += k
         if e > top:
             continue
-        c = -c if neg else c if mono is None else c * mono.coeff
         cur = acc.get(e)
+        if neg and cur is not None and cur.num == c.num and cur.den == c.den:
+            del acc[e]
+            continue
+        c = -c if neg else c if mono is None else c * mono.coeff
         if cur is not None:
             c = cur + c
             if c.is_zero():

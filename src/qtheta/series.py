@@ -27,7 +27,8 @@ finitely many terms".
 A pure-Gauss word whose G is square with det +-1 (theta_W and its
 Heisenberg actions, say) skips the per-cell solve: its coefficients are
 rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
-once with the G^-1 its solver reads off G's Smith form.
+once with the G^-1 its solver reads off G's Smith form.  A window pass
+evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
 
 Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
 valuation certificates), *formal* (some factor is window-only; products are
@@ -231,11 +232,12 @@ class GaussRule:
     coefficients other than +-1.
     """
 
-    __slots__ = ("n", "const", "uform", "sform", "chars")
+    __slots__ = ("n", "const", "signed", "uform", "sform", "chars")
 
     def __init__(self, n: int, const, uform=(), sform=(), chars=()):
         self.n = n
         self.const = const
+        self.signed = (const, -const)
         self.uform = _form(uform)
         self.sform = _form(sform, 4)
         self.chars = tuple((b, _form(l)) for b, l in chars)
@@ -265,13 +267,22 @@ class GaussRule:
         return _quad(self.uform, self.n)
 
     def at(self, y) -> UnitMonomial:
-        ye = (*y, 1)
-        c = self.const
-        if self.sform and _form_at(self.sform, ye) % 4:
-            c = -c
-        for b, l in self.chars:
-            c = c * b ** (_form_at(l, ye) >> 1)
-        return UnitMonomial(c, _form_at(self.uform, ye) >> 1)
+        return UnitMonomial(*self.values((y,))[0])
+
+    def values(self, ys) -> list:
+        """[(coefficient, u-exponent) of the rule at y for y in ys], with each
+        power b_k^j built once per call."""
+        sform, chars, out = self.sform, [(b, l, {}) for b, l in self.chars], []
+        for y in ys:
+            ye = (*y, 1)
+            c = self.signed[_form_at(sform, ye) >> 1 & 1 if sform else 0]  # the form holds 2s
+            for b, l, powers in chars:
+                j = _form_at(l, ye) >> 1
+                if j not in powers:
+                    powers[j] = b**j
+                c = c * powers[j]
+            out.append((c, _form_at(self.uform, ye) >> 1))
+        return out
 
 
 _Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
@@ -438,27 +449,44 @@ class TorusSeries:
     def coeffs(self, cells: Iterable[Vec], order) -> dict:
         """Coefficients at many cells, ``{h: coeff(h, order)}``.
 
-        When the layout has a kernel, each finite combo is enumerated once
-        over the cells' bounding box (the cell is one more set of linear
-        rows), with a box budget of the per-cell ones it replaces; the
-        results land in the cache ``coeff`` reads.  Within a combo, points
-        that share their closure factors' parameters and Gauss u-exponent
-        share one series part (:meth:`_combine_term`), which is dropped when
-        the pass returns.  Cells the pass leaves out -- every cell when it
-        is refused -- go through ``coeff``, as do layouts with no kernel
-        (a few rule evaluations per cell with :meth:`_cell_rules`).
+        The cells missing from the cache are computed in one pass whose
+        results land in the cache ``coeff`` reads.  A word with cell rules
+        (:meth:`_cell_rules`) evaluates each rule at all of them at once
+        (:meth:`_rule_coeffs`).  When the layout has a kernel, each finite
+        combo is enumerated once over the cells' bounding box (the cell is
+        one more set of linear rows), with a box budget of the per-cell ones
+        it replaces.  Within a combo, points that share their closure
+        factors' parameters and Gauss u-exponent share one series part
+        (:meth:`_combine_term`), which is dropped when the pass returns.
+        Cells the pass leaves out -- every cell when it is refused -- go
+        through ``coeff``, as do the other kernel-free layouts.
         """
         cells = [tuple(h) for h in cells]
+        todo = dict.fromkeys(h for h in cells if (h, order) not in self._cache)
+        rules = self._cell_rules() if todo else None
         solver = self._layout().solver
-        todo = set()
-        if order != INF and solver is not None and solver.kernel:
-            todo = {h for h in cells if (h, order) not in self._cache}
-        if todo:
+        if rules is not None:
+            self._cache.update(self._rule_coeffs(rules, todo, order))
+        elif todo and order != INF and solver is not None and solver.kernel:
             with contextlib.suppress(NotMultipliable):
                 self._cache.update(self._window_coeffs(todo, order))
         return {h: self.coeff(h, order) for h in cells}
 
-    def _window_coeffs(self, cells: set, order) -> dict:
+    def _rule_coeffs(self, rules, cells, order) -> dict:
+        """The coefficients at ``cells`` of a word with cell rules, as cache
+        entries: each rule is evaluated at every cell in one call."""
+        field, out = self.param.field, {}
+        for h, *terms in zip(cells, *(rule.values(cells) for rule in rules)):
+            acc: dict = {}
+            for c, e in terms:
+                if acc:
+                    add_into(acc, UnitMonomial(c, e), order, order)
+                elif e <= order:  # a term added to nothing needs no sum
+                    acc[e] = c
+            out[(h, order)] = ScalarSeries._clean(field, acc, order)
+        return out
+
+    def _window_coeffs(self, cells, order) -> dict:
         """The coeffs pass over a layout with a kernel, as cache entries;
         raises NotMultipliable where any combo cannot be certified."""
         lay = self._layout()
@@ -486,19 +514,17 @@ class TorusSeries:
         return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
-        """The combos' terms at h, summed in one dict.  With cell rules each
-        is one rule at h; else the layout's solver solves h - base (for a
-        kernel-free G that is not square with det +-1, the coset test) and
-        any kernel K is enumerated around the particular solution: the
-        combo's bound form at y = particular + K z (by :func:`_subst`), with
-        the cone rows y_c >= 0 in z."""
-        field = self.param.field
-        acc: dict = {}
+        """The combos' terms at h, summed in one dict.  With cell rules this
+        is the rule pass at h alone; else the layout's solver solves h - base
+        (for a kernel-free G that is not square with det +-1, the coset
+        test) and any kernel K is enumerated around the particular solution:
+        the combo's bound form at y = particular + K z (by :func:`_subst`),
+        with the cone rows y_c >= 0 in z."""
         rules = self._cell_rules()
         if rules is not None:
-            for rule in rules:
-                add_into(acc, rule.at(h), order, order)
-            return ScalarSeries._clean(field, acc, order)
+            return self._rule_coeffs(rules, [h], order)[(h, order)]
+        field = self.param.field
+        acc: dict = {}
         lay = self._layout()
         solver = lay.solver
         kernel = solver.kernel if solver else []

@@ -345,19 +345,21 @@ def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, re
 
 def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     # the -theta_W term is the one shared series in all ten specs, so its
-    # cell coefficients are computed once, not once per spec
+    # cell coefficients are computed once, not once per spec; every E313
+    # word has cell rules, so each cell it computes goes through the rule pass
     specs = identity_specs("E313", window=1, order=8)
     theta_w = specs[0].terms[1].word[0]
     assert len(specs) == 10 and all(s.terms[1].word == [theta_w] for s in specs)
     counts = collections.Counter()
-    orig = TorusSeries._coeff_impl
+    orig = TorusSeries._rule_coeffs
 
-    def counting(self, h, order):
+    def counting(self, rules, cells, order):
         if theta_w.factors[0] in self.factors:  # theta_W, scaled or not
-            counts[h] += 1
-        return orig(self, h, order)
+            for h in cells:
+                counts[h] += 1
+        return orig(self, rules, cells, order)
 
-    monkeypatch.setattr(TorusSeries, "_coeff_impl", counting)
+    monkeypatch.setattr(TorusSeries, "_rule_coeffs", counting)
     for spec in specs:
         assert verify_equation(spec)["status"] == "pass"
     assert set(counts) == set(specs[0].cells())
@@ -385,23 +387,35 @@ def test_verify_equation_compares_the_tables_coeffs_returns(monkeypatch):
 # the cell and its series_to_json, whose "N" is the trunc), at the registry
 # defaults, recorded before the window pass shared each combo's series part
 # across points; the words with closure factors (E016, E023, E024, E026) and
-# the theta and exponent words (E012, E025, E332)
-TERM_DIGESTS = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "term_digests.json").read_text()
-)
+# the theta and exponent words (E012, E025, E332).  The E313 tables at window
+# 2 were recorded before cell-rule words were evaluated a window at a time.
+DATA = pathlib.Path(__file__).parent / "data"
+TERM_DIGESTS = json.loads((DATA / "term_digests.json").read_text())
 DIGEST_CASES = sorted({tuple(k.split("/")[:2]) for k in TERM_DIGESTS})
+E313_DIGESTS = json.loads((DATA / "e313_window2_digests.json").read_text())
 
 
-@pytest.mark.parametrize("name, m", DIGEST_CASES)
-def test_term_tables_match_recorded_digests(name, m):
+def _term_digests(name, m, window=None):
     got = {}
     field = CycloField(int(m.removeprefix("m=")))
-    for spec in identity_specs(name, field):
+    for spec in identity_specs(name, field, window):
         cells = sorted(spec.cells())
         for ti, term in enumerate(spec.terms):
             c, s = _term_series(term)
             table = s.coeffs(cells, spec.order - c.uexp)
             blob = json.dumps([[list(h), series_to_json(table[h])] for h in cells], sort_keys=True)
             got[f"{name}/{m}/{spec.label}/{ti}"] = hashlib.sha256(blob.encode()).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("name, m", DIGEST_CASES)
+def test_term_tables_match_recorded_digests(name, m):
     want = {k: v for k, v in TERM_DIGESTS.items() if k.startswith(f"{name}/{m}/")}
-    assert got == want
+    assert _term_digests(name, m) == want
+
+
+@pytest.mark.parametrize("m", ["m=1", "m=5"])
+def test_e313_term_tables_match_recorded_digests(m):
+    want = {k: v for k, v in E313_DIGESTS.items() if k.startswith(f"E313/{m}/")}
+    assert len(want) == 20
+    assert _term_digests("E313", m, window=2) == want

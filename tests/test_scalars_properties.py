@@ -15,6 +15,8 @@ from qtheta.scalars import (
     INF,
     CycloField,
     ScalarSeries,
+    UnitMonomial,
+    add_into,
     cyclotomic_polynomial,
     series_from_json,
     series_to_json,
@@ -178,3 +180,58 @@ def test_mul_to_is_the_truncated_product(m, ta, tb, trunc_a, trunc_b, cap):
     for c in (cap, low):
         assert a.mul_to(b, c) == ref.truncate(c) == (a * b).truncate(c)
         assert b.mul_to(a, c) == ref.truncate(c)
+
+
+@st.composite
+def accumulator_and_addend(draw):
+    """A field, an accumulator and the terms of a value to add into it.  At
+    each exponent the accumulator holds, the value holds the same element,
+    one with the same numerator over another denominator, another element,
+    or nothing; it also has exponents the accumulator lacks."""
+    f = CycloField(draw(st.sampled_from([1, 5])))
+    nums = st.lists(st.integers(-9, 9), min_size=f.degree, max_size=f.degree).filter(any)
+
+    def element(den):
+        return f.element([Fraction(c, den) for c in draw(nums)])
+
+    dens = st.sampled_from([1, 2, 3, 6])
+    acc = {e: element(d) for e, d in draw(st.dictionaries(st.integers(-4, 6), dens)).items()}
+    terms = {e: element(d) for e, d in draw(st.dictionaries(st.integers(7, 9), dens)).items()}
+    for e, a in acc.items():
+        kind = draw(st.sampled_from(["same", "numerator", "other", "absent"]))
+        if kind == "same":
+            terms[e] = f.element(a.coeffs)  # equal, but not the same object
+        elif kind == "numerator":
+            den = next(a.den * p for p in (2, 3, 5, 7) if gcd(p, *a.num) == 1)
+            terms[e] = f.element([Fraction(c, den) for c in a.num])
+            assert terms[e].num == a.num and terms[e].den != a.den
+        elif kind == "other":
+            terms[e] = element(draw(dens))
+    return f, acc, terms
+
+
+@SETTINGS
+@given(
+    accumulator_and_addend(),
+    st.booleans(),
+    st.sampled_from([INF, 2, 8]),
+    st.integers(-5, 10) | st.just(INF),
+)
+def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
+    # add_into(acc, x, top, ..., neg=True) is acc + (-x) on exponents up to
+    # top, built by plain field arithmetic; neg=False is the control
+    f, acc, terms = case
+    x = ScalarSeries(f, terms, x_trunc)
+    want = dict(acc)
+    for e, c in x.terms.items():
+        if e <= top:
+            total = want.pop(e, f.zero()) + (-c if neg else c)
+            if not total.is_zero():
+                want[e] = total
+    got = dict(acc)
+    assert add_into(got, x, top, 5, neg=neg) == min(5, x_trunc)
+    assert got == want
+    got = dict(acc)
+    for e, c in x.terms.items():
+        assert add_into(got, UnitMonomial(c, e), top, INF, neg=neg) == INF
+    assert got == want

@@ -12,9 +12,9 @@ from qtheta.errors import (
 )
 from test_acceptance import random_ample_pair
 
-from qtheta import intlinalg
+from qtheta import intlinalg, multiplier
 from qtheta.heisenberg import HeisElement, heis_mul
-from qtheta.multiplier import compose, multiplier_new, power, theta_dim_basis
+from qtheta.multiplier import compose, multiplier_new, power, theta_dim_basis, theta_membership
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.smallheis import (
     SmallHeisElement,
@@ -208,6 +208,33 @@ def test_each_matrix_is_factored_once(monkeypatch):
     calls.clear()
     run()
     assert calls == []
+
+
+def test_each_multiplier_builds_its_quotient_once(monkeypatch):
+    """One product request -- compose, theta bases, the product's membership,
+    the small group, the composed basis and its action -- builds the cosets
+    of h-(B) once per multiplier, however often it asks for them."""
+    l1, l2 = random_ample_pair(random.Random(5), 2)
+    calls = []
+    build = multiplier.quotient_data
+
+    def counting(target, image_map):
+        calls.append(image_map.matrix)
+        return build(target, image_map)
+
+    monkeypatch.setattr(multiplier, "quotient_data", counting)
+    one, zero = UnitMonomial.one(F), (0, 0)
+    composed = compose(l2, l1)
+    tb1, tb2 = theta_dim_basis(l1, 2, 12), theta_dim_basis(l2, 2, 12)
+    product = tb1.basis[0].mul(tb2.basis[0])
+    assert theta_membership(composed, product, product.window_cells(2), 12)
+    struct = group_structure(composed)
+    basis = theta_dim_basis(composed, 2, 12)
+    assert basis.dim == composed.index() == 4
+    for gen in struct.kappa_generators:
+        act_on_theta(composed, SmallHeisElement(one, gen, zero), basis, 2, 12)
+    mats = [L.h_minus_matrix for L in (l1, l2, composed)]
+    assert sorted(calls) == sorted(mats)
 
 
 def test_character_split_level2():

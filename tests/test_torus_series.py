@@ -836,6 +836,43 @@ def test_cell_rules_match_the_solver_path(monkeypatch, m, order):
 
 
 @pytest.mark.parametrize("m", [1, 5])
+def test_rule_values_match_the_rule_at_each_point(m):
+    # values shares the signed constants and the powers b_k^j across its
+    # points; at builds them afresh for one point
+    f, p, _mus, points = _gauss_cases(m)
+    rule, _s = _offset_gauss_series(f, p)  # nonzero sform, base -3 to 1 + a - b
+    shifted = rule.times(GaussRule.character(f, points[0].values))  # bases 3 zeta^2, -1
+    rules = [
+        rule,
+        shifted,
+        shifted.compose((1, -2), [(1, 1), (2, -1)]),
+        *_cell_words(m)[1]._cell_rules(),
+    ]
+    ys = list(itertools.product(range(-8, 8), repeat=2))
+    random.Random(m).shuffle(ys)
+    ys += ys[:20]  # points met twice
+    for r in rules:
+        assert r.sform and r.chars
+        want = [(r.at(y).coeff, r.at(y).uexp) for y in ys]
+        assert r.values(ys) == want
+        assert any(c.den > 1 for c, _e in want)  # some bases to negative powers
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("order", [8, INF])
+@pytest.mark.parametrize("name", ["E012", "E313"])
+def test_rule_pass_matches_the_solver_path(monkeypatch, name, m, order):
+    for spec in identity_specs(name, CycloField(m), window=1, order=8):
+        cells = sorted(spec.cells())
+        for term in spec.terms:
+            _c, word = _term_series(term)
+            assert len(word._cell_rules()) == 1
+            want = _solver_coeffs(monkeypatch, word, cells, order)
+            assert word.coeffs(cells, order) == want
+            assert all(x.trunc == order for x in want.values())
+
+
+@pytest.mark.parametrize("m", [1, 5])
 def test_cell_rules_fall_back_to_the_solver(m):
     f, p, mus, _points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
