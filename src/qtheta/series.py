@@ -29,6 +29,9 @@ Heisenberg actions, say) skips the per-cell solve: its coefficients are
 rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
 once with the G^-1 its solver reads off G's Smith form.  A window pass
 evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
+A word with a kernel enumerates each finite combo once over the window and
+sums its points as one batch: one Gauss-rule call, and one series part per
+closure slice (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
 valuation certificates), *formal* (some factor is window-only; products are
@@ -450,19 +453,18 @@ class TorusSeries:
         """Coefficients at many cells, ``{h: coeff(h, order)}``.
 
         The cells missing from the cache are computed in one pass whose
-        results land in the cache ``coeff`` reads.  A word with cell rules
-        (:meth:`_cell_rules`) evaluates each rule at all of them at once
-        (:meth:`_rule_coeffs`).  When the layout has a kernel, each finite
-        combo is enumerated once over the cells' bounding box (the cell is
-        one more set of linear rows), with a box budget of the per-cell ones
-        it replaces.  Within a combo, points that share their closure
-        factors' parameters and Gauss u-exponent share one series part
-        (:meth:`_combine_term`), which is dropped when the pass returns.
-        Cells the pass leaves out -- every cell when it is refused -- go
-        through ``coeff``, as do the other kernel-free layouts.
+        results land in the cache ``coeff`` reads, and the table is read
+        from the cache: only a cell the pass leaves out -- every cell when it
+        is refused -- goes through ``coeff``, as do the other kernel-free
+        layouts.  A word with cell rules (:meth:`_cell_rules`) evaluates each
+        rule at all of them at once (:meth:`_rule_coeffs`).  When the layout
+        has a kernel, each finite combo is enumerated once over the cells'
+        bounding box (the cell is one more set of linear rows), with a box
+        budget of the per-cell ones it replaces, and its points are summed
+        as one batch (:meth:`_add_terms`).
         """
         cells = [tuple(h) for h in cells]
-        todo = dict.fromkeys(h for h in cells if (h, order) not in self._cache)
+        todo = {h: h for h in cells if (h, order) not in self._cache}
         rules = self._cell_rules() if todo else None
         solver = self._layout().solver
         if rules is not None:
@@ -470,7 +472,11 @@ class TorusSeries:
         elif todo and order != INF and solver is not None and solver.kernel:
             with contextlib.suppress(NotMultipliable):
                 self._cache.update(self._window_coeffs(todo, order))
-        return {h: self.coeff(h, order) for h in cells}
+        out = {}
+        for h in cells:
+            x = self._cache.get((h, order))
+            out[h] = self.coeff(h, order) if x is None else x
+        return out
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
         """The coefficients at ``cells`` of a word with cell rules, as cache
@@ -487,8 +493,9 @@ class TorusSeries:
         return out
 
     def _window_coeffs(self, cells, order) -> dict:
-        """The coeffs pass over a layout with a kernel, as cache entries;
-        raises NotMultipliable where any combo cannot be certified."""
+        """Cache entries of the coeffs pass over a layout with a kernel: each
+        combo's points in ``cells`` (each cell mapped to itself) are one
+        :meth:`_add_terms` batch.  Raises NotMultipliable where one cannot be certified."""
         lay = self._layout()
         n = lay.blocks[-1][2]
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
@@ -502,14 +509,13 @@ class TorusSeries:
             rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
             for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
                 rows += [(g, b - l), (tuple(-x for x in g), u - b)]
-            memo: dict = {}
+            hs, ys = [], []
             for y in enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells)):
-                h = tuple(b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base))
-                if h in cells:
-                    t = self._combine_term(chosen, term, y, order, memo)
-                    if t is not None:
-                        acc = sums.setdefault(h, [{}, order])
-                        acc[1] = add_into(acc[0], t, order, acc[1])
+                h = cells.get(tuple([b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base)]))
+                if h is not None:
+                    hs.append(h)
+                    ys.append(y)
+            self._add_terms(sums, hs, ys, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
@@ -523,13 +529,11 @@ class TorusSeries:
         rules = self._cell_rules()
         if rules is not None:
             return self._rule_coeffs(rules, [h], order)[(h, order)]
-        field = self.param.field
-        acc: dict = {}
         lay = self._layout()
         solver = lay.solver
         kernel = solver.kernel if solver else []
         kcols, kt = len(kernel), list(zip(*kernel))  # kt[i]: the kernel vectors' i-th entries
-        trunc = order
+        sums: dict = {}
         for combo in itertools.product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
             residual = vec_sub(h, base)
@@ -539,7 +543,7 @@ class TorusSeries:
             if kcols and order == INF:
                 raise NotMultipliable("infinite-order product coefficient needs a finite order")
             if kcols == 0:
-                ys = [particular]
+                ys = [particular] if all(particular[c] >= 0 for c in lay.cones) else []
             else:
                 if form is None:
                     raise NotMultipliable(
@@ -550,14 +554,9 @@ class TorusSeries:
                 Tz = _quad(_subst(form, particular, kernel), kcols)
                 pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
                 ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
-            memo: dict = {}
-            for y in ys:
-                if any(y[i] < 0 for i in lay.cones):
-                    continue
-                term_value = self._combine_term(chosen, term, y, order, memo)
-                if term_value is not None:
-                    trunc = add_into(acc, term_value, order, trunc)
-        return ScalarSeries(field, acc, trunc)
+            self._add_terms(sums, itertools.repeat(h), ys, chosen, term, order)
+        acc, trunc = sums.get(h) or ({}, order)
+        return ScalarSeries(self.param.field, acc, trunc)
 
     def _cell_rules(self) -> Optional[list]:
         """Cached: each combo's rule composed with y = G^-1 (h - base), a
@@ -648,37 +647,48 @@ class TorusSeries:
             terms.append((n, n, vv))
         return _form([*alpha, *((a, b, 2 * x) for a, b, x in terms)])  # in half steps
 
-    def _combine_term(self, chosen, term, y, order, memo) -> Optional[Scalar]:
-        """Exact value of one decomposition term, known to ``order`` (it may
-        hold exponents above; the caller's sum drops them).
+    def _add_terms(self, sums, hs, ys, chosen, term, order):
+        """Adds one combo's term at each point ys[i] into sums[hs[i]], an
+        [exponent -> value, trunc] pair that starts at ``order``.
 
-        The term plan's Gauss rule gives one monomial, and the series part
-        (:meth:`_series_part`) multiplies it.  That part depends on y only
-        through the closure factors' parameter slices and on the monomial
-        only through its u-exponent, so ``memo`` -- a dict the caller keeps
-        for one combo at one order -- holds it under (slices, u-exponent),
-        and each other point with the same key costs one lookup and one
-        scale.  A term with no series part is the monomial itself.
-        """
+        The term plan's Gauss rule is evaluated at all the points in one
+        call.  The series part (:meth:`_series_part`) depends on a point only
+        through its closure factors' parameter slices and on the monomial
+        only through its u-exponent, so the points are grouped by slices and
+        each group's part is built once, at the group's lowest u-exponent:
+        the widest cap any of its points needs.  A higher-exponent point's
+        extra terms land above ``order``, where ``add_into`` drops them.
+        ``add_into`` scales the part by each point's monomial as it adds, so
+        no scaled copy is built."""
         rule, rest = term
-        mono = rule.at(y)
-        if not rest:
-            return mono
-        key = (tuple(y[span] for _wi, span in rest if span is not None), mono.uexp)
-        part = memo.get(key)
-        if part is None and key not in memo:
-            part = memo[key] = self._series_part(chosen, rest, key[0], order, mono.uexp)
-        if part is None:
-            return None
-        fold, acc = part
-        if fold is not None:
-            mono = mono * fold
-        return mono if acc is None else acc.scale(mono)
+        vals = rule.values(ys)
+        at = itertools.repeat((None, (None, None)))  # no series part: the monomial alone
+        if rest:
+            spans = [span for _wi, span in rest if span is not None]
+            groups: dict = {}  # closure slices -> [lowest u-exponent, series part]
+            at = []
+            for y, (_c, e) in zip(ys, vals):
+                g = groups.setdefault(tuple([y[span] for span in spans]), [e, None])
+                g[0] = min(g[0], e)
+                at.append(g)
+            for key, g in groups.items():
+                g[1] = self._series_part(chosen, rest, key, order, g[0])
+        for h, (c, e), (_low, part) in zip(hs, vals, at):
+            if part is None:
+                continue
+            fold, prod = part
+            mono = UnitMonomial(c, e) if fold is None else UnitMonomial(c, e) * fold
+            acc = sums.get(h)
+            if acc is None:
+                acc = sums[h] = [{}, order]
+            x, scale = (mono, None) if prod is None else (prod, mono)
+            acc[1] = add_into(acc[0], x, order, acc[1], scale)
 
     def _series_part(self, chosen, rest, slices, order, uexp):
         """The term's factors left over by the Gauss rule, at the closure
-        factors' parameter ``slices`` and a Gauss monomial of u-exponent
-        ``uexp``: (fold, product), or None when the term vanishes.
+        factors' parameter ``slices``, for Gauss monomials of u-exponent
+        ``uexp`` or more (the lowest among the points with these slices):
+        (fold, product), or None when the term vanishes.
 
         Unit-monomial closure values multiply into ``fold`` (None when
         there are none).  The series values are multiplied in word order

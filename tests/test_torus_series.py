@@ -614,6 +614,14 @@ def _not_a_box(cells):
 def test_window_coeffs_equal_per_cell_coeffs(monkeypatch, name, window, m):
     cells, order, _ = _fresh_terms(name, m, window)
     log = _record_enumerations(monkeypatch)
+    batches = []  # points per _add_terms call
+    real_add = TorusSeries._add_terms
+
+    def add_terms(self, sums, hs, ys, *args):
+        batches.append(len(ys))
+        return real_add(self, sums, hs, ys, *args)
+
+    monkeypatch.setattr(TorusSeries, "_add_terms", add_terms)
     for subset in (cells, cells[1::3], _not_a_box(cells)):
         _c, _o, by_cell = _fresh_terms(name, m, window)
         _c, _o, by_window = _fresh_terms(name, m, window)
@@ -623,12 +631,15 @@ def test_window_coeffs_equal_per_cell_coeffs(monkeypatch, name, window, m):
             want = {h: a.coeff(h, order) for h in subset}
             per_cell = list(log)
             log.clear()
+            batches.clear()
             got = b.coeffs(subset, order)
             assert got == want
             # one enumeration for the one combo, and coeff reads the cache
             assert all(b.coeff(h, order) is x for h, x in got.items())
             assert log == ([log[0]] if kernel else [])
             assert all(isinstance(x, int) for x in per_cell)
+            # the one batch holds exactly the requested cells' points
+            assert not kernel or batches == [sum(per_cell)]
             if kernel and subset is cells:  # the box holds exactly their points
                 assert log[0] == sum(per_cell)
     assert any(b._layout().solver.kernel for b in by_window)
@@ -685,7 +696,8 @@ def test_refused_window_falls_back_to_per_cell_coeffs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the series part of a term -- closure values and their capped product -- is
-# computed once per (closure slices, monomial u-exponent) within one pass
+# computed once per closure slice within one combo's batch, at the lowest
+# u-exponent among the slice's points
 
 
 @pytest.mark.parametrize("orders", [(12, 7), (7, 12)])
@@ -765,28 +777,65 @@ def test_an_empty_finite_trunc_closure_value_leaves_the_product_uncapped():
     assert [got[(3, b)].trunc for b in range(3)] == [1, -3, -7]
 
 
+def _spy_series_parts(monkeypatch):
+    """Patch the batch helper and the series part builder to log, for each
+    batch, (the points' closure slices -> their lowest u-exponent, the
+    (slices, u-exponent) of each part built, the parts built)."""
+    batches = []
+    real_add, real_part = TorusSeries._add_terms, TorusSeries._series_part
+
+    def add_terms(self, sums, hs, ys, chosen, term, order):
+        rule, rest = term
+        spans = [span for _wi, span in rest if span is not None]
+        lowest = {}
+        for y, (_c, e) in zip(ys, rule.values(ys)):
+            key = tuple(y[span] for span in spans)
+            lowest[key] = min(lowest.get(key, e), e)
+        batches.append((lowest, [], []))
+        return real_add(self, sums, hs, ys, chosen, term, order)
+
+    def series_part(self, chosen, rest, slices, order, uexp):
+        part = real_part(self, chosen, rest, slices, order, uexp)
+        batches[-1][1].append((slices, uexp))
+        if part is not None:
+            batches[-1][2].append(part)
+        return part
+
+    monkeypatch.setattr(TorusSeries, "_add_terms", add_terms)
+    monkeypatch.setattr(TorusSeries, "_series_part", series_part)
+    return batches
+
+
+@pytest.mark.parametrize("window, total", [(1, None), (None, 394)])
+def test_one_series_part_per_closure_slice(monkeypatch, window, total):
+    # each term's pass builds one part per distinct closure slice, at the
+    # lowest u-exponent among its points: the widest cap any of them needs;
+    # at E026's default (3, 12) that is 394 parts where one per (slices,
+    # u-exponent) built 1,958
+    cells, order, terms = _fresh_terms("E026", 1, window)
+    batches = _spy_series_parts(monkeypatch)
+    for s in terms:
+        s.coeffs(cells, order)
+    assert len(batches) == len(terms) == 2
+    for lowest, built, _parts in batches:
+        assert sorted(built) == sorted(lowest.items())
+    assert total is None or sum(len(built) for _l, built, _p in batches) == total
+
+
 def test_series_parts_are_dropped_when_coeffs_returns(monkeypatch):
     import gc
     import types
 
-    memos = []
-    real = TorusSeries._combine_term
-
-    def spy(self, chosen, term, y, order, memo):
-        if not any(m is memo for m in memos):
-            memos.append(memo)
-        return real(self, chosen, term, y, order, memo)
-
-    monkeypatch.setattr(TorusSeries, "_combine_term", spy)
+    batches = _spy_series_parts(monkeypatch)
     cells, order, terms = _fresh_terms("E026", 1, 1)
     for s in terms:
         s.coeffs(cells, order)
         s.coeff((5, 5, 5, 5), order)  # a cell outside the window: one per-cell pass
-    assert len(memos) == 4 and all(memos)
+    assert len(batches) == 4 and all(parts for _l, _b, parts in batches)
     gc.collect()
-    for memo in memos:
-        holders = [r for r in gc.get_referrers(memo) if not isinstance(r, types.FrameType)]
-        assert holders == [memos]
+    for _l, _b, parts in batches:
+        holders = [r for r in gc.get_referrers(*parts) if not isinstance(r, types.FrameType)]
+        assert holders == [parts]
 
 
 # ---------------------------------------------------------------------------
