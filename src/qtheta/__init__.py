@@ -7,16 +7,7 @@ partial composition governing theta multiplication, small Heisenberg
 groups, and a registry of exactly verified functional identities.
 """
 
-from .scalars import (
-    CycloField,
-    CycloRational,
-    ScalarSeries,
-    UnitMonomial,
-    cyclo_arith,
-    series_arith,
-    series_invert,
-    valuation,
-)
+from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
 from .intlinalg import (
     Lattice,
     LatticeMap,
@@ -26,36 +17,17 @@ from .intlinalg import (
     quotient_data,
     smith_normal_form,
 )
-from .torus import (
-    QuantParam,
-    TorusPoint,
-    alpha_eval,
-    epsilon,
-    exp_mul,
-    hidden_point,
-    param_power,
-    point_eval,
-)
-from .series import (
-    TorusSeries,
-    conjugation_check,
-    series_equal,
-    series_equal_on_cells,
-    shift_pullback,
-    torus_series_mul,
-)
+from .torus import QuantParam, TorusPoint
+from .series import TorusSeries, conjugation_check, series_equal_on_cells
 from .heisenberg import (
     HeisElement,
     HeisRaw,
     TorusMorphism,
     compose,
     double_sided,
-    groupoid_inverse,
     heis_act,
     heis_mul,
     heis_transport,
-    morphism_new,
-    morphism_pullback,
     mumford_morphism,
     psi_dn,
     representatives,
@@ -68,11 +40,9 @@ from .multiplier import (
     AutomorphyFactors,
     Multiplier,
     ThetaBasis,
-    automorphy_factors,
     boxtimes,
     boxtimes_series,
     hidden_from_morphism,
-    is_ample,
     multiplier_new,
     pic_hom,
     power,

@@ -199,15 +199,7 @@ class HeisElement:
     def __repr__(self):
         return f"[{self.c!r}; {self.x!r}, {self.h}, 0]"
 
-    # -- action -------------------------------------------------------------------
-
-    def act(self, f: TorusSeries) -> TorusSeries:
-        return heis_act(self, f)
-
     # -- groupoid -------------------------------------------------------------------
-
-    def compose(self, other: "HeisElement") -> "HeisElement":
-        return compose(self, other)
 
     def groupoid_inverse(self) -> "HeisElement":
         p = self.param
@@ -258,10 +250,6 @@ def compose(a: HeisElement, b: HeisElement) -> HeisElement:
     rb = b.left_raw()
     first = HeisRaw(p, ra.c, TorusPoint.identity(p.field, p.rank), zero_vec(p.rank), ra.h)
     return HeisElement.from_raw(heis_mul(first, rb))
-
-
-def groupoid_inverse(a: HeisElement) -> HeisElement:
-    return a.groupoid_inverse()
 
 
 def double_sided(a: HeisElement) -> Optional[HeisRaw]:
@@ -405,19 +393,6 @@ class TorusMorphism:
         return series.pullback(
             self.target_param, self.f, self.scale_rule, f"pull({series.label})"
         )
-
-
-def morphism_new(
-    f: LatticeMap,
-    avals: Sequence[UnitMonomial],
-    source_param: QuantParam,
-    target_param: QuantParam,
-) -> TorusMorphism:
-    return TorusMorphism(f, avals, source_param, target_param)
-
-
-def morphism_pullback(F: TorusMorphism, series: TorusSeries) -> TorusSeries:
-    return F.pullback_series(series)
 
 
 def scaling_morphism(param: QuantParam, n: int) -> TorusMorphism:

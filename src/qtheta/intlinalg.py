@@ -287,10 +287,6 @@ def solve_integer(m: Mat, target: Vec) -> Optional[tuple[Vec, list[Vec]]]:
     return None if y is None else (y, list(solver.kernel))
 
 
-def kernel_basis(m: Mat) -> list[Vec]:
-    return list(smith(m).kernel)
-
-
 # ---------------------------------------------------------------------------
 # spec domain types
 

@@ -247,14 +247,6 @@ def structure_pairing(L: Multiplier, b1: Vec, b2: Vec) -> UnitMonomial:
     return g1.x_l.eval(g2.h_l) * L.param.alpha(g1.h_l, g2.h_l)
 
 
-def automorphy_factors(L: Multiplier) -> AutomorphyFactors:
-    return L.automorphy_factors()
-
-
-def is_ample(L: Multiplier) -> bool:
-    return L.is_ample()
-
-
 def _recurrence_factor(L: Multiplier, i: int, h: Vec) -> UnitMonomial:
     """a_{h - h-(e_i)} = a_h * factor(e_i, h), straight from the invariance
     equations."""

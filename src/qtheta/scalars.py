@@ -442,11 +442,6 @@ def cyclo_nth_root(a: CycloRational, n: int) -> Optional[CycloRational]:
     return None
 
 
-def cyclo_sqrt(a: CycloRational) -> Optional[CycloRational]:
-    """A square root of ``a`` inside the same field, or None."""
-    return cyclo_nth_root(a, 2)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -701,7 +696,7 @@ class ScalarSeries:
         """Two-sided inverse up to the truncation order.
 
         Requires an invertible leading coefficient; the result has minimal
-        exponent -valuation(self).
+        exponent -self.valuation().
         """
         if not self.terms:
             raise NotInvertible("series is zero within its truncation window")
@@ -792,7 +787,10 @@ def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg:
     when asked, into ``acc``, a dict of exponent -> nonzero value, dropping
     exponents above ``top``; returns the lower of ``trunc`` and x's trunc.
     A negated value equal to the one held at its exponent deletes it before
-    ``-c`` or the sum is built: equal elements have equal normalised fields."""
+    ``-c`` or the sum is built: equal elements have equal normalised fields.
+    ``neg`` and ``mono`` are never passed together (``verify_equation`` sets
+    ``mono`` to None for a negated term): with both set, the exponents would
+    shift by ``mono.uexp`` but ``mono.coeff`` would be dropped."""
     unit = isinstance(x, UnitMonomial)
     items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
     k = 0 if mono is None else mono.uexp
@@ -813,40 +811,6 @@ def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg:
         acc[e] = c
     xt += k
     return xt if xt < trunc else trunc
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers
-
-
-def cyclo_arith(op: str, a: CycloRational, b: Optional[CycloRational] = None) -> CycloRational:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_arith(op: str, a: ScalarSeries, b: Optional[ScalarSeries] = None) -> ScalarSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_invert(a: ScalarSeries) -> ScalarSeries:
-    return a.invert()
-
-
-def valuation(a: ScalarSeries):
-    return a.valuation()
 
 
 # -- JSON serialization ------------------------------------------------------

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
 from .intlinalg import Vec, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
-from .scalars import INF, ScalarSeries, UnitMonomial, add_into
+from .scalars import INF, ScalarSeries, UnitMonomial, add_into, series_to_json
 from .torus import QuantParam, TorusPoint
 
 Scalar = Union[UnitMonomial, ScalarSeries]
@@ -745,8 +745,6 @@ class TorusSeries:
         return TorusSeries.from_dict(self.param, table, label=f"window({self.label})")
 
     def window_dump(self, radius: int, order) -> dict:
-        from .scalars import series_to_json
-
         table = self.coeffs(self.window_cells(radius), order)
         coeffs = [[list(h), series_to_json(c)] for h, c in table.items() if not c.is_zero()]
         return {
@@ -767,18 +765,7 @@ class TorusSeries:
 
 
 # ---------------------------------------------------------------------------
-# functional wrappers
-
-
-def shift_pullback(x: TorusPoint, f: TorusSeries) -> TorusSeries:
-    """x^*(f): coefficient at h becomes h(x) a_h."""
-    return f.shift_pullback(x)
-
-
-def torus_series_mul(f: TorusSeries, g: TorusSeries, window: int, order) -> TorusSeries:
-    """Product materialized on the centered box of the given radius."""
-    prod = f.mul(g)
-    return prod.materialize(prod.window_cells(window), order)
+# exact comparisons
 
 
 def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], order) -> bool:
@@ -792,10 +779,6 @@ def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], 
         if not same:
             return False
     return True
-
-
-def series_equal(a: TorusSeries, b: TorusSeries, window: int, order) -> bool:
-    return series_equal_on_cells(a, b, a.window_cells(window), order)
 
 
 def conjugation_check(param: QuantParam, h: Vec, f: TorusSeries) -> bool:

@@ -29,7 +29,7 @@ from .errors import (
     NotSymmetric,
     ParamMismatch,
 )
-from .heisenberg import HeisRaw, heis_act, heis_mul, mumford_morphism, morphism_pullback
+from .heisenberg import HeisRaw, heis_act, heis_mul, mumford_morphism
 from .intlinalg import INFINITE, QuotientData, Vec, smith, zero_vec
 from .multiplier import Multiplier, ThetaBasis, boxtimes, boxtimes_series, pullback, theta_membership
 from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
@@ -377,7 +377,7 @@ def mumford_theta_pullback(
             raise ParamMismatch("half parameter squared must equal the multiplier's")
     M = mumford_morphism(half)
     box_series = boxtimes_series(th1, th2)
-    pulled = morphism_pullback(M, box_series)
+    pulled = M.pullback_series(box_series)
     pulled_mult = pullback(M, boxtimes(L, L))
     ok = theta_membership(pulled_mult, pulled, pulled.window_cells(window), order)
     return pulled, pulled_mult, ok

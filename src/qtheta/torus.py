@@ -142,10 +142,6 @@ class QuantParam:
         return self.lattice == other.lattice and self.field is other.field
 
 
-def param_power(param: QuantParam, d: int) -> QuantParam:
-    return param.power(d)
-
-
 class TorusPoint:
     """A K-point of the commutative torus: values on the basis characters."""
 
@@ -251,28 +247,3 @@ def smith_root(
             raise missing(d, value, exc) from exc
     vals += [UnitMonomial.one(field)] * (solver.nrows - len(vals))
     return TorusPoint(vals).on_columns(solver.u)
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers
-
-
-def alpha_eval(param: QuantParam, g: Vec, h: Vec) -> UnitMonomial:
-    return param.alpha(g, h)
-
-
-def epsilon(param: QuantParam, h: Vec) -> UnitMonomial:
-    return param.epsilon(h)
-
-
-def exp_mul(param: QuantParam, g: Vec, h: Vec) -> tuple[UnitMonomial, Vec]:
-    """e(g) e(h) = alpha(g, h) e(g + h)."""
-    return param.alpha(g, h), tuple(a + b for a, b in zip(g, h))
-
-
-def point_eval(x: TorusPoint, h: Vec) -> UnitMonomial:
-    return x.eval(h)
-
-
-def hidden_point(param: QuantParam, h: Vec) -> TorusPoint:
-    return param.hidden_point(h)

@@ -15,14 +15,12 @@ from qtheta.errors import (
 from qtheta.heisenberg import (
     HeisElement,
     HeisRaw,
+    TorusMorphism,
     compose,
     double_sided,
-    groupoid_inverse,
     heis_act,
     heis_mul,
     heis_transport,
-    morphism_new,
-    morphism_pullback,
     mumford_morphism,
     psi_dn,
     representatives,
@@ -265,11 +263,11 @@ def test_groupoid_inverse():
     rng = random.Random(13)
     for _ in range(30):
         a = HeisElement.from_raw(rand_raw(rng))
-        inv = groupoid_inverse(a)
+        inv = a.groupoid_inverse()
         assert compose(inv, a) == HeisElement.identity(TQ, a.x_r)
         assert compose(a, inv) == HeisElement.identity(TQ, a.x_l)
     ident = HeisElement.identity(TQ, rand_point(rng))
-    assert groupoid_inverse(ident) == ident
+    assert ident.groupoid_inverse() == ident
 
 
 def test_hom_sets_hidden_periods():
@@ -411,7 +409,7 @@ def test_morphism_validation():
     assert mm.f((1, 0, 0, 0)) == (1, 0, 1, 0)
     # f = identity with alpha2 = alpha1^2 violates (1.13)
     with pytest.raises(IncompatibleQuantization):
-        morphism_new(
+        TorusMorphism(
             LatticeMap.identity(2),
             tuple(UnitMonomial.one(F) for _ in range(2)),
             TQ.power(2),
@@ -438,24 +436,24 @@ def test_morphism_ring_hom_property():
 
 def test_morphism_pullback_series():
     # identity morphism: identity on series
-    ident = morphism_new(
+    ident = TorusMorphism(
         LatticeMap.identity(2), (UnitMonomial.one(F), UnitMonomial.one(F)), TQ, TQ
     )
     rng = random.Random(22)
     f = rand_algebraic(rng)
-    g = morphism_pullback(ident, f)
+    g = ident.pullback_series(f)
     assert series_equal_on_cells(f, g, f.support_points(), INF)
     # M*(e(h,g)) = e(h+g, h-g)
     mm = mumford_morphism(QuantParam.trivial(F, 1))
     e = TorusSeries.exponent(mm.source_param, (2, 1))
-    pulled = morphism_pullback(mm, e)
+    pulled = mm.pullback_series(e)
     assert pulled.coeff((3, 1), INF).equal_to_order(
         UnitMonomial.one(F).to_series(), 10
     )
     # [2]* matches termwise substitution h -> 2h
     sc = scaling_morphism(QuantParam.trivial(F, 1), 2)
     s = TorusSeries.from_dict(sc.source_param, {(1,): q_mono(1), (-2,): q_mono(4)})
-    pulled2 = morphism_pullback(sc, s)
+    pulled2 = sc.pullback_series(s)
     assert pulled2.coeff((2,), INF) == q_mono(1).to_series()
     assert pulled2.coeff((-4,), INF) == q_mono(4).to_series()
     assert pulled2.coeff((1,), INF).is_zero()
@@ -467,7 +465,7 @@ def test_pullback_shifts_lattice_certificates():
     s = theta_series(TQ, (1, 0), prefactor=UnitMonomial(-F.one(), 3)).mul(eq_series(TQ, (1, 1)))
     x = TorusPoint((UnitMonomial(-F.one(), 1), UnitMonomial(F.one(), -2)))
     shifted = s.shift_pullback(x)
-    pulled = morphism_pullback(shift_morphism(TQ, x), s)
+    pulled = shift_morphism(TQ, x).pullback_series(s)
     assert series_equal_on_cells(shifted, pulled, TQ.window_cells(2), 16)
     # theta: 2n^2 + 3n + uexp(x(n, 0)); e_q: 2k^2 + uexp(x(k, k))
     assert [f.val.lin for f in shifted.factors] == [(4,), (-1,)]
@@ -500,8 +498,8 @@ def test_heis_transport():
     for _ in range(20):
         g = (rng.randint(-3, 3),)
         s = TorusSeries.exponent(sc.source_param, g)
-        lhs = heis_act(b, morphism_pullback(sc, s))
-        rhs = morphism_pullback(sc, heis_act(t, s))
+        lhs = heis_act(b, sc.pullback_series(s))
+        rhs = sc.pullback_series(heis_act(t, s))
         cells = set(lhs.support_points()) | set(rhs.support_points())
         assert series_equal_on_cells(lhs, rhs, cells, INF)
 
@@ -603,7 +601,7 @@ def test_morphism_gauss_rule_matches_the_closure_formula(m):
     p0 = QuantParam(f, TQ.lattice, TQ.A, ((0, 0), (0, 0)))
     avals = (UnitMonomial(f.zeta(), 1), UnitMonomial(f.from_rational(Fraction(-3, 2)), -2))
     # identity lattice map from S != 0 to S = 0: both sign corrections fire
-    signed = morphism_new(LatticeMap.identity(2), avals, p, p0)
+    signed = TorusMorphism(LatticeMap.identity(2), avals, p, p0)
     assert not signed.is_characteristic_trivial()
     x = TorusPoint(avals)
     morphisms = [signed, mumford_morphism(p), scaling_morphism(p, 3), shift_morphism(p, x)]

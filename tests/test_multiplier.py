@@ -31,13 +31,11 @@ from qtheta.multiplier import (
     _check_recurrence,
     _recurrence_factor,
     _theta_rule,
-    automorphy_factors,
     boxtimes,
     boxtimes_series,
     compose,
     composed_pairing_formula,
     hidden_from_morphism,
-    is_ample,
     multiplier_new,
     pic_hom,
     power,
@@ -115,7 +113,7 @@ def test_images_commute_and_cocycle_random():
 
 def test_automorphy_factors_jacobi():
     L = jacobi_multiplier()
-    af = automorphy_factors(L)
+    af = L.automorphy_factors()
     assert all(v.is_one() for v in af.psi_l)
     assert af.psi_r == af.psi_l  # trivial characteristic
     assert L.is_symmetric()
@@ -171,14 +169,14 @@ def test_infinite_index_raises():
 
 
 def test_is_ample():
-    assert is_ample(jacobi_multiplier())
+    assert jacobi_multiplier().is_ample()
     # negated pairing q^(-2 b^2): not ample
     img = HeisElement(P1, q_mono(-1), TorusPoint.from_q_exps(F, [-2]), (1,))
     L_neg = multiplier_new(P1, [img], [[q_mono(-1)]])
-    assert not is_ample(L_neg)
+    assert not L_neg.is_ample()
     # trivial multiplier on H = Z: infinite index
     img0 = HeisElement(P1, q_mono(0), TorusPoint.identity(F, 1), (0,))
-    assert not is_ample(multiplier_new(P1, [img0]))
+    assert not multiplier_new(P1, [img0]).is_ample()
 
 
 def test_power_properties():
@@ -275,7 +273,7 @@ def test_compose_jacobi():
     # alpha = 1: composition is the coefficient square, same periods as power
     assert comp.x_l_generators() == power(L, 2).x_l_generators()
     assert comp.images[0].c == q_mono(2)
-    assert is_ample(comp)
+    assert comp.is_ample()
 
 
 def test_compose_boundary_mismatch():
