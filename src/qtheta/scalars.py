@@ -273,7 +273,9 @@ class CycloRational:
         return (-self) + other
 
     def __neg__(self):
-        return CycloRational(self.field, tuple(map(operator.neg, self.num)), self.den)
+        num = self.num  # over Q, a 1-tuple negated without map
+        num = (-num[0],) if len(num) == 1 else tuple(map(operator.neg, num))
+        return CycloRational(self.field, num, self.den)
 
     def __mul__(self, other):
         if other.__class__ is not CycloRational or other.field is not self.field:
@@ -790,10 +792,13 @@ def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg:
     ``-c`` or the sum is built: equal elements have equal normalised fields.
     ``neg`` and ``mono`` are never passed together (``verify_equation`` sets
     ``mono`` to None for a negated term): with both set, the exponents would
-    shift by ``mono.uexp`` but ``mono.coeff`` would be dropped."""
+    shift by ``mono.uexp`` but ``mono.coeff`` would be dropped.  A +-1
+    ``mono.coeff`` multiplies nothing: -1 adds as ``neg``."""
     unit = isinstance(x, UnitMonomial)
     items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
-    k = 0 if mono is None else mono.uexp
+    k, scale = (0, None) if mono is None else (mono.uexp, mono.coeff)
+    if scale is not None and scale.den == 1 and scale.num[0] in (1, -1) and not any(scale.num[1:]):
+        neg, scale = neg or scale.num[0] < 0, None
     for e, c in items:
         e += k
         if e > top:
@@ -802,7 +807,7 @@ def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg:
         if neg and cur is not None and cur.num == c.num and cur.den == c.den:
             del acc[e]
             continue
-        c = -c if neg else c if mono is None else c * mono.coeff
+        c = -c if neg else c if scale is None else c * scale
         if cur is not None:
             c = cur + c
             if c.is_zero():

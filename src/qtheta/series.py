@@ -29,13 +29,13 @@ Heisenberg actions, say) skips the per-cell solve: its coefficients are
 rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
 once with the G^-1 its solver reads off G's Smith form.  A window pass
 evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
-A word with a kernel enumerates each finite combo once over the window and
-sums its points as one batch: one Gauss-rule call, and one series part per
-closure slice (:meth:`TorusSeries._add_terms`).
+Any other word solves (or, with a kernel, enumerates) each finite combo
+once over the window and sums its points as one batch: one Gauss-rule call,
+and one series part per closure slice (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
 valuation certificates), *formal* (some factor is window-only; products are
-refused, but single Heisenberg actions still evaluate cell by cell).
+refused, but single Heisenberg actions, which add no kernel, evaluate).
 """
 
 from __future__ import annotations
@@ -454,14 +454,14 @@ class TorusSeries:
 
         The cells missing from the cache are computed in one pass whose
         results land in the cache ``coeff`` reads, and the table is read
-        from the cache: only a cell the pass leaves out -- every cell when it
-        is refused -- goes through ``coeff``, as do the other kernel-free
-        layouts.  A word with cell rules (:meth:`_cell_rules`) evaluates each
-        rule at all of them at once (:meth:`_rule_coeffs`).  When the layout
-        has a kernel, each finite combo is enumerated once over the cells'
-        bounding box (the cell is one more set of linear rows), with a box
-        budget of the per-cell ones it replaces, and its points are summed
-        as one batch (:meth:`_add_terms`).
+        from the cache: only a cell the pass leaves out goes through
+        ``coeff``.  A word with cell rules (:meth:`_cell_rules`) evaluates
+        each rule at all of them at once (:meth:`_rule_coeffs`); another
+        kernel-free word solves them all (:meth:`_solve_coeffs`).  When the
+        layout has a kernel, each finite combo is enumerated once over the
+        cells' bounding box (the cell is one more set of linear rows), with
+        a box budget of the per-cell ones it replaces.  A combo's points are
+        summed as one batch (:meth:`_add_terms`).
         """
         cells = [tuple(h) for h in cells]
         todo = {h: h for h in cells if (h, order) not in self._cache}
@@ -469,7 +469,9 @@ class TorusSeries:
         solver = self._layout().solver
         if rules is not None:
             self._cache.update(self._rule_coeffs(rules, todo, order))
-        elif todo and order != INF and solver is not None and solver.kernel:
+        elif todo and (solver is None or not solver.kernel):
+            self._cache.update(self._solve_coeffs(todo, order))
+        elif todo and order != INF:
             with contextlib.suppress(NotMultipliable):
                 self._cache.update(self._window_coeffs(todo, order))
         out = {}
@@ -491,6 +493,24 @@ class TorusSeries:
                     acc[e] = c
             out[(h, order)] = ScalarSeries._clean(field, acc, order)
         return out
+
+    def _solve_coeffs(self, cells, order) -> dict:
+        """Cache entries of the coeffs pass over a kernel-free layout: each combo's
+        solutions of G y = h - base with y_c >= 0 are one :meth:`_add_terms` batch."""
+        lay = self._layout()
+        solve = lay.solver.solve if lay.solver else lambda t: None if any(t) else ()
+        sums: dict = {}  # cell -> [exponent -> value, trunc]
+        for combo in itertools.product(*lay.items):
+            chosen, base, term, _form = self._combo_plan(combo)
+            hs, ys = [], []
+            for h in cells:
+                y = solve(vec_sub(h, base))
+                if y is not None and all(y[c] >= 0 for c in lay.cones):
+                    hs.append(h)
+                    ys.append(y)
+            self._add_terms(sums, hs, ys, chosen, term, order)
+        zero = ScalarSeries.zero(self.param.field, order)
+        return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
     def _window_coeffs(self, cells, order) -> dict:
         """Cache entries of the coeffs pass over a layout with a kernel: each
@@ -521,39 +541,34 @@ class TorusSeries:
 
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
         """The combos' terms at h, summed in one dict.  With cell rules this
-        is the rule pass at h alone; else the layout's solver solves h - base
-        (for a kernel-free G that is not square with det +-1, the coset
-        test) and any kernel K is enumerated around the particular solution:
-        the combo's bound form at y = particular + K z (by :func:`_subst`),
-        with the cone rows y_c >= 0 in z."""
+        is the rule pass at h alone, and a kernel-free layout is the solve
+        pass at h alone; else the layout's solver solves h - base and the
+        kernel K is enumerated around the particular solution: the combo's
+        bound form at y = particular + K z (by :func:`_subst`), with the
+        cone rows y_c >= 0 in z."""
         rules = self._cell_rules()
         if rules is not None:
             return self._rule_coeffs(rules, [h], order)[(h, order)]
         lay = self._layout()
         solver = lay.solver
-        kernel = solver.kernel if solver else []
-        kcols, kt = len(kernel), list(zip(*kernel))  # kt[i]: the kernel vectors' i-th entries
+        if solver is None or not solver.kernel:
+            return self._solve_coeffs([h], order)[(h, order)]
+        kernel, kt = solver.kernel, list(zip(*solver.kernel))  # kt[i]: each one's i-th entry
         sums: dict = {}
         for combo in itertools.product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
-            residual = vec_sub(h, base)
-            particular = solver.solve(residual) if solver else (None if any(residual) else ())
+            particular = solver.solve(vec_sub(h, base))
             if particular is None:
                 continue
-            if kcols and order == INF:
+            if order == INF:
                 raise NotMultipliable("infinite-order product coefficient needs a finite order")
-            if kcols == 0:
-                ys = [particular] if all(particular[c] >= 0 for c in lay.cones) else []
-            else:
-                if form is None:
-                    raise NotMultipliable(
-                        "window-only factor inside a product that needs enumeration"
-                    )
-                if form is _ZERO_TERM:
-                    continue
-                Tz = _quad(_subst(form, particular, kernel), kcols)
-                pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
-                ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
+            if form is None:
+                raise NotMultipliable("window-only factor inside a product that needs enumeration")
+            if form is _ZERO_TERM:
+                continue
+            Tz = _quad(_subst(form, particular, kernel), len(kernel))
+            pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
+            ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
             self._add_terms(sums, itertools.repeat(h), ys, chosen, term, order)
         acc, trunc = sums.get(h) or ({}, order)
         return ScalarSeries(self.param.field, acc, trunc)

@@ -236,6 +236,8 @@ def act_on_theta(
     Entry [k][j] is the coefficient of the image of theta_j on theta_k; the
     acted series is re-expanded through its values at the canonical coset
     representatives, and that re-expansion is checked on the window cells.
+    Both are read from one coefficient pass per theta; an empty product is
+    not built, but its trunc still lowers the order compared.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
@@ -244,24 +246,27 @@ def act_on_theta(
     n = basis.dim
     field = p.field
     matrix = [[ScalarSeries.zero(field, order) for _ in range(n)] for _ in range(n)]
-    acted_list = []
+    cells = basis.basis[0].window_cells(window)
+    lhs = []
     for j, theta in enumerate(basis.basis):
         acted = heis_act(raw, theta)
-        acted_list.append(acted)
-        for k, rep in enumerate(basis.coset_reps):
+        lhs.append(acted.coeffs([*basis.coset_reps, *cells], order))
+        for k, rep in enumerate(basis.coset_reps):  # cache hits, counted as coeff reads
             matrix[k][j] = acted.coeff(rep, order)
-    cells = basis.basis[0].window_cells(window)
+    tables = [theta.coeffs(cells, order) for theta in basis.basis]
     for j in range(n):
+        col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
         for h in cells:
-            lhs = acted_list[j].coeff(h, order)
-            rhs = ScalarSeries.zero(field, order)
-            for k in range(n):
-                if not matrix[k][j].is_zero():
-                    rhs = rhs + matrix[k][j] * basis.basis[k].coeff(h, order)
             # entries may have negative valuation; compare at the order
             # both sides actually know
-            eff = min(order, lhs.trunc, rhs.trunc)
-            if not lhs.equal_to_order(rhs, eff):
+            rhs, eff = ScalarSeries.zero(field, order), min(order, lhs[j][h].trunc)
+            for m, table in col:
+                b = table[h]
+                if b.terms:
+                    rhs = rhs + m * b
+                else:  # m * b has no term: only its trunc reaches the sum
+                    eff = min(eff, b.trunc + m.valuation(), m.trunc + b.trunc + 1)
+            if not lhs[j][h].equal_to_order(rhs, min(eff, rhs.trunc)):
                 raise NotInNormalizer("acted theta does not re-expand in the basis")
     return matrix
 

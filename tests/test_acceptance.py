@@ -6,11 +6,11 @@ Every check is exact (tolerance zero); each criterion prints a PASS/FAIL
 line with its timing.
 """
 
-import itertools
 import random
 import time
 
 import pytest
+from oracles import invariance_oracle, random_ample_pair
 
 from qtheta.errors import NotComposable
 from qtheta.heisenberg import (
@@ -23,7 +23,7 @@ from qtheta.heisenberg import (
     same_class,
     twist,
 )
-from qtheta.intlinalg import LatticeMap, identity as eye, mat, mat_mul
+from qtheta.intlinalg import LatticeMap, mat
 from qtheta.multiplier import (
     Multiplier,
     compose as compose_multipliers,
@@ -99,43 +99,6 @@ def test_criterion_1_identities(ident, budget):
 # -- criterion 2: theta spaces ----------------------------------------------------
 
 
-def invariance_oracle(L, window, order):
-    """Independent theta solver: propagate the raw invariance equations
-    a_{h + h_l} = a_h * c * h(x) * alpha(h_l, h) cellwise from each coset
-    representative and verify every equation on the window."""
-    quot = L.quotient()
-    cells = [
-        tuple(c)
-        for c in itertools.product(range(-window, window + 1), repeat=L.param.rank)
-    ]
-    cellset = set(cells)
-    steps = []
-    for img in L.images:
-        raw = img.left_raw()
-        steps.append(raw)
-        steps.append(raw.inverse())
-    solutions = []
-    for rep in quot.coset_reps:
-        values = {rep: UnitMonomial.one(L.param.field).to_series()}
-        frontier = [rep]
-        while frontier:
-            h = frontier.pop()
-            ah = values[h]
-            for raw in steps:
-                coeff, target = raw.action_on_exponent(h)
-                if target not in cellset:
-                    continue
-                new_val = ah.scale(coeff)
-                cur = values.get(target)
-                if cur is None:
-                    values[target] = new_val
-                    frontier.append(target)
-                elif cur != new_val:
-                    raise AssertionError("oracle inconsistency")
-        solutions.append(values)
-    return solutions
-
-
 def test_criterion_2_theta_spaces():
     t0 = time.monotonic()
     L = jacobi()
@@ -158,48 +121,6 @@ def test_criterion_2_theta_spaces():
 
 
 # -- criterion 3: ampleness --------------------------------------------------------
-
-
-def random_unimodular(rng, n):
-    m = [list(r) for r in eye(n)]
-    for _ in range(6):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            k = rng.randint(-2, 2)
-            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-    return mat(m)
-
-
-def random_ample_pair(rng, n):
-    """Two composable ample multipliers over the trivial pairing on Z^n."""
-    f = random_unimodular(rng, n)
-    r = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-    s = [
-        [2 * sum(r[k][i] * r[k][j] for k in range(n)) + (4 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    # X = F^-T S: exact over Z because F is unimodular
-    from qtheta.intlinalg import mat_inverse_unimodular, transpose
-
-    x = mat_mul(transpose(mat_inverse_unimodular(f)), mat(s))
-    p = QuantParam.trivial(F, n)
-
-    def build(psi_signs):
-        images = []
-        for i in range(n):
-            c = UnitMonomial(
-                (-F.one() if psi_signs[i] else F.one()), s[i][i]
-            )
-            xpt = TorusPoint(
-                tuple(UnitMonomial(F.one(), x[k][i]) for k in range(n))
-            )
-            hcol = tuple(f[k][i] for k in range(n))
-            images.append(HeisElement(p, c, xpt, hcol))
-        return multiplier_new(p, images)
-
-    l1 = build([rng.randint(0, 1) for _ in range(n)])
-    l2 = build([rng.randint(0, 1) for _ in range(n)])
-    return l1, l2
 
 
 def test_criterion_3_ampleness():

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from test_acceptance import invariance_oracle, random_ample_pair
+from oracles import (
+    invariance_oracle,
+    jacobi_multiplier,
+    odd_diagonal_multiplier,
+    oracle_multipliers,
+    sign_twisted_multiplier,
+    zeta5_multiplier,
+)
 
 from qtheta.errors import (
     CocycleFailure,
@@ -57,12 +64,6 @@ TQ = QuantParam.standard_tq(F)
 
 def q_mono(k, sign=1):
     return UnitMonomial.q_power(F, k, sign)
-
-
-def jacobi_multiplier():
-    """H = Z, alpha = 1, B = Z: generator image [q; x: h0 -> q^2, h0, 0]."""
-    img = HeisElement(P1, q_mono(1), TorusPoint.from_q_exps(F, [2]), (1,))
-    return multiplier_new(P1, [img], [[q_mono(1)]])
 
 
 def test_jacobi_valid_and_pairing():
@@ -462,14 +463,6 @@ def test_sign_twisted_multiplier_membership():
 # independent oracle, and the finite proof
 
 
-def odd_diagonal_multiplier():
-    """Rank 1 over Q with trivial pairing: [u; x = (u), h = (1)].  The
-    valuation diagonal <b, b> = u is odd; the coefficient at n is
-    u^(n(n+1)/2)."""
-    u = UnitMonomial(F.one(), 1)
-    return multiplier_new(P1, [HeisElement(P1, u, TorusPoint((u,)), (1,))])
-
-
 def test_membership_precision_shortfall_names_the_cell():
     # heis_act multiplies some cells of the product by unit monomials of
     # negative u-exponent, so there the acted table is known only below N:
@@ -483,43 +476,6 @@ def test_membership_precision_shortfall_names_the_cell():
     with pytest.raises(PrecisionShortfall, match=r"known only to 37 at cell \(-3,\)") as exc:
         theta_membership(compose(L, L), prod, cells, order)
     assert not isinstance(exc.value, NotInvertible)
-
-
-def zeta5_multiplier():
-    """Over Q(zeta_5): [zeta u; x = (zeta u), h = (1)].  The diagonal base
-    of the recurrence is zeta, not +-1, so the rule has a character with the
-    half-step exponent n(n-1)/2."""
-    f5 = CycloField(5)
-    p5 = QuantParam.trivial(f5, 1)
-    z = UnitMonomial(f5.zeta(), 1)
-    return multiplier_new(p5, [HeisElement(p5, z, TorusPoint((z,)), (1,))])
-
-
-def sign_twisted_multiplier():
-    from qtheta.heisenberg import twist
-
-    f4 = CycloField(4)
-    p1 = QuantParam.trivial(f4, 1)
-    sgn = QuantParam(f4, p1.lattice, ((0,),), ((1,),))
-    img = HeisElement(p1, UnitMonomial.q_power(f4, 1), TorusPoint.from_q_exps(f4, [2]), (1,))
-    return Multiplier(sgn, [twist(p1, sgn, img)])
-
-
-def oracle_multipliers():
-    """Every multiplier whose theta basis the recurrence oracle checks."""
-    jac = jacobi_multiplier()
-    out = {
-        "jacobi": jac,
-        "level2": power(jac, 2),
-        "boxtimes": boxtimes(jac, power(jac, 2)),
-        "sign-twisted": sign_twisted_multiplier(),
-        "odd-diagonal": odd_diagonal_multiplier(),
-        "zeta5": zeta5_multiplier(),
-    }
-    rng = random.Random(2024)
-    for k in range(3):
-        out[f"random{k}"] = random_ample_pair(rng, 2)[0]
-    return out
 
 
 def recurrence_walk(L, rep, b):

@@ -327,20 +327,26 @@ def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, re
     spec.terms[1].coefficient = spec.terms[1].coefficient * UnitMonomial(F.one(), 1)
     cells = sorted(spec.cells())
     refused = cells[0] if refused_first else cells[-1]
-    orig = TorusSeries._coeff_impl
+    # both words are kernel-free without cell rules, so each term's pass and
+    # each cell computed alone go through the solve pass
+    orig = TorusSeries._solve_coeffs
+    refusals = []
 
-    def refusing(self, h, order):
-        if h == refused:
+    def refusing(self, hs, order):
+        if refused in hs:
+            refusals.append(len(hs))
             raise EnumerationLimit("certified box too large")
-        return orig(self, h, order)
+        return orig(self, hs, order)
 
-    monkeypatch.setattr(TorusSeries, "_coeff_impl", refusing)
+    monkeypatch.setattr(TorusSeries, "_solve_coeffs", refusing)
     if refused_first:
         with pytest.raises(EnumerationLimit):
             verify_equation(spec)
     else:
         rep = verify_equation(spec)
         assert rep["status"] == "fail" and rep["first_mismatch"]["cell"] == [-2, 0]
+    # refused in each term's pass, then cell by cell only when reached first
+    assert refusals == [len(cells)] * 2 + [1] * refused_first
 
 
 def test_e313_computes_each_theta_w_cell_once(monkeypatch):

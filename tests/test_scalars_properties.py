@@ -235,3 +235,33 @@ def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
     for e, c in x.terms.items():
         assert add_into(got, UnitMonomial(c, e), top, INF, neg=neg) == INF
     assert got == want
+
+
+@SETTINGS
+@given(
+    accumulator_and_addend(),
+    st.sampled_from([1, -1, 2, "zeta"]),
+    st.integers(-3, 3),
+    st.sampled_from([INF, 2, 8]),
+    st.integers(-5, 10) | st.just(INF),
+)
+def test_add_into_with_a_monomial_is_the_slow_scaled_sum(case, coeff, uexp, x_trunc, top):
+    # add_into(acc, x, top, ..., mono) is acc + mono * x on exponents up to
+    # top; a +-1 coefficient takes the fast path, 2 and zeta the product
+    f, acc, terms = case
+    c0 = f.zeta() if coeff == "zeta" else f.from_rational(coeff)
+    mono = UnitMonomial(c0, uexp)
+    x = ScalarSeries(f, terms, x_trunc)
+    want = dict(acc)
+    for e, c in x.terms.items():
+        if e + uexp <= top:
+            total = want.pop(e + uexp, f.zero()) + c * c0
+            if not total.is_zero():
+                want[e + uexp] = total
+    got = dict(acc)
+    assert add_into(got, x, top, 5, mono) == min(5, x_trunc + uexp)
+    assert got == want
+    got = dict(acc)
+    for e, c in x.terms.items():
+        assert add_into(got, UnitMonomial(c, e), top, INF, mono) == INF
+    assert got == want

@@ -1,5 +1,6 @@
 """Small Heisenberg groups: normalizers, duality, actions, doubling."""
 
+import collections
 import itertools
 import random
 
@@ -10,12 +11,13 @@ from qtheta.errors import (
     MissingRootsOfUnity,
     NotInNormalizer,
 )
-from test_acceptance import random_ample_pair
+from oracles import ACCEPTED_PAIR, ample_multiplier, random_ample_pair
 
 from qtheta import intlinalg, multiplier
-from qtheta.heisenberg import HeisElement, heis_mul
+from qtheta.heisenberg import HeisElement, heis_act, heis_mul
 from qtheta.multiplier import compose, multiplier_new, power, theta_dim_basis, theta_membership
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
+from qtheta.series import TorusSeries
 from qtheta.smallheis import (
     SmallHeisElement,
     act_on_theta,
@@ -303,6 +305,73 @@ def test_act_on_theta_matrices():
             order=order,
         )
 
+
+def _pair_basis(window, order):
+    """A theta-products pair (benchmark pair 1, trivial signs): the composed
+    multiplier, its theta basis and its small group."""
+    L = ample_multiplier(*ACCEPTED_PAIR)
+    composed = compose(L, L)
+    return composed, theta_dim_basis(composed, window, order), group_structure(composed)
+
+
+def test_act_on_theta_reads_each_acted_theta_from_one_pass(monkeypatch):
+    # each acted theta's coset reps and window cells are one solve pass, so
+    # no cell is computed alone and every matrix entry read is a cache hit
+    composed, basis, struct = _pair_basis(3, 40)
+    cells = set(basis.basis[0].window_cells(3))
+    assert any(rep not in cells for rep in basis.coset_reps)  # a rep off the window
+    calls = collections.Counter()
+    coeff, impl = TorusSeries.coeff, TorusSeries._coeff_impl
+
+    def counting_coeff(self, h, order):
+        calls["hit" if (tuple(h), order) in self._cache else "miss"] += 1
+        return coeff(self, h, order)
+
+    def counting_impl(self, h, order):
+        calls["impl"] += 1
+        return impl(self, h, order)
+
+    monkeypatch.setattr(TorusSeries, "coeff", counting_coeff)
+    monkeypatch.setattr(TorusSeries, "_coeff_impl", counting_impl)
+    one, zero = UnitMonomial.one(F), (0, 0)
+    for gen in struct.kappa_generators:
+        act_on_theta(composed, SmallHeisElement(one, gen, zero), basis, 3, 40)
+    assert calls == {"hit": basis.dim**2 * len(struct.kappa_generators)}
+
+
+def test_re_expansion_compares_at_the_order_both_sides_know(monkeypatch):
+    # a gamma lift's matrix entries have negative valuation, so where a basis
+    # coefficient is empty its product m * b is still known only to
+    # b.trunc + val(m): act_on_theta compares at the order the plain sum over
+    # every nonzero entry would know, without building the empty products
+    composed, basis, _struct = _pair_basis(3, 40)
+    elem = gamma_lift(composed, (1, 0))[0]
+    seen = []
+    equal = ScalarSeries.equal_to_order
+
+    def spy(self, other, order):
+        seen.append(order)
+        return equal(self, other, order)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ScalarSeries, "equal_to_order", spy)
+        M = act_on_theta(composed, elem, basis, 3, 40)
+    assert any(x.valuation() < 0 for row in M for x in row)
+    want, unfolded = [], []
+    for j, theta in enumerate(basis.basis):
+        acted = heis_act(elem.raw(composed.param), theta)
+        for h in basis.basis[0].window_cells(3):
+            full = nonempty = ScalarSeries.zero(F, 40)
+            for k in range(basis.dim):
+                if not M[k][j].is_zero():
+                    b = basis.basis[k].coeff(h, 40)
+                    full = full + M[k][j] * b
+                    nonempty = nonempty + M[k][j] * b if b.terms else nonempty
+            lhs = acted.coeff(h, 40).trunc
+            want.append(min(40, lhs, full.trunc))
+            unfolded.append(min(40, lhs, nonempty.trunc))
+    assert seen == want
+    assert want != unfolded  # some empty product lowers the order compared
 
 def test_action_group_law_mod_center():
     L2 = level2()

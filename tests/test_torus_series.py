@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_multiplier import oracle_multipliers
+from oracles import ACCEPTED_PAIR, ample_multiplier, oracle_multipliers
 
 from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.heisenberg import heis_act
-from qtheta.intlinalg import vec_add
+from qtheta.intlinalg import vec_add, vec_sub
 from qtheta.multiplier import theta_dim_basis, theta_membership
 from qtheta.named import (
     builtin_series,
@@ -943,36 +943,122 @@ def test_cell_rules_fall_back_to_the_solver(m):
 
 
 # ---------------------------------------------------------------------------
+# kernel-free words without cell rules: one solve pass over all the cells,
+# against an independent reference built from the factors' tables
+
+
+def _det(m):
+    return m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _integer_preimage(gens, t):
+    """The integer y with sum_i y_i gens[i] = t, or None, for one or two
+    independent gens: Cramer's rule on the first nonsingular row minor, then
+    checked on every row."""
+    k = len(gens)
+    for rows in itertools.combinations(range(len(t)), k):
+        m = [[g[r] for g in gens] for r in rows]
+        d = _det(m)
+        if d:
+            cols = [[row[:i] + [t[r]] + row[i + 1 :] for row, r in zip(m, rows)] for i in range(k)]
+            y = [Fraction(_det(c), d) for c in cols]
+            if any(v.denominator != 1 for v in y):
+                return None
+            y = tuple(int(v) for v in y)
+            ok = all(sum(v * g[j] for v, g in zip(y, gens)) == x for j, x in enumerate(t))
+            return y if ok else None
+    raise AssertionError("dependent gens")
+
+
+def _solve_reference(word, h, order):
+    """The coefficient at h of a word of finite factors and one Gauss factor,
+    by :func:`_word_coeff_reference`: the Gauss factor's table holds, for each
+    combo of finite points, the point h less them, valued by its rule at the
+    y that Cramer's rule gives (no point off its lattice or outside its cones)."""
+    (lat,) = [f for f in word.factors if not f.is_finite]
+    assert lat.coeff is None
+    table = {}
+    for pts in itertools.product(*[f.table for f in word.factors if f.is_finite]):
+        q = tuple(x - sum(c) for x, c in zip(h, zip(*pts))) if pts else h
+        y = _integer_preimage(lat.gens, vec_sub(q, lat.offset))
+        if y is not None and all(v >= 0 for v, cone in zip(y, lat.cones) if cone):
+            table[q] = lat.gauss.at(y)
+    tables = [f.table if f.is_finite else table for f in word.factors]
+    return _word_coeff_reference(word.param, tables, h, order)
+
+
+def _solve_pass_words(m):
+    """(name, word): the basis thetas of a theta-products pair's composed
+    multiplier (|det G| = 4) with their images under its small group (kernel
+    generators and a gamma lift), the single-theta E332 words, and an
+    offset Gauss factor with a cone (|det G| = 3) between finite factors."""
+    from qtheta.multiplier import compose
+    from qtheta.smallheis import SmallHeisElement, gamma_lift, group_structure
+
+    f = CycloField(m)
+    L = ample_multiplier(*ACCEPTED_PAIR, field=f)
+    composed = compose(L, L)
+    one, zero = UnitMonomial.one(f), (0, 0)
+    elems = [SmallHeisElement(one, g, zero) for g in group_structure(composed).kappa_generators]
+    elems.append(gamma_lift(composed, (1, 0))[0])
+    out = []
+    for i, th in enumerate(theta_dim_basis(composed, 3, 40).basis):
+        out.append((f"theta{i}", th))
+        out += [(f"act{k}.theta{i}", heis_act(e.raw(composed.param), th)) for k, e in enumerate(elems)]
+    for spec in identity_specs("E332", f, window=2, order=20):
+        for t, term in enumerate(spec.terms):
+            word = _term_series(term)[1]
+            if not word._layout().solver.kernel and word._cell_rules() is None:
+                out.append((f"{spec.label}[{t}]", word))
+    _f, p, _mus, points = _gauss_cases(m)
+    rule, _s = _offset_gauss_series(f, p)
+    coned = TorusSeries.rule(
+        p, (1, -2), [(1, 1), (2, -1)], None, rule.valuation_form(), (True, False), gauss=rule
+    )
+    front = TorusSeries.exponent(p, (2, 1), UnitMonomial(f.zeta(), 1))
+    back = TorusSeries.from_dict(
+        p, {(0, -1): UnitMonomial(f.from_rational(-2), -3), (1, 0): UnitMonomial(-f.one(), 2)}
+    )
+    out.append(("coned", front.mul(coned.shift_pullback(points[0])).mul(back)))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("order", [24, INF])
+def test_solve_pass_matches_the_reference(monkeypatch, m, order):
+    words = _solve_pass_words(m)
+    names = [name for name, _w in words]
+    assert sum(n.startswith("E332") for n in names) == 8 and "coned" in names
+    impl = []
+    orig = TorusSeries._coeff_impl
+    monkeypatch.setattr(TorusSeries, "_coeff_impl", lambda s, h, o: impl.append(h) or orig(s, h, o))
+    for name, word in words:
+        lay = word._layout()
+        assert not lay.solver.kernel and word._cell_rules() is None, name
+        if name.startswith("theta") or name.startswith("act"):
+            assert math.prod(lay.solver.divisors) == 4, name
+        if name == "coned":
+            assert lay.cones
+        cells = word.window_cells(3)
+        want = {h: _solve_reference(word, h, order) for h in cells}
+        assert any(c.is_zero() for c in want.values()), name  # cells off the support
+        assert any(not c.is_zero() for c in want.values()), name
+        assert word.coeffs(cells, order) == want, name  # one pass
+        assert impl == []
+        fresh = TorusSeries(word.param, word.factors)
+        assert {h: fresh.coeff(h, order) for h in cells} == want, name  # cell by cell
+        assert len(impl) == len(cells)
+        impl.clear()
+
+
+# ---------------------------------------------------------------------------
 # window_dump, materialize and series_equal_on_cells take their coefficients
 # from one coeffs pass, and give what per-cell coeff gives
 
 
-def _ample(f, s):
-    """A multiplier over the trivial pairing on Z^2 with period basis change
-    f (unimodular), valuation form s and X = f^-T s (as in the theta-products
-    benchmark, with trivial signs)."""
-    from qtheta.heisenberg import HeisElement
-    from qtheta.intlinalg import mat, mat_inverse_unimodular, mat_mul, transpose
-    from qtheta.multiplier import multiplier_new
-
-    p = QuantParam.trivial(F, 2)
-    x = mat_mul(transpose(mat_inverse_unimodular(mat(f))), mat(s))
-    images = [
-        HeisElement(
-            p,
-            UnitMonomial(F.one(), s[i][i]),
-            TorusPoint(tuple(UnitMonomial(F.one(), x[k][i]) for k in range(2))),
-            tuple(f[k][i] for k in range(2)),
-        )
-        for i in range(2)
-    ]
-    return multiplier_new(p, images)
-
-
-# pair 1 of the theta-products benchmark, whose product the window pass
-# already answered, and pair 0, whose per-cell boxes the trace bound
+# ACCEPTED_PAIR is pair 1 of the theta-products benchmark, whose product the
+# window pass already answered; pair 0's per-cell boxes the trace bound
 # certified at over 10**7 points each and refused
-ACCEPTED_PAIR = (((1, 0), (4, 1)), [[8, 2], [2, 6]])
 REFUSED_PAIR = (((-1, -3), (2, 5)), [[6, -2], [-2, 8]])
 
 
@@ -980,7 +1066,7 @@ def _theta_square(pair, window, order):
     """(L composed with itself, the square of L's first basis theta)."""
     from qtheta.multiplier import compose
 
-    L = _ample(*pair)
+    L = ample_multiplier(*pair)
     th = theta_dim_basis(L, window, order).basis[0]
     return compose(L, L), th.mul(th)
 
