@@ -273,9 +273,7 @@ class CycloRational:
         return (-self) + other
 
     def __neg__(self):
-        num = self.num  # over Q, a 1-tuple negated without map
-        num = (-num[0],) if len(num) == 1 else tuple(map(operator.neg, num))
-        return CycloRational(self.field, num, self.den)
+        return CycloRational(self.field, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other):
         if other.__class__ is not CycloRational or other.field is not self.field:
@@ -643,13 +641,16 @@ class ScalarSeries:
 
     __rmul__ = __mul__
 
-    def mul_to(self, other: "ScalarSeries", cap) -> "ScalarSeries":
-        """``(self * other).truncate(cap)``; pairs above ``cap`` are never formed."""
-        # validity order: unknown(a)*b enters above trunc(a) + val(b), and a
-        # series with no known term has valuation above its trunc (inf-safe)
+    def mul_trunc(self, other: "ScalarSeries"):
+        """The order to which ``self * other`` is known: unknown(a)*b enters above
+        trunc(a) + val(b), and an empty series has valuation above its trunc."""
         va = self.valuation() if self.terms else self.trunc + 1
         vb = other.valuation() if other.terms else other.trunc + 1
-        trunc = min(self.trunc + vb, other.trunc + va, cap)
+        return min(self.trunc + vb, other.trunc + va)
+
+    def mul_to(self, other: "ScalarSeries", cap) -> "ScalarSeries":
+        """``(self * other).truncate(cap)``; pairs above ``cap`` are never formed."""
+        trunc = min(self.mul_trunc(other), cap)
         out: dict[int, CycloRational] = {}
         if self.terms and other.terms:
             right = sorted(other.terms.items())

@@ -236,8 +236,7 @@ def act_on_theta(
     Entry [k][j] is the coefficient of the image of theta_j on theta_k; the
     acted series is re-expanded through its values at the canonical coset
     representatives, and that re-expansion is checked on the window cells.
-    Both are read from one coefficient pass per theta; an empty product is
-    not built, but its trunc still lowers the order compared.
+    Both read one coefficient table per theta; an empty product adds only its trunc.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
@@ -265,7 +264,7 @@ def act_on_theta(
                 if b.terms:
                     rhs = rhs + m * b
                 else:  # m * b has no term: only its trunc reaches the sum
-                    eff = min(eff, b.trunc + m.valuation(), m.trunc + b.trunc + 1)
+                    eff = min(eff, m.mul_trunc(b))
             if not lhs[j][h].equal_to_order(rhs, min(eff, rhs.trunc)):
                 raise NotInNormalizer("acted theta does not re-expand in the basis")
     return matrix

@@ -176,6 +176,7 @@ def test_mul_to_is_the_truncated_product(m, ta, tb, trunc_a, trunc_b, cap):
     b = ScalarSeries(f, {e: f.element(v) for e, v in tb.items()}, trunc_b)
     ref = ref_series_mul(a, b)
     assert a * b == ref
+    assert a.mul_trunc(b) == b.mul_trunc(a) == ref.trunc
     low = min(a.valuation(), b.valuation()) - 1  # below both valuations
     for c in (cap, low):
         assert a.mul_to(b, c) == ref.truncate(c) == (a * b).truncate(c)
