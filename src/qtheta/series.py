@@ -41,11 +41,10 @@ refused, but single Heisenberg actions, which add no kernel, evaluate).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from itertools import compress, product, repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
@@ -65,15 +64,12 @@ class FiniteFactor:
     """Finitely supported factor: explicit exponent -> coefficient table."""
 
     __slots__ = ("param", "table", "label")
+    is_finite = True
 
     def __init__(self, param: QuantParam, table: dict, label: str = ""):
         self.param = param
         self.table = {tuple(k): v for k, v in table.items()}
         self.label = label or "finite"
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     def items(self):
         return self.table.items()
@@ -96,6 +92,7 @@ class LatticeFactor:
     """
 
     __slots__ = ("param", "offset", "gens", "coeff", "val", "cones", "label", "gauss", "_memo")
+    is_finite = False
 
     def __init__(
         self,
@@ -117,10 +114,6 @@ class LatticeFactor:
         self.label = label or "lattice"
         self.gauss = gauss
         self._memo: dict = {}
-
-    @property
-    def is_finite(self) -> bool:
-        return False
 
     @property
     def nparams(self) -> int:
@@ -171,9 +164,25 @@ def _form(terms, mod=0):
     return tuple((a, b, x) for (a, b), x in sorted(red.items()) if x)
 
 
-def _form_at(form, ye) -> int:
-    """Twice the form's value at ye = (*y, 1)."""
-    return sum([x * ye[a] * ye[b] for a, b, x in form])
+def _forms_at(form, ys, n) -> list:
+    """The sum of x y_a y_b over the terms (a, b, x) at each y in ys (index n
+    is the constant 1): twice a form's value, one list pass per term."""
+    out = [0] * len(ys)
+    for a, b, x in form:
+        if b < n:
+            out = [s + x * y[a] * y[b] for s, y in zip(out, ys)]
+        elif a < n:
+            out = [s + x * y[a] for s, y in zip(out, ys)]
+        else:
+            out = [s + x for s in out]
+    return out
+
+
+def _affine_at(mtx, base, ys, n):
+    """base + mtx y at each y in ys (of length n), one row of mtx at a time."""
+    rows = [_forms_at([*((j, n, x) for j, x in enumerate(g) if x), (n, n, b)], ys, n)
+            for g, b in zip(mtx, base)]
+    return zip(*rows) if rows else [()] * len(ys)
 
 
 def _check_half_steps(form, n):
@@ -273,19 +282,18 @@ class GaussRule:
         return UnitMonomial(*self.values((y,))[0])
 
     def values(self, ys) -> list:
-        """[(coefficient, u-exponent) of the rule at y for y in ys], with each
-        power b_k^j built once per call."""
-        sform, chars, out = self.sform, [(b, l, {}) for b, l in self.chars], []
-        for y in ys:
-            ye = (*y, 1)
-            c = self.signed[_form_at(sform, ye) >> 1 & 1 if sform else 0]  # the form holds 2s
-            for b, l, powers in chars:
-                j = _form_at(l, ye) >> 1
-                if j not in powers:
-                    powers[j] = b**j
-                c = c * powers[j]
-            out.append((c, _form_at(self.uform, ye) >> 1))
-        return out
+        """[(coefficient, u-exponent) of the rule at y for y in ys], each form
+        evaluated at all the points at once and each power b_k^j built once."""
+        n = self.n
+        if self.sform:  # the form holds 2s
+            cs = [self.signed[v >> 1 & 1] for v in _forms_at(self.sform, ys, n)]
+        else:
+            cs = [self.const] * len(ys)
+        for b, l in self.chars:
+            js = [v >> 1 for v in _forms_at(l, ys, n)]
+            powers = {j: b**j for j in set(js)}
+            cs = [c * powers[j] for c, j in zip(cs, js)]
+        return list(zip(cs, [v >> 1 for v in _forms_at(self.uform, ys, n)]))
 
 
 _Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
@@ -441,86 +449,74 @@ class TorusSeries:
     def coeff(self, h: Vec, order) -> ScalarSeries:
         """Coefficient at e(h), exact up to u-exponent ``order``."""
         h = tuple(h)
-        key = (h, order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._coeff_impl(h, order)
-        self._cache[key] = out
-        return out
+        table = self._cache.setdefault(order, {})
+        hit = table.get(h)
+        if hit is None:
+            hit = table[h] = self._coeff_impl(h, order)
+        return hit
 
     def coeffs(self, cells: Iterable[Vec], order) -> dict:
         """Coefficients at many cells, ``{h: coeff(h, order)}``.
 
-        The cells missing from the cache are computed in one pass whose
-        results land in the cache ``coeff`` reads, and the table is read
-        from the cache: only a cell the pass leaves out goes through
-        ``coeff``.  A word with cell rules (:meth:`_cell_rules`) evaluates
-        each rule at all of them at once (:meth:`_rule_coeffs`); another
-        kernel-free word solves them all (:meth:`_solve_coeffs`).  When the
-        layout has a kernel, each finite combo is enumerated once over the
-        cells' bounding box (the cell is one more set of linear rows), with
-        a box budget of the per-cell ones it replaces.  A combo's points are
-        summed as one batch (:meth:`_add_terms`).
+        The cache holds one table ``{h: coefficient}`` per order, which
+        ``coeff`` fills too.  The cells missing from it are computed in one
+        pass that fills it, and the objects returned are the table's own:
+        only a cell the pass leaves out goes through ``coeff``.  A word with
+        cell rules (:meth:`_cell_rules`) evaluates each rule at all of them
+        at once (:meth:`_rule_coeffs`); another kernel-free word solves them
+        all (:meth:`_solve_coeffs`).  When the layout has a kernel, each
+        finite combo is enumerated once over the cells' bounding box (the
+        cell is one more set of linear rows), with a box budget of the
+        per-cell ones it replaces.  A combo's points are summed as one batch
+        (:meth:`_add_terms`).
         """
         cells = [tuple(h) for h in cells]
-        todo = {h: h for h in cells if (h, order) not in self._cache}
-        rules = self._cell_rules() if todo else None
-        solver = self._layout().solver
-        if rules is not None:
-            self._cache.update(self._rule_coeffs(rules, todo, order))
-        elif todo and (solver is None or not solver.kernel):
-            self._cache.update(self._solve_coeffs(todo, order))
-        elif todo and order != INF:
-            with contextlib.suppress(NotMultipliable):
-                self._cache.update(self._window_coeffs(todo, order))
-        out = {}
-        for h in cells:
-            x = self._cache.get((h, order))
-            out[h] = self.coeff(h, order) if x is None else x
-        return out
+        table = self._cache.setdefault(order, {})
+        todo = {h: h for h in cells if h not in table}
+        if todo:
+            rules, solver = self._cell_rules(), self._layout().solver
+            if rules is not None:
+                table.update(self._rule_coeffs(rules, todo, order))
+            elif solver is None or not solver.kernel:
+                table.update(self._solve_coeffs(todo, order))
+            elif order != INF:
+                with contextlib.suppress(NotMultipliable):
+                    table.update(self._window_coeffs(todo, order))
+        return {h: x if (x := table.get(h)) is not None else self.coeff(h, order) for h in cells}
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
-        """The coefficients at ``cells`` of a word with cell rules, as cache
-        entries: each rule is evaluated at every cell in one call."""
-        field, out = self.param.field, {}
-        for h, *terms in zip(cells, *(rule.values(cells) for rule in rules)):
-            acc: dict = {}
-            for c, e in terms:
-                if acc:
-                    add_into(acc, UnitMonomial(c, e), order, order)
-                elif e <= order:  # a term added to nothing needs no sum
-                    acc[e] = c
-            out[(h, order)] = ScalarSeries._clean(field, acc, order)
-        return out
+        """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
+        rule is evaluated at every cell in one call, its first seeds a sum."""
+        first, *others = [rule.values(cells) for rule in rules]
+        accs = [{e: c} if e <= order else {} for c, e in first]
+        for vals in others:
+            for acc, (c, e) in zip(accs, vals):
+                add_into(acc, UnitMonomial(c, e), order, order)
+        return {h: ScalarSeries._clean(self.param.field, a, order) for h, a in zip(cells, accs)}
 
     def _solve_coeffs(self, cells, order) -> dict:
-        """Cache entries of the coeffs pass over a kernel-free layout: each combo's
+        """``{h: coefficient}`` over a kernel-free layout: each combo's
         solutions of G y = h - base with y_c >= 0 are one :meth:`_add_terms` batch."""
         lay = self._layout()
         solve = lay.solver.solve if lay.solver else lambda t: None if any(t) else ()
         sums: dict = {}  # cell -> [exponent -> value, trunc]
-        for combo in itertools.product(*lay.items):
+        for combo in product(*lay.items):
             chosen, base, term, _form = self._combo_plan(combo)
-            hs, ys = [], []
-            for h in cells:
-                y = solve(vec_sub(h, base))
-                if y is not None and all(y[c] >= 0 for c in lay.cones):
-                    hs.append(h)
-                    ys.append(y)
-            self._add_terms(sums, hs, ys, chosen, term, order)
+            ys = [solve(vec_sub(h, base)) for h in cells]
+            ok = [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
+            self._add_terms(sums, compress(cells, ok), [*compress(ys, ok)], chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
-        return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
+        return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
     def _window_coeffs(self, cells, order) -> dict:
-        """Cache entries of the coeffs pass over a layout with a kernel: each
-        combo's points in ``cells`` (each cell mapped to itself) are one
-        :meth:`_add_terms` batch.  Raises NotMultipliable where one cannot be certified."""
+        """``{h: coefficient}`` over a layout with a kernel: each combo's
+        points whose cell b + G y is in ``cells`` (each cell mapped to itself)
+        are one :meth:`_add_terms` batch.  Raises NotMultipliable where one cannot be certified."""
         lay = self._layout()
         n = lay.blocks[-1][2]
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
-        for combo in itertools.product(*lay.items):
+        for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
             if form is None:
                 raise NotMultipliable("window-only factor inside a product that needs enumeration")
@@ -529,15 +525,12 @@ class TorusSeries:
             rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
             for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
                 rows += [(g, b - l), (tuple(-x for x in g), u - b)]
-            hs, ys = [], []
-            for y in enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells)):
-                h = cells.get(tuple([b + sum(map(mul, g, y)) for g, b in zip(lay.mtx, base)]))
-                if h is not None:
-                    hs.append(h)
-                    ys.append(y)
-            self._add_terms(sums, hs, ys, chosen, term, order)
+            pts = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
+            hs = [*map(cells.get, _affine_at(lay.mtx, base, pts, n))]
+            ok = [h is not None for h in hs]
+            self._add_terms(sums, compress(hs, ok), [*compress(pts, ok)], chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
-        return {(h, order): ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
+        return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
     def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
         """The combos' terms at h, summed in one dict.  With cell rules this
@@ -548,14 +541,14 @@ class TorusSeries:
         cone rows y_c >= 0 in z."""
         rules = self._cell_rules()
         if rules is not None:
-            return self._rule_coeffs(rules, [h], order)[(h, order)]
+            return self._rule_coeffs(rules, [h], order)[h]
         lay = self._layout()
         solver = lay.solver
         if solver is None or not solver.kernel:
-            return self._solve_coeffs([h], order)[(h, order)]
+            return self._solve_coeffs([h], order)[h]
         kernel, kt = solver.kernel, list(zip(*solver.kernel))  # kt[i]: each one's i-th entry
         sums: dict = {}
-        for combo in itertools.product(*lay.items):
+        for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
             particular = solver.solve(vec_sub(h, base))
             if particular is None:
@@ -568,8 +561,8 @@ class TorusSeries:
                 continue
             Tz = _quad(_subst(form, particular, kernel), len(kernel))
             pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
-            ys = [tuple(p + sum(map(mul, z, k)) for p, k in zip(particular, kt)) for z in pts]
-            self._add_terms(sums, itertools.repeat(h), ys, chosen, term, order)
+            ys = [*_affine_at(kt, particular, pts, len(kernel))]
+            self._add_terms(sums, repeat(h), ys, chosen, term, order)
         acc, trunc = sums.get(h) or ({}, order)
         return ScalarSeries(self.param.field, acc, trunc)
 
@@ -586,8 +579,8 @@ class TorusSeries:
                 d = solver.nrows
                 cols = [solver.solve(tuple(int(i == j) for i in range(d))) for j in range(d)]
                 if None not in cols:
-                    plans = [self._combo_plan(combo) for combo in itertools.product(*lay.items)]
-                    if not any(rest for _c, _b, (_r, rest), _f in plans):
+                    plans = [self._combo_plan(combo) for combo in product(*lay.items)]
+                    if plans and not any(rest for _c, _b, (_r, rest), _f in plans):
                         rules = [p[2][0].compose(vec_neg(solver.solve(p[1])), cols) for p in plans]
             self._cell_cache = (rules,)
         return self._cell_cache[0]
@@ -677,7 +670,7 @@ class TorusSeries:
         no scaled copy is built."""
         rule, rest = term
         vals = rule.values(ys)
-        at = itertools.repeat((None, (None, None)))  # no series part: the monomial alone
+        at = repeat((None, (None, None)))  # no series part: the monomial alone
         if rest:
             spans = [span for _wi, span in rest if span is not None]
             groups: dict = {}  # closure slices -> [lowest u-exponent, series part]

@@ -11,7 +11,7 @@ import pytest
 from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.quadenum import QuadExpr, _walk_order, enumerate_sublevel
 from qtheta.scalars import CycloField
-from qtheta.series import _form, _form_at, _quad, _subst
+from qtheta.series import _form, _forms_at, _quad, _subst
 from qtheta.verify import _term_series, identity_specs
 
 
@@ -138,7 +138,7 @@ def test_substitute_affine():
     rng = random.Random(2)
     for _ in range(20):
         y = tuple(rng.randint(-10, 10) for _ in range(3))
-        assert T.value(y) == _form_at(form, (*y, 1)) / 2
+        assert T.value(y) == _forms_at(form, [y], 3)[0] / 2
         z = (rng.randint(-10, 10), rng.randint(-10, 10))
         y = tuple(p + sum(map(mul, z, k)) for p, k in zip(y0, kt))
         assert S.value(z) == T.value(y)

@@ -876,27 +876,63 @@ def test_cell_rules_match_the_solver_path(monkeypatch, m, order):
             assert any(x.is_zero() for x in got.values())
 
 
+def _rule_reference(r, y):
+    """(coefficient, u-exponent) of the rule at y straight from its forms:
+    each form's value is (sum x y_a y_b) // 2 at (*y, 1)."""
+    ye = (*y, 1)
+
+    def half(form):
+        return sum(x * ye[a] * ye[b] for a, b, x in form) // 2
+
+    c = r.const if half(r.sform) % 2 == 0 else -r.const
+    for b, l in r.chars:
+        c = c * b ** half(l)
+    return c, half(r.uform)
+
+
+@pytest.mark.parametrize("order", [8, INF])
+def test_word_without_a_finite_combo_has_no_cell_rules(order):
+    # an empty finite factor leaves no combo, so no rule to seed a cell's
+    # sum: the word goes through the solve pass, and every coefficient is 0
+    f = CycloField(1)
+    p = QuantParam.trivial(f, 1)
+    word = TorusSeries.from_dict(p, {}).mul(theta_series(p, (1,)))
+    assert word._cell_rules() is None
+    got = word.coeffs([(h,) for h in range(-3, 4)], order)
+    assert all(x.is_zero() and x.trunc == order for x in got.values())
+    assert word.coeff((5,), order) == ScalarSeries.zero(f, order)
+
+
 @pytest.mark.parametrize("m", [1, 5])
 def test_rule_values_match_the_rule_at_each_point(m):
-    # values shares the signed constants and the powers b_k^j across its
-    # points; at builds them afresh for one point
+    # values evaluates each form at all the points at once; the reference
+    # evaluates the forms point by point
     f, p, _mus, points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)  # nonzero sform, base -3 to 1 + a - b
     shifted = rule.times(GaussRule.character(f, points[0].values))  # bases 3 zeta^2, -1
+    e313 = identity_specs("E313", CycloField(m), window=1, order=8)[0].terms[0]
     rules = [
         rule,
         shifted,
         shifted.compose((1, -2), [(1, 1), (2, -1)]),
         *_cell_words(m)[1]._cell_rules(),
+        *_term_series(e313)[1]._cell_rules(),  # a u-form alone, in four variables
+        GaussRule(2, f.zeta(), [(0, 0, 1), (0, 2, 1), (0, 1, -2), (1, 2, 4)]),  # y0(y0+1)/2 - y0 y1 + 2 y1
+        GaussRule(0, f.zeta(), [(0, 0, 6)], [(0, 0, 2)], [(f.from_rational(-3), [(0, 0, -4)])]),
     ]
-    ys = list(itertools.product(range(-8, 8), repeat=2))
-    random.Random(m).shuffle(ys)
-    ys += ys[:20]  # points met twice
+    assert any(r.sform and r.chars for r in rules)
+    assert sum(not r.sform and not r.chars for r in rules) == 2
     for r in rules:
-        assert r.sform and r.chars
-        want = [(r.at(y).coeff, r.at(y).uexp) for y in ys]
+        ys = list(itertools.product(range(-5, 5), repeat=r.n))
+        random.Random(m).shuffle(ys)
+        ys += ys[:20]  # points met twice
+        want = [_rule_reference(r, y) for y in ys]
         assert r.values(ys) == want
-        assert any(c.den > 1 for c, _e in want)  # some bases to negative powers
+        assert r.values([]) == []
+        assert r.at(ys[0]) == UnitMonomial(*want[0])
+        if r.chars:
+            assert any(c.den > 1 for c, _e in want)  # some bases to negative powers
+        assert len({e for _c, e in want}) > 1 or r.n == 0
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -1111,8 +1147,50 @@ def test_window_routines_match_per_cell_coeff(monkeypatch, refused):
             assert fresh().materialize(cells, order).factors[0].table == nonzero
             word = fresh()
             assert series_equal_on_cells(word, ref, cells, order)
-            assert all(word._cache[(h, order)] == c for h, c in want.items())
+            assert all(word._cache[order][h] == c for h, c in want.items())
             assert not series_equal_on_cells(fresh(), ref.scaled(UnitMonomial(-F.one(), 0)), cells, order)
+
+
+def test_window_pass_maps_points_to_the_rank_0_cell():
+    # on a rank-0 torus every point of the kernel lands on the one cell ():
+    # sum over y, z of u^(y^2 + z^2) is 1 + 4u + 4u^2 + 4u^4 to order 4
+    f = CycloField(1)
+    p = QuantParam.trivial(f, 0)
+    gauss = TorusSeries.rule(
+        p, (), [()], lambda y, order: UnitMonomial(f.one(), y[0] ** 2), QuadExpr(1, [[1]], [0], 0)
+    )
+    word = gauss.mul(gauss)
+    assert word._layout().solver.kernel
+    four = f.from_rational(4)
+    want = ScalarSeries(f, {0: f.one(), 1: four, 2: four, 4: four}, 4)
+    assert word.coeffs([()], 4) == {(): want}
+    assert TorusSeries(p, word.factors)._coeff_impl((), 4) == want
+
+
+def test_cache_holds_one_table_per_order(monkeypatch):
+    # coeffs and coeff share one {h: coefficient} table per order, and
+    # coeffs hands out the table's own objects
+    import qtheta.series as series_mod
+
+    name, fresh, radius, _order = _routed_words()[0]  # an E026 term with a kernel
+    word = fresh()
+    cells = word.window_cells(radius)
+    t8, t12 = word.coeffs(cells, 8), word.coeffs(cells, 12)
+    assert set(word._cache) == {8, 12}, name
+    assert word._cache[8] is not word._cache[12]
+    assert all(word._cache[8][h] is t8[h] and word._cache[12][h] is t12[h] for h in cells)
+    assert all(word.coeff(h, 8) is t8[h] for h in cells)
+    assert any(t8[h] != t12[h] for h in cells)  # the orders' tables differ
+    word = fresh()
+    with monkeypatch.context() as mp:  # a window budget of one point per cell
+        mp.setattr(series_mod, "MAX_POINTS", 1)
+        log = _record_enumerations(mp)
+        got = word.coeffs(cells, 8)
+    assert isinstance(log[0], EnumerationLimit) and len(log) > len(cells)  # then cell by cell
+    assert set(word._cache) == {8}
+    assert all(word._cache[8][h] is got[h] for h in cells)
+    assert all(word.coeff(h, 8) is got[h] for h in cells)
+    assert got == t8
 
 
 def test_theta_product_refused_before_is_a_member():
