@@ -58,6 +58,12 @@ class EnumerationLimit(NotMultipliable):
     """A certified enumeration box exceeds the point cap (a resource limit)."""
 
 
+class CertificateViolation(QThetaError):
+    """A lattice factor's closure returned a value of negative u-valuation, so
+    its Gauss part over-states the coefficient's valuation and the bound built
+    from it could drop terms."""
+
+
 class UnresolvedReference(QThetaError):
     """An equation term refers to an unknown series or element."""
 

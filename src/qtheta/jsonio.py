@@ -12,7 +12,9 @@ vectors over the power basis):
   smallelem   {"c": monomial, "xi": point, "gamma": [int]}
 
 Multipliers, elements and the parts of CLI equation specs are read through
-:class:`JsonReader`, which refuses input of another field or rank.
+:class:`JsonReader`, which refuses input of another field or rank.  Every
+int field must be a JSON integer and every rational a string: a float, a
+bool or a number in a string raises ValueError rather than be truncated.
 """
 
 from __future__ import annotations
@@ -36,20 +38,33 @@ def param_to_json(p: QuantParam) -> dict:
     }
 
 
+def _int(v, key: str) -> int:
+    if type(v) is not int:  # bool is an int subclass
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def param_from_json(data: dict) -> QuantParam:
-    field = CycloField(data["m"])
-    return QuantParam(field, Lattice(data["rank"]), mat(data["A"]), mat(data["S"]))
+    A, S = ([[_int(x, key) for x in row] for row in data[key]] for key in ("A", "S"))
+    field = CycloField(_int(data["m"], "m"))
+    return QuantParam(field, Lattice(_int(data["rank"], "rank")), mat(A), mat(S))
 
 
 class JsonReader:
-    """Validated reading over one torus: a monomial must lie over its field
-    and have a nonzero coefficient, a vector must be ``rank`` ints and a
-    point ``rank`` such monomials; anything else raises ValueError."""
+    """Validated reading over one torus: a monomial must have int ``m`` and
+    ``uexp`` and string coefficients, lie over its field and be nonzero, a
+    vector must be ``rank`` ints and a point ``rank`` such monomials;
+    anything else raises ValueError."""
 
     def __init__(self, param: QuantParam):
         self.param = param
 
     def mono(self, data: dict) -> UnitMonomial:
+        coeff = data["coeff"]
+        if not isinstance(coeff, list) or not all(isinstance(x, str) for x in coeff):
+            raise ValueError(f"coeff must be a list of rational strings, got {coeff!r}")
+        for key in ("m", "uexp"):
+            _int(data[key], key)
         try:
             c = monomial_from_json(data)
         except DivisionByZero as exc:

@@ -12,15 +12,17 @@ Conventions: q = u^2;  e_q(t) = prod_{n>=0} (1 + q^(2n+1) t).  With
 P_k = prod_{i<=k} 1 / (1 - u^(4i)), Euler's closed forms give the t^k
 coefficient of e_q as u^(2k^2) P_k and that of 1/e_q as (-1)^k u^(2k) P_k;
 both come from one cached chain P_0, P_1, ... per field.
+
+Each lattice series is a Gauss part times a closure whose values have
+u-valuation >= 0 (:class:`~qtheta.series.LatticeFactor`): the Gauss part of
+a lift of e_q takes u^(2k^2), that of 1/e_q takes u^(2k), and the closures
+return P_k and (-1)^k P_k.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UnknownName
 from .intlinalg import Vec, zero_vec
-from .quadenum import QuadExpr
 from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from .series import GaussRule, TorusSeries
 from .torus import QuantParam, TorusPoint
@@ -74,14 +76,19 @@ def eq_inv_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
 # -- lifted one-variable series --------------------------------------------------
 
 
-def _lift_rule(param: QuantParam, direction: Vec, prefactor, square: int) -> GaussRule:
-    """k -> q^(square k^2) prefactor^k eps(direction)^(k(k-1)/2), the last
-    factor being the reordering sign of e(direction)^k = eps^(k(k-1)/2) e(k direction)."""
+def _lift_rule(param: QuantParam, direction: Vec, prefactor, lead) -> GaussRule:
+    """k -> u^(lead(k)) prefactor^k eps(direction)^(k(k-1)/2), the last factor
+    being the reordering sign of e(direction)^k = eps^(k(k-1)/2) e(k direction);
+    ``lead`` is the form (in half steps) of an integer quadratic in k."""
     f = param.field
     mu = prefactor if prefactor is not None else UnitMonomial.one(f)
     sign = [] if param.epsilon(direction).is_one() else [(0, 0, 1), (0, 1, -1)]
-    own = GaussRule(1, f.one(), [(0, 0, 4 * square)], sign)
+    own = GaussRule(1, f.one(), lead, sign)
     return GaussRule.character(f, [mu]).times(own)
+
+
+_SQUARE = [(0, 0, 4)]  # 2k^2: theta's q^(k^2), e_q's valuation
+_LINEAR = [(0, 1, 4)]  # 2k: 1/e_q's valuation
 
 
 def theta_series(
@@ -92,28 +99,28 @@ def theta_series(
     Coefficient at n*direction: q^(n^2) * prefactor^n * reordering sign, a
     Gauss rule whose u-form is the exact valuation.
     """
-    rule = _lift_rule(param, direction, prefactor, 1)
-    val = rule.valuation_form()
-    return TorusSeries.rule(
-        param, zero_vec(param.rank), [direction], None, val, label=label, gauss=rule
-    )
+    rule = _lift_rule(param, direction, prefactor, _SQUARE)
+    return TorusSeries.rule(param, zero_vec(param.rank), [direction], None, label=label, gauss=rule)
 
 
-def _eq_lift(param, direction, prefactor, base, base_val, label) -> TorusSeries:
+def _eq_lift(param, direction, prefactor, base, lead, label) -> TorusSeries:
     """A one-variable series at ``prefactor * e(direction)`` with t^k
-    coefficient ``base(field, k, order)``, supported on k >= 0; the
-    certificate is the base's plus the Gauss part's u-form."""
+    coefficient ``base(field, k, order)``, supported on k >= 0.  The Gauss
+    part takes u^(lead(k)), the base's valuation, and the closure returns
+    the base divided by it."""
     f = param.field
-    rule = _lift_rule(param, direction, prefactor, 0)
+    low = GaussRule(1, f.one(), lead)
 
     def coeff(y, order):
         (k,) = y
-        return base(f, k, order) if k >= 0 else None
+        if k < 0:
+            return None
+        e = low.at(y).uexp
+        return base(f, k, order + e).shift(-e)
 
-    val = base_val + rule.valuation_form()
-    gens = [direction]
+    rule = _lift_rule(param, direction, prefactor, lead)
     return TorusSeries.rule(
-        param, zero_vec(param.rank), gens, coeff, val, cones=(True,), label=label, gauss=rule
+        param, zero_vec(param.rank), [direction], coeff, cones=(True,), label=label, gauss=rule
     )
 
 
@@ -122,16 +129,15 @@ def eq_series(
 ) -> TorusSeries:
     """e_q at the argument ``prefactor * e(direction)``; supported on the
     nonnegative half line, where the base has valuation 2k^2."""
-    val = QuadExpr(1, [[2]], [0], 0)
-    return _eq_lift(param, direction, prefactor, eq_coefficient, val, label)
+    return _eq_lift(param, direction, prefactor, eq_coefficient, _SQUARE, label)
 
 
 def eq_inv_series(
     param: QuantParam, direction: Vec, prefactor: UnitMonomial | None = None, label="1/e_q"
 ) -> TorusSeries:
-    """1/e_q at ``prefactor * e(direction)``: linear valuation growth 2k."""
-    val = QuadExpr(1, [[0]], [2], 0)
-    return _eq_lift(param, direction, prefactor, eq_inv_coefficient, val, label)
+    """1/e_q at ``prefactor * e(direction)``: linear valuation growth 2k;
+    the sign (-1)^k stays in the closure."""
+    return _eq_lift(param, direction, prefactor, eq_inv_coefficient, _LINEAR, label)
 
 
 def eq_addition_series(
@@ -165,6 +171,12 @@ def eq_addition_series(
             tables.append(nxt)
         return tables[n]
 
+    # the word coefficient of x^a y^b has valuation -|alpha_exp(dir1, dir2)| ab
+    # (a Gaussian binomial times that power), so with c_(a+b)'s 2(a+b)^2 the
+    # Gauss part takes u^(2(a+b)^2 - |e12| ab) and the closure valuation 0
+    e12 = abs(param.alpha_exp(dir1, dir2))
+    rule = GaussRule(2, f.one(), [(0, 0, 4), (1, 1, 4), (0, 1, 8 - 2 * e12)])
+
     def coeff(y, order):
         a, b = y
         if a < 0 or b < 0:
@@ -172,21 +184,12 @@ def eq_addition_series(
         w = table(a + b).get((a, b))
         if w is None:
             return None
-        return eq_coefficient(f, a + b, order - w.valuation()) * w
+        e = rule.at(y).uexp
+        return (eq_coefficient(f, a + b, order + e - w.valuation()) * w).shift(-e)
 
-    # word coefficients have valuation >= -|alpha_exp(dir1, dir2)| * a * b, so
-    # the total 2(a+b)^2 + val(word) dominates the quadratic below
-    e12 = abs(param.alpha_exp(dir1, dir2))
-    cross = Fraction(4 - e12, 2)
-    val = QuadExpr(2, [[2, cross], [cross, 2]], [0, 0], 0)
+    gens = [dir1, dir2]
     return TorusSeries.rule(
-        param,
-        zero_vec(param.rank),
-        [dir1, dir2],
-        coeff,
-        val,
-        cones=(True, True),
-        label=label,
+        param, zero_vec(param.rank), gens, coeff, cones=(True, True), label=label, gauss=rule
     )
 
 
@@ -208,7 +211,9 @@ def weinstein_theta(param: QuantParam) -> TorusSeries:
 
     rule = GaussRule(2 * d, param.field.one(), cross(param.A), cross(param.S))
     gens = dbl.lattice.basis()
-    return TorusSeries.rule(dbl, zero_vec(2 * d), gens, None, None, label="theta_W", gauss=rule)
+    return TorusSeries.rule(
+        dbl, zero_vec(2 * d), gens, None, label="theta_W", gauss=rule, formal=True
+    )
 
 
 def weinstein_pair_sq(param: QuantParam, k: Vec, j: Vec) -> UnitMonomial:

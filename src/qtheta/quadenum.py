@@ -228,14 +228,6 @@ class QuadExpr:
                 acc += yi * sum(row[j] * y[j] for j in range(self.n) if y[j])
         return acc
 
-    def __add__(self, other: "QuadExpr") -> "QuadExpr":
-        return QuadExpr(
-            self.n,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.quad, other.quad)],
-            [a + b for a, b in zip(self.lin, other.lin)],
-            self.const + other.const,
-        )
-
     def denominator_lcm(self) -> int:
         return _den_lcm([x for row in self.quad for x in row] + [*self.lin, self.const])
 

@@ -5,24 +5,26 @@ with known support structure:
 
 * :class:`FiniteFactor` -- finitely many exponents with explicit scalar
   coefficients (the "algebraic" building block);
-* :class:`LatticeFactor` -- coefficients given by a rule on an affine family
-  ``offset + sum_i y_i gen_i`` of lattice points, together with an exact
-  quadratic lower bound for the u-adic valuation of the coefficient at the
-  parameter ``y`` (the properness certificate) and optional cone constraints
-  ``y_i >= 0``.  The rule is a closure, a :class:`GaussRule` (a unit
-  monomial whose u-exponent and sign are integer quadratics in ``y``), or
-  the product of both.
+* :class:`LatticeFactor` -- coefficients on an affine family
+  ``offset + sum_i y_i gen_i`` of lattice points, with optional cone
+  constraints ``y_i >= 0``.  The coefficient at the parameter ``y`` is a
+  :class:`GaussRule` (a unit monomial whose u-exponent and sign are integer
+  quadratics in ``y``) times the value of a closure, and every closure value
+  has u-valuation >= 0, which is checked as each is computed.  So the Gauss
+  part's u-exponent bounds the coefficient's valuation from below: it is the
+  factor's properness certificate.
 
 The product of two series is word concatenation (cost O(1)); all the work
 happens when a coefficient is requested: the engine solves the affine
-support equations, assembles the exact valuation bound
+support equations, takes the valuation bound
 
-    T(y) = sum of factor valuations + pairwise alpha exponents,
+    T(y) = u-exponent of the term's Gauss rule + finite series valuations,
 
-and enumerates { y : T(y) <= order } with :mod:`qtheta.quadenum`.  Every
-dropped term provably lies above the truncation order, so coefficients are
-exact to the requested order -- the sum is "restricted by the enumerators to
-finitely many terms".
+(the rule holds the alpha exponents, the unit-monomial finite values and
+every lattice factor's Gauss part), and enumerates { y : T(y) <= order }
+with :mod:`qtheta.quadenum`.  Every dropped term provably lies above the
+truncation order, so coefficients are exact to the requested order -- the
+sum is "restricted by the enumerators to finitely many terms".
 
 A pure-Gauss word whose G is square with det +-1 (theta_W and its
 Heisenberg actions, say) skips the per-cell solve: its coefficients are
@@ -33,21 +35,20 @@ Any other word solves (or, with a kernel, enumerates) each finite combo
 once over the window and sums its points as one batch: one Gauss-rule call,
 and one series part per closure slice (:meth:`TorusSeries._add_terms`).
 
-Kinds: *algebraic* (all factors finite), *proper* (all lattice factors carry
-valuation certificates), *formal* (some factor is window-only; products are
-refused, but single Heisenberg actions, which add no kernel, evaluate).
+Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
+formal), *formal* (some factor is window-only; products are refused, but
+single Heisenberg actions, which add no kernel, evaluate).
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, product, repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import NotMultipliable, ParamMismatch, PrecisionShortfall
+from .errors import CertificateViolation, NotMultipliable, ParamMismatch, PrecisionShortfall
 from .intlinalg import Vec, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial, add_into, series_to_json
@@ -81,17 +82,17 @@ class FiniteFactor:
 class LatticeFactor:
     """Rule-defined factor on an affine family of lattice points.
 
-    The coefficient at ``offset + sum y_i gens_i`` is ``coeff(y, order)``
-    (exact to the given order, or exactly; None off the support) times
-    ``gauss.at(y)``; either part may be None, not both.  :meth:`coeff_at`
-    asks the closure for the order less the Gauss part's u-exponent, so the
-    product is exact to the order it is asked for.  A factor with no
-    closure is a *Gauss factor*.  ``val`` is a QuadExpr lower bound for the
-    coefficient's valuation, valid wherever it is nonzero.  ``None`` marks a
-    window-only (formal) factor.
+    The coefficient at ``offset + sum y_i gens_i`` is ``gauss.at(y)`` times
+    the closure value ``coeff(y, order)`` (exact to the given order, or
+    exactly; None off the support); either part may be None, not both.  A
+    factor with no closure is a *Gauss factor*.  Every closure value must
+    have u-valuation >= 0 (:meth:`coeff_at` checks it), so the Gauss part's
+    u-form is a lower bound for the coefficient's valuation, the factor's
+    certificate.  ``formal`` marks a window-only factor, whose Gauss part
+    bounds no sum (theta_W, a non-ample theta basis).
     """
 
-    __slots__ = ("param", "offset", "gens", "coeff", "val", "cones", "label", "gauss", "_memo")
+    __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss", "formal", "_memo")
     is_finite = False
 
     def __init__(
@@ -100,19 +101,19 @@ class LatticeFactor:
         offset: Vec,
         gens: Sequence[Vec],
         coeff: Optional[Callable[[tuple, object], Optional[Scalar]]],
-        val: Optional[QuadExpr],
         cones: Sequence[bool] = (),
         label: str = "",
         gauss: Optional["GaussRule"] = None,
+        formal: bool = False,
     ):
         self.param = param
         self.offset = tuple(offset)
         self.gens = tuple(tuple(g) for g in gens)
         self.coeff = coeff
-        self.val = val
         self.cones = tuple(cones) if cones else (False,) * len(self.gens)
         self.label = label or "lattice"
         self.gauss = gauss
+        self.formal = formal
         self._memo: dict = {}
 
     @property
@@ -120,18 +121,16 @@ class LatticeFactor:
         return len(self.gens)
 
     def coeff_at(self, y: tuple, order) -> Optional[Scalar]:
-        if self.coeff is None:
-            return self.gauss.at(y)
+        """The closure value at y, exact to ``order`` and memoized; raises
+        CertificateViolation when it has negative u-valuation."""
         key = (y, order)
         hit = self._memo.get(key)
         if hit is None and key not in self._memo:
-            if self.gauss is None:
-                hit = self.coeff(y, order)
-            else:
-                g = self.gauss.at(y)
-                hit = self.coeff(y, order - g.uexp)
-                if hit is not None:
-                    hit = g * hit
+            hit = self.coeff(y, order)
+            if hit is not None and hit.valuation() < 0:
+                raise CertificateViolation(
+                    f"{self.label}: closure value at y={y} has u-valuation {hit.valuation()} < 0"
+                )
             self._memo[key] = hit
         return hit
 
@@ -150,8 +149,8 @@ _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
 # constant 1: (a, n) terms are linear and (n, n) is the constant.  So
 # y(y - 1)/2 is the form y^2 - y, and every form is stored at twice its
 # value.  A Gauss rule's forms have integer x; a combo's valuation bound is a
-# form too (its x may be fractions), which :func:`_subst` moves to new
-# variables and :func:`_quad` hands to ``enumerate_sublevel``.
+# form too, which :func:`_subst` moves to new variables and :func:`_quad`
+# hands to ``enumerate_sublevel``.
 
 
 def _form(terms, mod=0):
@@ -274,10 +273,6 @@ class GaussRule:
         chars = [(b, _subst(l, offset, gens)) for b, l in self.chars]
         return GaussRule(len(gens), self.const, u, s, chars)
 
-    def valuation_form(self) -> QuadExpr:
-        """q as a QuadExpr: the exact valuation, a derived certificate."""
-        return _quad(self.uform, self.n)
-
     def at(self, y) -> UnitMonomial:
         return UnitMonomial(*self.values((y,))[0])
 
@@ -341,12 +336,12 @@ class TorusSeries:
         offset: Vec,
         gens: Sequence[Vec],
         coeff: Optional[Callable],
-        val: Optional[QuadExpr],
         cones: Sequence[bool] = (),
         label: str = "",
         gauss: Optional[GaussRule] = None,
+        formal: bool = False,
     ) -> "TorusSeries":
-        factor = LatticeFactor(param, offset, gens, coeff, val, cones, label, gauss)
+        factor = LatticeFactor(param, offset, gens, coeff, cones, label, gauss, formal)
         return cls(param, [factor], label)
 
     # -- structure -----------------------------------------------------------
@@ -356,9 +351,7 @@ class TorusSeries:
         lattice = [f for f in self.factors if not f.is_finite]
         if not lattice:
             return ALGEBRAIC
-        if all(f.val is not None for f in lattice):
-            return PROPER
-        return FORMAL
+        return FORMAL if any(f.formal for f in lattice) else PROPER
 
     def is_multipliable(self) -> bool:
         return self.kind in (ALGEBRAIC, PROPER)
@@ -388,8 +381,7 @@ class TorusSeries:
 
         ``point_map`` must be linear.  On a lattice factor the scale becomes
         the Gauss rule of y at h = offset + G y, multiplied into the factor's
-        Gauss part, and its u-form there is added to the certificate.  Kind
-        is preserved.
+        Gauss part (and so into its certificate).  Kind is preserved.
         """
         new = []
         for f in self.factors:
@@ -399,18 +391,12 @@ class TorusSeries:
                 }
                 new.append(FiniteFactor(param, table, f.label))
                 continue
-            gauss, val = f.gauss, f.val
+            gauss = f.gauss
             if scale is not None:
                 moved = scale.compose(f.offset, f.gens)
                 gauss = moved if gauss is None else gauss.times(moved)
-                if val is not None:
-                    val = val + moved.valuation_form()
-            gens = [point_map(g) for g in f.gens]
-            new.append(
-                LatticeFactor(
-                    param, point_map(f.offset), gens, f.coeff, val, f.cones, f.label, gauss
-                )
-            )
+            off, *gens = [point_map(g) for g in (f.offset, *f.gens)]
+            new.append(LatticeFactor(param, off, gens, f.coeff, f.cones, f.label, gauss, f.formal))
         return TorusSeries(param, new, label)
 
     def shift_pullback(self, x: TorusPoint) -> "TorusSeries":
@@ -591,11 +577,11 @@ class TorusSeries:
 
         The term plan is one Gauss rule in the concatenated lattice
         parameters -- the ordered word's alpha, every unit-monomial finite
-        value and every Gauss factor at its block -- and the word positions
-        left over (series values and closure factors).  With a kernel, form
-        is :meth:`_assemble_bound`'s valuation bound, independent of the
-        target cell (None without a kernel); ``_quad(form, n)`` hands it to
-        ``enumerate_sublevel``.
+        value and every lattice factor's Gauss part at its block -- and the
+        word positions left over (series values and closure factors).  With
+        a kernel, form is :meth:`_assemble_bound`'s valuation bound,
+        independent of the target cell (None without a kernel);
+        ``_quad(form, n)`` hands it to ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
@@ -611,49 +597,45 @@ class TorusSeries:
             rule = GaussRule(n, self.param.field.one(), alpha, sign)
             rest = []
             for wi, f in enumerate(word):
-                v = chosen[wi][1] if f.is_finite else None
-                if isinstance(v, UnitMonomial):
-                    rule = rule.times(GaussRule(n, v.coeff, [(n, n, 2 * v.uexp)]))
-                elif not f.is_finite and f.coeff is None:
-                    at = offs[wi]
+                if f.is_finite:
+                    v = chosen[wi][1]
+                    if isinstance(v, UnitMonomial):
+                        rule = rule.times(GaussRule(n, v.coeff, [(n, n, 2 * v.uexp)]))
+                    else:
+                        rest.append((wi, None))
+                    continue
+                at = offs[wi]
+                if f.gauss is not None:
                     cols = [tuple(int(j - at == i) for i in range(f.nparams)) for j in range(n)]
                     rule = rule.times(f.gauss.compose(zero_vec(f.nparams), cols))
-                else:
-                    rest.append((wi, None if f.is_finite else slice(offs[wi], offs[wi] + f.nparams)))
+                if f.coeff is not None:
+                    rest.append((wi, slice(at, at + f.nparams)))
             form = None
             if lay.solver is not None and lay.solver.kernel:
-                form = self._assemble_bound(chosen, alpha, n)
+                form = self._assemble_bound(chosen, rest, rule.uform, n)
             plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form)
         return plan
 
-    def _assemble_bound(self, chosen, alpha, n):
+    def _assemble_bound(self, chosen, rest, uform, n):
         """Exact valuation bound T(y) over the n concatenated parameters,
         as a merged form.
 
-        T = sum of factor-value valuations (exact for finite ones, certified
-        for lattice ones) + the alpha exponent of the ordered word (the form
-        ``alpha`` of :func:`_alpha_form`).  A finite value that is a series
-        with no known term counts as valuation trunc + 1.  Returns the form,
-        None when a lattice factor lacks a certificate, or _ZERO_TERM when a
+        T = the term plan's u-form ``uform`` (the ordered word's alpha
+        exponent, every unit-monomial finite value and every lattice
+        factor's Gauss part) + the valuation of each series-valued finite
+        value in ``rest``; a closure value adds valuation >= 0.  A finite
+        series with no known term counts as valuation trunc + 1.  Returns
+        the form, None when a lattice factor is formal, or _ZERO_TERM when a
         chosen finite value is an exact zero, so every term of the combo
         vanishes.  The cone rows y_c >= 0 are the callers'.
         """
-        lay = self._layout()
-        terms = []
-        for wi, a, _b in lay.blocks:
-            v = self.factors[wi].val
-            if v is None:
-                return None
-            terms += [(a + i, a + j, x) for i, row in enumerate(v.quad) for j, x in enumerate(row)]
-            terms += [(a + i, n, x) for i, x in enumerate(v.lin)] + [(n, n, v.const)]
-        for _p, val in chosen.values():
-            vv = val.valuation()
-            if vv == INF:
-                if val.trunc == INF:
-                    return _ZERO_TERM
-                vv = val.trunc + 1
-            terms.append((n, n, vv))
-        return _form([*alpha, *((a, b, 2 * x) for a, b, x in terms)])  # in half steps
+        if any(self.factors[wi].formal for wi, _a, _b in self._layout().blocks):
+            return None
+        vals = [chosen[wi][1] for wi, span in rest if span is None]
+        if any(not v.terms and v.trunc == INF for v in vals):
+            return _ZERO_TERM
+        low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
+        return _form([*uform, (n, n, 2 * low)])  # in half steps
 
     def _add_terms(self, sums, hs, ys, chosen, term, order):
         """Adds one combo's term at each point ys[i] into sums[hs[i]], an
@@ -698,33 +680,26 @@ class TorusSeries:
         ``uexp`` or more (the lowest among the points with these slices):
         (fold, product), or None when the term vanishes.
 
-        Unit-monomial closure values multiply into ``fold`` (None when
-        there are none).  The series values are multiplied in word order
-        into ``product`` (None when there are none), each product capped at
-        ``order`` less the monomial's and fold's u-exponents and the
-        certified lower bounds of the series still to come; no cap when a
-        closure factor has no certificate or a value is an empty series.
+        A closure value has valuation >= 0 (:meth:`LatticeFactor.coeff_at`
+        checks it), so each closure is asked for ``order`` less ``uexp`` and
+        the finite series' valuations.  Unit-monomial closure values
+        multiply into ``fold`` (None when there are none).  The series
+        values are multiplied in word order into ``product`` (None when
+        there are none), each product capped at ``order`` less the
+        monomial's and fold's u-exponents and the valuations of the series
+        still to come; no cap when a value is an empty series.
         """
-        word = self.factors
         slices = iter(slices)
-        parts = [chosen[wi][1] if span is None else next(slices) for wi, span in rest]
-        lbs = [
-            p.valuation()
-            if span is None
-            else (word[wi].val.value(p) if word[wi].val is not None else 0)
-            for (wi, span), p in zip(rest, parts)
-        ]
-        total_lb = uexp + sum(lb for lb in lbs if lb != INF)
+        vals = [chosen[wi][1] if span is None else next(slices) for wi, span in rest]
+        low = uexp + sum(v.valuation() for (_w, s), v in zip(rest, vals) if s is None and v.terms)
         capped = True
         fold = None
-        series = []  # (value, integer lower bound) of the series-valued factors
-        for (wi, span), v, lb in zip(rest, parts, lbs):
+        series = []  # (value, valuation) of the series-valued factors
+        for (wi, span), v in zip(rest, vals):
             if span is not None:
-                f = word[wi]
-                v = f.coeff_at(v, order - (total_lb - lb))
+                v = self.factors[wi].coeff_at(v, order - low)
                 if v is None:
                     return None
-                capped = capped and f.val is not None
             if isinstance(v, UnitMonomial):
                 fold = v if fold is None else fold * v
                 continue
@@ -732,7 +707,7 @@ class TorusSeries:
                 if v.trunc == INF:
                     return None
                 capped = False
-            series.append((v, math.ceil(lb) if v.terms else 0))
+            series.append((v, v.valuation() if v.terms else 0))
         if not series:
             return fold, None
         head = order - uexp - (fold.uexp if fold is not None else 0) if capped else INF

@@ -21,6 +21,16 @@ def q_mono(k, sign=1):
     return UnitMonomial.q_power(F, k, sign)
 
 
+def factor_coeff(fac, y, order):
+    """A lattice factor's whole coefficient at y, exact to ``order``: its
+    Gauss part times its closure value (None off the closure's support)."""
+    g = fac.gauss.at(y) if fac.gauss is not None else UnitMonomial.one(fac.param.field)
+    if fac.coeff is None:
+        return g
+    c = fac.coeff_at(y, order - g.uexp)
+    return None if c is None else g * c
+
+
 def invariance_oracle(L, window, order):
     """Independent theta solver: propagate the raw invariance equations
     a_{h + h_l} = a_h * c * h(x) * alpha(h_l, h) cellwise from each coset

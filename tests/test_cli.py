@@ -216,6 +216,7 @@ _M5 = {"m": 5, "coeff": ["1", "0", "0", "0"], "uexp": 0}  # a monomial over Q(ze
 
 
 _M3 = {"m": 3, "coeff": ["1", "0"], "uexp": 2}  # a monomial over Q(zeta_3)
+_ONE = {"m": 1, "coeff": ["1"], "uexp": 0}
 _ZERO = {"m": 1, "coeff": ["0"], "uexp": 0}  # no unit monomial
 
 
@@ -249,6 +250,20 @@ def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
         "order": 10,
         "terms": [first, {"coeff": {"m": 1, "coeff": ["-1"], "uexp": 0}, "word": [_THETA]}],
         **fields,
+    }
+    return json.dumps(spec)
+
+
+def _exponent_spec(**param):
+    """e(1, 0) - e(1, 0) = 0 on T_q as a JSON spec, which passes as it stands;
+    ``param`` replaces fields of its torus."""
+    word = [{"type": "exponent", "h": [1, 0]}]
+    spec = {
+        "schema": 1,
+        "param": {"m": 1, "rank": 2, "A": [[0, 2], [-2, 0]], "S": [[0, 0], [0, 0]], **param},
+        "window": 1,
+        "order": 4,
+        "terms": [{"word": word}, {"coeff": {**_ONE, "coeff": ["-1"]}, "word": word}],
     }
     return json.dumps(spec)
 
@@ -326,6 +341,33 @@ def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
             _theta_shift_spec(mode="operator_equation", word=[{**_HEIS, "c": _ZERO}, _THETA]),
             id="heis-c-zero",
         ),
+        # exact code reads ints and rational strings only: a float, bool or
+        # string u-exponent, m, rank or matrix entry and a number for a
+        # coefficient are refused, not truncated or passed on
+        *(
+            pytest.param(
+                ["verify"], _theta_shift_spec(coeff={**_ONE, key: value}), id=f"coeff-{key}-{value!r}"
+            )
+            for key, value in [
+                ("uexp", 0.5),
+                ("uexp", "2"),
+                ("uexp", True),
+                ("coeff", [1]),
+                ("coeff", [0.5]),
+                ("m", 1.0),
+            ]
+        ),
+        *(
+            pytest.param(["verify"], _exponent_spec(**{key: value}), id=f"param-{key}-{value!r}")
+            for key, value in [
+                ("A", [[0, 1.9], [-1.9, 0]]),
+                ("A", [[0, True], [-1, 0]]),
+                ("S", [[0, 0], [0, 0.0]]),
+                ("m", 1.0),
+                ("rank", 2.0),
+                ("rank", "2"),
+            ]
+        ),
         # multiplier and element JSON are read like specs: the param's field
         # and rank, and nonzero monomials
         pytest.param(["theta"], _jacobi2_with({"c": _M3}), id="multiplier-c-field"),
@@ -362,6 +404,14 @@ def test_malformed_input_file_exits_two(command, text, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "malformed input" in captured.err
+
+
+def test_exponent_spec_passes_as_it_stands(tmp_path, capsys):
+    # the control for the malformed torus fields above
+    path = tmp_path / "spec.json"
+    path.write_text(_exponent_spec())
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_unknown_builtin_multiplier_exits_two(capsys):

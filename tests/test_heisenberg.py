@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import factor_coeff
 
 from qtheta.errors import (
     IncompatibleQuantization,
@@ -467,13 +468,15 @@ def test_pullback_shifts_lattice_certificates():
     shifted = s.shift_pullback(x)
     pulled = shift_morphism(TQ, x).pullback_series(s)
     assert series_equal_on_cells(shifted, pulled, TQ.window_cells(2), 16)
-    # theta: 2n^2 + 3n + uexp(x(n, 0)); e_q: 2k^2 + uexp(x(k, k))
-    assert [f.val.lin for f in shifted.factors] == [(4,), (-1,)]
+    # the certificates are the Gauss parts, theta's 2n^2 + 3n + uexp(x(n, 0))
+    # and e_q's 2k^2 + uexp(x(k, k)), each the exact valuation
+    for n in range(-4, 5):
+        assert [f.gauss.at((n,)).uexp for f in shifted.factors] == [2 * n * n + 4 * n, 2 * n * n - n]
     for fac in shifted.factors + pulled.factors:
         for n in range(-4, 5):
-            c = fac.coeff_at((n,), 40)
+            c = factor_coeff(fac, (n,), 40)
             if c is not None:
-                assert c.valuation() >= fac.val.value((n,))
+                assert c.valuation() == fac.gauss.at((n,)).uexp
     # the certificates drive the enumeration of a product with another series
     th = theta_series(TQ, (0, 1))
     big = TQ.window_cells(4)
@@ -618,17 +621,15 @@ def test_morphism_gauss_rule_matches_the_closure_formula(m):
         cases = [
             theta_series(src, (1, 1), UnitMonomial(f.zeta(2), 3)),
             eq_series(src, (1, 0), UnitMonomial(-f.one(), 1)),
-            TorusSeries.rule(
-                src, (2, -1), [(1, -1), (0, 2)], None, rule.valuation_form(), gauss=rule
-            ),
+            TorusSeries.rule(src, (2, -1), [(1, -1), (0, 2)], None, gauss=rule),
         ]
         for s in cases:
             (fac,) = s.factors
             (pulled,) = F_.pullback_series(s).factors
             for y in itertools.product(range(-2, 4), repeat=fac.nparams):
                 assert _point(pulled, y) == F_.f(_point(fac, y))
-                c = fac.coeff_at(y, 30)
-                got = pulled.coeff_at(y, 30)
+                c = factor_coeff(fac, y, 30)
+                got = factor_coeff(pulled, y, 30)
                 if c is None:
                     assert got is None
                     continue
@@ -636,4 +637,4 @@ def test_morphism_gauss_rule_matches_the_closure_formula(m):
                 if isinstance(got, ScalarSeries):
                     got, want = got.truncate(20), want.truncate(20)
                 assert got == want, y
-                assert got.valuation() >= pulled.val.value(y)
+                assert got.valuation() >= pulled.gauss.at(y).uexp

@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import ACCEPTED_PAIR, ample_multiplier, oracle_multipliers
+from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff
 
-from qtheta.errors import EnumerationLimit, NotMultipliable
+from qtheta.errors import CertificateViolation, EnumerationLimit, NotMultipliable
 from qtheta.heisenberg import heis_act
 from qtheta.intlinalg import vec_add, vec_sub
 from qtheta.multiplier import theta_dim_basis, theta_membership
@@ -22,7 +22,6 @@ from qtheta.named import (
     theta_series,
     weinstein_theta,
 )
-from qtheta.quadenum import QuadExpr
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.series import (
     FiniteFactor,
@@ -33,7 +32,7 @@ from qtheta.series import (
     series_equal_on_cells,
 )
 from qtheta.torus import QuantParam, TorusPoint
-from qtheta.verify import _term_series, identity_specs
+from qtheta.verify import EquationSpec, EquationTerm, _term_series, identity_specs, verify_equation
 
 F = CycloField(1)
 TQ = QuantParam.standard_tq(F)
@@ -128,16 +127,17 @@ def test_hidden_point():
 
 
 def theta_lift(param, direction, label="theta"):
-    """Jacobi theta lifted along a lattice direction: coeff q^(n^2) at n*dir."""
+    """Jacobi theta lifted along a lattice direction: coeff q^(n^2) at n*dir,
+    u^(n^2) from a Gauss part and u^(n^2) from a closure."""
     d = param.rank
     f = param.field
 
     def coeff(y, order):
         (n,) = y
-        return UnitMonomial.q_power(f, n * n)
+        return UnitMonomial(f.one(), n * n)
 
-    val = QuadExpr(1, [[2]], [0], 0)
-    return TorusSeries.rule(param, (0,) * d, [direction], coeff, val, label=label)
+    half = GaussRule(1, f.one(), [(0, 0, 2)])
+    return TorusSeries.rule(param, (0,) * d, [direction], coeff, label=label, gauss=half)
 
 
 def test_identity_product():
@@ -250,11 +250,11 @@ def test_conjugation_check():
 
 
 def test_formal_kind_refuses_products():
-    # window-only rule: no valuation certificate
+    # window-only rule: its Gauss part bounds no sum
     def coeff(y, order):
         return UnitMonomial.one(F)
 
-    w = TorusSeries.rule(TQ, (0, 0), [(1, 0), (0, 1)], coeff, None, label="flat")
+    w = TorusSeries.rule(TQ, (0, 0), [(1, 0), (0, 1)], coeff, label="flat", formal=True)
     assert w.kind == "formal"
     other = theta_lift(TQ, (1, 0))
     with pytest.raises(NotMultipliable):
@@ -302,6 +302,9 @@ def test_zero_valued_finite_factor_skips_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_lattice_certificates_bound_coefficient_valuations(m):
+    # a closure factor's certificate is its Gauss part: the named closures'
+    # values have valuation exactly 0, so the Gauss exponent is the
+    # coefficient's valuation (a Gauss-only factor is its Gauss part)
     f = CycloField(m)
     p = QuantParam.standard_tq(f)
     x = TorusPoint((UnitMonomial(f.zeta(), 1), UnitMonomial(-f.one(), -2)))
@@ -310,31 +313,51 @@ def test_lattice_certificates_bound_coefficient_valuations(m):
         mu = UnitMonomial(f.zeta(), uexp)
         cases += [eq_series(p, (1, 0), mu), eq_inv_series(p, (0, 1), mu)]
     cases += [eq_addition_series(p, (1, 0), (0, 1)), eq_addition_series(p, (1, 1), (1, -1))]
+    q3 = QuantParam(f, TQ.lattice, ((0, 3), (-3, 0)), ((1, 1), (1, 0)))  # e12 = 3, signs
+    cases += [eq_addition_series(q3, (1, 0), (0, 1)), eq_addition_series(q3, (0, 1), (1, 0))]
     cases += [s.shift_pullback(x) for s in cases]
-    if m == 1:  # the multipliers' theta bases carry their own fields
-        cases += _theta_basis_cases()
+    seen = 0
     for s in cases:
-        for fac in s.factors:
-            if fac.is_finite:
-                continue
-            for y in itertools.product(range(-1, 5), repeat=fac.nparams):
-                c = fac.coeff_at(y, 60)
-                if c is not None:
-                    assert c.valuation() >= fac.val.value(y), (s.label, y)
-                    if fac.coeff is None:  # a derived certificate is exact
-                        assert c.valuation() == fac.val.value(y), (s.label, y)
+        (fac,) = s.factors
+        for y in itertools.product(range(-1, 6), repeat=fac.nparams):
+            c = factor_coeff(fac, y, 60)
+            if c is not None:
+                seen += 1
+                assert c.valuation() == fac.gauss.at(y).uexp, (s.label, y)
+    assert seen > 100
 
 
-def _theta_basis_cases():
-    """The theta-basis factors of the recurrence-oracle multipliers, their
-    images under each generator's heis_act and their shift pullbacks."""
-    cases = []
-    for L in oracle_multipliers().values():
-        f, d = L.param.field, L.param.rank
-        x = TorusPoint(tuple(UnitMonomial(f.zeta() if k else -f.one(), 1 - 2 * k) for k in range(d)))
-        for th in theta_dim_basis(L, window=3, order=60).basis:
-            cases += [th, th.shift_pullback(x), *(heis_act(img, th) for img in L.images)]
-    return cases
+def test_a_closure_value_of_negative_valuation_raises():
+    # the closure is u^-1 at k = 2: the Gauss part u^(2k^2) then over-states
+    # the coefficient's valuation, and every path that reads it refuses
+    f = CycloField(1)
+    p = QuantParam.trivial(f, 1)
+
+    def bad(y, order):
+        return UnitMonomial(f.one(), -1) if y == (2,) else ScalarSeries.one(f, order)
+
+    square = GaussRule(1, f.one(), [(0, 0, 4)])
+    s = TorusSeries.rule(p, (0,), [(1,)], bad, label="bad", gauss=square)
+    (fac,) = s.factors
+    assert fac.coeff_at((1,), 10) == ScalarSeries.one(f, 10)
+    for _ in range(2):  # a refused value is not memoized
+        with pytest.raises(CertificateViolation, match=r"bad: .*y=\(2,\) .*valuation -1"):
+            fac.coeff_at((2,), 10)
+    cells = [(h,) for h in range(-3, 4)]
+    fresh = TorusSeries(p, s.factors)
+    assert not fresh._layout().solver.kernel and fresh._cell_rules() is None
+    with pytest.raises(CertificateViolation):  # the solve pass
+        fresh.coeffs(cells, 20)
+    word = s.mul(theta_series(p, (1,)))
+    assert word._layout().solver.kernel
+    with pytest.raises(CertificateViolation):  # the window pass
+        word.coeffs(cells, 20)
+    with pytest.raises(CertificateViolation):  # one cell, kernel enumerated around it
+        TorusSeries(p, word.factors).coeff((2,), 20)
+    one = UnitMonomial.one(f)
+    spec = EquationSpec(p, [EquationTerm(one, [word]), EquationTerm(-one, [word])], 2, 20)
+    with pytest.raises(CertificateViolation):
+        verify_equation(spec)
 
 
 def _word_coeff_reference(param, tables, h, order):
@@ -355,10 +378,10 @@ def _word_coeff_reference(param, tables, h, order):
     return total
 
 
-def test_uncertified_lattice_factor_is_multiplied_without_caps():
-    # finite factors with series values, then a window-only lattice factor
-    # whose coefficients have valuation -4: without a certificate nothing
-    # bounds what it brings down, so the products before it are not capped
+def test_negative_gauss_part_raises_the_caps_before_it():
+    # finite factors with series values, then a lattice factor whose Gauss
+    # part is u^-4: the terms it brings down come back below the order, so
+    # the products before it are capped at the order plus 4
     p = QuantParam(F, TQ.lattice, TQ.A, ((1, 0), (0, 0)))
 
     def ser(terms):
@@ -372,20 +395,20 @@ def test_uncertified_lattice_factor_is_multiplied_without_caps():
     }
 
     def coeff(y, order):
-        return ser({-4: 1, -3: y[0] or 1, -2: 1 + y[1]})
+        return ser({0: 1, 1: y[0] or 1, 2: 1 + y[1]})
 
-    lat = TorusSeries.rule(p, (0, 0), [(1, 0), (0, 1)], coeff, None)
+    down = GaussRule(2, F.one(), [(2, 2, -8)])
+    lat = TorusSeries.rule(p, (0, 0), [(1, 0), (0, 1)], coeff, gauss=down)
     word = TorusSeries(
         p, [FiniteFactor(p, f1), FiniteFactor(p, f2)] + list(lat.factors)
     )
-    assert word.kind == "formal"
     order = 6
     for h in itertools.product(range(-1, 3), repeat=2):
         lat_table = {}
         for t1 in f1:
             for t2 in f2:
                 y = tuple(a - b - c for a, b, c in zip(h, t1, t2))
-                lat_table[y] = coeff(y, order)
+                lat_table[y] = coeff(y, order).shift(-4)
         ref = _word_coeff_reference(p, [f1, f2, lat_table], h, order)
         assert word.coeff(h, order) == ref, h
 
@@ -468,9 +491,7 @@ def _offset_gauss_series(f, p):
         [(2, 2, 2), (0, 2, -1), (1, 2, 2), (0, 0, 1), (0, 1, 2)],
         [(f.from_rational(-3), [(2, 2, 2), (0, 2, 2), (1, 2, -2)])],
     )
-    return rule, TorusSeries.rule(
-        p, (1, -2), [(1, 1), (2, -1)], None, rule.valuation_form(), gauss=rule
-    )
+    return rule, TorusSeries.rule(p, (1, -2), [(1, 1), (2, -1)], None, gauss=rule)
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -482,16 +503,16 @@ def test_named_gauss_rules_match_their_closure_formulas(m):
             th, eq, inv = (b(p, direction, mu) for b in (theta_series, eq_series, eq_inv_series))
             for n in range(-5, 6):
                 lift = _old_lift(p, direction, mono, n)
-                assert th.factors[0].coeff_at((n,), 30) == UnitMonomial.q_power(f, n * n) * lift
+                assert factor_coeff(th.factors[0], (n,), 30) == UnitMonomial.q_power(f, n * n) * lift
                 for s, base in ((eq, eq_coefficient), (inv, eq_inv_coefficient)):
-                    got = s.factors[0].coeff_at((n,), 30)
+                    got = factor_coeff(s.factors[0], (n,), 30)
                     if n < 0:
                         assert got is None
                     else:
                         assert _same(got, base(f, n, 30).scale(lift), 20)
     (fac,) = weinstein_theta(p).factors
     for y in itertools.product(range(-2, 3), repeat=4):
-        assert fac.coeff_at(y, 30) == p.alpha(y[:2], y[2:])
+        assert factor_coeff(fac, y, 30) == p.alpha(y[:2], y[2:])
     # the offset rule against its own forms, written out
     rule, _s = _offset_gauss_series(f, p)
     for a, b in itertools.product(range(-3, 4), repeat=2):
@@ -539,17 +560,14 @@ def test_shift_pullbacks_match_the_wrapped_closure(m):
             (pulled,) = s.shift_pullback(x).factors
             assert pulled.gens == fac.gens and pulled.offset == fac.offset
             for y in itertools.product(range(-2, 4), repeat=fac.nparams):
-                c = fac.coeff_at(y, 30)
-                got = pulled.coeff_at(y, 30)
+                c = factor_coeff(fac, y, 30)
+                got = factor_coeff(pulled, y, 30)
                 if c is None:
                     assert got is None
                     continue
                 assert _same(got, x.eval(_point(fac, y)) * c, 20), (s.label, y)
-                for g in (fac, pulled):
-                    v = g.coeff_at(y, 30).valuation()
-                    assert v >= g.val.value(y), (s.label, y)
-                    if g.coeff is None:  # a derived certificate is exact
-                        assert v == g.val.value(y)
+                for g in (fac, pulled):  # the Gauss exponent is the valuation
+                    assert factor_coeff(g, y, 30).valuation() == g.gauss.at(y).uexp, (s.label, y)
     # theta_W and a rank-4 point with every kind of coefficient
     theta_w = weinstein_theta(p)
     x = TorusPoint(
@@ -561,9 +579,9 @@ def test_shift_pullbacks_match_the_wrapped_closure(m):
         )
     )
     (pulled,) = theta_w.shift_pullback(x).factors
-    assert pulled.val is None and pulled.coeff is None
+    assert pulled.formal and pulled.coeff is None
     for y in itertools.product(range(-1, 2), repeat=4):
-        assert pulled.coeff_at(y, 30) == x.eval(y) * p.alpha(y[:2], y[2:])
+        assert factor_coeff(pulled, y, 30) == x.eval(y) * p.alpha(y[:2], y[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -707,29 +725,30 @@ def test_one_series_asked_at_two_orders(orders):
 
 def _fold_word(f, with_eq=True):
     """theta(v) . g(u) . e_q(v) . g(u) over a torus with alpha and signs (or
-    without e_q), where the closure g returns unit monomials at even k,
-    series at odd k and, at k = 3, a series with no term known to u^2; with
-    the factors' coefficient tables on a box that holds every term below
-    u^8 at the cells used here."""
+    without e_q), where g is the Gauss part u^(2k - 1) times a closure that
+    returns unit monomials at even k, series at odd k and, at k = 3, a
+    series with no term known to u^2 once times u^5; with the factors'
+    coefficient tables on a box that holds every term below u^8 at the
+    cells used here."""
     p = QuantParam(f, TQ.lattice, TQ.A, ((0, 1), (1, 1)))
 
     def g(y, order):
         (k,) = y
         if k == 3:
-            return ScalarSeries.zero(f, 2)
+            return ScalarSeries.zero(f, -3)
         if k % 2:
-            return ScalarSeries(f, {2 * k - 1: f.zeta(), 2 * k + 2: -f.one()})
-        return UnitMonomial(f.zeta(k), 2 * k - 1)
+            return ScalarSeries(f, {0: f.zeta(), 3: -f.one()})
+        return UnitMonomial(f.zeta(k), 0)
 
-    val = QuadExpr(1, [[0]], [2], -1)
-    gser = TorusSeries.rule(p, (0, 0), [(1, 0)], g, val, cones=(True,), label="g")
+    lead = GaussRule(1, f.one(), [(0, 1, 4), (1, 1, -2)])
+    gser = TorusSeries.rule(p, (0, 0), [(1, 0)], g, cones=(True,), label="g", gauss=lead)
     middle = [eq_series(p, (0, 1))] if with_eq else []
     word = theta_series(p, (0, 1))
     for s in [gser, *middle, gser]:
         word = word.mul(s)
     box = [(0, b) for b in range(-5, 9)]
     tables = [
-        {(k, 0): g((k,), INF) for k in range(0, 6)}
+        {(k, 0): lead.at((k,)) * g((k,), INF) for k in range(0, 6)}
         if fac.label == "g"
         else TorusSeries(p, [fac]).materialize(box, 48).factors[0].table
         for fac in word.factors
@@ -841,7 +860,7 @@ def _cell_words(m):
     coefficients other than +-1, and two finite combos."""
     f, p, _mus, points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
-    plain = TorusSeries.rule(p, (1, -2), [(1, 0), (0, 1)], None, rule.valuation_form(), gauss=rule)
+    plain = TorusSeries.rule(p, (1, -2), [(1, 0), (0, 1)], None, gauss=rule)
     pulled = plain.pullback(p, lambda v: (v[0] + v[1], v[0]))
     front = TorusSeries.exponent(p, (2, 1), UnitMonomial(f.zeta(), 1))
     back = TorusSeries.exponent(p, (0, -1), UnitMonomial(f.from_rational(-2), -3))
@@ -954,14 +973,14 @@ def test_cell_rules_fall_back_to_the_solver(m):
     f, p, mus, _points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
     # G = diag(2, 1) is not unimodular: the solve is the coset test
-    coset = TorusSeries.rule(p, (1, 0), [(2, 0), (0, 1)], None, rule.valuation_form(), gauss=rule)
+    coset = TorusSeries.rule(p, (1, 0), [(2, 0), (0, 1)], None, gauss=rule)
     assert coset._cell_rules() is None
     cells = list(itertools.product(range(-3, 4), repeat=2))
     got = coset.coeffs(cells, INF)
     assert all(got[h].is_zero() == (h[0] % 2 == 0) for h in cells)
     # a closure factor keeps the general path, on the cell words' unimodular G
     closure = TorusSeries.rule(
-        p, (1, -2), [(1, 1), (1, 0)], lambda y, _order: UnitMonomial(f.zeta(), y[0]), None,
+        p, (1, -2), [(1, 1), (1, 0)], lambda y, _order: UnitMonomial(f.zeta(), y[0] ** 2),
         gauss=rule,
     )
     assert closure._cell_rules() is None
@@ -1048,9 +1067,7 @@ def _solve_pass_words(m):
                 out.append((f"{spec.label}[{t}]", word))
     _f, p, _mus, points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
-    coned = TorusSeries.rule(
-        p, (1, -2), [(1, 1), (2, -1)], None, rule.valuation_form(), (True, False), gauss=rule
-    )
+    coned = TorusSeries.rule(p, (1, -2), [(1, 1), (2, -1)], None, (True, False), gauss=rule)
     front = TorusSeries.exponent(p, (2, 1), UnitMonomial(f.zeta(), 1))
     back = TorusSeries.from_dict(
         p, {(0, -1): UnitMonomial(f.from_rational(-2), -3), (1, 0): UnitMonomial(-f.one(), 2)}
@@ -1156,9 +1173,7 @@ def test_window_pass_maps_points_to_the_rank_0_cell():
     # sum over y, z of u^(y^2 + z^2) is 1 + 4u + 4u^2 + 4u^4 to order 4
     f = CycloField(1)
     p = QuantParam.trivial(f, 0)
-    gauss = TorusSeries.rule(
-        p, (), [()], lambda y, order: UnitMonomial(f.one(), y[0] ** 2), QuadExpr(1, [[1]], [0], 0)
-    )
+    gauss = TorusSeries.rule(p, (), [()], None, gauss=GaussRule(1, f.one(), [(0, 0, 2)]))
     word = gauss.mul(gauss)
     assert word._layout().solver.kernel
     four = f.from_rational(4)
