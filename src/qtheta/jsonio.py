@@ -25,7 +25,7 @@ from .errors import DivisionByZero
 from .heisenberg import HeisElement
 from .intlinalg import Lattice, Vec, mat
 from .multiplier import Multiplier
-from .scalars import CycloField, UnitMonomial, monomial_from_json, monomial_to_json
+from .scalars import CycloField, UnitMonomial, _int, monomial_from_json, monomial_to_json
 from .torus import QuantParam, TorusPoint
 
 
@@ -36,12 +36,6 @@ def param_to_json(p: QuantParam) -> dict:
         "A": [list(r) for r in p.A],
         "S": [list(r) for r in p.S],
     }
-
-
-def _int(v, key: str) -> int:
-    if type(v) is not int:  # bool is an int subclass
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return v
 
 
 def param_from_json(data: dict) -> QuantParam:
@@ -60,11 +54,6 @@ class JsonReader:
         self.param = param
 
     def mono(self, data: dict) -> UnitMonomial:
-        coeff = data["coeff"]
-        if not isinstance(coeff, list) or not all(isinstance(x, str) for x in coeff):
-            raise ValueError(f"coeff must be a list of rational strings, got {coeff!r}")
-        for key in ("m", "uexp"):
-            _int(data[key], key)
         try:
             c = monomial_from_json(data)
         except DivisionByZero as exc:

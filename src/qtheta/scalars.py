@@ -832,12 +832,26 @@ def series_to_json(s: ScalarSeries) -> dict:
     }
 
 
+def _int(v, key: str) -> int:
+    if type(v) is not int:  # bool is an int subclass
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _rationals(v, key: str) -> list:
+    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        raise ValueError(f"{key} must be a list of rational strings, got {v!r}")
+    return [Fraction(x) for x in v]
+
+
 def series_from_json(data: dict) -> ScalarSeries:
-    field = CycloField(data["m"])
-    trunc = INF if data.get("N") is None else data["N"]
+    """A float or bool where an int belongs, or a coefficient that is not a
+    string, raises ValueError here and in :func:`monomial_from_json`."""
+    field = CycloField(_int(data["m"], "m"))
+    trunc = INF if data.get("N") is None else _int(data["N"], "N")
     terms = {}
     for e, coeffs in data["terms"]:
-        terms[int(e)] = field.element([Fraction(c) for c in coeffs])
+        terms[_int(e, "exponent")] = field.element(_rationals(coeffs, "coefficient"))
     return ScalarSeries(field, terms, trunc)
 
 
@@ -846,5 +860,6 @@ def monomial_to_json(u: UnitMonomial) -> dict:
 
 
 def monomial_from_json(data: dict) -> UnitMonomial:
-    field = CycloField(data["m"])
-    return UnitMonomial(field.element([Fraction(c) for c in data["coeff"]]), data["uexp"])
+    coeff = _rationals(data["coeff"], "coeff")
+    field = CycloField(_int(data["m"], "m"))
+    return UnitMonomial(field.element(coeff), _int(data["uexp"], "uexp"))

@@ -442,21 +442,20 @@ class TorusSeries:
         return hit
 
     def coeffs(self, cells: Iterable[Vec], order) -> dict:
-        """Coefficients at many cells, ``{h: coeff(h, order)}``.
+        """Coefficients at many cells, ``{h: coeff(h, order)}``, read from
+        the order's table once :meth:`_table` has filled it at them."""
+        cells = [*map(tuple, cells)]
+        table = self._table(cells, order)
+        return {h: table[h] for h in cells}
 
-        The cache holds one table ``{h: coefficient}`` per order, which
-        ``coeff`` fills too.  The cells missing from it are computed in one
-        pass that fills it, and the objects returned are the table's own:
-        only a cell the pass leaves out goes through ``coeff``.  A word with
-        cell rules (:meth:`_cell_rules`) evaluates each rule at all of them
-        at once (:meth:`_rule_coeffs`); another kernel-free word solves them
-        all (:meth:`_solve_coeffs`).  When the layout has a kernel, each
-        finite combo is enumerated once over the cells' bounding box (the
-        cell is one more set of linear rows), with a box budget of the
-        per-cell ones it replaces.  A combo's points are summed as one batch
-        (:meth:`_add_terms`).
-        """
-        cells = [tuple(h) for h in cells]
+    def _table(self, cells: list, order) -> dict:
+        """The cache's own ``{h: coefficient}`` table for ``order``, filled
+        at ``cells`` (tuples); ``coeff`` fills it too.  The missing cells are
+        one pass: each cell rule at all of them (:meth:`_rule_coeffs`), else
+        a kernel-free solve (:meth:`_solve_coeffs`), else each finite combo
+        enumerated once over the cells' bounding box with the per-cell box
+        budgets summed (:meth:`_window_coeffs`).  A cell left out (that pass
+        refused, or an INF order) goes through :meth:`_coeff_impl`."""
         table = self._cache.setdefault(order, {})
         todo = {h: h for h in cells if h not in table}
         if todo:
@@ -468,7 +467,10 @@ class TorusSeries:
             elif order != INF:
                 with contextlib.suppress(NotMultipliable):
                     table.update(self._window_coeffs(todo, order))
-        return {h: x if (x := table.get(h)) is not None else self.coeff(h, order) for h in cells}
+            for h in todo:
+                if h not in table:
+                    table[h] = self._coeff_impl(h, order)
+        return table
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
@@ -752,8 +754,8 @@ class TorusSeries:
 
 
 def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], order) -> bool:
-    cells = [tuple(h) for h in cells]
-    ta, tb = a.coeffs(cells, order), b.coeffs(cells, order)
+    cells = [*map(tuple, cells)]
+    ta, tb = a._table(cells, order), b._table(cells, order)
     for h in cells:
         try:
             same = ta[h].equal_to_order(tb[h], order)

@@ -27,6 +27,7 @@ from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial, series_t
 from qtheta.series import TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
 from qtheta.verify import (
+    OPERATOR,
     REGISTRY,
     EquationSpec,
     EquationTerm,
@@ -278,7 +279,7 @@ def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
     ]
     assert specs[5].terms[0].coefficient.uexp == -2
     asked = []
-    orig, orig_window = TorusSeries.coeff, TorusSeries.coeffs
+    orig, orig_window = TorusSeries.coeff, TorusSeries._table
 
     def recording(self, h, order):
         asked.append(order)
@@ -289,7 +290,7 @@ def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
         return orig_window(self, cells, order)
 
     monkeypatch.setattr(TorusSeries, "coeff", recording)
-    monkeypatch.setattr(TorusSeries, "coeffs", recording_window)
+    monkeypatch.setattr(TorusSeries, "_table", recording_window)
     for spec in cases:
         asked.clear()
         rep = verify_equation(spec)
@@ -372,21 +373,67 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     assert set(counts.values()) == {1}
 
 
-def test_verify_equation_compares_the_tables_coeffs_returns(monkeypatch):
-    # the E313 words have cell rules: coeffs fills the cache in one rule pass
-    # and returns those entries, and the comparison reads that table, so a
-    # passing spec asks coeff for no cell
+def test_verify_equation_compares_the_filled_tables(monkeypatch):
+    # the E313 words have cell rules: _table fills the cache in one rule pass
+    # and the comparison reads that table itself, so a passing spec asks
+    # coeff, coeffs and the per-cell pass for no cell
     spec = identity_specs("E313", window=1, order=8)[0]
     calls = []
-    orig = TorusSeries.coeff
 
-    def counting(self, h, order):
-        calls.append(h)
-        return orig(self, h, order)
+    def counting(name):
+        orig = getattr(TorusSeries, name)
 
-    monkeypatch.setattr(TorusSeries, "coeff", counting)
+        def wrapped(self, *args):
+            calls.append(name)
+            return orig(self, *args)
+
+        monkeypatch.setattr(TorusSeries, name, wrapped)
+
+    for name in ("coeff", "coeffs", "_coeff_impl"):
+        counting(name)
     assert verify_equation(spec)["status"] == "pass"
     assert calls == []
+
+
+def _two_sided(lhs, rhs, window, order, mirrored=False):
+    """lhs - rhs = 0, or -lhs + rhs = 0 when ``mirrored``: the same cells
+    fail, but only the first shape has its sides compared directly."""
+    one, minus = UnitMonomial.one(F), UnitMonomial(-F.one(), 0)
+    signs = (minus, one) if mirrored else (one, minus)
+    terms = [EquationTerm(c, [s]) for c, s in zip(signs, (lhs, rhs))]
+    return EquationSpec(lhs.param, terms, window, order, mode=OPERATOR)
+
+
+def test_equal_sides_known_below_the_order_are_a_shortfall():
+    # at (0,) both sides are 1, but the right one only to u^5: equal terms
+    # do not pass a cell whose trunc is short of the order
+    p = QuantParam.trivial(F, 1)
+    lhs = TorusSeries.from_dict(p, {(0,): ScalarSeries.one(F), (1,): UnitMonomial.one(F)})
+    rhs = TorusSeries.from_dict(p, {(0,): ScalarSeries.one(F, 5), (1,): UnitMonomial.one(F)})
+    want = {"cell": [0], "uexp": None, "reason": "coefficient known only to order 5"}
+    for mirrored in (False, True):
+        rep = verify_equation(_two_sided(lhs, rhs, 2, 8, mirrored))
+        assert rep["cells_checked"] == 3 and rep["first_mismatch"] == want
+
+
+def test_sides_that_differ_at_one_cell_report_as_the_summed_loop():
+    # theta_W against theta_W + e(h0): the right side is a finite table, so
+    # its coefficients are computed apart from theta_W's; at h0 both have one
+    # term (1 and 2), so a comparison by length alone would pass the cell
+    base = QuantParam.standard_tq(F)
+    theta_w = weinstein_theta(base)
+    cells, h0 = sorted(theta_w.window_cells(1)), (0, -1, 0, 0)
+    table = theta_w.coeffs(cells, 8)
+    assert len(table[h0].terms) == 1
+    table[h0] = table[h0] + ScalarSeries.one(F)
+    rhs = TorusSeries.from_dict(theta_w.param, table)
+    rep = verify_equation(_two_sided(theta_w, rhs, 1, 8))
+    assert rep == verify_equation(_two_sided(theta_w, rhs, 1, 8, mirrored=True))
+    assert rep["cells_checked"] == cells.index(h0) + 1 == 32
+    assert rep["first_mismatch"] == {"cell": list(h0), "uexp": 0}
+    table[h0] = table[h0] - ScalarSeries.one(F)
+    same = TorusSeries.from_dict(theta_w.param, table)
+    assert verify_equation(_two_sided(theta_w, same, 1, 8))["status"] == "pass"
 
 
 # sha256 of every term's coefficient table (per cell, in sorted cell order:

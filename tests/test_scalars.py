@@ -307,3 +307,34 @@ def test_series_json_roundtrip():
     assert series_from_json(series_to_json(exact)) == exact
     u = UnitMonomial(f.zeta(3), -4)
     assert monomial_from_json(monomial_to_json(u)) == u
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"m": 1, "N": 3.5, "terms": [[1.9, [0.5]], [True, ["2"]]]},
+        {"m": 1, "N": 3, "terms": [[1.0, ["1"]]]},
+        {"m": 1, "N": 3, "terms": [[True, ["1"]]]},
+        {"m": 1, "N": 3.0, "terms": [[1, ["1"]]]},
+        {"m": 1, "N": True, "terms": []},
+        {"m": 1.0, "N": None, "terms": []},
+        {"m": True, "N": None, "terms": []},
+        {"m": 1, "N": None, "terms": [[1, [0.5]]]},
+        {"m": 1, "N": None, "terms": [[1, [2]]]},
+        {"m": 1, "N": None, "terms": [[1, "2"]]},
+    ],
+)
+def test_series_from_json_refuses_floats_bools_and_numbers(data):
+    # exact code reads ints and rational strings only; a float exponent was
+    # truncated, a bool read as 0 or 1 and a float trunc kept
+    with pytest.raises(ValueError):
+        series_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("uexp", 0.5), ("uexp", True), ("m", 1.0), ("coeff", [1]), ("coeff", ["1", 0.5])]
+)
+def test_monomial_from_json_refuses_floats_bools_and_numbers(key, value):
+    data = {**monomial_to_json(UnitMonomial.one(CycloField(1))), key: value}
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        monomial_from_json(data)
