@@ -41,6 +41,7 @@ from .intlinalg import (
     LatticeMap,
     QuotientData,
     Vec,
+    identity,
     is_positive_definite,
     mat_vec,
     quotient_data,
@@ -268,17 +269,19 @@ def _theta_rule(L: Multiplier, rep: Vec) -> GaussRule:
     Each f_i(b) = f_i(0) prod_k G_ik^(b_k) has exponents affine in b, so
     phi(b) = prod_i f_i(0)^(b_i) G_ii^(b_i(b_i-1)/2) prod_{i<j} G_ji^(b_i b_j).
     A base's u-exponent enters the u-form, a base -1 the sign form and any
-    other coefficient a character.  The rule is proven before it is returned
+    other coefficient a character.  The steps f_i(b) at b = 0 and each e_k
+    give the bases, and prove the rule before it is returned
     (:func:`_check_recurrence`).
     """
     r = L.rank
-    e = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    f0 = [_recurrence_step(L, rep, i, zero_vec(r)) for i in range(r)]
+    steps = [[_recurrence_factor(L, i, vec_sub(rep, L.h_minus(b))) for i in range(r)]
+             for b in (zero_vec(r), *identity(r))]
+    f0 = steps[0]
     bases = [(f0[i], [(i, r, 2)]) for i in range(r)]  # (base, exponent form)
     for i in range(r):
         for j in range(i, r):
             form = [(i, i, 1), (i, r, -1)] if i == j else [(i, j, 2)]
-            bases.append((_recurrence_step(L, rep, j, e[i]) / f0[j], form))
+            bases.append((steps[i + 1][j] / f0[j], form))
     uform, sform, chars = [], [], []
     for base, form in bases:
         uform += [(a, b, base.uexp * x) for a, b, x in form]
@@ -287,28 +290,27 @@ def _theta_rule(L: Multiplier, rep: Vec) -> GaussRule:
         elif not base.coeff.is_one():
             chars.append((base.coeff, form))
     rule = GaussRule(r, L.param.field.one(), uform, sform, chars)
-    _check_recurrence(L, rep, rule)
+    _check_recurrence(rep, rule, steps)
     return rule
 
 
-def _recurrence_step(L: Multiplier, rep: Vec, i: int, b: Vec) -> UnitMonomial:
-    """f_i(b) = phi(b + e_i) / phi(b) on the coset of ``rep``."""
-    return _recurrence_factor(L, i, vec_sub(rep, L.h_minus(b)))
-
-
-def _check_recurrence(L: Multiplier, rep: Vec, rule: GaussRule):
-    """Raise unless rule(b + e_i) = rule(b) f_i(b) at b = 0 and every b = e_k.
+def _check_recurrence(rep: Vec, rule: GaussRule, steps: list):
+    """Raise unless rule(b + e_i) = rule(b) f_i(b) at b = 0 and every b = e_k,
+    where steps[0][i] = f_i(0) and steps[k + 1][i] = f_i(e_k).
 
     Both sides are unit monomials with exponents affine in b, so their
     quotient is C prod_k beta_k^(b_k), and agreement at these r + 1 points is
     agreement on all of B.  As rule(0) = 1, the rule is then the recurrence's
     solution everywhere, which also proves the recurrence path independent.
+    The rule is evaluated at 0, e_k and e_k + e_i in one call.
     """
-    r = L.rank
-    e = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    for b in (zero_vec(r), *e):
-        for i in range(r):
-            if rule.at(vec_add(b, e[i])) != rule.at(b) * _recurrence_step(L, rep, i, b):
+    r = rule.n
+    e = identity(r)
+    pts = [zero_vec(r), *e, *(vec_add(a, b) for k, a in enumerate(e) for b in e[k:])]
+    at = {b: UnitMonomial(c, x) for b, (c, x) in zip(pts, rule.values(pts))}
+    for b, row in zip(pts, steps):  # pts opens with the starts b = 0, e_0, ..., e_(r-1)
+        for i, f in enumerate(row):
+            if at[vec_add(b, e[i])] != at[b] * f:
                 raise CocycleFailure(
                     f"theta recurrence of coset {rep} fails at generator {i} from {b}"
                 )

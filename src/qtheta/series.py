@@ -214,6 +214,12 @@ def _subst(form, offset, gens):
     return _form((j, k, x * u * v) for a, b, x in form for j, u in nz[a] for k, v in nz[b])
 
 
+def _moved(form, at, k, n):
+    """A form in k variables as one in n: y_i moves to y_(at + i), the constant k to n."""
+    idx = [*range(at, at + k), n]
+    return [(idx[a], idx[b], x) for a, b, x in form]
+
+
 def _alpha_form(pair, word, chosen, offs, n):
     """sum over i < j of pair(p_i, p_j) for the ordered word's points, where
     p_i is a finite factor's chosen point or ``offset + G y`` on a lattice
@@ -433,13 +439,9 @@ class TorusSeries:
         return self._layout_cache
 
     def coeff(self, h: Vec, order) -> ScalarSeries:
-        """Coefficient at e(h), exact up to u-exponent ``order``."""
+        """Coefficient at e(h), exact up to u-exponent ``order``: :meth:`_table` at h alone."""
         h = tuple(h)
-        table = self._cache.setdefault(order, {})
-        hit = table.get(h)
-        if hit is None:
-            hit = table[h] = self._coeff_impl(h, order)
-        return hit
+        return self._table([h], order)[h]
 
     def coeffs(self, cells: Iterable[Vec], order) -> dict:
         """Coefficients at many cells, ``{h: coeff(h, order)}``, read from
@@ -450,12 +452,12 @@ class TorusSeries:
 
     def _table(self, cells: list, order) -> dict:
         """The cache's own ``{h: coefficient}`` table for ``order``, filled
-        at ``cells`` (tuples); ``coeff`` fills it too.  The missing cells are
-        one pass: each cell rule at all of them (:meth:`_rule_coeffs`), else
-        a kernel-free solve (:meth:`_solve_coeffs`), else each finite combo
-        enumerated once over the cells' bounding box with the per-cell box
-        budgets summed (:meth:`_window_coeffs`).  A cell left out (that pass
-        refused, or an INF order) goes through :meth:`_coeff_impl`."""
+        at ``cells`` (tuples): the one place that picks a coefficient path.
+        The missing cells are one pass: each cell rule at all of them
+        (:meth:`_rule_coeffs`), else each finite combo at all of them
+        (:meth:`_combo_coeffs`).  Over a kernel, a cell that pass left out
+        (it was refused, or the order is INF), or a lone missing cell, is
+        enumerated on its own (:meth:`_kernel_coeff`)."""
         table = self._cache.setdefault(order, {})
         todo = {h: h for h in cells if h not in table}
         if todo:
@@ -463,13 +465,13 @@ class TorusSeries:
             if rules is not None:
                 table.update(self._rule_coeffs(rules, todo, order))
             elif solver is None or not solver.kernel:
-                table.update(self._solve_coeffs(todo, order))
-            elif order != INF:
+                table.update(self._combo_coeffs(todo, order))
+            elif order != INF and len(todo) > 1:
                 with contextlib.suppress(NotMultipliable):
-                    table.update(self._window_coeffs(todo, order))
+                    table.update(self._combo_coeffs(todo, order))
             for h in todo:
                 if h not in table:
-                    table[h] = self._coeff_impl(h, order)
+                    table[h] = self._kernel_coeff(h, order)
         return table
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
@@ -482,63 +484,49 @@ class TorusSeries:
                 add_into(acc, UnitMonomial(c, e), order, order)
         return {h: ScalarSeries._clean(self.param.field, a, order) for h, a in zip(cells, accs)}
 
-    def _solve_coeffs(self, cells, order) -> dict:
-        """``{h: coefficient}`` over a kernel-free layout: each combo's
-        solutions of G y = h - base with y_c >= 0 are one :meth:`_add_terms` batch."""
+    def _combo_coeffs(self, cells, order) -> dict:
+        """``{h: coefficient}`` at ``cells`` (each mapped to itself): each
+        finite combo's points are one :meth:`_add_terms` batch, the solutions
+        of G y = h - base with y_c >= 0, or over a kernel one enumeration on
+        the cells' bounding box with the per-cell box budgets summed.
+        Raises NotMultipliable where a sum cannot be certified."""
         lay = self._layout()
         solve = lay.solver.solve if lay.solver else lambda t: None if any(t) else ()
-        sums: dict = {}  # cell -> [exponent -> value, trunc]
-        for combo in product(*lay.items):
-            chosen, base, term, _form = self._combo_plan(combo)
-            ys = [solve(vec_sub(h, base)) for h in cells]
-            ok = [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
-            self._add_terms(sums, compress(cells, ok), [*compress(ys, ok)], chosen, term, order)
-        zero = ScalarSeries.zero(self.param.field, order)
-        return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
-
-    def _window_coeffs(self, cells, order) -> dict:
-        """``{h: coefficient}`` over a layout with a kernel: each combo's
-        points whose cell b + G y is in ``cells`` (each cell mapped to itself)
-        are one :meth:`_add_terms` batch.  Raises NotMultipliable where one cannot be certified."""
-        lay = self._layout()
-        n = lay.blocks[-1][2]
+        n = lay.blocks[-1][2] if lay.blocks else 0
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
-            if form is None:
+            if lay.solver is None or not lay.solver.kernel:
+                ys = [solve(vec_sub(h, base)) for h in cells]
+                hs, ok = cells, [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
+            elif form is None:
                 raise NotMultipliable("window-only factor inside a product that needs enumeration")
-            if form is _ZERO_TERM:
+            elif form is _ZERO_TERM:
                 continue
-            rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
-            for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
-                rows += [(g, b - l), (tuple(-x for x in g), u - b)]
-            pts = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
-            hs = [*map(cells.get, _affine_at(lay.mtx, base, pts, n))]
-            ok = [h is not None for h in hs]
-            self._add_terms(sums, compress(hs, ok), [*compress(pts, ok)], chosen, term, order)
+            else:
+                rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
+                for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
+                    rows += [(g, b - l), (tuple(-x for x in g), u - b)]
+                ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
+                hs = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))]
+                ok = [h is not None for h in hs]
+            self._add_terms(sums, compress(hs, ok), [*compress(ys, ok)], chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
-    def _coeff_impl(self, h: Vec, order) -> ScalarSeries:
-        """The combos' terms at h, summed in one dict.  With cell rules this
-        is the rule pass at h alone, and a kernel-free layout is the solve
-        pass at h alone; else the layout's solver solves h - base and the
-        kernel K is enumerated around the particular solution: the combo's
-        bound form at y = particular + K z (by :func:`_subst`), with the
-        cone rows y_c >= 0 in z."""
-        rules = self._cell_rules()
-        if rules is not None:
-            return self._rule_coeffs(rules, [h], order)[h]
+    def _kernel_coeff(self, h: Vec, order) -> ScalarSeries:
+        """The coefficient at h alone over a kernel K: K is enumerated around
+        each combo's particular solution of G y = h - base -- its bound form
+        at y = particular + K z (by :func:`_subst`), with the cone rows y_c >= 0
+        in z and the default box budget.  Raises NotMultipliable when a combo
+        reaches h at an INF order or through a formal factor."""
         lay = self._layout()
-        solver = lay.solver
-        if solver is None or not solver.kernel:
-            return self._solve_coeffs([h], order)[h]
-        kernel, kt = solver.kernel, list(zip(*solver.kernel))  # kt[i]: each one's i-th entry
+        kernel, kt = lay.solver.kernel, list(zip(*lay.solver.kernel))  # kt[i]: the vectors' i-th entries
         sums: dict = {}
         for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
-            particular = solver.solve(vec_sub(h, base))
+            particular = lay.solver.solve(vec_sub(h, base))
             if particular is None:
                 continue
             if order == INF:
@@ -580,10 +568,16 @@ class TorusSeries:
         The term plan is one Gauss rule in the concatenated lattice
         parameters -- the ordered word's alpha, every unit-monomial finite
         value and every lattice factor's Gauss part at its block -- and the
-        word positions left over (series values and closure factors).  With
-        a kernel, form is :meth:`_assemble_bound`'s valuation bound,
-        independent of the target cell (None without a kernel);
-        ``_quad(form, n)`` hands it to ``enumerate_sublevel``.
+        word positions left over (series values and closure factors).
+
+        With a kernel, form is the exact valuation bound T(y), independent of
+        the target cell (None without a kernel): the rule's u-form plus each
+        series-valued finite value's valuation (trunc + 1 for a series with
+        no known term); a closure value adds valuation >= 0.  It is None when
+        a lattice factor is formal, and _ZERO_TERM when a chosen finite value
+        is an exact zero, so every term of the combo vanishes.  The cone rows
+        y_c >= 0 are the callers'; ``_quad(form, n)`` hands it to
+        ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
@@ -594,50 +588,39 @@ class TorusSeries:
             base = tuple(map(sum, zip(lay.offset, *key)))
             offs = {wi: a for wi, a, _b in lay.blocks}
             n = lay.blocks[-1][2] if lay.blocks else 0
-            alpha = _alpha_form(self.param.alpha_exp, word, chosen, offs, n)
-            sign = _alpha_form(self.param.alpha_sign, word, chosen, offs, n)
-            rule = GaussRule(n, self.param.field.one(), alpha, sign)
-            rest = []
+            const = self.param.field.one()
+            uform = [*_alpha_form(self.param.alpha_exp, word, chosen, offs, n)]
+            sform = [*_alpha_form(self.param.alpha_sign, word, chosen, offs, n)]
+            chars, rest = [], []
             for wi, f in enumerate(word):
                 if f.is_finite:
                     v = chosen[wi][1]
                     if isinstance(v, UnitMonomial):
-                        rule = rule.times(GaussRule(n, v.coeff, [(n, n, 2 * v.uexp)]))
+                        const = const * v.coeff
+                        uform.append((n, n, 2 * v.uexp))
                     else:
                         rest.append((wi, None))
                     continue
                 at = offs[wi]
                 if f.gauss is not None:
-                    cols = [tuple(int(j - at == i) for i in range(f.nparams)) for j in range(n)]
-                    rule = rule.times(f.gauss.compose(zero_vec(f.nparams), cols))
+                    g, k = f.gauss, f.nparams
+                    const = const * g.const
+                    uform += _moved(g.uform, at, k, n)
+                    sform += _moved(g.sform, at, k, n)
+                    chars += [(c, _moved(l, at, k, n)) for c, l in g.chars]
                 if f.coeff is not None:
                     rest.append((wi, slice(at, at + f.nparams)))
+            rule = GaussRule(n, const, uform, sform, chars)
             form = None
-            if lay.solver is not None and lay.solver.kernel:
-                form = self._assemble_bound(chosen, rest, rule.uform, n)
+            if lay.solver is not None and lay.solver.kernel and not any(word[wi].formal for wi in offs):
+                vals = [chosen[wi][1] for wi, span in rest if span is None]
+                if any(not v.terms and v.trunc == INF for v in vals):
+                    form = _ZERO_TERM
+                else:
+                    low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
+                    form = _form([*rule.uform, (n, n, 2 * low)])  # in half steps
             plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form)
         return plan
-
-    def _assemble_bound(self, chosen, rest, uform, n):
-        """Exact valuation bound T(y) over the n concatenated parameters,
-        as a merged form.
-
-        T = the term plan's u-form ``uform`` (the ordered word's alpha
-        exponent, every unit-monomial finite value and every lattice
-        factor's Gauss part) + the valuation of each series-valued finite
-        value in ``rest``; a closure value adds valuation >= 0.  A finite
-        series with no known term counts as valuation trunc + 1.  Returns
-        the form, None when a lattice factor is formal, or _ZERO_TERM when a
-        chosen finite value is an exact zero, so every term of the combo
-        vanishes.  The cone rows y_c >= 0 are the callers'.
-        """
-        if any(self.factors[wi].formal for wi, _a, _b in self._layout().blocks):
-            return None
-        vals = [chosen[wi][1] for wi, span in rest if span is None]
-        if any(not v.terms and v.trunc == INF for v in vals):
-            return _ZERO_TERM
-        low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
-        return _form([*uform, (n, n, 2 * low)])  # in half steps
 
     def _add_terms(self, sums, hs, ys, chosen, term, order):
         """Adds one combo's term at each point ys[i] into sums[hs[i]], an

@@ -1,6 +1,7 @@
 """Theta multipliers: validation, theta spaces, ampleness, operations."""
 
 import random
+import re
 
 import pytest
 
@@ -517,21 +518,26 @@ def test_recurrence_check_rejects_a_corrupted_base(name):
     r = L.rank
     rep = L.quotient().coset_reps[-1]
     rule = _theta_rule(L, rep)
-    _check_recurrence(L, rep, rule)
-    corruptions = [
-        [(0, r, 2)],  # A_0 times u
-        [(0, 0, 1), (0, r, -1)],  # D_0 times u
+    zero, e0 = zero_vec(r), tuple(int(i == 0) for i in range(r))
+    # f_i(b) at b = 0 and each e_k, one recurrence factor at rep - h-(b) each
+    starts = [zero] + [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    steps = [[_recurrence_factor(L, i, vec_sub(rep, L.h_minus(b))) for i in range(r)] for b in starts]
+    _check_recurrence(rep, rule, steps)
+    corruptions = [  # (exponent form, the generator and start that fail first)
+        ([(0, r, 2)], 0, zero),  # A_0 times u
+        ([(0, 0, 1), (0, r, -1)], 0, e0),  # D_0 times u, seen only at 2 e_0
     ]
     if r > 1:
-        corruptions.append([(0, 1, 2)])  # C_01 times u
-    for form in corruptions:
+        corruptions.append(([(0, 1, 2)], 1, e0))  # C_01 times u, seen only at e_0 + e_1
+    for form, i, b in corruptions:
         for bad in (
             rule.times(GaussRule(r, f.one(), form)),
             rule.times(GaussRule(r, f.one(), (), form)),  # base times -1
             rule.times(GaussRule(r, f.one(), (), (), [(f.from_rational(2), form)])),
         ):
-            with pytest.raises(CocycleFailure):
-                _check_recurrence(L, rep, bad)
+            msg = f"theta recurrence of coset {rep} fails at generator {i} from {b}"
+            with pytest.raises(CocycleFailure, match=re.escape(msg)):
+                _check_recurrence(rep, bad, steps)
 
 
 @pytest.mark.parametrize("build", [odd_diagonal_multiplier, zeta5_multiplier])

@@ -329,8 +329,8 @@ def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, re
     cells = sorted(spec.cells())
     refused = cells[0] if refused_first else cells[-1]
     # both words are kernel-free without cell rules, so each term's pass and
-    # each cell computed alone go through the solve pass
-    orig = TorusSeries._solve_coeffs
+    # each cell computed alone go through the combo pass
+    orig = TorusSeries._combo_coeffs
     refusals = []
 
     def refusing(self, hs, order):
@@ -339,7 +339,7 @@ def test_first_failing_cell_decides_between_mismatch_and_refusal(monkeypatch, re
             raise EnumerationLimit("certified box too large")
         return orig(self, hs, order)
 
-    monkeypatch.setattr(TorusSeries, "_solve_coeffs", refusing)
+    monkeypatch.setattr(TorusSeries, "_combo_coeffs", refusing)
     if refused_first:
         with pytest.raises(EnumerationLimit):
             verify_equation(spec)
@@ -375,24 +375,25 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
 
 def test_verify_equation_compares_the_filled_tables(monkeypatch):
     # the E313 words have cell rules: _table fills the cache in one rule pass
-    # and the comparison reads that table itself, so a passing spec asks
-    # coeff, coeffs and the per-cell pass for no cell
+    # over all the cells and the comparison reads that table itself, so a
+    # passing spec asks coeff, coeffs and the other passes for no cell
     spec = identity_specs("E313", window=1, order=8)[0]
+    cells = spec.cells()
     calls = []
 
     def counting(name):
         orig = getattr(TorusSeries, name)
 
         def wrapped(self, *args):
-            calls.append(name)
+            calls.append((name, len(args[1]) if name == "_rule_coeffs" else None))
             return orig(self, *args)
 
         monkeypatch.setattr(TorusSeries, name, wrapped)
 
-    for name in ("coeff", "coeffs", "_coeff_impl"):
+    for name in ("coeff", "coeffs", "_rule_coeffs", "_combo_coeffs", "_kernel_coeff"):
         counting(name)
     assert verify_equation(spec)["status"] == "pass"
-    assert calls == []
+    assert calls == [("_rule_coeffs", len(cells))] * len(spec.terms)
 
 
 def _two_sided(lhs, rhs, window, order, mirrored=False):

@@ -315,28 +315,33 @@ def _pair_basis(window, order):
 
 
 def test_act_on_theta_reads_each_acted_theta_from_one_pass(monkeypatch):
-    # each acted theta's coset reps and window cells are one solve pass, so
-    # no cell is computed alone and every matrix entry read is a cache hit
+    # each acted theta's coset reps and window cells are one combo pass, and
+    # each basis theta's window cells one more, so no cell is computed alone
+    # and every matrix entry read is a cache hit
     composed, basis, struct = _pair_basis(3, 40)
     cells = set(basis.basis[0].window_cells(3))
     assert any(rep not in cells for rep in basis.coset_reps)  # a rep off the window
     calls = collections.Counter()
-    coeff, impl = TorusSeries.coeff, TorusSeries._coeff_impl
+    passes = []  # cells in each combo pass
+    coeff, combo = TorusSeries.coeff, TorusSeries._combo_coeffs
 
     def counting_coeff(self, h, order):
         calls["hit" if tuple(h) in self._cache.get(order, ()) else "miss"] += 1
         return coeff(self, h, order)
 
-    def counting_impl(self, h, order):
-        calls["impl"] += 1
-        return impl(self, h, order)
+    def counting_combo(self, hs, order):
+        passes.append(len(hs))
+        return combo(self, hs, order)
 
     monkeypatch.setattr(TorusSeries, "coeff", counting_coeff)
-    monkeypatch.setattr(TorusSeries, "_coeff_impl", counting_impl)
+    monkeypatch.setattr(TorusSeries, "_combo_coeffs", counting_combo)
     one, zero = UnitMonomial.one(F), (0, 0)
     for gen in struct.kappa_generators:
         act_on_theta(composed, SmallHeisElement(one, gen, zero), basis, 3, 40)
     assert calls == {"hit": basis.dim**2 * len(struct.kappa_generators)}
+    acted = [len(cells | set(basis.coset_reps))] * basis.dim
+    # the first action also fills each basis theta's table
+    assert passes == acted + [len(cells)] * basis.dim + acted * (len(struct.kappa_generators) - 1)
 
 
 def test_re_expansion_compares_at_the_order_both_sides_know(monkeypatch):

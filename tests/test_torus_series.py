@@ -990,11 +990,21 @@ def test_cell_rules_fall_back_to_the_solver(m):
     assert th._cell_rules() is None
     got = th.coeffs(cells, 30)
     assert all(got[h].is_zero() == (h[1] != 0) for h in cells)
-    # G = [[1, 0, 1], [0, 1, 1]] solves every e_j, but has a kernel
-    word = theta_series(p, (1, 0)).mul(theta_series(p, (0, 1))).mul(theta_series(p, (1, 1)))
+    # G = [[1, 0, 1], [0, 1, 1]] solves every e_j, but has a kernel; the
+    # word's valuation form is definite only on ker G, so the window pass
+    # refuses it, over all the cells and at a cell alone, and every cell is
+    # enumerated on its own
+    thetas = [theta_series(p, d) for d in ((1, 0), (0, 1), (1, 1))]
+    word = thetas[0].mul(thetas[1]).mul(thetas[2])
     assert word._layout().solver.kernel and word._cell_rules() is None
-    fresh = TorusSeries(p, word.factors)
-    assert word.coeffs(cells, 12) == {h: fresh.coeff(h, 12) for h in cells}
+    for hs in (cells, cells[:1]):
+        with pytest.raises(NotMultipliable, match="non positive definite"):
+            word._combo_coeffs({h: h for h in hs}, 12)
+    box = list(itertools.product(range(-6, 7), repeat=2))
+    tables = [th.materialize(box, 52).factors[0].table for th in thetas]
+    got = word.coeffs(cells, 12)
+    assert got == {h: _word_coeff_reference(p, tables, h, 12) for h in cells}
+    assert sum(not x.is_zero() for x in got.values()) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -1082,9 +1092,9 @@ def test_solve_pass_matches_the_reference(monkeypatch, m, order):
     words = _solve_pass_words(m)
     names = [name for name, _w in words]
     assert sum(n.startswith("E332") for n in names) == 8 and "coned" in names
-    impl = []
-    orig = TorusSeries._coeff_impl
-    monkeypatch.setattr(TorusSeries, "_coeff_impl", lambda s, h, o: impl.append(h) or orig(s, h, o))
+    passes = []  # cells in each combo pass
+    orig = TorusSeries._combo_coeffs
+    monkeypatch.setattr(TorusSeries, "_combo_coeffs", lambda s, hs, o: passes.append(len(hs)) or orig(s, hs, o))
     for name, word in words:
         lay = word._layout()
         assert not lay.solver.kernel and word._cell_rules() is None, name
@@ -1096,12 +1106,12 @@ def test_solve_pass_matches_the_reference(monkeypatch, m, order):
         want = {h: _solve_reference(word, h, order) for h in cells}
         assert any(c.is_zero() for c in want.values()), name  # cells off the support
         assert any(not c.is_zero() for c in want.values()), name
-        assert word.coeffs(cells, order) == want, name  # one pass
-        assert impl == []
+        assert TorusSeries(word.param, word.factors).coeffs(cells, order) == want, name
+        assert passes == [len(cells)]  # one pass
         fresh = TorusSeries(word.param, word.factors)
-        assert {h: fresh.coeff(h, order) for h in cells} == want, name  # cell by cell
-        assert len(impl) == len(cells)
-        impl.clear()
+        assert {h: fresh.coeff(h, order) for h in cells} == want, name
+        assert passes == [len(cells)] + [1] * len(cells)  # then one pass per cell
+        passes.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1178,8 +1188,9 @@ def test_window_pass_maps_points_to_the_rank_0_cell():
     assert word._layout().solver.kernel
     four = f.from_rational(4)
     want = ScalarSeries(f, {0: f.one(), 1: four, 2: four, 4: four}, 4)
-    assert word.coeffs([()], 4) == {(): want}
-    assert TorusSeries(p, word.factors)._coeff_impl((), 4) == want
+    assert word._combo_coeffs({(): ()}, 4) == {(): want}  # the window pass
+    assert word.coeff((), 4) == want  # one cell: the kernel enumerated around it
+    assert word._kernel_coeff((), 4) == want
 
 
 def test_cache_holds_one_table_per_order(monkeypatch):
