@@ -32,6 +32,7 @@ from .errors import (
     NonSymmetricPairing,
     NotComposable,
     ParamMismatch,
+    PrecisionShortfall,
     SqrtMismatch,
 )
 from .heisenberg import HeisElement, HeisRaw, TorusMorphism, compose as heis_compose, heis_act
@@ -52,7 +53,7 @@ from .intlinalg import (
     zero_vec,
 )
 from .scalars import UnitMonomial
-from .series import GaussRule, TorusSeries, series_equal_on_cells
+from .series import GaussRule, TorusSeries, _newton_points, _prove_by_translation, series_equal_on_cells
 from .torus import QuantParam, TorusPoint, smith_root
 
 
@@ -302,11 +303,10 @@ def _check_recurrence(rep: Vec, rule: GaussRule, steps: list):
     quotient is C prod_k beta_k^(b_k), and agreement at these r + 1 points is
     agreement on all of B.  As rule(0) = 1, the rule is then the recurrence's
     solution everywhere, which also proves the recurrence path independent.
-    The rule is evaluated at 0, e_k and e_k + e_i in one call.
+    The rule is evaluated at the Newton points in one call.
     """
-    r = rule.n
-    e = identity(r)
-    pts = [zero_vec(r), *e, *(vec_add(a, b) for k, a in enumerate(e) for b in e[k:])]
+    pts = _newton_points(rule.n)
+    e = pts[1 : rule.n + 1]
     at = {b: UnitMonomial(c, x) for b, (c, x) in zip(pts, rule.values(pts))}
     for b, row in zip(pts, steps):  # pts opens with the starts b = 0, e_0, ..., e_(r-1)
         for i, f in enumerate(row):
@@ -380,10 +380,22 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
 
 
 def theta_membership(L: Multiplier, series: TorusSeries, cells, order) -> bool:
-    """Invariance of ``series`` under every generator image, on the cells."""
+    """Invariance of ``series`` under every generator image: proved on the
+    whole lattice when the acted word is the series translated
+    (:func:`~qtheta.series._prove_by_translation` with constant 1), else
+    compared on the cells.  The series' own table is filled and must be
+    known to ``order`` at every cell either way."""
+    cells = [*map(tuple, cells)]
+    table = series._table(cells, order)
+    for h in cells:
+        if table[h].trunc < order:
+            raise PrecisionShortfall(
+                f"cannot compare to order {order}: known only to {table[h].trunc} at cell {h}"
+            )
     for img in L.images:
         acted = heis_act(img, series)
-        if not series_equal_on_cells(acted, series, cells, order):
+        c = _prove_by_translation(acted, series)
+        if (c is None or not c.is_one()) and not series_equal_on_cells(acted, series, cells, order):
             return False
     return True
 

@@ -49,7 +49,7 @@ from itertools import compress, product, repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateViolation, NotMultipliable, ParamMismatch, PrecisionShortfall
-from .intlinalg import Vec, smith, vec_add, vec_neg, vec_sub, zero_vec
+from .intlinalg import Vec, identity, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial, add_into, series_to_json
 from .torus import QuantParam, TorusPoint
@@ -295,6 +295,14 @@ class GaussRule:
             powers = {j: b**j for j in set(js)}
             cs = [c * powers[j] for c, j in zip(cs, js)]
         return list(zip(cs, [v >> 1 for v in _forms_at(self.uform, ys, n)]))
+
+
+def _newton_points(n) -> list:
+    """0, each e_i and each e_i + e_j (i <= j) in Z^n.  A map of y whose
+    third differences vanish, such as a quotient of two Gauss rules, is
+    determined by its values there, so it is constant when they agree."""
+    e = identity(n)
+    return [zero_vec(n), *e, *(vec_add(a, b) for i, a in enumerate(e) for b in e[i:])]
 
 
 _Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
@@ -747,6 +755,46 @@ def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], 
         if not same:
             return False
     return True
+
+
+def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomial]:
+    """The constant c with a = c b on the whole lattice, or None (unproven).
+
+    Both words need the same G, no cones, no formal factor, one finite combo
+    and a pure-Gauss term plan: a's coefficient at h is then the sum of
+    rule_a(y) over base_a + G y = h, and b's likewise.  A translation s with
+    G s = base_b - base_a maps b's fibres onto a's, so a = c b once
+    rule_a(y + s) = c rule_b(y).  That needs equal quadratic u-forms and
+    H s = l_b - l_a (H their Hessian, l the linear parts, in half steps), and
+    s is tried only when it is the one solution.  The quotient's sign,
+    u-exponent and character exponents are quadratics in y, so it is c at
+    every y when it is c at every Newton point.
+    """
+    plans = []
+    for w in (a, b):
+        lay = w._layout()
+        if lay.solver is None or lay.cones or w.kind == FORMAL or any(len(it) != 1 for it in lay.items):
+            return None
+        _chosen, base, (rule, rest), _form = w._combo_plan(tuple(it[0] for it in lay.items))
+        plans.append((lay.mtx, base, rule, [t for t in rule.uform if t[1] < rule.n], rest))
+    (mtx, base_a, ra, quad, rest_a), (mtx_b, base_b, rb, quad_b, rest_b) = plans
+    if rest_a or rest_b or mtx != mtx_b or quad != quad_b:
+        return None
+    n = ra.n
+    hess = [[0] * n for _ in range(n)]
+    for i, j, x in quad:
+        hess[i][j] += x
+        hess[j][i] += x
+    la, lb = ({i: x for i, j, x in r.uform if i < j == n} for r in (ra, rb))
+    solver = smith((*mtx, *hess), n)
+    target = (*vec_sub(base_b, base_a), *(lb.get(i, 0) - la.get(i, 0) for i in range(n)))
+    s = None if solver.kernel else solver.solve(target)
+    if s is None:
+        return None
+    pts = _newton_points(n)
+    at_a, at_b = ra.values([vec_add(y, s) for y in pts]), rb.values(pts)
+    ratios = [UnitMonomial(*x) / UnitMonomial(*y) for x, y in zip(at_a, at_b)]
+    return ratios[0] if all(r == ratios[0] for r in ratios) else None
 
 
 def conjugation_check(param: QuantParam, h: Vec, f: TorusSeries) -> bool:

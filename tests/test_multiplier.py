@@ -6,6 +6,8 @@ import re
 import pytest
 
 from oracles import (
+    ACCEPTED_PAIR,
+    ample_multiplier,
     invariance_oracle,
     jacobi_multiplier,
     odd_diagonal_multiplier,
@@ -54,7 +56,7 @@ from qtheta.multiplier import (
     theta_product,
 )
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
-from qtheta.series import GaussRule, TorusSeries, series_equal_on_cells
+from qtheta.series import GaussRule, TorusSeries, _prove_by_translation, series_equal_on_cells
 from qtheta.smallheis import SmallHeisElement, act_on_theta, group_structure
 from qtheta.torus import QuantParam, TorusPoint
 
@@ -475,6 +477,47 @@ def test_membership_precision_shortfall_names_the_cell():
     with pytest.raises(PrecisionShortfall, match=r"known only to 37 at cell \(-3,\)") as exc:
         theta_membership(compose(L, L), prod, cells, order)
     assert not isinstance(exc.value, NotInvertible)
+
+
+def test_membership_of_a_product_is_proved_without_acted_tables(monkeypatch):
+    # each generator's acted product is the product translated on its
+    # summation lattice, so only the product's own table is filled
+    L = ample_multiplier(*ACCEPTED_PAIR)
+    th = theta_dim_basis(L, 2, 20).basis[0]
+    prod = th.mul(th)
+    filled = []
+    orig = TorusSeries._combo_coeffs
+    monkeypatch.setattr(TorusSeries, "_combo_coeffs", lambda s, hs, o: filled.append(s) or orig(s, hs, o))
+    assert theta_membership(compose(L, L), prod, prod.window_cells(2), 20)
+    assert filled == [prod]
+
+
+def test_membership_outside_the_theta_space_falls_back_to_the_window(monkeypatch):
+    # the square of a theta is no theta of L itself: no generator is
+    # proved, and the window comparison finds a cell that differs
+    import qtheta.multiplier as multiplier_mod
+
+    compared = []
+    orig = multiplier_mod.series_equal_on_cells
+    monkeypatch.setattr(
+        multiplier_mod, "series_equal_on_cells", lambda *a: compared.append(a[0]) or orig(*a)
+    )
+    for L in (jacobi_multiplier(), ample_multiplier(*ACCEPTED_PAIR)):
+        th = theta_dim_basis(L, 2, 20).basis[0]
+        prod = th.mul(th)
+        assert not theta_membership(L, prod, prod.window_cells(2), 20)
+        assert compared and all(_prove_by_translation(a, prod) is None for a in compared)
+        compared.clear()
+
+
+def test_membership_checks_the_series_own_table_first():
+    # a series known below the order at a cell cannot be a member there,
+    # whether its generators are proved or not
+    L = jacobi_multiplier()
+    (th,) = theta_dim_basis(L, window=5, order=40).basis
+    short = th.materialize([(0,)], 30)
+    with pytest.raises(PrecisionShortfall, match=r"order 40: known only to 30 at cell \(0,\)"):
+        theta_membership(L, short, [(1,), (0,)], 40)
 
 
 def recurrence_walk(L, rep, b):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff
+from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff, oracle_multipliers
 
 from qtheta.errors import CertificateViolation, EnumerationLimit, NotMultipliable
 from qtheta.heisenberg import heis_act
@@ -28,6 +28,7 @@ from qtheta.series import (
     GaussRule,
     LatticeFactor,
     TorusSeries,
+    _prove_by_translation,
     conjugation_check,
     series_equal_on_cells,
 )
@@ -1226,3 +1227,87 @@ def test_theta_product_refused_before_is_a_member():
     cells = prod.window_cells(3)
     assert theta_membership(composed, prod, cells, 40)
     assert any(not c.is_zero() for c in prod.coeffs(cells, 40).values())
+
+
+# ---------------------------------------------------------------------------
+# whole-lattice proofs by translating the summation lattice
+
+
+def _prover_words():
+    """(name, multiplier, theta word, window, order): each basis theta of
+    the oracle multipliers (rank-1 and rank-2 tori), exact at INF, and the
+    square of a first basis theta under the composed multiplier, a word
+    with a kernel, on rank 1 and rank 2."""
+    from qtheta.multiplier import compose
+
+    out = []
+    mults = oracle_multipliers()
+    for name, L in mults.items():
+        for i, th in enumerate(theta_dim_basis(L, 2, 20).basis):
+            out.append((f"{name}.theta{i}", L, th, 3, INF))
+    for name in ("jacobi", "random0"):
+        L = mults[name]
+        th = theta_dim_basis(L, 2, 20).basis[0]
+        out.append((f"{name}.square", compose(L, L), th.mul(th), 2, 24))
+    return out
+
+
+def _flattened(word, extra=None, moved=None):
+    """The one-combo pure-Gauss word as one Gauss factor on its summation
+    lattice (offset base, generators the columns of G), its rule times
+    ``extra`` and its offset moved by ``moved`` when given."""
+    lay = word._layout()
+    ((_chosen, base, (rule, rest), _form),) = [word._combo_plan(c) for c in itertools.product(*lay.items)]
+    assert not rest
+    gauss = rule if extra is None else rule.times(extra)
+    offset = base if moved is None else vec_add(base, moved)
+    return TorusSeries.rule(word.param, offset, list(zip(*lay.mtx)), None, gauss=gauss)
+
+
+def _agree(a, b, cells, order):
+    """a and b have the same coefficients on the cells, as far as both are known."""
+    ta, tb = a.coeffs(cells, order), b.coeffs(cells, order)
+    for h in cells:
+        known = min(ta[h].trunc, tb[h].trunc)
+        assert known >= order - 8, h
+        if not ta[h].equal_to_order(tb[h], known):
+            return False
+    return True
+
+
+def test_translation_proves_acted_thetas():
+    # each theta word acted on by a random image of its multiplier is the
+    # word translated on its summation lattice: proved, with constant 1,
+    # and equal to the word on a window
+    rng = random.Random(11)
+    for name, L, th, window, order in _prover_words():
+        for _ in range(2):
+            b = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+            acted = heis_act(L.image(b), th)
+            c = _prove_by_translation(acted, th)
+            assert c is not None and c.is_one(), (name, b)
+            assert _agree(acted, th, th.window_cells(window), order), (name, b)
+        flat = _flattened(th)
+        assert _prove_by_translation(flat, th).is_one(), name
+
+
+def test_translation_never_proves_a_perturbed_theta():
+    # copies scaled by u, 1/u or -1 are proved to be those multiples, and
+    # copies with the offset moved off its coset, an extra sign (-1)^(y0 y1)
+    # or an extra sign (-1)^(y0 (y0 - 1)/2) are not proved at all
+    seen = set()
+    for name, _L, th, _window, _order in _prover_words():
+        f = th.param.field
+        for scale in (UnitMonomial(f.one(), 1), UnitMonomial(f.one(), -1), UnitMonomial(-f.one(), 0)):
+            assert _prove_by_translation(th.scaled(scale), th) == scale, name
+        lay = th._layout()
+        n = lay.solver.ncols
+        off = [e for e in itertools.product((0, 1), repeat=th.param.rank) if lay.solver.solve(e) is None]
+        perturbed = [("coset", _flattened(th, moved=e)) for e in off[:1]]
+        if n > 1:
+            perturbed.append(("cross", _flattened(th, GaussRule(n, f.one(), (), [(0, 1, 2)]))))
+        perturbed.append(("diagonal", _flattened(th, GaussRule(n, f.one(), (), [(0, 0, 1), (0, n, -1)]))))
+        for kind, word in perturbed:
+            assert _prove_by_translation(word, th) is None, (name, kind)
+            seen.add(kind)
+    assert seen == {"coset", "cross", "diagonal"}
