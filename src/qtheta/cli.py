@@ -11,7 +11,7 @@ Subcommands:
 
 Global flags: --cyclotomic-order M, --out FILE, --window R, --order N.
 Mathematical failures exit 1 with a JSON report on stdout; usage errors,
-malformed input and unknown names exit 2.
+malformed input, unreadable or unwritable files and unknown names exit 2.
 """
 
 from __future__ import annotations
@@ -146,6 +146,80 @@ def _emit(report, out_path):
     print(text)
 
 
+def _command_report(args, field: CycloField) -> dict:
+    """The report of the subcommand ``args`` names, before it is emitted."""
+    if args.command == "verify":
+        if args.identity in REGISTRY:
+            return verify_named(
+                args.identity,
+                field,
+                window=args.window,
+                order=args.order,
+            )
+        spec = _read_json(args.identity, _spec_from_json)
+        if args.window is not None:
+            spec.window = args.window
+        if args.order is not None:
+            spec.order = args.order
+        return verify_equation(spec)
+
+    if args.command == "theta":
+        L = _load_multiplier(args.multiplier, field)
+        tb = theta_dim_basis(L, window=args.window, order=args.order)
+        return {
+            "schema": 1,
+            "dim": tb.dim,
+            "index": None if L.index() == INFINITE else int(L.index()),
+            "ample": L.is_ample(),
+            "window": args.window,
+            "order": args.order,
+            "cosets": [list(r) for r in tb.coset_reps],
+            "inconsistent": [
+                {"coset": list(rep), "reason": reason} for rep, reason in tb.inconsistent
+            ],
+            "basis": [s.window_dump(args.window, args.order) for s in tb.basis],
+        }
+
+    if args.command == "compose":
+        L2 = _load_multiplier(args.m2, field)
+        L1 = _load_multiplier(args.m1, field)
+        composed = compose_multipliers(L2, L1)
+        report = multiplier_to_json(composed)
+        report["ample"] = composed.is_ample()
+        return report
+
+    if args.command == "small-group":
+        L = _load_multiplier(args.multiplier, field)
+        struct = group_structure(L)
+        duality = [
+            {"kappa": list(kidx), "coset": ci, "exponent": e}
+            for (kidx, ci), e in sorted(struct.duality.items())
+        ]
+        return {
+            "schema": 1,
+            "index": int(struct.quotient.index),
+            "kappa_orders": list(struct.kappa_orders),
+            "kappa_generators": [
+                [str(v.coeff) for v in g.values] for g in struct.kappa_generators
+            ],
+            "coset_reps": [list(r) for r in struct.quotient.coset_reps],
+            "torsion_order": struct.torsion_order,
+            "duality": duality,
+        }
+
+    if args.command == "act":
+        L = _load_multiplier(args.multiplier, field)
+        elem = _read_json(args.element, JsonReader(L.param).smallelem)
+        tb = theta_dim_basis(L, window=args.window, order=args.order)
+        matrix = act_on_theta(L, elem, tb, window=args.window, order=args.order)
+        return {
+            "schema": 1,
+            "dim": tb.dim,
+            "cosets": [list(r) for r in tb.coset_reps],
+            "matrix": [[series_to_json(x) for x in row] for row in matrix],
+        }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qtheta", description=__doc__)
     parser.add_argument("--cyclotomic-order", type=int, default=1, metavar="M")
@@ -183,101 +257,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command == "verify":
-            if args.identity in REGISTRY:
-                report = verify_named(
-                    args.identity,
-                    field,
-                    window=args.window,
-                    order=args.order,
-                )
-            else:
-                spec = _read_json(args.identity, _spec_from_json)
-                if args.window is not None:
-                    spec.window = args.window
-                if args.order is not None:
-                    spec.order = args.order
-                report = verify_equation(spec)
-            _emit(report, args.out)
-            return 0 if report["status"] == "pass" else 1
-
-        if args.command == "theta":
-            L = _load_multiplier(args.multiplier, field)
-            tb = theta_dim_basis(L, window=args.window, order=args.order)
+        try:
+            report = _command_report(args, field)
+        except QThetaError as exc:
             report = {
-                "schema": 1,
-                "dim": tb.dim,
-                "index": None if L.index() == INFINITE else int(L.index()),
-                "ample": L.is_ample(),
-                "window": args.window,
-                "order": args.order,
-                "cosets": [list(r) for r in tb.coset_reps],
-                "inconsistent": [
-                    {"coset": list(rep), "reason": reason} for rep, reason in tb.inconsistent
-                ],
-                "basis": [s.window_dump(args.window, args.order) for s in tb.basis],
-            }
-            _emit(report, args.out)
-            return 0
-
-        if args.command == "compose":
-            L2 = _load_multiplier(args.m2, field)
-            L1 = _load_multiplier(args.m1, field)
-            composed = compose_multipliers(L2, L1)
-            report = multiplier_to_json(composed)
-            report["ample"] = composed.is_ample()
-            _emit(report, args.out)
-            return 0
-
-        if args.command == "small-group":
-            L = _load_multiplier(args.multiplier, field)
-            struct = group_structure(L)
-            duality = [
-                {"kappa": list(kidx), "coset": ci, "exponent": e}
-                for (kidx, ci), e in sorted(struct.duality.items())
-            ]
-            report = {
-                "schema": 1,
-                "index": int(struct.quotient.index),
-                "kappa_orders": list(struct.kappa_orders),
-                "kappa_generators": [
-                    [str(v.coeff) for v in g.values] for g in struct.kappa_generators
-                ],
-                "coset_reps": [list(r) for r in struct.quotient.coset_reps],
-                "torsion_order": struct.torsion_order,
-                "duality": duality,
-            }
-            _emit(report, args.out)
-            return 0
-
-        if args.command == "act":
-            L = _load_multiplier(args.multiplier, field)
-            elem = _read_json(args.element, JsonReader(L.param).smallelem)
-            tb = theta_dim_basis(L, window=args.window, order=args.order)
-            matrix = act_on_theta(L, elem, tb, window=args.window, order=args.order)
-            report = {
-                "schema": 1,
-                "dim": tb.dim,
-                "cosets": [list(r) for r in tb.coset_reps],
-                "matrix": [[series_to_json(x) for x in row] for row in matrix],
-            }
-            _emit(report, args.out)
-            return 0
-    except QThetaError as exc:
-        _emit(
-            {
                 "schema": 1,
                 "status": "fail",
                 "error": type(exc).__name__,
                 "message": str(exc),
-            },
-            args.out,
-        )
-        return 1
-    except (FileNotFoundError, InputError) as exc:
+            }
+        _emit(report, args.out)
+    except (OSError, InputError) as exc:
+        # a missing file, or a directory where a file belongs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return 1 if report.get("status") == "fail" else 0
 
 
 if __name__ == "__main__":

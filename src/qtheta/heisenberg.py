@@ -119,10 +119,6 @@ class HeisElement:
         return cls(p, c, x, vec_sub(raw.g, raw.h))
 
     @classmethod
-    def left(cls, param, c: UnitMonomial, x: TorusPoint, h: Vec) -> "HeisElement":
-        return cls(param, c, x, h)
-
-    @classmethod
     def identity(cls, param: QuantParam, x: Optional[TorusPoint] = None) -> "HeisElement":
         return cls(
             param,

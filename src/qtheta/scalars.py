@@ -785,21 +785,19 @@ class ScalarSeries:
         return f"{body} + O(u^{int(self.trunc) + 1})"
 
 
-def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None, neg: bool = False):
-    """Adds ``x`` (a ScalarSeries or UnitMonomial), negated or times ``mono``
-    when asked, into ``acc``, a dict of exponent -> nonzero value, dropping
-    exponents above ``top``; returns the lower of ``trunc`` and x's trunc.
-    A negated value equal to the one held at its exponent deletes it before
-    ``-c`` or the sum is built: equal elements have equal normalised fields.
-    ``neg`` and ``mono`` are never passed together (``verify_equation`` sets
-    ``mono`` to None for a negated term): with both set, the exponents would
-    shift by ``mono.uexp`` but ``mono.coeff`` would be dropped.  A +-1
-    ``mono.coeff`` multiplies nothing: -1 adds as ``neg``."""
+def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None):
+    """Adds ``x`` (a ScalarSeries or UnitMonomial), times ``mono`` when given,
+    into ``acc``, a dict of exponent -> nonzero value, dropping exponents
+    above ``top``; returns the lower of ``trunc`` and x's trunc.  A +-1
+    ``mono.coeff`` multiplies nothing: -1 negates, and a negated value equal
+    to the one held at its exponent deletes it before ``-c`` or the sum is
+    built: equal elements have equal normalised fields."""
     unit = isinstance(x, UnitMonomial)
     items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
     k, scale = (0, None) if mono is None else (mono.uexp, mono.coeff)
+    neg = False
     if scale is not None and scale.den == 1 and scale.num[0] in (1, -1) and not any(scale.num[1:]):
-        neg, scale = neg or scale.num[0] < 0, None
+        neg, scale = scale.num[0] < 0, None
     for e, c in items:
         e += k
         if e > top:

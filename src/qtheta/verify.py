@@ -97,8 +97,7 @@ def verify_equation(spec: EquationSpec) -> dict:
                     raise NotMultipliable(
                         "formal-kind operand in a product identity"
                     )
-    terms = [(c, s, c.uexp == 0 and (-c.coeff).is_one()) for c, s in map(_term_series, spec.terms)]
-    terms = [(c, s, None if neg or c.is_one() else c, neg) for c, s, neg in terms]
+    terms = [(c, s, None if c.is_one() else c) for c, s in map(_term_series, spec.terms)]
     the_cells = sorted(spec.cells())
     order = spec.order
     checked = 0
@@ -113,13 +112,13 @@ def verify_equation(spec: EquationSpec) -> dict:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no terms to compare"}
         the_cells = []
     tables = []
-    for c, s, _mono, _neg in terms:
+    for c, s, _scale in terms:
         # one pass per term; a refusal is met again cell by cell
         try:
             tables.append(s._table(the_cells, order - c.uexp))
         except NotMultipliable:
             tables.append(None)
-    sides = len(terms) == 2 and terms[0][0].is_one() and terms[1][3] and None not in tables
+    sides = len(terms) == 2 and terms[0][0].is_one() and (-terms[1][0]).is_one() and None not in tables
     lhs, rhs = tables if sides else (None, None)
     for h in the_cells:
         checked += 1
@@ -127,10 +126,10 @@ def verify_equation(spec: EquationSpec) -> dict:
             continue
         acc: dict = {}
         trunc = order
-        for (c, s, mono, neg), table in zip(terms, tables):
+        for (c, s, scale), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
             value = s.coeff(h, order - c.uexp) if table is None else table[h]
-            trunc = add_into(acc, value, order, trunc, mono, neg)
+            trunc = add_into(acc, value, order, trunc, scale)
         if trunc < order:
             # a silent precision drop would weaken the pass claim
             first_mismatch = {
@@ -164,12 +163,12 @@ def _report(identity, window, order, checked, first_mismatch) -> dict:
 # identity registry
 
 
-def _one(field):
-    return UnitMonomial.one(field)
-
-
-def _minus_one(field):
-    return UnitMonomial(-field.one(), 0)
+def _two_sided(param, label, lhs, rhs, window, order, coeff=None, mode=PRODUCT) -> EquationSpec:
+    """The spec ``coeff * lhs - rhs``, ``coeff`` 1 when None; with 1,
+    ``verify_equation`` compares the two sides without summing them."""
+    one = UnitMonomial.one(param.field)
+    terms = [EquationTerm(one if coeff is None else coeff, lhs), EquationTerm(-one, rhs)]
+    return EquationSpec(param, terms, window, order, mode=mode, label=label)
 
 
 def _build_e012(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -185,17 +184,7 @@ def _build_e012(field: CycloField, window: int, order: int) -> list[EquationSpec
             (0,),
         )
         specs.append(
-            EquationSpec(
-                p,
-                [
-                    EquationTerm(_one(field), [gamma, theta]),
-                    EquationTerm(_minus_one(field), [theta]),
-                ],
-                window,
-                order,
-                mode=OPERATOR,
-                label=f"E012[m={m}]",
-            )
+            _two_sided(p, f"E012[m={m}]", [gamma, theta], [theta], window, order, mode=OPERATOR)
         )
     return specs
 
@@ -208,21 +197,10 @@ def _build_e016(field: CycloField, window: int, order: int) -> list[EquationSpec
     shifted = eq.shift_pullback(TorusPoint.from_q_exps(field, [2]))
     poly = TorusSeries.from_dict(
         p,
-        {(0,): _one(field), (1,): UnitMonomial.q_power(field, 1)},
+        {(0,): UnitMonomial.one(field), (1,): UnitMonomial.q_power(field, 1)},
         label="1+qt",
     )
-    return [
-        EquationSpec(
-            p,
-            [
-                EquationTerm(_one(field), [eq]),
-                EquationTerm(_minus_one(field), [poly, shifted]),
-            ],
-            window,
-            order,
-            label="E016",
-        )
-    ]
+    return [_two_sided(p, "E016", [eq], [poly, shifted], window, order)]
 
 
 def _build_e023(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -230,18 +208,7 @@ def _build_e023(field: CycloField, window: int, order: int) -> list[EquationSpec
     eu = eq_series(p, (1, 0), label="e_q(u)")
     ev = eq_series(p, (0, 1), label="e_q(v)")
     esum = eq_addition_series(p, (1, 0), (0, 1))
-    return [
-        EquationSpec(
-            p,
-            [
-                EquationTerm(_one(field), [eu, ev]),
-                EquationTerm(_minus_one(field), [esum]),
-            ],
-            window,
-            order,
-            label="E023",
-        )
-    ]
+    return [_two_sided(p, "E023", [eu, ev], [esum], window, order)]
 
 
 def _build_e024(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -250,36 +217,14 @@ def _build_e024(field: CycloField, window: int, order: int) -> list[EquationSpec
     ev = eq_series(p, (0, 1), label="e_q(v)")
     # qvu = q e(h2) e(h1) = e(h1 + h2)
     emid = eq_series(p, (1, 1), label="e_q(qvu)")
-    return [
-        EquationSpec(
-            p,
-            [
-                EquationTerm(_one(field), [ev, eu]),
-                EquationTerm(_minus_one(field), [eu, emid, ev]),
-            ],
-            window,
-            order,
-            label="E024",
-        )
-    ]
+    return [_two_sided(p, "E024", [ev, eu], [eu, emid, ev], window, order)]
 
 
 def _build_e025(field: CycloField, window: int, order: int) -> list[EquationSpec]:
     p = QuantParam.standard_tq(field)
     tu = theta_series(p, (1, 0), label="theta(u)")
     tv = theta_series(p, (0, 1), label="theta(v)")
-    return [
-        EquationSpec(
-            p,
-            [
-                EquationTerm(_one(field), [tu, tv, tu]),
-                EquationTerm(_minus_one(field), [tv, tu, tv]),
-            ],
-            window,
-            order,
-            label="E025",
-        )
-    ]
+    return [_two_sided(p, "E025", [tu, tv, tu], [tv, tu, tv], window, order)]
 
 
 def _build_e026(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -289,18 +234,7 @@ def _build_e026(field: CycloField, window: int, order: int) -> list[EquationSpec
     zzp = (0, 0, 1, 1)
     lhs = [r_series(p, u, z, "r(z,u)"), r_series(p, v, zzp, "r(zz',v)"), r_series(p, u, zp, "r(z',u)")]
     rhs = [r_series(p, v, zp, "r(z',v)"), r_series(p, u, zzp, "r(zz',u)"), r_series(p, v, z, "r(z,v)")]
-    return [
-        EquationSpec(
-            p,
-            [
-                EquationTerm(_one(field), lhs),
-                EquationTerm(_minus_one(field), rhs),
-            ],
-            window,
-            order,
-            label="E026",
-        )
-    ]
+    return [_two_sided(p, "E026", lhs, rhs, window, order)]
 
 
 def _build_e332(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -313,45 +247,21 @@ def _build_e332(field: CycloField, window: int, order: int) -> list[EquationSpec
     def e(h, coeff=None):
         return TorusSeries.exponent(p, h, coeff)
 
-    specs = []
-
-    def add(label, coeff, word, target):
-        specs.append(
-            EquationSpec(
-                p,
-                [
-                    EquationTerm(coeff, word),
-                    EquationTerm(_minus_one(field), target),
-                ],
-                window,
-                order,
-                label=label,
-            )
-        )
-
-    # q u v^-1 theta(u) v = theta(u)
-    add("E332[quv-1.th(u).v]", q1, [e((1, 0)), e((0, -1)), tu, e((0, 1))], [tu])
-    # u theta(u) u^-1 = theta(u)
-    add("E332[u.th(u).u-1]", _one(field), [e((1, 0)), tu, e((-1, 0))], [tu])
-    # q v u theta(v) u^-1 = theta(v)
-    add("E332[qvu.th(v).u-1]", q1, [e((0, 1)), e((1, 0)), tv, e((-1, 0))], [tv])
-    # v^-1 theta(v) v = theta(v)
-    add("E332[v-1.th(v).v]", _one(field), [e((0, -1)), tv, e((0, 1))], [tv])
-    # cross products: q u v^-1 theta(u) theta(v) v = theta(u) theta(v)
-    add(
-        "E332[quv-1.th(u)th(v).v]",
-        q1,
-        [e((1, 0)), e((0, -1)), tu, tv, e((0, 1))],
-        [tu, tv],
-    )
-    # q^-1 u theta(u) theta(v) v u^-1 = theta(u) theta(v)
-    add(
-        "E332[q-1u.th(u)th(v).vu-1]",
-        qm1,
-        [e((1, 0)), tu, tv, e((0, 1)), e((-1, 0))],
-        [tu, tv],
-    )
-    return specs
+    rows = [
+        # q u v^-1 theta(u) v = theta(u)
+        ("E332[quv-1.th(u).v]", q1, [e((1, 0)), e((0, -1)), tu, e((0, 1))], [tu]),
+        # u theta(u) u^-1 = theta(u)
+        ("E332[u.th(u).u-1]", None, [e((1, 0)), tu, e((-1, 0))], [tu]),
+        # q v u theta(v) u^-1 = theta(v)
+        ("E332[qvu.th(v).u-1]", q1, [e((0, 1)), e((1, 0)), tv, e((-1, 0))], [tv]),
+        # v^-1 theta(v) v = theta(v)
+        ("E332[v-1.th(v).v]", None, [e((0, -1)), tv, e((0, 1))], [tv]),
+        # cross products: q u v^-1 theta(u) theta(v) v = theta(u) theta(v)
+        ("E332[quv-1.th(u)th(v).v]", q1, [e((1, 0)), e((0, -1)), tu, tv, e((0, 1))], [tu, tv]),
+        # q^-1 u theta(u) theta(v) v u^-1 = theta(u) theta(v)
+        ("E332[q-1u.th(u)th(v).vu-1]", qm1, [e((1, 0)), tu, tv, e((0, 1)), e((-1, 0))], [tu, tv]),
+    ]
+    return [_two_sided(p, label, lhs, rhs, window, order, c) for label, c, lhs, rhs in rows]
 
 
 def _build_e313(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -380,17 +290,7 @@ def _build_e313(field: CycloField, window: int, order: int) -> list[EquationSpec
             (0, 0, 0, 0),
         )
         specs.append(
-            EquationSpec(
-                dbl,
-                [
-                    EquationTerm(_one(field), [gamma, theta_w]),
-                    EquationTerm(_minus_one(field), [theta_w]),
-                ],
-                window,
-                order,
-                mode=OPERATOR,
-                label=f"E313[k={k}]",
-            )
+            _two_sided(dbl, f"E313[k={k}]", [gamma, theta_w], [theta_w], window, order, mode=OPERATOR)
         )
     return specs
 

@@ -202,6 +202,25 @@ def test_bad_cyclotomic_order_exits_two(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "DIR"],
+        ["theta", "DIR"],
+        ["--out", "DIR", "verify", "E016"],
+        # the failure report of a mathematical error, written to a directory
+        ["--out", "DIR", "compose", "builtin:jacobi", "builtin:negated"],
+    ],
+    ids=["verify-input", "theta-input", "out", "out-of-a-failure"],
+)
+def test_a_directory_where_a_file_belongs_exits_two(args, tmp_path, capsys):
+    assert main([str(tmp_path) if a == "DIR" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+    assert str(tmp_path) in captured.err
+
+
 _HEIS = {  # c e(g) x^* e(h)^-1 on the rank-1 torus
     "type": "heis",
     "c": {"m": 1, "coeff": ["1"], "uexp": 2},

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from qtheta import named
+from qtheta import named, verify
 from qtheta.errors import EnumerationLimit, NotMultipliable, UnknownName
 from qtheta.named import (
     builtin_series,
@@ -394,6 +394,36 @@ def test_verify_equation_compares_the_filled_tables(monkeypatch):
         counting(name)
     assert verify_equation(spec)["status"] == "pass"
     assert calls == [("_rule_coeffs", len(cells))] * len(spec.terms)
+
+
+# the registry's specs are lhs - rhs, but for these four E332 ones, whose lhs
+# is scaled by q or q^-1: every other spec passes each cell by comparing its
+# two sides' tables and sums no terms
+SCALED_E332 = {
+    "E332[quv-1.th(u).v]",
+    "E332[qvu.th(v).u-1]",
+    "E332[quv-1.th(u)th(v).v]",
+    "E332[q-1u.th(u)th(v).vu-1]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_only_the_q_scaled_specs_sum_their_terms(name, monkeypatch):
+    calls = []
+    orig = verify.add_into
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(verify, "add_into", counting)
+    window, order = (1, 8) if name == "E313" else (2, 10)
+    for spec in identity_specs(name, window=window, order=order):
+        calls.clear()
+        rep = verify_equation(spec)
+        assert rep["status"] == "pass" and rep["cells_checked"] > 0
+        want = len(spec.terms) * rep["cells_checked"] if spec.label in SCALED_E332 else 0
+        assert len(calls) == want, spec.label
 
 
 def _two_sided(lhs, rhs, window, order, mirrored=False):

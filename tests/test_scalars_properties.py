@@ -219,9 +219,10 @@ def accumulator_and_addend(draw):
     st.integers(-5, 10) | st.just(INF),
 )
 def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
-    # add_into(acc, x, top, ..., neg=True) is acc + (-x) on exponents up to
-    # top, built by plain field arithmetic; neg=False is the control
+    # add_into(acc, x, top, ..., mono) with mono -1 is acc + (-x) on exponents
+    # up to top, built by plain field arithmetic; no mono is the control
     f, acc, terms = case
+    mono = UnitMonomial(-f.one(), 0) if neg else None
     x = ScalarSeries(f, terms, x_trunc)
     want = dict(acc)
     for e, c in x.terms.items():
@@ -230,11 +231,11 @@ def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
             if not total.is_zero():
                 want[e] = total
     got = dict(acc)
-    assert add_into(got, x, top, 5, neg=neg) == min(5, x_trunc)
+    assert add_into(got, x, top, 5, mono) == min(5, x_trunc)
     assert got == want
     got = dict(acc)
     for e, c in x.terms.items():
-        assert add_into(got, UnitMonomial(c, e), top, INF, neg=neg) == INF
+        assert add_into(got, UnitMonomial(c, e), top, INF, mono) == INF
     assert got == want
 
 
