@@ -115,8 +115,7 @@ class CycloField:
             # reduction needs only its nonzero lower coefficients, all integers.
             inst._phi_low = tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
             inst._zeros = (0,) * (inst.degree - 1)
-            inst._zero = None
-            inst._one = None
+            inst._zero = inst._one = inst._minus_one = None
             cls._instances[order] = inst
         return inst
 
@@ -157,6 +156,11 @@ class CycloField:
         if self._one is None:
             self._one = self.element([1])
         return self._one
+
+    def minus_one(self) -> "CycloRational":
+        if self._minus_one is None:
+            self._minus_one = self.element([-1])
+        return self._minus_one
 
     def from_rational(self, value: Rat) -> "CycloRational":
         if not isinstance(value, (int, Fraction)):
@@ -425,7 +429,7 @@ def cyclo_nth_root(a: CycloRational, n: int) -> Optional[CycloRational]:
                 return field.from_rational(scale)
             if n % 2:
                 return field.from_rational(-scale)
-            a = -field.one()  # scale times an n-th root of -1
+            a = field.minus_one()  # scale times an n-th root of -1
     # scan the torsion subgroup: a == z^j  =>  root z^s with n*s == j mod big
     big = field.torsion_order
     z = field.root_of_unity(big)
@@ -463,7 +467,7 @@ class UnitMonomial:
 
     @classmethod
     def q_power(cls, field: CycloField, k: int, sign: int = 1) -> "UnitMonomial":
-        c = field.one() if sign >= 0 else -field.one()
+        c = field.one() if sign >= 0 else field.minus_one()
         return cls(c, 2 * k)
 
     @property
@@ -535,7 +539,9 @@ class ScalarSeries:
 
     ``terms`` maps exponent -> nonzero coefficient, all exponents <= trunc;
     exponents above ``trunc`` are unknown.  ``trunc`` may be ``math.inf`` for
-    exactly-known (finitely supported) series.
+    exactly-known (finitely supported) series.  A series is immutable:
+    ``terms`` is never written in place, so one series may be the value of
+    many cells of a coefficient table.
     """
 
     __slots__ = ("field", "terms", "trunc")

@@ -246,15 +246,17 @@ class GaussRule:
     count half steps: y(y-1)/2 is the form y^2 - y, so a half-integer
     coefficient (an odd valuation diagonal, say) needs no other kind.  s is
     kept mod 4, as only its parity matters.  The bases b_k carry the
-    coefficients other than +-1.
+    coefficients other than +-1.  A +-1 constant is held as the field's own
+    one or minus one, so a rule without bases has those very objects as values.
     """
 
     __slots__ = ("n", "const", "signed", "uform", "sform", "chars")
 
     def __init__(self, n: int, const, uform=(), sform=(), chars=()):
         self.n = n
-        self.const = const
-        self.signed = (const, -const)
+        one, minus = const.field.one(), const.field.minus_one()
+        self.signed = (one, minus) if const == one else (minus, one) if const == minus else (const, -const)
+        self.const = self.signed[0]
         self.uform = _form(uform)
         self.sform = _form(sform, 4)
         self.chars = tuple((b, _form(l)) for b, l in chars)
@@ -465,7 +467,8 @@ class TorusSeries:
         (:meth:`_rule_coeffs`), else each finite combo at all of them
         (:meth:`_combo_coeffs`).  Over a kernel, a cell that pass left out
         (it was refused, or the order is INF), or a lone missing cell, is
-        enumerated on its own (:meth:`_kernel_coeff`)."""
+        enumerated on its own (:meth:`_kernel_coeff`).  Cells of equal
+        value may hold one shared series, whose ``terms`` no reader writes."""
         table = self._cache.setdefault(order, {})
         todo = {h: h for h in cells if h not in table}
         if todo:
@@ -484,13 +487,21 @@ class TorusSeries:
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
-        rule is evaluated at every cell in one call, its first seeds a sum."""
+        rule is evaluated at every cell in one call, its first seeds a sum.
+        A single rule's cells of equal value share one series: one per
+        distinct (c, e), with one empty series for every e above the order."""
         first, *others = [rule.values(cells) for rule in rules]
+        field = self.param.field
+        if not others:
+            empty = ScalarSeries._clean(field, {}, order)
+            shared = {(c, e): empty if e > order else ScalarSeries._clean(field, {e: c}, order)
+                      for c, e in set(first)}
+            return {h: shared[v] for h, v in zip(cells, first)}
         accs = [{e: c} if e <= order else {} for c, e in first]
         for vals in others:
             for acc, (c, e) in zip(accs, vals):
                 add_into(acc, UnitMonomial(c, e), order, order)
-        return {h: ScalarSeries._clean(self.param.field, a, order) for h, a in zip(cells, accs)}
+        return {h: ScalarSeries._clean(field, a, order) for h, a in zip(cells, accs)}
 
     def _combo_coeffs(self, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` (each mapped to itself): each

@@ -1,6 +1,7 @@
 """Named series registry and the identity verifier."""
 
 import collections
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -479,10 +480,11 @@ DIGEST_CASES = sorted({tuple(k.split("/")[:2]) for k in TERM_DIGESTS})
 E313_DIGESTS = json.loads((DATA / "e313_window2_digests.json").read_text())
 
 
-def _term_digests(name, m, window=None):
+def _term_digests(name, m, window=None, specs=None):
+    """The term-table digests of ``specs``, by default fresh registry specs."""
     got = {}
     field = CycloField(int(m.removeprefix("m=")))
-    for spec in identity_specs(name, field, window):
+    for spec in specs or identity_specs(name, field, window):
         cells = sorted(spec.cells())
         for ti, term in enumerate(spec.terms):
             c, s = _term_series(term)
@@ -503,3 +505,34 @@ def test_e313_term_tables_match_recorded_digests(m):
     want = {k: v for k, v in E313_DIGESTS.items() if k.startswith(f"E313/{m}/")}
     assert len(want) == 20
     assert _term_digests("E313", m, window=2) == want
+
+
+def _one_series_per_term(spec):
+    """``spec`` with each term's word replaced by its series, built once."""
+    terms = [EquationTerm(c, [s]) for c, s in map(_term_series, spec.terms)]
+    return dataclasses.replace(spec, terms=terms)
+
+
+@pytest.mark.parametrize("m", ["m=1", "m=5"])
+def test_the_summed_loop_never_writes_a_shared_cell_value(m, monkeypatch):
+    # verify sums the terms of the q-scaled E332 specs, and of each E313 spec
+    # with its first term times u, read from the tables of the very series
+    # whose digests are then taken: their shared values stay as recorded
+    calls = []
+    orig = verify.add_into
+    monkeypatch.setattr(verify, "add_into", lambda *args: calls.append(args) or orig(*args))
+    field = CycloField(int(m.removeprefix("m=")))
+    u = UnitMonomial(field.one(), 1)
+    for name, window, recorded in (("E332", None, TERM_DIGESTS), ("E313", 2, E313_DIGESTS)):
+        specs = [_one_series_per_term(spec) for spec in identity_specs(name, field, window)]
+        for spec in specs:
+            calls.clear()
+            assert verify_equation(spec)["status"] == "pass"
+            if name == "E313":
+                first, rhs = spec.terms
+                times_u = [EquationTerm(first.coefficient * u, first.word), rhs]
+                assert verify_equation(dataclasses.replace(spec, terms=times_u))["status"] == "fail"
+            assert bool(calls) == (name == "E313" or spec.label in SCALED_E332)
+        want = {k: v for k, v in recorded.items() if k.startswith(f"{name}/{m}/")}
+        assert len(want) == 2 * len(specs)
+        assert _term_digests(name, m, specs=specs) == want

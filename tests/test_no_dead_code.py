@@ -4,8 +4,9 @@ referenced somewhere in the engine outside its own definition.
 A reference is a name read (``_helper(...)``) or an attribute read
 (``self._helper``) in any module of the package; a private name that only
 the tests read is dead engine code.  Every method of an engine class, private
-or public, is also read as an attribute in the engine, the tests or the
-benchmark outside its own body.  Dunder names are exempt."""
+or public, is also read as an attribute outside its own body: in the engine
+or the benchmark, or, for a listed few kept as test references, in the
+tests.  Dunder names are exempt."""
 
 import ast
 import collections
@@ -65,13 +66,36 @@ def _methods(tree):
                     yield cls, node
 
 
-def test_every_engine_method_is_read_as_an_attribute_somewhere():
-    # a method is read as ``obj.name`` in the engine, the tests or the
-    # benchmark, outside its own body; a call inside itself does not count
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
-    reads = sum((_attribute_reads(tree) for tree in trees.values()), collections.Counter())
-    methods = [(path.name, cls, node) for path in SOURCES for cls, node in _methods(trees[path])]
-    dead = [f"{name}:{node.lineno}: {cls.name}.{node.name}" for name, cls, node in methods
-            if reads[node.name] == _attribute_reads(node)[node.name]]
+def _unread_methods(readers):
+    """``class.method`` for every engine method that no file of ``readers``
+    reads as ``obj.name`` outside the method's own body."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in set(readers) | set(SOURCES)}
+    reads = sum((_attribute_reads(trees[path]) for path in readers), collections.Counter())
+    methods = [(cls, node) for path in SOURCES for cls, node in _methods(trees[path])]
     assert len(methods) > 100
-    assert dead == []
+    # a call inside the method itself does not count
+    return sorted(f"{cls.name}.{node.name}" for cls, node in methods
+                  if reads[node.name] == _attribute_reads(node)[node.name])
+
+
+def test_every_engine_method_is_read_as_an_attribute_somewhere():
+    # in the engine, the tests or the benchmark
+    assert _unread_methods(READERS) == []
+
+
+# Public methods that only the tests read, each kept as a reference the
+# tests check the engine against; any other method the engine and the
+# benchmark never read is dead.
+READ_BY_TESTS_ONLY = {
+    "HeisRaw.action_on_exponent": "the raw action on one e(k), the group-law and invariance oracle",
+    "HeisElement.groupoid_inverse": "the Heisenberg groupoid inverse, checked by g * g^-1 = identity",
+    "QuotientData.reduce": "the canonical coset representative, checked constant on each coset",
+    "Multiplier.c_l": "the multiplier's scalar at b, checked as a cocycle",
+    "QuadExpr.value": "a quadratic's value at one point, the enumeration tests' reference",
+    "ScalarSeries.truncate": "the truncated series, the acceptance tests' expected values",
+}
+
+
+def test_only_the_listed_methods_are_left_to_the_tests():
+    engine = SOURCES + sorted(ROOT.glob("perfbench/*.py"))
+    assert _unread_methods(engine) == sorted(READ_BY_TESTS_ONLY)

@@ -891,6 +891,8 @@ def test_cell_rules_match_the_solver_path(monkeypatch, m, order):
         got = word.coeffs(cells, order)
         assert got == want
         assert all(x.trunc == order for x in got.values())
+        if combos == 1:  # cells of equal value, such as those the order cuts, share one series
+            assert len({id(x) for x in got.values()}) == len(set(got.values()))
         assert any(not x.is_zero() for x in got.values())
         if order != INF:  # the order cuts some cells' terms
             assert any(x.is_zero() for x in got.values())
@@ -967,6 +969,41 @@ def test_rule_pass_matches_the_solver_path(monkeypatch, name, m, order):
             want = _solver_coeffs(monkeypatch, word, cells, order)
             assert word.coeffs(cells, order) == want
             assert all(x.trunc == order for x in want.values())
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_rule_pass_shares_one_series_per_distinct_cell_value(m):
+    # every E313 term at window 2, and the same word times (-1)^h0 (a shift
+    # by a point with a -1 entry): one pass of a fresh copy, against the
+    # combo's own rule at each cell's parameter, one GaussRule.at per cell
+    f = CycloField(m)
+    flip = TorusPoint((UnitMonomial(f.minus_one(), 0), *[UnitMonomial.one(f)] * 3))
+    signs_met = 0
+    for spec in identity_specs("E313", f, window=2):
+        cells = sorted(spec.cells())
+        for term in spec.terms:
+            c, word = _term_series(term)
+            order = spec.order - c.uexp
+            for w in (word, word.shift_pullback(flip)):
+                fresh = TorusSeries(w.param, w.factors)
+                table = fresh.coeffs(cells, order)
+                lay = fresh._layout()
+                (combo,) = itertools.product(*lay.items)
+                _chosen, base, (rule, rest), _form = fresh._combo_plan(combo)
+                assert len(fresh._cell_rules()) == 1 and not rest
+                monos = {h: rule.at(lay.solver.solve(vec_sub(h, base))) for h in cells}
+                assert all(x.uexp <= order for x in monos.values())
+                assert table == {h: ScalarSeries(f, {x.uexp: x.coeff}, order) for h, x in monos.items()}
+                assert len({id(x) for x in table.values()}) == len(set(monos.values()))
+                by_uexp = {}
+                for h, x in monos.items():
+                    by_uexp.setdefault(x.uexp, {})[x.coeff] = h
+                for hs in by_uexp.values():
+                    if len(hs) > 1:  # the same u-exponent with both signs
+                        assert set(hs) == {f.one(), f.minus_one()}
+                        assert len({id(table[h]) for h in hs.values()}) == 2
+                        signs_met += 1
+    assert signs_met > 0
 
 
 @pytest.mark.parametrize("m", [1, 5])
