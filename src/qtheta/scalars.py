@@ -7,7 +7,8 @@ a cyclotomic-rational field Q(zeta_m).  Three layers:
 * :class:`CycloRational` -- an element of Q[x]/Phi_m(x), stored as a vector
   of integer numerators over one positive integer denominator (the layout of
   FLINT's ``nf_elem``), always reduced mod the m-th cyclotomic polynomial and
-  normalised so that the numerators and the denominator share no factor.
+  normalised so that the numerators and the denominator share no factor.  Its
+  arithmetic, the inverse included (conjugates over the norm), is integer-only.
 * :class:`UnitMonomial` -- a nonzero scalar times a power of ``u``; the group
   where pairing values, point values and automorphy constants live.
 * :class:`ScalarSeries` -- a finite map exponent -> coefficient together
@@ -30,47 +31,6 @@ INF = math.inf
 Rat = Union[int, Fraction]
 
 
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (dense tuples, constant term first)
-
-
-def _poly_trim(c: list) -> tuple:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_exact(num, den):
-    """Quotient/remainder in Q[x]; ``num``, ``den`` have Fraction coeffs."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    while len(num) >= len(den) and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        coef = num[-1] / dlead
-        q[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        num.pop()
-    return _poly_trim(q), _poly_trim(num)
-
-
 _CYCLO_CACHE: dict[int, tuple] = {}
 
 
@@ -80,14 +40,21 @@ def cyclotomic_polynomial(m: int) -> tuple:
         return _CYCLO_CACHE[m]
     if m < 1:
         raise ValueError("cyclotomic order must be positive")
-    # x^m - 1 divided by Phi_d for all proper divisors d | m.
-    num = tuple(Fraction(c) for c in ([-1] + [0] * (m - 1) + [1]))
+    # x^m - 1 divided by the monic Phi_d of each proper divisor d | m, by
+    # integer long division from the top power down
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            phi_d = tuple(Fraction(c) for c in cyclotomic_polynomial(d))
-            num, rem = _poly_divmod_exact(num, phi_d)
-            assert not rem, "cyclotomic division must be exact"
-    result = tuple(int(c) for c in num)
+            phi_d = cyclotomic_polynomial(d)
+            k = len(phi_d) - 1
+            quo = [0] * (len(num) - k)
+            for s in range(len(quo) - 1, -1, -1):
+                c = quo[s] = num[s + k]
+                for i, p in enumerate(phi_d):
+                    num[s + i] -= c * p
+            assert not any(num), "cyclotomic division must be exact"
+            num = quo
+    result = tuple(num)
     _CYCLO_CACHE[m] = result
     return result
 
@@ -110,7 +77,6 @@ class CycloField:
             inst.order = order
             phi = cyclotomic_polynomial(order)
             inst.degree = len(phi) - 1
-            inst._phi = phi
             # Phi_m is monic, so zeta^deg = -(phi_0 + phi_1 zeta + ...): the
             # reduction needs only its nonzero lower coefficients, all integers.
             inst._phi_low = tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
@@ -304,34 +270,28 @@ class CycloRational:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloRational":
-        """Extended Euclid in Q[x] modulo Phi_m."""
+        """``den * adj / N``: adj is the product of the other Galois conjugates
+        num(zeta^k), gcd(k, m) = 1, and N = num * adj is the norm of num, a
+        nonzero integer."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        field = self.field
         if self.is_rational():
             n0 = self.num[0]
-            return CycloRational(
-                self.field, (self.den if n0 > 0 else -self.den,) + self.field._zeros, abs(n0)
-            )
-        phi = tuple(Fraction(c) for c in self.field._phi)
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = _poly_divmod_exact(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            ln = max(len(s0), len(qs1))
-            s = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - (qs1[i] if i < len(qs1) else Fraction(0))
-                    for i in range(ln)
-                ]
-            )
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r0 = gcd (a nonzero constant since Phi_m is irreducible over Q)
-        if len(r0) != 1:
-            raise DivisionByZero("element not invertible mod Phi_m")
-        inv_const = 1 / r0[0]
-        return self.field.element([c * inv_const for c in s0])
+            return CycloRational(field, (self.den if n0 > 0 else -self.den,) + field._zeros, abs(n0))
+        m = field.order
+        num = CycloRational(field, self.num, 1)
+        adj = field.one()
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conj = [0] * m  # num(x^k), its exponents taken mod m
+                for i, c in enumerate(self.num):
+                    conj[i * k % m] += c
+                adj = adj * CycloRational(field, field._reduce(conj), 1)
+        norm = (num * adj).num[0]
+        if norm < 0:
+            norm, adj = -norm, -adj
+        return _normalised(field, tuple(self.den * c for c in adj.num), norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -370,10 +330,14 @@ class CycloRational:
         return NotImplemented
 
     def __hash__(self):
-        # the hash of the Fraction coefficient tuple (an int hashes like the
-        # equal Fraction), so it does not depend on the stored form
+        # a rational element hashes as the int or Fraction it equals; any
+        # other by its normalised form, which is canonical
         if self._hash is None:
-            self._hash = hash((self.field.order, self.num if self.den == 1 else self.coeffs))
+            if self.is_rational():
+                n0, den = self.num[0], self.den
+                self._hash = hash(n0 if den == 1 else Fraction(n0, den))
+            else:
+                self._hash = hash((self.field.order, self.num, self.den))
         return self._hash
 
     def __repr__(self):

@@ -7,7 +7,8 @@ normalizing the image are cut out by one monomial equation per generator:
 
 Modulo scalars the normalizer is an extension of H/h-(B) by the finite dual
 group K of torus points killed on h-(B); the evaluation pairing between the
-two is a perfect duality valued in roots of unity.  This module computes the
+two is a perfect duality valued in roots of unity, read off the Smith form
+U h- V = D that K and the cosets share.  This module computes the
 structure, solves the lifting equations, splits theta spaces into character
 lines, computes action matrices on canonical bases, and implements the
 doubling-morphism pullback of pairs of thetas.
@@ -30,7 +31,7 @@ from .errors import (
     ParamMismatch,
 )
 from .heisenberg import HeisRaw, heis_act, heis_mul, mumford_morphism
-from .intlinalg import INFINITE, QuotientData, Vec, smith, zero_vec
+from .intlinalg import INFINITE, QuotientData, Vec, mat_vec, smith, zero_vec
 from .multiplier import Multiplier, ThetaBasis, boxtimes, boxtimes_series, pullback, theta_membership
 from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
 from .series import TorusSeries
@@ -164,42 +165,30 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
 
 
 def group_structure(L: Multiplier) -> SmallHeisStructure:
-    """Kernel group, coset quotient and the evaluation duality table."""
+    """Kernel group, coset quotient and the evaluation duality table.
+
+    Both groups are read off U h- V = D: kernel generator i (d_i > 1) takes
+    the value zeta_{d_i}^{(U h)_i} at h, and U maps the coset reps onto the
+    box 0 <= (U rep)_i < d_i, so kernel element k pairs with a coset rep to
+    zeta_M^(sum_i k_i (M / d_i) (U rep)_i), a perfect duality.
+    """
     _check_injective_image(L)
     quot = L.quotient()
     if quot.index == INFINITE:
         raise InfiniteIndex("small Heisenberg structure needs a finite index")
     gens, orders = kernel_group(L)
-    field = L.param.field
-    M = field.torsion_order
-    zeta = field.root_of_unity(M)
-    # discrete-log table of the torsion subgroup
-    logs = {}
-    acc = field.one()
-    for e in range(M):
-        logs[acc] = e
-        acc = acc * zeta
-    duality = {}
-    struct = SmallHeisStructure(L, gens, orders, quot, duality, M)
-    for kidx, kappa in struct.kappa_elements():
-        for ci, rep in enumerate(quot.coset_reps):
-            val = kappa.eval(rep)
-            if val.uexp != 0 or val.coeff not in logs:
-                raise MissingRootsOfUnity(M, "duality value is not a torsion unit")
-            duality[(kidx, ci)] = logs[val.coeff]
-    # nondegeneracy check
-    size = quot.index
-    for kidx, _ in struct.kappa_elements():
-        if any(kidx) and all(
-            duality[(kidx, ci)] == 0 for ci in range(size)
-        ):
-            raise NonInjectiveImage("duality pairing degenerate on the kernel side")
-    for ci in range(size):
-        if ci and all(
-            duality[(kidx, ci)] == 0 for kidx, _ in struct.kappa_elements()
-        ):
-            raise NonInjectiveImage("duality pairing degenerate on the coset side")
-    return struct
+    M = L.param.field.torsion_order
+    s = smith(L.h_minus_matrix, L.rank)
+    rows = [row for row, d in zip(s.u, s.divisors) if d > 1]
+    weights = [
+        [(M // d) * x for x, d in zip(mat_vec(rows, rep), orders)] for rep in quot.coset_reps
+    ]
+    duality = {
+        (kidx, ci): sum(k * x for k, x in zip(kidx, w)) % M
+        for kidx in itertools.product(*(range(o) for o in orders))
+        for ci, w in enumerate(weights)
+    }
+    return SmallHeisStructure(L, gens, orders, quot, duality, M)
 
 
 def character_split(L: Multiplier, basis: ThetaBasis) -> dict:
@@ -211,17 +200,12 @@ def character_split(L: Multiplier, basis: ThetaBasis) -> dict:
     if basis.dim < index:
         raise DimensionDeficit(f"dim {basis.dim} < index {index}: no full split")
     struct = group_structure(L)
-    out = {}
-    for rep in basis.coset_reps:
-        ci = struct.quotient.project(rep)
-        exps = []
-        for gen_i in range(len(struct.kappa_generators)):
-            kidx = tuple(
-                1 if t == gen_i else 0 for t in range(len(struct.kappa_generators))
-            )
-            exps.append(struct.duality[(kidx, ci)])
-        out[rep] = tuple(exps)
-    return out
+    r = len(struct.kappa_orders)
+    units = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    return {
+        rep: tuple(struct.duality[(k, struct.quotient.project(rep))] for k in units)
+        for rep in basis.coset_reps
+    }
 
 
 def act_on_theta(

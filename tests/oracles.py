@@ -68,6 +68,25 @@ def invariance_oracle(L, window, order):
     return solutions
 
 
+def evaluation_duality(struct):
+    """The small Heisenberg duality table by evaluation: each kernel element
+    at each coset rep, as a power of root_of_unity(M) read off a
+    discrete-log table of the torsion units."""
+    field = struct.multiplier.param.field
+    M = struct.torsion_order
+    zeta, acc, logs = field.root_of_unity(M), field.one(), {}
+    for e in range(M):
+        logs[acc] = e
+        acc = acc * zeta
+    table = {}
+    for kidx, kappa in struct.kappa_elements():
+        for ci, rep in enumerate(struct.quotient.coset_reps):
+            val = kappa.eval(rep)
+            assert val.uexp == 0 and val.coeff in logs, "duality value is not a torsion unit"
+            table[(kidx, ci)] = logs[val.coeff]
+    return table
+
+
 def random_unimodular(rng, n):
     m = [list(r) for r in identity(n)]
     for _ in range(6):

@@ -280,6 +280,23 @@ def test_compose_jacobi():
     assert comp.is_ample()
 
 
+def test_composed_sqrt_pairing_squares_to_the_pairing():
+    comp = compose(jacobi_multiplier(), jacobi_multiplier())
+    u4 = UnitMonomial(F.one(), 4)
+    assert comp.sqrt_pairing == ((u4,),)
+    assert comp.sqrt_pairing[0][0] ** 2 == comp.pairing_on_basis(0, 0) == u4**2
+
+
+def test_boxtimes_sqrt_pairing_is_block_diagonal():
+    L = jacobi_multiplier()
+    box = boxtimes(L, power(L, 2))
+    one = UnitMonomial.one(F)
+    assert box.sqrt_pairing == ((q_mono(1), one), (one, q_mono(2)))
+    for i in range(2):
+        for j in range(2):
+            assert box.sqrt_pairing[i][j] ** 2 == box.pairing_on_basis(i, j)
+
+
 def test_compose_boundary_mismatch():
     L = jacobi_multiplier()
     img = HeisElement(P1, q_mono(1), TorusPoint.from_q_exps(F, [4]), (1,))

@@ -1,10 +1,14 @@
 """Base field arithmetic: cyclotomic rationals and truncated Laurent series."""
 
+import ast
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from qtheta import scalars
 from qtheta.errors import DivisionByZero, NotInvertible, PrecisionShortfall
 from qtheta.scalars import (
     INF,
@@ -29,6 +33,30 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+# The field's arithmetic runs on integer numerators and one denominator;
+# Fractions enter and leave only through the input and output helpers
+# (element, from_rational, coeffs, as_rational, _coerce, __hash__, JSON).
+INTEGER_ONLY = {
+    scalars: ("cyclotomic_polynomial", "_normalised"),
+    scalars.CycloField: ("_reduce",),
+    scalars.CycloRational: ("__add__", "__mul__", "__neg__", "__pow__", "inverse"),
+}
+
+
+def test_field_arithmetic_reads_no_fraction():
+    # no Fraction name, and none of the Fraction-valued views of an element
+    found = []
+    for owner, names in INTEGER_ONLY.items():
+        for name in names:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(owner, name))))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Name) and node.id == "Fraction") or (
+                    isinstance(node, ast.Attribute) and node.attr in ("Fraction", "coeffs", "as_rational")
+                ):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_cyclo_add_m2():
     f = CycloField(2)
     half = f.from_rational(Fraction(1, 2))
@@ -41,7 +69,7 @@ def test_cyclo_mul_m4_zeta_squared():
     assert z * z == -f.one()
 
 
-def test_cyclo_inv_m3_extended_euclid():
+def test_cyclo_inv_m3():
     # (1+z)(-z) = -z - z^2 = 1 mod Phi_3
     f = CycloField(3)
     z = f.zeta()

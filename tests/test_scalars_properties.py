@@ -22,7 +22,7 @@ from qtheta.scalars import (
     series_to_json,
 )
 
-ORDERS = (1, 3, 4, 5, 12)
+ORDERS = (1, 3, 4, 5, 7, 9, 12, 15)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -116,6 +116,12 @@ def test_equality_and_hash_agree_across_constructions(data, r):
         check_normalised(x)
         assert x == same[0] and hash(x) == hash(same[0])
         assert x == r and x.as_rational() == r
+    # a rational element, its Fraction and (when whole) its int find each
+    # other in sets and dicts
+    values = [same[0], r] + ([r.numerator] if r.denominator == 1 else [])
+    for x in values:
+        for y in values:
+            assert x in {y} and {y: "v"}[x] == "v"
     a, b = f.element(va), f.element(vb)
     # a polynomial and its remainder mod Phi_m are one element
     phi = cyclotomic_polynomial(m)
@@ -125,6 +131,21 @@ def test_equality_and_hash_agree_across_constructions(data, r):
     for x in (f.element(padded), (a + b) - b, -(-a), a * f.one()):
         assert x == a and hash(x) == hash(a)
     assert (a == b) == (a.coeffs == b.coeffs)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    # x^m - 1 is the product of Phi_d over the divisors d of m
+    for m in range(1, 41):
+        prod = (1,)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, x in enumerate(prod):
+                    for j, y in enumerate(phi):
+                        out[i + j] += x * y
+                prod = tuple(out)
+        assert prod == (-1,) + (0,) * (m - 1) + (1,)
 
 
 @SETTINGS

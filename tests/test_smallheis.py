@@ -11,7 +11,13 @@ from qtheta.errors import (
     MissingRootsOfUnity,
     NotInNormalizer,
 )
-from oracles import ACCEPTED_PAIR, ample_multiplier, random_ample_pair
+from oracles import (
+    ACCEPTED_PAIR,
+    ample_multiplier,
+    evaluation_duality,
+    random_ample_pair,
+    random_unimodular,
+)
 
 from qtheta import intlinalg, multiplier
 from qtheta.heisenberg import HeisElement, heis_act, heis_mul
@@ -131,6 +137,62 @@ def test_kernel_size_matches_index_random():
         assert size == L.index()
 
 
+def zeta3_index3():
+    f3 = CycloField(3)
+    p3 = QuantParam.trivial(f3, 1)
+    img = HeisElement(p3, UnitMonomial.q_power(f3, 9), TorusPoint.from_q_exps(f3, [6]), (3,))
+    return multiplier_new(p3, [img])
+
+
+def random_index_multiplier(rng, field):
+    """A rank-2 multiplier over the trivial pairing with h- = A diag(d1, d2) B
+    for random unimodular A, B and d1 | d2 | torsion_order, d2 > 1, and
+    x_l = T h- for a positive definite T, so the pairing h-^T T h- is symmetric."""
+    M = field.torsion_order
+    d2 = rng.choice([d for d in range(2, M + 1) if M % d == 0])
+    d1 = rng.choice([d for d in range(1, d2 + 1) if d2 % d == 0])
+    h = intlinalg.mat_mul(
+        intlinalg.mat_mul(random_unimodular(rng, 2), ((d1, 0), (0, d2))), random_unimodular(rng, 2)
+    )
+    x = intlinalg.mat_mul(((2, 1), (1, 2)), h)
+    s = intlinalg.mat_mul(intlinalg.transpose(h), x)
+    p = QuantParam.trivial(field, 2)
+    images = [
+        HeisElement(
+            p,
+            UnitMonomial(field.one(), s[i][i]),
+            TorusPoint(tuple(UnitMonomial(field.one(), x[k][i]) for k in range(2))),
+            (h[0][i], h[1][i]),
+        )
+        for i in range(2)
+    ]
+    return multiplier_new(p, images)
+
+
+def test_duality_matches_the_evaluation_pairing():
+    # the table read off the Smith form equals each kernel element evaluated
+    # at each coset rep, and the pairing is nondegenerate on both sides
+    rng = random.Random(7)
+    cases = [level2(), zeta3_index3()]
+    cases += [random_index_multiplier(rng, CycloField(m)) for m in (4, 12) for _ in range(5)]
+    seen = set()
+    for L in cases:
+        struct = group_structure(L)
+        index = struct.quotient.index
+        assert index > 1
+        seen.add(struct.kappa_orders)
+        table = evaluation_duality(struct)
+        assert list(struct.duality.items()) == list(table.items())
+        kernel = [kidx for kidx, _ in struct.kappa_elements()]
+        assert len(kernel) == index
+        for kidx in kernel[1:]:
+            assert any(table[(kidx, ci)] for ci in range(index))
+        for ci in range(1, index):
+            assert any(table[(kidx, ci)] for kidx in kernel)
+    # the cases reach cyclic and non-cyclic kernels, of orders 2 to 6
+    assert {(2,), (3,), (2, 2)} <= seen and any(max(o) > 4 for o in seen)
+
+
 def test_gamma_lift():
     L2 = level2()
     # gamma = 0: lifts = the kernel group itself
@@ -152,12 +214,7 @@ def test_missing_roots_reported():
     L3 = multiplier_new(P1, [img])
     with pytest.raises(MissingRootsOfUnity):
         group_structure(L3)
-    f3 = CycloField(3)
-    p3 = QuantParam.trivial(f3, 1)
-    img3 = HeisElement(
-        p3, UnitMonomial.q_power(f3, 9), TorusPoint.from_q_exps(f3, [6]), (3,)
-    )
-    struct = group_structure(multiplier_new(p3, [img3]))
+    struct = group_structure(zeta3_index3())
     assert struct.quotient.index == 3
     assert struct.kappa_orders == (3,)
 
