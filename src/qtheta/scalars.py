@@ -324,7 +324,10 @@ class CycloRational:
 
     def __eq__(self, other):
         if isinstance(other, CycloRational):
-            return self.field is other.field and self.num == other.num and self.den == other.den
+            if self.field is other.field:
+                return self.num == other.num and self.den == other.den
+            # across fields only rationals meet, by value, as each equals its int or Fraction
+            return other.is_rational() and self == other.as_rational()
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
@@ -639,10 +642,12 @@ class ScalarSeries:
                         out[e] = s
         return ScalarSeries._clean(self.field, out, trunc)
 
-    def scale(self, mono: UnitMonomial) -> "ScalarSeries":
+    def scale(self, mono: UnitMonomial, cap=INF) -> "ScalarSeries":
+        """``(mono * self).truncate(cap)``."""
         k, m = mono.uexp, mono.coeff
+        top = min(self.trunc + k, cap)
         return ScalarSeries._clean(
-            self.field, {e + k: c * m for e, c in self.terms.items()}, self.trunc + k
+            self.field, {e + k: c * m for e, c in self.terms.items() if e + k <= top}, top
         )
 
     def shift(self, k: int) -> "ScalarSeries":

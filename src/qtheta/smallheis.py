@@ -30,11 +30,11 @@ from .errors import (
     NotSymmetric,
     ParamMismatch,
 )
-from .heisenberg import HeisRaw, heis_act, heis_mul, mumford_morphism
-from .intlinalg import INFINITE, QuotientData, Vec, mat_vec, smith, zero_vec
+from .heisenberg import HeisRaw, heis_mul, mumford_morphism
+from .intlinalg import INFINITE, QuotientData, Vec, mat_vec, smith, vec_sub, zero_vec
 from .multiplier import Multiplier, ThetaBasis, boxtimes, boxtimes_series, pullback, theta_membership
 from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
-from .series import TorusSeries
+from .series import GaussRule, TorusSeries
 from .torus import QuantParam, TorusPoint, smith_root
 
 
@@ -58,18 +58,6 @@ class SmallHeisStructure:
     quotient: QuotientData
     duality: dict  # (kappa index tuple, coset index) -> root-of-unity exponent
     torsion_order: int  # exponents are relative to zeta of this order
-
-    def kappa_elements(self):
-        """All elements of the finite kernel group, with their index tuples."""
-        ranges = [range(o) for o in self.kappa_orders]
-        field = self.multiplier.param.field
-        d = self.multiplier.param.rank
-        for combo in itertools.product(*ranges):
-            pt = TorusPoint.identity(field, d)
-            for gen, a in zip(self.kappa_generators, combo):
-                if a:
-                    pt = pt * (gen**a)
-            yield combo, pt
 
 
 def _check_injective_image(L: Multiplier):
@@ -104,27 +92,26 @@ def normalizer_membership(
     return True
 
 
+def _kernel_rows(L: Multiplier) -> tuple[list, list]:
+    """The rows of U with d_i > 1 in U h- V = D, and those d_i: kernel
+    generator i takes the value zeta_(d_i)^((U h)_i) at h."""
+    s = smith(L.h_minus_matrix, L.rank)
+    pivots = [(row, d) for row, d in zip(s.u, s.divisors) if d > 1]
+    return [row for row, _d in pivots], [d for _row, d in pivots]
+
+
 def kernel_group(L: Multiplier) -> tuple[tuple[TorusPoint, ...], tuple[int, ...]]:
     """Generators and orders of the points killed on h-(B)."""
-    quot = L.quotient()
-    if quot.index == INFINITE:
+    if L.quotient().index == INFINITE:
         raise InfiniteIndex("kernel group is finite only for finite index")
     field = L.param.field
-    M = field.torsion_order
+    rows, orders = _kernel_rows(L)
     gens = []
-    orders = []
-    s = smith(L.h_minus_matrix, L.rank)
-    for row, dt in zip(s.u, s.divisors):
-        if dt > 1:
-            if M % dt:
-                raise MissingRootsOfUnity(dt)
-            z = field.root_of_unity(dt)
-            vals = tuple(
-                UnitMonomial(z ** (x % dt), 0) if x % dt else UnitMonomial.one(field)
-                for x in row
-            )
-            gens.append(TorusPoint(vals))
-            orders.append(dt)
+    for row, dt in zip(rows, orders):
+        if field.torsion_order % dt:
+            raise MissingRootsOfUnity(dt)
+        z = field.root_of_unity(dt)
+        gens.append(TorusPoint(tuple(UnitMonomial(z ** (x % dt), 0) for x in row)))
     return tuple(gens), tuple(orders)
 
 
@@ -135,8 +122,7 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
     form a torsor over the kernel group.  c is normalized to 1.
     """
     _check_injective_image(L)
-    quot = L.quotient()
-    if quot.index == INFINITE:
+    if L.quotient().index == INFINITE:
         raise InfiniteIndex("gamma lifts need a finite coset index")
     p = L.param
     field = p.field
@@ -153,15 +139,10 @@ def gamma_lift(L: Multiplier, gamma: Vec) -> list[SmallHeisElement]:
     base = smith_root(smith(L.h_minus_matrix, L.rank), rhs, field, missing)
     if base is None:
         return []  # no solution: equations inconsistent on the kernel
-    gens, orders = kernel_group(L)
-    out = []
-    for _, kappa in SmallHeisStructure(
-        L, gens, orders, quot, {}, field.torsion_order
-    ).kappa_elements():
-        out.append(
-            SmallHeisElement(UnitMonomial.one(field), base * kappa, tuple(gamma))
-        )
-    return out
+    lifts = [base]
+    for gen, o in zip(*kernel_group(L)):  # base times each kernel element
+        lifts = [xi * gen**a for xi in lifts for a in range(o)]
+    return [SmallHeisElement(UnitMonomial.one(field), xi, tuple(gamma)) for xi in lifts]
 
 
 def group_structure(L: Multiplier) -> SmallHeisStructure:
@@ -178,8 +159,7 @@ def group_structure(L: Multiplier) -> SmallHeisStructure:
         raise InfiniteIndex("small Heisenberg structure needs a finite index")
     gens, orders = kernel_group(L)
     M = L.param.field.torsion_order
-    s = smith(L.h_minus_matrix, L.rank)
-    rows = [row for row, d in zip(s.u, s.divisors) if d > 1]
+    rows = _kernel_rows(L)[0]
     weights = [
         [(M // d) * x for x, d in zip(mat_vec(rows, rep), orders)] for rep in quot.coset_reps
     ]
@@ -208,6 +188,15 @@ def character_split(L: Multiplier, basis: ThetaBasis) -> dict:
     }
 
 
+def _action_rule(param: QuantParam, elem: SmallHeisElement) -> GaussRule:
+    """mu with elem . e(k) = mu(k) e(k + gamma): mu(k) = c xi(k) alpha(gamma, k),
+    the constant c times the character of k at the point xi A_gamma^-1."""
+    d = param.rank
+    point = elem.xi * param.hidden_point(elem.gamma).inverse()
+    const = GaussRule(d, elem.c.coeff, [(d, d, 2 * elem.c.uexp)])
+    return const.times(GaussRule.character(param.field, point.values))
+
+
 def act_on_theta(
     L: Multiplier,
     elem: SmallHeisElement,
@@ -217,39 +206,45 @@ def act_on_theta(
 ) -> list[list[ScalarSeries]]:
     """Matrix of the induced action on the canonical theta basis.
 
-    Entry [k][j] is the coefficient of the image of theta_j on theta_k; the
-    acted series is re-expanded through its values at the canonical coset
-    representatives, and that re-expansion is checked on the window cells.
-    Both read one coefficient table per theta; an empty product adds only its trunc.
+    Entry [k][j] is the coefficient of the image of theta_j on theta_k.  The
+    action is coefficientwise, so the acted theta_j at h is mu(h - gamma)
+    theta_j(h - gamma) (:func:`_action_rule`), read off theta_j's own table:
+    where mu has u-exponent e < 0, theta_j is read to ``order`` - e.  That
+    table is filled in one pass per read order; the entries are its values
+    at the coset reps, and the acted theta is re-expanded through them and
+    checked on the window cells, where an empty product adds only its trunc.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
-    p = L.param
-    raw = elem.raw(p)
-    n = basis.dim
-    field = p.field
-    matrix = [[ScalarSeries.zero(field, order) for _ in range(n)] for _ in range(n)]
+    n, field = basis.dim, L.param.field
     cells = basis.basis[0].window_cells(window)
+    ks = [vec_sub(h, elem.gamma) for h in (*basis.coset_reps, *cells)]
+    monos = [UnitMonomial(*v) for v in _action_rule(L.param, elem).values(ks)]
+    reads = [order - min(0, m.uexp) for m in monos]
+    passes: dict = {}  # read order -> cells
+    for k, o in zip(ks, reads):
+        passes.setdefault(o, []).append(k)
+    matrix = [[None] * n for _ in range(n)]
     lhs = []
     for j, theta in enumerate(basis.basis):
-        acted = heis_act(raw, theta)
-        lhs.append(acted.coeffs([*basis.coset_reps, *cells], order))
-        for k, rep in enumerate(basis.coset_reps):  # cache hits, counted as coeff reads
-            matrix[k][j] = acted.coeff(rep, order)
+        own = {o: theta._table(at, o) for o, at in passes.items()}
+        for k in range(n):  # cache hits, counted as coeff reads
+            matrix[k][j] = theta.coeff(ks[k], reads[k]).scale(monos[k], order)
+        lhs.append([own[o][h].scale(m, order) for h, m, o in zip(ks[n:], monos[n:], reads[n:])])
     tables = [theta.coeffs(cells, order) for theta in basis.basis]
     for j in range(n):
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
-        for h in cells:
+        for h, acted in zip(cells, lhs[j]):
             # entries may have negative valuation; compare at the order
             # both sides actually know
-            rhs, eff = ScalarSeries.zero(field, order), min(order, lhs[j][h].trunc)
+            rhs, eff = ScalarSeries.zero(field, order), min(order, acted.trunc)
             for m, table in col:
                 b = table[h]
                 if b.terms:
                     rhs = rhs + m * b
                 else:  # m * b has no term: only its trunc reaches the sum
                     eff = min(eff, m.mul_trunc(b))
-            if not lhs[j][h].equal_to_order(rhs, min(eff, rhs.trunc)):
+            if not acted.equal_to_order(rhs, min(eff, rhs.trunc)):
                 raise NotInNormalizer("acted theta does not re-expand in the basis")
     return matrix
 

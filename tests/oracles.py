@@ -70,8 +70,8 @@ def invariance_oracle(L, window, order):
 
 def evaluation_duality(struct):
     """The small Heisenberg duality table by evaluation: each kernel element
-    at each coset rep, as a power of root_of_unity(M) read off a
-    discrete-log table of the torsion units."""
+    (a product of powers of the generators) at each coset rep, as a power of
+    root_of_unity(M) read off a discrete-log table of the torsion units."""
     field = struct.multiplier.param.field
     M = struct.torsion_order
     zeta, acc, logs = field.root_of_unity(M), field.one(), {}
@@ -79,9 +79,11 @@ def evaluation_duality(struct):
         logs[acc] = e
         acc = acc * zeta
     table = {}
-    for kidx, kappa in struct.kappa_elements():
+    for kidx in itertools.product(*(range(o) for o in struct.kappa_orders)):
         for ci, rep in enumerate(struct.quotient.coset_reps):
-            val = kappa.eval(rep)
+            val = UnitMonomial.one(field)
+            for gen, k in zip(struct.kappa_generators, kidx):
+                val = val * gen.eval(rep) ** k
             assert val.uexp == 0 and val.coeff in logs, "duality value is not a torsion unit"
             table[(kidx, ci)] = logs[val.coeff]
     return table

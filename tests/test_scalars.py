@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import random
 import textwrap
 from fractions import Fraction
@@ -82,6 +83,24 @@ def test_cyclo_inv_of_zero_raises():
     f = CycloField(4)
     with pytest.raises(DivisionByZero):
         f.zero().inverse()
+
+
+def test_rational_elements_of_different_fields_compare_by_value():
+    # each equals its int or Fraction, so equality stays transitive and a
+    # set's size does not depend on the insertion order
+    a, b = CycloField(5).from_rational(3), CycloField(7).from_rational(3)
+    h, k = CycloField(3).from_rational(Fraction(1, 2)), CycloField(4).from_rational(Fraction(1, 2))
+    assert a == 3 == b and a == b and hash(a) == hash(b)
+    assert h == Fraction(1, 2) == k and h == k and hash(h) == hash(k)
+    assert a != h and a != CycloField(7).from_rational(-3)
+    for group in ([3, a, b], [Fraction(1, 2), h, k]):
+        for order in itertools.permutations(group):
+            assert len(set(order)) == 1 and len(dict.fromkeys(order)) == 1
+    # an irrational element meets nothing outside its own field, even where
+    # the fields are one (Q(zeta_5) = Q(zeta_10))
+    z5, z10 = CycloField(5).zeta(), CycloField(10).zeta(2)
+    assert z5 != z10 and z5 == CycloField(5).zeta(6)
+    assert len({3, a, b, z5, z10}) == len({z10, z5, b, a, 3}) == 3
 
 
 def test_cyclo_m1_matches_plain_rationals():

@@ -1,6 +1,7 @@
 """Small Heisenberg groups: normalizers, duality, actions, doubling."""
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -17,9 +18,11 @@ from oracles import (
     evaluation_duality,
     random_ample_pair,
     random_unimodular,
+    sign_twisted_multiplier,
+    zeta5_multiplier,
 )
 
-from qtheta import intlinalg, multiplier
+from qtheta import heisenberg, intlinalg, multiplier, smallheis
 from qtheta.heisenberg import HeisElement, heis_act, heis_mul
 from qtheta.multiplier import compose, multiplier_new, power, theta_dim_basis, theta_membership
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
@@ -183,7 +186,7 @@ def test_duality_matches_the_evaluation_pairing():
         seen.add(struct.kappa_orders)
         table = evaluation_duality(struct)
         assert list(struct.duality.items()) == list(table.items())
-        kernel = [kidx for kidx, _ in struct.kappa_elements()]
+        kernel = [*itertools.product(*(range(o) for o in struct.kappa_orders))]
         assert len(kernel) == index
         for kidx in kernel[1:]:
             assert any(table[(kidx, ci)] for ci in range(index))
@@ -372,14 +375,15 @@ def _pair_basis(window, order):
 
 
 def test_act_on_theta_reads_each_acted_theta_from_one_pass(monkeypatch):
-    # each acted theta's coset reps and window cells are one combo pass, and
-    # each basis theta's window cells one more, so no cell is computed alone
-    # and every matrix entry read is a cache hit
+    # each acted theta is read off its basis theta's own table, filled at the
+    # coset reps and window cells in one combo pass: no Heisenberg word is
+    # built and no acted word is solved, no cell is computed alone, and every
+    # matrix entry read is a cache hit
     composed, basis, struct = _pair_basis(3, 40)
     cells = set(basis.basis[0].window_cells(3))
     assert any(rep not in cells for rep in basis.coset_reps)  # a rep off the window
     calls = collections.Counter()
-    passes = []  # cells in each combo pass
+    passes = []  # (series, cells) of each combo pass
     coeff, combo = TorusSeries.coeff, TorusSeries._combo_coeffs
 
     def counting_coeff(self, h, order):
@@ -387,18 +391,121 @@ def test_act_on_theta_reads_each_acted_theta_from_one_pass(monkeypatch):
         return coeff(self, h, order)
 
     def counting_combo(self, hs, order):
-        passes.append(len(hs))
+        passes.append((self, len(hs)))
         return combo(self, hs, order)
+
+    def no_word(*args):
+        raise AssertionError("act_on_theta built a Heisenberg word")
 
     monkeypatch.setattr(TorusSeries, "coeff", counting_coeff)
     monkeypatch.setattr(TorusSeries, "_combo_coeffs", counting_combo)
+    monkeypatch.setattr(heisenberg, "heis_act", no_word)
+    monkeypatch.setattr(smallheis, "heis_act", no_word, raising=False)
     one, zero = UnitMonomial.one(F), (0, 0)
     for gen in struct.kappa_generators:
         act_on_theta(composed, SmallHeisElement(one, gen, zero), basis, 3, 40)
+    assert len(struct.kappa_generators) == 2
     assert calls == {"hit": basis.dim**2 * len(struct.kappa_generators)}
-    acted = [len(cells | set(basis.coset_reps))] * basis.dim
-    # the first action also fills each basis theta's table
-    assert passes == acted + [len(cells)] * basis.dim + acted * (len(struct.kappa_generators) - 1)
+    # the first action fills each basis theta's table; the second reads it
+    assert passes == [(theta, len(cells | set(basis.coset_reps))) for theta in basis.basis]
+
+
+def _acted_fixtures():
+    """(multiplier, basis, elements) with kernel generators and, where the
+    field has the roots, gamma lifts: benchmark pair 1 over Q, a fifth
+    power over Q(zeta_5) and a square over the sign-twisted pairing, whose
+    alpha is not 1."""
+    pair = ample_multiplier(*ACCEPTED_PAIR)
+    cases = [
+        (compose(pair, pair), [(1, 0), (0, 1), (1, 1)]),
+        (power(zeta5_multiplier(), 5), []),
+        (power(sign_twisted_multiplier(), 2), [(1,)]),
+    ]
+    for L, gammas in cases:
+        one, zero = UnitMonomial.one(L.param.field), (0,) * L.param.rank
+        elems = [SmallHeisElement(one, g, zero) for g in group_structure(L).kappa_generators]
+        elems += [e for gamma in gammas for e in gamma_lift(L, gamma)[:2]]
+        yield L, theta_dim_basis(L, 3, 40), elems
+
+
+def test_action_rule_is_the_action_on_exponents():
+    # mu(k) = c xi(k) alpha(gamma, k), the coefficient HeisRaw gives e(k);
+    # random elements over random pairings, signs and torsion
+    rng = random.Random(31)
+    for m in (1, 4, 5):
+        field = CycloField(m)
+        z = field.root_of_unity(field.torsion_order)
+        for d in (1, 2, 3):
+            for _ in range(4):
+                A = [[0] * d for _ in range(d)]
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        A[i][j] = rng.randint(-3, 3)
+                        A[j][i] = -A[i][j]
+                S = [[rng.randint(0, 1) if i == j else 0 for j in range(d)] for i in range(d)]
+                p = QuantParam(field, intlinalg.Lattice(d), intlinalg.mat(A), intlinalg.mat(S))
+
+                def mono():
+                    return UnitMonomial(z ** rng.randrange(field.torsion_order), rng.randint(-5, 5))
+
+                elem = SmallHeisElement(
+                    mono(), TorusPoint(tuple(mono() for _ in range(d))), tuple(rng.randint(-2, 2) for _ in range(d))
+                )
+                raw = elem.raw(p)
+                cells = p.window_cells(2)
+                vals = smallheis._action_rule(p, elem).values(cells)
+                for k, (c, e) in zip(cells, vals):
+                    coeff, target = raw.action_on_exponent(k)
+                    assert UnitMonomial(c, e) == coeff
+                    assert target == tuple(x + g for x, g in zip(k, elem.gamma))
+
+
+def test_acted_thetas_match_the_heisenberg_words(monkeypatch):
+    # act_on_theta's entries (its acted thetas at the coset reps) and the
+    # acted values it re-expands (at the window cells) equal the coefficients
+    # of heis_act's word, terms and trunc; the gamma lifts' mu reach negative
+    # u-exponents, where the basis theta is read to a higher order
+    lowest = []
+    for L, basis, elems in _acted_fixtures():
+        cells = basis.basis[0].window_cells(3)
+        for elem in elems:
+            seen = []
+            equal = ScalarSeries.equal_to_order
+
+            def spy(self, other, order):
+                seen.append(self)
+                return equal(self, other, order)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(ScalarSeries, "equal_to_order", spy)
+                M = act_on_theta(L, elem, basis, 3, 40)
+            assert len(seen) == basis.dim * len(cells)
+            for j, theta in enumerate(basis.basis):
+                word = heis_act(elem.raw(L.param), theta)
+                want = word.coeffs([*basis.coset_reps, *cells], 40)
+                got = [M[k][j] for k in range(basis.dim)] + seen[j * len(cells) : (j + 1) * len(cells)]
+                for h, x in zip([*basis.coset_reps, *cells], got):
+                    assert (x.terms, x.trunc) == (want[h].terms, want[h].trunc), (L, elem, j, h)
+            reads = [tuple(x - g for x, g in zip(h, elem.gamma)) for h in [*basis.coset_reps, *cells]]
+            lowest.append(min(e for _c, e in smallheis._action_rule(L.param, elem).values(reads)))
+    assert min(lowest) == -209 and max(lowest) == 0
+
+
+def test_re_expansion_catches_a_matrix_read_at_the_wrong_reps():
+    # with the coset reps rotated, each entry is read at another theta's rep:
+    # the elements are in the normalizer, so the re-expansion check on the
+    # window is what refuses them
+    composed, basis, struct = _pair_basis(3, 40)
+    reps = basis.coset_reps
+    rotated = dataclasses.replace(basis, coset_reps=(*reps[1:], reps[0]))
+    one, zero = UnitMonomial.one(F), (0, 0)
+    elems = [SmallHeisElement(one, g, zero) for g in struct.kappa_generators]
+    elems.append(gamma_lift(composed, (1, 0))[0])
+    for elem in elems:
+        assert normalizer_membership(composed, elem.c, elem.xi, elem.gamma)
+        act_on_theta(composed, elem, basis, 3, 40)
+        with pytest.raises(NotInNormalizer, match="re-expand"):
+            act_on_theta(composed, elem, rotated, 3, 40)
 
 
 def test_re_expansion_compares_at_the_order_both_sides_know(monkeypatch):
