@@ -233,20 +233,38 @@ class IntegerSolver:
 
     def solve(self, target: Vec) -> Optional[Vec]:
         """One integer solution of M y = target, or None when there is none."""
-        if len(target) != self.nrows:
+        return self.solve_all([target])[0]
+
+    def solve_all(self, targets: Sequence[Vec]) -> list[Optional[Vec]]:
+        """:meth:`solve` at every target: one pass over the targets per row
+        of U, the zero rows' test and each pivot's divisibility test, then
+        y = V-columns times the quotients for each target that passed."""
+        if any(len(t) != self.nrows for t in targets):
             raise DimensionMismatch("integer solve target length mismatch")
+        entries = [*zip(*targets)] or [()] * self.nrows  # entries[i]: every target's i-th entry
+
+        def dots(row):  # (U t)_row for every target t
+            acc = [0] * len(targets)
+            for i, x in row:
+                acc = [a + x * t for a, t in zip(acc, entries[i])]
+            return acc
+
+        live = [True] * len(targets)
         for row in self.zero_rows:
-            if sum(x * target[i] for i, x in row):
-                return None
-        y = [0] * self.ncols
+            live = [ok and not w for ok, w in zip(live, dots(row))]
+        quots = []  # (every target's quotient, column of V) per pivot
         for row, d, col in self.pivots:
-            z, r = divmod(sum(x * target[i] for i, x in row), d)
-            if r:
-                return None
-            if z:
+            qr = [divmod(w, d) for w in dots(row)]
+            live = [ok and not r for ok, (_q, r) in zip(live, qr)]
+            quots.append(([q for q, _r in qr], col))
+        out = []
+        for k, ok in enumerate(live):
+            y = [0] * self.ncols
+            for qs, col in quots if ok else ():
                 for j, c in col:
-                    y[j] += z * c
-        return tuple(y)
+                    y[j] += qs[k] * c
+            out.append(tuple(y) if ok else None)
+        return out
 
 
 def _sparse(v: Vec) -> tuple[tuple[int, int], ...]:

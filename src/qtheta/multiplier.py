@@ -20,6 +20,7 @@ properness certificates: the rule's u-form, the exact valuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -75,6 +76,7 @@ class Multiplier:
             tuple(tuple(row) for row in sqrt_pairing) if sqrt_pairing is not None else None
         )
         self._image_cache: dict[Vec, HeisElement] = {}
+        self._pairing_cache: dict[tuple[int, int], UnitMonomial] = {}
         self._quotient: Optional[QuotientData] = None
         if not _validated:
             self._validate()
@@ -114,9 +116,12 @@ class Multiplier:
     # -- generator data ----------------------------------------------------------
 
     def pairing_on_basis(self, i: int, j: int) -> UnitMonomial:
-        # <b_i, b_j> = h-(b_j)(x_l(b_i)) alpha(h-(b_i), h-(b_j))
-        gi, gj = self.images[i], self.images[j]
-        return gi.x_l.eval(gj.h_l) * self.param.alpha(gi.h_l, gj.h_l)
+        # <b_i, b_j> = h-(b_j)(x_l(b_i)) alpha(h-(b_i), h-(b_j)), cached per (i, j)
+        hit = self._pairing_cache.get((i, j))
+        if hit is None:
+            gi, gj = self.images[i], self.images[j]
+            hit = self._pairing_cache[i, j] = gi.x_l.eval(gj.h_l) * self.param.alpha(gi.h_l, gj.h_l)
+        return hit
 
     def image(self, b: Vec) -> HeisElement:
         b = tuple(b)
@@ -130,11 +135,19 @@ class Multiplier:
         self._image_cache[b] = acc
         return acc
 
-    @property
+    @cached_property
     def h_minus_matrix(self):
         """d x r matrix with columns h-(b_i)."""
         d = self.param.rank
         return tuple(tuple(self.images[j].h_l[i] for j in range(self.rank)) for i in range(d))
+
+    @cached_property
+    def _recurrence(self) -> tuple:
+        """(K_i, P_i) per generator, with the recurrence factor f_i(h) = K_i P_i(h):
+        K_i = c_i^-1 <b_i, b_i> and P_i = x_l(b_i)^-1 A_(h-(b_i)), as h(A_g) = alpha(h, g)."""
+        return tuple((img.c.inverse() * self.pairing_on_basis(i, i),
+                      img.x_l.inverse() * self.param.hidden_point(img.h_l))
+                     for i, img in enumerate(self.images))
 
     def h_minus(self, b: Vec) -> Vec:
         return mat_vec(self.h_minus_matrix, b)
@@ -251,15 +264,10 @@ def structure_pairing(L: Multiplier, b1: Vec, b2: Vec) -> UnitMonomial:
 
 def _recurrence_factor(L: Multiplier, i: int, h: Vec) -> UnitMonomial:
     """a_{h - h-(e_i)} = a_h * factor(e_i, h), straight from the invariance
-    equations."""
-    img = L.images[i]
-    pair = L.pairing_on_basis(i, i)
-    return (
-        img.c.inverse()
-        * pair
-        * img.x_l.eval(h).inverse()
-        * L.param.alpha(h, img.h_l)
-    )
+    equations: c_i^-1 <b_i, b_i> x_l(b_i)(h)^-1 alpha(h, h-(b_i)), read
+    off the generator's cached constant and point."""
+    const, point = L._recurrence[i]
+    return const * point.eval(h)
 
 
 def _theta_rule(L: Multiplier, rep: Vec) -> GaussRule:

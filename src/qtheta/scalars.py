@@ -643,9 +643,11 @@ class ScalarSeries:
         return ScalarSeries._clean(self.field, out, trunc)
 
     def scale(self, mono: UnitMonomial, cap=INF) -> "ScalarSeries":
-        """``(mono * self).truncate(cap)``."""
+        """``(mono * self).truncate(cap)``; an empty series kept at its trunc is itself."""
         k, m = mono.uexp, mono.coeff
         top = min(self.trunc + k, cap)
+        if not self.terms and top == self.trunc:
+            return self
         return ScalarSeries._clean(
             self.field, {e + k: c * m for e, c in self.terms.items() if e + k <= top}, top
         )
@@ -799,8 +801,9 @@ def series_to_json(s: ScalarSeries) -> dict:
     return {
         "m": s.field.order,
         "N": None if s.trunc is INF else int(s.trunc),
-        "terms": [
-            [e, [str(c) for c in s.terms[e].coeffs]] for e in sorted(s.terms)
+        "terms": [  # an integral value's numerators are its coefficients
+            [e, [str(x) for x in (c.num if c.den == 1 else c.coeffs)]]
+            for e, c in sorted(s.terms.items())
         ],
     }
 

@@ -510,14 +510,14 @@ class TorusSeries:
         the cells' bounding box with the per-cell box budgets summed.
         Raises NotMultipliable where a sum cannot be certified."""
         lay = self._layout()
-        solve = lay.solver.solve if lay.solver else lambda t: None if any(t) else ()
         n = lay.blocks[-1][2] if lay.blocks else 0
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
             if lay.solver is None or not lay.solver.kernel:
-                ys = [solve(vec_sub(h, base)) for h in cells]
+                ts = [vec_sub(h, base) for h in cells]
+                ys = lay.solver.solve_all(ts) if lay.solver else [None if any(t) else () for t in ts]
                 hs, ok = cells, [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
             elif form is None:
                 raise NotMultipliable("window-only factor inside a product that needs enumeration")
@@ -571,8 +571,7 @@ class TorusSeries:
             lay = self._layout()
             solver, rules = lay.solver, None
             if solver is not None and not solver.kernel and not lay.cones:
-                d = solver.nrows
-                cols = [solver.solve(tuple(int(i == j) for i in range(d))) for j in range(d)]
+                cols = solver.solve_all(identity(solver.nrows))
                 if None not in cols:
                     plans = [self._combo_plan(combo) for combo in product(*lay.items)]
                     if plans and not any(rest for _c, _b, (_r, rest), _f in plans):

@@ -232,12 +232,13 @@ def act_on_theta(
             matrix[k][j] = theta.coeff(ks[k], reads[k]).scale(monos[k], order)
         lhs.append([own[o][h].scale(m, order) for h, m, o in zip(ks[n:], monos[n:], reads[n:])])
     tables = [theta.coeffs(cells, order) for theta in basis.basis]
+    zero = ScalarSeries.zero(field, order)
     for j in range(n):
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
         for h, acted in zip(cells, lhs[j]):
             # entries may have negative valuation; compare at the order
             # both sides actually know
-            rhs, eff = ScalarSeries.zero(field, order), min(order, acted.trunc)
+            rhs, eff = zero, min(order, acted.trunc)
             for m, table in col:
                 b = table[h]
                 if b.terms:

@@ -329,6 +329,36 @@ def test_integer_solver_properties(case):
     assert solve_integer(m, t) == (None if y is None else (y, list(solver.kernel)))
 
 
+@st.composite
+def batch_cases(draw):
+    """A solver case's matrix with zero rows, a kernel or divisors > 1 and
+    up to seven targets, each in the image or arbitrary (often unsolvable)."""
+    m, _t = draw(solver_cases())
+    d, k = len(m), len(m[0])
+    targets = []
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()):
+            x = [draw(st.integers(-3, 3)) for _ in range(k)]
+            targets.append(mat_vec(m, x))
+        else:
+            targets.append(tuple(draw(st.integers(-8, 8)) for _ in range(d)))
+    return m, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_cases())
+def test_batch_solve_is_the_per_target_solve(case):
+    # the batch is one pass per row of U over all targets; each target gets
+    # exactly its own answer, which solves M y = t exactly when t is solvable
+    m, targets = case
+    solver = IntegerSolver(m)
+    ys = solver.solve_all(targets)
+    assert ys == [solver.solve(t) for t in targets]
+    for t, y in zip(targets, ys):
+        assert (y is not None) == _solvable(m, t)
+        assert y is None or mat_vec(m, y) == t
+
+
 def test_integer_solver_without_rows():
     # a matrix with no rows: every parameter is free
     solver = IntegerSolver((), 3)

@@ -12,6 +12,7 @@ from oracles import (
     jacobi_multiplier,
     odd_diagonal_multiplier,
     oracle_multipliers,
+    random_ample_pair,
     sign_twisted_multiplier,
     zeta5_multiplier,
 )
@@ -598,6 +599,40 @@ def test_recurrence_check_rejects_a_corrupted_base(name):
             msg = f"theta recurrence of coset {rep} fails at generator {i} from {b}"
             with pytest.raises(CocycleFailure, match=re.escape(msg)):
                 _check_recurrence(rep, bad, steps)
+
+
+def recurrence_factor_cases():
+    """The oracle multipliers, their squares and cubes, composed random
+    pairs, and a hidden-period multiplier over T_q, whose alpha(h, h-(b_i))
+    carries a u-exponent: there alpha(h, -h-(b_i)) differs from it."""
+    base = dict(oracle_multipliers())
+    cases = dict(base)
+    for name, L in base.items():
+        cases.update({f"{name}^{n}": power(L, n) for n in (2, 3)})
+    rng = random.Random(7)
+    for k in range(3):
+        l1, l2 = random_ample_pair(rng, 2)
+        cases[f"composed{k}"] = compose(l2, l1)
+    chi = (UnitMonomial.one(F), q_mono(1))
+    cases["tq-hidden"] = hidden_from_morphism(TQ, LatticeMap(mat([[-1, 0], [0, -1]])), chi)
+    cases["tq-hidden^2"] = power(cases["tq-hidden"], 2)
+    return cases
+
+
+def test_recurrence_factor_is_the_direct_formula():
+    # f_i(h) = c_i^-1 <b_i, b_i> x_l(b_i)(h)^-1 alpha(h, h-(b_i)), with every
+    # piece read off the image of e_i; the multipliers are visited in turn,
+    # so each must keep its own constants and points
+    rng = random.Random(32)
+    for name, L in recurrence_factor_cases().items():
+        for i in range(L.rank):
+            e = tuple(int(k == i) for k in range(L.rank))
+            img = L.image(e)
+            pair = structure_pairing(L, e, e)
+            for _ in range(6):
+                h = tuple(rng.randint(-5, 5) for _ in range(L.param.rank))
+                direct = img.c.inverse() * pair * img.x_l.eval(h).inverse() * L.param.alpha(h, img.h_l)
+                assert _recurrence_factor(L, i, h) == direct, (name, i, h)
 
 
 @pytest.mark.parametrize("build", [odd_diagonal_multiplier, zeta5_multiplier])

@@ -350,10 +350,27 @@ def test_series_json_roundtrip():
     f = CycloField(4)
     s = ScalarSeries(f, {-2: f.zeta(), 3: f.from_rational(Fraction(5, 3))}, trunc=7)
     assert series_from_json(series_to_json(s)) == s
+    # an integral value is written from its numerators, any other through Fractions
+    assert series_to_json(s)["terms"] == [[-2, ["0", "1"]], [3, ["5/3", "0"]]]
     exact = ScalarSeries(f, {0: f.one()})
     assert series_from_json(series_to_json(exact)) == exact
     u = UnitMonomial(f.zeta(3), -4)
     assert monomial_from_json(monomial_to_json(u)) == u
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+@pytest.mark.parametrize("trunc", [5, INF])
+def test_scaling_an_empty_series_is_the_slow_path(k, trunc):
+    # an empty series kept at its own trunc comes back itself; any other
+    # trunc builds the series the slow path builds
+    f = CycloField(4)
+    empty = ScalarSeries(f, {}, trunc)
+    mono = UnitMonomial(f.zeta(), k)
+    for cap in (trunc - 1, trunc, trunc + 1, trunc + k, INF):
+        top = min(trunc + k, cap)
+        got = empty.scale(mono, cap)
+        assert got.terms == {} and got.trunc == top, (cap, top)
+        assert (got is empty) == (top == trunc), (cap, top)
 
 
 @pytest.mark.parametrize(
