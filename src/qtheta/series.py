@@ -31,9 +31,10 @@ Heisenberg actions, say) skips the per-cell solve: its coefficients are
 rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
 once with the G^-1 its solver reads off G's Smith form.  A window pass
 evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
-Any other word solves (or, with a kernel, enumerates) each finite combo
-once over the window and sums its points as one batch: one Gauss-rule call,
-and one series part per closure slice (:meth:`TorusSeries._add_terms`).
+Any other word solves each finite combo once over the window (or, with a
+kernel, enumerates it on the window's box, else fibre by fibre) and sums its
+points as one batch: one Gauss-rule call, and one series part per closure
+slice (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
 formal), *formal* (some factor is window-only; products are refused, but
@@ -42,7 +43,6 @@ single Heisenberg actions, which add no kernel, evaluate).
 
 from __future__ import annotations
 
-import contextlib
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, product, repeat
@@ -465,24 +465,17 @@ class TorusSeries:
         at ``cells`` (tuples): the one place that picks a coefficient path.
         The missing cells are one pass: each cell rule at all of them
         (:meth:`_rule_coeffs`), else each finite combo at all of them
-        (:meth:`_combo_coeffs`).  Over a kernel, a cell that pass left out
-        (it was refused, or the order is INF), or a lone missing cell, is
-        enumerated on its own (:meth:`_kernel_coeff`).  Cells of equal
-        value may hold one shared series, whose ``terms`` no reader writes."""
+        (:meth:`_combo_coeffs`).  A pass that raises caches no cell.  Cells
+        of equal value may hold one shared series, whose ``terms`` no reader
+        writes."""
         table = self._cache.setdefault(order, {})
         todo = {h: h for h in cells if h not in table}
         if todo:
-            rules, solver = self._cell_rules(), self._layout().solver
+            rules = self._cell_rules()
             if rules is not None:
                 table.update(self._rule_coeffs(rules, todo, order))
-            elif solver is None or not solver.kernel:
+            else:
                 table.update(self._combo_coeffs(todo, order))
-            elif order != INF and len(todo) > 1:
-                with contextlib.suppress(NotMultipliable):
-                    table.update(self._combo_coeffs(todo, order))
-            for h in todo:
-                if h not in table:
-                    table[h] = self._kernel_coeff(h, order)
         return table
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
@@ -506,60 +499,51 @@ class TorusSeries:
     def _combo_coeffs(self, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` (each mapped to itself): each
         finite combo's points are one :meth:`_add_terms` batch, the solutions
-        of G y = h - base with y_c >= 0, or over a kernel one enumeration on
-        the cells' bounding box with the per-cell box budgets summed.
-        Raises NotMultipliable where a sum cannot be certified."""
+        of G y = h - base with y_c >= 0.  Over a kernel K that is one
+        enumeration on the cells' bounding box with the per-cell box budgets
+        summed or, where that is refused, each reached cell's fibre
+        y = particular + K z on its own (:func:`_subst`, the cone rows in z,
+        the default budget).  Raises NotMultipliable where a sum cannot be
+        certified, as where a kernel combo reaches a cell at an INF order or
+        through a formal factor."""
         lay = self._layout()
         n = lay.blocks[-1][2] if lay.blocks else 0
+        kernel = lay.solver.kernel if lay.solver else ()
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in product(*lay.items):
             chosen, base, term, form = self._combo_plan(combo)
-            if lay.solver is None or not lay.solver.kernel:
+            if not kernel or order == INF or form is None:
                 ts = [vec_sub(h, base) for h in cells]
                 ys = lay.solver.solve_all(ts) if lay.solver else [None if any(t) else () for t in ts]
+                if kernel and any(y is not None for y in ys):  # a reached sum that cannot be certified
+                    raise NotMultipliable(
+                        "infinite-order product coefficient needs a finite order" if order == INF
+                        else "window-only factor inside a product that needs enumeration"
+                    )
                 hs, ok = cells, [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
-            elif form is None:
-                raise NotMultipliable("window-only factor inside a product that needs enumeration")
             elif form is _ZERO_TERM:
                 continue
             else:
                 rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
                 for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
                     rows += [(g, b - l), (tuple(-x for x in g), u - b)]
-                ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
-                hs = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))]
+                try:
+                    ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
+                except NotMultipliable:  # each reached cell's fibre on its own
+                    kt, hs, ys = list(zip(*kernel)), [], []  # kt[i]: the vectors' i-th entries
+                    for h, p in zip(cells, lay.solver.solve_all([vec_sub(h, base) for h in cells])):
+                        if p is not None:
+                            tz = _quad(_subst(form, p, kernel), len(kernel))
+                            pts = enumerate_sublevel(tz, order, [(kt[c], p[c]) for c in lay.cones])
+                            ys += _affine_at(kt, p, pts, len(kernel))
+                            hs += [h] * len(pts)
+                else:
+                    hs = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))]
                 ok = [h is not None for h in hs]
             self._add_terms(sums, compress(hs, ok), [*compress(ys, ok)], chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
-
-    def _kernel_coeff(self, h: Vec, order) -> ScalarSeries:
-        """The coefficient at h alone over a kernel K: K is enumerated around
-        each combo's particular solution of G y = h - base -- its bound form
-        at y = particular + K z (by :func:`_subst`), with the cone rows y_c >= 0
-        in z and the default box budget.  Raises NotMultipliable when a combo
-        reaches h at an INF order or through a formal factor."""
-        lay = self._layout()
-        kernel, kt = lay.solver.kernel, list(zip(*lay.solver.kernel))  # kt[i]: the vectors' i-th entries
-        sums: dict = {}
-        for combo in product(*lay.items):
-            chosen, base, term, form = self._combo_plan(combo)
-            particular = lay.solver.solve(vec_sub(h, base))
-            if particular is None:
-                continue
-            if order == INF:
-                raise NotMultipliable("infinite-order product coefficient needs a finite order")
-            if form is None:
-                raise NotMultipliable("window-only factor inside a product that needs enumeration")
-            if form is _ZERO_TERM:
-                continue
-            Tz = _quad(_subst(form, particular, kernel), len(kernel))
-            pts = enumerate_sublevel(Tz, order, [(kt[c], particular[c]) for c in lay.cones])
-            ys = [*_affine_at(kt, particular, pts, len(kernel))]
-            self._add_terms(sums, repeat(h), ys, chosen, term, order)
-        acc, trunc = sums.get(h) or ({}, order)
-        return ScalarSeries(self.param.field, acc, trunc)
 
     def _cell_rules(self) -> Optional[list]:
         """Cached: each combo's rule composed with y = G^-1 (h - base), a
@@ -594,7 +578,7 @@ class TorusSeries:
         no known term); a closure value adds valuation >= 0.  It is None when
         a lattice factor is formal, and _ZERO_TERM when a chosen finite value
         is an exact zero, so every term of the combo vanishes.  The cone rows
-        y_c >= 0 are the callers'; ``_quad(form, n)`` hands it to
+        y_c >= 0 are the caller's; ``_quad(form, n)`` hands it to
         ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
@@ -770,10 +754,10 @@ def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], 
 def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomial]:
     """The constant c with a = c b on the whole lattice, or None (unproven).
 
-    Both words need the same G, no cones, no formal factor, one finite combo
-    and a pure-Gauss term plan: a's coefficient at h is then the sum of
-    rule_a(y) over base_a + G y = h, and b's likewise.  A translation s with
-    G s = base_b - base_a maps b's fibres onto a's, so a = c b once
+    Both words need the same G, no cones, no formal factor over a kernel, one
+    finite combo and a pure-Gauss term plan: a's coefficient at h is then the
+    sum of rule_a(y) over base_a + G y = h, and b's likewise.  A translation
+    s with G s = base_b - base_a maps b's fibres onto a's, so a = c b once
     rule_a(y + s) = c rule_b(y).  That needs equal quadratic u-forms and
     H s = l_b - l_a (H their Hessian, l the linear parts, in half steps), and
     s is tried only when it is the one solution.  The quotient's sign,
@@ -783,7 +767,8 @@ def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomi
     plans = []
     for w in (a, b):
         lay = w._layout()
-        if lay.solver is None or lay.cones or w.kind == FORMAL or any(len(it) != 1 for it in lay.items):
+        if (lay.solver is None or lay.cones or w.kind == FORMAL and lay.solver.kernel
+                or any(len(it) != 1 for it in lay.items)):
             return None
         _chosen, base, (rule, rest), _form = w._combo_plan(tuple(it[0] for it in lay.items))
         plans.append((lay.mtx, base, rule, [t for t in rule.uform if t[1] < rule.n], rest))

@@ -391,7 +391,7 @@ def test_verify_equation_compares_the_filled_tables(monkeypatch):
 
         monkeypatch.setattr(TorusSeries, name, wrapped)
 
-    for name in ("coeff", "coeffs", "_rule_coeffs", "_combo_coeffs", "_kernel_coeff"):
+    for name in ("coeff", "coeffs", "_rule_coeffs", "_combo_coeffs"):
         counting(name)
     assert verify_equation(spec)["status"] == "pass"
     assert calls == [("_rule_coeffs", len(cells))] * len(spec.terms)

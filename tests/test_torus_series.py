@@ -1007,7 +1007,7 @@ def test_rule_pass_shares_one_series_per_distinct_cell_value(m):
 
 
 @pytest.mark.parametrize("m", [1, 5])
-def test_cell_rules_fall_back_to_the_solver(m):
+def test_cell_rules_fall_back_to_the_solver(monkeypatch, m):
     f, p, mus, _points = _gauss_cases(m)
     rule, _s = _offset_gauss_series(f, p)
     # G = diag(2, 1) is not unimodular: the solve is the coset test
@@ -1029,20 +1029,24 @@ def test_cell_rules_fall_back_to_the_solver(m):
     got = th.coeffs(cells, 30)
     assert all(got[h].is_zero() == (h[1] != 0) for h in cells)
     # G = [[1, 0, 1], [0, 1, 1]] solves every e_j, but has a kernel; the
-    # word's valuation form is definite only on ker G, so the window pass
-    # refuses it, over all the cells and at a cell alone, and every cell is
+    # word's valuation form is definite only on ker G, so the y-box
+    # enumeration is refused, over all the cells and at a cell alone, and
+    # then each cell's fibre (G is onto: every cell is reached) is
     # enumerated on its own
     thetas = [theta_series(p, d) for d in ((1, 0), (0, 1), (1, 1))]
-    word = thetas[0].mul(thetas[1]).mul(thetas[2])
-    assert word._layout().solver.kernel and word._cell_rules() is None
-    for hs in (cells, cells[:1]):
-        with pytest.raises(NotMultipliable, match="non positive definite"):
-            word._combo_coeffs({h: h for h in hs}, 12)
     box = list(itertools.product(range(-6, 7), repeat=2))
     tables = [th.materialize(box, 52).factors[0].table for th in thetas]
-    got = word.coeffs(cells, 12)
-    assert got == {h: _word_coeff_reference(p, tables, h, 12) for h in cells}
-    assert sum(not x.is_zero() for x in got.values()) == 25
+    log = _record_enumerations(monkeypatch)
+    for hs in (cells, cells[:1]):
+        word = thetas[0].mul(thetas[1]).mul(thetas[2])
+        assert word._layout().solver.kernel and word._cell_rules() is None
+        log.clear()
+        got = word.coeffs(hs, 12)
+        assert isinstance(log[0], NotMultipliable) and not isinstance(log[0], EnumerationLimit)
+        assert "non positive definite" in str(log[0])
+        assert len(log) == 1 + len(hs) and all(isinstance(x, int) for x in log[1:])
+        assert got == {h: _word_coeff_reference(p, tables, h, 12) for h in hs}
+    assert sum(not x.is_zero() for x in word.coeffs(cells, 12).values()) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -1216,9 +1220,11 @@ def test_window_routines_match_per_cell_coeff(monkeypatch, refused):
             assert not series_equal_on_cells(fresh(), ref.scaled(UnitMonomial(-F.one(), 0)), cells, order)
 
 
-def test_window_pass_maps_points_to_the_rank_0_cell():
+def test_window_pass_maps_points_to_the_rank_0_cell(monkeypatch):
     # on a rank-0 torus every point of the kernel lands on the one cell ():
     # sum over y, z of u^(y^2 + z^2) is 1 + 4u + 4u^2 + 4u^4 to order 4
+    import qtheta.series as series_mod
+
     f = CycloField(1)
     p = QuantParam.trivial(f, 0)
     gauss = TorusSeries.rule(p, (), [()], None, gauss=GaussRule(1, f.one(), [(0, 0, 2)]))
@@ -1227,8 +1233,56 @@ def test_window_pass_maps_points_to_the_rank_0_cell():
     four = f.from_rational(4)
     want = ScalarSeries(f, {0: f.one(), 1: four, 2: four, 4: four}, 4)
     assert word._combo_coeffs({(): ()}, 4) == {(): want}  # the window pass
-    assert word.coeff((), 4) == want  # one cell: the kernel enumerated around it
-    assert word._kernel_coeff((), 4) == want
+    assert word.coeff((), 4) == want  # one cell: the same window pass
+    # a window budget of one point is refused: the fibre around the cell,
+    # its 13 points, with the default budget
+    monkeypatch.setattr(series_mod, "MAX_POINTS", 1)
+    log = _record_enumerations(monkeypatch)
+    assert gauss.mul(gauss).coeff((), 4) == want
+    assert isinstance(log[0], EnumerationLimit) and log[1:] == [13]
+
+
+def _kernel_words(f):
+    """{name: fresh-word factory} on a rank-1 torus, each with a kernel and
+    reaching the even cells only: g g for the Gauss factor g = u^(y^2) at
+    2y, and a formal factor u^(y^2 + z^2) at 2y + 2z."""
+    p = QuantParam.trivial(f, 1)
+    g = TorusSeries.rule(p, (0,), [(2,)], None, gauss=GaussRule(1, f.one(), [(0, 0, 2)]))
+    both = GaussRule(2, f.one(), [(0, 0, 2), (1, 1, 2)])
+    return {
+        "g.g": lambda: g.mul(g),
+        "formal": lambda: TorusSeries.rule(p, (0,), [(2,), (2,)], None, gauss=both, formal=True),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("order", [INF, 8])
+def test_kernel_sums_without_a_certificate_refuse_only_reached_cells(m, order):
+    # over a kernel, an INF order or a formal factor leaves a reached cell's
+    # sum uncertified: a call that asks for an even cell, alone or among odd
+    # ones in either order, raises and caches no cell; an odd cell is an
+    # exact zero; g g at a finite order is the plain kernel sum
+    f = CycloField(m)
+    inf = "infinite-order product coefficient needs a finite order"
+    refused = {"g.g": inf if order == INF else None, "formal": inf if order == INF else "window-only factor"}
+    for name, fresh in _kernel_words(f).items():
+        assert fresh()._layout().solver.kernel, name
+        for cells in ([(1,)], [(1,), (-1,), (3,)]):
+            got = fresh().coeffs(cells, order)
+            assert all(not c.terms and c.trunc == order for c in got.values()), (name, cells)
+        for cells in ([(0,)], [(1,), (0,)], [(0,), (1,)], [(-1,), (2,), (1,)]):
+            word = fresh()
+            if refused[name] is None:
+                want = {}
+                for h in cells:
+                    exps = [y * y + (h[0] // 2 - y) ** 2 for y in range(-4, 5)] if h[0] % 2 == 0 else []
+                    terms = {e: f.from_rational(exps.count(e)) for e in set(exps) if e <= order}
+                    want[h] = ScalarSeries(f, terms, order)
+                assert word.coeffs(cells, order) == want, cells
+                continue
+            with pytest.raises(NotMultipliable, match=refused[name]):
+                word.coeffs(cells, order)
+            assert not any(word._cache.values()), (name, cells)
 
 
 def test_cache_holds_one_table_per_order(monkeypatch):
@@ -1348,3 +1402,26 @@ def test_translation_never_proves_a_perturbed_theta():
             assert _prove_by_translation(word, th) is None, (name, kind)
             seen.add(kind)
     assert seen == {"coset", "cross", "diagonal"}
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_translation_proves_every_e313_spec(m):
+    # both sides of an E313 spec are formal, as theta_W is window-only, but
+    # kernel-free, so each cell's coefficient is one rule value and there is
+    # no sum to certify: each spec c_a a + c_b b is proved to cancel,
+    # c_a c + c_b = 0, and a side scaled by u or -1 is proved to be exactly
+    # that multiple; a formal word with a kernel is still refused
+    f = CycloField(m)
+    specs = identity_specs("E313", f)
+    assert len(specs) == 10
+    for spec in specs:
+        (ca, a), (cb, b) = map(_term_series, spec.terms)
+        assert a.kind == b.kind == "formal" and not (a._layout().solver.kernel or b._layout().solver.kernel)
+        c = _prove_by_translation(a, b)
+        assert c is not None and ca * c == -cb, spec.label
+        for scale in (UnitMonomial(f.one(), 1), UnitMonomial(-f.one(), 0)):
+            got = _prove_by_translation(a.scaled(scale), b)
+            assert got == scale * c and got != c, (spec.label, scale)
+    formal = _kernel_words(f)["formal"]()
+    assert formal.kind == "formal" and formal._layout().solver.kernel
+    assert _prove_by_translation(formal, formal) is None
