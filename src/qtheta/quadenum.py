@@ -52,9 +52,10 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
      of Q_jj y_j^2 + lin_j y_j (j > i) and of each remaining cross term
      2 Q_jk y_j y_k exceeds the limit.  The minima may be negative, so the
      sum is always completed before it is compared.
-   Every emitted point still passes the exact test T(y) <= limit.  The rows
-   need no test there: each is exact at its last nonzero variable's cut or,
-   with one nonzero variable, in the box.
+   Every emitted point still passes the exact test T(y) <= limit, and the
+   sum it tests is returned with it.  The rows need no test there: each is
+   exact at its last nonzero variable's cut or, with one nonzero variable,
+   in the box.
 """
 
 from __future__ import annotations
@@ -240,19 +241,26 @@ class QuadExpr:
         )
 
 
+class Sublevel(list):
+    """The points found, in walk order, and ``values``: T at each of them."""
+
+    values = ()
+
+
 def enumerate_sublevel(
     T: QuadExpr,
     limit,
     ineqs: Sequence[tuple[Sequence[int], int]] = (),
     max_points: int = MAX_POINTS,
-) -> list[tuple[int, ...]]:
-    """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b).
+) -> Sublevel:
+    """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b),
+    with the exact T(y) of each in ``values``.
 
     Raises NotMultipliable when the solution set cannot be certified finite,
     and its subclass EnumerationLimit when the certified box holds more than
     ``max_points`` points.
     """
-    n = T.n
+    n, const = T.n, T.const
     scale = T.denominator_lcm()
     if scale != 1:
         T = T.scaled(scale)
@@ -264,9 +272,11 @@ def enumerate_sublevel(
         if any(row[0]):
             rows.append(row)
         elif row[1] < 0:
-            return []  # a constant row that fails everywhere
+            return Sublevel()  # a constant row that fails everywhere
     if n == 0:
-        return [()] if T.const <= limit else []
+        out = Sublevel([()] if T.const <= limit else [])
+        out.values = [const] * len(out)
+        return out
 
     Q, L = T.quad, T.lin
     lo = [None] * n
@@ -440,17 +450,17 @@ def enumerate_sublevel(
     for _ in range(_MAX_ROUNDS):
         before = list(zip(lo, hi))
         if propagate_ineqs() or propagate_quad():
-            return []
+            return Sublevel()
         if not progressed(before):
             if None not in lo and None not in hi:
                 break
             res3 = pd_fallback()
             if res3 == "empty":
-                return []
+                return Sublevel()
             if res3 is None:
                 # only a constant T above the limit is certified empty here
                 if T.const > limit and not any(L) and not any(map(any, Q)):
-                    return []
+                    return Sublevel()
                 raise NotMultipliable(
                     "cannot certify a finite convolution: unbounded directions "
                     "with non positive definite valuation growth"
@@ -460,7 +470,7 @@ def enumerate_sublevel(
             raise NotMultipliable("bound propagation did not converge")
 
     if any(lo[i] > hi[i] for i in range(n)):
-        return []
+        return Sublevel()
     size = 1
     for i in range(n):
         size *= hi[i] - lo[i] + 1
@@ -497,7 +507,7 @@ def enumerate_sublevel(
     ]
     lin = list(L)
     y = [0] * n
-    out = []
+    out, vals = Sublevel(), []
     last = n - 1
 
     def rec(i, acc):
@@ -517,9 +527,11 @@ def enumerate_sublevel(
         qii, li = Q[i][i], lin[i]
         if i == last:
             for v in range(a, b + 1):
-                if acc + (qii * v + li) * v <= limit:
+                t = acc + (qii * v + li) * v
+                if t <= limit:
                     y[i] = v
                     out.append(emit(y))
+                    vals.append(t)
             return
         row = Q[i]
         base = lin[i + 1 :]
@@ -537,5 +549,7 @@ def enumerate_sublevel(
         lin[i + 1 :] = base
 
     rec(0, T.const)
+    del rec  # rec's closure holds rec: left to the cyclic collector, the cycle would keep the points
+    out.values = vals if scale == 1 else [t // scale if t % scale == 0 else Fraction(t, scale) for t in vals]
     return out
 

@@ -762,18 +762,19 @@ class ScalarSeries:
         return f"{body} + O(u^{int(self.trunc) + 1})"
 
 
-def add_into(acc: dict, x, top, trunc, mono: Optional[UnitMonomial] = None):
-    """Adds ``x`` (a ScalarSeries or UnitMonomial), times ``mono`` when given,
-    into ``acc``, a dict of exponent -> nonzero value, dropping exponents
-    above ``top``; returns the lower of ``trunc`` and x's trunc.  A +-1
-    ``mono.coeff`` multiplies nothing: -1 negates, and a negated value equal
-    to the one held at its exponent deletes it before ``-c`` or the sum is
-    built: equal elements have equal normalised fields."""
+def add_into(acc: dict, x, top, trunc, k: int = 0, scale: Optional[CycloRational] = None):
+    """Adds ``x`` (a ScalarSeries or UnitMonomial) times ``scale`` u^k into
+    ``acc``, a dict of exponent -> nonzero value, dropping exponents above
+    ``top``; returns the lower of ``trunc`` and the sum's trunc.  A +-1
+    ``scale`` multiplies nothing: the field's own one and minus one are
+    known by identity before the value is tested; -1 negates, and a negated
+    value equal to the one held at its exponent deletes it before ``-c`` or
+    the sum is built: equal elements have equal normalised fields."""
     unit = isinstance(x, UnitMonomial)
     items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
-    k, scale = (0, None) if mono is None else (mono.uexp, mono.coeff)
     neg = False
-    if scale is not None and scale.den == 1 and scale.num[0] in (1, -1) and not any(scale.num[1:]):
+    if scale is not None and (scale is scale.field._one or scale is scale.field._minus_one
+                              or scale.den == 1 and scale.num[0] in (1, -1) and not any(scale.num[1:])):
         neg, scale = scale.num[0] < 0, None
     for e, c in items:
         e += k

@@ -32,9 +32,9 @@ rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
 once with the G^-1 its solver reads off G's Smith form.  A window pass
 evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
 Any other word solves each finite combo once over the window (or, with a
-kernel, enumerates it on the window's box, else fibre by fibre) and sums its
-points as one batch: one Gauss-rule call, and one series part per closure
-slice (:meth:`TorusSeries._add_terms`).
+kernel, enumerates it, each point's u-exponent read off the walk's value)
+and sums its points as one batch: one Gauss-rule call, and one series part
+per closure key (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
 formal), *formal* (some factor is window-only; products are refused, but
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import compress, islice, product, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateViolation, NotMultipliable, ParamMismatch, PrecisionShortfall
@@ -285,8 +286,11 @@ class GaussRule:
         return UnitMonomial(*self.values((y,))[0])
 
     def values(self, ys) -> list:
-        """[(coefficient, u-exponent) of the rule at y for y in ys], each form
-        evaluated at all the points at once and each power b_k^j built once."""
+        """[(coefficient, u-exponent) of the rule at y for y in ys]."""
+        return list(zip(self.coeffs(ys), self.uexps(ys)))
+
+    def coeffs(self, ys) -> list:
+        """The coefficient at each y in ys, each form at all the points at once."""
         n = self.n
         if self.sform:  # the form holds 2s
             cs = [self.signed[v >> 1 & 1] for v in _forms_at(self.sform, ys, n)]
@@ -296,7 +300,11 @@ class GaussRule:
             js = [v >> 1 for v in _forms_at(l, ys, n)]
             powers = {j: b**j for j in set(js)}
             cs = [c * powers[j] for c, j in zip(cs, js)]
-        return list(zip(cs, [v >> 1 for v in _forms_at(self.uform, ys, n)]))
+        return cs
+
+    def uexps(self, ys) -> list:
+        """The u-exponent at each y in ys."""
+        return [v >> 1 for v in _forms_at(self.uform, ys, self.n)]
 
 
 def _newton_points(n) -> list:
@@ -503,16 +511,17 @@ class TorusSeries:
         enumeration on the cells' bounding box with the per-cell box budgets
         summed or, where that is refused, each reached cell's fibre
         y = particular + K z on its own (:func:`_subst`, the cone rows in z,
-        the default budget).  Raises NotMultipliable where a sum cannot be
-        certified, as where a kernel combo reaches a cell at an INF order or
-        through a formal factor."""
+        the default budget), the walk's T(y) less low giving each point's
+        u-exponent.  Raises NotMultipliable where a sum cannot be certified,
+        as where a kernel combo reaches a cell at an INF order or through a
+        formal factor."""
         lay = self._layout()
         n = lay.blocks[-1][2] if lay.blocks else 0
         kernel = lay.solver.kernel if lay.solver else ()
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in product(*lay.items):
-            chosen, base, term, form = self._combo_plan(combo)
+            chosen, base, term, form, low = self._combo_plan(combo)
             if not kernel or order == INF or form is None:
                 ts = [vec_sub(h, base) for h in cells]
                 ys = lay.solver.solve_all(ts) if lay.solver else [None if any(t) else () for t in ts]
@@ -522,6 +531,7 @@ class TorusSeries:
                         else "window-only factor inside a product that needs enumeration"
                     )
                 hs, ok = cells, [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
+                levels = None
             elif form is _ZERO_TERM:
                 continue
             else:
@@ -531,17 +541,20 @@ class TorusSeries:
                 try:
                     ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
                 except NotMultipliable:  # each reached cell's fibre on its own
-                    kt, hs, ys = list(zip(*kernel)), [], []  # kt[i]: the vectors' i-th entries
+                    kt, hs, ys, levels = list(zip(*kernel)), [], [], []  # kt[i]: the vectors' i-th entries
                     for h, p in zip(cells, lay.solver.solve_all([vec_sub(h, base) for h in cells])):
                         if p is not None:
                             tz = _quad(_subst(form, p, kernel), len(kernel))
                             pts = enumerate_sublevel(tz, order, [(kt[c], p[c]) for c in lay.cones])
                             ys += _affine_at(kt, p, pts, len(kernel))
+                            levels += pts.values
                             hs += [h] * len(pts)
                 else:
-                    hs = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))]
+                    hs, levels = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))], ys.values
                 ok = [h is not None for h in hs]
-            self._add_terms(sums, compress(hs, ok), [*compress(ys, ok)], chosen, term, order)
+            ys = [*compress(ys, ok)]
+            es = term[0].uexps(ys) if levels is None else [t - low for t in compress(levels, ok)]
+            self._add_terms(sums, compress(hs, ok), ys, es, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
 
@@ -558,14 +571,14 @@ class TorusSeries:
                 cols = solver.solve_all(identity(solver.nrows))
                 if None not in cols:
                     plans = [self._combo_plan(combo) for combo in product(*lay.items)]
-                    if plans and not any(rest for _c, _b, (_r, rest), _f in plans):
+                    if plans and not any(rest for _c, _b, (_r, rest), _f, _l in plans):
                         rules = [p[2][0].compose(vec_neg(solver.solve(p[1])), cols) for p in plans]
             self._cell_cache = (rules,)
         return self._cell_cache[0]
 
     def _combo_plan(self, combo):
-        """Cached plan for one finite combo: (chosen, base, term plan, form);
-        a cell h is reached when h - base = G y.
+        """Cached plan for one finite combo: (chosen, base, term plan, form,
+        low); a cell h is reached when h - base = G y.
 
         The term plan is one Gauss rule in the concatenated lattice
         parameters -- the ordered word's alpha, every unit-monomial finite
@@ -573,13 +586,13 @@ class TorusSeries:
         word positions left over (series values and closure factors).
 
         With a kernel, form is the exact valuation bound T(y), independent of
-        the target cell (None without a kernel): the rule's u-form plus each
-        series-valued finite value's valuation (trunc + 1 for a series with
-        no known term); a closure value adds valuation >= 0.  It is None when
-        a lattice factor is formal, and _ZERO_TERM when a chosen finite value
-        is an exact zero, so every term of the combo vanishes.  The cone rows
-        y_c >= 0 are the caller's; ``_quad(form, n)`` hands it to
-        ``enumerate_sublevel``.
+        the target cell (None without a kernel): the rule's u-form plus low,
+        the sum of each series-valued finite value's valuation (trunc + 1 for
+        a series with no known term); a closure value adds valuation >= 0.
+        Form is None when a lattice factor is formal, and _ZERO_TERM when a
+        chosen finite value is an exact zero, so every term of the combo
+        vanishes.  The cone rows y_c >= 0 are the caller's; ``_quad(form, n)``
+        hands it to ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
@@ -613,7 +626,7 @@ class TorusSeries:
                 if f.coeff is not None:
                     rest.append((wi, slice(at, at + f.nparams)))
             rule = GaussRule(n, const, uform, sform, chars)
-            form = None
+            form, low = None, 0
             if lay.solver is not None and lay.solver.kernel and not any(word[wi].formal for wi in offs):
                 vals = [chosen[wi][1] for wi, span in rest if span is None]
                 if any(not v.terms and v.trunc == INF for v in vals):
@@ -621,63 +634,62 @@ class TorusSeries:
                 else:
                     low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
                     form = _form([*rule.uform, (n, n, 2 * low)])  # in half steps
-            plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form)
+            plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form, low)
         return plan
 
-    def _add_terms(self, sums, hs, ys, chosen, term, order):
-        """Adds one combo's term at each point ys[i] into sums[hs[i]], an
-        [exponent -> value, trunc] pair that starts at ``order``.
+    def _add_terms(self, sums, hs, ys, es, chosen, term, order):
+        """Adds one combo's term at each point ys[i], of Gauss u-exponent
+        es[i], into sums[hs[i]], an [exponent -> value, trunc] pair that
+        starts at ``order``; the rule's coefficients take one call.
 
-        The term plan's Gauss rule is evaluated at all the points in one
-        call.  The series part (:meth:`_series_part`) depends on a point only
-        through its closure factors' parameter slices and on the monomial
-        only through its u-exponent, so the points are grouped by slices and
-        each group's part is built once, at the group's lowest u-exponent:
-        the widest cap any of its points needs.  A higher-exponent point's
-        extra terms land above ``order``, where ``add_into`` drops them.
-        ``add_into`` scales the part by each point's monomial as it adds, so
-        no scaled copy is built."""
+        The series part (:meth:`_series_part`) depends on a point only
+        through its closure parameters, read as one key, and on the monomial
+        only through its u-exponent, so each key's part is built once, at
+        its points' lowest u-exponent: the widest cap any of them needs.  A
+        higher-exponent point's extra terms land above ``order``, where
+        ``add_into`` drops them as it shifts and scales the part by each
+        point's monomial: no monomial or scaled copy is built."""
         rule, rest = term
-        vals = rule.values(ys)
-        at = repeat((None, (None, None)))  # no series part: the monomial alone
+        cs = rule.coeffs(ys)
+        at = repeat((None, UnitMonomial.one(self.param.field)))  # no series part: the monomial alone
         if rest:
-            spans = [span for _wi, span in rest if span is not None]
-            groups: dict = {}  # closure slices -> [lowest u-exponent, series part]
+            idx = [i for _wi, span in rest if span is not None for i in range(span.start, span.stop)]
+            # a tuple per point: a single index is read as a one-entry slice
+            key = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(*idx[:1], idx[0] + 1 if idx else 0))
+            groups: dict = {}  # closure key -> [lowest u-exponent, series part]
             at = []
-            for y, (_c, e) in zip(ys, vals):
-                g = groups.setdefault(tuple([y[span] for span in spans]), [e, None])
-                g[0] = min(g[0], e)
+            for k, e in zip(map(key, ys), es):
+                g = groups.setdefault(k, [e, None])
+                if e < g[0]:
+                    g[0] = e
                 at.append(g)
-            for key, g in groups.items():
-                g[1] = self._series_part(chosen, rest, key, order, g[0])
-        for h, (c, e), (_low, part) in zip(hs, vals, at):
-            if part is None:
+            for k, g in groups.items():
+                g[1] = self._series_part(chosen, rest, k, order, g[0])
+        for h, c, e, (_low, x) in zip(hs, cs, es, at):
+            if x is None:
                 continue
-            fold, prod = part
-            mono = UnitMonomial(c, e) if fold is None else UnitMonomial(c, e) * fold
             acc = sums.get(h)
             if acc is None:
                 acc = sums[h] = [{}, order]
-            x, scale = (mono, None) if prod is None else (prod, mono)
-            acc[1] = add_into(acc[0], x, order, acc[1], scale)
+            acc[1] = add_into(acc[0], x, order, acc[1], e, c)
 
-    def _series_part(self, chosen, rest, slices, order, uexp):
-        """The term's factors left over by the Gauss rule, at the closure
-        factors' parameter ``slices``, for Gauss monomials of u-exponent
-        ``uexp`` or more (the lowest among the points with these slices):
-        (fold, product), or None when the term vanishes.
+    def _series_part(self, chosen, rest, key, order, uexp):
+        """The term's factors left over by the Gauss rule at the closure
+        parameters ``key``, for Gauss monomials of u-exponent ``uexp`` or
+        more (the lowest among the key's points): a UnitMonomial or a
+        ScalarSeries, or None when the term vanishes.
 
         A closure value has valuation >= 0 (:meth:`LatticeFactor.coeff_at`
         checks it), so each closure is asked for ``order`` less ``uexp`` and
-        the finite series' valuations.  Unit-monomial closure values
-        multiply into ``fold`` (None when there are none).  The series
-        values are multiplied in word order into ``product`` (None when
-        there are none), each product capped at ``order`` less the
-        monomial's and fold's u-exponents and the valuations of the series
-        still to come; no cap when a value is an empty series.
+        the finite series' valuations.  Unit-monomial values multiply into a
+        fold.  The series values are multiplied in word order, each product
+        capped at ``order`` less the monomial's and fold's u-exponents and
+        the valuations of the series still to come (no cap when a value is
+        an empty series), and the fold scales the product.
         """
-        slices = iter(slices)
-        vals = [chosen[wi][1] if span is None else next(slices) for wi, span in rest]
+        cut = iter(key)  # split into per-factor slices
+        vals = [chosen[wi][1] if span is None else tuple(islice(cut, span.stop - span.start))
+                for wi, span in rest]
         low = uexp + sum(v.valuation() for (_w, s), v in zip(rest, vals) if s is None and v.terms)
         capped = True
         fold = None
@@ -696,14 +708,14 @@ class TorusSeries:
                 capped = False
             series.append((v, v.valuation() if v.terms else 0))
         if not series:
-            return fold, None
+            return UnitMonomial.one(self.param.field) if fold is None else fold
         head = order - uexp - (fold.uexp if fold is not None else 0) if capped else INF
         rest_lb = sum(lb for _v, lb in series[1:])
         acc = series[0][0]
         for v, lb in series[1:]:
             rest_lb -= lb
             acc = acc.mul_to(v, head - rest_lb)
-        return fold, acc
+        return acc if fold is None else acc.scale(fold)
 
     # -- materialization and comparison ---------------------------------------
 
@@ -770,7 +782,7 @@ def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomi
         if (lay.solver is None or lay.cones or w.kind == FORMAL and lay.solver.kernel
                 or any(len(it) != 1 for it in lay.items)):
             return None
-        _chosen, base, (rule, rest), _form = w._combo_plan(tuple(it[0] for it in lay.items))
+        _chosen, base, (rule, rest), _form, _low = w._combo_plan(tuple(it[0] for it in lay.items))
         plans.append((lay.mtx, base, rule, [t for t in rule.uform if t[1] < rule.n], rest))
     (mtx, base_a, ra, quad, rest_a), (mtx_b, base_b, rb, quad_b, rest_b) = plans
     if rest_a or rest_b or mtx != mtx_b or quad != quad_b:

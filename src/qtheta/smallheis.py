@@ -212,7 +212,8 @@ def act_on_theta(
     where mu has u-exponent e < 0, theta_j is read to ``order`` - e.  That
     table is filled in one pass per read order; the entries are its values
     at the coset reps, and the acted theta is re-expanded through them and
-    checked on the window cells, where an empty product adds only its trunc.
+    checked on the window cells, where an empty product adds only its trunc
+    and a cell with no term on either side is skipped.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
@@ -236,11 +237,13 @@ def act_on_theta(
     for j in range(n):
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
         for h, acted in zip(cells, lhs[j]):
+            bs = [(m, table[h]) for m, table in col]
+            if not acted.terms and not any(b.terms for _m, b in bs):
+                continue  # two empty sides: the comparison cannot fail
             # entries may have negative valuation; compare at the order
             # both sides actually know
             rhs, eff = zero, min(order, acted.trunc)
-            for m, table in col:
-                b = table[h]
+            for m, b in bs:
                 if b.terms:
                     rhs = rhs + m * b
                 else:  # m * b has no term: only its trunc reaches the sum

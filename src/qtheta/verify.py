@@ -97,7 +97,7 @@ def verify_equation(spec: EquationSpec) -> dict:
                     raise NotMultipliable(
                         "formal-kind operand in a product identity"
                     )
-    terms = [(c, s, None if c.is_one() else c) for c, s in map(_term_series, spec.terms)]
+    terms = [*map(_term_series, spec.terms)]
     the_cells = sorted(spec.cells())
     order = spec.order
     checked = 0
@@ -112,7 +112,7 @@ def verify_equation(spec: EquationSpec) -> dict:
         first_mismatch = {"cell": None, "uexp": None, "reason": "no terms to compare"}
         the_cells = []
     tables = []
-    for c, s, _scale in terms:
+    for c, s in terms:
         # one pass per term; a refusal is met again cell by cell
         try:
             tables.append(s._table(the_cells, order - c.uexp))
@@ -126,10 +126,10 @@ def verify_equation(spec: EquationSpec) -> dict:
             continue
         acc: dict = {}
         trunc = order
-        for (c, s, scale), table in zip(terms, tables):
+        for (c, s), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
             value = s.coeff(h, order - c.uexp) if table is None else table[h]
-            trunc = add_into(acc, value, order, trunc, scale)
+            trunc = add_into(acc, value, order, trunc, c.uexp, c.coeff)
         if trunc < order:
             # a silent precision drop would weaken the pass claim
             first_mismatch = {

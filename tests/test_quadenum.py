@@ -374,6 +374,90 @@ def test_e026_window_rows_match_bruteforce():
     assert hits >= 8
 
 
+# --- the walk's values ---------------------------------------------------------
+
+
+def _assert_exact_values(T, pts):
+    """Each returned T(y) is QuadExpr.value(y), an int where it is one."""
+    assert len(pts.values) == len(pts)
+    for y, t in zip(pts, pts.values):
+        assert t == T.value(y) and (type(t) is int or t.denominator > 1), (y, t)
+
+
+def test_the_walk_returns_each_points_value():
+    # the leaf test's sum divided back by the lcm: Fraction-scaled forms with
+    # cones and rows, values integral at some points and not at others, a
+    # constant form (n = 0) and the empty sets
+    rng = random.Random(34)
+    fractional = 0
+    for _ in range(30):
+        n = rng.choice([1, 2, 3])
+        d = rng.choice([2, 3, 6])
+        r = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        q = [[Fraction(sum(r[k][i] * r[k][j] for k in range(n)) + 2 * (i == j), d) for j in range(n)]
+             for i in range(n)]
+        lin = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4])) for _ in range(n)]
+        T = QuadExpr(n, q, lin, Fraction(rng.randint(-6, 6), 3))
+        rows = [((1,) + (0,) * (n - 1), rng.randint(0, 3))] if rng.random() < 0.5 else []
+        pts = enumerate_sublevel(T, Fraction(rng.randint(0, 30), 2), rows)
+        _assert_exact_values(T, pts)
+        fractional += sum(type(t) is Fraction for t in pts.values)
+    assert fractional > 50
+    for const in (3, Fraction(3, 2)):
+        T = QuadExpr(0, [], [], const)
+        pts = enumerate_sublevel(T, 3)
+        assert pts == [()] and pts.values == [const]
+        _assert_exact_values(T, pts)
+        assert not enumerate_sublevel(T, 1).values
+    T = QuadExpr(1, [[2]], [0], 100)
+    assert not enumerate_sublevel(T, 5).values
+    assert not enumerate_sublevel(T, 200, [((0,), -1)]).values
+
+
+def test_the_walk_returns_each_points_value_on_e026(monkeypatch):
+    # E026's window forms are walked in their reordered variables, and with
+    # the window enumeration refused, each cell's fibre in the kernel's
+    import qtheta.series as series_mod
+
+    calls = []
+    real = series_mod.enumerate_sublevel
+
+    def checking(T, *args, **kwargs):
+        pts = real(T, *args, **kwargs)
+        _assert_exact_values(T, pts)
+        calls.append((T.n, _walk_order(T.quad) is not None, len(pts)))
+        return pts
+
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", checking)
+    spec = identity_specs("E026", CycloField(1), window=1)[0]
+    for term in spec.terms:
+        _term_series(term)[1].coeffs(spec.cells(), spec.order)
+    assert [c[:2] for c in calls] == [(9, True)] * 2 and all(c[2] for c in calls)
+    calls.clear()
+    monkeypatch.setattr(series_mod, "MAX_POINTS", 1)
+    for term in spec.terms:
+        _term_series(term)[1].coeffs(spec.cells(), spec.order)
+    assert len(calls) == 2 * len(spec.cells()) and {n for n, *_ in calls} == {5}
+    assert sum(c[2] for c in calls) > 0
+
+
+def test_the_walk_leaves_no_cycle_holding_its_points():
+    # the recursive walk's closure refers to itself; the cycle is broken on
+    # return, so the points go with the last reference to them rather than at
+    # the next cyclic collection
+    import gc
+
+    T = QuadExpr(2, [[1, 0], [0, 1]], [0, 0], 0)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert len(enumerate_sublevel(T, 50)) == 161
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- the walk order -----------------------------------------------------------
 
 

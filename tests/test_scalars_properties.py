@@ -235,45 +235,51 @@ def accumulator_and_addend(draw):
 @SETTINGS
 @given(
     accumulator_and_addend(),
-    st.booleans(),
+    st.sampled_from(["none", "own", "built"]),
     st.sampled_from([INF, 2, 8]),
     st.integers(-5, 10) | st.just(INF),
 )
 def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
-    # add_into(acc, x, top, ..., mono) with mono -1 is acc + (-x) on exponents
-    # up to top, built by plain field arithmetic; no mono is the control
+    # add_into(acc, x, top, trunc, 0, scale) with scale -1 is acc + (-x) on
+    # exponents up to top, built by plain field arithmetic; the -1 is the
+    # field's own minus one or an equal element built by arithmetic, and no
+    # scale is the control
     f, acc, terms = case
-    mono = UnitMonomial(-f.one(), 0) if neg else None
+    scale = {"none": None, "own": f.minus_one(), "built": -f.one()}[neg]
+    assert neg == "none" or (scale is f.minus_one()) == (neg == "own")
     x = ScalarSeries(f, terms, x_trunc)
     want = dict(acc)
     for e, c in x.terms.items():
         if e <= top:
-            total = want.pop(e, f.zero()) + (-c if neg else c)
+            total = want.pop(e, f.zero()) + (c if scale is None else -c)
             if not total.is_zero():
                 want[e] = total
     got = dict(acc)
-    assert add_into(got, x, top, 5, mono) == min(5, x_trunc)
+    assert add_into(got, x, top, 5, 0, scale) == min(5, x_trunc)
     assert got == want
     got = dict(acc)
     for e, c in x.terms.items():
-        assert add_into(got, UnitMonomial(c, e), top, INF, mono) == INF
+        assert add_into(got, UnitMonomial(c, e), top, INF, 0, scale) == INF
     assert got == want
 
 
 @SETTINGS
 @given(
     accumulator_and_addend(),
-    st.sampled_from([1, -1, 2, "zeta"]),
+    st.sampled_from(["one", "minus one", 1, -1, 2, "zeta"]),
     st.integers(-3, 3),
     st.sampled_from([INF, 2, 8]),
     st.integers(-5, 10) | st.just(INF),
 )
 def test_add_into_with_a_monomial_is_the_slow_scaled_sum(case, coeff, uexp, x_trunc, top):
-    # add_into(acc, x, top, ..., mono) is acc + mono * x on exponents up to
-    # top; a +-1 coefficient takes the fast path, 2 and zeta the product
+    # add_into(acc, x, top, trunc, uexp, c0) is acc + (c0 u^uexp) x on exponents
+    # up to top; a +-1 c0 takes the fast path, whether it is the field's own
+    # one or minus one or an equal element built by arithmetic (1 and -1),
+    # and 2 and zeta the product
     f, acc, terms = case
-    c0 = f.zeta() if coeff == "zeta" else f.from_rational(coeff)
-    mono = UnitMonomial(c0, uexp)
+    named = {"one": f.one(), "minus one": f.minus_one(), "zeta": f.zeta()}
+    c0 = named[coeff] if coeff in named else f.from_rational(coeff)
+    assert c0 is not f.one() and c0 is not f.minus_one() or coeff in named
     x = ScalarSeries(f, terms, x_trunc)
     want = dict(acc)
     for e, c in x.terms.items():
@@ -282,9 +288,9 @@ def test_add_into_with_a_monomial_is_the_slow_scaled_sum(case, coeff, uexp, x_tr
             if not total.is_zero():
                 want[e + uexp] = total
     got = dict(acc)
-    assert add_into(got, x, top, 5, mono) == min(5, x_trunc + uexp)
+    assert add_into(got, x, top, 5, uexp, c0) == min(5, x_trunc + uexp)
     assert got == want
     got = dict(acc)
     for e, c in x.terms.items():
-        assert add_into(got, UnitMonomial(c, e), top, INF, mono) == INF
+        assert add_into(got, UnitMonomial(c, e), top, INF, uexp, c0) == INF
     assert got == want

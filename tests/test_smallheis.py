@@ -464,26 +464,31 @@ def test_acted_thetas_match_the_heisenberg_words(monkeypatch):
     # act_on_theta's entries (its acted thetas at the coset reps) and the
     # acted values it re-expands (at the window cells) equal the coefficients
     # of heis_act's word, terms and trunc; the gamma lifts' mu reach negative
-    # u-exponents, where the basis theta is read to a higher order
+    # u-exponents, where the basis theta is read to a higher order.  Each
+    # acted value is read where act_on_theta scales it, so every (column,
+    # cell) pair is seen, also the ones whose comparison is skipped
     lowest = []
     for L, basis, elems in _acted_fixtures():
         cells = basis.basis[0].window_cells(3)
         for elem in elems:
             seen = []
-            equal = ScalarSeries.equal_to_order
+            scale = ScalarSeries.scale
 
-            def spy(self, other, order):
-                seen.append(self)
-                return equal(self, other, order)
+            def spy(self, mono, cap=INF):
+                out = scale(self, mono, cap)
+                seen.append(out)
+                return out
 
             with monkeypatch.context() as mp:
-                mp.setattr(ScalarSeries, "equal_to_order", spy)
+                mp.setattr(ScalarSeries, "scale", spy)
                 M = act_on_theta(L, elem, basis, 3, 40)
-            assert len(seen) == basis.dim * len(cells)
+            per = basis.dim + len(cells)  # a column's entries, then its acted values
+            assert len(seen) == basis.dim * per
             for j, theta in enumerate(basis.basis):
                 word = heis_act(elem.raw(L.param), theta)
                 want = word.coeffs([*basis.coset_reps, *cells], 40)
-                got = [M[k][j] for k in range(basis.dim)] + seen[j * len(cells) : (j + 1) * len(cells)]
+                got = seen[j * per : (j + 1) * per]
+                assert all(x is M[k][j] for k, x in enumerate(got[: basis.dim]))
                 for h, x in zip([*basis.coset_reps, *cells], got):
                     assert (x.terms, x.trunc) == (want[h].terms, want[h].trunc), (L, elem, j, h)
             reads = [tuple(x - g for x, g in zip(h, elem.gamma)) for h in [*basis.coset_reps, *cells]]
@@ -526,21 +531,51 @@ def test_re_expansion_compares_at_the_order_both_sides_know(monkeypatch):
         mp.setattr(ScalarSeries, "equal_to_order", spy)
         M = act_on_theta(composed, elem, basis, 3, 40)
     assert any(x.valuation() < 0 for row in M for x in row)
-    want, unfolded = [], []
+    # every (column, cell) pair: compared at the order the plain sum knows,
+    # unless the acted value and every basis value it re-expands through have
+    # no term there, where the comparison cannot fail and is skipped
+    want, unfolded, kinds = [], [], collections.Counter()
+    cells = basis.basis[0].window_cells(3)
     for j, theta in enumerate(basis.basis):
         acted = heis_act(elem.raw(composed.param), theta)
-        for h in basis.basis[0].window_cells(3):
+        for h in cells:
             full = nonempty = ScalarSeries.zero(F, 40)
+            bs = [basis.basis[k].coeff(h, 40) for k in range(basis.dim) if not M[k][j].is_zero()]
             for k in range(basis.dim):
                 if not M[k][j].is_zero():
                     b = basis.basis[k].coeff(h, 40)
                     full = full + M[k][j] * b
                     nonempty = nonempty + M[k][j] * b if b.terms else nonempty
-            lhs = acted.coeff(h, 40).trunc
-            want.append(min(40, lhs, full.trunc))
-            unfolded.append(min(40, lhs, nonempty.trunc))
+            lhs = acted.coeff(h, 40)
+            kinds[bool(lhs.terms), any(b.terms for b in bs)] += 1
+            if lhs.terms or any(b.terms for b in bs):
+                want.append(min(40, lhs.trunc, full.trunc))
+                unfolded.append(min(40, lhs.trunc, nonempty.trunc))
+    assert sum(kinds.values()) == basis.dim * len(cells)
+    assert kinds[False, False] and kinds[True, True]
     assert seen == want
     assert want != unfolded  # some empty product lowers the order compared
+
+
+def test_re_expansion_compares_where_only_the_acted_value_is_empty(monkeypatch):
+    # with every acted value at the window cells replaced by an empty series
+    # (the matrix entries kept), only the cells where no basis value has a
+    # term may be skipped: the others re-expand to a nonzero sum and refuse
+    composed, basis, struct = _pair_basis(3, 40)
+    elem = SmallHeisElement(UnitMonomial.one(F), struct.kappa_generators[0], (0, 0))
+    per = basis.dim + len(basis.basis[0].window_cells(3))  # a column's entries, then its acted values
+    calls = []
+    scale = ScalarSeries.scale
+
+    def emptied(self, mono, cap=INF):
+        calls.append(None)
+        out = scale(self, mono, cap)
+        return out if (len(calls) - 1) % per < basis.dim else ScalarSeries.zero(F, out.trunc)
+
+    act_on_theta(composed, elem, basis, 3, 40)
+    monkeypatch.setattr(ScalarSeries, "scale", emptied)
+    with pytest.raises(NotInNormalizer, match="re-expand"):
+        act_on_theta(composed, elem, basis, 3, 40)
 
 def test_action_group_law_mod_center():
     L2 = level2()

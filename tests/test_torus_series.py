@@ -791,24 +791,25 @@ def test_an_empty_finite_trunc_closure_value_leaves_the_product_uncapped():
 
 def _spy_series_parts(monkeypatch):
     """Patch the batch helper and the series part builder to log, for each
-    batch, (the points' closure slices -> their lowest u-exponent, the
-    (slices, u-exponent) of each part built, the parts built)."""
+    batch, (the points' concatenated closure slices -> their lowest
+    u-exponent by the Gauss rule, the (key, u-exponent) of each part built,
+    the parts built)."""
     batches = []
     real_add, real_part = TorusSeries._add_terms, TorusSeries._series_part
 
-    def add_terms(self, sums, hs, ys, chosen, term, order):
+    def add_terms(self, sums, hs, ys, es, chosen, term, order):
         rule, rest = term
         spans = [span for _wi, span in rest if span is not None]
         lowest = {}
         for y, (_c, e) in zip(ys, rule.values(ys)):
-            key = tuple(y[span] for span in spans)
+            key = sum((y[span] for span in spans), ())
             lowest[key] = min(lowest.get(key, e), e)
         batches.append((lowest, [], []))
-        return real_add(self, sums, hs, ys, chosen, term, order)
+        return real_add(self, sums, hs, ys, es, chosen, term, order)
 
-    def series_part(self, chosen, rest, slices, order, uexp):
-        part = real_part(self, chosen, rest, slices, order, uexp)
-        batches[-1][1].append((slices, uexp))
+    def series_part(self, chosen, rest, key, order, uexp):
+        part = real_part(self, chosen, rest, key, order, uexp)
+        batches[-1][1].append((key, uexp))
         if part is not None:
             batches[-1][2].append(part)
         return part
@@ -816,6 +817,102 @@ def _spy_series_parts(monkeypatch):
     monkeypatch.setattr(TorusSeries, "_add_terms", add_terms)
     monkeypatch.setattr(TorusSeries, "_series_part", series_part)
     return batches
+
+
+def _spy_walk_exponents(monkeypatch):
+    """Patch the batch helper and the series part builder to check, at every
+    point of every batch, that the u-exponent handed in is the term's Gauss
+    rule's; log per batch (points, low, the points' concatenated closure
+    slices, the keys the series parts were built for)."""
+    log = []
+    real_add, real_part = TorusSeries._add_terms, TorusSeries._series_part
+
+    def add_terms(self, sums, hs, ys, es, chosen, term, order):
+        rule, rest = term
+        assert es == [e for _c, e in rule.values(ys)]
+        spans = [span for _wi, span in rest if span is not None]
+        vals = [v for _p, v in chosen.values() if isinstance(v, ScalarSeries)]
+        low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
+        slices = {sum((y[span] for span in spans), ()) for y in ys} if rest else set()
+        log.append((len(ys), low, slices, set()))
+        return real_add(self, sums, hs, ys, es, chosen, term, order)
+
+    def series_part(self, chosen, rest, key, order, uexp):
+        log[-1][3].add(key)
+        return real_part(self, chosen, rest, key, order, uexp)
+
+    monkeypatch.setattr(TorusSeries, "_add_terms", add_terms)
+    monkeypatch.setattr(TorusSeries, "_series_part", series_part)
+    return log
+
+
+def _finite_factor_word(f):
+    """theta(1, 0) . finite . e_q(1, 0) . theta(0, 1) over a kernel with
+    cones, where the finite factor has series values of valuation 0 and 2,
+    one exact zero and one with no term known to u^5: its combos' low is 0,
+    2, 6 or (the exact zero) skipped."""
+    p = QuantParam.standard_tq(f)
+    poly = TorusSeries.from_dict(p, {
+        (0, 0): UnitMonomial(f.zeta(), 1),
+        (1, -1): ScalarSeries(f, {0: f.one(), 3: f.zeta(), 7: -f.one()}),
+        (1, 0): ScalarSeries(f, {2: f.zeta(), 4: -f.one()}),
+        (-1, 0): ScalarSeries.zero(f, INF),
+        (0, 2): ScalarSeries.zero(f, 5),
+    })
+    return theta_series(p, (1, 0)).mul(poly).mul(eq_series(p, (1, 0))).mul(theta_series(p, (0, 1)))
+
+
+def _sign_character_words(m):
+    """Theta products over the torus with signs, two of them with prefactors
+    whose coefficients are not +-1 (characters at m=5): one enumerated on
+    the window's box, and theta(1, 0) theta(0, 1) theta(1, 1), refused
+    there and enumerated fibre by fibre."""
+    _f, p, mus, _points = _gauss_cases(m)
+    box = theta_series(p, (1, 0), mus[1]).mul(theta_series(p, (1, 0), mus[2]))
+    fibres = theta_series(p, (1, 0), mus[1]).mul(theta_series(p, (0, 1), mus[2]))
+    return [box, fibres.mul(theta_series(p, (1, 1)))]
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_each_points_u_exponent_is_the_walks_value_less_low(monkeypatch, m):
+    # every point of every batch: the u-exponent read off the walk's T(y)
+    # less the combo's low is the Gauss rule's, and the series parts are
+    # built once for each distinct concatenation of closure slices; E026's
+    # words on their default window, theta products with sign characters,
+    # a word whose finite series values give low != 0, and E026 with the
+    # window enumeration refused, so that each cell's fibre is walked
+    import qtheta.series as series_mod
+
+    f = CycloField(m)
+    log = _spy_walk_exponents(monkeypatch)
+    walks = _record_enumerations(monkeypatch)
+    cells, order, terms = _fresh_terms("E026", m, None)
+    for s in terms:
+        s.coeffs(cells, order)
+    assert [n for n, *_ in log] == walks == [7611, 7611]
+    for _n, _low, slices, keys in log:
+        assert len(keys) > 1 and keys == slices
+    log.clear()
+    small = list(itertools.product(range(-2, 3), repeat=2))
+    for word, refused in zip(_sign_character_words(m), (False, True)):
+        rule = word._combo_plan(next(itertools.product(*word._layout().items)))[2][0]
+        assert rule.sform and (m == 1 or rule.chars)
+        walks.clear()
+        assert word._layout().solver.kernel and word.coeffs(small, 12)
+        assert isinstance(walks[0], NotMultipliable) == refused
+    assert len(log) == 2 and all(n > 0 and not keys for n, _low, _s, keys in log)
+    log.clear()
+    word = _finite_factor_word(f)
+    assert any(not x.is_zero() for x in word.coeffs(small, 12).values())
+    assert {low for n, low, *_ in log if n} == {0, 2, 6}
+    log.clear()
+    cells, order, terms = _fresh_terms("E026", m, 1)
+    monkeypatch.setattr(series_mod, "MAX_POINTS", 1)
+    walks.clear()
+    for s in terms:
+        s.coeffs(cells, order)
+    assert sum(isinstance(x, EnumerationLimit) for x in walks) == 2 and len(walks) == 2 + 2 * len(cells)
+    assert len(log) == 2 and all(n > 0 and keys == slices for n, _low, slices, keys in log)
 
 
 @pytest.mark.parametrize("window, total", [(1, None), (None, 394)])
@@ -989,7 +1086,7 @@ def test_rule_pass_shares_one_series_per_distinct_cell_value(m):
                 table = fresh.coeffs(cells, order)
                 lay = fresh._layout()
                 (combo,) = itertools.product(*lay.items)
-                _chosen, base, (rule, rest), _form = fresh._combo_plan(combo)
+                _chosen, base, (rule, rest), _form, _low = fresh._combo_plan(combo)
                 assert len(fresh._cell_rules()) == 1 and not rest
                 monos = {h: rule.at(lay.solver.solve(vec_sub(h, base))) for h in cells}
                 assert all(x.uexp <= order for x in monos.values())
@@ -1348,7 +1445,7 @@ def _flattened(word, extra=None, moved=None):
     lattice (offset base, generators the columns of G), its rule times
     ``extra`` and its offset moved by ``moved`` when given."""
     lay = word._layout()
-    ((_chosen, base, (rule, rest), _form),) = [word._combo_plan(c) for c in itertools.product(*lay.items)]
+    ((_chosen, base, (rule, rest), _form, _low),) = [word._combo_plan(c) for c in itertools.product(*lay.items)]
     assert not rest
     gauss = rule if extra is None else rule.times(extra)
     offset = base if moved is None else vec_add(base, moved)
