@@ -32,30 +32,31 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
    rows and the box along with it, so the walk meets the same points; each
    is mapped back through the inverse permutation as it is emitted.  With
    the block last, B below is positive definite at every level from the
-   last variable outside the block on, not only at the last level (E026's
-   form is singular: only its three theta parameters have Q_ii > 0).
-   Positive definite forms keep their order, as does any order whose
-   positive definite suffix is as long as the greedy block.
-   With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ..., y_{n-1}),
-   where the linear coefficients lin_j of R are updated as the prefix grows.
-   Each of these cuts holds at every point of the box, so none loses a
-   solution:
+   last variable outside the block on (E026's form is singular: only its
+   three theta parameters have Q_ii > 0).  Positive definite forms keep
+   their order, as does any order whose positive definite suffix is as long
+   as the greedy block.  With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ...,
+   y_{n-1}), where the linear coefficients lin_j of R are updated as the
+   prefix grows.  Each of these cuts holds at every point of the box, so
+   none loses a solution:
    - Completion of squares (Fincke-Pohst): when B = Q[i+1:, i+1:] is positive
      definite, the minimum of R over real y_{i+1..} is a quadratic in y_i
      (integer after scaling by 4 det B through the adjugate of B), and y_i
-     lies in its sublevel interval.  At the last variable B is empty and
-     this solves q v^2 + lin v + acc <= limit.  Roots are rounded outward
-     with ``math.isqrt``.
+     lies in its integer sublevel set, solved exactly with ``math.isqrt``.
+     The last level (B empty) is solved by its own helper, called straight
+     from the level before: q v^2 + lin v + acc <= limit, exact for q >= 0.
    - Inequality rows: given the prefix and the box maximum of the suffix
      terms, each row bounds y_i.
-   - Separable box bound: a prefix is skipped when acc plus the box minima
-     of Q_jj y_j^2 + lin_j y_j (j > i) and of each remaining cross term
-     2 Q_jk y_j y_k exceeds the limit.  The minima may be negative, so the
-     sum is always completed before it is compared.
+   - Separable box bound, where the next level has no completion of squares
+     (skipping it only visits more nodes): a prefix is skipped when acc
+     plus the box minima of Q_jj y_j^2 + lin_j y_j (j > i) and of each
+     remaining cross term 2 Q_jk y_j y_k exceeds the limit.  The minima may
+     be negative, so the sum is always completed before it is compared.
    Every emitted point still passes the exact test T(y) <= limit, and the
    sum it tests is returned with it.  The rows need no test there: each is
    exact at its last nonzero variable's cut or, with one nonzero variable,
-   in the box.
+   in the box.  Given an integer linear form w.y + w0 (a torus series'
+   cell position), the walk carries it as it carries T and returns it too.
 """
 
 from __future__ import annotations
@@ -123,13 +124,13 @@ def _sep_min(q, t, lo, hi):
 
 
 def _quad_range(A, B, C, lo, hi):
-    """An integer interval inside [lo, hi] holding every v there with
-    A v^2 + B v + C <= 0 (rounded outward; all of [lo, hi] when A < 0)."""
+    """The integers v in [lo, hi] with A v^2 + B v + C <= 0, exactly where
+    A >= 0 ((2 A v + B)^2 <= B^2 - 4 A C); all of [lo, hi] when A < 0."""
     if A > 0:
         disc = B * B - 4 * A * C
         if disc < 0:
             return 1, 0
-        s = math.isqrt(disc) + 1
+        s = math.isqrt(disc)
         return max(lo, -((B + s) // (2 * A))), min(hi, (s - B) // (2 * A))
     if A == 0:
         if B > 0:
@@ -242,9 +243,10 @@ class QuadExpr:
 
 
 class Sublevel(list):
-    """The points found, in walk order, and ``values``: T at each of them."""
+    """The points found, in walk order, ``values``: T at each of them, and
+    ``positions``: the caller's linear form at each of them."""
 
-    values = ()
+    values = positions = ()
 
 
 def enumerate_sublevel(
@@ -252,9 +254,11 @@ def enumerate_sublevel(
     limit,
     ineqs: Sequence[tuple[Sequence[int], int]] = (),
     max_points: int = MAX_POINTS,
+    position=None,
 ) -> Sublevel:
     """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b),
-    with the exact T(y) of each in ``values``.
+    with the exact T(y) of each in ``values`` and, given an integer linear
+    form ``position`` = (w, w0), each w.y + w0 in ``positions``.
 
     Raises NotMultipliable when the solution set cannot be certified finite,
     and its subclass EnumerationLimit when the certified box holds more than
@@ -276,6 +280,8 @@ def enumerate_sublevel(
     if n == 0:
         out = Sublevel([()] if T.const <= limit else [])
         out.values = [const] * len(out)
+        if position and out:
+            out.positions = [position[1]]
         return out
 
     Q, L = T.quad, T.lin
@@ -480,12 +486,14 @@ def enumerate_sublevel(
     # --- pruned walk (see the module docstring) -----------------------------
     order = _walk_order(Q)
     emit = tuple
+    pw, p0 = position or ((0,) * n, 0)
     if order is not None:
         Q = tuple(tuple(Q[i][j] for j in order) for i in order)
         L = [L[i] for i in order]
         lo = [lo[i] for i in order]
         hi = [hi[i] for i in order]
         rows = [(tuple(c[i] for i in order), b) for c, b in rows]
+        pw = [pw[i] for i in order]
         emit = itemgetter(*sorted(range(n), key=order.__getitem__))
     tails = _tail_bounds(Q)
     cross = [0] * (n + 1)  # cross[i]: box minimum of the cross terms in y_i..
@@ -507,10 +515,27 @@ def enumerate_sublevel(
     ]
     lin = list(L)
     y = [0] * n
-    out, vals = Sublevel(), []
+    out, vals, pos = Sublevel(), [], []
     last = n - 1
+    q, wl = Q[last][last], pw[last]
 
-    def rec(i, acc):
+    def leaf(acc, l, p):
+        a, b = _quad_range(q, l, acc - limit, lo[last], hi[last])
+        for pre, s, ci in cuts[last]:
+            s += sum(map(mul, pre, y))
+            if ci > 0:
+                a = max(a, -(s // ci))
+            else:
+                b = min(b, s // -ci)
+        for v in range(a, b + 1):
+            t = acc + (q * v + l) * v
+            if t <= limit:
+                y[last] = v
+                out.append(emit(y))
+                vals.append(t)
+                pos.append(p + wl * v)
+
+    def rec(i, acc, p):
         a, b = lo[i], hi[i]
         if tails[i] is not None:
             A, D, adj, w = tails[i]
@@ -524,32 +549,31 @@ def enumerate_sublevel(
                 a = max(a, -(s // ci))
             else:
                 b = min(b, s // -ci)
-        qii, li = Q[i][i], lin[i]
-        if i == last:
+        qii, li, wi, j = Q[i][i], lin[i], pw[i], i + 1
+        if j == last:
+            l, c = lin[last], 2 * Q[i][last]
             for v in range(a, b + 1):
-                t = acc + (qii * v + li) * v
-                if t <= limit:
-                    y[i] = v
-                    out.append(emit(y))
-                    vals.append(t)
+                y[i] = v
+                leaf(acc + (qii * v + li) * v, l + c * v, p + wi * v)
             return
-        row = Q[i]
-        base = lin[i + 1 :]
-        nxt = range(i + 1, n)
+        base, row = lin[j:], [2 * x for x in Q[i][j:]]
+        sep = tails[j] is None  # no Fincke-Pohst range below: the separable bound prunes
         for v in range(a, b + 1):
             acc2 = acc + (qii * v + li) * v
-            bound = acc2 + cross[i + 1]
-            for j in nxt:
-                t = base[j - i - 1] + 2 * row[j] * v
-                lin[j] = t
-                bound += _sep_min(Q[j][j], t, lo[j], hi[j])
-            if bound <= limit:
-                y[i] = v
-                rec(i + 1, acc2)
-        lin[i + 1 :] = base
+            lin[j:] = [t + c * v for t, c in zip(base, row)]
+            if sep and acc2 + cross[j] + sum(_sep_min(Q[k][k], lin[k], lo[k], hi[k]) for k in range(j, n)) > limit:
+                continue
+            y[i] = v
+            rec(j, acc2, p + wi * v)
+        lin[j:] = base
 
-    rec(0, T.const)
+    if n == 1:
+        leaf(T.const, lin[0], p0)
+    else:
+        rec(0, T.const, p0)
     del rec  # rec's closure holds rec: left to the cyclic collector, the cycle would keep the points
+    if position and pos:
+        out.positions = pos
     out.values = vals if scale == 1 else [t // scale if t % scale == 0 else Fraction(t, scale) for t in vals]
     return out
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, islice, product, repeat
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateViolation, NotMultipliable, ParamMismatch, PrecisionShortfall
@@ -508,8 +508,9 @@ class TorusSeries:
         """``{h: coefficient}`` at ``cells`` (each mapped to itself): each
         finite combo's points are one :meth:`_add_terms` batch, the solutions
         of G y = h - base with y_c >= 0.  Over a kernel K that is one
-        enumeration on the cells' bounding box with the per-cell box budgets
-        summed or, where that is refused, each reached cell's fibre
+        enumeration on the cells' bounding box, which returns each point's
+        cell position there, with the per-cell box budgets summed or, where
+        that is refused, each reached cell's fibre
         y = particular + K z on its own (:func:`_subst`, the cone rows in z,
         the default budget), the walk's T(y) less low giving each point's
         u-exponent.  Raises NotMultipliable where a sum cannot be certified,
@@ -519,6 +520,16 @@ class TorusSeries:
         n = lay.blocks[-1][2] if lay.blocks else 0
         kernel = lay.solver.kernel if lay.solver else ()
         lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
+        if kernel:  # each cell h at its position stride.(h - lo) in that box
+            stride = [1]
+            for l, u in zip(reversed(lo), reversed(hi)):
+                stride.insert(0, stride[0] * (u - l + 1))
+            dense = stride.pop(0) == len(cells)  # the cells fill the box: a list as long as they are
+            at = [None] * len(cells) if dense else {}
+            for h in cells:
+                at[sum(map(mul, stride, map(sub, h, lo)))] = h
+            cell_at = at.__getitem__ if dense else at.get
+            w = [sum(s * g[k] for s, g in zip(stride, lay.mtx)) for k in range(n)]  # base + G y sits at w.y + base's
         sums: dict = {}  # cell -> [exponent -> value, trunc]
         for combo in product(*lay.items):
             chosen, base, term, form, low = self._combo_plan(combo)
@@ -538,8 +549,9 @@ class TorusSeries:
                 rows = [(tuple(int(i == c) for i in range(n)), 0) for c in lay.cones]
                 for g, b, l, u in zip(lay.mtx, base, lo, hi):  # lo <= base + G y <= hi
                     rows += [(g, b - l), (tuple(-x for x in g), u - b)]
+                place = w, sum(map(mul, stride, map(sub, base, lo)))
                 try:
-                    ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells))
+                    ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells), place)
                 except NotMultipliable:  # each reached cell's fibre on its own
                     kt, hs, ys, levels = list(zip(*kernel)), [], [], []  # kt[i]: the vectors' i-th entries
                     for h, p in zip(cells, lay.solver.solve_all([vec_sub(h, base) for h in cells])):
@@ -550,7 +562,7 @@ class TorusSeries:
                             levels += pts.values
                             hs += [h] * len(pts)
                 else:
-                    hs, levels = [*map(cells.get, _affine_at(lay.mtx, base, ys, n))], ys.values
+                    hs, levels = [*map(cell_at, ys.positions)], ys.values
                 ok = [h is not None for h in hs]
             ys = [*compress(ys, ok)]
             es = term[0].uexps(ys) if levels is None else [t - low for t in compress(levels, ok)]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -456,6 +457,192 @@ def test_the_walk_leaves_no_cycle_holding_its_points():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the walk's cell positions -----------------------------------------------
+
+
+def _strides(lo, hi):
+    """A cell h's position in the box [lo, hi] is strides . (h - lo)."""
+    return [math.prod(u - l + 1 for l, u in zip(lo[r + 1 :], hi[r + 1 :])) for r in range(len(lo))]
+
+
+def _assert_cell_positions(pts, G, base, lo, hi):
+    """Each returned position is that of the point's cell base + G y."""
+    stride = _strides(lo, hi)
+    assert len(pts.positions) == len(pts)
+    for y, p in zip(pts, pts.positions):
+        h = [b + sum(map(mul, g, y)) for g, b in zip(G, base)]
+        assert p == sum(s * (x - l) for s, x, l in zip(stride, h, lo)), (y, p)
+
+
+def test_the_walk_returns_each_points_cell_position():
+    # random forms and rows, half of them walked in a reordered variable
+    # order, under random integer maps G: the position the walk carries is
+    # that of base + G y in a box, as the torus series count it
+    rng = random.Random(35)
+    reordered = 0
+    for _ in range(40):
+        n = rng.choice([3, 4, 5])
+        if rng.random() < 0.5:
+            q, pos = _interleaved_form(rng, n)
+        else:
+            r = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            q = [[2 * sum(row[i] * row[j] for row in r) + 2 * (i == j) for j in range(n)] for i in range(n)]
+            pos = range(n)
+        T = QuadExpr(n, q, [rng.randint(-4, 4) for _ in range(n)], rng.randint(-2, 2))
+        rows = []
+        for i in range(n):  # cones on the zero-diagonal variables, a box on all
+            e = tuple(int(j == i) for j in range(n))
+            rows += [(e, 0 if i not in pos else rng.randint(1, 3)), (tuple(-x for x in e), rng.randint(1, 3))]
+        k = rng.choice([1, 2, 3])
+        G = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        base = [rng.randint(-3, 3) for _ in range(k)]
+        lo = [rng.randint(-6, 0) for _ in range(k)]
+        hi = [x + rng.randint(0, 8) for x in lo]
+        stride = _strides(lo, hi)
+        w = [sum(s * g[j] for s, g in zip(stride, G)) for j in range(n)]
+        w0 = sum(s * (b - x) for s, b, x in zip(stride, base, lo))
+        limit = rng.randint(0, 12)
+        pts = enumerate_sublevel(T, limit, rows, position=(w, w0))
+        plain = enumerate_sublevel(T, limit, rows)
+        assert pts == plain and pts.values == plain.values and plain.positions == ()
+        _assert_cell_positions(pts, G, base, lo, hi)
+        reordered += bool(pts) and _walk_order(T.quad) is not None
+    assert reordered >= 8
+
+
+def test_empty_results_and_early_exits_have_no_positions():
+    at = ((1, 3), 5)
+    T = QuadExpr(2, [[1, 0], [0, 1]], [0, 0], 0)
+    # the walk runs and finds nothing: the box is {(1, 1)}, the row's cut at
+    # y1 asks for y1 >= 2
+    row = [((1, 1), -3)]
+    assert enumerate_sublevel(T, 4, row).positions == ()
+    empty = [
+        enumerate_sublevel(T, 4, row, position=at),
+        enumerate_sublevel(T, 4, [((0, 0), -1)], position=at),  # a constant row that fails
+        enumerate_sublevel(T, -1, position=at),  # certified empty by propagation
+        enumerate_sublevel(QuadExpr(0, [], [], 3), 1, position=((), 7)),
+    ]
+    for pts in empty:
+        assert pts == [] and pts.positions == () and not pts.values
+    pts = enumerate_sublevel(QuadExpr(0, [], [], 3), 3, position=((), 7))
+    assert pts == [()] and pts.positions == [7]
+    pts = enumerate_sublevel(T, 1, position=at)
+    assert sorted(zip(pts, pts.positions)) == [((-1, 0), 4), ((0, -1), 2), ((0, 0), 5), ((0, 1), 8), ((1, 0), 6)]
+
+
+def test_e026_window_walk_returns_each_points_cell_position(monkeypatch):
+    # E026's window walks run in their reordered variables; each point's
+    # position is that of its cell base + G y in the window's box
+    import qtheta.series as series_mod
+
+    seen = []
+    real = series_mod.enumerate_sublevel
+
+    def recording(*args, **kwargs):
+        pts = real(*args, **kwargs)
+        seen.append(pts)
+        return pts
+
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", recording)
+    spec = identity_specs("E026", CycloField(1), window=1)[0]
+    cells = spec.cells()
+    lo, hi = [min(c) for c in zip(*cells)], [max(c) for c in zip(*cells)]
+    for term in spec.terms:
+        ser = _term_series(term)[1]
+        lay = ser._layout()
+        (combo,) = itertools.product(*lay.items)
+        ser.coeffs(cells, spec.order)
+        pts, (_chosen, base, _term, form, _low) = seen[-1], ser._combo_plan(combo)
+        assert len(pts) > 100 and _walk_order(_quad(form, len(pts[0])).quad)
+        _assert_cell_positions(pts, lay.mtx, base, lo, hi)
+
+
+def test_sparse_cells_read_the_same_coefficients_as_their_window():
+    # cells that do not fill their bounding box are looked up by position in
+    # a dict, the window's own cells in a list; points that land on a cell
+    # outside the set are dropped
+    spec = identity_specs("E026", CycloField(1), window=1)[0]
+    cells = spec.cells()
+    sparse = [h for h in cells if sum(h) % 2 == 0]
+    assert 0 < len(sparse) < len(cells)
+    for term in spec.terms:
+        full = _term_series(term)[1].coeffs(cells, spec.order)
+        part = _term_series(term)[1].coeffs(sparse, spec.order)
+        assert part == {h: full[h] for h in sparse}
+        assert any(part.values())
+
+
+# --- the last level and the separable bound -----------------------------------
+
+
+def _walk_calls(T, limit, rows):
+    """The points and the number of the walk's level calls (its ``rec`` and
+    ``leaf`` frames, counted by a profile hook)."""
+    calls = [0]
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name in ("rec", "leaf"):
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        pts = enumerate_sublevel(T, limit, rows)
+    finally:
+        sys.setprofile(None)
+    return sorted(pts), calls[0]
+
+
+def test_last_level_matches_bruteforce():
+    # n = 1: q > 0, q = 0 on a cone and q < 0 in a box, where only the exact
+    # test T(y) <= limit keeps the points out that the box lets through
+    for q, l, c, rows in [
+        (3, -7, 2, []),
+        (0, 3, -4, [((1,), 0)]),
+        (0, -2, 1, [((1,), 5), ((-1,), 0)]),
+        (-1, 4, 0, [((1,), 6), ((-1,), 6)]),
+        (Fraction(1, 2), Fraction(1, 3), 0, []),
+    ]:
+        T = QuadExpr(1, [[q]], [l], c)
+        for limit in (-3, 0, 5):
+            pts = sorted(enumerate_sublevel(T, limit, rows))
+            assert pts == brute(T, limit, rows, 12)
+    # no positive diagonal entry: the walk keeps the given order and its last
+    # variable has q = 0 or q < 0; the rows end at the last variable
+    rng = random.Random(3535)
+    concave = 0
+    for _ in range(30):
+        n = rng.choice([2, 3])
+        q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            q[i][i] = rng.choice([0, -1, -2])
+            for j in range(i):
+                q[i][j] = q[j][i] = rng.randint(-1, 1)
+        T = QuadExpr(n, q, [rng.randint(-3, 3) for _ in range(n)], rng.randint(-2, 2))
+        assert _walk_order(T.quad) is None
+        rows = _box_rows(n, 3) + [(tuple(rng.randint(-1, 1) for _ in range(n - 1)) + (rng.choice([1, -1]),), 2)]
+        limit = rng.randint(-4, 4)
+        pts = sorted(enumerate_sublevel(T, limit, rows))
+        assert pts == _brute_ranges(T, limit, rows, [range(-3, 4)] * n)
+        concave += q[-1][-1] < 0 and len(pts) < len(_brute_ranges(T, 10**6, rows, [range(-3, 4)] * n))
+    assert concave >= 5
+
+
+def test_separable_bound_prunes_where_the_next_level_has_no_range():
+    # y1 and y2 have Q_ii < 0, so level 1 has no completion of squares and
+    # level 2 has one: the separable bound prunes level 0's children and is
+    # skipped at level 1's (the walk makes 31 calls with the bound nowhere
+    # and 21 with it at level 1 in place of level 0)
+    q = [[0, -2, -2, 0], [-2, -1, 2, -2], [-2, 2, -1, 0], [0, -2, 0, 4]]
+    T = QuadExpr(4, q, [5, 4, 1, -4], 1)
+    rows = [((1, 0, 0, 0), 2), ((-1, 0, 0, 0), 4), ((0, 1, 0, 0), 0), ((0, -1, 0, 0), 0),
+            ((0, 0, 1, 0), 3), ((0, 0, -1, 0), 0), ((0, 0, 0, 1), 3), ((0, 0, 0, -1), 1)]
+    assert _walk_order(T.quad) is None
+    pts, calls = _walk_calls(T, -3, rows)
+    assert pts == _brute_ranges(T, -3, rows, [range(-2, 5), range(0, 1), range(-3, 1), range(-3, 2)])
+    assert len(pts) == 29 and calls <= 19
 
 
 # --- the walk order -----------------------------------------------------------
