@@ -58,6 +58,10 @@ class EnumerationLimit(NotMultipliable):
     """A certified enumeration box exceeds the point cap (a resource limit)."""
 
 
+class NotAScalar(QThetaError, TypeError):
+    """A coefficient value is neither a unit monomial nor a scalar series."""
+
+
 class CertificateViolation(QThetaError):
     """A lattice factor's closure returned a value of negative u-valuation, so
     its Gauss part over-states the coefficient's valuation and the bound built

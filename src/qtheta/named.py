@@ -87,8 +87,8 @@ def _lift_rule(param: QuantParam, direction: Vec, prefactor, lead) -> GaussRule:
     return GaussRule.character(f, [mu]).times(own)
 
 
-_SQUARE = [(0, 0, 4)]  # 2k^2: theta's q^(k^2), e_q's valuation
-_LINEAR = [(0, 1, 4)]  # 2k: 1/e_q's valuation
+_SQUARE = ((0, 0, 4),)  # 2k^2: theta's q^(k^2), e_q's valuation
+_LINEAR = ((0, 1, 4),)  # 2k: 1/e_q's valuation
 
 
 def theta_series(
@@ -103,21 +103,26 @@ def theta_series(
     return TorusSeries.rule(param, zero_vec(param.rank), [direction], None, label=label, gauss=rule)
 
 
+class _EqClosure(tuple):
+    """(field, base, lead), :func:`_eq_lift`'s closure as a value: the lifts
+    of one base carry equal closures.  Term (a, b, x) of the form lead is
+    x k^(2 - a - b) in half steps."""
+
+    def __call__(self, y, order):
+        (k,) = y
+        if k < 0:
+            return None
+        field, base, lead = self
+        e = sum(x * k ** (2 - a - b) for a, b, x in lead) >> 1
+        return base(field, k, order + e).shift(-e)
+
+
 def _eq_lift(param, direction, prefactor, base, lead, label) -> TorusSeries:
     """A one-variable series at ``prefactor * e(direction)`` with t^k
     coefficient ``base(field, k, order)``, supported on k >= 0.  The Gauss
     part takes u^(lead(k)), the base's valuation, and the closure returns
     the base divided by it."""
-    f = param.field
-    low = GaussRule(1, f.one(), lead)
-
-    def coeff(y, order):
-        (k,) = y
-        if k < 0:
-            return None
-        e = low.at(y).uexp
-        return base(f, k, order + e).shift(-e)
-
+    coeff = _EqClosure((param.field, base, lead))
     rule = _lift_rule(param, direction, prefactor, lead)
     return TorusSeries.rule(
         param, zero_vec(param.rank), [direction], coeff, cones=(True,), label=label, gauss=rule

@@ -34,7 +34,7 @@ evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
 Any other word solves each finite combo once over the window (or, with a
 kernel, enumerates it, each point's u-exponent read off the walk's value)
 and sums its points as one batch: one Gauss-rule call, and one series part
-per closure key (:meth:`TorusSeries._add_terms`).
+per closure multiset (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
 formal), *formal* (some factor is window-only; products are refused, but
@@ -49,7 +49,7 @@ from itertools import compress, islice, product, repeat
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import CertificateViolation, NotMultipliable, ParamMismatch, PrecisionShortfall
+from .errors import CertificateViolation, NotAScalar, NotMultipliable, ParamMismatch, PrecisionShortfall
 from .intlinalg import Vec, identity, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
 from .scalars import INF, ScalarSeries, UnitMonomial, add_into, series_to_json
@@ -72,6 +72,8 @@ class FiniteFactor:
         self.param = param
         self.table = {tuple(k): v for k, v in table.items()}
         self.label = label or "finite"
+        if not all(isinstance(v, (UnitMonomial, ScalarSeries)) for v in self.table.values()):
+            raise NotAScalar(f"{self.label}: a value is neither a UnitMonomial nor a ScalarSeries")
 
     def items(self):
         return self.table.items()
@@ -89,8 +91,9 @@ class LatticeFactor:
     factor with no closure is a *Gauss factor*.  Every closure value must
     have u-valuation >= 0 (:meth:`coeff_at` checks it), so the Gauss part's
     u-form is a lower bound for the coefficient's valuation, the factor's
-    certificate.  ``formal`` marks a window-only factor, whose Gauss part
-    bounds no sum (theta_W, a non-ample theta basis).
+    certificate.  Factors whose closures compare equal return equal values
+    at equal parameters.  ``formal`` marks a window-only factor, whose Gauss
+    part bounds no sum (theta_W, a non-ample theta basis).
     """
 
     __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss", "formal", "_memo")
@@ -313,6 +316,15 @@ def _newton_points(n) -> list:
     determined by its values there, so it is constant when they agree."""
     e = identity(n)
     return [zero_vec(n), *e, *(vec_add(a, b) for i, a in enumerate(e) for b in e[i:])]
+
+
+def _canonical(key, groups) -> tuple:
+    """``key`` with its entries at each list of equal-width slices in ``groups`` sorted among them."""
+    out = [*key]
+    for group in groups:
+        for s, v in zip(group, sorted(key[s] for s in group)):
+            out[s] = v
+    return tuple(out)
 
 
 _Layout = namedtuple("_Layout", "blocks cones offset solver mtx fin_pos items")
@@ -655,23 +667,31 @@ class TorusSeries:
         starts at ``order``; the rule's coefficients take one call.
 
         The series part (:meth:`_series_part`) depends on a point only
-        through its closure parameters, read as one key, and on the monomial
-        only through its u-exponent, so each key's part is built once, at
-        its points' lowest u-exponent: the widest cap any of them needs.  A
-        higher-exponent point's extra terms land above ``order``, where
-        ``add_into`` drops them as it shifts and scales the part by each
-        point's monomial: no monomial or scaled copy is built."""
+        through its closure multiset, its closure slices with those of equal
+        closures and widths sorted, and on the monomial only through its
+        u-exponent, so each multiset's part is built once, at its points'
+        lowest u-exponent: the widest cap any of them needs.  A higher-exponent
+        point's extra terms land above ``order``, where ``add_into`` drops
+        them as it shifts and scales the part by each point's monomial: no
+        monomial or scaled copy is built."""
         rule, rest = term
         cs = rule.coeffs(ys)
         at = repeat((None, UnitMonomial.one(self.param.field)))  # no series part: the monomial alone
         if rest:
-            idx = [i for _wi, span in rest if span is not None for i in range(span.start, span.stop)]
+            idx, slots = [], {}  # (closure, width) -> its slices of the raw key
+            for wi, span in filter(itemgetter(1), rest):
+                w = span.stop - span.start
+                slots.setdefault((self.factors[wi].coeff, w), []).append(slice(len(idx), len(idx) + w))
+                idx += range(span.start, span.stop)
             # a tuple per point: a single index is read as a one-entry slice
             key = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(*idx[:1], idx[0] + 1 if idx else 0))
-            groups: dict = {}  # closure key -> [lowest u-exponent, series part]
+            groups: dict = {}  # canonical key -> [lowest u-exponent, series part]
+            seen: dict = {}  # raw key -> its canonical key's entry in groups
             at = []
             for k, e in zip(map(key, ys), es):
-                g = groups.setdefault(k, [e, None])
+                g = seen.get(k)
+                if g is None:  # a new raw key: its canonical key, once
+                    g = seen[k] = groups.setdefault(_canonical(k, slots.values()), [e, None])
                 if e < g[0]:
                     g[0] = e
                 at.append(g)

@@ -8,11 +8,19 @@ from fractions import Fraction
 import pytest
 from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff, oracle_multipliers
 
-from qtheta.errors import CertificateViolation, EnumerationLimit, NotMultipliable
+from qtheta.errors import (
+    CertificateViolation,
+    EnumerationLimit,
+    NotAScalar,
+    NotMultipliable,
+    QThetaError,
+)
 from qtheta.heisenberg import heis_act
 from qtheta.intlinalg import vec_add, vec_sub
 from qtheta.multiplier import theta_dim_basis, theta_membership
 from qtheta.named import (
+    _LINEAR,
+    _eq_lift,
     builtin_series,
     eq_addition_series,
     eq_coefficient,
@@ -707,8 +715,8 @@ def test_refused_window_falls_back_to_per_cell_coeffs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the series part of a term -- closure values and their capped product -- is
-# computed once per closure slice within one combo's batch, at the lowest
-# u-exponent among the slice's points
+# computed once per closure multiset within one combo's batch, at the lowest
+# u-exponent among the multiset's points
 
 
 @pytest.mark.parametrize("orders", [(12, 7), (7, 12)])
@@ -789,22 +797,41 @@ def test_an_empty_finite_trunc_closure_value_leaves_the_product_uncapped():
     assert [got[(3, b)].trunc for b in range(3)] == [1, -3, -7]
 
 
+def _closure_keys(word, rest):
+    """y -> (raw key, canonical key) of a point: its closure slices in word
+    order, and the same with the slices of each class of equal closures of
+    equal width in ascending order, the key of its closure multiset."""
+    spans = [(word.factors[wi].coeff, span) for wi, span in rest if span is not None]
+
+    def keys(y):
+        pools = {}
+        for c, span in spans:
+            pools.setdefault((c, span.stop - span.start), []).append(y[span])
+        for pool in pools.values():
+            pool.sort(reverse=True)
+        raw = sum((y[span] for _c, span in spans), ())
+        return raw, sum((pools[c, span.stop - span.start].pop() for c, span in spans), ())
+
+    return keys
+
+
 def _spy_series_parts(monkeypatch):
     """Patch the batch helper and the series part builder to log, for each
-    batch, (the points' concatenated closure slices -> their lowest
-    u-exponent by the Gauss rule, the (key, u-exponent) of each part built,
-    the parts built)."""
+    batch, (the points' canonical closure keys -> their lowest u-exponent by
+    the Gauss rule, the (key, u-exponent) of each part built, the parts
+    built other than None, (word, chosen, rest, raw key -> canonical key))."""
     batches = []
     real_add, real_part = TorusSeries._add_terms, TorusSeries._series_part
 
     def add_terms(self, sums, hs, ys, es, chosen, term, order):
         rule, rest = term
-        spans = [span for _wi, span in rest if span is not None]
-        lowest = {}
+        keys = _closure_keys(self, rest)
+        lowest, canon = {}, {}
         for y, (_c, e) in zip(ys, rule.values(ys)):
-            key = sum((y[span] for span in spans), ())
+            raw, key = keys(y)
+            canon[raw] = key
             lowest[key] = min(lowest.get(key, e), e)
-        batches.append((lowest, [], []))
+        batches.append((lowest, [], [], (self, chosen, rest, canon)))
         return real_add(self, sums, hs, ys, es, chosen, term, order)
 
     def series_part(self, chosen, rest, key, order, uexp):
@@ -822,19 +849,19 @@ def _spy_series_parts(monkeypatch):
 def _spy_walk_exponents(monkeypatch):
     """Patch the batch helper and the series part builder to check, at every
     point of every batch, that the u-exponent handed in is the term's Gauss
-    rule's; log per batch (points, low, the points' concatenated closure
-    slices, the keys the series parts were built for)."""
+    rule's; log per batch (points, low, the points' canonical closure keys,
+    the keys the series parts were built for)."""
     log = []
     real_add, real_part = TorusSeries._add_terms, TorusSeries._series_part
 
     def add_terms(self, sums, hs, ys, es, chosen, term, order):
         rule, rest = term
         assert es == [e for _c, e in rule.values(ys)]
-        spans = [span for _wi, span in rest if span is not None]
         vals = [v for _p, v in chosen.values() if isinstance(v, ScalarSeries)]
         low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
-        slices = {sum((y[span] for span in spans), ()) for y in ys} if rest else set()
-        log.append((len(ys), low, slices, set()))
+        keys = _closure_keys(self, rest)
+        canon = {keys(y)[1] for y in ys} if rest else set()
+        log.append((len(ys), low, canon, set()))
         return real_add(self, sums, hs, ys, es, chosen, term, order)
 
     def series_part(self, chosen, rest, key, order, uexp):
@@ -846,19 +873,24 @@ def _spy_walk_exponents(monkeypatch):
     return log
 
 
-def _finite_factor_word(f):
-    """theta(1, 0) . finite . e_q(1, 0) . theta(0, 1) over a kernel with
-    cones, where the finite factor has series values of valuation 0 and 2,
-    one exact zero and one with no term known to u^5: its combos' low is 0,
-    2, 6 or (the exact zero) skipped."""
-    p = QuantParam.standard_tq(f)
-    poly = TorusSeries.from_dict(p, {
+def _series_valued_finite(f, p):
+    """A finite factor with series values of valuation 0 and 2, one exact
+    zero and one with no term known to u^5."""
+    return TorusSeries.from_dict(p, {
         (0, 0): UnitMonomial(f.zeta(), 1),
         (1, -1): ScalarSeries(f, {0: f.one(), 3: f.zeta(), 7: -f.one()}),
         (1, 0): ScalarSeries(f, {2: f.zeta(), 4: -f.one()}),
         (-1, 0): ScalarSeries.zero(f, INF),
         (0, 2): ScalarSeries.zero(f, 5),
     })
+
+
+def _finite_factor_word(f):
+    """theta(1, 0) . finite . e_q(1, 0) . theta(0, 1) over a kernel with
+    cones, the finite factor :func:`_series_valued_finite`: its combos' low
+    is 0, 2, 6 or (the exact zero) skipped."""
+    p = QuantParam.standard_tq(f)
+    poly = _series_valued_finite(f, p)
     return theta_series(p, (1, 0)).mul(poly).mul(eq_series(p, (1, 0))).mul(theta_series(p, (0, 1)))
 
 
@@ -877,7 +909,7 @@ def _sign_character_words(m):
 def test_each_points_u_exponent_is_the_walks_value_less_low(monkeypatch, m):
     # every point of every batch: the u-exponent read off the walk's T(y)
     # less the combo's low is the Gauss rule's, and the series parts are
-    # built once for each distinct concatenation of closure slices; E026's
+    # built once for each closure multiset, its canonical key; E026's
     # words on their default window, theta products with sign characters,
     # a word whose finite series values give low != 0, and E026 with the
     # window enumeration refused, so that each cell's fibre is walked
@@ -890,8 +922,8 @@ def test_each_points_u_exponent_is_the_walks_value_less_low(monkeypatch, m):
     for s in terms:
         s.coeffs(cells, order)
     assert [n for n, *_ in log] == walks == [7611, 7611]
-    for _n, _low, slices, keys in log:
-        assert len(keys) > 1 and keys == slices
+    for _n, _low, canon, keys in log:
+        assert len(keys) > 1 and keys == canon
     log.clear()
     small = list(itertools.product(range(-2, 3), repeat=2))
     for word, refused in zip(_sign_character_words(m), (False, True)):
@@ -912,23 +944,43 @@ def test_each_points_u_exponent_is_the_walks_value_less_low(monkeypatch, m):
     for s in terms:
         s.coeffs(cells, order)
     assert sum(isinstance(x, EnumerationLimit) for x in walks) == 2 and len(walks) == 2 + 2 * len(cells)
-    assert len(log) == 2 and all(n > 0 and keys == slices for n, _low, slices, keys in log)
+    assert len(log) == 2 and all(n > 0 and keys == canon for n, _low, canon, keys in log)
 
 
-@pytest.mark.parametrize("window, total", [(1, None), (None, 394)])
-def test_one_series_part_per_closure_slice(monkeypatch, window, total):
-    # each term's pass builds one part per distinct closure slice, at the
-    # lowest u-exponent among its points: the widest cap any of them needs;
-    # at E026's default (3, 12) that is 394 parts where one per (slices,
-    # u-exponent) built 1,958
+@pytest.mark.parametrize("window, total", [(1, None), (None, 38)])
+def test_one_series_part_per_closure_multiset(monkeypatch, window, total):
+    # each term's pass builds one part per closure multiset (the points'
+    # canonical keys), at the lowest u-exponent among its points: the widest
+    # cap any of them needs; at E026's default (3, 12) that is 38 parts where
+    # one per ordered closure slice built 394 and one per (slices,
+    # u-exponent) 1,958
     cells, order, terms = _fresh_terms("E026", 1, window)
     batches = _spy_series_parts(monkeypatch)
     for s in terms:
         s.coeffs(cells, order)
     assert len(batches) == len(terms) == 2
-    for lowest, built, _parts in batches:
+    for lowest, built, _parts, (_w, _c, _r, canon) in batches:
         assert sorted(built) == sorted(lowest.items())
-    assert total is None or sum(len(built) for _l, built, _p in batches) == total
+        assert len(canon) > len(lowest)
+    assert total is None or sum(len(built) for _l, built, _p, _c in batches) == total
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_each_canonical_part_is_the_part_of_every_raw_key_it_stands_for(monkeypatch, m):
+    # E026 at (3, 12): 19 parts per side where 197 ordered closure slices
+    # were reached, and each part equals the part built at its u-exponent
+    # from each of the raw keys it stands for, closure order as reached
+    real_part = TorusSeries._series_part
+    cells, order, terms = _fresh_terms("E026", m, None)
+    batches = _spy_series_parts(monkeypatch)
+    for s in terms:
+        s.coeffs(cells, order)
+    assert [(len(built), len(canon)) for _l, built, _p, (_w, _c, _r, canon) in batches] == [(19, 197)] * 2
+    for _lowest, built, _parts, (word, chosen, rest, canon) in batches:
+        parts = {k: (e, real_part(word, chosen, rest, k, order, e)) for k, e in built}
+        for raw, key in canon.items():
+            e, x = parts[key]
+            assert x is not None and real_part(word, chosen, rest, raw, order, e) == x
 
 
 def test_series_parts_are_dropped_when_coeffs_returns(monkeypatch):
@@ -940,11 +992,113 @@ def test_series_parts_are_dropped_when_coeffs_returns(monkeypatch):
     for s in terms:
         s.coeffs(cells, order)
         s.coeff((5, 5, 5, 5), order)  # a cell outside the window: one per-cell pass
-    assert len(batches) == 4 and all(parts for _l, _b, parts in batches)
+    assert len(batches) == 4 and all(parts for _l, _b, parts, _c in batches)
     gc.collect()
-    for _l, _b, parts in batches:
+    for _l, _b, parts, _c in batches:
         holders = [r for r in gc.get_referrers(*parts) if not isinstance(r, types.FrameType)]
         assert holders == [parts]
+
+
+# ---------------------------------------------------------------------------
+# closure multisets: equal closures share a series part, distinct ones never
+
+
+def _per_slice_coeffs(monkeypatch, word, cells, order):
+    """The coefficients of a cache-free copy of ``word`` with canonical keys
+    patched off: one series part per ordered closure slice."""
+    import qtheta.series as series_mod
+
+    fresh = TorusSeries(word.param, word.factors)
+    with monkeypatch.context() as mp:
+        mp.setattr(series_mod, "_canonical", lambda key, groups: tuple(key))
+        return fresh.coeffs(cells, order)
+
+
+def _shared_width_closure_word(f):
+    """A(k) . B(a, b) over Z^2, one closure on a factor of one parameter and
+    on one of two: the closure compares equal to itself, the widths differ."""
+    p = QuantParam.trivial(f, 2)
+
+    def c(y, order):
+        return ScalarSeries(f, {0: f.from_rational(1 + y[0] + 3 * len(y) * y[-1])}, order)
+
+    one = TorusSeries.rule(p, (0, 0), [(1, 0)], c, (True,), "A", GaussRule(1, f.one(), [(0, 1, 4)]))
+    two_rule = GaussRule(2, f.one(), [(0, 2, 4), (1, 2, 2)])
+    two = TorusSeries.rule(p, (0, 0), [(1, 0), (0, 1)], c, (True, True), "B", two_rule)
+    return one.mul(two)
+
+
+def _finite_between_closures_word(f):
+    """e_q(1, 0) . finite . e_q(1, 0) . theta(0, 1) over a kernel, the
+    finite factor :func:`_series_valued_finite`."""
+    p = QuantParam.standard_tq(f)
+    poly = _series_valued_finite(f, p)
+    return eq_series(p, (1, 0)).mul(poly).mul(eq_series(p, (1, 0))).mul(theta_series(p, (0, 1)))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_distinct_closures_never_share_a_series_part(monkeypatch, m):
+    # e_q and 1/e_q lifts in two directions each and the e_q addition
+    # closure: only lifts of one base compare equal, the addition closure
+    # equals no other; a closure on factors of widths 1 and 2 is two classes;
+    # with finite series values between two equal closures nothing changes
+    f = CycloField(m)
+    p = QuantParam.standard_tq(f)
+    inv, eq = (1, 0), (0, 1)
+    mixed = [eq_inv_series(p, inv), eq_series(p, eq), eq_addition_series(p, inv, eq),
+             eq_inv_series(p, eq), eq_series(p, inv)]
+    word = mixed[0]
+    for s in mixed[1:]:
+        word = word.mul(s)
+    closures = [fac.coeff for fac in word.factors]
+    assert closures[0] == closures[3] != closures[1] == closures[4] != closures[0]
+    assert closures.count(closures[2]) == 1
+    small = list(itertools.product(range(-2, 3), repeat=2))
+    cases = [(word, 10, True), (_shared_width_closure_word(f), 10, False),
+             (_finite_between_closures_word(f), 12, True)]
+    for w, order, shares in cases:
+        assert w._layout().solver.kernel
+        batches = _spy_series_parts(monkeypatch)
+        got = w.coeffs(small, order)
+        monkeypatch.undo()
+        assert got == _per_slice_coeffs(monkeypatch, w, small, order)
+        assert any(not x.is_zero() for x in got.values())
+        shared = sum(len(c) - len(set(c.values())) for *_x, (_w, _c, _r, c) in batches)
+        assert (shared > 0) == shares
+
+
+def test_a_declared_closure_of_negative_valuation_raises_through_a_shared_part(monkeypatch):
+    # two lifts of one base that is u^-1 too low at k = 2: the parts they
+    # share still go through coeff_at's check
+    f = CycloField(1)
+    p = QuantParam.trivial(f, 1)
+
+    def base(field, k, order):
+        c = eq_inv_coefficient(field, k, order + 1)
+        return c.shift(-1) if k == 2 else c
+
+    a, b = (_eq_lift(p, (1,), None, base, _LINEAR, "bad") for _ in range(2))
+    assert a.factors[0].coeff == b.factors[0].coeff
+    batches = _spy_series_parts(monkeypatch)
+    with pytest.raises(CertificateViolation, match=r"bad: .*y=\(2,\) .*valuation -1"):
+        a.mul(b).coeffs([(h,) for h in range(-3, 4)], 20)
+    (batch,) = batches
+    canon = batch[3][3]
+    assert len(set(canon.values())) < len(canon)
+
+
+def test_a_finite_value_that_is_not_a_scalar_is_refused_where_it_enters():
+    # an int or a bare field element as a coefficient: refused at
+    # construction, not at the first coefficient read
+    p = QuantParam.trivial(F, 1)
+    with pytest.raises(NotAScalar, match="finite: a value is neither"):
+        TorusSeries.from_dict(p, {(0,): 2})
+    th = theta_series(p, (1,))
+    with pytest.raises(NotAScalar, match="scale: a value is neither"):
+        th.scaled(F.from_rational(2))
+    assert issubclass(NotAScalar, QThetaError)
+    two = UnitMonomial(F.from_rational(2), 0)
+    assert th.scaled(two).coeff((1,), 4) == th.coeff((1,), 4).scale(two)
 
 
 # ---------------------------------------------------------------------------
