@@ -386,20 +386,14 @@ def enumerate_sublevel(
                 elif lhi < 0:
                     set_lower(i, min(-(-C // llo), -(-C // lhi)))
             else:
-                # a*y^2 + Lc*y <= C for some Lc in [llo, lhi]: widest roots
-                best_lo = best_hi = None
-                for Lc in (llo, lhi):
-                    disc = Lc * Lc + 4 * a * C
-                    if disc < 0:
-                        continue
-                    s = math.isqrt(disc) + 1 if disc else 0
-                    r_hi, r_lo = (s - Lc) // (2 * a), -((Lc + s) // (2 * a))
-                    best_hi = r_hi if best_hi is None else max(best_hi, r_hi)
-                    best_lo = r_lo if best_lo is None else min(best_lo, r_lo)
-                if best_hi is None:
+                # a*y^2 + Lc*y <= C for some Lc in [llo, lhi]: the union of the
+                # two endpoints' exact integer ranges, as Lc*y is linear in Lc
+                ends = [_quad_range(a, Lc, -C, -math.inf, math.inf) for Lc in (llo, lhi)]
+                ends = [(l, h) for l, h in ends if l <= h]
+                if not ends:
                     return True  # no solutions at all
-                set_upper(i, best_hi)
-                set_lower(i, best_lo)
+                set_upper(i, max(h for _l, h in ends))
+                set_lower(i, min(l for l, _h in ends))
             if crossed(i):
                 return True
         return False

@@ -11,8 +11,12 @@ a cyclotomic-rational field Q(zeta_m).  Three layers:
   arithmetic, the inverse included (conjugates over the norm), is integer-only.
 * :class:`UnitMonomial` -- a nonzero scalar times a power of ``u``; the group
   where pairing values, point values and automorphy constants live.
-* :class:`ScalarSeries` -- a finite map exponent -> coefficient together
-  with a truncation order; exponents above the order are *unknown*, not zero.
+* :class:`ScalarSeries` -- a truncated series: one positive common
+  denominator and, per exponent, a tuple of integer numerators in the same
+  power basis, normalised once per series; exponents above its truncation
+  order are *unknown*, not zero.  :class:`SeriesSum` accumulates series on
+  the same integers, and the field owns the vector arithmetic (one reduction
+  mod Phi_m, one multiply), so a sum of series builds no CycloRational.
 
 Everything is immutable; all arithmetic is exact.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import DivisionByZero, MissingRootsOfUnity, NoMonomialRoot, NotInvertible, PrecisionShortfall
@@ -106,6 +111,17 @@ class CycloField:
                 for i, p in low:
                     vec[s + i] -= c * p
         return tuple(vec[:deg])
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """Two numerator vectors' product mod Phi_m: the one vector multiply."""
+        if self.degree == 1:
+            return (a[0] * b[0],)
+        out = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return self._reduce(out)
 
     def element(self, coeffs: Iterable[Rat]) -> "CycloRational":
         vals = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
@@ -251,17 +267,7 @@ class CycloRational:
             if other is NotImplemented:
                 return NotImplemented
         field = self.field
-        a, b = self.num, other.num
-        deg = field.degree
-        if deg == 1:
-            num = (a[0] * b[0],)
-        else:
-            out = [0] * (2 * deg - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            num = field._reduce(out)
+        num = field._mul(self.num, other.num)
         den = self.den * other.den
         if den == 1:
             return CycloRational(field, num, 1)
@@ -477,7 +483,8 @@ class UnitMonomial:
         return self.uexp
 
     def to_series(self, trunc=INF) -> "ScalarSeries":
-        return ScalarSeries(self.field, {self.uexp: self.coeff}, trunc)
+        c, e = self.coeff, self.uexp  # c is nonzero and normalised: the store is canonical
+        return ScalarSeries._of(c.field, c.den, {e: c.num} if e <= trunc else {}, trunc, True)
 
     def __eq__(self, other):
         if not isinstance(other, UnitMonomial):
@@ -504,31 +511,46 @@ class UnitMonomial:
 class ScalarSeries:
     """Truncated Laurent series in u over a cyclotomic field.
 
-    ``terms`` maps exponent -> nonzero coefficient, all exponents <= trunc;
-    exponents above ``trunc`` are unknown.  ``trunc`` may be ``math.inf`` for
-    exactly-known (finitely supported) series.  A series is immutable:
-    ``terms`` is never written in place, so one series may be the value of
-    many cells of a coefficient table.
+    The series is ``sum(nums[e] . (1, zeta, ..., zeta^(deg-1)) u^e) / den``:
+    ``nums`` maps each exponent <= trunc whose coefficient is nonzero, in
+    increasing order, to a tuple of ``field.degree`` integers, and ``den``
+    is one positive integer, with ``gcd(den, *all numerators) == 1``
+    (:meth:`_of`), so equal series have equal stores.  Exponents above
+    ``trunc`` are unknown; ``trunc`` may be ``math.inf`` for exactly-known
+    (finitely supported) series.  A series is immutable, so one series may
+    be the value of many cells of a coefficient table.  Its coefficients are
+    CycloRationals only where they are read: :meth:`coefficient`,
+    :meth:`leading` and ``terms``.
     """
 
-    __slots__ = ("field", "terms", "trunc")
+    __slots__ = ("field", "den", "nums", "trunc")
 
     def __init__(self, field: CycloField, terms: Mapping[int, CycloRational], trunc=INF):
-        self.field = field
-        clean = {}
-        for e, c in terms.items():
-            if e <= trunc and not c.is_zero():
-                clean[e] = c
-        self.terms = clean
-        self.trunc = trunc
+        live = [(e, c) for e, c in terms.items() if e <= trunc and any(c.num)]
+        live.sort()
+        # each c is normalised, so no prime of the lcm divides every scaled numerator
+        den = math.lcm(*[c.den for _e, c in live])
+        self.field, self.den, self.trunc = field, den, trunc
+        self.nums = {e: c.num if c.den == den else tuple(x * (den // c.den) for x in c.num)
+                     for e, c in live}
 
     @classmethod
-    def _clean(cls, field: CycloField, terms: dict, trunc) -> "ScalarSeries":
-        """Wraps ``terms`` as they are: nonzero coefficients, exponents <= trunc."""
+    def _of(cls, field: CycloField, den: int, nums: dict, trunc, ordered=False) -> "ScalarSeries":
+        """The series ``nums / den`` in exponent order, without its zero
+        vectors and exponents above ``trunc`` (as ``nums`` already is when
+        ``ordered``), the common factor of ``den`` and the numerators
+        cancelled: the one normalisation, once per series."""
+        if not ordered:
+            kept = [(e, n) for e, n in nums.items() if e <= trunc and any(n)]
+            kept.sort()
+            nums = dict(kept)
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(nums.values()))
+            if g != 1:
+                den //= g
+                nums = {e: tuple(x // g for x in n) for e, n in nums.items()}
         s = cls.__new__(cls)
-        s.field = field
-        s.terms = terms
-        s.trunc = trunc
+        s.field, s.den, s.nums, s.trunc = field, den, nums, trunc
         return s
 
     # -- constructors -------------------------------------------------------
@@ -553,22 +575,29 @@ class ScalarSeries:
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """exponent -> nonzero coefficient, a fresh dict of CycloRationals
+        built on each read: a view for tests and cold readers."""
+        return {e: _normalised(self.field, n, self.den) for e, n in self.nums.items()}
+
     def is_zero(self) -> bool:
         """True when no known coefficient is nonzero (window-local zero)."""
-        return not self.terms
+        return not self.nums
 
     def valuation(self):
         """Minimal stored exponent, or +inf when all stored terms vanish."""
-        return min(self.terms) if self.terms else INF
+        return min(self.nums) if self.nums else INF
 
     def leading(self) -> tuple[int, CycloRational]:
-        if not self.terms:
+        if not self.nums:
             raise NotInvertible("zero series has no leading term")
-        v = min(self.terms)
-        return v, self.terms[v]
+        v = min(self.nums)
+        return v, self.coefficient(v)
 
     def coefficient(self, uexp: int) -> CycloRational:
-        return self.terms.get(uexp, self.field.zero())
+        n = self.nums.get(uexp)
+        return self.field.zero() if n is None else _normalised(self.field, n, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -578,7 +607,7 @@ class ScalarSeries:
         if isinstance(other, UnitMonomial):
             return other.to_series()
         if isinstance(other, (int, Fraction)):
-            return ScalarSeries(self.field, {0: self.field.from_rational(other)})
+            other = self.field.from_rational(other)
         if isinstance(other, CycloRational):
             return ScalarSeries(self.field, {0: other})
         return NotImplemented
@@ -587,22 +616,22 @@ class ScalarSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        return ScalarSeries(self.field, out, add_into(out, other, INF, self.trunc))
+        acc = SeriesSum(self.field, self.trunc)
+        acc.den, acc.nums = self.den, dict(self.nums)
+        acc.add(other)
+        return acc.series()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarSeries._clean(self.field, {e: -c for e, c in self.terms.items()}, self.trunc)
+        nums = {e: tuple(map(operator.neg, n)) for e, n in self.nums.items()}
+        return ScalarSeries._of(self.field, self.den, nums, self.trunc, True)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, UnitMonomial):
@@ -617,60 +646,40 @@ class ScalarSeries:
     def mul_trunc(self, other: "ScalarSeries"):
         """The order to which ``self * other`` is known: unknown(a)*b enters above
         trunc(a) + val(b), and an empty series has valuation above its trunc."""
-        va = self.valuation() if self.terms else self.trunc + 1
-        vb = other.valuation() if other.terms else other.trunc + 1
+        va = self.valuation() if self.nums else self.trunc + 1
+        vb = other.valuation() if other.nums else other.trunc + 1
         return min(self.trunc + vb, other.trunc + va)
 
     def mul_to(self, other: "ScalarSeries", cap) -> "ScalarSeries":
         """``(self * other).truncate(cap)``; pairs above ``cap`` are never formed."""
         trunc = min(self.mul_trunc(other), cap)
-        out: dict[int, CycloRational] = {}
-        if self.terms and other.terms:
-            right = sorted(other.terms.items())
-            for e1, c1 in self.terms.items():
+        out: dict = {}
+        if self.nums and other.nums:
+            mul, add = self.field._mul, operator.add
+            for e1, n1 in self.nums.items():
                 top = trunc - e1
-                for e2, c2 in right:
+                for e2, n2 in other.nums.items():
                     if e2 > top:
                         break
                     e = e1 + e2
-                    p = c1 * c2
+                    p = mul(n1, n2)
                     cur = out.get(e)
-                    s = p if cur is None else cur + p
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-        return ScalarSeries._clean(self.field, out, trunc)
+                    out[e] = p if cur is None else tuple(map(add, cur, p))
+        return ScalarSeries._of(self.field, self.den * other.den, out, trunc)
 
     def scale(self, mono: UnitMonomial, cap=INF) -> "ScalarSeries":
         """``(mono * self).truncate(cap)``; an empty series kept at its trunc is itself."""
-        k, m = mono.uexp, mono.coeff
+        k, c = mono.uexp, mono.coeff
         top = min(self.trunc + k, cap)
-        if not self.terms and top == self.trunc:
+        if not self.nums and top == self.trunc:
             return self
-        return ScalarSeries._clean(
-            self.field, {e + k: c * m for e, c in self.terms.items() if e + k <= top}, top
-        )
+        mul, cn = self.field._mul, c.num
+        nums = {e + k: mul(n, cn) for e, n in self.nums.items() if e + k <= top}
+        return ScalarSeries._of(self.field, self.den * c.den, nums, top, True)
 
     def shift(self, k: int) -> "ScalarSeries":
-        return ScalarSeries._clean(
-            self.field, {e + k: c for e, c in self.terms.items()}, self.trunc + k
-        )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.invert() ** (-n)
-        result = ScalarSeries.one(self.field, self.trunc if n == 0 else INF)
-        base = self
-        first = True
-        while n:
-            if n & 1:
-                result = base if first else result * base
-                first = False
-            n >>= 1
-            if n:
-                base = base * base
-        return result if not first else ScalarSeries.one(self.field)
+        nums = {e + k: n for e, n in self.nums.items()}
+        return ScalarSeries._of(self.field, self.den, nums, self.trunc + k, True)
 
     def invert(self) -> "ScalarSeries":
         """Two-sided inverse up to the truncation order.
@@ -678,7 +687,7 @@ class ScalarSeries:
         Requires an invertible leading coefficient; the result has minimal
         exponent -self.valuation().
         """
-        if not self.terms:
+        if not self.nums:
             raise NotInvertible("series is zero within its truncation window")
         v, lead = self.leading()
         lead_inv = lead.inverse()
@@ -688,8 +697,8 @@ class ScalarSeries:
         rest.pop(0)
         if not rest:
             # pure monomial: exact inverse
-            return ScalarSeries(self.field, {-v: lead_inv}, INF if self.trunc is INF else n_trunc - v)
-        if n_trunc is INF:
+            return ScalarSeries(self.field, {-v: lead_inv}, INF if self.trunc == INF else n_trunc - v)
+        if n_trunc == INF:
             raise NotInvertible(
                 "inverse of a non-monomial exact series is an infinite series; "
                 "truncate the input first"
@@ -712,10 +721,9 @@ class ScalarSeries:
         )
 
     def truncate(self, order) -> "ScalarSeries":
-        new_trunc = min(self.trunc, order)
-        return ScalarSeries._clean(
-            self.field, {e: c for e, c in self.terms.items() if e <= new_trunc}, new_trunc
-        )
+        top = min(self.trunc, order)
+        nums = {e: n for e, n in self.nums.items() if e <= top}
+        return ScalarSeries._of(self.field, self.den, nums, top, True)
 
     # -- comparison ----------------------------------------------------------
 
@@ -730,69 +738,109 @@ class ScalarSeries:
                 f"cannot compare to order {order}: known only to "
                 f"{min(self.trunc, other.trunc)}"
             )
-        for e in set(self.terms) | set(other.terms):
-            if e <= order and self.coefficient(e) != other.coefficient(e):
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        zero = (0,) * self.field.degree
+        for e in a.keys() | b.keys():
+            if e <= order and [x * db for x in a.get(e, zero)] != [y * da for y in b.get(e, zero)]:
                 return False
         return True
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
+        if other.__class__ is not ScalarSeries:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self.nums == other.nums and self.den == other.den
+                and self.trunc == other.trunc and self.field is other.field)
 
     def __hash__(self):
-        return hash((self.trunc, frozenset(self.terms.items())))
+        return hash((self.trunc, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
-            body = "0"
+        parts = []
+        for e, c in self.terms.items():
+            un = "u" if e == 1 else f"u^{e}"
+            parts.append(repr(c) if e == 0 else un if c.is_one() else f"{c!r}*{un}")
+        body = " + ".join(parts) or "0"
+        return body if self.trunc == INF else f"{body} + O(u^{int(self.trunc) + 1})"
+
+
+class SeriesSum:
+    """A running sum over one field, known up to ``trunc``: integer
+    numerator vectors over one common denominator, as in
+    :class:`ScalarSeries`, left unnormalised (zero vectors included) until
+    :meth:`series` finishes the sum."""
+
+    __slots__ = ("field", "den", "nums", "trunc")
+
+    def __init__(self, field: CycloField, trunc=INF):
+        self.field, self.den, self.nums, self.trunc = field, 1, {}, trunc
+
+    def add(self, x, k: int = 0, scale: Optional[CycloRational] = None):
+        """Adds ``x`` (a ScalarSeries or UnitMonomial) times ``scale`` u^k,
+        dropping exponents above ``trunc``, and lowers ``trunc`` to that of
+        ``x`` u^k.  A +-1 ``scale`` multiplies nothing: the field's own one
+        and minus one are known by identity before the value is tested."""
+        if x.__class__ is UnitMonomial:
+            c = x.coeff
+            den, items, top = c.den, ((x.uexp, c.num),), self.trunc
         else:
-            parts = []
-            for e in sorted(self.terms):
-                c = self.terms[e]
-                if e == 0:
-                    parts.append(repr(c))
-                else:
-                    un = "u" if e == 1 else f"u^{e}"
-                    parts.append(un if c.is_one() else f"{c!r}*{un}")
-            body = " + ".join(parts)
-        if self.trunc is INF:
-            return body
-        return f"{body} + O(u^{int(self.trunc) + 1})"
+            den, items, top = x.den, x.nums.items(), x.trunc + k
+            if top < self.trunc:
+                self.trunc = top
+            else:
+                top = self.trunc
+        field, minus = self.field, False
+        if scale is not None and scale is not field._one:
+            sn = scale.num
+            if scale is field._minus_one or scale.den == 1 and sn[0] in (1, -1) and not any(sn[1:]):
+                minus = sn[0] < 0
+            else:
+                items = [(e, field._mul(n, sn)) for e, n in items]
+                den *= scale.den
+        if den != self.den:  # onto the lcm of the two denominators
+            lcm = math.lcm(den, self.den)
+            if lcm != self.den:
+                g = lcm // self.den
+                self.nums = {e: tuple(g * y for y in n) for e, n in self.nums.items()}
+                self.den = lcm
+            g = lcm // den
+            if g != 1:
+                items = [(e, tuple(g * y for y in n)) for e, n in items]
+        nums, op = self.nums, operator.sub if minus else operator.add
+        for e, n in items:  # in exponent order
+            e += k
+            if e > top:
+                break
+            cur = nums.get(e)
+            if cur is None:
+                nums[e] = tuple(map(operator.neg, n)) if minus else n
+            elif minus and cur == n:  # a difference that cancels drops its entry
+                del nums[e]
+            else:
+                nums[e] = tuple(map(op, cur, n))
+
+    def valuation(self):
+        """The sum's lowest exponent with a nonzero coefficient, or +inf."""
+        if not self.nums:
+            return INF
+        live = [e for e, n in self.nums.items() if e <= self.trunc and any(n)]
+        return min(live) if live else INF
+
+    def series(self) -> ScalarSeries:
+        return ScalarSeries._of(self.field, self.den, self.nums, self.trunc)
 
 
-def add_into(acc: dict, x, top, trunc, k: int = 0, scale: Optional[CycloRational] = None):
-    """Adds ``x`` (a ScalarSeries or UnitMonomial) times ``scale`` u^k into
-    ``acc``, a dict of exponent -> nonzero value, dropping exponents above
-    ``top``; returns the lower of ``trunc`` and the sum's trunc.  A +-1
-    ``scale`` multiplies nothing: the field's own one and minus one are
-    known by identity before the value is tested; -1 negates, and a negated
-    value equal to the one held at its exponent deletes it before ``-c`` or
-    the sum is built: equal elements have equal normalised fields."""
-    unit = isinstance(x, UnitMonomial)
-    items, xt = (((x.uexp, x.coeff),), INF) if unit else (x.terms.items(), x.trunc)
-    neg = False
-    if scale is not None and (scale is scale.field._one or scale is scale.field._minus_one
-                              or scale.den == 1 and scale.num[0] in (1, -1) and not any(scale.num[1:])):
-        neg, scale = scale.num[0] < 0, None
-    for e, c in items:
-        e += k
-        if e > top:
-            continue
-        cur = acc.get(e)
-        if neg and cur is not None and cur.num == c.num and cur.den == c.den:
-            del acc[e]
-            continue
-        c = -c if neg else c if scale is None else c * scale
-        if cur is not None:
-            c = cur + c
-            if c.is_zero():
-                del acc[e]
-                continue
-        acc[e] = c
-    xt += k
-    return xt if xt < trunc else trunc
+def unequal_cells(a: dict, b: dict, cells, order) -> list:
+    """The positions i in ``cells`` at whose cell h the series ``a[h]`` and
+    ``b[h]`` differ in a term or are not both known to ``order``: two
+    coefficient tables compared in one pass."""
+    out = []
+    for i, h in enumerate(cells):  # a loop: walrus names in a comprehension are slow closure cells
+        x, y = a[h], b[h]
+        if x.nums != y.nums or x.den != y.den or x.trunc < order or y.trunc < order:
+            out.append(i)
+    return out
 
 
 # -- JSON serialization ------------------------------------------------------
@@ -801,10 +849,10 @@ def add_into(acc: dict, x, top, trunc, k: int = 0, scale: Optional[CycloRational
 def series_to_json(s: ScalarSeries) -> dict:
     return {
         "m": s.field.order,
-        "N": None if s.trunc is INF else int(s.trunc),
-        "terms": [  # an integral value's numerators are its coefficients
-            [e, [str(x) for x in (c.num if c.den == 1 else c.coeffs)]]
-            for e, c in sorted(s.terms.items())
+        "N": None if s.trunc == INF else int(s.trunc),
+        "terms": [  # an integral series' numerators are its coefficients
+            [e, [str(x) for x in n] if s.den == 1 else [str(Fraction(x, s.den)) for x in n]]
+            for e, n in sorted(s.nums.items())
         ],
     }
 

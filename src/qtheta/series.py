@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .errors import CertificateViolation, NotAScalar, NotMultipliable, ParamMismatch, PrecisionShortfall
 from .intlinalg import Vec, identity, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
-from .scalars import INF, ScalarSeries, UnitMonomial, add_into, series_to_json
+from .scalars import INF, ScalarSeries, SeriesSum, UnitMonomial, series_to_json
 from .torus import QuantParam, TorusPoint
 
 Scalar = Union[UnitMonomial, ScalarSeries]
@@ -486,8 +486,7 @@ class TorusSeries:
         The missing cells are one pass: each cell rule at all of them
         (:meth:`_rule_coeffs`), else each finite combo at all of them
         (:meth:`_combo_coeffs`).  A pass that raises caches no cell.  Cells
-        of equal value may hold one shared series, whose ``terms`` no reader
-        writes."""
+        of equal value may hold one shared (immutable) series."""
         table = self._cache.setdefault(order, {})
         todo = {h: h for h in cells if h not in table}
         if todo:
@@ -500,21 +499,22 @@ class TorusSeries:
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
-        rule is evaluated at every cell in one call, its first seeds a sum.
-        A single rule's cells of equal value share one series: one per
-        distinct (c, e), with one empty series for every e above the order."""
-        first, *others = [rule.values(cells) for rule in rules]
+        rule is evaluated at every cell in one call, and a cell sums its
+        rules' values.  A single rule's cells of equal value share one
+        series, one per distinct (c, e), with one empty series for every e
+        above the order."""
+        values = [rule.values(cells) for rule in rules]
         field = self.param.field
-        if not others:
-            empty = ScalarSeries._clean(field, {}, order)
-            shared = {(c, e): empty if e > order else ScalarSeries._clean(field, {e: c}, order)
-                      for c, e in set(first)}
-            return {h: shared[v] for h, v in zip(cells, first)}
-        accs = [{e: c} if e <= order else {} for c, e in first]
-        for vals in others:
-            for acc, (c, e) in zip(accs, vals):
-                add_into(acc, UnitMonomial(c, e), order, order)
-        return {h: ScalarSeries._clean(field, a, order) for h, a in zip(cells, accs)}
+        if len(values) == 1:
+            empty = ScalarSeries.zero(field, order)
+            shared = {(c, e): empty if e > order else UnitMonomial(c, e).to_series(order)
+                      for c, e in set(values[0])}
+            return {h: shared[v] for h, v in zip(cells, values[0])}
+        accs = [SeriesSum(field, order) for _h in cells]
+        for vals in values:
+            for acc, v in zip(accs, vals):
+                acc.add(UnitMonomial(*v))
+        return {h: acc.series() for h, acc in zip(cells, accs)}
 
     def _combo_coeffs(self, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` (each mapped to itself): each
@@ -542,7 +542,7 @@ class TorusSeries:
                 at[sum(map(mul, stride, map(sub, h, lo)))] = h
             cell_at = at.__getitem__ if dense else at.get
             w = [sum(s * g[k] for s, g in zip(stride, lay.mtx)) for k in range(n)]  # base + G y sits at w.y + base's
-        sums: dict = {}  # cell -> [exponent -> value, trunc]
+        sums: dict = {}  # cell -> its SeriesSum
         for combo in product(*lay.items):
             chosen, base, term, form, low = self._combo_plan(combo)
             if not kernel or order == INF or form is None:
@@ -580,7 +580,7 @@ class TorusSeries:
             es = term[0].uexps(ys) if levels is None else [t - low for t in compress(levels, ok)]
             self._add_terms(sums, compress(hs, ok), ys, es, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
-        return {h: ScalarSeries(zero.field, *sums[h]) if h in sums else zero for h in cells}
+        return {h: sums[h].series() if h in sums else zero for h in cells}
 
     def _cell_rules(self) -> Optional[list]:
         """Cached: each combo's rule composed with y = G^-1 (h - base), a
@@ -653,27 +653,27 @@ class TorusSeries:
             form, low = None, 0
             if lay.solver is not None and lay.solver.kernel and not any(word[wi].formal for wi in offs):
                 vals = [chosen[wi][1] for wi, span in rest if span is None]
-                if any(not v.terms and v.trunc == INF for v in vals):
+                if any(v.is_zero() and v.trunc == INF for v in vals):
                     form = _ZERO_TERM
                 else:
-                    low = sum(v.valuation() if v.terms else v.trunc + 1 for v in vals)
+                    low = sum(v.trunc + 1 if v.is_zero() else v.valuation() for v in vals)
                     form = _form([*rule.uform, (n, n, 2 * low)])  # in half steps
             plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form, low)
         return plan
 
     def _add_terms(self, sums, hs, ys, es, chosen, term, order):
         """Adds one combo's term at each point ys[i], of Gauss u-exponent
-        es[i], into sums[hs[i]], an [exponent -> value, trunc] pair that
-        starts at ``order``; the rule's coefficients take one call.
+        es[i], into sums[hs[i]], a SeriesSum that starts at ``order``; the
+        rule's coefficients take one call.
 
         The series part (:meth:`_series_part`) depends on a point only
         through its closure multiset, its closure slices with those of equal
         closures and widths sorted, and on the monomial only through its
         u-exponent, so each multiset's part is built once, at its points'
         lowest u-exponent: the widest cap any of them needs.  A higher-exponent
-        point's extra terms land above ``order``, where ``add_into`` drops
-        them as it shifts and scales the part by each point's monomial: no
-        monomial or scaled copy is built."""
+        point's extra terms land above ``order``, where ``SeriesSum.add``
+        drops them as it shifts and scales the part by each point's monomial:
+        no monomial or scaled copy is built."""
         rule, rest = term
         cs = rule.coeffs(ys)
         at = repeat((None, UnitMonomial.one(self.param.field)))  # no series part: the monomial alone
@@ -697,13 +697,14 @@ class TorusSeries:
                 at.append(g)
             for k, g in groups.items():
                 g[1] = self._series_part(chosen, rest, k, order, g[0])
+        field = self.param.field
         for h, c, e, (_low, x) in zip(hs, cs, es, at):
             if x is None:
                 continue
             acc = sums.get(h)
             if acc is None:
-                acc = sums[h] = [{}, order]
-            acc[1] = add_into(acc[0], x, order, acc[1], e, c)
+                acc = sums[h] = SeriesSum(field, order)
+            acc.add(x, e, c)
 
     def _series_part(self, chosen, rest, key, order, uexp):
         """The term's factors left over by the Gauss rule at the closure
@@ -722,7 +723,7 @@ class TorusSeries:
         cut = iter(key)  # split into per-factor slices
         vals = [chosen[wi][1] if span is None else tuple(islice(cut, span.stop - span.start))
                 for wi, span in rest]
-        low = uexp + sum(v.valuation() for (_w, s), v in zip(rest, vals) if s is None and v.terms)
+        low = uexp + sum(v.valuation() for (_w, s), v in zip(rest, vals) if s is None and not v.is_zero())
         capped = True
         fold = None
         series = []  # (value, valuation) of the series-valued factors
@@ -734,11 +735,11 @@ class TorusSeries:
             if isinstance(v, UnitMonomial):
                 fold = v if fold is None else fold * v
                 continue
-            if not v.terms:
+            if v.is_zero():
                 if v.trunc == INF:
                     return None
                 capped = False
-            series.append((v, v.valuation() if v.terms else 0))
+            series.append((v, 0 if v.is_zero() else v.valuation()))
         if not series:
             return UnitMonomial.one(self.param.field) if fold is None else fold
         head = order - uexp - (fold.uexp if fold is not None else 0) if capped else INF
@@ -764,7 +765,7 @@ class TorusSeries:
         return {
             "lattice": self.param.rank,
             "window": radius,
-            "order": None if order is INF else int(order),
+            "order": None if order == INF else int(order),
             "coeffs": coeffs,
         }
 

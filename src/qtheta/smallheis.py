@@ -238,13 +238,13 @@ def act_on_theta(
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
         for h, acted in zip(cells, lhs[j]):
             bs = [(m, table[h]) for m, table in col]
-            if not acted.terms and not any(b.terms for _m, b in bs):
+            if acted.is_zero() and all(b.is_zero() for _m, b in bs):
                 continue  # two empty sides: the comparison cannot fail
             # entries may have negative valuation; compare at the order
             # both sides actually know
             rhs, eff = zero, min(order, acted.trunc)
             for m, b in bs:
-                if b.terms:
+                if not b.is_zero():
                     rhs = rhs + m * b
                 else:  # m * b has no term: only its trunc reaches the sum
                     eff = min(eff, m.mul_trunc(b))

@@ -37,7 +37,7 @@ from .named import (
     weinstein_theta,
     _yang_baxter_param,
 )
-from .scalars import CycloField, UnitMonomial, add_into
+from .scalars import INF, CycloField, SeriesSum, UnitMonomial, unequal_cells
 from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
@@ -88,7 +88,7 @@ def verify_equation(spec: EquationSpec) -> dict:
     Each term is read from its series' table, filled in one pass.  In a
     spec ``lhs - rhs``, a cell whose sides have equal terms, both known to
     the order, cancels exactly and passes; any other cell sums its terms
-    with ``add_into`` and reports the lowest u-exponent left, or the order
+    in a ``SeriesSum`` and reports the lowest u-exponent left, or the order
     it is known to."""
     if spec.mode == PRODUCT:
         for t in spec.terms:
@@ -100,7 +100,6 @@ def verify_equation(spec: EquationSpec) -> dict:
     terms = [*map(_term_series, spec.terms)]
     the_cells = sorted(spec.cells())
     order = spec.order
-    checked = 0
     first_mismatch = None
     # a pass must mean something was compared
     if order < 0:
@@ -119,28 +118,27 @@ def verify_equation(spec: EquationSpec) -> dict:
         except NotMultipliable:
             tables.append(None)
     sides = len(terms) == 2 and terms[0][0].is_one() and (-terms[1][0]).is_one() and None not in tables
-    lhs, rhs = tables if sides else (None, None)
-    for h in the_cells:
-        checked += 1
-        if sides and (a := lhs[h]).terms == (b := rhs[h]).terms and a.trunc >= order and b.trunc >= order:
-            continue
-        acc: dict = {}
-        trunc = order
+    checked, field = len(the_cells), spec.param.field
+    for i in unequal_cells(*tables, the_cells, order) if sides else range(checked):
+        h = the_cells[i]
+        acc = SeriesSum(field, order)
         for (c, s), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
             value = s.coeff(h, order - c.uexp) if table is None else table[h]
-            trunc = add_into(acc, value, order, trunc, c.uexp, c.coeff)
-        if trunc < order:
+            acc.add(value, c.uexp, c.coeff)
+        if acc.trunc < order:
             # a silent precision drop would weaken the pass claim
             first_mismatch = {
                 "cell": list(h),
                 "uexp": None,
-                "reason": f"coefficient known only to order {trunc}",
+                "reason": f"coefficient known only to order {acc.trunc}",
             }
-            break
-        if acc:
-            first_mismatch = {"cell": list(h), "uexp": int(min(acc))}
-            break
+        elif (low := acc.valuation()) != INF:
+            first_mismatch = {"cell": list(h), "uexp": int(low)}
+        else:
+            continue
+        checked = i + 1
+        break
     return _report(spec.label, spec.window, order, checked, first_mismatch)
 
 

@@ -10,7 +10,7 @@ import random
 from qtheta.heisenberg import HeisElement, twist
 from qtheta.intlinalg import identity, mat, mat_inverse_unimodular, mat_mul, transpose
 from qtheta.multiplier import Multiplier, boxtimes, multiplier_new, power
-from qtheta.scalars import CycloField, UnitMonomial
+from qtheta.scalars import CycloField, ScalarSeries, UnitMonomial
 from qtheta.torus import QuantParam, TorusPoint
 
 F = CycloField(1)
@@ -29,6 +29,30 @@ def factor_coeff(fac, y, order):
         return g
     c = fac.coeff_at(y, order - g.uexp)
     return None if c is None else g * c
+
+
+def word_coeff_reference(param, tables, h, order):
+    """Coefficient at h of the product of finitely supported factors (dicts
+    point -> scalar), built pair by pair with the plain product and
+    truncated at the end: every choice of points from the tables but the
+    last, whose point is h less theirs.  No enumeration, position or
+    valuation bound enters."""
+    f = param.field
+    *firsts, last = tables
+    total = ScalarSeries.zero(f, order)
+    for combo in itertools.product(*[t.items() for t in firsts]):
+        q = tuple(x - sum(c) for x, c in zip(h, zip(*[pt for pt, _v in combo]))) if combo else tuple(h)
+        if q not in last:
+            continue
+        combo = (*combo, (q, last[q]))
+        pts = [pt for pt, _v in combo]
+        term = UnitMonomial.one(f).to_series()
+        for i, (pt, v) in enumerate(combo):
+            for p in pts[i + 1 :]:
+                term = term * param.alpha(pt, p)
+            term = term * (v if isinstance(v, ScalarSeries) else v.to_series())
+        total = total + term.truncate(order)
+    return total
 
 
 def invariance_oracle(L, window, order):

@@ -24,7 +24,7 @@ from qtheta.named import (
     weinstein_theta,
     _yang_baxter_param,
 )
-from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial, series_to_json
+from qtheta.scalars import INF, CycloField, ScalarSeries, SeriesSum, UnitMonomial, series_to_json
 from qtheta.series import TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
 from qtheta.verify import (
@@ -408,16 +408,23 @@ SCALED_E332 = {
 }
 
 
+def _counting_sum(calls):
+    """A SeriesSum whose every add is logged in ``calls``: verify's summed loop."""
+
+    class Counting(SeriesSum):
+        __slots__ = ()
+
+        def add(self, *args):
+            calls.append(args)
+            super().add(*args)
+
+    return Counting
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_only_the_q_scaled_specs_sum_their_terms(name, monkeypatch):
     calls = []
-    orig = verify.add_into
-
-    def counting(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(verify, "add_into", counting)
+    monkeypatch.setattr(verify, "SeriesSum", _counting_sum(calls))
     window, order = (1, 8) if name == "E313" else (2, 10)
     for spec in identity_specs(name, window=window, order=order):
         calls.clear()
@@ -519,8 +526,7 @@ def test_the_summed_loop_never_writes_a_shared_cell_value(m, monkeypatch):
     # with its first term times u, read from the tables of the very series
     # whose digests are then taken: their shared values stay as recorded
     calls = []
-    orig = verify.add_into
-    monkeypatch.setattr(verify, "add_into", lambda *args: calls.append(args) or orig(*args))
+    monkeypatch.setattr(verify, "SeriesSum", _counting_sum(calls))
     field = CycloField(int(m.removeprefix("m=")))
     u = UnitMonomial(field.one(), 1)
     for name, window, recorded in (("E332", None, TERM_DIGESTS), ("E313", 2, E313_DIGESTS)):

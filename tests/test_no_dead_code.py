@@ -93,6 +93,7 @@ READ_BY_TESTS_ONLY = {
     "Multiplier.c_l": "the multiplier's scalar at b, checked as a cocycle",
     "QuadExpr.value": "a quadratic's value at one point, the enumeration tests' reference",
     "ScalarSeries.truncate": "the truncated series, the acceptance tests' expected values",
+    "ScalarSeries.invert": "the series inverse, exported and checked against its product with the series",
 }
 
 

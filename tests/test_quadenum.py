@@ -867,3 +867,32 @@ def test_replayed_refusal_is_certified_tight():
     pts = sorted(enumerate_sublevel(T, 4000, max_points=56 * 32))
     assert len(pts) == 36
     assert pts == _brute_ranges(T, 4000, [], _ellipse_ranges(q, lin, const, 4000))
+
+
+def test_the_certified_box_is_the_integer_hull_of_the_solutions():
+    # the quadratic propagation solves each variable's range exactly, so for
+    # one-variable forms, and separable two-variable forms with one-variable
+    # rows, the certified box holds no point outside the solutions' bounding
+    # box: a budget of the hull's size passes and one point less is refused
+    half = Fraction(1, 2)
+    cases = [
+        (QuadExpr(1, [[a]], [l], c), limit, [])
+        for a, l, c, limit in itertools.product((half, 1, 3), (-5, -2, 0, 1, 4, Fraction(5, 2)), (0, 2), (0, 3, 7, 11))
+    ]
+    box_rows = ([], [((0, 1), -1)], [((1, 0), 0), ((-1, 0), 2)])  # none, y1 >= 1, 0 <= y0 <= 2
+    cases += [
+        (QuadExpr(2, [[a0, 0], [0, a1]], [0, 0], c), limit, rows)
+        for a0, a1, c, limit, rows in itertools.product((1, 2), (half, 3), (0, -1), (2, 9), box_rows)
+    ]
+    checked = 0
+    for T, limit, rows in cases:
+        pts = brute(T, limit, rows, 13)
+        if not pts:
+            continue
+        assert all(abs(v) < 13 for p in pts for v in p)  # brute's box has slack
+        hull = math.prod(max(col) - min(col) + 1 for col in zip(*pts))
+        assert sorted(enumerate_sublevel(T, limit, rows, max_points=hull)) == pts
+        with pytest.raises(EnumerationLimit):
+            enumerate_sublevel(T, limit, rows, max_points=hull - 1)
+        checked += 1
+    assert checked > 150

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import itertools
+import operator
 import random
 import textwrap
 from fractions import Fraction
@@ -38,9 +39,12 @@ def test_cyclotomic_polynomials():
 # Fractions enter and leave only through the input and output helpers
 # (element, from_rational, coeffs, as_rational, _coerce, __hash__, JSON).
 INTEGER_ONLY = {
-    scalars: ("cyclotomic_polynomial", "_normalised"),
-    scalars.CycloField: ("_reduce",),
+    scalars: ("cyclotomic_polynomial", "_normalised", "unequal_cells"),
+    scalars.CycloField: ("_reduce", "_mul"),
     scalars.CycloRational: ("__add__", "__mul__", "__neg__", "__pow__", "inverse"),
+    scalars.ScalarSeries: ("_of", "__add__", "__neg__", "mul_to", "scale", "shift", "truncate",
+                           "equal_to_order", "__eq__", "__hash__"),
+    scalars.SeriesSum: ("add", "valuation", "series"),
 }
 
 
@@ -56,6 +60,45 @@ def test_field_arithmetic_reads_no_fraction():
                 ):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_reprs_coercions_and_reflected_operators():
+    f = CycloField(5)
+    z = f.zeta()
+    x = z * 2 + Fraction(1, 3) + z**3
+    assert repr(f) == "CycloField(5)"
+    assert repr(x) == "1/3 + 2*z + z^3" and repr(f.zero()) == "0" and repr(f.from_rational(-2)) == "-2"
+    assert repr(UnitMonomial(f.one(), 1)) == "u" and repr(UnitMonomial(x, 0)) == repr(x)
+    assert repr(UnitMonomial(-f.one(), -3)) == "-1*u^-3"
+    s = ScalarSeries(f, {0: f.from_rational(Fraction(1, 3)), 1: f.one(), 3: z * 2}, 5)
+    assert repr(s) == "1/3 + u + 2*z*u^3 + O(u^6)"
+    assert repr(ScalarSeries.zero(f)) == "0" and repr(ScalarSeries.one(f, 0)) == "1 + O(u^1)"
+    # reflected field operators
+    assert 1 - z == -(z - 1) and 2 / z == (z / 2).inverse()
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        z + CycloField(3).zeta()
+    # a series meets a monomial, a rational or a field element as the series it is
+    assert s + UnitMonomial(z, 2) == s + ScalarSeries(f, {2: z})
+    assert s + 2 == s + ScalarSeries.monomial(f, 0, 2) and s * Fraction(1, 2) == s.scale(UnitMonomial(f.from_rational(Fraction(1, 2))))
+    assert s - z == s + ScalarSeries(f, {0: -z}) and 2 + s == s + 2
+    assert ScalarSeries.one(f) == 1 and ScalarSeries.one(f) != "1"
+    for bad in ("1", 1.5, None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(s, bad)
+        with pytest.raises(TypeError):
+            z * bad
+
+
+def test_a_computed_infinite_trunc_is_exact():
+    # INF - v and INF + k are new float objects, not INF itself: an exact
+    # series that went through arithmetic is still exact
+    f = CycloField(1)
+    s = ScalarSeries(f, {0: f.one(), 1: f.one()})
+    with pytest.raises(NotInvertible, match="infinite series"):
+        s.invert()
+    shifted = s.shift(1)
+    assert series_to_json(shifted)["N"] is None and repr(shifted) == "u + u^2"
 
 
 def test_cyclo_add_m2():

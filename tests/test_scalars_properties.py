@@ -1,8 +1,11 @@
-"""Property tests: CycloRational against a Fraction-polynomial reference.
+"""Property tests: CycloRational against a Fraction-polynomial reference,
+and ScalarSeries against term-by-term CycloRational arithmetic.
 
 The reference keeps an element of Q(zeta_m) as a list of Fraction
 coefficients in the power basis and reduces products by long division by the
 monic cyclotomic polynomial, which is the textbook definition of the field.
+A series keeps one denominator and integer numerator vectors; its reference
+is the slow sum or product of its coefficients as CycloRationals.
 """
 
 import json
@@ -15,8 +18,8 @@ from qtheta.scalars import (
     INF,
     CycloField,
     ScalarSeries,
+    SeriesSum,
     UnitMonomial,
-    add_into,
     cyclotomic_polynomial,
     series_from_json,
     series_to_json,
@@ -232,6 +235,27 @@ def accumulator_and_addend(draw):
     return f, acc, terms
 
 
+def slow_add(want, terms, k=0, scale=None, top=INF):
+    """``want`` (exponent -> CycloRational) plus ``terms`` times ``scale`` u^k
+    on exponents up to ``top``, one field operation per term."""
+    for e, c in terms.items():
+        if e + k <= top:
+            total = want.pop(e + k, c.field.zero()) + (c if scale is None else c * scale)
+            if not total.is_zero():
+                want[e + k] = total
+    return want
+
+
+def check_series_normalised(s):
+    """One denominator, coprime to all the numerators; integer vectors of
+    the field's degree, none zero, in increasing exponent order up to trunc."""
+    nums = [x for n in s.nums.values() for x in n]
+    assert s.den > 0 and gcd(s.den, *nums) == 1
+    assert all(len(n) == s.field.degree and any(n) for n in s.nums.values())
+    assert all(type(x) is int for x in nums)
+    assert list(s.nums) == sorted(s.nums) and all(e <= s.trunc for e in s.nums)
+
+
 @SETTINGS
 @given(
     accumulator_and_addend(),
@@ -240,27 +264,29 @@ def accumulator_and_addend(draw):
     st.integers(-5, 10) | st.just(INF),
 )
 def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
-    # add_into(acc, x, top, trunc, 0, scale) with scale -1 is acc + (-x) on
-    # exponents up to top, built by plain field arithmetic; the -1 is the
-    # field's own minus one or an equal element built by arithmetic, and no
-    # scale is the control
+    # SeriesSum.add(x, 0, scale) on a sum known to top, seeded with acc, is
+    # acc + scale x on exponents up to the lower of top and x's trunc, built
+    # by plain field arithmetic; the -1 is the field's own minus one or an
+    # equal element built by arithmetic, and no scale is the control
     f, acc, terms = case
     scale = {"none": None, "own": f.minus_one(), "built": -f.one()}[neg]
     assert neg == "none" or (scale is f.minus_one()) == (neg == "own")
     x = ScalarSeries(f, terms, x_trunc)
-    want = dict(acc)
+    trunc = min(top, x_trunc)
+    want = slow_add(dict(acc), x.terms, 0, scale)
+    got = SeriesSum(f, top)
+    got.add(ScalarSeries(f, acc))
+    got.add(x, 0, scale)
+    assert got.trunc == trunc
+    assert got.series() == ScalarSeries(f, want, trunc)
+    check_series_normalised(got.series())
+    # the same terms as exact monomials lower no trunc
+    got = SeriesSum(f, top)
+    got.add(ScalarSeries(f, acc))
     for e, c in x.terms.items():
-        if e <= top:
-            total = want.pop(e, f.zero()) + (c if scale is None else -c)
-            if not total.is_zero():
-                want[e] = total
-    got = dict(acc)
-    assert add_into(got, x, top, 5, 0, scale) == min(5, x_trunc)
-    assert got == want
-    got = dict(acc)
-    for e, c in x.terms.items():
-        assert add_into(got, UnitMonomial(c, e), top, INF, 0, scale) == INF
-    assert got == want
+        got.add(UnitMonomial(c, e), 0, scale)
+    assert got.trunc == top
+    assert got.series() == ScalarSeries(f, want, top)
 
 
 @SETTINGS
@@ -272,25 +298,109 @@ def test_add_into_is_the_slow_sum(case, neg, x_trunc, top):
     st.integers(-5, 10) | st.just(INF),
 )
 def test_add_into_with_a_monomial_is_the_slow_scaled_sum(case, coeff, uexp, x_trunc, top):
-    # add_into(acc, x, top, trunc, uexp, c0) is acc + (c0 u^uexp) x on exponents
-    # up to top; a +-1 c0 takes the fast path, whether it is the field's own
-    # one or minus one or an equal element built by arithmetic (1 and -1),
-    # and 2 and zeta the product
+    # SeriesSum.add(x, uexp, c0) is acc + (c0 u^uexp) x on exponents up to
+    # the sum's trunc; a +-1 c0 takes the fast path, whether it is the
+    # field's own one or minus one or an equal element built by arithmetic
+    # (1 and -1), and 2 and zeta the product
     f, acc, terms = case
     named = {"one": f.one(), "minus one": f.minus_one(), "zeta": f.zeta()}
     c0 = named[coeff] if coeff in named else f.from_rational(coeff)
     assert c0 is not f.one() and c0 is not f.minus_one() or coeff in named
     x = ScalarSeries(f, terms, x_trunc)
-    want = dict(acc)
+    trunc = min(top, x_trunc + uexp)
+    want = slow_add(dict(acc), x.terms, uexp, c0)
+    got = SeriesSum(f, top)
+    got.add(ScalarSeries(f, acc))
+    got.add(x, uexp, c0)
+    assert got.trunc == trunc
+    assert got.series() == ScalarSeries(f, want, trunc)
+    got = SeriesSum(f, top)
+    got.add(ScalarSeries(f, acc))
     for e, c in x.terms.items():
-        if e + uexp <= top:
-            total = want.pop(e + uexp, f.zero()) + c * c0
-            if not total.is_zero():
-                want[e + uexp] = total
-    got = dict(acc)
-    assert add_into(got, x, top, 5, uexp, c0) == min(5, x_trunc + uexp)
-    assert got == want
-    got = dict(acc)
-    for e, c in x.terms.items():
-        assert add_into(got, UnitMonomial(c, e), top, INF, uexp, c0) == INF
-    assert got == want
+        got.add(UnitMonomial(c, e), uexp, c0)
+    assert got.trunc == top
+    assert got.series() == ScalarSeries(f, want, top)
+
+
+@st.composite
+def mixed_series(draw, count):
+    """A field of ``ORDERS`` and ``count`` series whose coefficients have
+    mixed, non-integral denominators, each with its own trunc."""
+    m = draw(st.sampled_from(ORDERS))
+    f = CycloField(m)
+    coeff = st.lists(rationals, min_size=1, max_size=f.degree).map(f.element)
+    out = []
+    for _ in range(count):
+        terms = draw(st.dictionaries(st.integers(-4, 8), coeff, max_size=5))
+        out.append(ScalarSeries(f, terms, draw(st.sampled_from([INF, 3, 6]))))
+    return f, out
+
+
+@SETTINGS
+@given(mixed_series(3), st.integers(-3, 3), st.sampled_from(["one", "minus one", "rational", "element"]))
+def test_series_arithmetic_over_mixed_denominators_is_the_slow_arithmetic(case, k, kind):
+    f, (a, b, c) = case
+    scale = {"one": f.one(), "minus one": -f.one(), "rational": f.from_rational(Fraction(-7, 6)),
+             "element": f.element([Fraction(1, 2), 3, Fraction(-2, 5)])}[kind]
+    for s in (a, b, c):
+        check_series_normalised(s)
+        assert all(s.coefficient(e) == x and s.terms[e] == x for e, x in s.terms.items())
+    # a sum of three, the last scaled and shifted
+    acc = SeriesSum(f)
+    acc.add(a)
+    acc.add(b)
+    acc.add(c, k, scale)
+    trunc = min(a.trunc, b.trunc, c.trunc + k)
+    want = slow_add(slow_add(dict(a.terms), b.terms), c.terms, k, scale)
+    got = acc.series()
+    check_series_normalised(got)
+    assert got == ScalarSeries(f, want, trunc) == (a + b + c.scale(UnitMonomial(scale, k))).truncate(trunc)
+    # the product, against every pair of coefficients
+    ref = ref_series_mul(a, b)
+    for cap in (INF, 4, -1):
+        prod = a.mul_to(b, cap)
+        check_series_normalised(prod)
+        assert prod == ref.truncate(cap)
+    # a monomial's scale, a shift and a truncation, term by term
+    mono = UnitMonomial(scale, k)
+    scaled = a.scale(mono, 5)
+    check_series_normalised(scaled)
+    assert scaled == ScalarSeries(f, {e + k: x * scale for e, x in a.terms.items()}, min(a.trunc + k, 5))
+    assert a.shift(k) == ScalarSeries(f, {e + k: x for e, x in a.terms.items()}, a.trunc + k)
+    for order in (-2, 2, 5):
+        cut = a.truncate(order)
+        check_series_normalised(cut)
+        assert cut.terms == {e: x for e, x in a.terms.items() if e <= order}
+    # equality to an order, coefficient by coefficient
+    for order in (-2, 2, 3):
+        if a.trunc >= order and b.trunc >= order:
+            slow = all(a.coefficient(e) == b.coefficient(e) for e in range(-4, order + 1))
+            assert a.equal_to_order(b, order) == slow
+            assert a.equal_to_order(a + b - b, order)
+
+
+@SETTINGS
+@given(mixed_series(2), rationals.filter(bool))
+def test_equal_series_built_by_different_routes_have_equal_stores(case, r):
+    f, (a, b) = case
+    b = ScalarSeries(f, b.terms, a.trunc)
+    half = f.from_rational(Fraction(1, 2))
+    h = ScalarSeries(f, {e: x * half for e, x in a.terms.items()}, a.trunc)
+    routes = [
+        a,
+        (a + b) - b,  # the sum's denominators cancel again
+        h + h,
+        a.scale(UnitMonomial(f.from_rational(r), 0)).scale(UnitMonomial(f.from_rational(1 / r), 0)),
+        a.shift(3).shift(-3),  # an exact series' trunc is computed, not the INF object
+        -(-a),
+        series_from_json(json.loads(json.dumps(series_to_json(a)))),
+    ]
+    acc = SeriesSum(f, a.trunc)
+    for x in (h, b, h):
+        acc.add(x)
+    acc.add(b, 0, f.minus_one())
+    routes.append(acc.series())
+    for s in routes:
+        check_series_normalised(s)
+        assert s == a and hash(s) == hash(a)
+        assert series_to_json(s) == series_to_json(a)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff, oracle_multipliers
+from oracles import ACCEPTED_PAIR, ample_multiplier, factor_coeff, oracle_multipliers, word_coeff_reference
 
 from qtheta.errors import (
     CertificateViolation,
@@ -369,24 +369,6 @@ def test_a_closure_value_of_negative_valuation_raises():
         verify_equation(spec)
 
 
-def _word_coeff_reference(param, tables, h, order):
-    """Coefficient at h of the product of finitely supported factors, built
-    pair by pair with the plain product and truncated at the end."""
-    f = param.field
-    total = ScalarSeries.zero(f, order)
-    for combo in itertools.product(*[t.items() for t in tables]):
-        pts = [pt for pt, _v in combo]
-        if tuple(map(sum, zip(*pts))) != tuple(h):
-            continue
-        term = UnitMonomial.one(f).to_series()
-        for i, (pt, v) in enumerate(combo):
-            for q in pts[i + 1 :]:
-                term = term * param.alpha(pt, q)
-            term = term * (v if isinstance(v, ScalarSeries) else v.to_series())
-        total = total + term.truncate(order)
-    return total
-
-
 def test_negative_gauss_part_raises_the_caps_before_it():
     # finite factors with series values, then a lattice factor whose Gauss
     # part is u^-4: the terms it brings down come back below the order, so
@@ -418,7 +400,7 @@ def test_negative_gauss_part_raises_the_caps_before_it():
             for t2 in f2:
                 y = tuple(a - b - c for a, b, c in zip(h, t1, t2))
                 lat_table[y] = coeff(y, order).shift(-4)
-        ref = _word_coeff_reference(p, [f1, f2, lat_table], h, order)
+        ref = word_coeff_reference(p, [f1, f2, lat_table], h, order)
         assert word.coeff(h, order) == ref, h
 
 
@@ -437,7 +419,7 @@ def test_certified_word_equals_product_of_materialized_operands(m):
     tables = [s.materialize(box, order + 40).factors[0].table for s in (a, b, c)]
     for h in itertools.product(range(0, 4), repeat=2):
         got = word.coeff(h, order)
-        assert got == _word_coeff_reference(p, tables, h, order), h
+        assert got == word_coeff_reference(p, tables, h, order), h
 
 
 def test_empty_finite_value_bounds_a_kernel_product_by_its_truncation():
@@ -783,7 +765,7 @@ def test_closure_unit_monomials_fold_into_the_shared_monomial(monkeypatch, m, wi
     closures = 2 + with_eq
     assert len(calls) < closures * points[0]  # points share their series parts
     for h in cells:
-        assert got[h] == _word_coeff_reference(p, tables, h, order), h
+        assert got[h] == word_coeff_reference(p, tables, h, order), h
     assert sum(not x.is_zero() for x in got.values()) > 10
 
 
@@ -793,7 +775,7 @@ def test_an_empty_finite_trunc_closure_value_leaves_the_product_uncapped():
     p, word, tables = _fold_word(CycloField(1))
     got = word.coeffs([(3, 0), (3, 1), (3, 2), (4, 0), (5, 2)], 8)
     for h, x in got.items():
-        assert x == _word_coeff_reference(p, tables, h, 8), h
+        assert x == word_coeff_reference(p, tables, h, 8), h
     assert [got[(3, b)].trunc for b in range(3)] == [1, -3, -7]
 
 
@@ -1296,7 +1278,7 @@ def test_cell_rules_fall_back_to_the_solver(monkeypatch, m):
         assert isinstance(log[0], NotMultipliable) and not isinstance(log[0], EnumerationLimit)
         assert "non positive definite" in str(log[0])
         assert len(log) == 1 + len(hs) and all(isinstance(x, int) for x in log[1:])
-        assert got == {h: _word_coeff_reference(p, tables, h, 12) for h in hs}
+        assert got == {h: word_coeff_reference(p, tables, h, 12) for h in hs}
     assert sum(not x.is_zero() for x in word.coeffs(cells, 12).values()) == 25
 
 
@@ -1330,7 +1312,7 @@ def _integer_preimage(gens, t):
 
 def _solve_reference(word, h, order):
     """The coefficient at h of a word of finite factors and one Gauss factor,
-    by :func:`_word_coeff_reference`: the Gauss factor's table holds, for each
+    by :func:`word_coeff_reference`: the Gauss factor's table holds, for each
     combo of finite points, the point h less them, valued by its rule at the
     y that Cramer's rule gives (no point off its lattice or outside its cones)."""
     (lat,) = [f for f in word.factors if not f.is_finite]
@@ -1342,7 +1324,7 @@ def _solve_reference(word, h, order):
         if y is not None and all(v >= 0 for v, cone in zip(y, lat.cones) if cone):
             table[q] = lat.gauss.at(y)
     tables = [f.table if f.is_finite else table for f in word.factors]
-    return _word_coeff_reference(word.param, tables, h, order)
+    return word_coeff_reference(word.param, tables, h, order)
 
 
 def _solve_pass_words(m):
