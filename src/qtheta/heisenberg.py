@@ -358,19 +358,9 @@ class TorusMorphism:
         return p1.alpha(g, h) * p2.alpha(self.f(g), self.f(h)).inverse()
 
     def is_characteristic_trivial(self) -> bool:
-        basis = self.source_param.lattice.basis()
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                if not self.char_sign(basis[i], basis[j]).is_one():
-                    return False
-        # diagonal: eps1(e_i) vs eps2(f e_i)
-        for b in basis:
-            if not (
-                self.source_param.epsilon(b)
-                * self.target_param.epsilon(self.f(b)).inverse()
-            ).is_one():
-                return False
-        return True
+        """No eps_f(e_i, e_j) and no eps1(e_i) eps2(f e_i) is -1: each is a
+        sign (the squared pairings agree), and each -1 adds a sign term."""
+        return not self.scale_rule.sform
 
     def a_value(self, h: Vec) -> UnitMonomial:
         """a_h with the normal-ordering sign corrections."""

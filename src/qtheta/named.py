@@ -29,26 +29,25 @@ from .torus import QuantParam, TorusPoint
 
 # -- scalar coefficient cache --------------------------------------------------
 
-# field order -> [P_0, P_1, ...], each a list of coefficients of x = u^4, as
-# long as the highest order asked so far needs (not all of equal length)
-_P_CACHE: dict[int, list[list]] = {}
+# [P_0, P_1, ...], each a list of coefficients of x = u^4, as long as the
+# highest order asked so far needs (not all of equal length): partition
+# counts, the same integers in every field
+_P_CHAIN: list[list[int]] = [[1]]
 
 
-def _p_chain(field: CycloField, k: int, n: int) -> list:
-    """P_k over ``field``, known to x^(n-1) at least, from the cached chain.
+def _p_chain(k: int, n: int) -> list:
+    """P_k, known to x^(n-1) at least, from the cached chain.
 
     P_i = P_(i-1) / (1 - x^i), so P_i[j] = P_(i-1)[j] + P_i[j - i]: a new P_i
     and a longer old one are filled by the same update."""
-    zero = field.zero()
-    chain = _P_CACHE.setdefault(field.order, [[field.one()]])
-    chain[0] += [zero] * (n - len(chain[0]))
+    _P_CHAIN[0] += [0] * (n - len(_P_CHAIN[0]))
     for i in range(1, k + 1):
-        if i == len(chain):
-            chain.append([])
-        p, prev = chain[i], chain[i - 1]
+        if i == len(_P_CHAIN):
+            _P_CHAIN.append([])
+        p, prev = _P_CHAIN[i], _P_CHAIN[i - 1]
         for j in range(len(p), n):
             p.append(prev[j] + p[j - i] if j >= i else prev[j])
-    return chain[k]
+    return _P_CHAIN[k]
 
 
 def eq_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
@@ -59,8 +58,9 @@ def eq_coefficient(field: CycloField, k: int, order) -> ScalarSeries:
     lead = 2 * k * k
     top = max(0 if order == INF else int(order), lead)
     n = (top - lead) // 4 + 1
-    p = _p_chain(field, k, n)
-    return ScalarSeries(field, {lead + 4 * j: p[j] for j in range(n)}, top)
+    p, pad = _p_chain(k, n), (0,) * (field.degree - 1)
+    nums = {lead + 4 * j: (c, *pad) for j, c in zip(range(n), p) if c}
+    return ScalarSeries._of(field, 1, nums, top, ordered=True)
 
 
 def eq_inv_coefficient(field: CycloField, k: int, order) -> ScalarSeries:

@@ -7,8 +7,7 @@ computation to: find all integer points y with
 
 where T is an exact lower bound for the u-adic valuation of the term indexed
 by y.  Soundness (never miss a point) is mandatory: a dropped point silently
-corrupts a coefficient.  T is scaled to integers by the lcm of its
-denominators and each inequality row by the lcm of its own; all later work
+corrupts a coefficient.  T, the limit and the rows are integers, all work
 is integer arithmetic, and an unbounded end of an interval is ``None``.
 
 1. Certification.  Interval propagation over the linear constraints and the
@@ -62,8 +61,8 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -72,10 +71,6 @@ from .intlinalg import det
 
 _MAX_ROUNDS = 64  # cap on bound-propagation rounds
 MAX_POINTS = 500_000  # default cap on the certified box
-
-
-def _den_lcm(values) -> int:
-    return math.lcm(*(x.denominator for x in values if not isinstance(x, int)))
 
 
 def _lin_min(c, lo, hi):
@@ -199,28 +194,19 @@ def _walk_order(quad):
 
 
 class QuadExpr:
-    """T(y) = y^T Q y + L.y + C with symmetric rational Q.
-
-    Integer entries are kept as plain ints (the hot path); anything else is
-    normalized to Fraction.
-    """
+    """T(y) = y^T Q y + L.y + C with symmetric integer Q."""
 
     __slots__ = ("n", "quad", "lin", "const")
 
-    @staticmethod
-    def _norm(x):
-        if isinstance(x, int):
-            return x
-        f = Fraction(x)
-        return f.numerator if f.denominator == 1 else f
-
-    def __init__(self, n: int, quad, lin, const):
+    def __init__(self, n: int, quad, lin, const: int):
         self.n = n
-        self.quad = tuple(tuple(self._norm(x) for x in row) for row in quad)
-        self.lin = tuple(self._norm(x) for x in lin)
-        self.const = self._norm(const)
+        self.quad = tuple(map(tuple, quad))
+        self.lin = tuple(lin)
+        self.const = const
+        if not all(isinstance(x, int) for x in (*chain.from_iterable(self.quad), *self.lin, const)):
+            raise TypeError(f"QuadExpr takes ints, got {quad}, {lin}, {const}")
 
-    def value(self, y: Sequence[int]):
+    def value(self, y: Sequence[int]) -> int:
         q = self.quad
         acc = self.const
         for i, yi in enumerate(y):
@@ -229,17 +215,6 @@ class QuadExpr:
                 row = q[i]
                 acc += yi * sum(row[j] * y[j] for j in range(self.n) if y[j])
         return acc
-
-    def denominator_lcm(self) -> int:
-        return _den_lcm([x for row in self.quad for x in row] + [*self.lin, self.const])
-
-    def scaled(self, k: int) -> "QuadExpr":
-        return QuadExpr(
-            self.n,
-            [[x * k for x in row] for row in self.quad],
-            [x * k for x in self.lin],
-            self.const * k,
-        )
 
 
 class Sublevel(list):
@@ -251,34 +226,33 @@ class Sublevel(list):
 
 def enumerate_sublevel(
     T: QuadExpr,
-    limit,
+    limit: int,
     ineqs: Sequence[tuple[Sequence[int], int]] = (),
     max_points: int = MAX_POINTS,
     position=None,
 ) -> Sublevel:
     """All integer y with T(y) <= limit and a.y + b >= 0 for each (a, b),
     with the exact T(y) of each in ``values`` and, given an integer linear
-    form ``position`` = (w, w0), each w.y + w0 in ``positions``.
+    form ``position`` = (w, w0), each w.y + w0 in ``positions``.  The limit
+    and the rows are ints, as T is; anything else raises TypeError.
 
     Raises NotMultipliable when the solution set cannot be certified finite,
     and its subclass EnumerationLimit when the certified box holds more than
     ``max_points`` points.
     """
     n, const = T.n, T.const
-    scale = T.denominator_lcm()
-    if scale != 1:
-        T = T.scaled(scale)
-    limit = limit * scale if isinstance(limit, int) else math.floor(Fraction(limit) * scale)
+    if not isinstance(limit, int):
+        raise TypeError(f"the limit must be an int, got {limit!r}")
     rows = []
     for coeffs, b in ineqs:
-        d = _den_lcm((*coeffs, b))
-        row = tuple(int(c * d) for c in coeffs), int(b * d)
-        if any(row[0]):
-            rows.append(row)
-        elif row[1] < 0:
+        if not all(isinstance(x, int) for x in (*coeffs, b)):
+            raise TypeError(f"inequality rows take ints, got {(coeffs, b)}")
+        if any(coeffs):
+            rows.append((coeffs, b))
+        elif b < 0:
             return Sublevel()  # a constant row that fails everywhere
     if n == 0:
-        out = Sublevel([()] if T.const <= limit else [])
+        out = Sublevel([()] if const <= limit else [])
         out.values = [const] * len(out)
         if position and out:
             out.positions = [position[1]]
@@ -341,7 +315,7 @@ def enumerate_sublevel(
     def bounded_part_min(ublock):
         """Lower bound of T over the box without the terms that involve a
         variable of ublock; None is -inf."""
-        acc = T.const
+        acc = const
         for j in range(n):
             if j in ublock:
                 continue
@@ -420,7 +394,9 @@ def enumerate_sublevel(
         # Fincke-Pohst per coordinate: y^T Quu y + l.y <= limit - base and
         # Quu^-1 = adj / D give (2D y_i + (adj l)_i)^2 <= adj_ii R4 with
         # R4 = 4D (limit - base) + l^T adj l; doubled, 2 (adj l)_i lies in
-        # am_i +- spread_i and 4 R4 <= r16 (equal when every wid_j is 0)
+        # am_i +- spread_i and 4 R4 <= r16 (equal when every wid_j is 0): the
+        # integers +-(4D y_i + am_i) - spread_i are at most |4D y_i + 2 (adj
+        # l)_i| <= sqrt(adj_ii r16), so at most its isqrt
         am = [sum(map(mul, row, mid)) for row in adj]
         spread = [sum(abs(a) * w for a, w in zip(row, wid)) for row in adj]
         r16 = 16 * D * (limit - base) + sum(
@@ -429,7 +405,7 @@ def enumerate_sublevel(
         if r16 < 0:
             return "empty"  # no feasible point at all
         for k, i in enumerate(u):
-            s = math.isqrt(r16 * adj[k][k]) + 1 + spread[k]
+            s = math.isqrt(r16 * adj[k][k]) + spread[k]
             set_upper(i, (s - am[k]) // (4 * D))
             set_lower(i, -((s + am[k]) // (4 * D)))
         return True
@@ -459,7 +435,7 @@ def enumerate_sublevel(
                 return Sublevel()
             if res3 is None:
                 # only a constant T above the limit is certified empty here
-                if T.const > limit and not any(L) and not any(map(any, Q)):
+                if const > limit and not any(L) and not any(map(any, Q)):
                     return Sublevel()
                 raise NotMultipliable(
                     "cannot certify a finite convolution: unbounded directions "
@@ -562,12 +538,12 @@ def enumerate_sublevel(
         lin[j:] = base
 
     if n == 1:
-        leaf(T.const, lin[0], p0)
+        leaf(const, lin[0], p0)
     else:
-        rec(0, T.const, p0)
+        rec(0, const, p0)
     del rec  # rec's closure holds rec: left to the cyclic collector, the cycle would keep the points
     if position and pos:
         out.positions = pos
-    out.values = vals if scale == 1 else [t // scale if t % scale == 0 else Fraction(t, scale) for t in vals]
+    out.values = vals
     return out
 

@@ -866,7 +866,10 @@ def _int(v, key: str) -> int:
 def _rationals(v, key: str) -> list:
     if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
         raise ValueError(f"{key} must be a list of rational strings, got {v!r}")
-    return [Fraction(x) for x in v]
+    try:
+        return [Fraction(x) for x in v]
+    except ZeroDivisionError:
+        raise ValueError(f"{key} has a zero denominator: {v!r}") from None
 
 
 def series_from_json(data: dict) -> ScalarSeries:

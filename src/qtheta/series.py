@@ -44,7 +44,6 @@ single Heisenberg actions, which add no kernel, evaluate).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import compress, islice, product, repeat
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -154,7 +153,7 @@ _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
 # y(y - 1)/2 is the form y^2 - y, and every form is stored at twice its
 # value.  A Gauss rule's forms have integer x; a combo's valuation bound is a
 # form too, which :func:`_subst` moves to new variables and :func:`_quad`
-# hands to ``enumerate_sublevel``.
+# hands to ``enumerate_sublevel`` as it is, with twice the order as limit.
 
 
 def _form(terms, mod=0):
@@ -200,14 +199,15 @@ def _check_half_steps(form, n):
 
 
 def _quad(form, n) -> QuadExpr:
-    """The form's value as a QuadExpr in n variables (cross terms
-    symmetrised)."""
+    """Twice the form's value, the form itself, as a QuadExpr in n
+    variables: the cross terms symmetrised and the quadratic part halved,
+    exact as the form is integer-valued (and a ValueError otherwise)."""
+    _check_half_steps(form, n)
     Q = [[0] * (n + 1) for _ in range(n + 1)]
     for a, b, x in form:
         Q[a][b] += x
         Q[b][a] += x
-    Q = [[Fraction(x, 4) if x % 4 else x // 4 for x in row] for row in Q]  # ints stay ints
-    return QuadExpr(n, [row[:n] for row in Q[:n]], [2 * x for x in Q[n][:n]], Q[n][n])
+    return QuadExpr(n, [[x // 2 for x in row[:n]] for row in Q[:n]], Q[n][:n], Q[n][n] // 2)
 
 
 def _subst(form, offset, gens):
@@ -524,10 +524,10 @@ class TorusSeries:
         cell position there, with the per-cell box budgets summed or, where
         that is refused, each reached cell's fibre
         y = particular + K z on its own (:func:`_subst`, the cone rows in z,
-        the default budget), the walk's T(y) less low giving each point's
-        u-exponent.  Raises NotMultipliable where a sum cannot be certified,
-        as where a kernel combo reaches a cell at an INF order or through a
-        formal factor."""
+        the default budget), half the walk's value, 2 T(y), less low giving
+        each point's u-exponent.  Raises NotMultipliable where a sum cannot
+        be certified, as where a kernel combo reaches a cell at an INF order
+        or through a formal factor."""
         lay = self._layout()
         n = lay.blocks[-1][2] if lay.blocks else 0
         kernel = lay.solver.kernel if lay.solver else ()
@@ -563,13 +563,13 @@ class TorusSeries:
                     rows += [(g, b - l), (tuple(-x for x in g), u - b)]
                 place = w, sum(map(mul, stride, map(sub, base, lo)))
                 try:
-                    ys = enumerate_sublevel(_quad(form, n), order, rows, MAX_POINTS * len(cells), place)
+                    ys = enumerate_sublevel(_quad(form, n), 2 * order, rows, MAX_POINTS * len(cells), place)
                 except NotMultipliable:  # each reached cell's fibre on its own
                     kt, hs, ys, levels = list(zip(*kernel)), [], [], []  # kt[i]: the vectors' i-th entries
                     for h, p in zip(cells, lay.solver.solve_all([vec_sub(h, base) for h in cells])):
                         if p is not None:
                             tz = _quad(_subst(form, p, kernel), len(kernel))
-                            pts = enumerate_sublevel(tz, order, [(kt[c], p[c]) for c in lay.cones])
+                            pts = enumerate_sublevel(tz, 2 * order, [(kt[c], p[c]) for c in lay.cones])
                             ys += _affine_at(kt, p, pts, len(kernel))
                             levels += pts.values
                             hs += [h] * len(pts)
@@ -577,7 +577,7 @@ class TorusSeries:
                     hs, levels = [*map(cell_at, ys.positions)], ys.values
                 ok = [h is not None for h in hs]
             ys = [*compress(ys, ok)]
-            es = term[0].uexps(ys) if levels is None else [t - low for t in compress(levels, ok)]
+            es = term[0].uexps(ys) if levels is None else [(t >> 1) - low for t in compress(levels, ok)]
             self._add_terms(sums, compress(hs, ok), ys, es, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return {h: sums[h].series() if h in sums else zero for h in cells}

@@ -393,6 +393,13 @@ def _exponent_spec(**param):
         pytest.param(["theta"], _jacobi2_with({"h_l": [2, 0]}), id="multiplier-h_l-rank"),
         pytest.param(["theta"], _jacobi2_with({"x": []}), id="multiplier-x-rank"),
         pytest.param(["theta"], _jacobi2_with({"c": _ZERO}), id="multiplier-c-zero"),
+        # a rational string with a zero denominator is malformed, not a crash
+        pytest.param(
+            ["verify"], _theta_shift_spec(coeff={**_ONE, "coeff": ["1/0"]}), id="term-coeff-zero-denominator"
+        ),
+        pytest.param(
+            ["theta"], _jacobi2_with({"c": {**_ONE, "coeff": ["1/0"]}}), id="multiplier-c-zero-denominator"
+        ),
         pytest.param(
             ["act", "ELEM", "builtin:jacobi2"], _element(field=CycloField(3)), id="element-field"
         ),

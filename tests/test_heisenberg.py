@@ -8,6 +8,7 @@ import pytest
 from oracles import factor_coeff
 
 from qtheta.errors import (
+    IncompatibleForm,
     IncompatibleQuantization,
     Indivisible,
     NotComposable,
@@ -31,6 +32,7 @@ from qtheta.heisenberg import (
     twist,
 )
 from qtheta.intlinalg import LatticeMap, mat
+from qtheta.multiplier import Multiplier, pullback
 from qtheta.named import eq_series, theta_series
 from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
 from qtheta.series import GaussRule, TorusSeries, series_equal_on_cells
@@ -638,3 +640,27 @@ def test_morphism_gauss_rule_matches_the_closure_formula(m):
                     got, want = got.truncate(20), want.truncate(20)
                 assert got == want, y
                 assert got.valuation() >= pulled.gauss.at(y).uexp
+
+
+@pytest.mark.parametrize(
+    "S,signs",
+    [
+        (((1, 0), (0, 0)), ((0, 0, 1), (0, 2, 3))),  # eps1(e_0) eps2(f e_0) = -1 alone
+        (((0, 1), (1, 0)), ((0, 1, 2),)),  # eps_f(e_0, e_1) = -1 alone
+        (((1, 1), (1, 0)), ((0, 0, 1), (0, 1, 2), (0, 2, 3))),  # both: the signed morphism's
+    ],
+    ids=["diagonal", "cross", "both"],
+)
+def test_a_sign_in_the_characteristic_is_refused(S, signs):
+    # the identity lattice map from a signed torus to TQ: each sign is a term
+    # of the scale rule's sign form, so the morphism is not characteristic
+    # trivial, and transport and pullback refuse it
+    ones = (q_mono(0), q_mono(0))
+    assert TorusMorphism(LatticeMap.identity(2), ones, TQ, TQ).is_characteristic_trivial()
+    src = QuantParam(F, TQ.lattice, TQ.A, S)
+    F_ = TorusMorphism(LatticeMap.identity(2), ones, src, TQ)
+    assert F_.scale_rule.sform == signs and not F_.is_characteristic_trivial()
+    with pytest.raises(IncompatibleQuantization):
+        heis_transport(F_, HeisElement.identity(TQ))
+    with pytest.raises(IncompatibleForm):
+        pullback(F_, Multiplier(src, [HeisElement.identity(src)]))

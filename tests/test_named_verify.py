@@ -65,7 +65,7 @@ def _eq_product_coefficient(f, degree, order):
 @pytest.fixture
 def fresh_eq_cache(monkeypatch):
     # the requests below must grow the chain themselves, not find it grown
-    monkeypatch.setattr(named, "_P_CACHE", {})
+    monkeypatch.setattr(named, "_P_CHAIN", [[1]])
 
 
 @pytest.mark.usefixtures("fresh_eq_cache")

@@ -94,6 +94,7 @@ READ_BY_TESTS_ONLY = {
     "QuadExpr.value": "a quadratic's value at one point, the enumeration tests' reference",
     "ScalarSeries.truncate": "the truncated series, the acceptance tests' expected values",
     "ScalarSeries.invert": "the series inverse, exported and checked against its product with the series",
+    "TorusSeries.scaled": "a series times one scalar, the tests' wrong, zero and rescaled terms",
 }
 
 

@@ -40,3 +40,25 @@ def test_no_float_arithmetic_in_the_engine():
                 found.append(f"{path.name}:{node.lineno}: float() call")
     assert len(SOURCES) > 10 and sentinels == 1
     assert found == []
+
+
+# The walk and the series engine run on integers alone: a valuation bound is
+# an integer form counted in half steps, so neither has a use for Fraction.
+INTEGER_ONLY = ("quadenum.py", "series.py")
+
+
+def test_the_walk_and_the_series_engine_import_no_fractions():
+    paths = [path for path in SOURCES if path.name in INTEGER_ONLY]
+    assert len(paths) == len(INTEGER_ONLY)
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            else:
+                continue
+            if any(name.split(".")[0] in ("fractions", "Fraction") for name in names):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -26,6 +26,22 @@ def brute(T, limit, ineqs, box):
     return sorted(out)
 
 
+def _integral(n, quad, lin, const, limit, rows=()):
+    """A rational bound T(y) <= limit with rational rows a.y + b >= 0 as the
+    walk's integer input: T and the limit times their common denominator,
+    each row times its own, which keeps every solution and no other."""
+
+    def lcm(xs):
+        return math.lcm(*(Fraction(x).denominator for x in xs))
+
+    def times(xs, k):
+        return [int(x * k) for x in xs]
+
+    d = lcm([*itertools.chain(*quad), *lin, const, limit])
+    T = QuadExpr(n, [times(row, d) for row in quad], times(lin, d), int(const * d))
+    return T, int(limit * d), [(tuple(times(a, lcm([*a, b]))), int(b * lcm([*a, b]))) for a, b in rows]
+
+
 def test_single_quadratic():
     T = QuadExpr(1, [[2]], [0], 0)  # 2y^2
     pts = enumerate_sublevel(T, 25)
@@ -128,10 +144,11 @@ def test_random_with_cones_match_bruteforce():
 
 
 def test_substitute_affine():
-    # a bound form (cross terms, a fractional entry) as a QuadExpr, and its
-    # substitution y = y0 + K z for a kernel K of two vectors; the cone row
-    # y_c >= 0 becomes (the kernel vectors' c-th entries, y0[c]) in z
-    form = _form([(0, 0, 2), (0, 1, 3), (1, 1, Fraction(1, 2)), (0, 3, 2), (1, 2, -2), (3, 3, 6)])
+    # a bound form (cross terms, a half-step diagonal: y1^2 + 3 y1 is twice
+    # an integer) as a QuadExpr, and its substitution y = y0 + K z for a
+    # kernel K of two vectors; the cone row y_c >= 0 becomes (the kernel
+    # vectors' c-th entries, y0[c]) in z
+    form = _form([(0, 0, 2), (0, 1, 6), (1, 1, 1), (1, 3, 3), (0, 3, 2), (1, 2, -2), (3, 3, 6)])
     T = _quad(form, 3)
     y0, kernel = (2, -1, 0), [(1, 1, 0), (0, 2, -1)]
     S = _quad(_subst(form, y0, kernel), 2)
@@ -139,12 +156,59 @@ def test_substitute_affine():
     rng = random.Random(2)
     for _ in range(20):
         y = tuple(rng.randint(-10, 10) for _ in range(3))
-        assert T.value(y) == _forms_at(form, [y], 3)[0] / 2
+        assert T.value(y) == _forms_at(form, [y], 3)[0]
         z = (rng.randint(-10, 10), rng.randint(-10, 10))
         y = tuple(p + sum(map(mul, z, k)) for p, k in zip(y0, kt))
         assert S.value(z) == T.value(y)
         for c in range(3):
             assert sum(map(mul, kt[c], z)) + y0[c] == y[c]
+
+
+def _random_integer_valued_form(rng, n):
+    """A merged form in n variables that is twice an integer quadratic: even
+    cross terms and constant, and each y_a^2 + y_a pair of one parity, odd
+    for about half of them (a half-step diagonal with an odd linear term)."""
+    terms = [(n, n, 2 * rng.randint(-5, 5))]
+    for a in range(n):
+        x = rng.randint(-4, 4)
+        terms += [(a, a, x), (a, n, rng.randint(-3, 3) * 2 + x % 2)]
+        terms += [(a, b, 2 * rng.randint(-3, 3)) for b in range(a + 1, n)]
+    return _form(terms)
+
+
+def test_quad_is_the_form_itself():
+    # the walk takes twice the bound, which is the form as stored: _quad's
+    # value is the form's at every point, in ints
+    rng = random.Random(38)
+    odd = 0
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 4])
+        form = _random_integer_valued_form(rng, n)
+        T = _quad(form, n)
+        assert all(type(x) is int for x in (*itertools.chain(*T.quad), *T.lin, T.const))
+        ys = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(12)]
+        assert [T.value(y) for y in ys] == _forms_at(form, ys, n)
+        odd += any(b == n and x % 2 for _a, b, x in form)
+    assert odd >= 30
+    # an odd diagonal: y(y + 1)/2 - 2 <= 2, walked as twice that under 2 * 2
+    assert sorted(enumerate_sublevel(_quad(_form([(0, 0, 1), (0, 1, 1), (1, 1, -4)]), 1), 4)) == [
+        (-3,), (-2,), (-1,), (0,), (1,), (2,)
+    ]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        [(0, 0, 1)],  # y0^2 / 2
+        [(0, 0, 2), (0, 2, 1)],  # y0 / 2
+        [(0, 1, 1)],  # y0 y1 / 2
+        [(2, 2, 1)],  # 1 / 2
+        [(0, 0, Fraction(2, 3))],
+    ],
+)
+def test_quad_refuses_a_form_that_is_not_integer_valued(form):
+    with pytest.raises(ValueError):
+        _quad(_form(form), 2)
 
 
 def test_constant_form_above_the_limit_is_empty():
@@ -273,15 +337,38 @@ def test_negative_tail_minimum_is_summed_not_cut():
 
 
 def test_fraction_inequality_rows():
-    T = QuadExpr(2, [[1, 0], [0, 1]], [0, 0], 0)
+    # rational rows, each scaled to integers by its own denominator
     ineqs = [
         ((Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6)),
         ((Fraction(-2, 3), Fraction(1, 4)), Fraction(7, 5)),
     ]
-    _match_brute(T, 20, ineqs, 7)
-    # Fraction entries in the form and the limit as well
-    T2 = QuadExpr(2, [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], [Fraction(-1, 2), 1], Fraction(1, 7))
-    _match_brute(T2, Fraction(40, 3), ineqs, 8)
+    T, limit, rows = _integral(2, [[1, 0], [0, 1]], [0, 0], 0, 20, ineqs)
+    assert rows == [((3, -2), 5), ((-40, 15), 84)] and limit == 20
+    _match_brute(T, limit, rows, 7)
+    # rational entries in the form and the limit as well
+    T2, limit2, rows = _integral(
+        2, [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], [Fraction(-1, 2), 1], Fraction(1, 7),
+        Fraction(40, 3), ineqs,
+    )
+    assert T2.quad == ((63, 14), (14, 42)) and limit2 == 560
+    _match_brute(T2, limit2, rows, 8)
+
+
+def test_the_walk_takes_only_ints():
+    # a rational entry in T, the limit or a row is refused, never floored
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        QuadExpr(1, [[half]], [0], 0)
+    with pytest.raises(TypeError):
+        QuadExpr(1, [[1]], [0], half)
+    T = QuadExpr(1, [[1]], [0], 0)
+    with pytest.raises(TypeError):
+        enumerate_sublevel(T, half)
+    with pytest.raises(TypeError):
+        enumerate_sublevel(T, 4, [((half,), 1)])
+    with pytest.raises(TypeError):
+        enumerate_sublevel(T, 4, [((1,), half)])
+    assert sorted(enumerate_sublevel(T, 4, [((1,), 1)])) == [(-1,), (0,), (1,), (2,)]
 
 
 def test_linear_and_concave_innermost_variable():
@@ -379,18 +466,16 @@ def test_e026_window_rows_match_bruteforce():
 
 
 def _assert_exact_values(T, pts):
-    """Each returned T(y) is QuadExpr.value(y), an int where it is one."""
+    """Each returned T(y) is the int QuadExpr.value(y)."""
     assert len(pts.values) == len(pts)
     for y, t in zip(pts, pts.values):
-        assert t == T.value(y) and (type(t) is int or t.denominator > 1), (y, t)
+        assert type(t) is int and t == T.value(y), (y, t)
 
 
 def test_the_walk_returns_each_points_value():
-    # the leaf test's sum divided back by the lcm: Fraction-scaled forms with
-    # cones and rows, values integral at some points and not at others, a
-    # constant form (n = 0) and the empty sets
+    # the leaf test's sum: rational forms scaled to integers, with cones and
+    # rows, a constant form (n = 0) and the empty sets
     rng = random.Random(34)
-    fractional = 0
     for _ in range(30):
         n = rng.choice([1, 2, 3])
         d = rng.choice([2, 3, 6])
@@ -398,18 +483,16 @@ def test_the_walk_returns_each_points_value():
         q = [[Fraction(sum(r[k][i] * r[k][j] for k in range(n)) + 2 * (i == j), d) for j in range(n)]
              for i in range(n)]
         lin = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4])) for _ in range(n)]
-        T = QuadExpr(n, q, lin, Fraction(rng.randint(-6, 6), 3))
         rows = [((1,) + (0,) * (n - 1), rng.randint(0, 3))] if rng.random() < 0.5 else []
-        pts = enumerate_sublevel(T, Fraction(rng.randint(0, 30), 2), rows)
+        T, limit, rows = _integral(n, q, lin, Fraction(rng.randint(-6, 6), 3), Fraction(rng.randint(0, 30), 2), rows)
+        pts = enumerate_sublevel(T, limit, rows)
         _assert_exact_values(T, pts)
-        fractional += sum(type(t) is Fraction for t in pts.values)
-    assert fractional > 50
     for const in (3, Fraction(3, 2)):
-        T = QuadExpr(0, [], [], const)
-        pts = enumerate_sublevel(T, 3)
-        assert pts == [()] and pts.values == [const]
+        T, limit, _rows = _integral(0, [], [], const, 3)
+        pts = enumerate_sublevel(T, limit)
+        assert pts == [()] and pts.values == [T.const]
         _assert_exact_values(T, pts)
-        assert not enumerate_sublevel(T, 1).values
+        assert not enumerate_sublevel(*_integral(0, [], [], const, 1)[:2]).values
     T = QuadExpr(1, [[2]], [0], 100)
     assert not enumerate_sublevel(T, 5).values
     assert not enumerate_sublevel(T, 200, [((0,), -1)]).values
@@ -605,10 +688,10 @@ def test_last_level_matches_bruteforce():
         (-1, 4, 0, [((1,), 6), ((-1,), 6)]),
         (Fraction(1, 2), Fraction(1, 3), 0, []),
     ]:
-        T = QuadExpr(1, [[q]], [l], c)
         for limit in (-3, 0, 5):
-            pts = sorted(enumerate_sublevel(T, limit, rows))
-            assert pts == brute(T, limit, rows, 12)
+            T, lim, ints = _integral(1, [[q]], [l], c, limit, rows)
+            pts = sorted(enumerate_sublevel(T, lim, ints))
+            assert pts == brute(T, lim, ints, 12)
     # no positive diagonal entry: the walk keeps the given order and its last
     # variable has q = 0 or q < 0; the rows end at the last variable
     rng = random.Random(3535)
@@ -800,9 +883,9 @@ def _coupled_boxes(T, limit, k, zranges):
 
 def _random_coupled_case(rng, k):
     """T with a positive definite block on y_0..y_{k-1} (skewed for a large
-    skew), Fraction entries, up to two variables bounded by rows and coupled
-    to the block, and up to two rows on the block; with the brute-force
-    boxes of ``_coupled_boxes``."""
+    skew), rational entries scaled to integers, up to two variables bounded
+    by rows and coupled to the block, and up to two rows on the block; with
+    the brute-force boxes of ``_coupled_boxes``."""
     nz = rng.choice([0, 1, 2]) if k < 4 else rng.choice([0, 1])
     n = k + nz
     scale = Fraction(rng.randint(1, 4), rng.choice([1, 2, 3]))
@@ -816,7 +899,7 @@ def _random_coupled_case(rng, k):
         for i in range(k):
             q[i][z] = q[z][i] = Fraction(rng.randint(-8, 8), 2)
     lin = [Fraction(rng.randint(-9, 9), rng.choice([1, 2])) for _ in range(n)]
-    T = QuadExpr(n, q, lin, Fraction(rng.randint(-6, 6), rng.choice([1, 3])))
+    const = Fraction(rng.randint(-6, 6), rng.choice([1, 3]))
     limit = Fraction(rng.randint(0, 24), rng.choice([1, 2]))
     zhi = [rng.randint(1, 3) for _ in range(nz)]
     rows = []
@@ -826,6 +909,7 @@ def _random_coupled_case(rng, k):
     for _ in range(rng.randint(0, 2)):
         a = [rng.randint(-2, 2) for _ in range(k)] + [0] * nz
         rows.append((tuple(a), Fraction(rng.randint(-1, 6), rng.choice([1, 2]))))
+    T, limit, rows = _integral(n, q, lin, const, limit, rows)
     return T, limit, rows, _coupled_boxes(T, limit, k, [range(h + 1) for h in zhi])
 
 
@@ -854,6 +938,17 @@ def test_per_coordinate_bound_matches_bruteforce():
     assert nonempty >= 30 and coupled >= 10
 
 
+def test_fincke_pohst_bound_takes_no_slack():
+    # the fallback bounds 4D y_i by the isqrt itself: this cross-coupled
+    # form's certified box holds 55 points (60 with one unit of slack on
+    # each side), and its 18 solutions match brute force
+    T = QuadExpr(2, [[3, 6], [6, 14]], [-2, 1], 2)
+    pts = sorted(enumerate_sublevel(T, 13, max_points=55))
+    assert len(pts) == 18 and pts == brute(T, 13, [], 12)
+    with pytest.raises(EnumerationLimit):
+        enumerate_sublevel(T, 13, max_points=54)
+
+
 def test_replayed_refusal_is_certified_tight():
     # a call of the theta-products benchmark (pair 18 at seed 7): the trace
     # bound ||y||_1^2 <= k tr(Q^-1) y^T Q y certified a box of 23,889,720,969
@@ -876,12 +971,12 @@ def test_the_certified_box_is_the_integer_hull_of_the_solutions():
     # box: a budget of the hull's size passes and one point less is refused
     half = Fraction(1, 2)
     cases = [
-        (QuadExpr(1, [[a]], [l], c), limit, [])
+        _integral(1, [[a]], [l], c, limit)
         for a, l, c, limit in itertools.product((half, 1, 3), (-5, -2, 0, 1, 4, Fraction(5, 2)), (0, 2), (0, 3, 7, 11))
     ]
     box_rows = ([], [((0, 1), -1)], [((1, 0), 0), ((-1, 0), 2)])  # none, y1 >= 1, 0 <= y0 <= 2
     cases += [
-        (QuadExpr(2, [[a0, 0], [0, a1]], [0, 0], c), limit, rows)
+        _integral(2, [[a0, 0], [0, a1]], [0, 0], c, limit, rows)
         for a0, a1, c, limit, rows in itertools.product((1, 2), (half, 3), (0, -1), (2, 9), box_rows)
     ]
     checked = 0
