@@ -26,9 +26,10 @@ from .errors import (
     NotInImage,
     ParamMismatch,
 )
+from .gauss import GaussRule
 from .intlinalg import LatticeMap, Vec, det, solve_integer, vec_add, vec_neg, vec_sub, zero_vec
 from .scalars import INF, UnitMonomial
-from .series import GaussRule, TorusSeries
+from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
 

@@ -36,6 +36,7 @@ from .errors import (
     PrecisionShortfall,
     SqrtMismatch,
 )
+from .gauss import GaussRule, _newton_points
 from .heisenberg import HeisElement, HeisRaw, TorusMorphism, compose as heis_compose, heis_act
 from .intlinalg import (
     INFINITE,
@@ -54,7 +55,7 @@ from .intlinalg import (
     zero_vec,
 )
 from .scalars import UnitMonomial
-from .series import GaussRule, TorusSeries, _newton_points, _prove_by_translation, series_equal_on_cells
+from .series import TorusSeries, _prove_by_translation, series_equal_on_cells
 from .torus import QuantParam, TorusPoint, smith_root
 
 

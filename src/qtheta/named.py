@@ -22,9 +22,10 @@ return P_k and (-1)^k P_k.
 from __future__ import annotations
 
 from .errors import UnknownName
+from .gauss import GaussRule
 from .intlinalg import Vec, zero_vec
 from .scalars import INF, CycloField, ScalarSeries, UnitMonomial
-from .series import GaussRule, TorusSeries
+from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
 # -- scalar coefficient cache --------------------------------------------------

@@ -44,13 +44,14 @@ single Heisenberg actions, which add no kernel, evaluate).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, islice, product, repeat
+from itertools import compress, filterfalse, islice, product, repeat
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateViolation, NotAScalar, NotMultipliable, ParamMismatch, PrecisionShortfall
+from .gauss import GaussRule, _affine_at, _form, _moved, _newton_points, _quad, _subst
 from .intlinalg import Vec, identity, smith, vec_add, vec_neg, vec_sub, zero_vec
-from .quadenum import MAX_POINTS, QuadExpr, enumerate_sublevel
+from .quadenum import MAX_POINTS, enumerate_sublevel
 from .scalars import INF, ScalarSeries, SeriesSum, UnitMonomial, series_to_json
 from .torus import QuantParam, TorusPoint
 
@@ -90,12 +91,13 @@ class LatticeFactor:
     factor with no closure is a *Gauss factor*.  Every closure value must
     have u-valuation >= 0 (:meth:`coeff_at` checks it), so the Gauss part's
     u-form is a lower bound for the coefficient's valuation, the factor's
-    certificate.  Factors whose closures compare equal return equal values
-    at equal parameters.  ``formal`` marks a window-only factor, whose Gauss
-    part bounds no sum (theta_W, a non-ample theta basis).
+    certificate.  Closures that compare equal return equal values at equal
+    parameters, so a word memoizes their values by closure.  ``formal``
+    marks a window-only factor, whose Gauss part bounds no sum (theta_W, a
+    non-ample theta basis).
     """
 
-    __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss", "formal", "_memo")
+    __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss", "formal")
     is_finite = False
 
     def __init__(
@@ -117,24 +119,19 @@ class LatticeFactor:
         self.label = label or "lattice"
         self.gauss = gauss
         self.formal = formal
-        self._memo: dict = {}
 
     @property
     def nparams(self) -> int:
         return len(self.gens)
 
     def coeff_at(self, y: tuple, order) -> Optional[Scalar]:
-        """The closure value at y, exact to ``order`` and memoized; raises
+        """The closure value at y, exact to ``order``; raises
         CertificateViolation when it has negative u-valuation."""
-        key = (y, order)
-        hit = self._memo.get(key)
-        if hit is None and key not in self._memo:
-            hit = self.coeff(y, order)
-            if hit is not None and hit.valuation() < 0:
-                raise CertificateViolation(
-                    f"{self.label}: closure value at y={y} has u-valuation {hit.valuation()} < 0"
-                )
-            self._memo[key] = hit
+        hit = self.coeff(y, order)
+        if hit is not None and hit.valuation() < 0:
+            raise CertificateViolation(
+                f"{self.label}: closure value at y={y} has u-valuation {hit.valuation()} < 0"
+            )
         return hit
 
     def __repr__(self):
@@ -145,83 +142,6 @@ Factor = Union[FiniteFactor, LatticeFactor]
 
 
 _ZERO_TERM = object()  # combo marker: a chosen finite value is zero
-
-
-# A form is a quadratic in y = (y_0, ..., y_{n-1}) counted in half steps:
-# terms (a, b, x) of (sum x y_a y_b) / 2, where index n stands for the
-# constant 1: (a, n) terms are linear and (n, n) is the constant.  So
-# y(y - 1)/2 is the form y^2 - y, and every form is stored at twice its
-# value.  A Gauss rule's forms have integer x; a combo's valuation bound is a
-# form too, which :func:`_subst` moves to new variables and :func:`_quad`
-# hands to ``enumerate_sublevel`` as it is, with twice the order as limit.
-
-
-def _form(terms, mod=0):
-    """The terms merged (a <= b), reduced mod ``mod`` when given, zeros dropped."""
-    acc = {}
-    for a, b, x in terms:
-        key = (a, b) if a <= b else (b, a)
-        acc[key] = acc.get(key, 0) + x
-    red = {k: x % mod if mod else x for k, x in acc.items()}
-    return tuple((a, b, x) for (a, b), x in sorted(red.items()) if x)
-
-
-def _forms_at(form, ys, n) -> list:
-    """The sum of x y_a y_b over the terms (a, b, x) at each y in ys (index n
-    is the constant 1): twice a form's value, one list pass per term."""
-    out = [0] * len(ys)
-    for a, b, x in form:
-        if b < n:
-            out = [s + x * y[a] * y[b] for s, y in zip(out, ys)]
-        elif a < n:
-            out = [s + x * y[a] for s, y in zip(out, ys)]
-        else:
-            out = [s + x for s in out]
-    return out
-
-
-def _affine_at(mtx, base, ys, n):
-    """base + mtx y at each y in ys (of length n), one row of mtx at a time."""
-    rows = [_forms_at([*((j, n, x) for j, x in enumerate(g) if x), (n, n, b)], ys, n)
-            for g, b in zip(mtx, base)]
-    return zip(*rows) if rows else [()] * len(ys)
-
-
-def _check_half_steps(form, n):
-    """Raise unless the merged form is integer-valued on Z^n: its constant,
-    cross terms and each y_a^2 + y_a pair of coefficients are even."""
-    par = {}
-    for a, b, x in form:
-        key = (a, a) if b == n else (a, b)
-        par[key] = par.get(key, 0) + x
-    if any(x % 2 for x in par.values()):
-        raise ValueError(f"form {form} is not integer-valued")
-
-
-def _quad(form, n) -> QuadExpr:
-    """Twice the form's value, the form itself, as a QuadExpr in n
-    variables: the cross terms symmetrised and the quadratic part halved,
-    exact as the form is integer-valued (and a ValueError otherwise)."""
-    _check_half_steps(form, n)
-    Q = [[0] * (n + 1) for _ in range(n + 1)]
-    for a, b, x in form:
-        Q[a][b] += x
-        Q[b][a] += x
-    return QuadExpr(n, [[x // 2 for x in row[:n]] for row in Q[:n]], Q[n][:n], Q[n][n] // 2)
-
-
-def _subst(form, offset, gens):
-    """The merged form of z at y = offset + sum_j z_j gens[j], in which
-    index len(gens) is the constant."""
-    cols = [(*g, 0) for g in gens] + [(*offset, 1)]
-    nz = [[(j, c[a]) for j, c in enumerate(cols) if c[a]] for a in range(len(offset) + 1)]
-    return _form((j, k, x * u * v) for a, b, x in form for j, u in nz[a] for k, v in nz[b])
-
-
-def _moved(form, at, k, n):
-    """A form in k variables as one in n: y_i moves to y_(at + i), the constant k to n."""
-    idx = [*range(at, at + k), n]
-    return [(idx[a], idx[b], x) for a, b, x in form]
 
 
 def _alpha_form(pair, word, chosen, offs, n):
@@ -240,82 +160,6 @@ def _alpha_form(pair, word, chosen, offs, n):
         for a, v in di
         for b, w in dj
     )
-
-
-class GaussRule:
-    """The unit monomial c (-1)^s(y) u^q(y) prod_k b_k^(l_k(y)) of an
-    integer vector y of length n.
-
-    q, s and the l_k are integer-valued quadratics given as forms, which
-    count half steps: y(y-1)/2 is the form y^2 - y, so a half-integer
-    coefficient (an odd valuation diagonal, say) needs no other kind.  s is
-    kept mod 4, as only its parity matters.  The bases b_k carry the
-    coefficients other than +-1.  A +-1 constant is held as the field's own
-    one or minus one, so a rule without bases has those very objects as values.
-    """
-
-    __slots__ = ("n", "const", "signed", "uform", "sform", "chars")
-
-    def __init__(self, n: int, const, uform=(), sform=(), chars=()):
-        self.n = n
-        one, minus = const.field.one(), const.field.minus_one()
-        self.signed = (one, minus) if const == one else (minus, one) if const == minus else (const, -const)
-        self.const = self.signed[0]
-        self.uform = _form(uform)
-        self.sform = _form(sform, 4)
-        self.chars = tuple((b, _form(l)) for b, l in chars)
-        for form in (self.uform, self.sform, *(l for _b, l in self.chars)):
-            _check_half_steps(form, n)
-
-    @classmethod
-    def character(cls, field, values: Sequence[UnitMonomial]) -> "GaussRule":
-        """y -> prod values_i^y_i: the character e(y) at a torus point."""
-        n = len(values)
-        chars = [(v.coeff, [(i, n, 2)]) for i, v in enumerate(values) if not v.coeff.is_one()]
-        return cls(n, field.one(), [(i, n, 2 * v.uexp) for i, v in enumerate(values)], (), chars)
-
-    def times(self, other: "GaussRule") -> "GaussRule":
-        """The pointwise product of two rules in the same variables."""
-        u, s, chars = self.uform + other.uform, self.sform + other.sform, self.chars + other.chars
-        return GaussRule(self.n, self.const * other.const, u, s, chars)
-
-    def compose(self, offset: Vec, gens: Sequence[Vec]) -> "GaussRule":
-        """The rule of z at y = offset + sum_j z_j gens[j]."""
-        u, s = _subst(self.uform, offset, gens), _subst(self.sform, offset, gens)
-        chars = [(b, _subst(l, offset, gens)) for b, l in self.chars]
-        return GaussRule(len(gens), self.const, u, s, chars)
-
-    def at(self, y) -> UnitMonomial:
-        return UnitMonomial(*self.values((y,))[0])
-
-    def values(self, ys) -> list:
-        """[(coefficient, u-exponent) of the rule at y for y in ys]."""
-        return list(zip(self.coeffs(ys), self.uexps(ys)))
-
-    def coeffs(self, ys) -> list:
-        """The coefficient at each y in ys, each form at all the points at once."""
-        n = self.n
-        if self.sform:  # the form holds 2s
-            cs = [self.signed[v >> 1 & 1] for v in _forms_at(self.sform, ys, n)]
-        else:
-            cs = [self.const] * len(ys)
-        for b, l in self.chars:
-            js = [v >> 1 for v in _forms_at(l, ys, n)]
-            powers = {j: b**j for j in set(js)}
-            cs = [c * powers[j] for c, j in zip(cs, js)]
-        return cs
-
-    def uexps(self, ys) -> list:
-        """The u-exponent at each y in ys."""
-        return [v >> 1 for v in _forms_at(self.uform, ys, self.n)]
-
-
-def _newton_points(n) -> list:
-    """0, each e_i and each e_i + e_j (i <= j) in Z^n.  A map of y whose
-    third differences vanish, such as a quotient of two Gauss rules, is
-    determined by its values there, so it is constant when they agree."""
-    e = identity(n)
-    return [zero_vec(n), *e, *(vec_add(a, b) for i, a in enumerate(e) for b in e[i:])]
 
 
 def _canonical(key, groups) -> tuple:
@@ -341,6 +185,8 @@ class TorusSeries:
         self.factors = tuple(factors)
         self.label = label
         self._cache: dict = {}
+        self._windows: set = set()  # the (order, radius) windows _cache is filled over
+        self._closures: dict = {}  # (closure, y, order) -> its checked value
         self._layout_cache = None
         self._combo_cache: dict = {}
         self._cell_cache = None
@@ -488,7 +334,7 @@ class TorusSeries:
         (:meth:`_combo_coeffs`).  A pass that raises caches no cell.  Cells
         of equal value may hold one shared (immutable) series."""
         table = self._cache.setdefault(order, {})
-        todo = {h: h for h in cells if h not in table}
+        todo = dict.fromkeys(filterfalse(table.__contains__, cells) if table else cells)
         if todo:
             rules = self._cell_rules()
             if rules is not None:
@@ -496,6 +342,14 @@ class TorusSeries:
             else:
                 table.update(self._combo_coeffs(todo, order))
         return table
+
+    def _window_table(self, radius: int, order) -> dict:
+        """The order's table, filled over the window of ``radius`` by the
+        first call only (:meth:`_table`; a raise records no window)."""
+        if (order, radius) not in self._windows:
+            self._table(self.param.window_cells(radius), order)
+            self._windows.add((order, radius))
+        return self._cache[order]
 
     def _rule_coeffs(self, rules, cells, order) -> dict:
         """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
@@ -509,7 +363,7 @@ class TorusSeries:
             empty = ScalarSeries.zero(field, order)
             shared = {(c, e): empty if e > order else UnitMonomial(c, e).to_series(order)
                       for c, e in set(values[0])}
-            return {h: shared[v] for h, v in zip(cells, values[0])}
+            return dict(zip(cells, map(shared.__getitem__, values[0])))
         accs = [SeriesSum(field, order) for _h in cells]
         for vals in values:
             for acc, v in zip(accs, vals):
@@ -517,8 +371,8 @@ class TorusSeries:
         return {h: acc.series() for h, acc in zip(cells, accs)}
 
     def _combo_coeffs(self, cells, order) -> dict:
-        """``{h: coefficient}`` at ``cells`` (each mapped to itself): each
-        finite combo's points are one :meth:`_add_terms` batch, the solutions
+        """``{h: coefficient}`` at the distinct ``cells``: each finite
+        combo's points are one :meth:`_add_terms` batch, the solutions
         of G y = h - base with y_c >= 0.  Over a kernel K that is one
         enumeration on the cells' bounding box, which returns each point's
         cell position there, with the per-cell box budgets summed or, where
@@ -714,7 +568,8 @@ class TorusSeries:
 
         A closure value has valuation >= 0 (:meth:`LatticeFactor.coeff_at`
         checks it), so each closure is asked for ``order`` less ``uexp`` and
-        the finite series' valuations.  Unit-monomial values multiply into a
+        the finite series' valuations, and the word evaluates equal closures
+        once per (parameter, order).  Unit-monomial values multiply into a
         fold.  The series values are multiplied in word order, each product
         capped at ``order`` less the monomial's and fold's u-exponents and
         the valuations of the series still to come (no cap when a value is
@@ -729,7 +584,10 @@ class TorusSeries:
         series = []  # (value, valuation) of the series-valued factors
         for (wi, span), v in zip(rest, vals):
             if span is not None:
-                v = self.factors[wi].coeff_at(v, order - low)
+                key = self.factors[wi].coeff, v, order - low
+                if key not in self._closures:  # checked on its first evaluation
+                    self._closures[key] = self.factors[wi].coeff_at(v, order - low)
+                v = self._closures[key]
                 if v is None:
                     return None
             if isinstance(v, UnitMonomial):
@@ -760,8 +618,9 @@ class TorusSeries:
         return TorusSeries.from_dict(self.param, table, label=f"window({self.label})")
 
     def window_dump(self, radius: int, order) -> dict:
-        table = self.coeffs(self.window_cells(radius), order)
-        coeffs = [[list(h), series_to_json(c)] for h, c in table.items() if not c.is_zero()]
+        table = self._window_table(radius, order)
+        values = [(h, table[h]) for h in self.window_cells(radius)]
+        coeffs = [[list(h), series_to_json(c)] for h, c in values if not c.is_zero()]
         return {
             "lattice": self.param.rank,
             "window": radius,

@@ -30,11 +30,12 @@ from .errors import (
     NotSymmetric,
     ParamMismatch,
 )
+from .gauss import GaussRule
 from .heisenberg import HeisRaw, heis_mul, mumford_morphism
 from .intlinalg import INFINITE, QuotientData, Vec, mat_vec, smith, vec_sub, zero_vec
 from .multiplier import Multiplier, ThetaBasis, boxtimes, boxtimes_series, pullback, theta_membership
 from .scalars import CycloField, CycloRational, ScalarSeries, UnitMonomial
-from .series import GaussRule, TorusSeries
+from .series import TorusSeries
 from .torus import QuantParam, TorusPoint, smith_root
 
 
@@ -212,8 +213,9 @@ def act_on_theta(
     where mu has u-exponent e < 0, theta_j is read to ``order`` - e.  That
     table is filled in one pass per read order; the entries are its values
     at the coset reps, and the acted theta is re-expanded through them and
-    checked on the window cells, where an empty product adds only its trunc
-    and a cell with no term on either side is skipped.
+    checked on the window cells against the basis thetas' window tables,
+    where an empty product adds only its trunc.  A cell with no term on
+    either side is skipped, so an acted value is scaled only where compared.
     """
     if not normalizer_membership(L, elem.c, elem.xi, elem.gamma):
         raise NotInNormalizer("element fails the normalizer equations")
@@ -231,17 +233,18 @@ def act_on_theta(
         own = {o: theta._table(at, o) for o, at in passes.items()}
         for k in range(n):  # cache hits, counted as coeff reads
             matrix[k][j] = theta.coeff(ks[k], reads[k]).scale(monos[k], order)
-        lhs.append([own[o][h].scale(m, order) for h, m, o in zip(ks[n:], monos[n:], reads[n:])])
-    tables = [theta.coeffs(cells, order) for theta in basis.basis]
+        lhs.append([own[o][h] for h, o in zip(ks[n:], reads[n:])])
+    tables = [theta._window_table(window, order) for theta in basis.basis]
     zero = ScalarSeries.zero(field, order)
     for j in range(n):
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
-        for h, acted in zip(cells, lhs[j]):
+        for h, value, mono in zip(cells, lhs[j], monos[n:]):
             bs = [(m, table[h]) for m, table in col]
-            if acted.is_zero() and all(b.is_zero() for _m, b in bs):
-                continue  # two empty sides: the comparison cannot fail
+            if value.valuation() > order - mono.uexp and all(b.is_zero() for _m, b in bs):
+                continue  # two empty sides (no acted term up to the order): the comparison cannot fail
             # entries may have negative valuation; compare at the order
             # both sides actually know
+            acted = value.scale(mono, order)
             rhs, eff = zero, min(order, acted.trunc)
             for m, b in bs:
                 if not b.is_zero():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, LatticeMismatch, NoMonomialRoot, QThetaError
@@ -82,9 +83,10 @@ class QuantParam:
         return self.lattice.rank
 
     def window_cells(self, radius: int) -> list[Vec]:
-        """The centred box [-radius, radius]^d of lattice cells."""
-        rng = range(-radius, radius + 1)
-        return list(itertools.product(rng, repeat=self.rank))
+        """The centred box [-radius, radius]^d of lattice cells, sorted: a
+        copy of the one tuple of cells that every window of this rank and
+        radius shares, so tables filled over it are keyed by those cells."""
+        return list(_window(self.rank, radius))
 
     # -- pairing values ------------------------------------------------------
 
@@ -140,6 +142,12 @@ class QuantParam:
 
     def same_lattice(self, other: "QuantParam") -> bool:
         return self.lattice == other.lattice and self.field is other.field
+
+
+@lru_cache(maxsize=16)
+def _window(rank: int, radius: int) -> tuple:
+    rng = range(-radius, radius + 1)
+    return tuple(itertools.product(rng, repeat=rank))
 
 
 class TorusPoint:

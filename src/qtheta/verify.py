@@ -85,9 +85,10 @@ def _term_series(term: EquationTerm) -> tuple[UnitMonomial, TorusSeries]:
 def verify_equation(spec: EquationSpec) -> dict:
     """Expand all terms on the window and compare coefficient-exactly.
 
-    Each term is read from its series' table, filled in one pass.  In a
-    spec ``lhs - rhs``, a cell whose sides have equal terms, both known to
-    the order, cancels exactly and passes; any other cell sums its terms
+    Each term is read from its series' table, which is filled over the
+    window once per series and order and keyed by the window's shared cells.
+    In a spec ``lhs - rhs``, a cell whose sides have equal terms, both known
+    to the order, cancels exactly and passes; any other cell sums its terms
     in a ``SeriesSum`` and reports the lowest u-exponent left, or the order
     it is known to."""
     if spec.mode == PRODUCT:
@@ -98,7 +99,7 @@ def verify_equation(spec: EquationSpec) -> dict:
                         "formal-kind operand in a product identity"
                     )
     terms = [*map(_term_series, spec.terms)]
-    the_cells = sorted(spec.cells())
+    the_cells = spec.cells()  # the sorted window
     order = spec.order
     first_mismatch = None
     # a pass must mean something was compared
@@ -114,7 +115,7 @@ def verify_equation(spec: EquationSpec) -> dict:
     for c, s in terms:
         # one pass per term; a refusal is met again cell by cell
         try:
-            tables.append(s._table(the_cells, order - c.uexp))
+            tables.append(s._window_table(spec.window, order - c.uexp) if the_cells else {})
         except NotMultipliable:
             tables.append(None)
     sides = len(terms) == 2 and terms[0][0].is_one() and (-terms[1][0]).is_one() and None not in tables

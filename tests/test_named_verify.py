@@ -280,18 +280,16 @@ def test_term_coefficient_uexp_moves_the_requested_order(monkeypatch):
     ]
     assert specs[5].terms[0].coefficient.uexp == -2
     asked = []
-    orig, orig_window = TorusSeries.coeff, TorusSeries._table
+    # a window filled by an earlier spec is not refilled, so its entry
+    # point records the order too
+    for name in ("coeff", "_table", "_window_table"):
+        orig = getattr(TorusSeries, name)
 
-    def recording(self, h, order):
-        asked.append(order)
-        return orig(self, h, order)
+        def recording(self, at, order, orig=orig):
+            asked.append(order)
+            return orig(self, at, order)
 
-    def recording_window(self, cells, order):
-        asked.append(order)
-        return orig_window(self, cells, order)
-
-    monkeypatch.setattr(TorusSeries, "coeff", recording)
-    monkeypatch.setattr(TorusSeries, "_table", recording_window)
+        monkeypatch.setattr(TorusSeries, name, recording)
     for spec in cases:
         asked.clear()
         rep = verify_equation(spec)
@@ -372,6 +370,42 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
         assert verify_equation(spec)["status"] == "pass"
     assert set(counts) == set(specs[0].cells())
     assert set(counts.values()) == {1}
+
+
+def test_e313_fills_the_theta_w_window_once(monkeypatch):
+    # the -theta_W term is one series in all ten specs: the first spec fills
+    # its window table, and the other nine read that table with no _table
+    # call, so its cells are not scanned again; each run builds and fills a
+    # new acted word
+    specs = identity_specs("E313", window=1, order=8)
+    theta_w = specs[0].terms[1].word[0]
+    calls = collections.Counter()
+    real = TorusSeries._table
+
+    def counting(self, cells, order):
+        calls[self is theta_w] += 1
+        return real(self, cells, order)
+
+    monkeypatch.setattr(TorusSeries, "_table", counting)
+    for runs in (1, 2):
+        for spec in specs:
+            assert verify_equation(spec)["status"] == "pass"
+        assert calls == {True: 1, False: runs * len(specs)}
+    assert theta_w._windows == {(8, 1)}
+
+
+def test_specs_that_compare_nothing_fill_no_table(monkeypatch):
+    # a negative order and a spec with no terms fail before any cell is
+    # compared, and fill no table of any term series
+    spec = identity_specs("E332", window=2, order=10)[1]  # u theta(u) u^-1 = theta(u)
+    calls = []
+    for name in ("_table", "_window_table"):
+        monkeypatch.setattr(TorusSeries, name, lambda self, *args: calls.append(args))
+    rep = verify_equation(dataclasses.replace(spec, order=-1))
+    assert rep["first_mismatch"]["reason"] == "negative order -1" and rep["cells_checked"] == 0
+    rep = verify_equation(dataclasses.replace(spec, terms=[]))
+    assert rep["first_mismatch"]["reason"] == "no terms to compare" and rep["cells_checked"] == 0
+    assert calls == []
 
 
 def test_verify_equation_compares_the_filled_tables(monkeypatch):

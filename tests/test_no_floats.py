@@ -42,9 +42,10 @@ def test_no_float_arithmetic_in_the_engine():
     assert found == []
 
 
-# The walk and the series engine run on integers alone: a valuation bound is
-# an integer form counted in half steps, so neither has a use for Fraction.
-INTEGER_ONLY = ("quadenum.py", "series.py")
+# The walk, the Gauss rules and the series engine run on integers alone: a
+# valuation bound is an integer form counted in half steps, so none of them
+# has a use for Fraction.
+INTEGER_ONLY = ("gauss.py", "quadenum.py", "series.py")
 
 
 def test_the_walk_and_the_series_engine_import_no_fractions():

@@ -12,7 +12,7 @@ import pytest
 from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.quadenum import QuadExpr, _walk_order, enumerate_sublevel
 from qtheta.scalars import CycloField
-from qtheta.series import _form, _forms_at, _quad, _subst
+from qtheta.gauss import _form, _forms_at, _quad, _subst
 from qtheta.verify import _term_series, identity_specs
 
 

@@ -1,5 +1,6 @@
 """Quantum torus pairing data and the exact truncated product engine."""
 
+import collections
 import itertools
 import math
 import random
@@ -1542,6 +1543,112 @@ def test_cache_holds_one_table_per_order(monkeypatch):
     assert all(word._cache[8][h] is got[h] for h in cells)
     assert all(word.coeff(h, 8) is got[h] for h in cells)
     assert got == t8
+
+
+# ---------------------------------------------------------------------------
+# one shared window per (rank, radius), filled once per series and order
+
+
+@pytest.mark.parametrize("rank, radius", [(0, 2), (1, 3), (2, 2), (4, 1), (2, -1)])
+def test_window_cells_are_sorted_and_share_their_cells(rank, radius):
+    p = QuantParam.trivial(F, rank)
+    cells = p.window_cells(radius)
+    assert type(cells) is list and cells == sorted(cells)
+    assert cells == list(itertools.product(range(-radius, radius + 1), repeat=rank))
+    # another parameter of the same rank: a new list of the very same cells
+    other = QuantParam.standard_tq(F) if rank == 2 else QuantParam.trivial(CycloField(5), rank)
+    again = other.window_cells(radius)
+    assert again is not cells and len(again) == len(cells)
+    assert all(a is b for a, b in zip(again, cells))
+    cells.append(None)  # a copy: the shared window is untouched
+    assert p.window_cells(radius) == again
+
+
+def test_a_warm_window_is_not_rescanned(monkeypatch):
+    # _window_table fills a series' order table over a window on its first
+    # call; later calls, window_dump among them, return that table with no
+    # _table call, keyed by the window's own cells
+    th = theta_series(TQ, (1, 0))
+    calls = []
+    real = TorusSeries._table
+
+    def counting(self, cells, order):
+        calls.append((len(cells), order))
+        return real(self, cells, order)
+
+    monkeypatch.setattr(TorusSeries, "_table", counting)
+    table = th._window_table(2, 10)
+    assert calls == [(25, 10)] and table is th._cache[10]
+    assert th._window_table(2, 10) is table and calls == [(25, 10)]
+    dump = th.window_dump(2, 10)
+    assert calls == [(25, 10)]
+    th._window_table(1, 10), th._window_table(2, 12)  # another radius, another order
+    assert calls == [(25, 10), (9, 10), (25, 12)]
+    cells = th.window_cells(2)
+    assert all(k is h for k, h in zip(th._cache[12], cells))
+    monkeypatch.undo()
+    assert dump == theta_series(TQ, (1, 0)).window_dump(2, 10)
+    assert [tuple(h) for h, _c in dump["coeffs"]] == [h for h in cells if not table[h].is_zero()]
+
+
+def test_a_raising_fill_records_no_window(monkeypatch):
+    # a fill that raises records no window, so the next call fills it again
+    word = _kernel_words(F)["g.g"]()
+    real = TorusSeries._combo_coeffs
+    raises = [True]
+
+    def once(self, cells, order):
+        if raises.pop(0):
+            raise EnumerationLimit("certified box too large")
+        return real(self, cells, order)
+
+    monkeypatch.setattr(TorusSeries, "_combo_coeffs", once)
+    with pytest.raises(EnumerationLimit):
+        word._window_table(3, 8)
+    assert not word._windows and not any(word._cache.values())
+    raises.append(False)
+    table = word._window_table(3, 8)
+    assert word._windows == {(8, 3)} and len(table) == 7
+    monkeypatch.undo()
+    assert table == _kernel_words(F)["g.g"]().coeffs(word.window_cells(3), 8)
+    formal = _kernel_words(F)["formal"]()  # a reached kernel sum through a formal factor
+    for _ in range(2):
+        with pytest.raises(NotMultipliable, match="window-only factor"):
+            formal._window_table(3, 8)
+    assert not formal._windows
+
+
+def test_equal_closures_in_one_word_evaluate_once_per_parameter_and_order():
+    # two lifts of one base carry equal closures: the word evaluates each
+    # (y, order) once for both, and gives what unequal closures give
+    f = CycloField(1)
+    p = QuantParam.trivial(f, 1)
+    calls = collections.Counter()
+
+    def base(field, k, order):
+        calls[k, order] += 1
+        return eq_inv_coefficient(field, k, order)
+
+    def twin(field, k, order):  # the same values, an unequal closure
+        return base(field, k, order)
+
+    a, b, c = (_eq_lift(p, (1,), None, fn, _LINEAR, "lift") for fn in (base, base, twin))
+    assert a.factors[0].coeff == b.factors[0].coeff != c.factors[0].coeff
+    cells = [(h,) for h in range(-3, 7)]
+    got = a.mul(b).coeffs(cells, 12)
+    assert calls and set(calls.values()) == {1}
+    assert got == a.mul(c).coeffs(cells, 12)
+    assert any(not x.is_zero() for x in got.values())
+    # a value of negative valuation raises on its first evaluation, and is
+    # not memoized: a second word, and the same word again, raise too
+    def bad(field, k, order):
+        return base(field, k, order).shift(-1) if k == 2 else base(field, k, order)
+
+    word = _eq_lift(p, (1,), None, bad, _LINEAR, "bad").mul(_eq_lift(p, (1,), None, bad, _LINEAR, "bad"))
+    for _ in range(2):
+        with pytest.raises(CertificateViolation, match=r"bad: .*y=\(2,\) .*valuation -1"):
+            word.coeffs(cells, 12)
+    assert not any(v is not None and v.valuation() < 0 for v in word._closures.values())
 
 
 def test_theta_product_refused_before_is_a_member():
