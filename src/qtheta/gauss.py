@@ -140,8 +140,38 @@ class GaussRule:
         return UnitMonomial(*self.values((y,))[0])
 
     def values(self, ys) -> list:
-        """[(coefficient, u-exponent) of the rule at y for y in ys]."""
-        return list(zip(self.coeffs(ys), self.uexps(ys)))
+        """[(coefficient, u-exponent) of the rule at y for y in ys], built
+        once per distinct key (:meth:`keys`)."""
+        keys = self.keys(ys)
+        return [*map(self.key_values(set(keys)).__getitem__, keys)]
+
+    def keys(self, ys) -> list:
+        """One key per y in ys, equal keys standing for equal values: the int
+        twice the u-exponent plus the sign bit, or with characters a tuple of
+        it and each character's exponent; :meth:`key_values` reads it back."""
+        n = self.n
+        ks = _forms_at(self.uform, ys, n)  # even: twice the u-exponent
+        if self.sform:  # the form holds 2s
+            ks = [k | v >> 1 & 1 for k, v in zip(ks, _forms_at(self.sform, ys, n))]
+        js = [[v >> 1 for v in _forms_at(l, ys, n)] for _b, l in self.chars]
+        return [*zip(ks, *js)] if js else ks
+
+    def key_values(self, keys) -> dict:
+        """{key: (coefficient, u-exponent)} for distinct keys of :meth:`keys`,
+        each character's power built once per exponent."""
+        if not self.chars:
+            return {k: (self.signed[k & 1], k >> 1) for k in keys}
+        powers = [{} for _b in self.chars]
+        out = {}
+        for key in keys:
+            k, *js = key
+            c = self.signed[k & 1]
+            for (b, _l), p, j in zip(self.chars, powers, js):
+                if j not in p:
+                    p[j] = b**j
+                c = c * p[j]
+            out[key] = c, k >> 1
+        return out
 
     def coeffs(self, ys) -> list:
         """The coefficient at each y in ys, each form at all the points at once."""

@@ -128,9 +128,3 @@ def smallelem_to_json(c: UnitMonomial, xi: TorusPoint, gamma) -> dict:
 def load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def dump(obj, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -159,9 +159,6 @@ class Multiplier:
     def x_l(self, b: Vec) -> TorusPoint:
         return self.image(b).x_l
 
-    def x_r(self, b: Vec) -> TorusPoint:
-        return self.image(b).x_r
-
     def c_l(self, b: Vec) -> UnitMonomial:
         return self.image(b).c
 

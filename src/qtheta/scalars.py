@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Union
 
@@ -36,13 +37,9 @@ INF = math.inf
 Rat = Union[int, Fraction]
 
 
-_CYCLO_CACHE: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficient tuple of Phi_m, constant term first."""
-    if m in _CYCLO_CACHE:
-        return _CYCLO_CACHE[m]
     if m < 1:
         raise ValueError("cyclotomic order must be positive")
     # x^m - 1 divided by the monic Phi_d of each proper divisor d | m, by
@@ -59,9 +56,7 @@ def cyclotomic_polynomial(m: int) -> tuple:
                     num[s + i] -= c * p
             assert not any(num), "cyclotomic division must be exact"
             num = quo
-    result = tuple(num)
-    _CYCLO_CACHE[m] = result
-    return result
+    return tuple(num)
 
 
 class CycloField:
@@ -483,8 +478,9 @@ class UnitMonomial:
         return self.uexp
 
     def to_series(self, trunc=INF) -> "ScalarSeries":
-        c, e = self.coeff, self.uexp  # c is nonzero and normalised: the store is canonical
-        return ScalarSeries._of(c.field, c.den, {e: c.num} if e <= trunc else {}, trunc, True)
+        """Known to ``trunc``: one shared series per value and trunc."""
+        c, e = self.coeff, self.uexp
+        return _monomial_series(c.field, *((c.num, c.den, e) if e <= trunc else (None, 1, None)), trunc)
 
     def __eq__(self, other):
         if not isinstance(other, UnitMonomial):
@@ -503,6 +499,13 @@ class UnitMonomial:
         if self.coeff.is_one():
             return u
         return f"{self.coeff!r}*{u}"
+
+
+# Bounded: it holds only immutable series, so an evicted one is built again,
+# equal.  A normalised num / den is a canonical store; None is the empty series.
+@lru_cache(maxsize=256)
+def _monomial_series(field, num, den, e, trunc) -> "ScalarSeries":
+    return ScalarSeries._of(field, den, {} if num is None else {e: num}, trunc, True)
 
 
 # ---------------------------------------------------------------------------
@@ -831,13 +834,14 @@ class SeriesSum:
         return ScalarSeries._of(self.field, self.den, self.nums, self.trunc)
 
 
-def unequal_cells(a: dict, b: dict, cells, order) -> list:
-    """The positions i in ``cells`` at whose cell h the series ``a[h]`` and
-    ``b[h]`` differ in a term or are not both known to ``order``: two
-    coefficient tables compared in one pass."""
+def unequal_cells(xs: list, ys: list, order) -> list:
+    """The positions i at which ``xs[i]`` and ``ys[i]`` differ in a term or
+    are not both known to ``order``; equal lists (by identity first) known
+    to the order pass at once."""
+    if xs == ys and min(map(operator.attrgetter("trunc"), xs), default=INF) >= order:
+        return []
     out = []
-    for i, h in enumerate(cells):  # a loop: walrus names in a comprehension are slow closure cells
-        x, y = a[h], b[h]
+    for i, (x, y) in enumerate(zip(xs, ys, strict=True)):
         if x.nums != y.nums or x.den != y.den or x.trunc < order or y.trunc < order:
             out.append(i)
     return out

@@ -30,7 +30,8 @@ A pure-Gauss word whose G is square with det +-1 (theta_W and its
 Heisenberg actions, say) skips the per-cell solve: its coefficients are
 rules in *cell coordinates* (:meth:`TorusSeries._cell_rules`), composed
 once with the G^-1 its solver reads off G's Smith form.  A window pass
-evaluates each rule at all the cells at once (:meth:`GaussRule.values`).
+keys each rule at all the cells at once (:meth:`GaussRule.keys`), and cells
+of one value share one series.
 Any other word solves each finite combo once over the window (or, with a
 kernel, enumerates it, each point's u-exponent read off the walk's value)
 and sums its points as one batch: one Gauss-rule call, and one series part
@@ -185,7 +186,7 @@ class TorusSeries:
         self.factors = tuple(factors)
         self.label = label
         self._cache: dict = {}
-        self._windows: set = set()  # the (order, radius) windows _cache is filled over
+        self._windows: dict = {}  # (order, radius) -> the coefficients in window_cells(radius) order
         self._closures: dict = {}  # (closure, y, order) -> its checked value
         self._layout_cache = None
         self._combo_cache: dict = {}
@@ -328,50 +329,57 @@ class TorusSeries:
 
     def _table(self, cells: list, order) -> dict:
         """The cache's own ``{h: coefficient}`` table for ``order``, filled
-        at ``cells`` (tuples): the one place that picks a coefficient path.
-        The missing cells are one pass: each cell rule at all of them
-        (:meth:`_rule_coeffs`), else each finite combo at all of them
-        (:meth:`_combo_coeffs`).  A pass that raises caches no cell.  Cells
-        of equal value may hold one shared (immutable) series."""
+        at ``cells`` (tuples) by one :meth:`_pass` over the missing ones,
+        once seeded with the windows found at the order.  A pass that raises
+        caches no cell."""
         table = self._cache.setdefault(order, {})
-        todo = dict.fromkeys(filterfalse(table.__contains__, cells) if table else cells)
+        if not table:
+            for (o, radius), values in self._windows.items():
+                if o == order:
+                    table.update(zip(self.param.window_cells(radius), values))
+        todo = [*dict.fromkeys(filterfalse(table.__contains__, cells) if table else cells)]
         if todo:
-            rules = self._cell_rules()
-            if rules is not None:
-                table.update(self._rule_coeffs(rules, todo, order))
-            else:
-                table.update(self._combo_coeffs(todo, order))
+            table.update(zip(todo, self._pass(todo, order)))
         return table
 
-    def _window_table(self, radius: int, order) -> dict:
-        """The order's table, filled over the window of ``radius`` by the
-        first call only (:meth:`_table`; a raise records no window)."""
-        if (order, radius) not in self._windows:
-            self._table(self.param.window_cells(radius), order)
-            self._windows.add((order, radius))
-        return self._cache[order]
+    def _window_table(self, radius: int, order) -> list:
+        """The coefficients at ``window_cells(radius)``, in its order, found
+        by the first call only (a raise records no window): one pass over
+        the window, or read from the order's table when that has cells."""
+        table = self._windows.get((order, radius))
+        if table is None:
+            cells = self.param.window_cells(radius)
+            known = self._cache.get(order)
+            table = [*map(self._table(cells, order).get, cells)] if known else self._pass(cells, order)
+            self._windows[order, radius] = table
+        return table
 
-    def _rule_coeffs(self, rules, cells, order) -> dict:
-        """``{h: coefficient}`` at ``cells`` of a word with cell rules: each
-        rule is evaluated at every cell in one call, and a cell sums its
-        rules' values.  A single rule's cells of equal value share one
-        series, one per distinct (c, e), with one empty series for every e
-        above the order."""
-        values = [rule.values(cells) for rule in rules]
-        field = self.param.field
-        if len(values) == 1:
-            empty = ScalarSeries.zero(field, order)
-            shared = {(c, e): empty if e > order else UnitMonomial(c, e).to_series(order)
-                      for c, e in set(values[0])}
-            return dict(zip(cells, map(shared.__getitem__, values[0])))
-        accs = [SeriesSum(field, order) for _h in cells]
-        for vals in values:
-            for acc, v in zip(accs, vals):
-                acc.add(UnitMonomial(*v))
-        return {h: acc.series() for h, acc in zip(cells, accs)}
+    def _pass(self, cells: list, order) -> list:
+        """The coefficients at the distinct ``cells``, in their order: the one
+        place that picks a path, :meth:`_rule_coeffs` else :meth:`_combo_coeffs`."""
+        rules = self._cell_rules()
+        return self._combo_coeffs(cells, order) if rules is None else self._rule_coeffs(rules, cells, order)
 
-    def _combo_coeffs(self, cells, order) -> dict:
-        """``{h: coefficient}`` at the distinct ``cells``: each finite
+    def _rule_coeffs(self, rules, cells, order) -> list:
+        """The coefficients at ``cells`` of a word with cell rules: each rule
+        is keyed at every cell in one call (:meth:`GaussRule.keys`), each
+        distinct key's value is one shared series
+        (:meth:`UnitMonomial.to_series`), and a cell sums its rules' series."""
+        parts = []
+        for rule in rules:
+            keys = rule.keys(cells)
+            shared = {k: UnitMonomial(*v).to_series(order) for k, v in rule.key_values(set(keys)).items()}
+            parts.append([*map(shared.__getitem__, keys)])
+        if len(parts) == 1:
+            return parts[0]
+        accs = [SeriesSum(self.param.field, order) for _h in cells]
+        for part in parts:
+            for acc, x in zip(accs, part):
+                acc.add(x)
+        return [acc.series() for acc in accs]
+
+    def _combo_coeffs(self, cells, order) -> list:
+        """The coefficients at the distinct ``cells``, in their order: each finite
         combo's points are one :meth:`_add_terms` batch, the solutions
         of G y = h - base with y_c >= 0.  Over a kernel K that is one
         enumeration on the cells' bounding box, which returns each point's
@@ -434,7 +442,7 @@ class TorusSeries:
             es = term[0].uexps(ys) if levels is None else [(t >> 1) - low for t in compress(levels, ok)]
             self._add_terms(sums, compress(hs, ok), ys, es, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
-        return {h: sums[h].series() if h in sums else zero for h in cells}
+        return [sums[h].series() if h in sums else zero for h in cells]
 
     def _cell_rules(self) -> Optional[list]:
         """Cached: each combo's rule composed with y = G^-1 (h - base), a
@@ -618,8 +626,7 @@ class TorusSeries:
         return TorusSeries.from_dict(self.param, table, label=f"window({self.label})")
 
     def window_dump(self, radius: int, order) -> dict:
-        table = self._window_table(radius, order)
-        values = [(h, table[h]) for h in self.window_cells(radius)]
+        values = zip(self.window_cells(radius), self._window_table(radius, order))
         coeffs = [[list(h), series_to_json(c)] for h, c in values if not c.is_zero()]
         return {
             "lattice": self.param.rank,

@@ -238,8 +238,8 @@ def act_on_theta(
     zero = ScalarSeries.zero(field, order)
     for j in range(n):
         col = [(matrix[k][j], tables[k]) for k in range(n) if not matrix[k][j].is_zero()]
-        for h, value, mono in zip(cells, lhs[j], monos[n:]):
-            bs = [(m, table[h]) for m, table in col]
+        for i, (value, mono) in enumerate(zip(lhs[j], monos[n:])):
+            bs = [(m, table[i]) for m, table in col]
             if value.valuation() > order - mono.uexp and all(b.is_zero() for _m, b in bs):
                 continue  # two empty sides (no acted term up to the order): the comparison cannot fail
             # entries may have negative valuation; compare at the order

@@ -85,12 +85,12 @@ def _term_series(term: EquationTerm) -> tuple[UnitMonomial, TorusSeries]:
 def verify_equation(spec: EquationSpec) -> dict:
     """Expand all terms on the window and compare coefficient-exactly.
 
-    Each term is read from its series' table, which is filled over the
-    window once per series and order and keyed by the window's shared cells.
-    In a spec ``lhs - rhs``, a cell whose sides have equal terms, both known
-    to the order, cancels exactly and passes; any other cell sums its terms
-    in a ``SeriesSum`` and reports the lowest u-exponent left, or the order
-    it is known to."""
+    Each term is read from its series' window table, found once per series,
+    window and order, a list in the order of the window's cells.  In a spec
+    ``lhs - rhs``, a cell whose sides have equal terms, both known to the
+    order, cancels exactly and passes (:func:`unequal_cells`); any other
+    cell sums its terms in a ``SeriesSum`` and reports the lowest u-exponent
+    left, or the order it is known to."""
     if spec.mode == PRODUCT:
         for t in spec.terms:
             for op in t.word:
@@ -115,17 +115,17 @@ def verify_equation(spec: EquationSpec) -> dict:
     for c, s in terms:
         # one pass per term; a refusal is met again cell by cell
         try:
-            tables.append(s._window_table(spec.window, order - c.uexp) if the_cells else {})
+            tables.append(s._window_table(spec.window, order - c.uexp) if the_cells else [])
         except NotMultipliable:
             tables.append(None)
     sides = len(terms) == 2 and terms[0][0].is_one() and (-terms[1][0]).is_one() and None not in tables
     checked, field = len(the_cells), spec.param.field
-    for i in unequal_cells(*tables, the_cells, order) if sides else range(checked):
+    for i in unequal_cells(*tables, order) if sides else range(checked):
         h = the_cells[i]
         acc = SeriesSum(field, order)
         for (c, s), table in zip(terms, tables):
             # c * (value known to order - uexp(c)) is known to order
-            value = s.coeff(h, order - c.uexp) if table is None else table[h]
+            value = s.coeff(h, order - c.uexp) if table is None else table[i]
             acc.add(value, c.uexp, c.coeff)
         if acc.trunc < order:
             # a silent precision drop would weaken the pass claim

@@ -374,24 +374,55 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
 
 def test_e313_fills_the_theta_w_window_once(monkeypatch):
     # the -theta_W term is one series in all ten specs: the first spec fills
-    # its window table, and the other nine read that table with no _table
-    # call, so its cells are not scanned again; each run builds and fills a
-    # new acted word
+    # its window table in one pass, and the other nine read that list with
+    # no pass, so its cells are not scanned again; each run builds and fills
+    # a new acted word
     specs = identity_specs("E313", window=1, order=8)
     theta_w = specs[0].terms[1].word[0]
     calls = collections.Counter()
-    real = TorusSeries._table
+    real = TorusSeries._pass
 
     def counting(self, cells, order):
         calls[self is theta_w] += 1
         return real(self, cells, order)
 
-    monkeypatch.setattr(TorusSeries, "_table", counting)
+    monkeypatch.setattr(TorusSeries, "_pass", counting)
     for runs in (1, 2):
         for spec in specs:
             assert verify_equation(spec)["status"] == "pass"
         assert calls == {True: 1, False: runs * len(specs)}
-    assert theta_w._windows == {(8, 1)}
+    assert [*theta_w._windows] == [(8, 1)]
+
+
+def test_e313_sides_hold_the_same_series_at_every_cell(monkeypatch):
+    # both sides' window tables draw one shared series per value and trunc,
+    # so each spec's left table is its right one entry by entry, and
+    # unequal_cells passes it with one list comparison
+    seen = []
+    real = verify.unequal_cells
+    monkeypatch.setattr(verify, "unequal_cells", lambda xs, ys, order: seen.append((xs, ys)) or real(xs, ys, order))
+    assert verify_named("E313")["status"] == "pass"
+    assert len(seen) == 10
+    for xs, ys in seen:
+        assert len(xs) == len(ys) == 9**4 and xs is not ys
+        assert all(x is y for x, y in zip(xs, ys))
+    assert len({id(x) for xs, _ys in seen for x in xs}) < 100
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_corrupted_e313_specs_report_the_parent_first_mismatch(m):
+    # the left series scaled by u or by -1, with the spec's coefficient kept
+    # 1, so the sides go through unequal_cells; the expected reports are the
+    # verifier's before the window tables became lists
+    f = CycloField(m)
+    for index, order in ((0, 40), (0, 3), (9, 0), (4, 5)):
+        for mono in (UnitMonomial(f.one(), 1), UnitMonomial(f.minus_one(), 0)):
+            spec = identity_specs("E313", f, order=order)[index]
+            _c, acted = _term_series(spec.terms[0])
+            spec.terms[0] = EquationTerm(spec.terms[0].coefficient, [acted.scaled(mono)])
+            rep = verify_equation(spec)
+            assert rep["status"] == "fail" and rep["cells_checked"] == 1
+            assert rep["first_mismatch"] == {"cell": [-4, -4, -4, -4], "uexp": 0}
 
 
 def test_specs_that_compare_nothing_fill_no_table(monkeypatch):

@@ -23,6 +23,7 @@ from qtheta.scalars import (
     monomial_to_json,
     series_from_json,
     series_to_json,
+    unequal_cells,
 )
 
 
@@ -445,3 +446,64 @@ def test_monomial_from_json_refuses_floats_bools_and_numbers(key, value):
     data = {**monomial_to_json(UnitMonomial.one(CycloField(1))), key: value}
     with pytest.raises(ValueError, match=f"{key} must be"):
         monomial_from_json(data)
+
+
+def test_monomials_share_one_series_per_value_and_trunc():
+    # to_series keeps one series per (value, trunc) and one empty series per
+    # trunc for every u-exponent above it; a trunc never reads another's
+    f = CycloField(5)
+    c = f.zeta() * Fraction(2, 3)
+    s = UnitMonomial(c, 2).to_series(6)
+    assert s == ScalarSeries(f, {2: c}, 6) and s.trunc == 6
+    assert UnitMonomial(f.zeta() * Fraction(2, 3), 2).to_series(6) is s  # an equal value, built anew
+    for other in (UnitMonomial(c, 2).to_series(9), UnitMonomial(c, 2).to_series(),
+                  UnitMonomial(c, 3).to_series(6), UnitMonomial(-c, 2).to_series(6)):
+        assert other is not s and other != s
+    assert UnitMonomial(c, 2).to_series(9).trunc == 9 and UnitMonomial(c, 2).to_series().trunc == INF
+    empty = UnitMonomial(c, 7).to_series(6)
+    assert empty == ScalarSeries.zero(f, 6) and empty is UnitMonomial(f.minus_one(), 11).to_series(6)
+    assert UnitMonomial(c, 7).to_series(8) == ScalarSeries(f, {7: c}, 8)
+    assert UnitMonomial(c, 9).to_series(8) == ScalarSeries.zero(f, 8)
+    g = CycloField(1)
+    assert UnitMonomial(g.one(), 2).to_series(6).field is g and UnitMonomial(g.one(), 9).to_series(6).field is g
+
+
+def test_unequal_cells_matches_a_cell_by_cell_reference():
+    # identity is a shortcut inside the one comparison: equal lists pass at
+    # once only when every entry is known to the order
+    f = CycloField(5)
+
+    def series(terms, trunc):
+        return ScalarSeries(f, {e: f.element(c) for e, c in terms.items()}, trunc)
+
+    def reference(xs, ys, order):
+        return [i for i, (x, y) in enumerate(zip(xs, ys))
+                if x.trunc < order or y.trunc < order or x.terms != y.terms]
+
+    a = series({0: [1, 2], 3: [Fraction(1, 2), 0, 1]}, 8)
+    short = series({0: [1, 2], 3: [Fraction(1, 2), 0, 1]}, 5)
+    pool = [
+        a,
+        series({0: [1, 2], 3: [Fraction(1, 2), 0, 1]}, 8),  # equal to a, another object
+        series({0: [1, 2], 3: [Fraction(1, 2), 0, 2]}, 8),  # one term differs
+        series({0: [1, 2], 9: [1]}, 9),  # a term above the order differs
+        short,
+        series({}, 8),
+        series({}, 3),
+    ]
+    rng = random.Random(5)
+    for order in (3, 5, 8):
+        assert unequal_cells([], [], order) == []
+        for xs in ([a] * 4, pool, pool[::-1]):
+            want = reference(xs, xs, order)
+            assert unequal_cells(xs, xs, order) == unequal_cells(xs, [*xs], order) == want
+            assert want == [i for i, x in enumerate(xs) if x.trunc < order]
+        for _ in range(60):
+            xs, ys = rng.choices(pool, k=6), rng.choices(pool, k=6)
+            assert unequal_cells(xs, ys, order) == reference(xs, ys, order)
+    assert unequal_cells([a, pool[1]], [pool[1], a], 8) == []
+    assert unequal_cells([a, short], [a, short], 8) == [1]
+    assert unequal_cells([a, a], [a, short], 8) == unequal_cells([a, short], [a, a], 8) == [1]
+    assert unequal_cells([a, pool[2]], [a, a], 8) == [1]
+    with pytest.raises(ValueError):  # lists of two windows
+        unequal_cells([a], [a, a], 8)

@@ -31,7 +31,8 @@ from qtheta.named import (
     theta_series,
     weinstein_theta,
 )
-from qtheta.scalars import INF, CycloField, ScalarSeries, UnitMonomial
+from qtheta import scalars
+from qtheta.scalars import INF, CycloField, CycloRational, ScalarSeries, UnitMonomial
 from qtheta.series import (
     FiniteFactor,
     GaussRule,
@@ -1191,6 +1192,77 @@ def test_rule_values_match_the_rule_at_each_point(m):
         assert len({e for _c, e in want}) > 1 or r.n == 0
 
 
+def _random_form(rng, n):
+    """An integer-valued form in n variables: even cross terms and constant,
+    and each y_a^2, y_a pair of one parity (a half-step coefficient)."""
+    terms = [(n, n, 2 * rng.randint(-2, 2))]
+    for a in range(n):
+        d = rng.randint(-3, 3)
+        terms += [(a, a, d), (a, n, d + 2 * rng.randint(-2, 2))]
+        terms += [(a, b, 2 * rng.randint(-1, 1)) for b in range(a + 1, n)]
+    return terms
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_rule_keys_read_back_the_coefficients_and_u_exponents(monkeypatch, m):
+    # a key is one int per point (twice the u-exponent plus the sign bit),
+    # or with characters a tuple of ints, and key_values turns it back into
+    # what coeffs and uexps give at that point, the +-1 of a rule without
+    # bases as the field's own objects, and builds each character's power
+    # once per exponent, as coeffs does
+    f, rng = CycloField(m), random.Random(40 + m)
+    powers = []
+    real = CycloRational.__pow__
+    monkeypatch.setattr(CycloRational, "__pow__", lambda self, n: powers.append(n) or real(self, n))
+    consts = [f.one(), f.minus_one(), 2 * f.zeta(), f.from_rational(Fraction(-1, 3))]
+    bases = [f.minus_one(), f.from_rational(2), f.zeta(2) * Fraction(-1, 3), f.zeta() + 1]
+    kinds = set()
+    for _ in range(32):
+        n = rng.randint(0, 3)
+        sform = _random_form(rng, n) if rng.random() < 0.6 else ()
+        chars = [(rng.choice(bases), _random_form(rng, n)) for _ in range(rng.choice([0, 0, 1, 2]))]
+        r = GaussRule(n, rng.choice(consts), _random_form(rng, n), sform, chars)
+        ys = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(30)]
+        ys += ys[:10]  # points met twice
+        keys = r.keys(ys)
+        powers.clear()
+        want = list(zip(r.coeffs(ys), r.uexps(ys)))
+        built = len(powers)
+        vals = r.key_values(set(keys))
+        assert len(powers) == 2 * built
+        assert [vals[k] for k in keys] == want == r.values(ys)
+        assert want == [_rule_reference(r, y) for y in ys]
+        if r.chars:
+            assert all(type(k) is tuple and len(k) == 1 + len(r.chars) for k in keys)
+            assert all(type(x) is int for k in keys for x in k)
+        else:
+            assert all(type(k) is int for k in keys)
+            if r.const in (f.one(), f.minus_one()):
+                assert all(c is f.one() or c is f.minus_one() for c, _e in vals.values())
+        kinds.add((bool(r.sform), bool(r.chars)))
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_a_rule_pass_hashes_no_field_element(monkeypatch, m):
+    # a rule pass keys its cells by ints and shares one series per value, so
+    # no CycloRational is hashed: one rule, one with characters, two rules
+    # (summed per cell) and E313's acted word
+    f = CycloField(m)
+    e313 = identity_specs("E313", f, window=1, order=8)[0].terms[0]
+    words = [*_cell_words(m), _term_series(e313)[1]]
+    rules = [w._cell_rules() for w in words]
+    assert None not in rules and any(r.chars for rs in rules for r in rs) and len(rules[2]) == 2
+    cells = [w.window_cells(2) for w in words]
+    want = [[*w.coeffs(hs, 8).values()] for w, hs in zip(words, cells)]
+    scalars._monomial_series.cache_clear()  # each pass builds its shared series too
+    hashed = []
+    real = CycloRational.__hash__
+    monkeypatch.setattr(CycloRational, "__hash__", lambda self: hashed.append(self) or real(self))
+    got = [w._rule_coeffs(rs, hs, 8) for w, rs, hs in zip(words, rules, cells)]
+    assert hashed == [] and got == want
+
+
 @pytest.mark.parametrize("m", [1, 5])
 @pytest.mark.parametrize("order", [8, INF])
 @pytest.mark.parametrize("name", ["E012", "E313"])
@@ -1466,7 +1538,7 @@ def test_window_pass_maps_points_to_the_rank_0_cell(monkeypatch):
     assert word._layout().solver.kernel
     four = f.from_rational(4)
     want = ScalarSeries(f, {0: f.one(), 1: four, 2: four, 4: four}, 4)
-    assert word._combo_coeffs({(): ()}, 4) == {(): want}  # the window pass
+    assert word._combo_coeffs([()], 4) == [want]  # the window pass
     assert word.coeff((), 4) == want  # one cell: the same window pass
     # a window budget of one point is refused: the fibre around the cell,
     # its 13 points, with the default budget
@@ -1565,30 +1637,40 @@ def test_window_cells_are_sorted_and_share_their_cells(rank, radius):
 
 
 def test_a_warm_window_is_not_rescanned(monkeypatch):
-    # _window_table fills a series' order table over a window on its first
-    # call; later calls, window_dump among them, return that table with no
-    # _table call, keyed by the window's own cells
+    # _window_table finds a series' coefficients over a window on its first
+    # call, a list in the window's cell order; later calls, window_dump among
+    # them, return that list with no pass.  A cold window is one pass that
+    # hashes no cell into the order's table; a window whose order already
+    # has cells reads them there and passes over the missing ones
     th = theta_series(TQ, (1, 0))
     calls = []
-    real = TorusSeries._table
+    real = TorusSeries._pass
 
     def counting(self, cells, order):
         calls.append((len(cells), order))
         return real(self, cells, order)
 
-    monkeypatch.setattr(TorusSeries, "_table", counting)
+    monkeypatch.setattr(TorusSeries, "_pass", counting)
     table = th._window_table(2, 10)
-    assert calls == [(25, 10)] and table is th._cache[10]
+    assert calls == [(25, 10)] and type(table) is list and table is th._windows[10, 2]
+    assert not th._cache
     assert th._window_table(2, 10) is table and calls == [(25, 10)]
     dump = th.window_dump(2, 10)
     assert calls == [(25, 10)]
     th._window_table(1, 10), th._window_table(2, 12)  # another radius, another order
     assert calls == [(25, 10), (9, 10), (25, 12)]
     cells = th.window_cells(2)
-    assert all(k is h for k, h in zip(th._cache[12], cells))
+    # the order's first lookup is seeded with its windows: no pass
+    assert th.coeff((0, 0), 12) is th._windows[12, 2][cells.index((0, 0))] and len(th._cache[12]) == 25
+    assert th.coeff((0, 0), 10) == table[cells.index((0, 0))] and calls[-1] == (25, 12)
+    known = th.coeff((0, 0), 14)
+    assert th._window_table(2, 14)[cells.index((0, 0))] is known and calls[-2:] == [(1, 14), (24, 14)]
     monkeypatch.undo()
-    assert dump == theta_series(TQ, (1, 0)).window_dump(2, 10)
-    assert [tuple(h) for h, _c in dump["coeffs"]] == [h for h in cells if not table[h].is_zero()]
+    fresh = theta_series(TQ, (1, 0))
+    for order in (10, 12, 14):
+        assert th._window_table(2, order) == [fresh.coeff(h, order) for h in cells]
+    assert dump == fresh.window_dump(2, 10)
+    assert [tuple(h) for h, _c in dump["coeffs"]] == [h for h, c in zip(cells, table) if not c.is_zero()]
 
 
 def test_a_raising_fill_records_no_window(monkeypatch):
@@ -1608,9 +1690,9 @@ def test_a_raising_fill_records_no_window(monkeypatch):
     assert not word._windows and not any(word._cache.values())
     raises.append(False)
     table = word._window_table(3, 8)
-    assert word._windows == {(8, 3)} and len(table) == 7
+    assert [*word._windows] == [(8, 3)] and len(table) == 7
     monkeypatch.undo()
-    assert table == _kernel_words(F)["g.g"]().coeffs(word.window_cells(3), 8)
+    assert table == [*_kernel_words(F)["g.g"]().coeffs(word.window_cells(3), 8).values()]
     formal = _kernel_words(F)["formal"]()  # a reached kernel sum through a formal factor
     for _ in range(2):
         with pytest.raises(NotMultipliable, match="window-only factor"):
