@@ -140,17 +140,20 @@ class GaussRule:
         return UnitMonomial(*self.values((y,))[0])
 
     def values(self, ys) -> list:
-        """[(coefficient, u-exponent) of the rule at y for y in ys], built
-        once per distinct key (:meth:`keys`)."""
+        """[(coefficient, u-exponent) of the rule at y for y in ys]: the points'
+        :meth:`keys`, each distinct one read back once by :meth:`key_values`."""
         keys = self.keys(ys)
         return [*map(self.key_values(set(keys)).__getitem__, keys)]
 
-    def keys(self, ys) -> list:
+    def keys(self, ys, twice_u=None) -> list:
         """One key per y in ys, equal keys standing for equal values: the int
         twice the u-exponent plus the sign bit, or with characters a tuple of
-        it and each character's exponent; :meth:`key_values` reads it back."""
+        it and each character's exponent; :meth:`key_values` reads it back.
+        A caller that has twice the u-exponent at each y already (a walk's
+        values less twice its low) hands it in as ``twice_u``, and the u-form
+        is not evaluated."""
         n = self.n
-        ks = _forms_at(self.uform, ys, n)  # even: twice the u-exponent
+        ks = _forms_at(self.uform, ys, n) if twice_u is None else twice_u  # even: twice the u-exponent
         if self.sform:  # the form holds 2s
             ks = [k | v >> 1 & 1 for k, v in zip(ks, _forms_at(self.sform, ys, n))]
         js = [[v >> 1 for v in _forms_at(l, ys, n)] for _b, l in self.chars]
@@ -172,23 +175,6 @@ class GaussRule:
                 c = c * p[j]
             out[key] = c, k >> 1
         return out
-
-    def coeffs(self, ys) -> list:
-        """The coefficient at each y in ys, each form at all the points at once."""
-        n = self.n
-        if self.sform:  # the form holds 2s
-            cs = [self.signed[v >> 1 & 1] for v in _forms_at(self.sform, ys, n)]
-        else:
-            cs = [self.const] * len(ys)
-        for b, l in self.chars:
-            js = [v >> 1 for v in _forms_at(l, ys, n)]
-            powers = {j: b**j for j in set(js)}
-            cs = [c * powers[j] for c, j in zip(cs, js)]
-        return cs
-
-    def uexps(self, ys) -> list:
-        """The u-exponent at each y in ys."""
-        return [v >> 1 for v in _forms_at(self.uform, ys, self.n)]
 
 
 def _newton_points(n) -> list:

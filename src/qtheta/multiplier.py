@@ -67,7 +67,6 @@ class Multiplier:
         param: QuantParam,
         images: Sequence[HeisElement],
         sqrt_pairing: Optional[Sequence[Sequence[UnitMonomial]]] = None,
-        _validated: bool = False,
     ):
         self.param = param
         self.images = tuple(images)
@@ -79,8 +78,7 @@ class Multiplier:
         self._image_cache: dict[Vec, HeisElement] = {}
         self._pairing_cache: dict[tuple[int, int], UnitMonomial] = {}
         self._quotient: Optional[QuotientData] = None
-        if not _validated:
-            self._validate()
+        self._validate()
 
     # -- validation ------------------------------------------------------------
 
@@ -515,51 +513,42 @@ def pullback(F: TorusMorphism, L: Multiplier) -> Multiplier:
     return Multiplier(p2, new_images, L.sqrt_pairing)
 
 
-def compose(L2: Multiplier, L1: Multiplier) -> Multiplier:
-    """Pointwise composition b -> L2(b) o L1(b) (right periods of L2 must
-    match left periods of L1)."""
+def _check_composable(L2: Multiplier, L1: Multiplier):
+    """Raise unless L2's right periods match L1's left periods on a common
+    torus and period group."""
     if L2.param != L1.param or L2.rank != L1.rank:
         raise ParamMismatch("composition needs a common torus and period group")
     for i in range(L2.rank):
         if L2.images[i].x_r != L1.images[i].x_l:
             raise NotComposable(L2.images[i].x_r, L1.images[i].x_l, where=f"generator {i}")
-    images = [heis_compose(L2.images[i], L1.images[i]) for i in range(L2.rank)]
+
+
+def compose(L2: Multiplier, L1: Multiplier) -> Multiplier:
+    """Pointwise composition b -> L2(b) o L1(b) (right periods of L2 must
+    match left periods of L1).
+
+    With both square-root pairings, the composition's is their product
+    times alpha(h1_i, h2_i) on the diagonal and a root of alpha(h1_j, h2_i)
+    alpha(h1_i, h2_j) off it, which squares to
+    :func:`composed_pairing_formula`; it is left out when such a root is
+    not a monomial."""
+    _check_composable(L2, L1)
+    p, r = L1.param, L1.rank
+    images = [heis_compose(a, b) for a, b in zip(L2.images, L1.images)]
     sqrt = None
     if L1.sqrt_pairing is not None and L2.sqrt_pairing is not None:
-        p = L1.param
-        rows = []
-        ok = True
-        for i in range(L1.rank):
-            row = []
-            for j in range(L1.rank):
-                base = L1.sqrt_pairing[i][j] * L2.sqrt_pairing[i][j]
-                if i == j:
-                    gamma = p.alpha(L1.images[i].h_l, L2.images[i].h_l)
-                else:
-                    prod = p.alpha(L1.images[j].h_l, L2.images[i].h_l) * p.alpha(
-                        L1.images[i].h_l, L2.images[j].h_l
-                    )
-                    try:
-                        gamma = prod.nth_root(2)
-                    except NoMonomialRoot:
-                        ok = False
-                        break
-                row.append(base * gamma)
-            if not ok:
-                break
-            rows.append(tuple(row))
-        if ok:
-            sqrt = tuple(rows)
-            # keep only if it actually squares to the composed pairing
-            probe = Multiplier(L1.param, images, None, _validated=True)
-            for i in range(L1.rank):
-                for j in range(L1.rank):
-                    if sqrt[i][j] ** 2 != probe.pairing_on_basis(i, j):
-                        sqrt = None
-                        break
-                if sqrt is None:
-                    break
-    return Multiplier(L1.param, images, sqrt)
+        h1, h2 = [img.h_l for img in L1.images], [img.h_l for img in L2.images]
+
+        def gamma(i, j):
+            if i == j:
+                return p.alpha(h1[i], h2[i])
+            return (p.alpha(h1[j], h2[i]) * p.alpha(h1[i], h2[j])).nth_root(2)
+
+        try:
+            sqrt = [[L1.sqrt_pairing[i][j] * L2.sqrt_pairing[i][j] * gamma(i, j) for j in range(r)] for i in range(r)]
+        except NoMonomialRoot:
+            pass  # no sqrt data
+    return Multiplier(p, images, sqrt)
 
 
 def composed_pairing_formula(L2: Multiplier, L1: Multiplier, b1: Vec, b2: Vec) -> UnitMonomial:
@@ -582,9 +571,7 @@ def theta_product(
     order,
 ) -> TorusSeries:
     """Product th1 * th2 of invariants, a theta for the composition."""
-    for i in range(L2.rank):
-        if L2.images[i].x_r != L1.images[i].x_l:
-            raise NotComposable(L2.images[i].x_r, L1.images[i].x_l, where=f"generator {i}")
+    _check_composable(L2, L1)
     prod = th1.mul(th2)
     return prod.materialize(prod.window_cells(window), order)
 

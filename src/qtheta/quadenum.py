@@ -36,8 +36,8 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
    their order, as does any order whose positive definite suffix is as long
    as the greedy block.  With y_0..y_{i-1} fixed, T(y) = acc + R(y_i, ...,
    y_{n-1}), where the linear coefficients lin_j of R are updated as the
-   prefix grows.  Each of these cuts holds at every point of the box, so
-   none loses a solution:
+   prefix grows.  Two cuts narrow each level's box range, and each holds at
+   every point of the box, so neither loses a solution:
    - Completion of squares (Fincke-Pohst): when B = Q[i+1:, i+1:] is positive
      definite, the minimum of R over real y_{i+1..} is a quadratic in y_i
      (integer after scaling by 4 det B through the adjugate of B), and y_i
@@ -46,11 +46,8 @@ is integer arithmetic, and an unbounded end of an interval is ``None``.
      from the level before: q v^2 + lin v + acc <= limit, exact for q >= 0.
    - Inequality rows: given the prefix and the box maximum of the suffix
      terms, each row bounds y_i.
-   - Separable box bound, where the next level has no completion of squares
-     (skipping it only visits more nodes): a prefix is skipped when acc
-     plus the box minima of Q_jj y_j^2 + lin_j y_j (j > i) and of each
-     remaining cross term 2 Q_jk y_j y_k exceeds the limit.  The minima may
-     be negative, so the sum is always completed before it is compared.
+   A level whose B is not positive definite walks what the rows leave of
+   its box range.
    Every emitted point still passes the exact test T(y) <= limit, and the
    sum it tests is returned with it.  The rows need no test there: each is
    exact at its last nonzero variable's cut or, with one nonzero variable,
@@ -107,15 +104,6 @@ def _square_min(lo, hi):
     if hi is not None and hi < 0:
         return hi * hi
     return 0
-
-
-def _sep_min(q, t, lo, hi):
-    """min of q*v^2 + t*v over the integers lo <= v <= hi."""
-    if q > 0:
-        v = min(max(-t // (2 * q), lo), hi)  # floor of the real minimiser
-        w = min(v + 1, hi)
-        return min((q * v + t) * v, (q * w + t) * w)
-    return min((q * lo + t) * lo, (q * hi + t) * hi)
 
 
 def _quad_range(A, B, C, lo, hi):
@@ -466,11 +454,6 @@ def enumerate_sublevel(
         pw = [pw[i] for i in order]
         emit = itemgetter(*sorted(range(n), key=order.__getitem__))
     tails = _tail_bounds(Q)
-    cross = [0] * (n + 1)  # cross[i]: box minimum of the cross terms in y_i..
-    for i in range(n - 1, -1, -1):
-        cross[i] = cross[i + 1] + sum(
-            _cross_min(Q[i][k], lo[i], hi[i], lo[k], hi[k]) for k in range(i + 1, n) if Q[i][k]
-        )
     # rows coupling y_i with other variables bound y_i given the prefix:
     # (prefix coefficients, b + box maximum of the suffix terms, coefficient of y_i);
     # at a row's last nonzero variable the suffix is empty and the cut exact, and
@@ -527,14 +510,10 @@ def enumerate_sublevel(
                 leaf(acc + (qii * v + li) * v, l + c * v, p + wi * v)
             return
         base, row = lin[j:], [2 * x for x in Q[i][j:]]
-        sep = tails[j] is None  # no Fincke-Pohst range below: the separable bound prunes
         for v in range(a, b + 1):
-            acc2 = acc + (qii * v + li) * v
             lin[j:] = [t + c * v for t, c in zip(base, row)]
-            if sep and acc2 + cross[j] + sum(_sep_min(Q[k][k], lin[k], lo[k], hi[k]) for k in range(j, n)) > limit:
-                continue
             y[i] = v
-            rec(j, acc2, p + wi * v)
+            rec(j, acc + (qii * v + li) * v, p + wi * v)
         lin[j:] = base
 
     if n == 1:

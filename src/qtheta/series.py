@@ -34,8 +34,8 @@ keys each rule at all the cells at once (:meth:`GaussRule.keys`), and cells
 of one value share one series.
 Any other word solves each finite combo once over the window (or, with a
 kernel, enumerates it, each point's u-exponent read off the walk's value)
-and sums its points as one batch: one Gauss-rule call, and one series part
-per closure multiset (:meth:`TorusSeries._add_terms`).
+and sums its points as one batch: the points keyed once by the Gauss rule,
+and one series part per closure multiset (:meth:`TorusSeries._add_terms`).
 
 Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
 formal), *formal* (some factor is window-only; products are refused, but
@@ -386,10 +386,10 @@ class TorusSeries:
         cell position there, with the per-cell box budgets summed or, where
         that is refused, each reached cell's fibre
         y = particular + K z on its own (:func:`_subst`, the cone rows in z,
-        the default budget), half the walk's value, 2 T(y), less low giving
-        each point's u-exponent.  Raises NotMultipliable where a sum cannot
-        be certified, as where a kernel combo reaches a cell at an INF order
-        or through a formal factor."""
+        the default budget), the walk's value, 2 T(y), less twice low giving
+        twice each point's u-exponent, the even part of its rule key.  Raises
+        NotMultipliable where a sum cannot be certified, as where a kernel
+        combo reaches a cell at an INF order or through a formal factor."""
         lay = self._layout()
         n = lay.blocks[-1][2] if lay.blocks else 0
         kernel = lay.solver.kernel if lay.solver else ()
@@ -439,8 +439,8 @@ class TorusSeries:
                     hs, levels = [*map(cell_at, ys.positions)], ys.values
                 ok = [h is not None for h in hs]
             ys = [*compress(ys, ok)]
-            es = term[0].uexps(ys) if levels is None else [(t >> 1) - low for t in compress(levels, ok)]
-            self._add_terms(sums, compress(hs, ok), ys, es, chosen, term, order)
+            keys = term[0].keys(ys, None if levels is None else [t - 2 * low for t in compress(levels, ok)])
+            self._add_terms(sums, compress(hs, ok), ys, keys, chosen, term, order)
         zero = ScalarSeries.zero(self.param.field, order)
         return [sums[h].series() if h in sums else zero for h in cells]
 
@@ -523,10 +523,10 @@ class TorusSeries:
             plan = self._combo_cache[key] = (chosen, base, (rule, tuple(rest)), form, low)
         return plan
 
-    def _add_terms(self, sums, hs, ys, es, chosen, term, order):
-        """Adds one combo's term at each point ys[i], of Gauss u-exponent
-        es[i], into sums[hs[i]], a SeriesSum that starts at ``order``; the
-        rule's coefficients take one call.
+    def _add_terms(self, sums, hs, ys, keys, chosen, term, order):
+        """Adds one combo's term at each point ys[i], of Gauss rule key
+        keys[i] (:meth:`GaussRule.keys`), into sums[hs[i]], a SeriesSum that
+        starts at ``order``; each distinct key's monomial is read once.
 
         The series part (:meth:`_series_part`) depends on a point only
         through its closure multiset, its closure slices with those of equal
@@ -537,7 +537,7 @@ class TorusSeries:
         drops them as it shifts and scales the part by each point's monomial:
         no monomial or scaled copy is built."""
         rule, rest = term
-        cs = rule.coeffs(ys)
+        ces = [*map(rule.key_values(set(keys)).__getitem__, keys)]  # (coefficient, u-exponent)
         at = repeat((None, UnitMonomial.one(self.param.field)))  # no series part: the monomial alone
         if rest:
             idx, slots = [], {}  # (closure, width) -> its slices of the raw key
@@ -550,7 +550,7 @@ class TorusSeries:
             groups: dict = {}  # canonical key -> [lowest u-exponent, series part]
             seen: dict = {}  # raw key -> its canonical key's entry in groups
             at = []
-            for k, e in zip(map(key, ys), es):
+            for k, (_c, e) in zip(map(key, ys), ces):
                 g = seen.get(k)
                 if g is None:  # a new raw key: its canonical key, once
                     g = seen[k] = groups.setdefault(_canonical(k, slots.values()), [e, None])
@@ -560,7 +560,7 @@ class TorusSeries:
             for k, g in groups.items():
                 g[1] = self._series_part(chosen, rest, k, order, g[0])
         field = self.param.field
-        for h, c, e, (_low, x) in zip(hs, cs, es, at):
+        for h, (c, e), (_low, x) in zip(hs, ces, at):
             if x is None:
                 continue
             acc = sums.get(h)

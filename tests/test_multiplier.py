@@ -17,13 +17,16 @@ from oracles import (
     zeta5_multiplier,
 )
 
+from qtheta.cli import builtin_multiplier
 from qtheta.errors import (
     CocycleFailure,
     InfiniteIndex,
     NoLift,
+    NoMonomialRoot,
     NonSymmetricPairing,
     NotComposable,
     NotInvertible,
+    ParamMismatch,
     PrecisionShortfall,
     SqrtMismatch,
 )
@@ -31,12 +34,13 @@ from qtheta.heisenberg import (
     HeisElement,
     HeisRaw,
     TorusMorphism,
+    compose as heis_compose,
     heis_act,
     mumford_morphism,
     scaling_morphism,
     shift_morphism,
 )
-from qtheta.intlinalg import LatticeMap, mat, solve_integer, vec_add, vec_sub, zero_vec
+from qtheta.intlinalg import Lattice, LatticeMap, mat, solve_integer, vec_add, vec_sub, zero_vec
 from qtheta.multiplier import (
     Multiplier,
     _check_recurrence,
@@ -288,6 +292,67 @@ def test_composed_sqrt_pairing_squares_to_the_pairing():
     assert comp.sqrt_pairing[0][0] ** 2 == comp.pairing_on_basis(0, 0) == u4**2
 
 
+# alpha(g, h) = u^(g0 h1 - g1 h0) over Q(zeta_4), where -1 has a square root
+QUANTIZED = QuantParam(CycloField(4), Lattice(2), ((0, 1), (-1, 0)), ((0, 0), (0, 0)))
+
+
+def _quantized_pair(x1, h1, h2):
+    """Two composable multipliers over QUANTIZED with constant 1 and
+    x_l(L2_i) = x_l(L1_i) A_(h2_i)^2, each with the square roots of its own
+    pairing."""
+    p = QUANTIZED
+    one = UnitMonomial.one(p.field)
+
+    def with_roots(xs, hs):
+        images = [HeisElement(p, one, x, h) for x, h in zip(xs, hs)]
+        L = Multiplier(p, images)
+        return Multiplier(p, images, [[L.pairing_on_basis(i, j).nth_root(2) for j in range(2)] for i in range(2)])
+
+    x2 = [x * p.hidden_point(h) ** 2 for x, h in zip(x1, h2)]
+    return with_roots(x1, h1), with_roots(x2, h2)
+
+
+def test_composed_sqrt_pairing_keeps_the_off_diagonal_roots():
+    # each entry is the product of the two sqrt pairings' entries and a root
+    # of alpha(h1_i, h2_j) alpha(h1_j, h2_i), and off the diagonal too it
+    # squares to the composed pairing: boxtimes(J, J) composed with itself,
+    # where that root is 1, and a quantized pair, where it is u^-2
+    J = builtin_multiplier("jacobi", F)
+    JJ = boxtimes(J, J)
+    one_q = UnitMonomial.one(F)
+    f = QUANTIZED.field
+    one = UnitMonomial.one(f)
+    x1 = [TorusPoint((one, UnitMonomial(-f.one(), 4))), TorusPoint((one, UnitMonomial(f.zeta(), -1)))]
+    L1, L2 = _quantized_pair(x1, [(-2, 0), (-2, -2)], [(-2, 0), (-2, 0)])
+    basis = [(1, 0), (0, 1)]
+    for l2, l1, gamma in ((JJ, JJ, one_q), (L2, L1, UnitMonomial(f.one(), -2))):
+        comp = compose(l2, l1)
+        assert comp.sqrt_pairing[0][1] == l1.sqrt_pairing[0][1] * l2.sqrt_pairing[0][1] * gamma
+        for i, b1 in enumerate(basis):
+            for j, b2 in enumerate(basis):
+                want = composed_pairing_formula(l2, l1, b1, b2)
+                assert comp.sqrt_pairing[i][j] ** 2 == comp.pairing_on_basis(i, j) == want
+    assert compose(JJ, JJ).sqrt_pairing == ((q_mono(2), one_q), (one_q, q_mono(2)))
+
+
+def test_composed_sqrt_pairing_is_dropped_without_a_monomial_root():
+    # each multiplier of a quantized pair carries the square roots of its
+    # own pairing, but alpha(h1_1, h2_0) alpha(h1_0, h2_1) = u^-3 has none,
+    # and nor has the composed pairing off the diagonal: compose returns the
+    # composition without sqrt data
+    p = QUANTIZED
+    one = UnitMonomial.one(p.field)
+    h1, h2 = [(2, 2), (2, 1)], [(-1, -2), (-2, -2)]
+    L1, L2 = _quantized_pair([TorusPoint((one, one)), TorusPoint((one, UnitMonomial(-p.field.one(), -2)))], h1, h2)
+    assert (p.alpha(h1[1], h2[0]) * p.alpha(h1[0], h2[1])).uexp == -3
+    comp = compose(L2, L1)
+    assert comp.sqrt_pairing is None
+    assert comp.images == tuple(heis_compose(a, b) for a, b in zip(L2.images, L1.images))
+    assert comp.pairing_on_basis(0, 1) == composed_pairing_formula(L2, L1, (1, 0), (0, 1))
+    with pytest.raises(NoMonomialRoot):
+        comp.pairing_on_basis(0, 1).nth_root(2)
+
+
 def test_boxtimes_sqrt_pairing_is_block_diagonal():
     L = jacobi_multiplier()
     box = boxtimes(L, power(L, 2))
@@ -304,6 +369,12 @@ def test_compose_boundary_mismatch():
     other = multiplier_new(P1, [img])
     with pytest.raises(NotComposable):
         compose(L, other)
+    # theta_product makes the same check before it multiplies
+    one = TorusSeries.one(P1)
+    with pytest.raises(NotComposable):
+        theta_product(L, other, one, one, window=2, order=8)
+    with pytest.raises(ParamMismatch):
+        compose(L, boxtimes(L, L))
 
 
 def test_theta_product_membership():

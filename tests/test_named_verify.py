@@ -372,6 +372,31 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     assert set(counts.values()) == {1}
 
 
+def test_e026_evaluates_no_gauss_form(monkeypatch):
+    # each E026 batch is a kernel walk whose values give its points'
+    # u-exponents, and its rules have no sign form or character, so no form
+    # is evaluated at the points (a u-form pass over one term's 7,611 points
+    # would cost about a quarter of the run)
+    import qtheta.gauss as gauss_mod
+    import qtheta.series as series_mod
+
+    forms, walks = [], []
+    real_forms, real_walk = gauss_mod._forms_at, series_mod.enumerate_sublevel
+
+    def counting_forms(form, ys, n):
+        forms.append(len(ys))
+        return real_forms(form, ys, n)
+
+    def counting_walks(*args, **kwargs):
+        walks.append(1)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(gauss_mod, "_forms_at", counting_forms)
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", counting_walks)
+    assert verify_named("E026")["status"] == "pass"
+    assert len(walks) == 2 and forms == []
+
+
 def test_e313_fills_the_theta_w_window_once(monkeypatch):
     # the -theta_W term is one series in all ten specs: the first spec fills
     # its window table in one pass, and the other nine read that list with

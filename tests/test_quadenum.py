@@ -1,5 +1,6 @@
 """Sublevel enumeration: soundness and completeness against brute force."""
 
+import collections
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from qtheta.errors import EnumerationLimit, NotMultipliable
 from qtheta.quadenum import QuadExpr, _walk_order, enumerate_sublevel
 from qtheta.scalars import CycloField
 from qtheta.gauss import _form, _forms_at, _quad, _subst
-from qtheta.verify import _term_series, identity_specs
+from qtheta.verify import _term_series, identity_specs, verify_named
 
 
 def brute(T, limit, ineqs, box):
@@ -658,24 +659,31 @@ def test_sparse_cells_read_the_same_coefficients_as_their_window():
         assert any(part.values())
 
 
-# --- the last level and the separable bound -----------------------------------
+# --- the last level and the level calls ---------------------------------------
 
 
-def _walk_calls(T, limit, rows):
-    """The points and the number of the walk's level calls (its ``rec`` and
-    ``leaf`` frames, counted by a profile hook)."""
-    calls = [0]
+def _level_calls(run):
+    """run()'s result and the walk's level calls made meanwhile, by frame name
+    (its ``rec`` and ``leaf`` frames, counted by a profile hook)."""
+    calls = collections.Counter()
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code.co_name in ("rec", "leaf"):
-            calls[0] += 1
+        code = frame.f_code
+        if event == "call" and code.co_name in ("rec", "leaf") and code.co_filename.endswith("quadenum.py"):
+            calls[code.co_name] += 1
 
     sys.setprofile(hook)
     try:
-        pts = enumerate_sublevel(T, limit, rows)
+        out = run()
     finally:
         sys.setprofile(None)
-    return sorted(pts), calls[0]
+    return out, calls
+
+
+def _walk_calls(T, limit, rows):
+    """The points and the number of the walk's level calls."""
+    pts, calls = _level_calls(lambda: enumerate_sublevel(T, limit, rows))
+    return sorted(pts), sum(calls.values())
 
 
 def test_last_level_matches_bruteforce():
@@ -713,11 +721,10 @@ def test_last_level_matches_bruteforce():
     assert concave >= 5
 
 
-def test_separable_bound_prunes_where_the_next_level_has_no_range():
-    # y1 and y2 have Q_ii < 0, so level 1 has no completion of squares and
-    # level 2 has one: the separable bound prunes level 0's children and is
-    # skipped at level 1's (the walk makes 31 calls with the bound nowhere
-    # and 21 with it at level 1 in place of level 0)
+def test_a_level_without_a_completion_of_squares_walks_its_box_range():
+    # y1 and y2 have Q_ii < 0, so levels 0 and 1 have no completion of
+    # squares and walk their whole box ranges, and level 2 has one: the walk
+    # makes 31 level calls for 29 points
     q = [[0, -2, -2, 0], [-2, -1, 2, -2], [-2, 2, -1, 0], [0, -2, 0, 4]]
     T = QuadExpr(4, q, [5, 4, 1, -4], 1)
     rows = [((1, 0, 0, 0), 2), ((-1, 0, 0, 0), 4), ((0, 1, 0, 0), 0), ((0, -1, 0, 0), 0),
@@ -725,7 +732,28 @@ def test_separable_bound_prunes_where_the_next_level_has_no_range():
     assert _walk_order(T.quad) is None
     pts, calls = _walk_calls(T, -3, rows)
     assert pts == _brute_ranges(T, -3, rows, [range(-2, 5), range(0, 1), range(-3, 1), range(-3, 2)])
-    assert len(pts) == 29 and calls <= 19
+    assert len(pts) == 29 and calls == 31
+
+
+def test_e026_walks_make_a_fixed_number_of_level_calls(monkeypatch):
+    # E026 at its default (window, order) = (3, 12): two window walks, each
+    # 7,611 points, make 2,868 rec and 5,550 leaf calls; a cut that stops
+    # pruning, or a prune that starts to, changes the counts
+    import qtheta.series as series_mod
+
+    sizes = []
+    real = series_mod.enumerate_sublevel
+
+    def counting(*args, **kwargs):
+        pts = real(*args, **kwargs)
+        sizes.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(series_mod, "enumerate_sublevel", counting)
+    rep, calls = _level_calls(lambda: verify_named("E026"))
+    assert rep["status"] == "pass" and (rep["window"], rep["order"]) == (3, 12)
+    assert sizes == [7611, 7611]
+    assert calls == {"rec": 2868, "leaf": 5550}
 
 
 # --- the walk order -----------------------------------------------------------
