@@ -30,8 +30,6 @@ from .series import TorusSeries
 from .smallheis import act_on_theta, group_structure
 from .torus import QuantParam, TorusPoint
 from .verify import (
-    OPERATOR,
-    PRODUCT,
     REGISTRY,
     EquationSpec,
     EquationTerm,
@@ -122,20 +120,8 @@ def _spec_from_json(data: dict) -> EquationSpec:
                 word.append(HeisRaw(param, c, x, read.vec(w, "g"), read.vec(w, "h")))
             else:
                 raise UnresolvedReference(f"unknown word factor type {kind!r}")
-        if not word or isinstance(word[-1], HeisRaw):
-            raise ValueError("operator factor with nothing to act on" if word else "empty word")
         terms.append(EquationTerm(coeff, word))
-    mode = data.get("mode", PRODUCT)
-    if mode not in (PRODUCT, OPERATOR):
-        raise ValueError(f"unknown mode {mode!r}")
-    return EquationSpec(
-        param,
-        terms,
-        count("window"),
-        count("order"),
-        mode=mode,
-        label=data.get("identity", "custom"),
-    )
+    return EquationSpec(param, terms, count("window"), count("order"), label=data.get("identity", "custom"))
 
 
 def _emit(report, out_path):

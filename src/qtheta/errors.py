@@ -51,7 +51,7 @@ class NoMonomialRoot(QThetaError):
 
 
 class NotMultipliable(QThetaError):
-    """A formal series product cannot be certified to converge u-adically."""
+    """A coefficient's sum cannot be certified finite below the order."""
 
 
 class EnumerationLimit(NotMultipliable):

@@ -364,13 +364,12 @@ def theta_dim_basis(L: Multiplier, window: int = 6, order=40) -> ThetaBasis:
     # each basis theta is one Gauss factor in image coordinates y, taken at
     # b = sum_k y_k pre_k; its u-form is the exact valuation certificate, and
     # bounds a sum only when L is ample
-    formal = not L.is_ample()
     basis = []
     for rep in consistent_reps:
         rule = _theta_rule(L, rep).compose(zero_vec(L.rank), pre)
         gens = [vec_neg(c) for c in img_cols]
         label = f"theta[{rep}]"
-        theta = TorusSeries.rule(L.param, rep, gens, None, label=label, gauss=rule, formal=formal)
+        theta = TorusSeries.rule(L.param, rep, gens, None, label=label, gauss=rule)
         basis.append(theta)
     return ThetaBasis(
         multiplier=L,

@@ -208,7 +208,10 @@ def weinstein_param(param: QuantParam) -> QuantParam:
 
 
 def weinstein_theta(param: QuantParam) -> TorusSeries:
-    """theta_W = sum alpha(g, h) e(g, h) on T(H + H, 1): formal kind."""
+    """theta_W = sum alpha(g, h) e(g, h) on T(H + H, 1).  Its Gauss part
+    bounds each coefficient but no sum: its u-form g^T A h is not positive
+    definite, so a product with a kernel raises NotMultipliable at a
+    coefficient it reaches."""
     dbl = weinstein_param(param)
     d = param.rank
 
@@ -217,9 +220,7 @@ def weinstein_theta(param: QuantParam) -> TorusSeries:
 
     rule = GaussRule(2 * d, param.field.one(), cross(param.A), cross(param.S))
     gens = dbl.lattice.basis()
-    return TorusSeries.rule(
-        dbl, zero_vec(2 * d), gens, None, label="theta_W", gauss=rule, formal=True
-    )
+    return TorusSeries.rule(dbl, zero_vec(2 * d), gens, None, label="theta_W", gauss=rule)
 
 
 def weinstein_pair_sq(param: QuantParam, k: Vec, j: Vec) -> UnitMonomial:

@@ -37,9 +37,11 @@ kernel, enumerates it, each point's u-exponent read off the walk's value)
 and sums its points as one batch: the points keyed once by the Gauss rule,
 and one series part per closure multiset (:meth:`TorusSeries._add_terms`).
 
-Kinds: *algebraic* (all factors finite), *proper* (no lattice factor is
-formal), *formal* (some factor is window-only; products are refused, but
-single Heisenberg actions, which add no kernel, evaluate).
+Kinds: *algebraic* (all factors finite) and *proper* (some lattice factor).
+No kind decides which products are finite: a sum over a kernel is computed
+only where a coefficient asks for it and the enumerator certifies T(y)'s
+sublevel set finite, and raises NotMultipliable where it cannot (a Gauss
+part that bounds each coefficient but no sum, as theta_W's does).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateViolation, NotAScalar, NotMultipliable, ParamMismatch, PrecisionShortfall
 from .gauss import GaussRule, _affine_at, _form, _moved, _newton_points, _quad, _subst
-from .intlinalg import Vec, identity, smith, vec_add, vec_neg, vec_sub, zero_vec
+from .intlinalg import Vec, bilinear_eval, identity, is_positive_definite, smith, vec_add, vec_neg, vec_sub, zero_vec
 from .quadenum import MAX_POINTS, enumerate_sublevel
 from .scalars import INF, ScalarSeries, SeriesSum, UnitMonomial, series_to_json
 from .torus import QuantParam, TorusPoint
@@ -60,7 +62,6 @@ Scalar = Union[UnitMonomial, ScalarSeries]
 
 ALGEBRAIC = "algebraic"
 PROPER = "proper"
-FORMAL = "formal"
 
 
 class FiniteFactor:
@@ -93,12 +94,10 @@ class LatticeFactor:
     have u-valuation >= 0 (:meth:`coeff_at` checks it), so the Gauss part's
     u-form is a lower bound for the coefficient's valuation, the factor's
     certificate.  Closures that compare equal return equal values at equal
-    parameters, so a word memoizes their values by closure.  ``formal``
-    marks a window-only factor, whose Gauss part bounds no sum (theta_W, a
-    non-ample theta basis).
+    parameters, so a word memoizes their values by closure.
     """
 
-    __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss", "formal")
+    __slots__ = ("param", "offset", "gens", "coeff", "cones", "label", "gauss")
     is_finite = False
 
     def __init__(
@@ -110,7 +109,6 @@ class LatticeFactor:
         cones: Sequence[bool] = (),
         label: str = "",
         gauss: Optional["GaussRule"] = None,
-        formal: bool = False,
     ):
         self.param = param
         self.offset = tuple(offset)
@@ -119,7 +117,6 @@ class LatticeFactor:
         self.cones = tuple(cones) if cones else (False,) * len(self.gens)
         self.label = label or "lattice"
         self.gauss = gauss
-        self.formal = formal
 
     @property
     def nparams(self) -> int:
@@ -222,31 +219,18 @@ class TorusSeries:
         cones: Sequence[bool] = (),
         label: str = "",
         gauss: Optional[GaussRule] = None,
-        formal: bool = False,
     ) -> "TorusSeries":
-        factor = LatticeFactor(param, offset, gens, coeff, cones, label, gauss, formal)
+        factor = LatticeFactor(param, offset, gens, coeff, cones, label, gauss)
         return cls(param, [factor], label)
 
     # -- structure -----------------------------------------------------------
 
     @property
     def kind(self) -> str:
-        lattice = [f for f in self.factors if not f.is_finite]
-        if not lattice:
-            return ALGEBRAIC
-        return FORMAL if any(f.formal for f in lattice) else PROPER
-
-    def is_multipliable(self) -> bool:
-        return self.kind in (ALGEBRAIC, PROPER)
+        return ALGEBRAIC if all(f.is_finite for f in self.factors) else PROPER
 
     def mul(self, other: "TorusSeries") -> "TorusSeries":
         """Noncommutative product: word concatenation, evaluated lazily."""
-        if self.param != other.param:
-            raise ParamMismatch("product over different quantum tori")
-        if not (self.is_multipliable() and other.is_multipliable()):
-            raise NotMultipliable(
-                "formal-kind series admit only single Heisenberg actions"
-            )
         return TorusSeries(
             self.param, self.factors + other.factors, f"({self.label})*({other.label})"
         )
@@ -279,7 +263,7 @@ class TorusSeries:
                 moved = scale.compose(f.offset, f.gens)
                 gauss = moved if gauss is None else gauss.times(moved)
             off, *gens = [point_map(g) for g in (f.offset, *f.gens)]
-            new.append(LatticeFactor(param, off, gens, f.coeff, f.cones, f.label, gauss, f.formal))
+            new.append(LatticeFactor(param, off, gens, f.coeff, f.cones, f.label, gauss))
         return TorusSeries(param, new, label)
 
     def shift_pullback(self, x: TorusPoint) -> "TorusSeries":
@@ -388,8 +372,8 @@ class TorusSeries:
         y = particular + K z on its own (:func:`_subst`, the cone rows in z,
         the default budget), the walk's value, 2 T(y), less twice low giving
         twice each point's u-exponent, the even part of its rule key.  Raises
-        NotMultipliable where a sum cannot be certified, as where a kernel
-        combo reaches a cell at an INF order or through a formal factor."""
+        NotMultipliable where a reached cell's sum cannot be certified: at an
+        INF order, or where T(y) does not bound its fibre."""
         lay = self._layout()
         n = lay.blocks[-1][2] if lay.blocks else 0
         kernel = lay.solver.kernel if lay.solver else ()
@@ -407,14 +391,11 @@ class TorusSeries:
         sums: dict = {}  # cell -> its SeriesSum
         for combo in product(*lay.items):
             chosen, base, term, form, low = self._combo_plan(combo)
-            if not kernel or order == INF or form is None:
+            if not kernel or order == INF:
                 ts = [vec_sub(h, base) for h in cells]
                 ys = lay.solver.solve_all(ts) if lay.solver else [None if any(t) else () for t in ts]
                 if kernel and any(y is not None for y in ys):  # a reached sum that cannot be certified
-                    raise NotMultipliable(
-                        "infinite-order product coefficient needs a finite order" if order == INF
-                        else "window-only factor inside a product that needs enumeration"
-                    )
+                    raise NotMultipliable("infinite-order product coefficient needs a finite order")
                 hs, ok = cells, [y is not None and all(y[c] >= 0 for c in lay.cones) for y in ys]
                 levels = None
             elif form is _ZERO_TERM:
@@ -475,10 +456,9 @@ class TorusSeries:
         the target cell (None without a kernel): the rule's u-form plus low,
         the sum of each series-valued finite value's valuation (trunc + 1 for
         a series with no known term); a closure value adds valuation >= 0.
-        Form is None when a lattice factor is formal, and _ZERO_TERM when a
-        chosen finite value is an exact zero, so every term of the combo
-        vanishes.  The cone rows y_c >= 0 are the caller's; ``_quad(form, n)``
-        hands it to ``enumerate_sublevel``.
+        Form is _ZERO_TERM when a chosen finite value is an exact zero, so
+        every term of the combo vanishes.  The cone rows y_c >= 0 are the
+        caller's; ``_quad(form, n)`` hands it to ``enumerate_sublevel``.
         """
         key = tuple(p for p, _v in combo)
         plan = self._combo_cache.get(key)
@@ -513,7 +493,7 @@ class TorusSeries:
                     rest.append((wi, slice(at, at + f.nparams)))
             rule = GaussRule(n, const, uform, sform, chars)
             form, low = None, 0
-            if lay.solver is not None and lay.solver.kernel and not any(word[wi].formal for wi in offs):
+            if lay.solver is not None and lay.solver.kernel:
                 vals = [chosen[wi][1] for wi, span in rest if span is None]
                 if any(v.is_zero() and v.trunc == INF for v in vals):
                     form = _ZERO_TERM
@@ -665,25 +645,25 @@ def series_equal_on_cells(a: TorusSeries, b: TorusSeries, cells: Iterable[Vec], 
 def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomial]:
     """The constant c with a = c b on the whole lattice, or None (unproven).
 
-    Both words need the same G, no cones, no formal factor over a kernel, one
-    finite combo and a pure-Gauss term plan: a's coefficient at h is then the
-    sum of rule_a(y) over base_a + G y = h, and b's likewise.  A translation
-    s with G s = base_b - base_a maps b's fibres onto a's, so a = c b once
-    rule_a(y + s) = c rule_b(y).  That needs equal quadratic u-forms and
-    H s = l_b - l_a (H their Hessian, l the linear parts, in half steps), and
-    s is tried only when it is the one solution.  The quotient's sign,
+    Both words need the same G, no cones, one finite combo and a pure-Gauss
+    term plan: a's coefficient at h is then the sum of rule_a(y) over
+    base_a + G y = h, and b's likewise.  A translation s with
+    G s = base_b - base_a maps b's fibres onto a's, so a = c b once
+    rule_a(y + s) = c rule_b(y).  That needs equal quadratic u-forms, with
+    Hessian H positive definite on G's kernel K (K H K^T), so that each fibre
+    sum is finite, and H s = l_b - l_a (l the linear parts, in half steps),
+    and s is tried only when it is the one solution.  The quotient's sign,
     u-exponent and character exponents are quadratics in y, so it is c at
     every y when it is c at every Newton point.
     """
     plans = []
     for w in (a, b):
         lay = w._layout()
-        if (lay.solver is None or lay.cones or w.kind == FORMAL and lay.solver.kernel
-                or any(len(it) != 1 for it in lay.items)):
+        if lay.solver is None or lay.cones or any(len(it) != 1 for it in lay.items):
             return None
         _chosen, base, (rule, rest), _form, _low = w._combo_plan(tuple(it[0] for it in lay.items))
-        plans.append((lay.mtx, base, rule, [t for t in rule.uform if t[1] < rule.n], rest))
-    (mtx, base_a, ra, quad, rest_a), (mtx_b, base_b, rb, quad_b, rest_b) = plans
+        plans.append((lay.mtx, base, rule, [t for t in rule.uform if t[1] < rule.n], rest, lay.solver.kernel))
+    (mtx, base_a, ra, quad, rest_a, kernel), (mtx_b, base_b, rb, quad_b, rest_b, _k) = plans
     if rest_a or rest_b or mtx != mtx_b or quad != quad_b:
         return None
     n = ra.n
@@ -691,6 +671,8 @@ def _prove_by_translation(a: TorusSeries, b: TorusSeries) -> Optional[UnitMonomi
     for i, j, x in quad:
         hess[i][j] += x
         hess[j][i] += x
+    if kernel and not is_positive_definite([[bilinear_eval(hess, k, l) for l in kernel] for k in kernel]):
+        return None
     la, lb = ({i: x for i, j, x in r.uform if i < j == n} for r in (ra, rb))
     solver = smith((*mtx, *hess), n)
     target = (*vec_sub(base_b, base_a), *(lb.get(i, 0) - la.get(i, 0) for i in range(n)))

@@ -41,14 +41,22 @@ from .scalars import INF, CycloField, SeriesSum, UnitMonomial, unequal_cells
 from .series import TorusSeries
 from .torus import QuantParam, TorusPoint
 
-OPERATOR = "operator_equation"
-PRODUCT = "product_identity"
-
 
 @dataclass
 class EquationTerm:
     coefficient: UnitMonomial
     word: list  # TorusSeries | HeisRaw | HeisElement
+
+    def __post_init__(self):
+        """Refuses a word that folds to no series: an empty one, one with a
+        factor of another type, or one that ends in a Heisenberg factor."""
+        if not self.word:
+            raise UnresolvedReference("empty word")
+        for op in self.word:
+            if not isinstance(op, (TorusSeries, HeisRaw, HeisElement)):
+                raise UnresolvedReference(f"unknown word factor {op!r}")
+        if not isinstance(self.word[-1], TorusSeries):
+            raise UnresolvedReference("operator factor with nothing to act on")
 
 
 @dataclass
@@ -57,7 +65,6 @@ class EquationSpec:
     terms: list[EquationTerm]
     window: int
     order: int
-    mode: str = PRODUCT
     label: str = ""
 
     def cells(self):
@@ -67,18 +74,9 @@ class EquationSpec:
 def _term_series(term: EquationTerm) -> tuple[UnitMonomial, TorusSeries]:
     """(coefficient, series of the word).  The coefficient is applied to each
     cell's value, so a word that is one shared series keeps its cache."""
-    acc: Optional[TorusSeries] = None
-    for op in reversed(term.word):
-        if isinstance(op, (HeisRaw, HeisElement)):
-            if acc is None:
-                raise UnresolvedReference("operator factor with nothing to act on")
-            acc = heis_act(op, acc)
-        elif isinstance(op, TorusSeries):
-            acc = op if acc is None else op.mul(acc)
-        else:
-            raise UnresolvedReference(f"unknown word factor {op!r}")
-    if acc is None:
-        raise UnresolvedReference("empty word")
+    acc = term.word[-1]
+    for op in reversed(term.word[:-1]):
+        acc = op.mul(acc) if isinstance(op, TorusSeries) else heis_act(op, acc)
     return term.coefficient, acc
 
 
@@ -91,13 +89,6 @@ def verify_equation(spec: EquationSpec) -> dict:
     order, cancels exactly and passes (:func:`unequal_cells`); any other
     cell sums its terms in a ``SeriesSum`` and reports the lowest u-exponent
     left, or the order it is known to."""
-    if spec.mode == PRODUCT:
-        for t in spec.terms:
-            for op in t.word:
-                if isinstance(op, TorusSeries) and not op.is_multipliable():
-                    raise NotMultipliable(
-                        "formal-kind operand in a product identity"
-                    )
     terms = [*map(_term_series, spec.terms)]
     the_cells = spec.cells()  # the sorted window
     order = spec.order
@@ -162,12 +153,12 @@ def _report(identity, window, order, checked, first_mismatch) -> dict:
 # identity registry
 
 
-def _two_sided(param, label, lhs, rhs, window, order, coeff=None, mode=PRODUCT) -> EquationSpec:
+def _two_sided(param, label, lhs, rhs, window, order, coeff=None) -> EquationSpec:
     """The spec ``coeff * lhs - rhs``, ``coeff`` 1 when None; with 1,
     ``verify_equation`` compares the two sides without summing them."""
     one = UnitMonomial.one(param.field)
     terms = [EquationTerm(one if coeff is None else coeff, lhs), EquationTerm(-one, rhs)]
-    return EquationSpec(param, terms, window, order, mode=mode, label=label)
+    return EquationSpec(param, terms, window, order, label=label)
 
 
 def _build_e012(field: CycloField, window: int, order: int) -> list[EquationSpec]:
@@ -182,9 +173,7 @@ def _build_e012(field: CycloField, window: int, order: int) -> list[EquationSpec
             (m,),
             (0,),
         )
-        specs.append(
-            _two_sided(p, f"E012[m={m}]", [gamma, theta], [theta], window, order, mode=OPERATOR)
-        )
+        specs.append(_two_sided(p, f"E012[m={m}]", [gamma, theta], [theta], window, order))
     return specs
 
 
@@ -288,9 +277,7 @@ def _build_e313(field: CycloField, window: int, order: int) -> list[EquationSpec
             k,
             (0, 0, 0, 0),
         )
-        specs.append(
-            _two_sided(dbl, f"E313[k={k}]", [gamma, theta_w], [theta_w], window, order, mode=OPERATOR)
-        )
+        specs.append(_two_sided(dbl, f"E313[k={k}]", [gamma, theta_w], [theta_w], window, order))
     return specs
 
 

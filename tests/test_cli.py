@@ -254,16 +254,15 @@ def _element(field=F, gamma=(0,)):
     return json.dumps(smallelem_to_json(UnitMonomial.one(field), TorusPoint((minus,)), gamma))
 
 
-def _theta_shift_spec(mode="product_identity", word=None, coeff=None, **fields):
+def _theta_shift_spec(word=None, coeff=None, **fields):
     """theta_jacobi - theta_jacobi = 0 as a JSON spec, which passes as it
-    stands; ``mode``, ``word`` and ``coeff`` (the first term's) and the
-    top-level ``fields`` make it malformed."""
+    stands; ``word`` and ``coeff`` (the first term's) and the top-level
+    ``fields`` make it malformed."""
     first = {"word": [_THETA] if word is None else word}
     if coeff is not None:
         first["coeff"] = coeff
     spec = {
         "schema": 1,
-        "mode": mode,
         "param": {"m": 1, "rank": 1, "A": [[0]], "S": [[0]]},
         "window": 2,
         "order": 10,
@@ -295,8 +294,6 @@ def _exponent_spec(**param):
         (["theta"], json.dumps({"param": {"m": 1}})),
         (["compose", "builtin:jacobi"], "[1, 2"),
         (["act", "ELEM", "builtin:jacobi2"], json.dumps({"c": {"m": 1}})),
-        # a typo must not run the spec as an operator equation
-        pytest.param(["verify"], _theta_shift_spec(mode="product-identity"), id="unknown-mode"),
         pytest.param(
             ["verify"],
             _theta_shift_spec(word=[{"type": "builtin", "name": "theta_on_Tq_x"}]),
@@ -342,7 +339,7 @@ def _exponent_spec(**param):
         *(
             pytest.param(
                 ["verify"],
-                _theta_shift_spec(mode="operator_equation", word=[{**_HEIS, key: value}, _THETA]),
+                _theta_shift_spec(word=[{**_HEIS, key: value}, _THETA]),
                 id=f"heis-{what}",
             )
             for what, key, value in [
@@ -357,7 +354,7 @@ def _exponent_spec(**param):
         pytest.param(["verify"], _theta_shift_spec(coeff=_ZERO), id="term-coeff-zero"),
         pytest.param(
             ["verify"],
-            _theta_shift_spec(mode="operator_equation", word=[{**_HEIS, "c": _ZERO}, _THETA]),
+            _theta_shift_spec(word=[{**_HEIS, "c": _ZERO}, _THETA]),
             id="heis-c-zero",
         ),
         # exact code reads ints and rational strings only: a float, bool or
@@ -432,6 +429,16 @@ def test_malformed_input_file_exits_two(command, text, tmp_path, capsys):
     assert "malformed input" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["product-identity", "operator_equation", None])
+def test_a_spec_mode_key_is_ignored(mode, tmp_path, capsys):
+    # a spec's kind of equation is no input: the JSON reader ignores a
+    # ``mode`` key, as any key it does not know, and the spec passes
+    path = tmp_path / "spec.json"
+    path.write_text(_theta_shift_spec(mode=mode))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_exponent_spec_passes_as_it_stands(tmp_path, capsys):
     # the control for the malformed torus fields above
     path = tmp_path / "spec.json"
@@ -449,7 +456,8 @@ def test_unknown_builtin_multiplier_exits_two(capsys):
 
 
 def test_verify_operator_mode_spec(tmp_path, capsys):
-    # theta shift equation in operator mode through the JSON vocabulary
+    # theta shift equation through the JSON vocabulary; its old ``mode`` key
+    # is ignored
     spec = {
         "schema": 1,
         "identity": "custom-shift",

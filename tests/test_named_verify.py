@@ -10,7 +10,8 @@ import random
 import pytest
 
 from qtheta import named, verify
-from qtheta.errors import EnumerationLimit, NotMultipliable, UnknownName
+from qtheta.errors import EnumerationLimit, NotMultipliable, UnknownName, UnresolvedReference
+from qtheta.heisenberg import HeisRaw
 from qtheta.named import (
     builtin_series,
     eq_addition_series,
@@ -28,7 +29,6 @@ from qtheta.scalars import INF, CycloField, ScalarSeries, SeriesSum, UnitMonomia
 from qtheta.series import TorusSeries, series_equal_on_cells
 from qtheta.torus import QuantParam, TorusPoint
 from qtheta.verify import (
-    OPERATOR,
     REGISTRY,
     EquationSpec,
     EquationTerm,
@@ -146,12 +146,12 @@ def test_registry_determinism():
 def test_weinstein_identity_cellwise():
     base = QuantParam.standard_tq(F)
     w = weinstein_theta(base)
-    assert w.kind == "formal"
+    assert not w._layout().solver.kernel  # each coefficient is one rule value
     k = (1, 0, 0, 1)
     norm = weinstein_norm(base, k)
     x = weinstein_shift_point(base, k)
     # <k,k> e(k) x_k^*(theta_W) = theta_W at a few cells
-    from qtheta.heisenberg import heis_act, HeisRaw
+    from qtheta.heisenberg import heis_act
 
     gamma = HeisRaw(w.param, norm, x, k, (0, 0, 0, 0))
     acted = heis_act(gamma, w)
@@ -159,11 +159,39 @@ def test_weinstein_identity_cellwise():
     assert series_equal_on_cells(acted, w, cells, 60)
 
 
-def test_weinstein_refuses_products():
+def test_weinstein_square_refuses_each_reached_coefficient():
+    # theta_W's u-form bounds each coefficient but no sum: theta_W theta_W
+    # builds, and each coefficient it reaches raises, with no cell cached,
+    # also in verify_equation, which refuses at the cell, not on entry
     base = QuantParam.standard_tq(F)
     w = weinstein_theta(base)
-    with pytest.raises(NotMultipliable):
-        w.mul(w)
+    sq = w.mul(w)
+    assert sq._layout().solver.kernel
+    for cells in ([(0, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, -1, 2)]):
+        with pytest.raises(NotMultipliable, match="cannot certify a finite convolution"):
+            sq.coeffs(cells, 8)
+        assert not any(sq._cache.values()), cells
+    one = UnitMonomial.one(F)
+    spec = EquationSpec(w.param, [EquationTerm(one, [w, w]), EquationTerm(-one, [sq])], 0, 8)
+    with pytest.raises(NotMultipliable, match="cannot certify a finite convolution"):
+        verify_equation(spec)
+
+
+def test_an_equation_term_refuses_a_word_that_folds_to_no_series():
+    # the term checks its word once, where it is made: empty, a factor of
+    # another type, or a Heisenberg factor with nothing after it to act on
+    p = QuantParam.trivial(F, 1)
+    one = UnitMonomial.one(F)
+    theta = theta_series(p, (1,))
+    gamma = HeisRaw(p, one, TorusPoint.from_q_exps(F, [2]), (1,), (0,))
+    for word, reason in [
+        ([], "empty word"),
+        ([gamma, theta, "theta"], "unknown word factor 'theta'"),
+        ([theta, gamma], "operator factor with nothing to act on"),
+    ]:
+        with pytest.raises(UnresolvedReference, match=reason):
+            EquationTerm(one, word)
+    assert _term_series(EquationTerm(one, [gamma, theta]))[1].kind == "proper"
 
 
 def test_verify_named_passes():
@@ -530,7 +558,7 @@ def _two_sided(lhs, rhs, window, order, mirrored=False):
     one, minus = UnitMonomial.one(F), UnitMonomial(-F.one(), 0)
     signs = (minus, one) if mirrored else (one, minus)
     terms = [EquationTerm(c, [s]) for c, s in zip(signs, (lhs, rhs))]
-    return EquationSpec(lhs.param, terms, window, order, mode=OPERATOR)
+    return EquationSpec(lhs.param, terms, window, order)
 
 
 def test_equal_sides_known_below_the_order_are_a_shortfall():

@@ -20,7 +20,7 @@ import itertools
 import pytest
 from oracles import word_coeff_reference
 
-from qtheta import compose_multipliers, series, theta_dim_basis
+from qtheta import compose_multipliers, heis_act, series, theta_dim_basis
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((ROOT / "tests" / "data" / "product_digests.json").read_text())
@@ -91,3 +91,21 @@ def test_theta_products_match_a_reference_from_the_thetas_tables(seed, monkeypat
         with monkeypatch.context() as mp:
             mp.setattr(series, "enumerate_sublevel", _no_walk)
             assert [table[h] for h in cells] == [_reference(b1, b2, h, wl.ORDER) for h in cells]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_translation_proves_every_theta_membership_generator(seed):
+    # theta_membership proves each pair's product invariant under each of the
+    # composed multiplier's generator images by translating its summation
+    # lattice: the u-form is positive definite on the product's kernel, so
+    # all 48 are proved and no window pass is left to compare
+    wl = _workloads()
+    proved = []
+    for l1, l2 in wl.ProductInputs(seed).pairs:
+        b1, b2 = (theta_dim_basis(lm, wl.WINDOW, wl.ORDER).basis[0] for lm in (l1, l2))
+        product = b1.mul(b2)
+        assert product._layout().solver.kernel
+        for img in compose_multipliers(l2, l1).images:
+            c = series._prove_by_translation(heis_act(img, product), product)
+            proved.append(c is not None and c.is_one())
+    assert len(proved) == 48 and all(proved)

@@ -14,6 +14,7 @@ from qtheta.errors import (
     EnumerationLimit,
     NotAScalar,
     NotMultipliable,
+    ParamMismatch,
     QThetaError,
 )
 from qtheta.heisenberg import heis_act
@@ -260,16 +261,34 @@ def test_conjugation_check():
         assert conjugation_check(TQ, h, TorusSeries.from_dict(TQ, table))
 
 
-def test_formal_kind_refuses_products():
-    # window-only rule: its Gauss part bounds no sum
+def test_a_flat_closure_times_theta_is_certified_by_the_product():
+    # a closure with no Gauss part bounds no sum on its own, but theta's
+    # u-form bounds the product's sum over its kernel: flat theta computes,
+    # and equals flat cut to a box (a finite factor) times theta
     def coeff(y, order):
         return UnitMonomial.one(F)
 
-    w = TorusSeries.rule(TQ, (0, 0), [(1, 0), (0, 1)], coeff, label="flat", formal=True)
-    assert w.kind == "formal"
-    other = theta_lift(TQ, (1, 0))
-    with pytest.raises(NotMultipliable):
-        w.mul(other)
+    flat = TorusSeries.rule(TQ, (0, 0), [(1, 0), (0, 1)], coeff, label="flat")
+    th = theta_lift(TQ, (1, 0))
+    word = flat.mul(th)
+    assert word._layout().solver.kernel
+    two = F.from_rational(2)
+    assert word.coeff((0, 0), 8) == ScalarSeries(F, {0: F.one(), 2: two, 8: two}, 8)
+    box = TorusSeries.from_dict(TQ, {h: UnitMonomial.one(F) for h in TQ.window_cells(4)})
+    cells = TQ.window_cells(1)
+    assert word.coeffs(cells, 8) == box.mul(th).coeffs(cells, 8)
+
+
+def test_factors_over_two_tori_are_refused():
+    # a word checks each factor's torus where it is built, so a product of
+    # series over two tori raises as any other word of mixed factors does
+    th = theta_lift(TQ, (1, 0))
+    other = theta_lift(QuantParam.trivial(F, 2), (1, 0))
+    for a, b in ((th, other), (other, th)):
+        with pytest.raises(ParamMismatch):
+            a.mul(b)
+    with pytest.raises(ParamMismatch):
+        TorusSeries(TQ, th.factors + other.factors)
 
 
 def test_braid_identity_small():
@@ -523,7 +542,7 @@ def test_named_series_keep_their_kind():
         "e_q_inv": "proper",
         "theta_on_Tq_u": "proper",
         "theta_on_Tq_v": "proper",
-        "theta_weinstein": "formal",
+        "theta_weinstein": "proper",
         "r_fv": "proper",
     }
     for name, kind in kinds.items():
@@ -572,7 +591,7 @@ def test_shift_pullbacks_match_the_wrapped_closure(m):
         )
     )
     (pulled,) = theta_w.shift_pullback(x).factors
-    assert pulled.formal and pulled.coeff is None
+    assert pulled.coeff is None and pulled.gauss is not None
     for y in itertools.product(range(-1, 2), repeat=4):
         assert factor_coeff(pulled, y, 30) == x.eval(y) * p.alpha(y[:2], y[2:])
 
@@ -1554,26 +1573,30 @@ def test_window_pass_maps_points_to_the_rank_0_cell(monkeypatch):
 def _kernel_words(f):
     """{name: fresh-word factory} on a rank-1 torus, each with a kernel and
     reaching the even cells only: g g for the Gauss factor g = u^(y^2) at
-    2y, and a formal factor u^(y^2 + z^2) at 2y + 2z."""
+    2y, a single factor u^(y^2 + z^2) at 2y + 2z, equal to g g, and
+    u^(y^2 - z^2) at 2y + 2z, whose u-form bounds no fibre."""
     p = QuantParam.trivial(f, 1)
     g = TorusSeries.rule(p, (0,), [(2,)], None, gauss=GaussRule(1, f.one(), [(0, 0, 2)]))
-    both = GaussRule(2, f.one(), [(0, 0, 2), (1, 1, 2)])
-    return {
-        "g.g": lambda: g.mul(g),
-        "formal": lambda: TorusSeries.rule(p, (0,), [(2,), (2,)], None, gauss=both, formal=True),
-    }
+
+    def pair(sign):
+        rule = GaussRule(2, f.one(), [(0, 0, 2), (1, 1, 2 * sign)])
+        return lambda: TorusSeries.rule(p, (0,), [(2,), (2,)], None, gauss=rule)
+
+    return {"g.g": lambda: g.mul(g), "y2+z2": pair(1), "y2-z2": pair(-1)}
 
 
 @pytest.mark.parametrize("m", [1, 5])
 @pytest.mark.parametrize("order", [INF, 8])
 def test_kernel_sums_without_a_certificate_refuse_only_reached_cells(m, order):
-    # over a kernel, an INF order or a formal factor leaves a reached cell's
-    # sum uncertified: a call that asks for an even cell, alone or among odd
-    # ones in either order, raises and caches no cell; an odd cell is an
-    # exact zero; g g at a finite order is the plain kernel sum
+    # over a kernel, an INF order or a u-form that bounds no fibre leaves a
+    # reached cell's sum uncertified: a call that asks for an even cell,
+    # alone or among odd ones in either order, raises and caches no cell; an
+    # odd cell is an exact zero; g g and u^(y^2 + z^2) at a finite order are
+    # the plain kernel sum
     f = CycloField(m)
     inf = "infinite-order product coefficient needs a finite order"
-    refused = {"g.g": inf if order == INF else None, "formal": inf if order == INF else "window-only factor"}
+    uncertified = inf if order == INF else "cannot certify a finite convolution"
+    refused = {"g.g": inf if order == INF else None, "y2+z2": inf if order == INF else None, "y2-z2": uncertified}
     for name, fresh in _kernel_words(f).items():
         assert fresh()._layout().solver.kernel, name
         for cells in ([(1,)], [(1,), (-1,), (3,)]):
@@ -1696,11 +1719,11 @@ def test_a_raising_fill_records_no_window(monkeypatch):
     assert [*word._windows] == [(8, 3)] and len(table) == 7
     monkeypatch.undo()
     assert table == [*_kernel_words(F)["g.g"]().coeffs(word.window_cells(3), 8).values()]
-    formal = _kernel_words(F)["formal"]()  # a reached kernel sum through a formal factor
+    indefinite = _kernel_words(F)["y2-z2"]()  # a reached kernel sum the certificate refuses
     for _ in range(2):
-        with pytest.raises(NotMultipliable, match="window-only factor"):
-            formal._window_table(3, 8)
-    assert not formal._windows
+        with pytest.raises(NotMultipliable, match="cannot certify a finite convolution"):
+            indefinite._window_table(3, 8)
+    assert not indefinite._windows and not any(indefinite._cache.values())
 
 
 def test_equal_closures_in_one_word_evaluate_once_per_parameter_and_order():
@@ -1831,22 +1854,45 @@ def test_translation_never_proves_a_perturbed_theta():
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_translation_proves_every_e313_spec(m):
-    # both sides of an E313 spec are formal, as theta_W is window-only, but
-    # kernel-free, so each cell's coefficient is one rule value and there is
-    # no sum to certify: each spec c_a a + c_b b is proved to cancel,
-    # c_a c + c_b = 0, and a side scaled by u or -1 is proved to be exactly
-    # that multiple; a formal word with a kernel is still refused
+    # both sides of an E313 spec act on theta_W, whose u-form bounds no sum,
+    # but are kernel-free, so each cell's coefficient is one rule value and
+    # there is no sum to certify: each spec c_a a + c_b b is proved to
+    # cancel, c_a c + c_b = 0, and a side scaled by u or -1 is proved to be
+    # exactly that multiple
     f = CycloField(m)
     specs = identity_specs("E313", f)
     assert len(specs) == 10
     for spec in specs:
         (ca, a), (cb, b) = map(_term_series, spec.terms)
-        assert a.kind == b.kind == "formal" and not (a._layout().solver.kernel or b._layout().solver.kernel)
+        assert not (a._layout().solver.kernel or b._layout().solver.kernel)
         c = _prove_by_translation(a, b)
         assert c is not None and ca * c == -cb, spec.label
         for scale in (UnitMonomial(f.one(), 1), UnitMonomial(-f.one(), 0)):
             got = _prove_by_translation(a.scaled(scale), b)
             assert got == scale * c and got != c, (spec.label, scale)
-    formal = _kernel_words(f)["formal"]()
-    assert formal.kind == "formal" and formal._layout().solver.kernel
-    assert _prove_by_translation(formal, formal) is None
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_translation_needs_a_u_form_positive_definite_on_the_kernel(m):
+    # over a kernel each coefficient is a fibre sum: u^(y^2 + z^2) and g g
+    # share G and the u-form, positive definite on the kernel, and are proved
+    # equal; so is u^(-2yz) to itself, indefinite but positive definite on
+    # the kernel y + z = 0, whose fibre sums compute; u^(y^2 - z^2), and
+    # u^((y + z)^2), zero on the kernel, have divergent fibre sums and are
+    # not proved equal even to themselves
+    f = CycloField(m)
+    p = QuantParam.trivial(f, 1)
+    words = _kernel_words(f)
+    one = UnitMonomial.one(f)
+    assert _prove_by_translation(words["y2+z2"](), words["g.g"]()) == one
+    hyperbolic = TorusSeries.rule(p, (0,), [(2,), (2,)], None, gauss=GaussRule(2, f.one(), [(0, 1, -4)]))
+    assert _prove_by_translation(hyperbolic, hyperbolic) == one
+    for k in (-2, 0, 1):
+        exps = [-2 * y * (k - y) for y in range(-6, 7)]
+        want = ScalarSeries(f, {e: f.from_rational(exps.count(e)) for e in set(exps) if e <= 6}, 6)
+        assert hyperbolic.coeff((2 * k,), 6) == want, k
+    square = GaussRule(2, f.one(), [(0, 0, 2), (0, 1, 4), (1, 1, 2)])  # (y + z)^2
+    zero_on_kernel = TorusSeries.rule(p, (0,), [(2,), (2,)], None, gauss=square)
+    for word in (words["y2-z2"](), zero_on_kernel):
+        assert word._layout().solver.kernel
+        assert _prove_by_translation(word, word) is None
