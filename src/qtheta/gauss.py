@@ -9,11 +9,13 @@ a form, which :func:`_quad` hands to :func:`qtheta.quadenum.enumerate_sublevel`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .intlinalg import Vec, identity, vec_add, zero_vec
 from .quadenum import QuadExpr
 from .scalars import UnitMonomial
+from .torus import _window
 
 
 # A form is a quadratic in y = (y_0, ..., y_{n-1}) counted in half steps:
@@ -152,12 +154,12 @@ class GaussRule:
         A caller that has twice the u-exponent at each y already (a walk's
         values less twice its low) hands it in as ``twice_u``, and the u-form
         is not evaluated."""
-        n = self.n
-        ks = _forms_at(self.uform, ys, n) if twice_u is None else twice_u  # even: twice the u-exponent
-        if self.sform:  # the form holds 2s
-            ks = [k | v >> 1 & 1 for k, v in zip(ks, _forms_at(self.sform, ys, n))]
-        js = [[v >> 1 for v in _forms_at(l, ys, n)] for _b, l in self.chars]
-        return [*zip(ks, *js)] if js else ks
+        return _keys(self.uform, self.sform, [l for _b, l in self.chars], ys, self.n, twice_u)
+
+    def window_keys(self, radius: int) -> tuple:
+        """:meth:`keys` at ``QuantParam.window_cells(radius)`` and their set, one
+        pair for every rule with these forms: keys read no constant or base."""
+        return _window_keys(self.uform, self.sform, tuple(l for _b, l in self.chars), self.n, radius)
 
     def key_values(self, keys) -> dict:
         """{key: (coefficient, u-exponent)} for distinct keys of :meth:`keys`,
@@ -175,6 +177,22 @@ class GaussRule:
                 c = c * p[j]
             out[key] = c, k >> 1
         return out
+
+
+def _keys(uform, sform, lforms, ys, n, twice_u=None) -> list:
+    """:meth:`GaussRule.keys` of a rule with these u-, sign and character forms."""
+    ks = _forms_at(uform, ys, n) if twice_u is None else twice_u  # even: twice the u-exponent
+    if sform:  # the form holds 2s
+        ks = [k | v >> 1 & 1 for k, v in zip(ks, _forms_at(sform, ys, n))]
+    js = [[v >> 1 for v in _forms_at(l, ys, n)] for l in lforms]
+    return [*zip(ks, *js)] if js else ks
+
+
+@lru_cache(maxsize=16)
+def _window_keys(uform, sform, lforms, n, radius) -> tuple:
+    """:meth:`GaussRule.window_keys`, once per forms and window."""
+    keys = tuple(_keys(uform, sform, lforms, _window(n, radius), n))
+    return keys, frozenset(keys)
 
 
 def _newton_points(n) -> list:

@@ -334,25 +334,27 @@ class TorusSeries:
         if table is None:
             cells = self.param.window_cells(radius)
             known = self._cache.get(order)
-            table = [*map(self._table(cells, order).get, cells)] if known else self._pass(cells, order)
+            table = [*map(self._table(cells, order).get, cells)] if known else self._pass(cells, order, radius)
             self._windows[order, radius] = table
         return table
 
-    def _pass(self, cells: list, order) -> list:
-        """The coefficients at the distinct ``cells``, in their order: the one
-        place that picks a path, :meth:`_rule_coeffs` else :meth:`_combo_coeffs`."""
+    def _pass(self, cells: list, order, radius=None) -> list:
+        """The coefficients at the distinct ``cells`` (``window_cells(radius)`` given
+        one), in their order: the one place that picks a path, :meth:`_rule_coeffs`
+        else :meth:`_combo_coeffs`."""
         rules = self._cell_rules()
-        return self._combo_coeffs(cells, order) if rules is None else self._rule_coeffs(rules, cells, order)
+        return self._combo_coeffs(cells, order) if rules is None else self._rule_coeffs(rules, cells, order, radius)
 
-    def _rule_coeffs(self, rules, cells, order) -> list:
+    def _rule_coeffs(self, rules, cells, order, radius=None) -> list:
         """The coefficients at ``cells`` of a word with cell rules: each rule
-        is keyed at every cell in one call (:meth:`GaussRule.keys`), each
-        distinct key's value is one shared series
+        is keyed at every cell in one call (:meth:`GaussRule.keys`, or over a
+        window :meth:`GaussRule.window_keys`, shared by rules of equal forms),
+        each distinct key's value is one shared series
         (:meth:`UnitMonomial.to_series`), and a cell sums its rules' series."""
         parts = []
         for rule in rules:
-            keys = rule.keys(cells)
-            shared = {k: UnitMonomial(*v).to_series(order) for k, v in rule.key_values(set(keys)).items()}
+            keys, distinct = rule.window_keys(radius) if radius is not None else (ks := rule.keys(cells), set(ks))
+            shared = {k: UnitMonomial(*v).to_series(order) for k, v in rule.key_values(distinct).items()}
             parts.append([*map(shared.__getitem__, keys)])
         if len(parts) == 1:
             return parts[0]

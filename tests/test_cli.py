@@ -447,6 +447,21 @@ def test_exponent_spec_passes_as_it_stands(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def test_a_builtin_on_another_torus_exits_two(tmp_path, capsys):
+    # theta_jacobi lives on the rank-1 trivial torus: a spec over T_q that
+    # names it is refused as input, not multiplied across tori
+    spec = json.loads(_exponent_spec())
+    spec["terms"][0]["word"] = [_THETA]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "malformed input" in captured.err
+    assert "builtin theta_jacobi lives on a different torus" in captured.err
+
+
 def test_unknown_builtin_multiplier_exits_two(capsys):
     assert main(["theta", "builtin:nope"]) == 2
     captured = capsys.readouterr()

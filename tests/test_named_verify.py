@@ -387,11 +387,11 @@ def test_e313_computes_each_theta_w_cell_once(monkeypatch):
     counts = collections.Counter()
     orig = TorusSeries._rule_coeffs
 
-    def counting(self, rules, cells, order):
+    def counting(self, rules, cells, order, radius=None):
         if theta_w.factors[0] in self.factors:  # theta_W, scaled or not
             for h in cells:
                 counts[h] += 1
-        return orig(self, rules, cells, order)
+        return orig(self, rules, cells, order, radius)
 
     monkeypatch.setattr(TorusSeries, "_rule_coeffs", counting)
     for spec in specs:
@@ -425,6 +425,31 @@ def test_e026_evaluates_no_gauss_form(monkeypatch):
     assert len(walks) == 2 and forms == []
 
 
+def test_e313_keys_its_window_once(monkeypatch):
+    # all 20 cell rules of E313's ten specs have the forms of -theta_W's: its
+    # u-form, no sign form and no character, so their keys over the shared
+    # window are one cached list (GaussRule.window_keys): in a fresh cache the
+    # u-form is evaluated once, two list passes (one per term) over the 6,561
+    # cells, where keying each of the 11 rule passes made 11 (22 list passes),
+    # and a second run evaluates no form
+    import qtheta.gauss as gauss_mod
+
+    passes = []
+    real = gauss_mod._forms_at
+
+    def counting(form, ys, n):
+        passes.append((len(form), len(ys)))
+        return real(form, ys, n)
+
+    monkeypatch.setattr(gauss_mod, "_forms_at", counting)
+    gauss_mod._window_keys.cache_clear()
+    assert verify_named("E313", CycloField(1), 4, 40)["status"] == "pass"
+    assert passes == [(2, 9**4)]
+    passes.clear()
+    assert verify_named("E313", CycloField(1), 4, 40)["status"] == "pass"
+    assert passes == []
+
+
 def test_e313_fills_the_theta_w_window_once(monkeypatch):
     # the -theta_W term is one series in all ten specs: the first spec fills
     # its window table in one pass, and the other nine read that list with
@@ -435,9 +460,9 @@ def test_e313_fills_the_theta_w_window_once(monkeypatch):
     calls = collections.Counter()
     real = TorusSeries._pass
 
-    def counting(self, cells, order):
+    def counting(self, cells, order, radius=None):
         calls[self is theta_w] += 1
-        return real(self, cells, order)
+        return real(self, cells, order, radius)
 
     monkeypatch.setattr(TorusSeries, "_pass", counting)
     for runs in (1, 2):

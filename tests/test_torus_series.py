@@ -242,6 +242,17 @@ def test_shift_pullback():
     assert series_equal_on_cells(th.shift_pullback(ident), th, [(n,) for n in range(-3, 4)], 30)
 
 
+def test_shift_pullback_refuses_a_point_of_another_rank():
+    with pytest.raises(ParamMismatch, match="point rank mismatch"):
+        theta_lift(TQ, (1, 0)).shift_pullback(TorusPoint.from_q_exps(F, [2]))
+
+
+def test_conjugation_check_refuses_a_proper_operand():
+    # theta's coefficients are a lattice factor's: no finite support to check on
+    with pytest.raises(NotMultipliable, match="algebraic operand"):
+        conjugation_check(TQ, (1, 0), theta_lift(TQ, (1, 0)))
+
+
 def test_conjugation_check():
     # T_q, h = h1, f = e(h2): both sides q^2 e(h2)
     f = TorusSeries.exponent(TQ, (0, 1))
@@ -1269,7 +1280,8 @@ def test_rule_keys_read_back_the_coefficients_and_u_exponents(monkeypatch, m):
 def test_a_rule_pass_hashes_no_field_element(monkeypatch, m):
     # a rule pass keys its cells by ints and shares one series per value, so
     # no CycloRational is hashed: one rule, one with characters, two rules
-    # (summed per cell) and E313's acted word
+    # (summed per cell) and E313's acted word, over the cells and over the
+    # same cells as a window, whose keys are looked up by the rules' forms
     f = CycloField(m)
     e313 = identity_specs("E313", f, window=1, order=8)[0].terms[0]
     words = [*_cell_words(m), _term_series(e313)[1]]
@@ -1282,7 +1294,8 @@ def test_a_rule_pass_hashes_no_field_element(monkeypatch, m):
     real = CycloRational.__hash__
     monkeypatch.setattr(CycloRational, "__hash__", lambda self: hashed.append(self) or real(self))
     got = [w._rule_coeffs(rs, hs, 8) for w, rs, hs in zip(words, rules, cells)]
-    assert hashed == [] and got == want
+    windowed = [w._rule_coeffs(rs, hs, 8, 2) for w, rs, hs in zip(words, rules, cells)]
+    assert hashed == [] and got == want == windowed
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -1332,6 +1345,53 @@ def test_rule_pass_shares_one_series_per_distinct_cell_value(m):
                         assert len({id(table[h]) for h in hs.values()}) == 2
                         signs_met += 1
     assert signs_met > 0
+
+
+def _random_form(rng, n):
+    """An integer-valued quadratic in n variables, in half steps: even cross
+    terms and constant, each y_a^2 coefficient of the parity of y_a's."""
+    terms = [(a, b, 2 * rng.randint(-2, 2)) for a in range(n) for b in range(a + 1, n + 1)]
+    for a in range(n):
+        x = rng.randint(-3, 3)
+        terms += [(a, a, x), (a, n, x + 2 * rng.randint(-1, 1))]
+    return terms
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_rules_sharing_window_keys_keep_their_own_values(m):
+    # a window pass reads each rule's keys from the one list kept per forms
+    # and window (GaussRule.window_keys), and its values from the rule's own
+    # constant and bases: rules of equal forms with other constants or bases,
+    # and rules that differ only in the sign form mod 4 or in one character
+    # form, each match their own rule at every cell, at two radii; the forms
+    # do not depend on m, so the m=5 run reads keys the m=1 run left cached
+    f = CycloField(m)
+    p = QuantParam.trivial(f, 2)
+    consts = [f.one(), f.minus_one(), f.from_rational(Fraction(-2, 3)), f.zeta() + f.from_rational(3)]
+    bases = [f.from_rational(2), f.minus_one(), f.zeta(2) * f.from_rational(Fraction(1, 3))]
+    rng = random.Random(43)
+    order = 40
+    for _trial in range(4):
+        u, s, l, l2 = (_random_form(rng, 2) for _i in range(4))
+        c, d = rng.sample(consts, 2)
+        b, b2 = rng.sample(bases, 2)
+        rules = [
+            GaussRule(2, c, u, s, [(b, l)]),
+            GaussRule(2, d, u, s, [(b2, l)]),  # the same forms
+            GaussRule(2, c, u, [*s, (0, 1, 4), (2, 2, 4)], [(b, l)]),  # the same sign form mod 4
+            GaussRule(2, c, u, [*s, (2, 2, 2)], [(b, l)]),  # the sign flipped
+            GaussRule(2, c, u, s, [(b, [*l, (0, 2, 2)])]),  # one character form moved
+            GaussRule(2, c, u, s, [(b, l), (b2, l2)]),
+            GaussRule(2, d, u, s),
+        ]
+        for rule in rules:
+            word = TorusSeries.rule(p, (0, 0), [(1, 0), (0, 1)], None, gauss=rule)
+            (cell_rule,) = word._cell_rules()
+            assert cell_rule.const == rule.const and cell_rule.chars == rule.chars
+            for radius in (1, 2):
+                want = [rule.at(h).to_series(order) for h in p.window_cells(radius)]
+                assert all(x.trunc == order and not x.is_zero() for x in want)
+                assert word._window_table(radius, order) == want
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -1672,9 +1732,9 @@ def test_a_warm_window_is_not_rescanned(monkeypatch):
     calls = []
     real = TorusSeries._pass
 
-    def counting(self, cells, order):
+    def counting(self, cells, order, radius=None):
         calls.append((len(cells), order))
-        return real(self, cells, order)
+        return real(self, cells, order, radius)
 
     monkeypatch.setattr(TorusSeries, "_pass", counting)
     table = th._window_table(2, 10)
